@@ -27,12 +27,12 @@ print("      the value 1347 sometimes quoted at that position equals l'_6 =",
 
 print("\ntree layers (3^k monomials each):")
 for k in range(4):
-    layer = tree_layer(k, pack)
+    layer = tree_layer(k)
     print(f"  layer {k} ({len(layer)}):",
           ", ".join(str(m) for m in layer[:9]),
           "..." if len(layer) > 9 else "")
 
-m = tree_layer(3, pack)[3]
+m = tree_layer(3)[3]
 print(f"\nfour degrees of {m}: deg1={m.deg1} (layer), deg2={m.deg2} (shift), "
       f"deg3={m.deg3(pack)} (copies), deg4={m.deg4} (factors)")
 

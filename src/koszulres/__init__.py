@@ -14,7 +14,6 @@ from .exactfield import (
     RingFile,
     RingMatrix,
     build_ring,
-    flatten,
     kernel_mod,
     mod_matmul,
     parse_ring_file,
@@ -25,7 +24,6 @@ from .exactfield import (
 from .koszul import (
     CycleMatrix,
     KoszulElement,
-    ShiftedBlock,
     cycle_matrix_action,
     koszul_differential,
     parse_koszul_element,
@@ -60,18 +58,14 @@ from .builder import (
     AssemblyError,
     Block,
     BuildError,
-    Delta,
     ResolutionAssembly,
     alpha,
     assemble_CI,
     assemble_T,
     beta,
     beta_prime,
-    component_C,
-    delta,
     gamma,
     graded_A_complexes,
-    phi,
 )
 from .verifier import (
     OracleResolution,

@@ -1,23 +1,28 @@
 """Construction of the resolution data: the word-indexed cycle matrices
-beta_k / beta'_k, the gamma row vectors, the alpha family and its Delta / phi
-block aggregates, the tree-indexed complexes C^(k), the assembled minimal
-free resolution F of the residue field (class T and complete intersection),
-and the finite complexes of homology classes used for graded-level exactness
-checks.
+beta_k / beta'_k, the gamma row vectors, the alpha family, the assembled
+minimal free resolution F of the residue field (class T and complete
+intersection), and the finite complexes of homology classes used for
+graded-level exactness checks.
+
+Both resolutions are iterated mapping cones of Koszul blocks and come out of
+one engine, _assemble_diff: Koszul differentials on the diagonal, one
+cycle-matrix arrow per block off it.  The two classes differ only in which
+blocks exist and which arrow each block carries.
 
 Block-sign bookkeeping, fixed by the d^2 = 0 arbiter (see assemble_T): the
 diagonal Koszul block of the component indexed by a tree monomial m carries
 the sign (-1)^(deg1 m + deg2 m) - the parity of the block's total homological
-shift inside F - and the arrow blocks all carry a global phi sign.  Both
-knobs are searched over and the surviving combination is frozen into the
-assembly and reported.
+shift inside F - and the arrow blocks all carry a global sign (reported as
+the "phi" sign).  Both knobs are searched over and the surviving combination
+is frozen into the assembly and reported.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -27,12 +32,9 @@ from .koszul import (
     CycleMatrix,
     cycle_matrix_action,
     koszul_differential,
-    subsets,
 )
 from .sequences import (
     SequencePack,
-    TreeMonomial,
-    UNIT_MONOMIAL,
     arrow_target,
     tree_layer,
 )
@@ -203,72 +205,6 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
     return CycleMatrix(ring, rows, cols_expected, degree, entries, check=False)
 
 
-@dataclass
-class Delta:
-    """Horizontal concatenation (alpha_{k,k} | alpha_{k,k+1} | alpha_{k,k+2});
-    the three column blocks carry entry degrees 1, 2, 3."""
-
-    k: int
-    parts: tuple  # (alpha_{k,k}, alpha_{k,k+1}, alpha_{k,k+2})
-
-    @property
-    def rows(self):
-        return self.parts[0].rows
-
-    @property
-    def cols(self):
-        return sum(a.cols for a in self.parts)
-
-
-def delta(k: int, pack: SequencePack, basis: ClassTBasis) -> Delta:
-    return Delta(k, tuple(alpha(k, r, pack, basis) for r in (k, k + 1, k + 2)))
-
-
-def phi_blocks(m: int) -> list:
-    """Diagonal block structure of phi^(m): ordered (j, n) pairs, each one a
-    Delta_j repeated deg3(n) times, covering the three sources X_{j,r}.n going
-    to the target X_{j-1,j-1}.n; sources in this order are exactly
-    tree_layer(m)."""
-    if m < 1:
-        raise BuildError("phi needs m >= 1")
-    out = [(m, UNIT_MONOMIAL)]
-    for j in range(m - 1, 0, -1):
-        for s in (j + 1, j + 2):
-            for jb, nb in phi_blocks(m - j):
-                out.append((jb, TreeMonomial(nb.factors + ((j, s),))))
-    return out
-
-
-def phi(m: int, pack: SequencePack, basis: ClassTBasis) -> list:
-    """phi^(m) as a list of (Delta_j, repeat count, source monomials, target
-    monomial) in block-diagonal order; a structural bijection with
-    tree_layer(m) (sources) and tree_layer(m-1) (targets) is asserted."""
-    blocks = []
-    sources_flat = []
-    targets = []
-    deltas: dict = {}
-    for j, n in phi_blocks(m):
-        if j not in deltas:
-            deltas[j] = delta(j, pack, basis)
-        d = deltas[j]
-        srcs = [TreeMonomial(((j, r),) + n.factors) for r in (j, j + 1, j + 2)]
-        tgt = arrow_target(srcs[0])
-        blocks.append((d, n.deg3(pack), srcs, tgt))
-        sources_flat.extend(srcs)
-        targets.append(tgt)
-    if list(tree_layer(m)) != sources_flat:
-        raise AssemblyError(f"phi^{m} domain blocks do not match tree layer {m}")
-    if len(sources_flat) != 3 ** m or len(set(targets)) != len(targets):
-        raise AssemblyError(f"phi^{m} layer sizes are inconsistent")
-    return blocks
-
-
-def component_C(k: int, pack: SequencePack) -> list:
-    """Ordered block description of C^(k): (monomial, shift deg2, copies deg3)
-    for every layer-k monomial; C^(0) is the unshifted Koszul complex."""
-    return [(m, m.deg2, m.deg3(pack)) for m in tree_layer(k)]
-
-
 # ---------------------------------------------------------------------------
 # assembled resolutions
 # ---------------------------------------------------------------------------
@@ -287,6 +223,10 @@ class Block:
     def label(self) -> str:
         return f"K[{self.kdeg}]^{self.copies} @ {self.key}"
 
+    def width(self, nvars: int) -> int:
+        """Rank of the block as a free R-module."""
+        return self.copies * comb(nvars, self.kdeg)
+
 
 @dataclass
 class ResolutionAssembly:
@@ -295,8 +235,12 @@ class ResolutionAssembly:
     i_max: int
     blocks: list                    # blocks[k] = ordered list of Block
     differentials: list             # differentials[k] = RingMatrix d_{k+1}... see diff()
-    ranks: list
     sign_regime: str
+    ranks: list = field(init=False)
+
+    def __post_init__(self):
+        self.ranks = [sum(b.width(self.ring.nvars) for b in bl)
+                      for bl in self.blocks]
 
     def diff(self, i: int) -> RingMatrix:
         """d^F_i : F_i -> F_{i-1} for 1 <= i <= i_max."""
@@ -323,62 +267,47 @@ def _class_t_blocks(k: int, pack: SequencePack, n: int) -> list:
     return out
 
 
-def _diag_sign(shift: int, regime: str, m: TreeMonomial | None = None) -> int:
-    if regime == "total":
-        return (-1) ** shift
-    if regime == "deg2":
-        assert m is not None
-        return (-1) ** m.deg2
-    raise BuildError(f"unknown sign regime {regime!r}")
+def _place(entries: dict, sub: RingMatrix, r0: int, c0: int, copies: int,
+           sign: int):
+    """Add `copies` diagonal copies of sign*sub with top-left corner (r0, c0)."""
+    for copy in range(copies):
+        r, c = r0 + copy * sub.rows, c0 + copy * sub.cols
+        for (i, j), f in sub.entries.items():
+            key = (r + i, c + j)
+            g = f if sign == 1 else f.scale(sign)
+            entries[key] = entries[key] + g if key in entries else g
 
 
-def _place(entries: dict, sub: RingMatrix, r0: int, c0: int, sign: int = 1):
-    for (i, j), f in sub.entries.items():
-        key = (r0 + i, c0 + j)
-        g = f if sign == 1 else f.scale(sign)
-        entries[key] = entries[key] + g if key in entries else g
-
-
-def _assemble_T_diff(ring, pack, basis, blocks_lo, blocks_hi, regime, phi_sign,
-                     alphas):
-    """One differential F_hi -> F_lo from the block inventories."""
+def _assemble_diff(ring, blocks_lo, blocks_hi, diag_sign, arrow) -> RingMatrix:
+    """One differential F_hi -> F_lo of an iterated mapping cone of Koszul
+    blocks.  Each block of F_hi maps to its own block one Koszul degree down
+    by diag_sign(block) times the Koszul differential, and, when
+    arrow(block) = (target_key, target_kdeg, theta, reps, sign) is given, to
+    the block (target_key, target_kdeg) of F_lo by sign times the wedge action
+    of the cycle matrix theta, repeated reps times down the diagonal."""
     n = ring.nvars
     row_offset = {}
-    off = 0
+    rows = 0
     for b in blocks_lo:
-        row_offset[(b.key, b.kdeg)] = off
-        off += b.copies * len(subsets(n, b.kdeg))
-    rows_total = off
+        row_offset[(b.key, b.kdeg)] = rows
+        rows += b.width(n)
     entries: dict = {}
     col = 0
     for b in blocks_hi:
-        width = b.copies * len(subsets(n, b.kdeg))
-        # diagonal Koszul block
-        if b.kdeg >= 1:
-            tgt = row_offset.get((b.key, b.kdeg - 1))
+        tgt = row_offset.get((b.key, b.kdeg - 1))
+        if tgt is not None:
+            _place(entries, koszul_differential(b.kdeg, ring), tgt, col,
+                   b.copies, diag_sign(b))
+        spec = arrow(b)
+        if spec is not None:
+            target_key, target_kdeg, theta, reps, sign = spec
+            tgt = row_offset.get((target_key, target_kdeg))
             if tgt is not None:
-                base = koszul_differential(b.kdeg, ring)
-                sign = _diag_sign(b.shift, regime, b.key)
-                for copy in range(b.copies):
-                    _place(entries, base, tgt + copy * base.rows,
-                           col + copy * base.cols, sign)
-        # arrow block along the tree
-        head = b.key.head
-        if head is not None:
-            j, r, tail = head
-            target_m = arrow_target(b.key)
-            theta = alphas[(j, r)]
-            i_tgt = b.kdeg + (r - j + 1)
-            tgt = row_offset.get((target_m, i_tgt))
-            if tgt is not None:
-                act = cycle_matrix_action(theta, i_tgt, ring)
-                reps = tail.deg3(pack)
-                assert theta.cols * reps * len(subsets(n, b.kdeg)) == width
-                for copy in range(reps):
-                    _place(entries, act, tgt + copy * act.rows,
-                           col + copy * act.cols, phi_sign)
-        col += width
-    return RingMatrix(ring, rows_total, col, entries, reduce=False)
+                act = cycle_matrix_action(theta, target_kdeg, ring)
+                assert act.cols * reps == b.width(n)
+                _place(entries, act, tgt, col, reps, sign)
+        col += b.width(n)
+    return RingMatrix(ring, rows, col, entries, reduce=False)
 
 
 _SIGN_REGIMES = (("total", 1), ("total", -1), ("deg2", 1), ("deg2", -1))
@@ -388,10 +317,14 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
                i_max: int = 8, force_regime: tuple | None = None) -> ResolutionAssembly:
     """Assemble the class-T resolution F through homological degree i_max.
 
+    The blocks are K_i^{deg3 m} for the tree monomials m; the block of
+    X_{j,r}.n carries the arrow alpha_{j,r}, repeated deg3(n) times, into the
+    block of arrow_target(X_{j,r}.n).
+
     The degree-1 representatives outside the distinguished triple must have
     literally vanishing wedge products in K_2 (not merely vanishing classes);
     this is checked up front because no sign choice can repair it.  The sign
-    regime (diagonal-shift rule x global phi sign) is selected by checking
+    regime (diagonal-shift rule x global arrow sign) is selected by checking
     d^2 = 0 on low degrees, then frozen; pass force_regime to bypass the
     search (used by the negative controls).
     """
@@ -406,30 +339,35 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
         for r in (j, j + 1, j + 2):
             alphas[(j, r)] = alpha(j, r, pack, basis)
     blocks = [_class_t_blocks(k, pack, ring.nvars) for k in range(i_max + 1)]
-    ranks = [sum(b.copies * len(subsets(ring.nvars, b.kdeg)) for b in bl)
-             for bl in blocks]
 
-    def build(regime, phi_sign, through):
-        return [
-            _assemble_T_diff(ring, pack, basis, blocks[k - 1], blocks[k],
-                             regime, phi_sign, alphas)
-            for k in range(1, through + 1)
-        ]
+    def build(regime, arrow_sign, through):
+        def diag_sign(b):
+            return _diag_sign(b, regime)
+
+        def arrow(b):
+            if b.key.head is None:
+                return None
+            j, r, tail = b.key.head
+            return (arrow_target(b.key), b.kdeg + r - j + 1, alphas[(j, r)],
+                    tail.deg3(pack), arrow_sign)
+
+        return [_assemble_diff(ring, blocks[k - 1], blocks[k], diag_sign, arrow)
+                for k in range(1, through + 1)]
 
     if force_regime is not None:
-        regime, phi_sign = force_regime
-        diffs = build(regime, phi_sign, i_max)
-        label = _regime_label(regime, phi_sign) + " (forced)"
-        return ResolutionAssembly("T", ring, i_max, blocks, diffs, ranks, label)
+        regime, arrow_sign = force_regime
+        diffs = build(regime, arrow_sign, i_max)
+        label = _regime_label(regime, arrow_sign) + " (forced)"
+        return ResolutionAssembly("T", ring, i_max, blocks, diffs, label)
 
     probe_depth = min(i_max, 4)
     chosen = None
     first_failure = None
-    for regime, phi_sign in _SIGN_REGIMES:
-        diffs = build(regime, phi_sign, probe_depth)
+    for regime, arrow_sign in _SIGN_REGIMES:
+        diffs = build(regime, arrow_sign, probe_depth)
         bad = _first_d2_failure(diffs)
         if bad is None:
-            chosen = (regime, phi_sign)
+            chosen = (regime, arrow_sign)
             break
         if first_failure is None:
             first_failure = bad
@@ -437,15 +375,23 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
         raise AssemblyError(
             "d^2 = 0 fails under every sign regime; first offending product "
             f"at degree pair {first_failure[0]}, entry {first_failure[1]}")
-    regime, phi_sign = chosen
-    diffs = build(regime, phi_sign, i_max)
-    return ResolutionAssembly("T", ring, i_max, blocks, diffs, ranks,
-                              _regime_label(regime, phi_sign))
+    regime, arrow_sign = chosen
+    diffs = build(regime, arrow_sign, i_max)
+    return ResolutionAssembly("T", ring, i_max, blocks, diffs,
+                              _regime_label(regime, arrow_sign))
 
 
-def _regime_label(regime, phi_sign):
+def _diag_sign(b: Block, regime: str) -> int:
+    if regime == "total":
+        return (-1) ** b.shift
+    if regime == "deg2":
+        return (-1) ** b.key.deg2
+    raise BuildError(f"unknown sign regime {regime!r}")
+
+
+def _regime_label(regime, arrow_sign):
     diag = "(-1)^(deg1+deg2)" if regime == "total" else "(-1)^deg2"
-    return f"diagonal {diag}, phi {'+' if phi_sign == 1 else '-'}1"
+    return f"diagonal {diag}, phi {'+' if arrow_sign == 1 else '-'}1"
 
 
 def _first_d2_failure(diffs):
@@ -472,48 +418,23 @@ def _check_literal_products(basis: ClassTBasis):
 def assemble_CI(ring: QuotientRing, basis: ClassCIBasis, c: int,
                 i_max: int = 8) -> ResolutionAssembly:
     """Complete-intersection resolution: F_i = K_i + K_{i-2}^{b_1} + ..., with
-    Koszul differentials on the diagonal and beta_{j+1} on the superdiagonal.
-    All block shifts are even, so every diagonal sign is +1."""
+    Koszul differentials on the diagonal and beta_j from the block j into the
+    block j-1.  All block shifts are even, so every diagonal sign is +1."""
     if len(basis.z1) != c:
         raise BuildError(f"CI assembly over codepth {c} needs {c} cycles")
-    n = ring.nvars
-    pack = SequencePack(c, class_t=False, k_max=max(12, i_max))
     betas = {j: beta(j, c, basis.z1) for j in range(1, i_max // 2 + 2)}
-    blocks = []
-    for k in range(i_max + 1):
-        bl = []
-        for j in range(0, k // 2 + 1):
-            i = k - 2 * j
-            if 0 <= i <= n:
-                bl.append(Block(j, i, pack.b[j], 2 * j))
-        blocks.append(bl)
-    ranks = [sum(b.copies * len(subsets(n, b.kdeg)) for b in bl) for bl in blocks]
-    diffs = []
-    for k in range(1, i_max + 1):
-        row_offset = {}
-        off = 0
-        for b in blocks[k - 1]:
-            row_offset[(b.key, b.kdeg)] = off
-            off += b.copies * len(subsets(n, b.kdeg))
-        entries: dict = {}
-        col = 0
-        for b in blocks[k]:
-            width = b.copies * len(subsets(n, b.kdeg))
-            if b.kdeg >= 1:
-                tgt = row_offset.get((b.key, b.kdeg - 1))
-                if tgt is not None:
-                    base = koszul_differential(b.kdeg, ring)
-                    for copy in range(b.copies):
-                        _place(entries, base, tgt + copy * base.rows,
-                               col + copy * base.cols)
-            if b.key >= 1:
-                tgt = row_offset.get((b.key - 1, b.kdeg + 1))
-                if tgt is not None:
-                    act = cycle_matrix_action(betas[b.key], b.kdeg + 1, ring)
-                    _place(entries, act, tgt, col)
-            col += width
-        diffs.append(RingMatrix(ring, off, col, entries, reduce=False))
-    return ResolutionAssembly("CI", ring, i_max, blocks, diffs, ranks,
+    blocks = [[Block(j, k - 2 * j, len(words(c, j)), 2 * j)
+               for j in range(k // 2 + 1) if k - 2 * j <= ring.nvars]
+              for k in range(i_max + 1)]
+
+    def arrow(b):
+        if b.key == 0:
+            return None
+        return b.key - 1, b.kdeg + 1, betas[b.key], 1, 1
+
+    diffs = [_assemble_diff(ring, blocks[k - 1], blocks[k], lambda b: 1, arrow)
+             for k in range(1, i_max + 1)]
+    return ResolutionAssembly("CI", ring, i_max, blocks, diffs,
                               "diagonal +1 (even shifts), beta +1")
 
 

@@ -18,8 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-from math import comb
-
 from . import __version__
 from .builder import AssemblyError, BuildError, alpha
 from .exactfield import (
@@ -39,7 +37,7 @@ from .sequences import (
     sequence_tables,
     u_table,
 )
-from .verifier import basis_from_strings, full_verify
+from .verifier import basis_from_strings, full_verify, resolve_basis
 
 SCHEMA_VERSION = 1
 
@@ -180,75 +178,52 @@ def _u_block(pack: SequencePack, k_hi: int) -> dict:
     return {f"{k},{s}": v for (k, s), v in sorted(table.items())}
 
 
+def _series_fields(mode: str, invariants: dict, order: int, u_hi: int) -> tuple:
+    """(P^R coefficients 0..order, extra report fields) for invariants n and
+    a = (1, a1, a2, a3, ...) (class T) or c (CI).  Class T adds its sequence
+    tables, its u table through k = u_hi and the l'_5 note."""
+    n = invariants["n"]
+    if mode == "CI":
+        _, PR = poincare_CI(invariants["c"], n, order)
+        return [PR.coefficient(k) for k in range(order + 1)], {}
+    a1, a2, a3 = invariants["a"][1:4]
+    pack = sequence_tables(3, a1, a2, a3, k_max=max(order, 12))
+    _, PR = poincare_T(a1, a2, a3, n, order)
+    return ([PR.coefficient(k) for k in range(order + 1)],
+            {"sequences": _sequence_block(pack, order),
+             "u_table": _u_block(pack, u_hi), "notes": [LP5_NOTE]})
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_betti(args) -> int:
+    doc = {"schema_version": SCHEMA_VERSION, **_maybe_timestamp(args)}
     if args.class_t:
         try:
             a1, a2, a3 = (int(t) for t in args.class_t.split(","))
         except ValueError:
             raise ExactFieldError("--class-t wants three integers a1,a2,a3") from None
-        n = args.n if args.n is not None else 3
+        mode = "T"
+        invariants = {"n": args.n if args.n is not None else 3,
+                      "a": [1, a1, a2, a3]}
         order = args.order if args.order is not None else 10
-        pack = sequence_tables(3, a1, a2, a3, k_max=max(order, 12))
-        _, PR = poincare_T(a1, a2, a3, n, order)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "T",
-            "invariants": {"n": n, "a": [1, a1, a2, a3]},
-            "betti": [PR.coefficient(k) for k in range(order + 1)],
-            "sequences": _sequence_block(pack, order),
-            "u_table": _u_block(pack, min(5, order)),
-            "notes": [LP5_NOTE],
-            **_maybe_timestamp(args),
-        }
     elif args.ci is not None:
-        c = args.ci
-        n = args.n if args.n is not None else c
+        mode = "CI"
+        invariants = {"n": args.n if args.n is not None else args.ci, "c": args.ci}
         order = args.order if args.order is not None else 10
-        _, PR = poincare_CI(c, n, order)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "CI",
-            "invariants": {"n": n, "c": c},
-            "betti": [PR.coefficient(k) for k in range(order + 1)],
-            **_maybe_timestamp(args),
-        }
     else:
         rf, ring, mode, _, order = _load_ring(args)
         H = HomologyAlgebra(ring)
-        c = H.codepth
-        if mode == "auto":
-            mode = "CI" if all(H.rank(i) == comb(c, i) for i in range(c + 1)) else "T"
-        if mode == "T":
-            a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
-            pack = sequence_tables(3, a1, a2, a3, k_max=max(order, 12))
-            _, PR = poincare_T(a1, a2, a3, ring.nvars, order)
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "mode": "T",
-                "ring": serialize_ring_file(rf),
-                "invariants": {"n": ring.nvars, "a": [int(a) for a in H.ranks]},
-                "betti": [PR.coefficient(k) for k in range(order + 1)],
-                "sequences": _sequence_block(pack, order),
-                "u_table": _u_block(pack, min(5, order)),
-                "notes": [LP5_NOTE],
-                **_maybe_timestamp(args),
-            }
-        else:
-            _, PR = poincare_CI(c, ring.nvars, order)
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "mode": "CI",
-                "ring": serialize_ring_file(rf),
-                "invariants": {"n": ring.nvars, "c": c,
-                               "a": [int(a) for a in H.ranks]},
-                "betti": [PR.coefficient(k) for k in range(order + 1)],
-                **_maybe_timestamp(args),
-            }
+        mode, _, _ = resolve_basis(ring, mode, rf.cycles, H)
+        invariants = {"n": ring.nvars, "a": [int(a) for a in H.ranks]}
+        if mode == "CI":
+            invariants["c"] = H.codepth
+        doc["ring"] = serialize_ring_file(rf)
+    betti, extra = _series_fields(mode, invariants, order, min(5, order))
+    doc.update(mode=mode, invariants=invariants, betti=betti, **extra)
     text = _emit(doc, args)
     print("betti: " + ",".join(str(b) for b in doc["betti"]))
     if "sequences" in doc:
@@ -288,17 +263,10 @@ def _run_verify(args, emit_matrices: bool) -> int:
             include_timings=not getattr(args, "no_timestamp", False)),
         **_maybe_timestamp(args),
     }
-    if F.mode == "T":
-        a1, a2, a3 = H_ranks[1], H_ranks[2], H_ranks[3]
-        pack = sequence_tables(3, a1, a2, a3, k_max=max(order, 12))
-        _, PR = poincare_T(a1, a2, a3, ring.nvars, order)
-        doc["poincare"] = [PR.coefficient(k) for k in range(order + 1)]
-        doc["sequences"] = _sequence_block(pack, order)
-        doc["u_table"] = _u_block(pack, min(5, max(2, i_max // 2 + 1)))
-        doc["notes"] = [LP5_NOTE]
-    else:
-        _, PR = poincare_CI(len(H_ranks) - 1, ring.nvars, order)
-        doc["poincare"] = [PR.coefficient(k) for k in range(order + 1)]
+    invariants = {"n": ring.nvars, "a": H_ranks, "c": len(H_ranks) - 1}
+    doc["poincare"], extra = _series_fields(
+        F.mode, invariants, order, min(5, max(2, i_max // 2 + 1)))
+    doc.update(extra)
     if emit_matrices:
         doc["matrices"] = {
             f"d_{i}": _matrix_dump(F.diff(i), ring) for i in range(1, i_max + 1)

@@ -252,7 +252,8 @@ class QuotientRing:
 
     def __init__(self, p: int, nvars: int, ideal_gens: Iterable[Monomial],
                  names: Sequence[str] | None = None):
-        self.field = PrimeField(p)
+        if not is_prime(p):
+            raise ExactFieldError(f"{p} is not prime")
         self.p = p
         self.nvars = nvars
         self.names = list(names) if names is not None else default_names(nvars)
@@ -514,12 +515,6 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
-def flatten(M: RingMatrix, ring: QuotientRing | None = None) -> np.ndarray:
-    if ring is not None and ring != M.ring:
-        raise ExactFieldError("flatten called with a different ring")
-    return M.flatten()
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra over F_p (numpy int64, float64 BLAS inner products)
 # ---------------------------------------------------------------------------
@@ -585,11 +580,6 @@ def rref_mod(A: np.ndarray, p: int):
         pivots.append(c)
         r += 1
     return M, pivots
-
-
-def row_space_basis(A: np.ndarray, p: int) -> np.ndarray:
-    R, piv = rref_mod(A, p)
-    return R[: len(piv)]
 
 
 def pivot_columns_mod(A: np.ndarray, p: int, block: int = 128):

@@ -445,16 +445,3 @@ def verify_chain_map(theta: CycleMatrix, degrees, ring: QuotientRing | None = No
             return ChainMapReport(False, checked, (i, bad[0], bad[1]))
     return ChainMapReport(True, checked)
 
-
-@dataclass(frozen=True)
-class ShiftedBlock:
-    """Sigma^shift K^copies; its differential carries the sign (-1)^shift."""
-
-    shift: int
-    copies: int
-
-    def component_degree(self, i: int) -> int:
-        return i - self.shift
-
-    def differential_sign(self) -> int:
-        return (-1) ** self.shift

@@ -164,7 +164,12 @@ UNIT_MONOMIAL = TreeMonomial(())
 
 
 @lru_cache(maxsize=None)
-def _tree_layer(k: int) -> tuple:
+def tree_layer(k: int) -> tuple:
+    """All 3^k tree monomials of first degree k, in the construction order:
+    the trunk triple first, then the subtrees hanging off the off-diagonal
+    generators X_{j,j+1}, X_{j,j+2} for j = k-1 down to 1, each subtree a
+    scaled copy of a lower layer.  The layer structure is independent of the
+    sequence tables, which only feed the deg3 multiplicities."""
     if k < 0:
         raise SequenceError("negative tree layer")
     if k == 0:
@@ -173,20 +178,9 @@ def _tree_layer(k: int) -> tuple:
            TreeMonomial(((k, k + 2),))]
     for j in range(k - 1, 0, -1):
         for s in (j + 1, j + 2):
-            for m in _tree_layer(k - j):
+            for m in tree_layer(k - j):
                 out.append(m.append(j, s))
     return tuple(out)
-
-
-def tree_layer(k: int, pack: SequencePack | None = None) -> tuple:
-    """All 3^k tree monomials of first degree k, in the construction order:
-    the trunk triple first, then the subtrees hanging off the off-diagonal
-    generators X_{j,j+1}, X_{j,j+2} for j = k-1 down to 1, each subtree a
-    scaled copy of a lower layer.  The layer structure is independent of the
-    sequence tables; `pack` only feeds the deg3 multiplicities of the
-    monomials and may be omitted."""
-    del pack
-    return _tree_layer(k)
 
 
 def arrow_target(m: TreeMonomial) -> TreeMonomial:

@@ -44,7 +44,7 @@ from .homology import (
     verify_class_CI,
     verify_class_T,
 )
-from .koszul import parse_koszul_element, subsets
+from .koszul import parse_koszul_element
 from .sequences import SequencePack, poincare_CI, poincare_T
 
 
@@ -132,9 +132,8 @@ def check_complex(F: ResolutionAssembly, ring: QuotientRing) -> CheckSection:
 def _block_coord(F: ResolutionAssembly, k: int, flat_index: int) -> str:
     """Locate a row/column index of d within the block inventory of F_k."""
     off = 0
-    n = F.ring.nvars
     for b in F.blocks[k]:
-        width = b.copies * len(subsets(n, b.kdeg))
+        width = b.width(F.ring.nvars)
         if flat_index < off + width:
             return f"F_{k} block {b.label()} offset {flat_index - off}"
         off += width

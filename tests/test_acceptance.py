@@ -14,7 +14,6 @@ from koszulres.builder import (
     assemble_T,
     beta,
     beta_prime,
-    component_C,
     graded_A_complexes,
 )
 from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
@@ -142,15 +141,21 @@ def test_criterion_5_series_identities(setup_default):
 
 
 def test_criterion_6_tree_combinatorics(setup_default):
-    _, _, pack = setup_default
+    ring, basis, pack = setup_default
     ok = all(len(tree_layer(k)) == 3 ** k for k in range(9))
-    ut = u_table(6, 18, pack)
-    for k in range(7):
-        agg = {}
-        for _, s, u in component_C(k, pack):
-            agg[s] = agg.get(s, 0) + u
-        expected = {s: v for (kk, s), v in ut.items() if kk == k and v}
-        ok &= agg == expected
+    # the K_0 blocks of F are the components C^(j) of the tree: block m sits
+    # in F_{deg1 m + deg2 m} with deg3 m copies, so grouped by (j, s) they
+    # give u_{j,s} for every j + s <= i_max
+    i_max = 8
+    F = assemble_T(ring, basis, pack, i_max=i_max)
+    agg = {}
+    for blocks in F.blocks:
+        for b in blocks:
+            if b.kdeg == 0:
+                key = (b.key.deg1, b.key.deg2)
+                agg[key] = agg.get(key, 0) + b.copies
+    ut = u_table(i_max, i_max, pack)
+    ok &= agg == {(j, s): v for (j, s), v in ut.items() if j + s <= i_max and v}
     report(6, ok)
 
 

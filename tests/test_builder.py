@@ -10,12 +10,8 @@ from koszulres.builder import (
     beta,
     beta_prime,
     bracket,
-    component_C,
-    delta,
     gamma,
     graded_A_complexes,
-    phi,
-    phi_blocks,
     words,
 )
 from koszulres.exactfield import RingMatrix
@@ -26,7 +22,7 @@ from koszulres.koszul import (
     parse_koszul_element,
     subsets,
 )
-from koszulres.sequences import tree_layer, u_table
+from koszulres.sequences import arrow_target
 
 
 def grid(theta, names):
@@ -142,14 +138,17 @@ def test_gamma_contents(basis_t, ring_t):
         gamma(4, basis_t)
 
 
+ALPHA_EXTENTS = {1: (1, [4, 3, 3]), 2: (4, [13, 13, 12])}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_alpha_extents_match_tables(k, pack_t, basis_t):
-    for r, expected_cols in ((k, pack_t.l[k]), (k + 1, pack_t.lp[k]),
-                             (k + 2, pack_t.lpp[k])):
-        theta = alpha(k, r, pack_t, basis_t)
-        assert theta.rows == pack_t.l[k - 1]
-        assert theta.cols == expected_cols
-        assert theta.entry_degree == r - k + 1
+    thetas = [alpha(k, r, pack_t, basis_t) for r in (k, k + 1, k + 2)]
+    assert [t.cols for t in thetas] == [pack_t.l[k], pack_t.lp[k], pack_t.lpp[k]]
+    assert {t.rows for t in thetas} == {pack_t.l[k - 1]}
+    assert [t.entry_degree for t in thetas] == [1, 2, 3]
+    if k in ALPHA_EXTENTS:
+        assert (thetas[0].rows, [t.cols for t in thetas]) == ALPHA_EXTENTS[k]
 
 
 def test_alpha_11_display(pack_t, basis_t, names_t):
@@ -190,68 +189,6 @@ def test_alpha_input_validation(pack_t, basis_t):
         alpha(0, 0, pack_t, basis_t)
     with pytest.raises(BuildError):
         alpha(2, 5, pack_t, basis_t)
-
-
-def test_delta_extents(pack_t, basis_t):
-    d1 = delta(1, pack_t, basis_t)
-    assert (d1.rows, d1.cols) == (1, 4 + 3 + 3)
-    d2 = delta(2, pack_t, basis_t)
-    assert (d2.rows, d2.cols) == (4, 13 + 13 + 12)
-    for k in (1, 2, 3):
-        dk = delta(k, pack_t, basis_t)
-        assert dk.cols == pack_t.l[k] + pack_t.lp[k] + pack_t.lpp[k]
-
-
-# -- phi and C^(k) -----------------------------------------------------------
-
-def test_phi_block_structure(pack_t, basis_t):
-    assert [(j, str(n)) for j, n in phi_blocks(1)] == [(1, "1")]
-    assert [(j, str(n)) for j, n in phi_blocks(2)] == [
-        (2, "1"), (1, "X[1,2]"), (1, "X[1,3]")]
-    assert [(j, str(n)) for j, n in phi_blocks(3)] == [
-        (3, "1"), (1, "X[2,3]"), (1, "X[2,4]"),
-        (2, "X[1,2]"), (1, "X[1,2]*X[1,2]"), (1, "X[1,3]*X[1,2]"),
-        (2, "X[1,3]"), (1, "X[1,2]*X[1,3]"), (1, "X[1,3]*X[1,3]"),
-    ]
-
-
-def test_phi_2_and_3_deltas(pack_t, basis_t):
-    p2 = phi(2, pack_t, basis_t)
-    assert [blk[0].k for blk in p2] == [2, 1, 1]
-    assert [blk[1] for blk in p2] == [1, pack_t.lp[1], pack_t.lpp[1]]
-    p3 = phi(3, pack_t, basis_t)
-    assert [blk[0].k for blk in p3] == [3, 1, 1, 2, 1, 1, 2, 1, 1]
-    assert [blk[1] for blk in p3] == [
-        1, pack_t.lp[2], pack_t.lpp[2],
-        pack_t.lp[1], pack_t.lp[1] ** 2, pack_t.lpp[1] * pack_t.lp[1],
-        pack_t.lpp[1], pack_t.lp[1] * pack_t.lpp[1], pack_t.lpp[1] ** 2,
-    ]
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_phi_unfolds_to_tree_layers(m, pack_t, basis_t):
-    blocks = phi(m, pack_t, basis_t)
-    assert len(blocks) == 3 ** (m - 1)  # Delta-type diagonal blocks
-    sources = [s for blk in blocks for s in blk[2]]
-    assert sources == list(tree_layer(m))
-    targets = [blk[3] for blk in blocks]
-    assert targets == list(tree_layer(m - 1))
-
-
-def test_component_c(pack_t):
-    c1 = component_C(1, pack_t)
-    assert [(str(m), s, u) for m, s, u in c1] == [
-        ("X[1,1]", 1, 4), ("X[1,2]", 2, 3), ("X[1,3]", 3, 3)]
-    c0 = component_C(0, pack_t)
-    assert [(s, u) for _, s, u in c0] == [(0, 1)]
-    # aggregate by shift reproduces the u table rows
-    ut = u_table(4, 12, pack_t)
-    for k in range(5):
-        agg = {}
-        for _, s, u in component_C(k, pack_t):
-            agg[s] = agg.get(s, 0) + u
-        expected = {s: v for (kk, s), v in ut.items() if kk == k and v}
-        assert agg == expected
 
 
 # -- assembled resolutions ---------------------------------------------------
@@ -297,29 +234,37 @@ def test_diff2_structure(assembly_t, ring_t, basis_t, pack_t):
 
 
 def test_diff5_block_pattern(assembly_t, ring_t, basis_t, pack_t):
-    from koszulres.sequences import TreeMonomial
-    d5 = assembly_t.diff(5)
-    rows = block_offsets(assembly_t, 4)
-    cols = block_offsets(assembly_t, 5)
-    X11, X22 = TreeMonomial(((1, 1),)), TreeMonomial(((2, 2),))
-    X12 = TreeMonomial(((1, 2),))
-    X11X12 = TreeMonomial(((1, 1), (1, 2)))
-    # block (X11@2, X22@1) is alpha_{2,2} acting into K_2^4
-    r0, r1 = rows[(X11, 2)]
-    c0, c1 = cols[(X22, 1)]
-    act = cycle_matrix_action(alpha(2, 2, pack_t, basis_t), 2, ring_t)
-    assert (r1 - r0, c1 - c0) == (act.rows, act.cols)
-    for (i, j), f in act.entries.items():
-        assert d5.entry(r0 + i, c0 + j) == f
-    # block (X12@1, X11X12@0) is alpha_{1,1}^3
-    r0, r1 = rows[(X12, 1)]
-    c0, c1 = cols[(X11X12, 0)]
-    act11 = cycle_matrix_action(alpha(1, 1, pack_t, basis_t), 1, ring_t)
-    assert (r1 - r0) == 3 * act11.rows and (c1 - c0) == 3 * act11.cols
-    for copy in range(3):
-        for (i, j), f in act11.entries.items():
-            assert d5.entry(r0 + copy * act11.rows + i,
-                            c0 + copy * act11.cols + j) == f
+    # every arrow block of d_2..d_7 is alpha_{j,r} acting into the block of
+    # arrow_target, repeated deg3(tail) times down the diagonal, with the
+    # chosen regime's + sign, and nothing else lies in that block
+    assert assembly_t.sign_regime.endswith("phi +1")
+    arrows = {}
+    for k in range(2, assembly_t.i_max + 1):
+        d = assembly_t.diff(k)
+        rows = block_offsets(assembly_t, k - 1)
+        cols = block_offsets(assembly_t, k)
+        for b in assembly_t.blocks[k]:
+            if b.key.head is None:
+                continue
+            j, r, tail = b.key.head
+            target = (arrow_target(b.key), b.kdeg + r - j + 1)
+            if target not in rows:
+                assert target[1] > ring_t.nvars  # K_i = 0 there
+                continue
+            (r0, r1), (c0, c1) = rows[target], cols[(b.key, b.kdeg)]
+            act = cycle_matrix_action(alpha(j, r, pack_t, basis_t), target[1],
+                                      ring_t)
+            expected = RingMatrix.repeat_diag(act, tail.deg3(pack_t))
+            assert (r1 - r0, c1 - c0) == (expected.rows, expected.cols)
+            got = {(i - r0, jj - c0): f for (i, jj), f in d.entries.items()
+                   if r0 <= i < r1 and c0 <= jj < c1}
+            assert got == expected.entries
+            arrows[(k, str(b.key), b.kdeg)] = (str(target[0]), target[1],
+                                               tail.deg3(pack_t))
+    # d_5: (X22@1 -> X11@2) is alpha_{2,2} once; (X11X12@0 -> X12@1) is
+    # alpha_{1,1} three times
+    assert arrows[(5, "X[2,2]", 1)] == ("X[1,1]", 2, 1)
+    assert arrows[(5, "X[1,1]*X[1,2]", 0)] == ("X[1,2]", 1, 3)
 
 
 def test_assembly_differentials_in_m(assembly_t):

@@ -1,5 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from koszulres.cli import main
 from koszulres.exactfield import parse_ring_file, serialize_ring_file
@@ -45,6 +48,20 @@ def test_betti_from_ring_file(tmp_path, capsys):
     assert any("l'_5" in note for note in doc["notes"])
     # ring echo reparses to the same structure
     assert parse_ring_file(doc["ring"]) == parse_ring_file(CLASS_T.read_text())
+
+
+@pytest.mark.parametrize("variables, ideal", [
+    ("x, y, z", "x^2, y^2, z^2, x*y"),          # codepth 3, not class T
+    ("x, y, z, w", "x^2, y^2, z^2, w^2, x*y"),  # codepth 4
+], ids=["xy", "codepth4"])
+def test_betti_ring_refuses_uncertified_class(tmp_path, capsys, variables, ideal):
+    ring = tmp_path / "r.ring"
+    ring.write_text(f"characteristic = 32003\nvariables = {variables}\n"
+                    f"ideal = {ideal}\nmode = auto\n")
+    assert run("betti", "--ring", str(ring), "--no-timestamp") == 3
+    captured = capsys.readouterr()
+    assert "class verification failure" in captured.err
+    assert "betti:" not in captured.out
 
 
 def test_resolve_class_t(tmp_path, capsys):
@@ -95,6 +112,26 @@ def test_deterministic_reports(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of the assembly slice of `resolve --emit-matrices --max-degree 6
+# --no-timestamp`; any change to block layout, entries or signs shows here
+ASSEMBLY_DIGESTS = {
+    "classT_example": "95b8ab866485ab3b576ff9eed77af512f003d2650cedd226b4b55034a742e34e",
+    "ci3_example": "45877353a34e98c26022903ff427b956051b8f5a7e1f7ecda650e61a72bd8708",
+    "ci2_example": "077ee3ec180a1aa6492cec81c827c0960e8031803799c46287b90ff33fd5f759",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_DIGESTS))
+def test_assembly_golden(tmp_path, name):
+    out = tmp_path / "r.json"
+    assert run("resolve", "--ring", str(DATA / f"{name}.ring"), "--emit-matrices",
+               "--max-degree", "6", "--no-timestamp", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    text = json.dumps({k: doc[k] for k in ("matrices", "blocks", "ranks",
+                                           "sign_regime")}, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ASSEMBLY_DIGESTS[name]
+
+
 def test_char_override(tmp_path):
     out = tmp_path / "p2.json"
     assert run("verify", "--ring", str(CLASS_T), "--max-degree", "4",
@@ -136,6 +173,11 @@ def test_exit_code_unknown_key(tmp_path):
     bad = tmp_path / "bad.ring"
     bad.write_text("characteristic = 7\nvariables = x\nideal = x^2\nzz = 1\n")
     assert run("verify", "--ring", str(bad)) == 2
+
+
+def test_exit_code_non_prime_char(capsys):
+    assert run("verify", "--ring", str(CI3), "--char", "32004") == 2
+    assert "32004 is not prime" in capsys.readouterr().err
 
 
 def test_exit_code_class_failure(capsys):
