@@ -9,7 +9,6 @@ from .exactfield import (
     ExactFieldError,
     Monomial,
     Polynomial,
-    PrimeField,
     QuotientRing,
     RingFile,
     RingMatrix,

@@ -340,7 +340,8 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
             alphas[(j, r)] = alpha(j, r, pack, basis)
     blocks = [_class_t_blocks(k, pack, ring.nvars) for k in range(i_max + 1)]
 
-    def build(regime, arrow_sign, through):
+    def build(regime, arrow_sign, first, last):
+        """d_first .. d_last under one sign regime."""
         def diag_sign(b):
             return _diag_sign(b, regime)
 
@@ -352,11 +353,11 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
                     tail.deg3(pack), arrow_sign)
 
         return [_assemble_diff(ring, blocks[k - 1], blocks[k], diag_sign, arrow)
-                for k in range(1, through + 1)]
+                for k in range(first, last + 1)]
 
     if force_regime is not None:
         regime, arrow_sign = force_regime
-        diffs = build(regime, arrow_sign, i_max)
+        diffs = build(regime, arrow_sign, 1, i_max)
         label = _regime_label(regime, arrow_sign) + " (forced)"
         return ResolutionAssembly("T", ring, i_max, blocks, diffs, label)
 
@@ -364,7 +365,7 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
     chosen = None
     first_failure = None
     for regime, arrow_sign in _SIGN_REGIMES:
-        diffs = build(regime, arrow_sign, probe_depth)
+        diffs = build(regime, arrow_sign, 1, probe_depth)
         bad = _first_d2_failure(diffs)
         if bad is None:
             chosen = (regime, arrow_sign)
@@ -376,7 +377,8 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
             "d^2 = 0 fails under every sign regime; first offending product "
             f"at degree pair {first_failure[0]}, entry {first_failure[1]}")
     regime, arrow_sign = chosen
-    diffs = build(regime, arrow_sign, i_max)
+    # the winning probe's d_1..d_probe_depth are kept; only the rest is built
+    diffs += build(regime, arrow_sign, probe_depth + 1, i_max)
     return ResolutionAssembly("T", ring, i_max, blocks, diffs,
                               _regime_label(regime, arrow_sign))
 

@@ -1,17 +1,19 @@
-"""Exact arithmetic: prime fields, multivariate polynomials, Artinian monomial
-quotient rings, and F_p linear algebra.
+"""Exact arithmetic: multivariate polynomials, Artinian monomial quotient
+rings, and F_p linear algebra.
 
 Everything downstream reduces to two primitives implemented here:
 
 * normal forms in R = k[x_1..x_n]/I for a monomial ideal I containing a pure
   power of every variable (so R is a finite dimensional k-vector space with
   the standard monomials as basis), and
-* exact rank / kernel / echelon computations over F_p, done in numpy with
-  modular arithmetic routed through float64 BLAS products whose intermediate
-  integers stay below 2**53.
+* exact rank / kernel / echelon computations over F_p, all done by one
+  int64 eliminator, `rref_mod`.  Its products are at most (p-1)^2 and must
+  fit int64, so the characteristic is bounded by MAX_CHARACTERISTIC =
+  3037000499.
 
-No floating point value ever leaves this module un-reduced; all results are
-integers mod p.
+`mod_matmul` multiplies through float64 BLAS on chunks whose integer dot
+products stay below 2**53 (object dtype when one product would not); no
+floating point value leaves this module un-reduced.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class ExactFieldError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# prime field
+# primality
 # ---------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -56,42 +58,6 @@ def is_prime(m: int) -> bool:
         else:
             return False
     return True
-
-
-class PrimeField:
-    """F_p with plain int elements in [0, p)."""
-
-    def __init__(self, p: int = 32003):
-        if not is_prime(p):
-            raise ExactFieldError(f"{p} is not prime")
-        self.p = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +220,7 @@ class QuotientRing:
                  names: Sequence[str] | None = None):
         if not is_prime(p):
             raise ExactFieldError(f"{p} is not prime")
+        _check_characteristic(p)
         self.p = p
         self.nvars = nvars
         self.names = list(names) if names is not None else default_names(nvars)
@@ -516,10 +483,11 @@ class RingMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over F_p (numpy int64, float64 BLAS inner products)
+# exact linear algebra over F_p (numpy int64)
 # ---------------------------------------------------------------------------
 
 _FLOAT_EXACT = 2 ** 53
+MAX_CHARACTERISTIC = 3037000499  # (p-1)^2 < 2^63 for every p up to here
 
 
 def _safe_chunk(p: int, inner: int) -> int:
@@ -550,207 +518,61 @@ def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rref_mod(A: np.ndarray, p: int):
-    """Reduced row echelon form over F_p.
+def _check_characteristic(p: int) -> None:
+    """Refuse a characteristic whose products overflow the int64 eliminator."""
+    if p > MAX_CHARACTERISTIC:
+        raise ExactFieldError(
+            f"characteristic {p} exceeds {MAX_CHARACTERISTIC}: F_p elimination "
+            "runs in int64 and needs (p-1)^2 < 2^63")
 
-    Returns (R, pivot_columns).  Straightforward per-pivot elimination; meant
-    for small and medium matrices (the blocked routine below handles the big
-    rank-only computations).
+
+def rref_mod(A: np.ndarray, p: int):
+    """Reduced row echelon form over F_p; returns (R, pivot_columns).
+
+    This is the one eliminator: ranks, kernels, solves and the oracle's
+    Nakayama-minimal generators all read it.  Each pivot step touches only
+    the rows with a nonzero in the pivot column, and only the columns from
+    the pivot on (rows below the pivot row vanish left of it), which suits
+    the sparse flattened differentials.  Entries stay in [0, p) and every
+    product is at most (p-1)^2 < 2^63, so int64 arithmetic is exact.
     """
-    M = (np.array(A, dtype=np.int64) % p).copy()
+    _check_characteristic(p)
+    M = np.asarray(A, dtype=np.int64) % p
     rows, cols = M.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(M[r:, c])[0]
         if nz.size == 0:
             continue
         t = r + int(nz[0])
         if t != r:
             M[[r, t]] = M[[t, r]]
         inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
+        M[r, c:] = (M[r, c:] * inv) % p
         other = np.nonzero(M[:, c])[0]
         other = other[other != r]
         if other.size:
-            M[other] = (M[other] - np.outer(M[other, c], M[r])) % p
+            M[other, c:] = (M[other, c:] - np.outer(M[other, c], M[r, c:])) % p
         pivots.append(c)
         r += 1
     return M, pivots
 
 
-def pivot_columns_mod(A: np.ndarray, p: int, block: int = 128):
-    """(rank, pivot columns) via blocked elimination with BLAS trailing updates.
-
-    Panel columns are eliminated one pivot at a time (cheap), multipliers are
-    recorded, and the stale trailing block is fixed with one matmul per panel.
-    For moduli with block * (p-1)^2 < 2**53 the whole elimination runs in
-    float64 with deferred reductions (exact; much faster); otherwise an int64
-    path with chunked modular products is used.
-    """
-    A = np.asarray(A, dtype=np.int64)
-    if A.size and block * (p - 1) ** 2 < _FLOAT_EXACT:
-        return _pivot_columns_float(A, p, block)
-    return _pivot_columns_int(A, p, block)
-
-
-def _pivot_columns_float(A: np.ndarray, p: int, block: int):
-    """Float64 elimination; every intermediate stays an exact integer below
-    2**53.  Reductions mod p are lazy: the active pivot column, the pivot row
-    and the replayed pivot-row rows are reduced eagerly, while everything
-    else accumulates up to `headroom` bounded updates (each below
-    block * (p-1)^2) before a global sweep - float64 fmod is the expensive
-    operation here, not the arithmetic."""
-    M = np.mod(A, p).astype(np.float64)
-    rows, cols = M.shape
-    per_update = block * (p - 1) ** 2
-    headroom = max(1, (_FLOAT_EXACT - p) // (2 * per_update))
-    dirt = 0
-    pivots = []
-    r = 0
-    c0 = 0
-    while r < rows and c0 < cols:
-        b = min(block, cols - c0)
-        panel = slice(c0, c0 + b)
-        mult = np.zeros((rows - r, b), dtype=np.float64)
-        scales = []
-        k = 0
-        for c in range(c0, c0 + b):
-            pr = r + k
-            if pr == rows:
-                break
-            col = np.mod(M[pr:, c], p)
-            M[pr:, c] = col
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            t = pr + int(nz[0])
-            if t != pr:
-                M[[pr, t]] = M[[t, pr]]
-                mult[[pr - r, t - r]] = mult[[t - r, pr - r]]
-            inv = pow(int(M[pr, c]), p - 2, p)
-            scales.append(inv)
-            M[pr, panel] = np.mod(np.mod(M[pr, panel], p) * inv, p)
-            below = M[pr + 1:, c]
-            nzb = np.nonzero(below)[0]
-            if nzb.size:
-                idx = pr + 1 + nzb
-                mvals = M[idx, c]
-                mult[idx - r, k] = mvals
-                M[idx, panel.start:panel.stop] -= \
-                    mvals[:, None] * M[pr, panel][None, :]
-            pivots.append(c)
-            k += 1
-        if k and c0 + b < cols:
-            trail = slice(c0 + b, cols)
-            T = M[r:r + k, trail]
-            for j in range(k):
-                mj = mult[j, :j]
-                if np.any(mj):
-                    T[j] = np.mod(T[j] - mj @ T[:j], p)
-                T[j] = np.mod(T[j] * scales[j], p)
-            Lb = mult[k:, :k]
-            if Lb.size and np.any(Lb):
-                M[r + k:, trail] -= Lb @ T
-                dirt += 1
-                if dirt >= headroom:
-                    M[r + k:, trail] = np.mod(M[r + k:, trail], p)
-                    dirt = 0
-        r += k
-        c0 += b
-    return len(pivots), pivots
-
-
-def _pivot_columns_int(A: np.ndarray, p: int, block: int):
-    M = (np.array(A, dtype=np.int64) % p).copy()
-    rows, cols = M.shape
-    if rows == 0 or cols == 0:
-        return 0, []
-    pivots = []
-    r = 0
-    c0 = 0
-    while r < rows and c0 < cols:
-        b = min(block, cols - c0)
-        panel = slice(c0, c0 + b)
-        mult = np.zeros((rows - r, b), dtype=np.int64)
-        scales = []
-        piv_cols_local = []
-        k = 0
-        for c in range(c0, c0 + b):
-            pr = r + k
-            if pr == rows:
-                break
-            colvals = M[pr:, c]
-            nz = np.nonzero(colvals)[0]
-            if nz.size == 0:
-                continue
-            t = pr + int(nz[0])
-            if t != pr:
-                M[[pr, t]] = M[[t, pr]]
-                mult[[pr - r, t - r]] = mult[[t - r, pr - r]]
-            inv = pow(int(M[pr, c]), p - 2, p)
-            scales.append(inv)
-            M[pr, panel] = (M[pr, panel] * inv) % p
-            below = M[pr + 1:, c]
-            nzb = np.nonzero(below)[0]
-            if nzb.size:
-                idx = pr + 1 + nzb
-                mult[idx - r, k] = M[idx, c]
-                M[idx, panel.start:panel.stop] = (
-                    M[idx, panel.start:panel.stop]
-                    - np.outer(M[idx, c], M[pr, panel])
-                ) % p
-            piv_cols_local.append(c)
-            k += 1
-        if k and c0 + b < cols:
-            trail = slice(c0 + b, cols)
-            # pivot rows first: replay their recorded eliminations in order
-            if (p - 1) ** 2 * max(k, 1) < _FLOAT_EXACT:
-                # one float64 conversion per panel; every dot keeps its
-                # integer intermediates below 2**53
-                T = M[r:r + k, trail].astype(np.float64)
-                for j in range(k):
-                    mj = mult[j, :j]
-                    if np.any(mj):
-                        T[j] = np.mod(T[j] - mj.astype(np.float64) @ T[:j], p)
-                    T[j] = np.mod(T[j] * scales[j], p)
-                Ti = T.astype(np.int64)
-            else:
-                Ti = M[r:r + k, trail].copy()
-                for j in range(k):
-                    mj = mult[j, :j]
-                    if np.any(mj):
-                        Ti[j] = (Ti[j] - mod_matmul(mj[None, :], Ti[:j], p)[0]) % p
-                    Ti[j] = (Ti[j] * scales[j]) % p
-            M[r:r + k, trail] = Ti
-            Lb = mult[k:, :k]
-            if Lb.size and np.any(Lb):
-                M[r + k:, trail] = (M[r + k:, trail] - mod_matmul(Lb, Ti, p)) % p
-        pivots.extend(piv_cols_local)
-        r += k
-        c0 += b
-    return len(pivots), pivots
-
-
 def rank_mod(A: np.ndarray, p: int) -> int:
-    rank, _ = pivot_columns_mod(A, p)
-    return rank
+    return len(rref_mod(A, p)[1])
 
 
 def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:
     """Columns form an echelon-normalized basis of the null space of A."""
-    A = np.asarray(A, dtype=np.int64)
-    rows, cols = A.shape
     R, piv = rref_mod(A, p)
-    free = [c for c in range(cols) if c not in set(piv)]
-    K = np.zeros((cols, len(free)), dtype=np.int64)
-    for idx, fc in enumerate(free):
-        K[fc, idx] = 1
-        for r, pc in enumerate(piv):
-            K[pc, idx] = (-int(R[r, fc])) % p
+    cols = R.shape[1]
+    free = np.setdiff1d(np.arange(cols), piv)
+    K = np.zeros((cols, free.size), dtype=np.int64)
+    K[free, np.arange(free.size)] = 1
+    K[piv, :] = (-R[:len(piv), free]) % p
     return K
 
 

@@ -30,8 +30,8 @@ from .exactfield import (
     RingMatrix,
     kernel_mod,
     mod_matmul,
-    pivot_columns_mod,
     rank_mod,
+    rref_mod,
 )
 from .homology import (
     ClassCIBasis,
@@ -301,7 +301,7 @@ def oracle_resolution(ring: QuotientRing, i_max: int) -> OracleResolution:
                 "this will be slow", RuntimeWarning, stacklevel=2)
         m_cols = _m_multiples(ker, var_mults, current.cols, D, p)
         stacked = np.hstack([m_cols, ker]) if m_cols.size else ker
-        _, piv = pivot_columns_mod(stacked, p)
+        piv = rref_mod(stacked, p)[1]
         offset = m_cols.shape[1]
         chosen = [c - offset for c in piv if c >= offset]
         columns = [ker[:, c] for c in chosen]

@@ -132,6 +132,25 @@ def test_assembly_golden(tmp_path, name):
     assert hashlib.sha256(text.encode()).hexdigest() == ASSEMBLY_DIGESTS[name]
 
 
+# sha256 of whole `verify --no-timestamp` reports of classT_example: pins
+# flat_ranks, homology and the oracle Betti numbers byte for byte
+VERIFY_DIGESTS = {
+    "d6": (("--max-degree", "6"),
+           "e0c29e989867918a265a06382646b4afc9435929c1e59448c845d4be6903c684"),
+    "d5-bigp-oracle": (("--max-degree", "5", "--char", "2147483647", "--oracle"),
+                       "2f238c0f0a408fb10ce16ddfb2d369b6c1a9188ad54ac3af188d514cd5e9dd3c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_DIGESTS))
+def test_verify_golden(tmp_path, case):
+    args, digest = VERIFY_DIGESTS[case]
+    out = tmp_path / "v.json"
+    assert run("verify", "--ring", str(CLASS_T), *args, "--no-timestamp",
+               "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_char_override(tmp_path):
     out = tmp_path / "p2.json"
     assert run("verify", "--ring", str(CLASS_T), "--max-degree", "4",
@@ -178,6 +197,9 @@ def test_exit_code_unknown_key(tmp_path):
 def test_exit_code_non_prime_char(capsys):
     assert run("verify", "--ring", str(CI3), "--char", "32004") == 2
     assert "32004 is not prime" in capsys.readouterr().err
+    # the first prime past the int64 eliminator's bound
+    assert run("verify", "--ring", str(CI3), "--char", "3037000507") == 2
+    assert "exceeds 3037000499" in capsys.readouterr().err
 
 
 def test_exit_code_class_failure(capsys):

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from koszulres.exactfield import (
+    MAX_CHARACTERISTIC,
     ExactFieldError,
     Polynomial,
-    PrimeField,
     QuotientRing,
     RingMatrix,
     kernel_mod,
     mod_matmul,
     parse_monomial_string,
     parse_ring_file,
-    pivot_columns_mod,
     rank_mod,
     rref_mod,
     serialize_ring_file,
@@ -27,29 +26,6 @@ def poly(ring, s):
     """tiny helper: polynomial from a monomial string, unit coefficient"""
     return Polynomial.monomial(parse_monomial_string(s, ring.names),
                                ring.nvars, ring.p)
-
-
-# -- prime field -------------------------------------------------------------
-
-def test_prime_field_rejects_composite():
-    with pytest.raises(ExactFieldError):
-        PrimeField(32004)
-
-
-@pytest.mark.parametrize("p", [2, 3, 32003])
-def test_field_axioms_sampled(p):
-    F = PrimeField(p)
-    for _ in range(50):
-        a, b, c = (rng.randrange(p) for _ in range(3))
-        assert F.add(a, F.add(b, c)) == F.add(F.add(a, b), c)
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-        if a:
-            assert F.mul(a, F.inv(a)) == 1 % p
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).inv(0)
 
 
 # -- quotient ring -----------------------------------------------------------
@@ -172,18 +148,91 @@ def test_rank_trivial_cases():
     assert kernel_mod(Z, 32003).shape == (3, 3)
 
 
-@pytest.mark.parametrize("p", [2, 5, 32003])
+def _reference_rref(A, p):
+    """Gauss-Jordan elimination on Python ints: the reference the int64
+    eliminator is checked against."""
+    rows, cols = A.shape
+    M = [[int(x) % p for x in row] for row in A.tolist()]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        t = next((i for i in range(r, rows) if M[i][c]), None)
+        if t is None:
+            continue
+        M[r], M[t] = M[t], M[r]
+        inv = pow(M[r][c], p - 2, p)
+        M[r] = [x * inv % p for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    return M, pivots
+
+
+def _py_matmul(A, B, p):
+    """(A @ B) mod p on Python ints (object dtype)."""
+    return (np.asarray(A).astype(object) @ np.asarray(B).astype(object)) % p
+
+
+def _eliminator_cases(p):
+    """Seeded shapes: empty, low-rank products, tall, wide, and matrices of
+    entries p-1 (the largest int64 products)."""
+    nprng = np.random.default_rng(p % 1000003)
+
+    def rand(m, n, lo=0):
+        return nprng.integers(lo, p, size=(m, n), dtype=np.int64)
+
+    def low_rank(m, k, n, lo=0):
+        return _py_matmul(rand(m, k, lo), rand(k, n, lo), p).astype(np.int64)
+
+    full = np.full((6, 7), p - 1, dtype=np.int64)
+    mixed = (p - 1) * nprng.integers(0, 2, size=(9, 11), dtype=np.int64)
+    return [np.zeros((0, 5), dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
+            low_rank(12, 3, 15), low_rank(20, 5, 9), low_rank(8, 4, 8, lo=p - 2),
+            rand(40, 3), rand(3, 40), full, mixed, np.vstack([full, -full])]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 32003, 2147483647, 3037000493])
 def test_rank_nullity_and_pivot_agreement(p):
-    nprng = np.random.default_rng(7)
-    for _ in range(12):
-        m, n = int(nprng.integers(1, 25)), int(nprng.integers(1, 25))
-        A = nprng.integers(0, p, size=(m, n)).astype(np.int64)
-        r, piv = pivot_columns_mod(A, p, block=5)
-        R, piv_ref = rref_mod(A, p)
+    """rref_mod, rank_mod, kernel_mod and solve_mod against Python ints."""
+    nprng = np.random.default_rng(5)
+    for A in _eliminator_cases(p):
+        m, n = A.shape
+        R_ref, piv_ref = _reference_rref(A, p)
+        R, piv = rref_mod(A, p)
         assert piv == piv_ref
+        assert R.tolist() == R_ref
+        assert rank_mod(A, p) == len(piv_ref)
         K = kernel_mod(A, p)
-        assert r + K.shape[1] == n
-        assert not mod_matmul(A, K, p).any()
+        free = [c for c in range(n) if c not in piv_ref]
+        K_ref = [[int(c == fc) for fc in free] for c in range(n)]
+        for r, pc in enumerate(piv_ref):
+            K_ref[pc] = [-R_ref[r][fc] % p for fc in free]
+        assert K.shape == (n, len(free))
+        assert K.tolist() == K_ref
+        assert not _py_matmul(A, K, p).any()
+        x = nprng.integers(0, p, size=n, dtype=np.int64)
+        b = _py_matmul(A, x, p).astype(np.int64)
+        got = solve_mod(A, b, p)
+        assert got is not None
+        assert (_py_matmul(A, got, p) == b).all()
+        if len(piv_ref) < m:
+            # a random right-hand side: solvable exactly when the reference
+            # puts no pivot in the appended column
+            e = nprng.integers(0, p, size=m, dtype=np.int64)
+            solvable = n not in _reference_rref(np.column_stack([A, e]), p)[1]
+            assert (solve_mod(A, e, p) is not None) == solvable
+
+
+def test_characteristic_bound():
+    assert MAX_CHARACTERISTIC == 3037000499
+    assert (MAX_CHARACTERISTIC - 1) ** 2 < 2 ** 63 <= (3037000507 - 1) ** 2
+    with pytest.raises(ExactFieldError, match="3037000499"):
+        rref_mod(np.eye(2, dtype=np.int64), 3037000507)
+    with pytest.raises(ExactFieldError, match="3037000499"):
+        QuotientRing(3037000507, 1, [(2,)], names=["x"])
+    assert QuotientRing(3037000493, 1, [(2,)], names=["x"]).p == 3037000493
 
 
 def test_solve_mod_roundtrip():
