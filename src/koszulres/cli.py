@@ -236,6 +236,8 @@ def cmd_betti(args) -> int:
 
 def _run_verify(args, emit_matrices: bool) -> int:
     rf, ring, mode, i_max, order = _load_ring(args)
+    if i_max < 1:
+        raise ExactFieldError(f"max degree must be >= 1 (got {i_max})")
     force = ("deg2", 1) if getattr(args, "sign_flip", False) else None
     try:
         report, F, _ = full_verify(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactfield import QuotientRing, kernel_mod, rank_mod, rref_mod, solve_mod
+from .exactfield import QuotientRing, kernel_mod, rank_mod, rref_mod
 from .koszul import KoszulElement, koszul_differential, subsets
 
 
@@ -43,6 +43,12 @@ class HomologyAlgebra:
       * ``reps[i]``      cycle representatives completing the boundaries to
         ker(flat d_i); their classes are the chosen basis of A_i,
       * ``ranks[i]``     a_i = dim A_i.
+
+    ``_basis[i]`` is the rows of ``boundary[i]`` followed by the vectors of
+    ``reps[i]`` (the same arrays, not copies): a basis of ker(flat d_i) whose
+    rows have leading entry 1 at distinct indices, and ``_pivots[i]`` maps
+    each leading index to its row.  ``class_of`` reads coordinates off the
+    reduction of a cycle against them.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -52,15 +58,16 @@ class HomologyAlgebra:
         self.ranks = []
         self.boundary = []
         self.reps = []
-        self._rep_vectors = []
-        self._coord_cache = {}
+        self._basis = []
+        self._pivots = []
         for i in range(n + 1):
-            ker = self._kernel(i)
             bnd = self._image_rows(i + 1)
-            reps = self._complete(bnd, ker, p)
+            basis, pivots = self._complete(bnd, self._kernel(i), p)
+            reps = basis[len(bnd):]
             self.ranks.append(len(reps))
             self.boundary.append(bnd)
-            self._rep_vectors.append(reps)
+            self._basis.append(basis)
+            self._pivots.append(pivots)
             self.reps.append([KoszulElement.from_vector(ring, i, v) for v in reps])
         self.codepth = max((i for i, a in enumerate(self.ranks) if a), default=0)
 
@@ -83,22 +90,15 @@ class HomologyAlgebra:
         return R[: len(piv)]
 
     @staticmethod
-    def _complete(bnd_rows: np.ndarray, ker_cols: np.ndarray, p: int) -> list:
-        """Kernel vectors whose classes complete the boundary span, picked and
-        normalized by echelon order (deterministic)."""
-        picked = []
-        basis = [row.copy() for row in bnd_rows]
-        pivots = {int(np.nonzero(r)[0][0]): k for k, r in enumerate(basis)}
+    def _complete(bnd_rows: np.ndarray, ker_cols: np.ndarray, p: int) -> tuple:
+        """The boundary rows followed by kernel vectors whose classes complete
+        the boundary span, picked and normalized by echelon order
+        (deterministic); returns (basis, pivots)."""
+        basis = list(bnd_rows)
+        pivots = {int(np.flatnonzero(r)[0]): k for k, r in enumerate(basis)}
         for c in range(ker_cols.shape[1]):
-            v = ker_cols[:, c] % p
-            v = _reduce_against(v, basis, pivots, p)
-            if np.any(v):
-                lead = int(np.nonzero(v)[0][0])
-                v = (v * pow(int(v[lead]), p - 2, p)) % p
-                pivots[lead] = len(basis)
-                basis.append(v)
-                picked.append(v)
-        return picked
+            _extend(ker_cols[:, c], basis, pivots, p)
+        return basis, pivots
 
     # -- classes and products ----------------------------------------------
 
@@ -110,18 +110,11 @@ class HomologyAlgebra:
         if not z.is_cycle():
             raise HomologyError("class_of called on a non-cycle")
         i = z.degree
-        p = self.ring.p
-        v = z.to_vector() % p
-        bnd = self.boundary[i]
-        reps = self._rep_vectors[i]
-        if not reps:
-            # everything is a boundary in this degree
-            return np.zeros(0, dtype=np.int64)
-        A = np.vstack([bnd, np.array(reps)]).T if len(bnd) else np.array(reps).T
-        x = solve_mod(A, v, p)
-        if x is None:
+        rest, coeffs = _reduce_against(z.to_vector(), self._basis[i],
+                                       self._pivots[i], self.ring.p)
+        if rest.any():
             raise HomologyError("cycle is not in the span of kernel basis (bug)")
-        return x[-len(reps):] % p
+        return coeffs[len(self.boundary[i]):]
 
     def product_class(self, z: KoszulElement, w: KoszulElement) -> np.ndarray:
         """Class of z ^ w; degree overflow past the codepth gives the empty
@@ -131,23 +124,40 @@ class HomologyAlgebra:
             return np.zeros(0, dtype=np.int64)
         return self.class_of(z.wedge(w))
 
-    def is_boundary(self, z: KoszulElement) -> bool:
-        cls = self.class_of(z)
-        return not np.any(cls)
-
 
 def _reduce_against(v, basis, pivots, p):
-    v = v % p
+    """Reduce v against rows with leading entry 1 at distinct indices
+    (``pivots`` maps each leading index to its row).  Returns the residual,
+    which is zero exactly when v lies in their span, and the coefficient of
+    each row taken off.  Leading indices only grow, so each step updates v
+    from the current one on."""
+    v = np.asarray(v, dtype=np.int64) % p
+    coeffs = np.zeros(len(basis), dtype=np.int64)
+    lead = 0
     while True:
-        nz = np.nonzero(v)[0]
+        nz = np.flatnonzero(v[lead:])
         if nz.size == 0:
-            return v
-        lead = int(nz[0])
+            return v, coeffs
+        lead += int(nz[0])
         k = pivots.get(lead)
         if k is None:
-            return v
-        row = basis[k]
-        v = (v - int(v[lead]) * row) % p
+            return v, coeffs
+        c = int(v[lead])
+        coeffs[k] = c
+        v[lead:] = (v[lead:] - c * basis[k][lead:]) % p
+
+
+def _extend(v, basis, pivots, p) -> bool:
+    """Append the residual of v, scaled to leading entry 1, to the echelon
+    rows ``basis``; False when v is already in their span."""
+    v, _ = _reduce_against(v, basis, pivots, p)
+    nz = np.flatnonzero(v)
+    if nz.size == 0:
+        return False
+    lead = int(nz[0])
+    pivots[lead] = len(basis)
+    basis.append((v * pow(int(v[lead]), p - 2, p)) % p)
+    return True
 
 
 def homology_ranks(ring: QuotientRing):
@@ -402,26 +412,13 @@ def _complete_degree2(H: HomologyAlgebra, triple, p):
         triple[1].wedge(triple[2]),
         triple[0].wedge(triple[2]),
     ]
-    span_rows = [H.class_of(z) for z in prods]
-    chosen = []
     basis = []
     pivots = {}
-    for row in span_rows:
-        v = _reduce_against(np.array(row) % p, basis, pivots, p)
-        assert np.any(v), "triple products degenerate despite rank check"
-        lead = int(np.nonzero(v)[0][0])
-        v = (v * pow(int(v[lead]), p - 2, p)) % p
-        pivots[lead] = len(basis)
-        basis.append(v)
-    for rep in H.reps[2]:
-        row = H.class_of(rep)
-        v = _reduce_against(np.array(row) % p, basis, pivots, p)
-        if np.any(v):
-            lead = int(np.nonzero(v)[0][0])
-            v = (v * pow(int(v[lead]), p - 2, p)) % p
-            pivots[lead] = len(basis)
-            basis.append(v)
-            chosen.append(rep)
+    for z in prods:
+        independent = _extend(H.class_of(z), basis, pivots, p)
+        assert independent, "triple products degenerate despite rank check"
+    chosen = [rep for rep in H.reps[2]
+              if _extend(H.class_of(rep), basis, pivots, p)]
     if len(chosen) != H.rank(2) - 3:
         return None
     return chosen

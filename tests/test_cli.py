@@ -132,21 +132,32 @@ def test_assembly_golden(tmp_path, name):
     assert hashlib.sha256(text.encode()).hexdigest() == ASSEMBLY_DIGESTS[name]
 
 
-# sha256 of whole `verify --no-timestamp` reports of classT_example: pins
-# flat_ranks, homology and the oracle Betti numbers byte for byte
+# sha256 of whole `verify --no-timestamp` reports: pins flat_ranks, homology
+# and the oracle Betti numbers of classT_example byte for byte, and the basis
+# that discovery (mode = auto) certifies for a generated dim-384 class-T ring
+# in two variable orders (the order changes the elimination order)
 VERIFY_DIGESTS = {
-    "d6": (("--max-degree", "6"),
+    "d6": (None, ("--max-degree", "6"),
            "e0c29e989867918a265a06382646b4afc9435929c1e59448c845d4be6903c684"),
-    "d5-bigp-oracle": (("--max-degree", "5", "--char", "2147483647", "--oracle"),
+    "d5-bigp-oracle": (None, ("--max-degree", "5", "--char", "2147483647", "--oracle"),
                        "2f238c0f0a408fb10ce16ddfb2d369b6c1a9188ad54ac3af188d514cd5e9dd3c"),
+    "auto-xyz-d2": ("x, y, z", ("--max-degree", "2"),
+                    "b730b5a45e644166d145e18d2db182b60a45686b875090c5bfa54b61b895fb35"),
+    "auto-zyx-d2": ("z, y, x", ("--max-degree", "2"),
+                    "2bbfdfc4816feb734917048e8b8880a54afacddc339abeb058a4a8846abf0755"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(VERIFY_DIGESTS))
 def test_verify_golden(tmp_path, case):
-    args, digest = VERIFY_DIGESTS[case]
+    variables, args, digest = VERIFY_DIGESTS[case]
+    ring = CLASS_T
+    if variables is not None:
+        ring = tmp_path / "generated.ring"
+        ring.write_text(f"characteristic = 32003\nvariables = {variables}\n"
+                        "ideal = x^9, y^8, z^7, x^3*y^3*z^3\nmode = auto\n")
     out = tmp_path / "v.json"
-    assert run("verify", "--ring", str(CLASS_T), *args, "--no-timestamp",
+    assert run("verify", "--ring", str(ring), *args, "--no-timestamp",
                "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -200,6 +211,17 @@ def test_exit_code_non_prime_char(capsys):
     # the first prime past the int64 eliminator's bound
     assert run("verify", "--ring", str(CI3), "--char", "3037000507") == 2
     assert "exceeds 3037000499" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_degree", ["0", "-1"])
+@pytest.mark.parametrize("command", ["verify", "resolve"])
+def test_exit_code_bad_max_degree(monkeypatch, capsys, command, max_degree):
+    # refused as an input error before any homology is computed
+    monkeypatch.setattr("koszulres.cli.full_verify",
+                        lambda *a, **k: pytest.fail("full_verify was called"))
+    assert run(command, "--ring", str(CLASS_T), "--max-degree", max_degree,
+               "--no-timestamp") == 2
+    assert f"max degree must be >= 1 (got {max_degree})" in capsys.readouterr().err
 
 
 def test_exit_code_class_failure(capsys):

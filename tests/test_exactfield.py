@@ -9,6 +9,7 @@ from koszulres.exactfield import (
     Polynomial,
     QuotientRing,
     RingMatrix,
+    _safe_chunk,
     kernel_mod,
     mod_matmul,
     parse_monomial_string,
@@ -299,3 +300,34 @@ def test_ring_file_rejects_bad_input(text, msg):
 
 def test_std_basis_same_at_p2(ring_t, ring_t2):
     assert ring_t.std_basis == ring_t2.std_basis
+
+
+@pytest.mark.parametrize("p, chunk", [
+    (67108859, 2), (94906249, 1),        # float64 BLAS, inner dim in chunks
+    (2147483647, None), (3037000493, None),  # object dtype
+])
+def test_mod_matmul_paths_match_python_ints(p, chunk):
+    """mod_matmul on both of its paths against a Python-int triple loop, on
+    empty, tall, wide, long-inner and all-(p-1) shapes."""
+    if chunk is None:
+        assert (p - 1) ** 2 >= 2 ** 53
+    else:
+        assert _safe_chunk(p, 100) == chunk
+    nprng = np.random.default_rng(p % 1000003)
+
+    def rand(m, n):
+        return nprng.integers(0, p, size=(m, n), dtype=np.int64)
+
+    cases = [(rand(0, 5), rand(5, 3)), (rand(4, 0), rand(0, 3)),
+             (rand(3, 5), rand(5, 0)), (rand(40, 7), rand(7, 3)),
+             (rand(3, 7), rand(7, 40)), (rand(4, 37), rand(37, 5)),
+             (np.full((6, 9), p - 1, dtype=np.int64),
+              np.full((9, 4), p - 1, dtype=np.int64))]
+    for A, B in cases:
+        (m, k), n = A.shape, B.shape[1]
+        a, b = A.tolist(), B.tolist()
+        want = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(n)]
+                for i in range(m)]
+        got = mod_matmul(A, B, p)
+        assert got.shape == (m, n) and got.dtype == np.int64
+        assert got.tolist() == want

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from koszulres.exactfield import rank_mod
+from koszulres.exactfield import rank_mod, solve_mod
 from koszulres.homology import (
     ClassCIBasis,
     ClassTBasis,
     DiscoveryError,
+    HomologyAlgebra,
     HomologyError,
     discover_class_CI_basis,
     discover_class_T_basis,
@@ -14,6 +15,7 @@ from koszulres.homology import (
     verify_class_T,
 )
 from koszulres.koszul import KoszulElement, parse_koszul_element
+from koszulres.samples import ci_squares_ring, class_t_ring
 from tests.conftest import make_class_t_basis
 
 
@@ -45,6 +47,44 @@ def test_class_well_defined_mod_boundaries(ring_t, homology_t):
 def test_class_of_rejects_non_cycle(ring_t, homology_t):
     with pytest.raises(HomologyError):
         homology_t.class_of(KoszulElement.basis(ring_t, (1,)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2147483647])
+@pytest.mark.parametrize("make_ring", [class_t_ring, lambda p: ci_squares_ring(3, p)],
+                         ids=["classT", "ci3"])
+def test_class_of_matches_solve_mod(make_ring, p):
+    """class_of (reduction against the per-degree echelon basis) equals the
+    unique solve_mod solution over [boundaries | reps], read on the reps."""
+    ring = make_ring(p)
+    H = HomologyAlgebra(ring)
+    nprng = np.random.default_rng(p % 1000003)
+    for i in range(ring.nvars + 1):
+        bnd = H.boundary[i]
+        reps = np.array([z.to_vector() for z in H.reps[i]],
+                        dtype=np.int64).reshape(-1, bnd.shape[1])
+        rows = np.vstack([bnd, reps])
+        combos = nprng.integers(0, p, size=(8, len(rows)), dtype=np.int64)
+        combos = (combos.astype(object) @ rows.astype(object)) % p
+        for v in [*rows, *combos.astype(np.int64)]:
+            want = solve_mod(rows.T, v, p)
+            assert want is not None
+            got = H.class_of(KoszulElement.from_vector(ring, i, v))
+            assert got.tolist() == (want[len(bnd):] % p).tolist()
+
+
+@pytest.mark.parametrize("lost", range(4))
+def test_class_of_outside_span_raises(ring_t, lost):
+    """A degree-1 basis that has lost a rep cannot express that rep's cycle."""
+    H = HomologyAlgebra(ring_t)
+    basis = H._basis[1]
+    del basis[len(H.boundary[1]) + lost]
+    H._pivots[1] = {int(np.flatnonzero(r)[0]): k for k, r in enumerate(basis)}
+    with pytest.raises(HomologyError, match="not in the span"):
+        H.class_of(H.reps[1][lost])
+    for k, z in enumerate(H.reps[1]):
+        if k != lost:
+            assert H.class_of(z).tolist() == [int(j == k - (k > lost))
+                                              for j in range(3)]
 
 
 def test_product_classes(ring_t, homology_t, basis_t):
