@@ -142,10 +142,16 @@ def _load_ring(args, default_file: RingFile | None = None):
         raise ExactFieldError("no ring file given (use --ring)")
     ring = build_ring(rf, char_override=args.char)
     mode = args.mode or rf.mode or "auto"
-    i_max = args.max_degree if args.max_degree is not None else (rf.max_degree or 8)
+    i_max = (args.max_degree if args.max_degree is not None
+             else (rf.max_degree if rf.max_degree is not None else 8))
     order = (args.order if args.order is not None
              else (rf.series_order if rf.series_order is not None else 10))
     return rf, ring, mode, i_max, order
+
+
+def _check_max_degree(i_max: int) -> None:
+    if i_max < 1:
+        raise ExactFieldError(f"max degree must be >= 1 (got {i_max})")
 
 
 def _maybe_timestamp(args) -> dict:
@@ -236,8 +242,7 @@ def cmd_betti(args) -> int:
 
 def _run_verify(args, emit_matrices: bool) -> int:
     rf, ring, mode, i_max, order = _load_ring(args)
-    if i_max < 1:
-        raise ExactFieldError(f"max degree must be >= 1 (got {i_max})")
+    _check_max_degree(i_max)
     force = ("deg2", 1) if getattr(args, "sign_flip", False) else None
     try:
         report, F, _ = full_verify(
@@ -308,8 +313,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_demo_classt(args) -> int:
-    rf = class_t_ring_file(p=args.char or 32003,
-                           i_max=args.max_degree or 7)
+    i_max = args.max_degree if args.max_degree is not None else 7
+    _check_max_degree(i_max)
+    rf = class_t_ring_file(
+        p=args.char if args.char is not None else 32003, i_max=i_max)
     ring = build_ring(rf)
     print(f"ring: {ring!r}")
     print("cycles:")
@@ -336,7 +343,7 @@ def cmd_demo_classt(args) -> int:
             print(f"\nalpha_{{{k},{r}}}  ({theta.rows} x {theta.cols}):")
             print(_pretty_cycle_matrix(theta, names, _alpha_col_groups(k, r, pack)))
 
-    report, F, _ = full_verify(ring, "T", rf.max_degree or 7,
+    report, F, _ = full_verify(ring, "T", i_max,
                                cycle_strings=rf.cycles, series_order=order)
     print("\nbetti: " + ",".join(str(v) for v in F.ranks))
     print("sign regime: " + F.sign_regime)

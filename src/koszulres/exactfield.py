@@ -471,6 +471,54 @@ class RingMatrix:
             M[i * D:(i + 1) * D, j * D:(j + 1) * D] = self.ring.mult_matrix(f)
         return M
 
+    def flat_blocks(self) -> list:
+        """The connected blocks of flatten(), without forming it.
+
+        Each nonzero of the flat matrix joins its row to its column; the
+        connected components of that bipartite graph make the matrix
+        block-diagonal up to a permutation of rows and columns, so its rank
+        is the sum of the block ranks.  Returns (rows, cols, block) per
+        component, ordered by smallest row: ascending flat row and column
+        indices and the dense int64 block flatten()[np.ix_(rows, cols)].
+        Rows and columns with no nonzero lie in no block.  A monomial entry
+        sends standard monomials to standard monomials or to zero, so over a
+        monomial ring the blocks are small; entries with several terms only
+        merge them.
+        """
+        if not self.entries:
+            return []
+        D = self.ring.dim
+        by_poly: dict = {}
+        for key, f in self.entries.items():
+            by_poly.setdefault(f, []).append(key)
+        r_parts, c_parts, v_parts = [], [], []
+        for f, keys in by_poly.items():
+            M = self.ring.mult_matrix(f)
+            a, b = np.nonzero(M)
+            ij = np.array(keys, dtype=np.int64)
+            r_parts.append((ij[:, :1] * D + a).ravel())
+            c_parts.append((ij[:, 1:] * D + b).ravel())
+            v_parts.append(np.tile(M[a, b], len(keys)))
+        r, c, v = (np.concatenate(x) for x in (r_parts, c_parts, v_parts))
+        n_rows = self.rows * D
+        label = _component_labels(r, c + n_rows, n_rows + self.cols * D)
+        # the label of a component is its smallest node, always a row
+        lr = _local_index(r, label, n_rows)
+        lc = _local_index(c, label, self.cols * D)
+        order = np.argsort(label, kind="stable")
+        r, c, v, lr, lc, label = (x[order] for x in (r, c, v, lr, lc, label))
+        cuts = np.flatnonzero(np.diff(label)) + 1
+        blocks = []
+        for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(label)]):
+            B = np.zeros((lr[s:e].max() + 1, lc[s:e].max() + 1), dtype=np.int64)
+            B[lr[s:e], lc[s:e]] = v[s:e]
+            rows = np.empty(B.shape[0], dtype=np.int64)
+            rows[lr[s:e]] = r[s:e]
+            cols = np.empty(B.shape[1], dtype=np.int64)
+            cols[lc[s:e]] = c[s:e]
+            blocks.append((rows, cols, B))
+        return blocks
+
     def __eq__(self, other):
         return (
             isinstance(other, RingMatrix)
@@ -480,6 +528,39 @@ class RingMatrix:
 
     def __repr__(self):
         return f"RingMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+
+
+def _component_labels(u: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Component of each edge (u, w) of a graph on nodes 0..n-1, labelled by
+    its smallest node: hook the larger root of every edge whose ends have
+    different roots under the smaller one, compress, repeat."""
+    parent = np.arange(n)
+    while True:
+        pu, pw = parent[u], parent[w]
+        cross = pu != pw
+        if not cross.any():
+            return pu
+        np.minimum.at(parent, np.maximum(pu, pw)[cross], np.minimum(pu, pw)[cross])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+
+def _local_index(x: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
+    """For nodes x (in 0..n-1) with component labels `label`, the index of
+    each among the nodes of its component in ascending order."""
+    lab = np.full(n, -1, dtype=np.int64)
+    lab[x] = label
+    nodes = np.flatnonzero(lab >= 0)
+    nodes = nodes[np.argsort(lab[nodes], kind="stable")]
+    group = lab[nodes]
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    sizes = np.diff(np.r_[starts, len(nodes)])
+    local = np.empty(n, dtype=np.int64)
+    local[nodes] = np.arange(len(nodes)) - np.repeat(starts, sizes)
+    return local[x]
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ class HomologyAlgebra:
             return np.zeros((0, dim), dtype=np.int64)
         M = self.flat_diff[i]
         R, piv = rref_mod(M.T, p)
-        return R[: len(piv)]
+        return R[: len(piv)].copy()  # a view would pin all of R
 
     @staticmethod
     def _complete(bnd_rows: np.ndarray, ker_cols: np.ndarray, p: int) -> tuple:

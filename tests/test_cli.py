@@ -214,14 +214,35 @@ def test_exit_code_non_prime_char(capsys):
 
 
 @pytest.mark.parametrize("max_degree", ["0", "-1"])
-@pytest.mark.parametrize("command", ["verify", "resolve"])
+@pytest.mark.parametrize("command", ["verify", "resolve", "demo-classt"])
 def test_exit_code_bad_max_degree(monkeypatch, capsys, command, max_degree):
-    # refused as an input error before any homology is computed
+    # refused as an input error before any homology is computed; 0 is a
+    # given value, not "unset"
+    monkeypatch.setattr("koszulres.cli.HomologyAlgebra",
+                        lambda *a, **k: pytest.fail("HomologyAlgebra was called"))
     monkeypatch.setattr("koszulres.cli.full_verify",
                         lambda *a, **k: pytest.fail("full_verify was called"))
     assert run(command, "--ring", str(CLASS_T), "--max-degree", max_degree,
                "--no-timestamp") == 2
     assert f"max degree must be >= 1 (got {max_degree})" in capsys.readouterr().err
+
+
+def test_demo_classt_char_zero(capsys):
+    # --char 0 is refused, not replaced by the default 32003
+    assert run("demo-classt", "--char", "0", "--no-timestamp") == 2
+    assert "0 is not prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "resolve"])
+def test_ring_file_max_degree_zero(tmp_path, monkeypatch, capsys, command):
+    # the file's max_degree = 0 is not replaced by the default 8
+    ring = tmp_path / "zero.ring"
+    ring.write_text(CLASS_T.read_text().replace("max_degree = 7", "max_degree = 0"))
+    assert "max_degree = 0" in ring.read_text()
+    monkeypatch.setattr("koszulres.cli.full_verify",
+                        lambda *a, **k: pytest.fail("full_verify was called"))
+    assert run(command, "--ring", str(ring), "--no-timestamp") == 2
+    assert "max degree must be >= 1 (got 0)" in capsys.readouterr().err
 
 
 def test_exit_code_class_failure(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koszulres.exactfield import rank_mod, solve_mod
+from koszulres.exactfield import QuotientRing, rank_mod, solve_mod
 from koszulres.homology import (
     ClassCIBasis,
     ClassTBasis,
@@ -218,3 +218,12 @@ def test_b_and_c_classes_fill_ranks_by_degree(ring_t, homology_t, basis_t):
         assert rank_mod(M, ring_t.p) == len(elems)
         by_degree[deg] = len(elems)
     assert tuple(by_degree[i] for i in range(4)) == (1, 4, 6, 3)
+
+
+def test_boundary_rows_own_their_data():
+    # a view of the rref of flat d_{i+1}^T would keep all of it alive
+    ring = QuotientRing(32003, 3, [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)],
+                        names=["x", "y", "z"])
+    H = HomologyAlgebra(ring)
+    assert [len(b) for b in H.boundary] == [383, 765, 381, 0]
+    assert all(b.base is None for b in H.boundary)
