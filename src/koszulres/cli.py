@@ -247,7 +247,7 @@ def _run_verify(args, emit_matrices: bool) -> int:
     try:
         report, F, _ = full_verify(
             ring, mode, i_max, cycle_strings=rf.cycles,
-            oracle_depth=min(i_max, 6) if getattr(args, "oracle", False) else None,
+            oracle_depth=i_max if getattr(args, "oracle", False) else None,
             series_order=order, force_regime=force)
     except (ClassVerificationError, DiscoveryError) as exc:
         print(f"class verification failure: {exc}", file=sys.stderr)

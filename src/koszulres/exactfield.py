@@ -307,12 +307,6 @@ class QuotientRing:
         t = {m: c for m, c in f.terms.items() if self.is_standard(m)}
         return Polynomial(self.nvars, self.p, t)
 
-    def mul_nf(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return self.normal_form(f * g)
-
-    def in_maximal_ideal(self, f: Polynomial) -> bool:
-        return self.normal_form(f).constant_term() == 0
-
     def element_from_vector(self, vec) -> Polynomial:
         t = {m: int(vec[i]) for i, m in enumerate(self.std_basis) if int(vec[i]) % self.p}
         return Polynomial(self.nvars, self.p, t)
@@ -400,16 +394,6 @@ class RingMatrix:
             for (i, j), f in M.entries.items():
                 entries[(c * M.rows + i, c * M.cols + j)] = f
         return cls(M.ring, M.rows * copies, M.cols * copies, entries, reduce=False)
-
-    @classmethod
-    def from_rows(cls, ring, rows_of_entries):
-        rows = len(rows_of_entries)
-        cols = len(rows_of_entries[0]) if rows else 0
-        e = {}
-        for i, row in enumerate(rows_of_entries):
-            for j, f in enumerate(row):
-                e[(i, j)] = f
-        return cls(ring, rows, cols, e)
 
     def entry(self, i, j) -> Polynomial:
         return self.entries.get((i, j), self.ring.zero())

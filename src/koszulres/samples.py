@@ -51,14 +51,3 @@ def ci_squares_ring(n: int, p: int = 32003) -> QuotientRing:
     names = ["x", "y", "z"][:n] if n <= 3 else None
     return QuotientRing(p, n, gens, names=names)
 
-
-def ci_ring_file(n: int, p: int = 32003, i_max: int = 6) -> RingFile:
-    names = ["x", "y", "z"][:n] if n <= 3 else [f"x{i}" for i in range(1, n + 1)]
-    return RingFile(
-        characteristic=p,
-        variables=names,
-        ideal=[f"{nm}^2" for nm in names],
-        mode="CI",
-        max_degree=i_max,
-        series_order=10,
-    )

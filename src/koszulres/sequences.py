@@ -33,38 +33,28 @@ class SequencePack:
     and l_{k,r} relabels (l, l', l'') at r = k, k+1, k+2.
     """
 
-    def __init__(self, c: int, a1: int | None = None, a2: int | None = None,
-                 a3: int | None = None, k_max: int = 12, class_t: bool = True):
+    def __init__(self, c: int, a1: int, a2: int, a3: int, k_max: int = 12):
         if c < 1:
             raise SequenceError(f"codepth must be >= 1, got {c}")
+        if a1 < 3:
+            raise SequenceError(f"class T needs a1 >= 3, got a1 = {a1}")
         self.c = c
         self.k_max = k_max
-        self.class_t = class_t
         self.b = [comb(k + c - 1, c - 1) for k in range(k_max + 1)]
-        if class_t:
-            if a1 is None or a2 is None or a3 is None:
-                raise SequenceError("class T tables need a1, a2, a3")
-            if a1 < 3:
-                raise SequenceError(f"class T needs a1 >= 3, got a1 = {a1}")
-            self.a1, self.a2, self.a3 = a1, a2, a3
-            self.l = [1]
-            self.d = [1]
-            self.lp = [0]
-            self.lpp = [0]
-            for k in range(1, k_max + 1):
-                self.d.append((a1 - 3) * self.l[k - 1])
-                self.l.append(sum(self.b[k - i] * self.d[i] for i in range(k + 1)))
-                self.lp.append((self.l[k - 2] if k >= 2 else 0)
-                               + (a2 - 3) * self.l[k - 1])
-                self.lpp.append(a3 * self.l[k - 1])
-        else:
-            self.a1 = self.a2 = self.a3 = None
-            self.l = self.d = self.lp = self.lpp = None
+        self.a1, self.a2, self.a3 = a1, a2, a3
+        self.l = [1]
+        self.d = [1]
+        self.lp = [0]
+        self.lpp = [0]
+        for k in range(1, k_max + 1):
+            self.d.append((a1 - 3) * self.l[k - 1])
+            self.l.append(sum(self.b[k - i] * self.d[i] for i in range(k + 1)))
+            self.lp.append((self.l[k - 2] if k >= 2 else 0)
+                           + (a2 - 3) * self.l[k - 1])
+            self.lpp.append(a3 * self.l[k - 1])
 
     def l_ks(self, k: int, r: int) -> int:
         """l_{k,r}: l_k, l'_k, l''_k at r = k, k+1, k+2 and 0 otherwise."""
-        if not self.class_t:
-            raise SequenceError("l_{k,r} is a class-T table")
         if k < 0 or k > self.k_max:
             if k < 0:
                 return 0
@@ -79,7 +69,7 @@ class SequencePack:
 
 
 def sequence_tables(c: int, a1: int, a2: int, a3: int, k_max: int = 12) -> SequencePack:
-    return SequencePack(c, a1, a2, a3, k_max=k_max, class_t=True)
+    return SequencePack(c, a1, a2, a3, k_max=k_max)
 
 
 def closed_form_check(pack: SequencePack) -> list:
@@ -150,9 +140,6 @@ class TreeMonomial:
             return None
         (j, r), rest = self.factors[0], self.factors[1:]
         return j, r, TreeMonomial(rest)
-
-    def is_unit(self) -> bool:
-        return not self.factors
 
     def __str__(self):
         if not self.factors:

@@ -3,17 +3,17 @@ syzygy oracle.
 
 The checks are deliberately redundant: the complex property is verified as
 honest matrix products over R, exactness as rank bookkeeping of the
-flattened F_p maps (each ranked block by block over the connected
-components of its nonzero pattern, never as one dense matrix), Betti
-numbers three ways (assembled block ranks, series coefficients, oracle),
-and the graded-level complexes by rank conditions at every position.
+flattened F_p maps, Betti numbers three ways (assembled block ranks, series
+coefficients, oracle), and the graded-level complexes by rank conditions at
+every position.  Exactness and the oracle both work block by block over the
+connected components of the flattened maps (`RingMatrix.flat_blocks`) and
+never form one dense flat matrix, so both run to the full degree asked for.
 """
 
 from __future__ import annotations
 
 import re
 import time
-import warnings
 from dataclasses import dataclass, field
 from math import comb
 
@@ -27,6 +27,7 @@ from .builder import (
     graded_A_complexes,
 )
 from .exactfield import (
+    Polynomial,
     QuotientRing,
     RingMatrix,
     kernel_mod,
@@ -275,61 +276,73 @@ class OracleResolution:
     differentials: list  # RingMatrix d_1, d_2, ...
 
 
-ORACLE_COST_WARNING = 20000  # flattened kernel columns
-
-
 def oracle_resolution(ring: QuotientRing, i_max: int) -> OracleResolution:
-    """Bare-hands minimal resolution of the residue field: repeatedly take the
-    kernel of the flattened differential and extract a Nakayama-minimal
-    generating set (kernel vectors independent modulo m . kernel), lifting the
-    chosen vectors back to R-columns.  Only generator choices that are
-    deterministic under echelon ordering are used.  Cost grows with the Betti
-    numbers; a warning is emitted past ORACLE_COST_WARNING kernel columns."""
-    p = ring.p
-    D = ring.dim
-    var_mults = [ring.mult_matrix(v) for v in ring.variables()]
-    d1 = RingMatrix(ring, 1, ring.nvars,
-                    {(0, v): ring.variable(v) for v in range(ring.nvars)})
+    """Bare-hands minimal resolution of the residue field: starting from the
+    row of variables, each next differential is a Nakayama-minimal
+    generating set of the kernel of the last (kernel vectors independent
+    modulo m . kernel), lifted back to R-columns.  Both steps run on the
+    connected blocks of the flattened maps (`RingMatrix.flat_blocks`), never
+    on a dense flat matrix, and choose the same echelon-ordered vectors as
+    a dense elimination would."""
+    current = RingMatrix(ring, 1, ring.nvars,
+                         {(0, v): ring.variable(v) for v in range(ring.nvars)})
     betti = [1, ring.nvars]
-    diffs = [d1]
-    current = d1
-    for step in range(2, i_max + 1):
-        flat = current.flatten()
-        ker = kernel_mod(flat, p)  # (cols*D) x nullity
-        if ker.shape[1] > ORACLE_COST_WARNING:
-            warnings.warn(
-                f"oracle step {step}: kernel has {ker.shape[1]} columns; "
-                "this will be slow", RuntimeWarning, stacklevel=2)
-        m_cols = _m_multiples(ker, var_mults, current.cols, D, p)
-        stacked = np.hstack([m_cols, ker]) if m_cols.size else ker
-        piv = rref_mod(stacked, p)[1]
-        offset = m_cols.shape[1]
-        chosen = [c - offset for c in piv if c >= offset]
-        columns = [ker[:, c] for c in chosen]
-        betti.append(len(columns))
-        entries = {}
-        for j, vec in enumerate(columns):
-            for r in range(current.cols):
-                f = ring.element_from_vector(vec[r * D:(r + 1) * D])
-                if not f.is_zero():
-                    entries[(r, j)] = f
-        current = RingMatrix(ring, current.cols, len(columns), entries)
+    diffs = [current]
+    for _ in range(2, i_max + 1):
+        K = _flat_kernel(current)
+        index = {j: t for t, j in enumerate(_minimal_generators(K))}
+        current = RingMatrix(ring, K.rows, len(index),
+                             {(r, index[j]): f for (r, j), f in K.entries.items()
+                              if j in index}, reduce=False)
+        betti.append(len(index))
         diffs.append(current)
     return OracleResolution(betti[: i_max + 1], diffs)
 
 
-def _m_multiples(ker: np.ndarray, var_mults, ncoords: int, D: int, p: int) -> np.ndarray:
-    """Columns spanning m . (column span of ker) inside R^ncoords."""
-    if ker.shape[1] == 0:
-        return np.zeros((ker.shape[0], 0), dtype=np.int64)
-    blocks = []
-    for X in var_mults:
-        out = np.zeros_like(ker)
-        for r in range(ncoords):
-            sl = slice(r * D, (r + 1) * D)
-            out[sl] = mod_matmul(X, ker[sl], p)
-        blocks.append(out)
-    return np.hstack(blocks)
+def _flat_kernel(d: RingMatrix) -> RingMatrix:
+    """The columns of kernel_mod of the flattened d, as R-columns.
+
+    Each block's kernel vectors go to its global flat columns, and a flat
+    column in no block is its own unit vector.  A kernel_mod vector is 1 at
+    its free column and 0 after it, and the blocks split the echelon form,
+    so sorting the vectors by that column gives the dense kernel's order."""
+    ring, D = d.ring, d.ring.dim
+    lone = np.ones(d.cols * D, dtype=bool)
+    parts = []  # (flat column, free column of its vector, value) per nonzero
+    for _, cols, B in d.flat_blocks():
+        lone[cols] = False
+        K = kernel_mod(B, ring.p)
+        a, t = np.nonzero(K)
+        free = cols[len(cols) - 1 - np.argmax(K[::-1] != 0, axis=0)]
+        parts.append((cols[a], free[t], K[a, t]))
+    u = np.flatnonzero(lone)
+    parts.append((u, u, np.ones(len(u), dtype=np.int64)))
+    g, free, v = (np.concatenate(x) for x in zip(*parts))
+    free, j = np.unique(free, return_inverse=True)
+    terms: dict = {}
+    for g_, j_, v_ in zip(g.tolist(), j.tolist(), v.tolist()):
+        terms.setdefault((g_ // D, j_), {})[ring.std_basis[g_ % D]] = v_
+    return RingMatrix(ring, d.cols, len(free),
+                      {rj: Polynomial(ring.nvars, ring.p, t) for rj, t in terms.items()},
+                      reduce=False)
+
+
+def _minimal_generators(K: RingMatrix) -> list:
+    """The columns j of K outside m . (column span of K) + span(K_{<j}).
+
+    Flat column j*D + b of K is standard monomial b times column j, and
+    b = 0 is the monomial 1 (the basis is sorted by degree), so the columns
+    with b != 0 span m . K.  Inside each block they go first; the pivots
+    among the b = 0 columns after them are the chosen j."""
+    D = K.ring.dim
+    chosen = []
+    for _, cols, B in K.flat_blocks():
+        unit = cols % D == 0
+        order = np.argsort(unit, kind="stable")  # b != 0 first, each in order
+        skip = len(order) - int(unit.sum())
+        chosen += [int(cols[order[c]]) // D
+                   for c in rref_mod(B[:, order], K.ring.p)[1] if c >= skip]
+    return sorted(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,16 @@ def test_verify_with_oracle(tmp_path):
     assert "oracle" in names
 
 
+def test_verify_oracle_to_max_degree(tmp_path):
+    out = tmp_path / "o.json"
+    assert run("verify", "--ring", str(CLASS_T), "--max-degree", "8", "--oracle",
+               "--no-timestamp", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    oracle = next(s for s in doc["verification"]["sections"] if s["name"] == "oracle")
+    assert oracle["passed"]
+    assert oracle["details"]["oracle_betti"] == [1, 3, 7, 16, 37, 86, 200, 465, 1081]
+
+
 def test_deterministic_reports(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
