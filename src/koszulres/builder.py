@@ -9,12 +9,13 @@ one engine, _assemble_diff: Koszul differentials on the diagonal, one
 cycle-matrix arrow per block off it.  The two classes differ only in which
 blocks exist and which arrow each block carries.
 
-Block-sign bookkeeping, fixed by the d^2 = 0 arbiter (see assemble_T): the
-diagonal Koszul block of the component indexed by a tree monomial m carries
-the sign (-1)^(deg1 m + deg2 m) - the parity of the block's total homological
-shift inside F - and the arrow blocks all carry a global sign (reported as
-the "phi" sign).  Both knobs are searched over and the surviving combination
-is frozen into the assembly and reported.
+Block signs follow the mapping-cone convention: the diagonal Koszul block of
+the component indexed by a tree monomial m carries the sign
+(-1)^(deg1 m + deg2 m) - the parity of the block's total homological shift
+inside F - and every arrow block carries +1 (reported as the "phi" sign).
+The convention is fixed, not searched for; verifier.check_complex certifies
+d^2 = 0, and `--sign-flip` forces the (-1)^deg2 diagonal as its negative
+control.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ class BuildError(ValueError):
 
 
 class AssemblyError(BuildError):
-    """d^2 = 0 failed under every sign regime, or a structural precondition
-    of the block construction is violated."""
+    """A structural precondition of the block construction is violated."""
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +310,6 @@ def _assemble_diff(ring, blocks_lo, blocks_hi, diag_sign, arrow) -> RingMatrix:
     return RingMatrix(ring, rows, col, entries, reduce=False)
 
 
-_SIGN_REGIMES = (("total", 1), ("total", -1), ("deg2", 1), ("deg2", -1))
-
-
 def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
                i_max: int = 8, force_regime: tuple | None = None) -> ResolutionAssembly:
     """Assemble the class-T resolution F through homological degree i_max.
@@ -323,10 +320,12 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
 
     The degree-1 representatives outside the distinguished triple must have
     literally vanishing wedge products in K_2 (not merely vanishing classes);
-    this is checked up front because no sign choice can repair it.  The sign
-    regime (diagonal-shift rule x global arrow sign) is selected by checking
-    d^2 = 0 on low degrees, then frozen; pass force_regime to bypass the
-    search (used by the negative controls).
+    this is checked up front because no sign choice can repair it.  The signs
+    follow the mapping-cone convention: diagonal (-1)^(deg1+deg2), arrows +1.
+    Nothing here tests d^2 = 0; verifier.check_complex certifies it.  Pass
+    force_regime = (regime, arrow_sign) to build under another convention
+    (the negative controls: ("deg2", 1) breaks d^2 = 0, ("total", -1) is a
+    chain isomorphism).
     """
     if i_max < 1:
         raise BuildError("i_max must be >= 1")
@@ -339,48 +338,25 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
         for r in (j, j + 1, j + 2):
             alphas[(j, r)] = alpha(j, r, pack, basis)
     blocks = [_class_t_blocks(k, pack, ring.nvars) for k in range(i_max + 1)]
+    regime, arrow_sign = force_regime or ("total", 1)
 
-    def build(regime, arrow_sign, first, last):
-        """d_first .. d_last under one sign regime."""
-        def diag_sign(b):
-            return _diag_sign(b, regime)
+    def diag_sign(b):
+        return _diag_sign(b, regime)
 
-        def arrow(b):
-            if b.key.head is None:
-                return None
-            j, r, tail = b.key.head
-            return (arrow_target(b.key), b.kdeg + r - j + 1, alphas[(j, r)],
-                    tail.deg3(pack), arrow_sign)
+    def arrow(b):
+        if b.key.head is None:
+            return None
+        j, r, tail = b.key.head
+        return (arrow_target(b.key), b.kdeg + r - j + 1, alphas[(j, r)],
+                tail.deg3(pack), arrow_sign)
 
-        return [_assemble_diff(ring, blocks[k - 1], blocks[k], diag_sign, arrow)
-                for k in range(first, last + 1)]
-
+    diffs = [_assemble_diff(ring, blocks[k - 1], blocks[k], diag_sign, arrow)
+             for k in range(1, i_max + 1)]
+    diag = "(-1)^(deg1+deg2)" if regime == "total" else "(-1)^deg2"
+    label = f"diagonal {diag}, phi {'+' if arrow_sign == 1 else '-'}1"
     if force_regime is not None:
-        regime, arrow_sign = force_regime
-        diffs = build(regime, arrow_sign, 1, i_max)
-        label = _regime_label(regime, arrow_sign) + " (forced)"
-        return ResolutionAssembly("T", ring, i_max, blocks, diffs, label)
-
-    probe_depth = min(i_max, 4)
-    chosen = None
-    first_failure = None
-    for regime, arrow_sign in _SIGN_REGIMES:
-        diffs = build(regime, arrow_sign, 1, probe_depth)
-        bad = _first_d2_failure(diffs)
-        if bad is None:
-            chosen = (regime, arrow_sign)
-            break
-        if first_failure is None:
-            first_failure = bad
-    if chosen is None:
-        raise AssemblyError(
-            "d^2 = 0 fails under every sign regime; first offending product "
-            f"at degree pair {first_failure[0]}, entry {first_failure[1]}")
-    regime, arrow_sign = chosen
-    # the winning probe's d_1..d_probe_depth are kept; only the rest is built
-    diffs += build(regime, arrow_sign, probe_depth + 1, i_max)
-    return ResolutionAssembly("T", ring, i_max, blocks, diffs,
-                              _regime_label(regime, arrow_sign))
+        label += " (forced)"
+    return ResolutionAssembly("T", ring, i_max, blocks, diffs, label)
 
 
 def _diag_sign(b: Block, regime: str) -> int:
@@ -389,19 +365,6 @@ def _diag_sign(b: Block, regime: str) -> int:
     if regime == "deg2":
         return (-1) ** b.key.deg2
     raise BuildError(f"unknown sign regime {regime!r}")
-
-
-def _regime_label(regime, arrow_sign):
-    diag = "(-1)^(deg1+deg2)" if regime == "total" else "(-1)^deg2"
-    return f"diagonal {diag}, phi {'+' if arrow_sign == 1 else '-'}1"
-
-
-def _first_d2_failure(diffs):
-    for k in range(len(diffs) - 1):
-        prod = diffs[k] @ diffs[k + 1]
-        if not prod.is_zero():
-            return (k + 1, sorted(prod.entries)[0])
-    return None
 
 
 def _check_literal_products(basis: ClassTBasis):

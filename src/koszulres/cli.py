@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .builder import AssemblyError, BuildError, alpha
+from .builder import BuildError, alpha
 from .exactfield import (
     ExactFieldError,
     RingFile,
@@ -57,10 +57,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ExactFieldError, KoszulError, ValueError) as exc:
-        if isinstance(exc, ClassVerificationError) or isinstance(exc, DiscoveryError):
+        if isinstance(exc, (ClassVerificationError, DiscoveryError)):
             print(f"class verification failure: {exc}", file=sys.stderr)
             return EXIT_CLASS
-        if isinstance(exc, (AssemblyError, BuildError)):
+        if isinstance(exc, BuildError):
             print(f"verification failure: {exc}", file=sys.stderr)
             return EXIT_MATH
         print(f"input error: {exc}", file=sys.stderr)
@@ -111,14 +111,14 @@ def _build_parser():
     p_resolve.add_argument("--oracle", action="store_true",
                            help="cross-check against the brute-force syzygy oracle")
     p_resolve.add_argument("--sign-flip", action="store_true",
-                           help="test hook: force the rejected sign regime")
+                           help="negative control: force the (-1)^deg2 diagonal")
     p_resolve.set_defaults(func=cmd_resolve)
 
     p_verify = sub.add_parser("verify", help="verification report only")
     common(p_verify)
     p_verify.add_argument("--oracle", action="store_true")
     p_verify.add_argument("--sign-flip", action="store_true",
-                          help="test hook: force the rejected sign regime")
+                          help="negative control: force the (-1)^deg2 diagonal")
     p_verify.set_defaults(func=cmd_verify)
 
     p_demo = sub.add_parser("demo-classt",
@@ -244,17 +244,10 @@ def _run_verify(args, emit_matrices: bool) -> int:
     rf, ring, mode, i_max, order = _load_ring(args)
     _check_max_degree(i_max)
     force = ("deg2", 1) if getattr(args, "sign_flip", False) else None
-    try:
-        report, F, _ = full_verify(
-            ring, mode, i_max, cycle_strings=rf.cycles,
-            oracle_depth=i_max if getattr(args, "oracle", False) else None,
-            series_order=order, force_regime=force)
-    except (ClassVerificationError, DiscoveryError) as exc:
-        print(f"class verification failure: {exc}", file=sys.stderr)
-        return EXIT_CLASS
-    except AssemblyError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_MATH
+    report, F, _ = full_verify(
+        ring, mode, i_max, cycle_strings=rf.cycles,
+        oracle_depth=i_max if getattr(args, "oracle", False) else None,
+        series_order=order, force_regime=force)
     H_ranks = report.section("class_certificate").details["homology_ranks"]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -404,7 +397,9 @@ def _pretty_cycle_matrix(theta, names, col_groups) -> str:
             if z is None:
                 row.append(".")
             else:
-                row.append(names.get(id(z), _wedge_name(z, names)))
+                # entries that are not named basis cycles (the beta' wedges)
+                # are shown as the element itself
+                row.append(names.get(id(z)) or z.to_string())
         cells.append(row)
     cuts = set()
     acc = 0
@@ -422,12 +417,6 @@ def _pretty_cycle_matrix(theta, names, col_groups) -> str:
             parts.append(cell.rjust(widths[j]))
         lines.append("  ".join(parts))
     return "\n".join(lines) if lines else "(empty)"
-
-
-def _wedge_name(z, names) -> str:
-    """Fallback label for entries that are not named basis cycles (the beta'
-    wedges): the element itself."""
-    return z.to_string()
 
 
 if __name__ == "__main__":

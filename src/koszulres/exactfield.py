@@ -634,7 +634,9 @@ def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:
     """Columns form an echelon-normalized basis of the null space of A."""
     R, piv = rref_mod(A, p)
     cols = R.shape[1]
-    free = np.setdiff1d(np.arange(cols), piv)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
     K = np.zeros((cols, free.size), dtype=np.int64)
     K[free, np.arange(free.size)] = 1
     K[piv, :] = (-R[:len(piv), free]) % p

@@ -12,7 +12,6 @@ never form one dense flat matrix, so both run to the full degree asked for.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field
 from math import comb
@@ -27,6 +26,7 @@ from .builder import (
     graded_A_complexes,
 )
 from .exactfield import (
+    _CYCLE_NAME,
     Polynomial,
     QuotientRing,
     RingMatrix,
@@ -350,9 +350,18 @@ def _minimal_generators(K: RingMatrix) -> list:
 # ---------------------------------------------------------------------------
 
 
+# mode -> (basis discovery, class certificate)
+_BASIS_KINDS = {
+    "T": (discover_class_T_basis, verify_class_T),
+    "CI": (discover_class_CI_basis, verify_class_CI),
+}
+
+
 def resolve_basis(ring: QuotientRing, mode: str, cycle_strings: dict,
                   H: HomologyAlgebra):
-    """Build (mode, basis) from supplied representatives or discovery."""
+    """(mode, basis, certificate): the basis is read from the supplied
+    representatives or discovered, then certified; a failed certificate
+    raises ClassVerificationError."""
     if mode == "auto":
         c = H.codepth
         if all(H.rank(i) == comb(c, i) for i in range(c + 1)):
@@ -363,27 +372,15 @@ def resolve_basis(ring: QuotientRing, mode: str, cycle_strings: dict,
             raise DiscoveryError(
                 f"cannot classify homology ranks {tuple(H.ranks)} automatically; "
                 "pass mode=T or mode=CI")
-    if mode == "T":
-        if cycle_strings:
-            basis = basis_from_strings(ring, cycle_strings, class_t=True)
-            cert = verify_class_T(basis, ring, H)
-        else:
-            basis = discover_class_T_basis(ring, H)
-            cert = verify_class_T(basis, ring, H)
-        if not cert.passed:
-            raise ClassVerificationError(_cert_message("T", cert))
-        return "T", basis, cert
-    if mode == "CI":
-        if cycle_strings:
-            basis = basis_from_strings(ring, cycle_strings, class_t=False)
-            cert = verify_class_CI(basis, ring, H)
-        else:
-            basis = discover_class_CI_basis(ring, H)
-            cert = verify_class_CI(basis, ring, H)
-        if not cert.passed:
-            raise ClassVerificationError(_cert_message("CI", cert))
-        return "CI", basis, cert
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in _BASIS_KINDS:
+        raise ValueError(f"unknown mode {mode!r}")
+    discover, certify = _BASIS_KINDS[mode]
+    basis = (basis_from_strings(ring, cycle_strings, class_t=mode == "T")
+             if cycle_strings else discover(ring, H))
+    cert = certify(basis, ring, H)
+    if not cert.passed:
+        raise ClassVerificationError(_cert_message(mode, cert))
+    return mode, basis, cert
 
 
 def _cert_message(kind, cert):
@@ -395,7 +392,7 @@ def _cert_message(kind, cert):
 def basis_from_strings(ring, cycle_strings, class_t: bool):
     groups: dict = {1: {}, 2: {}, 3: {}}
     for name, text in cycle_strings.items():
-        m = re.fullmatch(r"z([123])_([0-9]+)", name)
+        m = _CYCLE_NAME.fullmatch(name)
         if not m:
             raise ValueError(f"bad cycle name {name!r}")
         deg, idx = int(m.group(1)), int(m.group(2))

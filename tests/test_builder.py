@@ -279,6 +279,18 @@ def test_forced_wrong_regime_breaks_d2(ring_t, basis_t, pack_t):
     assert not prod.is_zero()
 
 
+def test_assemble_t_runs_no_products(monkeypatch, ring_t, basis_t, pack_t):
+    # the sign convention is fixed, so assembly tests nothing: d^2 = 0 is
+    # left to check_complex, the only place that multiplies differentials
+    def no_products(self, other):
+        raise AssertionError("assemble_T computed a RingMatrix product")
+
+    monkeypatch.setattr(RingMatrix, "__matmul__", no_products)
+    F = assemble_T(ring_t, basis_t, pack_t, i_max=6)
+    assert F.sign_regime == "diagonal (-1)^(deg1+deg2), phi +1"
+    assert F.ranks == [1, 3, 7, 16, 37, 86, 200]
+
+
 def test_literal_product_precondition(ring_t, basis_t, pack_t):
     # z1_4 + d(e_13) has the same class but a nonzero wedge with z1_2
     moved = basis_t.z1[3] + KoszulElement.basis(ring_t, (1, 3)).differential()

@@ -266,6 +266,17 @@ def test_exit_code_math_failure(tmp_path):
                "--sign-flip", "--no-timestamp") == 4
 
 
+def test_exit_code_literal_product_failure(tmp_path, capsys):
+    # same class as the shipped z1_4, but a nonzero wedge with z1_2
+    ring = tmp_path / "bad.ring"
+    ring.write_text(CLASS_T.read_text().replace(
+        "z1_4 = y*z*e[1]\n", "z1_4 = y*z*e[1] + x*e[3] - z*e[1]\n"))
+    assert run("verify", "--ring", str(ring), "--max-degree", "4",
+               "--no-timestamp") == 4
+    assert ("verification failure: representatives z1_2 and z1_4 have a "
+            "nonzero wedge product") in capsys.readouterr().err
+
+
 def test_roundtrip_of_shipped_fixture():
     text = CLASS_T.read_text()
     assert serialize_ring_file(parse_ring_file(text)) == text

@@ -29,10 +29,20 @@ CLASS_T_VARIANTS = [
 ]
 
 
-@pytest.mark.parametrize("gens", CLASS_T_VARIANTS,
-                         ids=["z3", "cubes", "y3z3", "z4"])
-def test_class_t_family_discovery_and_assembly(gens):
-    ring = QuotientRing(32003, 3, gens, names=["x", "y", "z"])
+# every characteristic regime: p = 2 (the two diagonal sign rules agree),
+# p = 3, the default prime, and one prime above 2^27 (object-dtype products);
+# the default-prime cases keep the bare variant name as their id
+FAMILY_PRIMES = (2, 3, 32003, 2147483647)
+
+
+@pytest.mark.parametrize(
+    "gens,p", [(g, p) for g in CLASS_T_VARIANTS for p in FAMILY_PRIMES],
+    ids=[name if p == 32003 else f"{name}-p{p}"
+         for name in ("z3", "cubes", "y3z3", "z4") for p in FAMILY_PRIMES])
+def test_class_t_family_discovery_and_assembly(gens, p):
+    """check_complex certifies the fixed sign convention of assemble_T on
+    every variant in every characteristic regime."""
+    ring = QuotientRing(p, 3, gens, names=["x", "y", "z"])
     H = HomologyAlgebra(ring)
     assert tuple(H.ranks) == (1, 4, 6, 3)
     basis = discover_class_T_basis(ring, H)
