@@ -149,60 +149,32 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
         raise BuildError("alpha needs k >= 1")
     if r not in (k, k + 1, k + 2):
         raise BuildError(f"alpha_{{k,r}} needs r in {{k, k+1, k+2}}, got r={r}")
-    ring = basis.z1[0].ring
     triple = basis.triple
     rows = pack.l[k - 1]
-    entries: dict = {}
     if r == k:
-        cols_expected = pack.l[k]
-        col = 0
-        row = 0
-        for t in range(k):
-            bt = beta(k - t, 3, triple)
-            for _ in range(pack.d[t]):
-                for (i, j), z in bt.entries.items():
-                    entries[(row + i, col + j)] = z
-                row += bt.rows
-                col += bt.cols
-        g1 = gamma(1, basis)
-        for s0 in range(rows):
-            for (_, j), z in g1.entries.items():
-                entries[(s0, col + j)] = z
-            col += g1.cols
-        degree = 1
+        diagonal = [(beta(k - t, 3, triple), pack.d[t]) for t in range(k)]
     elif r == k + 1:
-        cols_expected = pack.lp[k]
-        col = 0
-        row = 0
-        for t in range(k - 1):
-            bp = beta_prime(k - t, triple)
-            for _ in range(pack.d[t]):
-                for (i, j), z in bp.entries.items():
-                    entries[(row + i, col + j)] = z
-                row += bp.rows
-                col += bp.cols
         # the beta_1^{d_{k-1}} row group receives no beta' input: zero rows
-        assert col == (pack.l[k - 2] if k >= 2 else 0)
-        g2 = gamma(2, basis)
-        for s0 in range(rows):
-            for (_, j), z in g2.entries.items():
-                entries[(s0, col + j)] = z
-            col += g2.cols
-        degree = 2
+        diagonal = [(beta_prime(k - t, triple), pack.d[t]) for t in range(k - 1)]
     else:
-        cols_expected = pack.lpp[k]
-        col = 0
-        g3 = gamma(3, basis)
-        for s0 in range(rows):
-            for (_, j), z in g3.entries.items():
-                entries[(s0, col + j)] = z
-            col += g3.cols
-        degree = 3
+        diagonal = []
+    entries: dict = {}
+    col = 0
+    for group in (diagonal, [(gamma(r - k + 1, basis), rows)]):
+        row = 0
+        for block, copies in group:
+            for _ in range(copies):
+                for (i, j), z in block.entries.items():
+                    entries[(row + i, col + j)] = z
+                row += block.rows
+                col += block.cols
+    cols_expected = pack.l_ks(k, r)
     if col != cols_expected:
         raise AssemblyError(
             f"alpha_{{{k},{r}}} extent mismatch: built {col} columns, "
             f"tables give {cols_expected}")
-    return CycleMatrix(ring, rows, cols_expected, degree, entries, check=False)
+    return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1, entries,
+                       check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -421,62 +393,47 @@ class FiniteComplex:
     p: int
 
 
-class _ClassCalculator:
-    """Coordinates and multiplication tables in the homology basis.  Results
-    are cached per cycle object (the block matrices share entry objects)."""
+class _Coordinates:
+    """Coordinate and multiplication matrices of cycle matrices in one target
+    space: A_q in its representative basis (span None), or the subspace of
+    A_q spanned by the classes of the cycles in `span`.  Blocks are cached per
+    cycle object and source list, since the block matrices share entries."""
 
-    def __init__(self, H: HomologyAlgebra):
+    def __init__(self, H: HomologyAlgebra, span=None):
         self.H = H
-        self.p = H.ring.p
-        self._coords: dict = {}
-        self._mult: dict = {}
+        self.span = None if span is None else [H.class_of(z) for z in span]
+        self._cache: dict = {}
 
-    def _class_of(self, z):
-        key = id(z)
-        hit = self._coords.get(key)
+    def _target(self, cls: np.ndarray) -> np.ndarray:
+        if self.span is None:
+            return cls
+        x = solve_mod(np.array(self.span).T, cls, self.H.ring.p)
+        if x is None:
+            raise BuildError("class does not lie in the expected subspace")
+        return x
+
+    def _block(self, z, sources):
+        key = (id(z), id(sources))
+        hit = self._cache.get(key)
         if hit is None:
-            hit = (z, self.H.class_of(z))
-            self._coords[key] = hit
-        return hit[1]
+            classes = [self.H.class_of(z)] if sources is None else \
+                [self.H.product_class(z, w) for w in sources]
+            block = np.array([self._target(c) for c in classes], dtype=np.int64).T
+            hit = self._cache[key] = (z, sources, block)
+        return hit[2]
 
-    def coords_matrix(self, theta: CycleMatrix, rows, cols) -> np.ndarray:
-        """Entries as A_{deg}-coordinate columns: (a_deg * rows) x cols."""
-        a = self.H.rank(theta.entry_degree)
-        M = np.zeros((a * rows, cols), dtype=np.int64)
-        for (r, c), z in theta.entries.items():
-            M[r * a:(r + 1) * a, c] = self._class_of(z)
-        return M
-
-    def _mult_block(self, z, q):
-        key = (id(z), q)
-        hit = self._mult.get(key)
-        if hit is None:
-            a_src = self.H.rank(q)
-            a_dst = self.H.rank(q + z.degree)
-            blk = np.zeros((a_dst, a_src), dtype=np.int64)
-            for v, w in enumerate(self.H.reps[q]):
-                blk[:, v] = self.H.product_class(z, w)
-            hit = (z, blk)
-            self._mult[key] = hit
-        return hit[1]
-
-    def mult_matrix(self, theta: CycleMatrix, q: int, rows, cols) -> np.ndarray:
-        """Entrywise multiplication maps A_q^cols -> A_{q+deg}^rows."""
-        a_src = self.H.rank(q)
-        a_dst = self.H.rank(q + theta.entry_degree)
-        M = np.zeros((a_dst * rows, a_src * cols), dtype=np.int64)
+    def matrix(self, theta: CycleMatrix, sources=None) -> np.ndarray:
+        """With sources None, theta's entries as target-coordinate columns,
+        (dim * rows) x cols; otherwise entrywise multiplication by theta,
+        from span(sources)^cols to the target^rows."""
+        a_src = 1 if sources is None else len(sources)
+        a_dst = len(self.span) if self.span is not None else self.H.rank(
+            theta.entry_degree + (0 if sources is None else sources[0].degree))
+        M = np.zeros((a_dst * theta.rows, a_src * theta.cols), dtype=np.int64)
         for (r, c), z in theta.entries.items():
             M[r * a_dst:(r + 1) * a_dst, c * a_src:(c + 1) * a_src] = \
-                self._mult_block(z, q)
+                self._block(z, sources)
         return M
-
-
-def _solve_coords(target_cols: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
-    x = solve_mod(target_cols, vec, p)
-    if x is None:
-        raise BuildError("class does not lie in the expected subspace")
-    x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    return x % p
 
 
 def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
@@ -490,102 +447,47 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     "decomposition": {k: [(position, lhs, rhs, ok), ...]}}.
     """
     p = H.ring.p
-    calc = _ClassCalculator(H)
     triple = basis.triple
     a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
-
-    # B-space coordinates inside A_1 / A_2
-    B1_cols = np.array([H.class_of(z) for z in triple], dtype=np.int64).T
-    prods = [triple[0].wedge(triple[1]), triple[1].wedge(triple[2]),
-             triple[0].wedge(triple[2])]
-    B2_cols = np.array([H.class_of(z) for z in prods], dtype=np.int64).T
-
-    def b1_coords(z):
-        return _solve_coords(B1_cols, H.class_of(z), p)
-
-    def b2_coords(z):
-        return _solve_coords(B2_cols, H.class_of(z), p)
-
-    def b_coords_matrix(theta: CycleMatrix, coords, dim):
-        M = np.zeros((dim * theta.rows, theta.cols), dtype=np.int64)
-        for (r, c), z in theta.entries.items():
-            M[r * dim:(r + 1) * dim, c] = coords(z)
-        return M
-
-    def b_mult_matrix(theta: CycleMatrix):
-        """B_1^cols -> B_2^rows by entrywise multiplication."""
-        M = np.zeros((3 * theta.rows, 3 * theta.cols), dtype=np.int64)
-        for (r, c), z in theta.entries.items():
-            blk = np.zeros((3, 3), dtype=np.int64)
-            for v in range(3):
-                cls = H.product_class(z, triple[v])
-                blk[:, v] = _solve_coords(B2_cols, cls, p) if np.any(cls) \
-                    else np.zeros(3, dtype=np.int64)
-            M[r * 3:(r + 1) * 3, c * 3:(c + 1) * 3] = blk
-        return M
-
+    b, l, lp, lpp = pack.b, pack.l, pack.lp, pack.lpp
     out = {"B": {}, "C": {}, "A": {}, "decomposition": {}}
-    b = pack.b
 
+    def zeros(rows, cols):
+        return np.zeros((rows, cols), dtype=np.int64)
+
+    B1 = _Coordinates(H, triple)
+    B2 = _Coordinates(H, [triple[0].wedge(triple[1]), triple[1].wedge(triple[2]),
+                          triple[0].wedge(triple[2])])
     for k in range(1, k_max + 1):
-        bk = beta(k, 3, triple)
-        bk1 = beta(k - 1, 3, triple) if k >= 1 else None
-        bpk1 = beta_prime(k - 1, triple)
         b_m3 = b[k - 3] if k >= 3 else 0
         dims = [b[k], 3 * b[k - 1] + b_m3]
-        d_top = np.vstack([
-            b_coords_matrix(bk, b1_coords, 3),
-            np.zeros((b_m3, b[k]), dtype=np.int64),
-        ])
-        maps = [d_top % p]
+        maps = [np.vstack([B1.matrix(beta(k, 3, triple)), zeros(b_m3, b[k])])]
         if k >= 2:
             dims.append(3 * b[k - 2])
-            left = b_mult_matrix(bk1)
-            right = b_coords_matrix(bpk1, b2_coords, 3) if b_m3 else \
-                np.zeros((3 * b[k - 2], 0), dtype=np.int64)
-            maps.append(np.hstack([left, right]) % p)
+            maps.append(np.hstack([B2.matrix(beta(k - 1, 3, triple), triple),
+                                   B2.matrix(beta_prime(k - 1, triple))]))
         out["B"][k] = FiniteComplex(f"B_{k}", k, dims, maps, p)
 
     for j in (1, 2, 3):
         g = gamma(j, basis)
-        cols = np.array([H.class_of(z) for _, z in sorted(g.entries.items())],
-                        dtype=np.int64).T if g.entries else \
-            np.zeros((H.rank(j), 0), dtype=np.int64)
-        cnt = g.cols
-        d = np.zeros((cnt, cnt), dtype=np.int64)
-        for c in range(cnt):
-            d[:, c] = _solve_coords(cols, cols[:, c], p) if cnt else 0
-        out["C"][j] = FiniteComplex(f"C_{j}", 1, [cnt, cnt], [d], p)
+        d = _Coordinates(H, list(g.entries.values())).matrix(g)
+        out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d], p)
 
+    A = _Coordinates(H)
+    alphas = {(j, j + s): alpha(j, j + s, pack, basis)
+              for s in range(3) for j in range(1, k_max + 1 - s)}
     for k in range(1, k_max + 1):
-        l = pack.l
-        lp, lpp = pack.lp, pack.lpp
-        dims = [l[k]]
-        maps = []
-        # position k-1
-        dims.append(a1 * l[k - 1] + lp[k - 1])
-        ak = alpha(k, k, pack, basis)
-        d0 = np.vstack([
-            calc.coords_matrix(ak, l[k - 1], l[k]),
-            np.zeros((lp[k - 1], l[k]), dtype=np.int64),
-        ])
-        maps.append(d0 % p)
+        dims = [l[k], a1 * l[k - 1] + lp[k - 1]]
+        maps = [np.vstack([A.matrix(alphas[k, k]), zeros(lp[k - 1], l[k])])]
         if k >= 2:
             dims.append(a2 * l[k - 2] + lpp[k - 2])
-            m_alpha = calc.mult_matrix(alpha(k - 1, k - 1, pack, basis), 1,
-                                       l[k - 2], l[k - 1])
-            c_alpha_p = calc.coords_matrix(alpha(k - 1, k, pack, basis),
-                                           l[k - 2], lp[k - 1])
-            top = np.hstack([m_alpha, c_alpha_p])
-            bottom = np.zeros((lpp[k - 2], top.shape[1]), dtype=np.int64)
-            maps.append(np.vstack([top, bottom]) % p)
+            top = np.hstack([A.matrix(alphas[k - 1, k - 1], H.reps[1]),
+                             A.matrix(alphas[k - 1, k])])
+            maps.append(np.vstack([top, zeros(lpp[k - 2], top.shape[1])]))
         if k >= 3:
             dims.append(a3 * l[k - 3])
-            m_alpha2 = calc.mult_matrix(alpha(k - 2, k - 2, pack, basis), 2,
-                                        l[k - 3], l[k - 2])
-            c_alpha_pp = calc.coords_matrix(alpha(k - 2, k, pack, basis),
-                                            l[k - 3], lpp[k - 2])
-            maps.append(np.hstack([m_alpha2, c_alpha_pp]) % p)
+            maps.append(np.hstack([A.matrix(alphas[k - 2, k - 2], H.reps[2]),
+                                   A.matrix(alphas[k - 2, k])]))
         out["A"][k] = FiniteComplex(f"A_{k}", k, dims, maps, p)
         out["decomposition"][k] = _decomposition_check(k, pack, a1, a2, a3)
 

@@ -144,9 +144,15 @@ def _load_ring(args, default_file: RingFile | None = None):
     mode = args.mode or rf.mode or "auto"
     i_max = (args.max_degree if args.max_degree is not None
              else (rf.max_degree if rf.max_degree is not None else 8))
-    order = (args.order if args.order is not None
-             else (rf.series_order if rf.series_order is not None else 10))
+    order = _series_order(args, rf.series_order if rf.series_order is not None else 10)
     return rf, ring, mode, i_max, order
+
+
+def _series_order(args, default: int) -> int:
+    order = args.order if args.order is not None else default
+    if order < 0:
+        raise ExactFieldError("order must be >= 0")
+    return order
 
 
 def _check_max_degree(i_max: int) -> None:
@@ -207,19 +213,21 @@ def _series_fields(mode: str, invariants: dict, order: int, u_hi: int) -> tuple:
 
 def cmd_betti(args) -> int:
     doc = {"schema_version": SCHEMA_VERSION, **_maybe_timestamp(args)}
-    if args.class_t:
-        try:
-            a1, a2, a3 = (int(t) for t in args.class_t.split(","))
-        except ValueError:
-            raise ExactFieldError("--class-t wants three integers a1,a2,a3") from None
-        mode = "T"
-        invariants = {"n": args.n if args.n is not None else 3,
-                      "a": [1, a1, a2, a3]}
-        order = args.order if args.order is not None else 10
-    elif args.ci is not None:
-        mode = "CI"
-        invariants = {"n": args.n if args.n is not None else args.ci, "c": args.ci}
-        order = args.order if args.order is not None else 10
+    if args.class_t or args.ci is not None:
+        if args.class_t:
+            try:
+                a1, a2, a3 = (int(t) for t in args.class_t.split(","))
+            except ValueError:
+                raise ExactFieldError("--class-t wants three integers a1,a2,a3") from None
+            mode, codepth, invariants = "T", 3, {"a": [1, a1, a2, a3]}
+        else:
+            mode, codepth, invariants = "CI", args.ci, {"c": args.ci}
+        n = args.n if args.n is not None else codepth
+        if n < codepth:
+            # codepth = n - depth R, so it never exceeds n
+            raise ExactFieldError(f"embedding dimension {n} is below the codepth {codepth}")
+        invariants["n"] = n
+        order = _series_order(args, 10)
     else:
         rf, ring, mode, _, order = _load_ring(args)
         H = HomologyAlgebra(ring)
@@ -308,6 +316,7 @@ def cmd_verify(args) -> int:
 def cmd_demo_classt(args) -> int:
     i_max = args.max_degree if args.max_degree is not None else 7
     _check_max_degree(i_max)
+    order = _series_order(args, 10)
     rf = class_t_ring_file(
         p=args.char if args.char is not None else 32003, i_max=i_max)
     ring = build_ring(rf)
@@ -317,7 +326,6 @@ def cmd_demo_classt(args) -> int:
         print(f"  {name} = {text}")
     H = HomologyAlgebra(ring)
     a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
-    order = args.order if args.order is not None else 10
     pack = sequence_tables(3, a1, a2, a3, k_max=max(order, 12))
     print(f"a-invariants: {tuple(int(a) for a in H.ranks)}")
     print("b:   " + ",".join(str(v) for v in pack.b[:6]))

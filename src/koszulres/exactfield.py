@@ -11,9 +11,9 @@ Everything downstream reduces to two primitives implemented here:
   fit int64, so the characteristic is bounded by MAX_CHARACTERISTIC =
   3037000499.
 
-`mod_matmul` multiplies through float64 BLAS on chunks whose integer dot
-products stay below 2**53 (object dtype when one product would not); no
-floating point value leaves this module un-reduced.
+`mod_matmul` is one loop over chunks of the inner dimension whose integer dot
+products stay exact in the accumulator: float64 BLAS while (p-1)^2 < 2**53,
+int64 above; no floating point value leaves this module un-reduced.
 """
 
 from __future__ import annotations
@@ -281,9 +281,6 @@ class QuotientRing:
         out.sort(key=mono_key)
         return out
 
-    def is_standard(self, m: Monomial) -> bool:
-        return not any(mono_divides(g, m) for g in self.ideal_gens)
-
     # -- elements ----------------------------------------------------------
 
     def zero(self) -> Polynomial:
@@ -304,7 +301,7 @@ class QuotientRing:
             raise ExactFieldError("variable count mismatch in normal_form")
         if f.p != self.p:
             raise ExactFieldError("characteristic mismatch in normal_form")
-        t = {m: c for m, c in f.terms.items() if self.is_standard(m)}
+        t = {m: c for m, c in f.terms.items() if m in self.basis_index}
         return Polynomial(self.nvars, self.p, t)
 
     def element_from_vector(self, vec) -> Polynomial:
@@ -434,9 +431,6 @@ class RingMatrix:
                 acc[key] = acc[key] + prod if key in acc else prod
         return RingMatrix(self.ring, self.rows, other.cols, acc)
 
-    def entries_in_m(self) -> bool:
-        return all(f.constant_term() == 0 for f in self.entries.values())
-
     def first_unit_entry(self):
         for (i, j), f in sorted(self.entries.items()):
             if f.constant_term() != 0:
@@ -551,35 +545,25 @@ def _local_index(x: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
 # exact linear algebra over F_p (numpy int64)
 # ---------------------------------------------------------------------------
 
-_FLOAT_EXACT = 2 ** 53
 MAX_CHARACTERISTIC = 3037000499  # (p-1)^2 < 2^63 for every p up to here
 
 
-def _safe_chunk(p: int, inner: int) -> int:
-    """Largest inner-dimension chunk whose float64 dot stays exact."""
-    per = (p - 1) ** 2
-    return max(1, min(inner, _FLOAT_EXACT // max(per, 1)))
-
-
 def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p using float64 BLAS on chunks of the inner dim.
+    """Exact (A @ B) mod p, summed over chunks of the inner dimension.
 
-    Falls back to arbitrary-precision arithmetic when even a single product
-    would overflow the float64 integer range (p >= ~9.5e7)."""
+    Every partial dot product of a chunk stays inside the exact range of the
+    accumulator: float64 (BLAS) while (p-1)^2 < 2^53, else int64 with the
+    bound 2^63 - p, so adding the reduced running sum cannot overflow."""
+    _check_characteristic(p)
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
-    inner = A.shape[1]
-    if inner == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    if (p - 1) ** 2 >= _FLOAT_EXACT:
-        C = A.astype(object) @ B.astype(object)
-        return (C % p).astype(np.int64)
-    step = _safe_chunk(p, inner)
+    per = (p - 1) ** 2
+    dtype, bound = (np.float64, 2 ** 53) if per < 2 ** 53 else (np.int64, 2 ** 63 - p)
+    step = bound // per
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for lo in range(0, inner, step):
-        hi = min(lo + step, inner)
-        C = A[:, lo:hi].astype(np.float64) @ B[lo:hi, :].astype(np.float64)
-        out = (out + np.rint(C).astype(np.int64)) % p
+    for lo in range(0, A.shape[1], step):
+        C = A[:, lo:lo + step].astype(dtype) @ B[lo:lo + step].astype(dtype)
+        out = (out + C.astype(np.int64)) % p
     return out
 
 

@@ -416,6 +416,8 @@ def poincare_CI(c: int, n: int, order: int = 12):
     """P^A(t,z) = 1/(1-tz)^c and P^R(t) = (1+t)^n/(1-t^2)^c."""
     if c < 1:
         raise SequenceError("codepth must be >= 1")
+    if order < 0:
+        raise SequenceError("order must be >= 0")
     one_minus_tz = PowerSeries2.from_terms({(0, 0): 1, (1, 1): -1}, order)
     PA = one_minus_tz.reciprocal()
     for _ in range(c - 1):

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from koszulres.builder import (
     AssemblyError,
     BuildError,
+    _Coordinates,
     alpha,
     assemble_CI,
     assemble_T,
@@ -15,14 +18,16 @@ from koszulres.builder import (
     words,
 )
 from koszulres.exactfield import RingMatrix
-from koszulres.homology import ClassTBasis, discover_class_CI_basis
+from koszulres.homology import ClassTBasis, HomologyAlgebra, discover_class_CI_basis
 from koszulres.koszul import (
     KoszulElement,
     cycle_matrix_action,
     parse_koszul_element,
     subsets,
 )
-from koszulres.sequences import arrow_target
+from koszulres.samples import class_t_ring
+from koszulres.sequences import arrow_target, sequence_tables
+from tests.conftest import make_class_t_basis
 
 
 def grid(theta, names):
@@ -269,7 +274,7 @@ def test_diff5_block_pattern(assembly_t, ring_t, basis_t, pack_t):
 
 def test_assembly_differentials_in_m(assembly_t):
     for i in range(1, assembly_t.i_max + 1):
-        assert assembly_t.diff(i).entries_in_m()
+        assert assembly_t.diff(i).first_unit_entry() is None
 
 
 def test_forced_wrong_regime_breaks_d2(ring_t, basis_t, pack_t):
@@ -346,6 +351,40 @@ def test_graded_complex_dimensions(basis_t, pack_t, homology_t):
     for k, rows in out["decomposition"].items():
         assert all(ok for *_, ok in rows), (k, rows)
 
+
+# sha256 of every map of graded_A_complexes(5, ...) on classT_example: for
+# the families B, C, A in key order, repr((name, top_position, dims)), then
+# each map's int64 bytes and repr(shape)
+GRADED_DIGESTS = {
+    2: "00bc633b4eb67fae4edf7f0c695d77820d87a4d015af50d4a021234a0220d65d",
+    32003: "fe8e339b6aa8c976e4b3411c035707607a5576f2734f18697f895c4dff9ec897",
+    2147483647: "573e05d379cf6169c7f38a32bfdcb20eb805f4dfb0f6ff6e09b35d9a3702fbd4",
+}
+
+
+@pytest.mark.parametrize("p", sorted(GRADED_DIGESTS))
+def test_graded_maps_golden(p):
+    ring = class_t_ring(p=p)
+    out = graded_A_complexes(5, make_class_t_basis(ring),
+                             sequence_tables(3, 4, 6, 3, k_max=12),
+                             HomologyAlgebra(ring))
+    h = hashlib.sha256()
+    for family in ("B", "C", "A"):
+        for k in sorted(out[family]):
+            cx = out[family][k]
+            h.update(repr((cx.name, cx.top_position, cx.dims)).encode())
+            for m in cx.maps:
+                h.update(np.asarray(m, dtype=np.int64).tobytes())
+                h.update(repr(m.shape).encode())
+    assert h.hexdigest() == GRADED_DIGESTS[p]
+
+
+def test_coordinates_outside_span_raise(basis_t, homology_t):
+    # B_1 is spanned by the classes of the triple; z1_4 lies outside it
+    B1 = _Coordinates(homology_t, basis_t.triple)
+    assert (B1.matrix(beta(1, 3, basis_t.triple)) == np.eye(3, dtype=np.int64)).all()
+    with pytest.raises(BuildError, match="expected subspace"):
+        B1.matrix(gamma(1, basis_t))
 
 def test_f7_block_inventory(ring_t, basis_t, pack_t):
     F = assemble_T(ring_t, basis_t, pack_t, i_max=7)

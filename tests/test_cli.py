@@ -237,6 +237,37 @@ def test_exit_code_bad_max_degree(monkeypatch, capsys, command, max_degree):
     assert f"max degree must be >= 1 (got {max_degree})" in capsys.readouterr().err
 
 
+
+NEGATIVE_ORDER_ARGS = {
+    "betti-ci": ("betti", "--ci", "3"),
+    "betti-class-t": ("betti", "--class-t", "4,6,3"),
+    "demo-classt": ("demo-classt",),
+    **{f"{command}-{ring.stem}": (command, "--ring", str(ring))
+       for command in ("betti", "verify", "resolve") for ring in (CLASS_T, CI3)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_ORDER_ARGS))
+def test_exit_code_negative_order(monkeypatch, capsys, case):
+    # refused as an input error before any homology is computed
+    monkeypatch.setattr("koszulres.cli.HomologyAlgebra",
+                        lambda *a, **k: pytest.fail("HomologyAlgebra was called"))
+    monkeypatch.setattr("koszulres.cli.full_verify",
+                        lambda *a, **k: pytest.fail("full_verify was called"))
+    assert run(*NEGATIVE_ORDER_ARGS[case], "--order", "-1", "--no-timestamp") == 2
+    captured = capsys.readouterr()
+    assert "order must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [("--ci", "3", "--n", "-2"), ("--ci", "3", "--n", "2"),
+                                  ("--class-t", "4,6,3", "--n", "2")])
+def test_betti_raw_refuses_n_below_codepth(capsys, argv):
+    assert run("betti", *argv, "--no-timestamp") == 2
+    captured = capsys.readouterr()
+    assert "below the codepth" in captured.err
+    assert captured.out == ""
+
 def test_demo_classt_char_zero(capsys):
     # --char 0 is refused, not replaced by the default 32003
     assert run("demo-classt", "--char", "0", "--no-timestamp") == 2

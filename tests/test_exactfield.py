@@ -9,7 +9,6 @@ from koszulres.exactfield import (
     Polynomial,
     QuotientRing,
     RingMatrix,
-    _safe_chunk,
     kernel_mod,
     mod_matmul,
     parse_monomial_string,
@@ -304,15 +303,12 @@ def test_std_basis_same_at_p2(ring_t, ring_t2):
 
 @pytest.mark.parametrize("p, chunk", [
     (67108859, 2), (94906249, 1),        # float64 BLAS, inner dim in chunks
-    (2147483647, None), (3037000493, None),  # object dtype
+    (2147483647, None), (3037000493, None),  # int64, chunks of 2 and 1
 ])
 def test_mod_matmul_paths_match_python_ints(p, chunk):
-    """mod_matmul on both of its paths against a Python-int triple loop, on
-    empty, tall, wide, long-inner and all-(p-1) shapes."""
-    if chunk is None:
-        assert (p - 1) ** 2 >= 2 ** 53
-    else:
-        assert _safe_chunk(p, 100) == chunk
+    """mod_matmul with both accumulator dtypes against a Python-int triple
+    loop, on empty, tall, wide, long-inner and all-(p-1) shapes."""
+    assert ((p - 1) ** 2 >= 2 ** 53) == (chunk is None)
     nprng = np.random.default_rng(p % 1000003)
 
     def rand(m, n):

@@ -55,7 +55,7 @@ def test_check_minimality(assembly_t, ring_t):
     assert check_minimality(assembly_t, ring_t).passed
     # Koszul differentials alone are minimal
     for i in range(1, 4):
-        assert koszul_differential(i, ring_t).entries_in_m()
+        assert koszul_differential(i, ring_t).first_unit_entry() is None
     # negative control: a unit entry in a copied differential
     doctored = copy.copy(assembly_t)
     d1 = assembly_t.diff(1)
@@ -123,7 +123,7 @@ def test_oracle_class_t(ring_t):
     assert oracle.betti == [1, 3, 7, 16, 37, 86, 200]
     # differentials are minimal and compose to zero
     for d in oracle.differentials:
-        assert d.entries_in_m()
+        assert d.first_unit_entry() is None
     for a, b in zip(oracle.differentials, oracle.differentials[1:]):
         assert (a @ b).is_zero()
 
