@@ -7,14 +7,14 @@ ring classes.
 """
 
 from koszulres.sequences import (
+    SequencePack,
     poincare_CI,
     poincare_T,
-    sequence_tables,
     tree_layer,
     u_table,
 )
 
-pack = sequence_tables(3, 4, 6, 3, k_max=12)
+pack = SequencePack(3, 4, 6, 3, k_max=12)
 print("invariants a = (4, 6, 3), codepth 3")
 print("b:   ", pack.b[:7])
 print("l:   ", pack.l[:7])

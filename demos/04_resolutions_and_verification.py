@@ -9,14 +9,14 @@ independent brute-force syzygy oracle.
 
 import time
 
-from koszulres import assemble_CI, assemble_T, sequence_tables
+from koszulres import SequencePack, assemble_CI, assemble_T
 from koszulres.homology import discover_class_CI_basis
 from koszulres.samples import CLASS_T_CYCLES, class_t_ring, ci_squares_ring
 from koszulres.verifier import basis_from_strings, full_verify, oracle_resolution
 
 ring = class_t_ring()
 basis = basis_from_strings(ring, CLASS_T_CYCLES, class_t=True)
-pack = sequence_tables(3, 4, 6, 3)
+pack = SequencePack(3, 4, 6, 3)
 
 t0 = time.time()
 F = assemble_T(ring, basis, pack, i_max=7)

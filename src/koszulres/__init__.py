@@ -42,14 +42,12 @@ from .homology import (
 )
 from .sequences import (
     PowerSeries,
-    PowerSeries2,
     SequencePack,
     TreeMonomial,
     closed_form_check,
     generating_function_check,
     poincare_CI,
     poincare_T,
-    sequence_tables,
     tree_layer,
     u_table,
 )

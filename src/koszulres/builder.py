@@ -28,7 +28,12 @@ from math import comb
 import numpy as np
 
 from .exactfield import QuotientRing, RingMatrix, solve_mod
-from .homology import ClassCIBasis, ClassTBasis, HomologyAlgebra
+from .homology import (
+    ClassCIBasis,
+    ClassTBasis,
+    HomologyAlgebra,
+    first_nonzero_outer_product,
+)
 from .koszul import (
     CycleMatrix,
     cycle_matrix_action,
@@ -340,16 +345,13 @@ def _diag_sign(b: Block, regime: str) -> int:
 
 
 def _check_literal_products(basis: ClassTBasis):
-    z1 = basis.z1
-    for u in range(len(z1)):
-        for v in range(u + 1, len(z1)):
-            if u < 3 and v < 3:
-                continue
-            if not z1[u].wedge(z1[v]).is_zero():
-                raise AssemblyError(
-                    f"representatives z1_{u+1} and z1_{v+1} have a nonzero "
-                    "wedge product in K_2; the block construction needs these "
-                    "products to vanish literally - adjust the representatives")
+    bad = first_nonzero_outer_product(basis.z1)
+    if bad is not None:
+        u, v = bad
+        raise AssemblyError(
+            f"representatives z1_{u+1} and z1_{v+1} have a nonzero "
+            "wedge product in K_2; the block construction needs these "
+            "products to vanish literally - adjust the representatives")
 
 
 def assemble_CI(ring: QuotientRing, basis: ClassCIBasis, c: int,

@@ -30,13 +30,7 @@ from .exactfield import (
 from .homology import ClassVerificationError, DiscoveryError, HomologyAlgebra
 from .koszul import KoszulError
 from .samples import CLASS_T_CYCLES, class_t_ring_file
-from .sequences import (
-    SequencePack,
-    poincare_CI,
-    poincare_T,
-    sequence_tables,
-    u_table,
-)
+from .sequences import SequencePack, poincare_CI, poincare_T, u_table
 from .verifier import basis_from_strings, full_verify, resolve_basis
 
 SCHEMA_VERSION = 1
@@ -79,33 +73,37 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--ring", type=Path, help="ring description file")
-        p.add_argument("--mode", choices=["T", "CI", "auto"], default=None,
-                       help="ring class (default: the file's mode, else auto)")
-        p.add_argument("--max-degree", type=int, default=None,
-                       help="last homological degree to assemble")
-        p.add_argument("--order", type=int, default=None,
-                       help="power series truncation order")
-        p.add_argument("--out", type=Path, default=None,
-                       help="write the JSON report here")
-        p.add_argument("--char", type=int, default=None,
-                       help="override the characteristic")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp (byte-identical reruns)")
+    options = {
+        "--ring": dict(type=Path, help="ring description file"),
+        "--mode": dict(choices=["T", "CI", "auto"], default=None,
+                       help="ring class (default: the file's mode, else auto)"),
+        "--max-degree": dict(type=int, default=None,
+                             help="last homological degree to assemble"),
+        "--order": dict(type=int, default=None, help="power series truncation order"),
+        "--out": dict(type=Path, default=None, help="write the JSON report here"),
+        "--char": dict(type=int, default=None, help="override the characteristic"),
+        "--no-timestamp": dict(action="store_true",
+                               help="omit the timestamp (byte-identical reruns)"),
+    }
+
+    def common(p, *names):
+        for name in names + ("--order", "--out", "--char", "--no-timestamp"):
+            p.add_argument(name, **options[name])
 
     p_betti = sub.add_parser("betti", help="Betti numbers / Poincare table")
-    common(p_betti)
-    p_betti.add_argument("--class-t", metavar="a1,a2,a3",
-                         help="raw class-T invariants instead of a ring file")
-    p_betti.add_argument("--ci", type=int, metavar="c",
-                         help="raw complete-intersection codepth instead of a ring file")
+    source = p_betti.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ring", **options["--ring"])
+    source.add_argument("--class-t", metavar="a1,a2,a3",
+                        help="raw class-T invariants instead of a ring file")
+    source.add_argument("--ci", type=int, metavar="c",
+                        help="raw complete-intersection codepth instead of a ring file")
+    common(p_betti, "--mode")
     p_betti.add_argument("--n", type=int, default=None,
                          help="embedding dimension for raw invariants")
     p_betti.set_defaults(func=cmd_betti)
 
     p_resolve = sub.add_parser("resolve", help="assemble and fully verify")
-    common(p_resolve)
+    common(p_resolve, "--ring", "--mode", "--max-degree")
     p_resolve.add_argument("--emit-matrices", action="store_true",
                            help="include differential matrices in the report")
     p_resolve.add_argument("--oracle", action="store_true",
@@ -115,7 +113,7 @@ def _build_parser():
     p_resolve.set_defaults(func=cmd_resolve)
 
     p_verify = sub.add_parser("verify", help="verification report only")
-    common(p_verify)
+    common(p_verify, "--ring", "--mode", "--max-degree")
     p_verify.add_argument("--oracle", action="store_true")
     p_verify.add_argument("--sign-flip", action="store_true",
                           help="negative control: force the (-1)^deg2 diagonal")
@@ -123,7 +121,7 @@ def _build_parser():
 
     p_demo = sub.add_parser("demo-classt",
                             help="built-in class-T example with matrix displays")
-    common(p_demo)
+    common(p_demo, "--max-degree")
     p_demo.set_defaults(func=cmd_demo_classt)
     return parser
 
@@ -133,19 +131,21 @@ def _build_parser():
 # ---------------------------------------------------------------------------
 
 
-def _load_ring(args, default_file: RingFile | None = None):
-    if args.ring is not None:
-        rf = parse_ring_file(args.ring.read_text())
-    elif default_file is not None:
-        rf = default_file
-    else:
+def _load_ring(args):
+    if args.ring is None:
         raise ExactFieldError("no ring file given (use --ring)")
+    rf = parse_ring_file(args.ring.read_text())
     ring = build_ring(rf, char_override=args.char)
     mode = args.mode or rf.mode or "auto"
+    order = _series_order(args, rf.series_order if rf.series_order is not None else 10)
+    return rf, ring, mode, order
+
+
+def _max_degree(args, rf: RingFile) -> int:
     i_max = (args.max_degree if args.max_degree is not None
              else (rf.max_degree if rf.max_degree is not None else 8))
-    order = _series_order(args, rf.series_order if rf.series_order is not None else 10)
-    return rf, ring, mode, i_max, order
+    _check_max_degree(i_max)
+    return i_max
 
 
 def _series_order(args, default: int) -> int:
@@ -175,13 +175,12 @@ def _emit(report_doc: dict, args):
 
 
 def _sequence_block(pack: SequencePack, order: int) -> dict:
-    hi = min(order, pack.k_max)
     return {
-        "b": pack.b[: hi + 1],
-        "l": pack.l[: hi + 1],
-        "lp": pack.lp[: hi + 1],
-        "lpp": pack.lpp[: hi + 1],
-        "d": pack.d[: hi + 1],
+        "b": pack.b[: order + 1],
+        "l": pack.l[: order + 1],
+        "lp": pack.lp[: order + 1],
+        "lpp": pack.lpp[: order + 1],
+        "d": pack.d[: order + 1],
     }
 
 
@@ -199,7 +198,7 @@ def _series_fields(mode: str, invariants: dict, order: int, u_hi: int) -> tuple:
         _, PR = poincare_CI(invariants["c"], n, order)
         return [PR.coefficient(k) for k in range(order + 1)], {}
     a1, a2, a3 = invariants["a"][1:4]
-    pack = sequence_tables(3, a1, a2, a3, k_max=max(order, 12))
+    pack = SequencePack(3, a1, a2, a3, k_max=max(order, 12))
     _, PR = poincare_T(a1, a2, a3, n, order)
     return ([PR.coefficient(k) for k in range(order + 1)],
             {"sequences": _sequence_block(pack, order),
@@ -213,8 +212,10 @@ def _series_fields(mode: str, invariants: dict, order: int, u_hi: int) -> tuple:
 
 def cmd_betti(args) -> int:
     doc = {"schema_version": SCHEMA_VERSION, **_maybe_timestamp(args)}
-    if args.class_t or args.ci is not None:
-        if args.class_t:
+    if args.ring is None:
+        if args.mode is not None or args.char is not None:
+            raise ExactFieldError("--mode and --char apply to --ring only")
+        if args.class_t is not None:
             try:
                 a1, a2, a3 = (int(t) for t in args.class_t.split(","))
             except ValueError:
@@ -229,7 +230,9 @@ def cmd_betti(args) -> int:
         invariants["n"] = n
         order = _series_order(args, 10)
     else:
-        rf, ring, mode, _, order = _load_ring(args)
+        if args.n is not None:
+            raise ExactFieldError("--n applies to raw invariants only")
+        rf, ring, mode, order = _load_ring(args)
         H = HomologyAlgebra(ring)
         mode, _, _ = resolve_basis(ring, mode, rf.cycles, H)
         invariants = {"n": ring.nvars, "a": [int(a) for a in H.ranks]}
@@ -249,13 +252,13 @@ def cmd_betti(args) -> int:
 
 
 def _run_verify(args, emit_matrices: bool) -> int:
-    rf, ring, mode, i_max, order = _load_ring(args)
-    _check_max_degree(i_max)
+    rf, ring, mode, order = _load_ring(args)
+    i_max = _max_degree(args, rf)
     force = ("deg2", 1) if getattr(args, "sign_flip", False) else None
     report, F, _ = full_verify(
         ring, mode, i_max, cycle_strings=rf.cycles,
         oracle_depth=i_max if getattr(args, "oracle", False) else None,
-        series_order=order, force_regime=force)
+        force_regime=force)
     H_ranks = report.section("class_certificate").details["homology_ranks"]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -326,7 +329,7 @@ def cmd_demo_classt(args) -> int:
         print(f"  {name} = {text}")
     H = HomologyAlgebra(ring)
     a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
-    pack = sequence_tables(3, a1, a2, a3, k_max=max(order, 12))
+    pack = SequencePack(3, a1, a2, a3, k_max=max(order, 12))
     print(f"a-invariants: {tuple(int(a) for a in H.ranks)}")
     print("b:   " + ",".join(str(v) for v in pack.b[:6]))
     print("l:   " + ",".join(str(v) for v in pack.l[:6]))
@@ -344,8 +347,7 @@ def cmd_demo_classt(args) -> int:
             print(f"\nalpha_{{{k},{r}}}  ({theta.rows} x {theta.cols}):")
             print(_pretty_cycle_matrix(theta, names, _alpha_col_groups(k, r, pack)))
 
-    report, F, _ = full_verify(ring, "T", i_max,
-                               cycle_strings=rf.cycles, series_order=order)
+    report, F, _ = full_verify(ring, "T", i_max, cycle_strings=rf.cycles)
     print("\nbetti: " + ",".join(str(v) for v in F.ranks))
     print("sign regime: " + F.sign_regime)
     for s in report.sections:

@@ -358,6 +358,17 @@ def discover_class_CI_basis(ring: QuotientRing,
     return basis
 
 
+def first_nonzero_outer_product(z1) -> tuple | None:
+    """The first pair (u, v), u < v, of degree-1 representatives with a
+    nonzero wedge in K_2, among the pairs not inside the distinguished
+    triple z1[0:3]; None when all of them vanish literally."""
+    for u in range(len(z1)):
+        for v in range(max(u + 1, 3), len(z1)):
+            if not z1[u].wedge(z1[v]).is_zero():
+                return u, v
+    return None
+
+
 def discover_class_T_basis(ring: QuotientRing,
                            H: HomologyAlgebra | None = None) -> ClassTBasis:
     """Greedy search for a distinguished triple among the computed A_1
@@ -384,12 +395,7 @@ def discover_class_T_basis(ring: QuotientRing,
         if rank_mod(P, p) != 3:
             continue
         rest = [reps1[i] for i in range(a1) if i not in triple_idx]
-        literal = all(
-            t[i].wedge(z).is_zero() for z in rest for i in range(3)
-        ) and all(
-            rest[i].wedge(rest[j]).is_zero()
-            for i in range(len(rest)) for j in range(i + 1, len(rest))
-        )
+        literal = first_nonzero_outer_product(t + rest) is None
         candidates.append((0 if literal else 1, triple_idx, t, rest))
     candidates.sort(key=lambda item: (item[0], item[1]))
     for _, triple_idx, t, rest in candidates:

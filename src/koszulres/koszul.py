@@ -23,7 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactfield import Polynomial, QuotientRing, RingMatrix
+from .exactfield import (
+    Polynomial,
+    QuotientRing,
+    RingMatrix,
+    monomial_to_string,
+    parse_monomial_string,
+)
 
 
 class KoszulError(ValueError):
@@ -193,13 +199,11 @@ class KoszulElement:
             if f is None:
                 continue
             e = "e[" + ",".join(str(v) for v in S) + "]"
-            fs = f.to_string(self.ring.names)
-            if fs == "1":
-                parts.append(e)
-            elif ("+" in fs) or (" " in fs):
-                parts.append(f"({fs})*{e}")
-            else:
-                parts.append(f"{fs}*{e}")
+            for m, c in f.sorted_terms():
+                factors = [str(c)] if c != 1 else []
+                if any(m):
+                    factors.append(monomial_to_string(m, self.ring.names))
+                parts.append("*".join(factors + [e]))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -215,17 +219,12 @@ def parse_koszul_element(s: str, ring: QuotientRing) -> KoszulElement:
     chunks = []
     sign = 1
     buf = ""
-    depth = 0
     for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and buf.strip():
+        if ch in "+-" and buf.strip():
             chunks.append((sign, buf.strip()))
             sign = 1 if ch == "+" else -1
             buf = ""
-        elif ch in "+-" and depth == 0 and not buf.strip():
+        elif ch in "+-":
             sign = sign * (1 if ch == "+" else -1)
         else:
             buf += ch
@@ -256,28 +255,17 @@ def parse_koszul_element(s: str, ring: QuotientRing) -> KoszulElement:
 
 
 def _parse_coefficient(body: str, ring: QuotientRing) -> Polynomial:
-    if body in ("", "1"):
-        return ring.one()
-    f = ring.one()
+    """An integer times a monomial, e.g. '2*x*y^2'; the monomial part follows
+    the ring-file monomial grammar."""
+    c, variables = 1, []
     for factor in body.split("*"):
         factor = factor.strip()
-        if not factor:
-            continue
-        if factor.lstrip("-").isdigit():
-            f = f.scale(int(factor))
-            continue
-        if "^" in factor:
-            base, _, e = factor.partition("^")
-            e = int(e)
-        else:
-            base, e = factor, 1
-        try:
-            v = ring.names.index(base.strip())
-        except ValueError:
-            raise KoszulError(f"unknown variable {base!r} in coefficient") from None
-        for _ in range(e):
-            f = f * ring.variable(v)
-    return f
+        if factor.isdigit():
+            c *= int(factor)
+        elif factor:
+            variables.append(factor)
+    m = parse_monomial_string("*".join(variables), ring.names)
+    return Polynomial.monomial(m, ring.nvars, ring.p, c)
 
 
 # ---------------------------------------------------------------------------

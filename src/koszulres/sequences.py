@@ -68,10 +68,6 @@ class SequencePack:
         return 0
 
 
-def sequence_tables(c: int, a1: int, a2: int, a3: int, k_max: int = 12) -> SequencePack:
-    return SequencePack(c, a1, a2, a3, k_max=k_max)
-
-
 def closed_form_check(pack: SequencePack) -> list:
     """Verify the small-k closed forms of the l-family against the tables.
 
@@ -231,86 +227,25 @@ def _u_closed_forms(pack: SequencePack) -> dict:
 
 
 class PowerSeries:
-    """One-variable integer series truncated at `order` (inclusive)."""
-
-    def __init__(self, coeffs, order: int):
-        self.order = order
-        self.coeffs = list(coeffs)[: order + 1]
-        self.coeffs += [0] * (order + 1 - len(self.coeffs))
-
-    @classmethod
-    def from_poly(cls, coeff_dict: dict, order: int) -> "PowerSeries":
-        coeffs = [0] * (order + 1)
-        for k, c in coeff_dict.items():
-            if 0 <= k <= order:
-                coeffs[k] = c
-        return cls(coeffs, order)
-
-    def coefficient(self, k: int) -> int:
-        if k > self.order:
-            raise SequenceError(f"coefficient {k} beyond truncation {self.order}")
-        return self.coeffs[k] if k >= 0 else 0
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order)
-
-    def __mul__(self, other):
-        order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a == 0:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out, order)
-
-    def reciprocal(self) -> "PowerSeries":
-        """Inverse of a unit series; verified by multiplying back."""
-        if self.coeffs[0] not in (1, -1):
-            raise SequenceError("reciprocal needs a unit constant term of +-1")
-        u = self.coeffs[0]
-        out = [u]
-        for k in range(1, self.order + 1):
-            s = sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
-            out.append(-u * s)
-        inv = PowerSeries(out, self.order)
-        check = self * inv
-        assert check.coeffs[0] == 1 and not any(check.coeffs[1:]), \
-            "series reciprocal failed its product check"
-        return inv
-
-    def __eq__(self, other):
-        order = min(self.order, other.order)
-        return self.coeffs[: order + 1] == other.coeffs[: order + 1]
-
-    def __repr__(self):
-        return f"PowerSeries({self.coeffs})"
-
-
-class PowerSeries2:
-    """Two-variable integer series sum_k t^k * (polynomial in z), truncated in
-    the t-degree; each t-slice is a dict {z-degree: coefficient} (finite for
-    the rational series used here)."""
+    """Integer series sum_k t^k * p_k(z), truncated at t-degree `order`
+    (inclusive); each slice p_k is a dict {z-degree: nonzero coefficient}.
+    A series in t alone keeps every coefficient at z-degree 0."""
 
     def __init__(self, slices, order: int):
         self.order = order
-        self.slices = [dict(s) for s in slices[: order + 1]]
+        self.slices = [{s: c for s, c in d.items() if c} for d in slices[: order + 1]]
         self.slices += [{} for _ in range(order + 1 - len(self.slices))]
 
     @classmethod
-    def from_terms(cls, terms: dict, order: int) -> "PowerSeries2":
+    def from_terms(cls, terms: dict, order: int) -> "PowerSeries":
         """terms: {(t-degree, z-degree): coefficient}."""
         slices = [{} for _ in range(order + 1)]
         for (k, s), c in terms.items():
-            if 0 <= k <= order and c:
+            if 0 <= k <= order:
                 slices[k][s] = slices[k].get(s, 0) + c
         return cls(slices, order)
 
-    def coefficient(self, k: int, s: int) -> int:
+    def coefficient(self, k: int, s: int = 0) -> int:
         if k > self.order:
             raise SequenceError(f"t-degree {k} beyond truncation {self.order}")
         return self.slices[k].get(s, 0) if k >= 0 else 0
@@ -322,60 +257,60 @@ class PowerSeries2:
             d = dict(self.slices[k])
             for s, c in other.slices[k].items():
                 d[s] = d.get(s, 0) + c
-            slices.append({s: c for s, c in d.items() if c})
-        return PowerSeries2(slices, order)
+            slices.append(d)
+        return PowerSeries(slices, order)
 
     def __mul__(self, other):
         order = min(self.order, other.order)
-        slices = [dict() for _ in range(order + 1)]
+        slices = [{} for _ in range(order + 1)]
         for i in range(order + 1):
-            if not self.slices[i]:
-                continue
             for j in range(order + 1 - i):
-                if not other.slices[j]:
-                    continue
                 target = slices[i + j]
                 for s1, c1 in self.slices[i].items():
                     for s2, c2 in other.slices[j].items():
-                        s = s1 + s2
-                        target[s] = target.get(s, 0) + c1 * c2
-        return PowerSeries2([{s: c for s, c in d.items() if c} for d in slices], order)
+                        target[s1 + s2] = target.get(s1 + s2, 0) + c1 * c2
+        return PowerSeries(slices, order)
 
-    def reciprocal(self) -> "PowerSeries2":
+    def reciprocal(self) -> "PowerSeries":
+        """Inverse of a series with constant term 1; verified by multiplying
+        back."""
         if self.slices[0] != {0: 1}:
-            raise SequenceError("two-variable reciprocal needs constant slice 1")
+            raise SequenceError("reciprocal needs constant term 1")
         inv = [{0: 1}]
         for k in range(1, self.order + 1):
             acc: dict = {}
             for i in range(1, k + 1):
                 for s1, c1 in self.slices[i].items():
                     for s2, c2 in inv[k - i].items():
-                        s = s1 + s2
-                        acc[s] = acc.get(s, 0) - c1 * c2
+                        acc[s1 + s2] = acc.get(s1 + s2, 0) - c1 * c2
             inv.append({s: c for s, c in acc.items() if c})
-        out = PowerSeries2(inv, self.order)
+        out = PowerSeries(inv, self.order)
         check = self * out
-        assert check.slices[0] == {0: 1} and all(not d for d in check.slices[1:]), \
-            "two-variable reciprocal failed its product check"
+        assert check.slices[0] == {0: 1} and not any(check.slices[1:]), \
+            "series reciprocal failed its product check"
         return out
 
-    def diagonal(self) -> PowerSeries:
-        """Substitute z = t: a one-variable series of the same truncation
-        order (valid because every z-degree here is >= its t-degree)."""
+    def diagonal(self) -> "PowerSeries":
+        """Substitute z = t; the result has the same truncation order, since
+        the coefficient of t^m only collects slices k <= m."""
         coeffs = [0] * (self.order + 1)
         for k in range(self.order + 1):
             for s, c in self.slices[k].items():
                 if k + s <= self.order:
                     coeffs[k + s] += c
-        return PowerSeries(coeffs, self.order)
+        return PowerSeries([{0: c} for c in coeffs], self.order)
+
+    def __eq__(self, other):
+        order = min(self.order, other.order)
+        return self.slices[: order + 1] == other.slices[: order + 1]
 
     def __repr__(self):
-        return f"PowerSeries2({self.slices})"
+        return f"PowerSeries({self.slices})"
 
 
 def geometric_binomial(n: int, order: int) -> PowerSeries:
     """(1+t)^n truncated."""
-    return PowerSeries.from_poly({k: comb(n, k) for k in range(n + 1)}, order)
+    return PowerSeries.from_terms({(k, 0): comb(n, k) for k in range(n + 1)}, order)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +328,7 @@ def poincare_T(a1: int, a2: int, a3: int, n: int, order: int = 12):
     """
     if order < 0:
         raise SequenceError("order must be >= 0")
-    denom2 = PowerSeries2.from_terms({
+    denom2 = PowerSeries.from_terms({
         (0, 0): 1,
         (1, 1): -a1,
         (1, 2): -(a2 - 3),
@@ -408,8 +343,9 @@ def poincare_T(a1: int, a2: int, a3: int, n: int, order: int = 12):
 
 
 def poincare_T_denominator(a1: int, a2: int, a3: int, order: int) -> PowerSeries:
-    return PowerSeries.from_poly(
-        {0: 1, 2: -a1, 3: -(a2 - 3), 4: -(a3 - 3), 5: -1, 6: -1}, order)
+    return PowerSeries.from_terms(
+        {(0, 0): 1, (2, 0): -a1, (3, 0): -(a2 - 3), (4, 0): -(a3 - 3),
+         (5, 0): -1, (6, 0): -1}, order)
 
 
 def poincare_CI(c: int, n: int, order: int = 12):
@@ -418,11 +354,11 @@ def poincare_CI(c: int, n: int, order: int = 12):
         raise SequenceError("codepth must be >= 1")
     if order < 0:
         raise SequenceError("order must be >= 0")
-    one_minus_tz = PowerSeries2.from_terms({(0, 0): 1, (1, 1): -1}, order)
+    one_minus_tz = PowerSeries.from_terms({(0, 0): 1, (1, 1): -1}, order)
     PA = one_minus_tz.reciprocal()
     for _ in range(c - 1):
         PA = PA * one_minus_tz.reciprocal()
-    one_minus_t2 = PowerSeries.from_poly({0: 1, 2: -1}, order)
+    one_minus_t2 = PowerSeries.from_terms({(0, 0): 1, (2, 0): -1}, order)
     PR = geometric_binomial(n, order)
     inv = one_minus_t2.reciprocal()
     for _ in range(c):
@@ -432,12 +368,13 @@ def poincare_CI(c: int, n: int, order: int = 12):
 
 def class_t_generating_functions(a1: int, a2: int, a3: int, order: int):
     """(f, g, h, d-series): the generating functions of l, l', l'' and d."""
-    base = PowerSeries.from_poly(
-        {0: 1, 1: -3 - (a1 - 3), 2: 3, 3: -1}, order)  # (1-t)^3 - t(a1-3)
+    base = PowerSeries.from_terms(  # (1-t)^3 - t(a1-3)
+        {(0, 0): 1, (1, 0): -3 - (a1 - 3), (2, 0): 3, (3, 0): -1}, order)
     f = base.reciprocal()
-    g = PowerSeries.from_poly({2: 1, 1: a2 - 3}, order) * f
-    h = PowerSeries.from_poly({1: a3}, order) * f
-    dser = PowerSeries.from_poly({1: a1 - 3}, order) * f + PowerSeries.from_poly({0: 1}, order)
+    g = PowerSeries.from_terms({(2, 0): 1, (1, 0): a2 - 3}, order) * f
+    h = PowerSeries.from_terms({(1, 0): a3}, order) * f
+    dser = (PowerSeries.from_terms({(1, 0): a1 - 3}, order) * f
+            + PowerSeries.from_terms({(0, 0): 1}, order))
     return f, g, h, dser
 
 

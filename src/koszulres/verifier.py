@@ -415,7 +415,6 @@ def basis_from_strings(ring, cycle_strings, class_t: bool):
 
 def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
                 cycle_strings: dict | None = None, oracle_depth: int | None = None,
-                series_order: int | None = None,
                 force_regime: tuple | None = None) -> tuple:
     """Run the whole pipeline: class certification, assembly, complex /
     minimality / exactness checks, series cross-checks, graded-level
@@ -430,17 +429,16 @@ def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
         "class_certificate", cert.passed,
         {"kind": mode, "checks": len(cert.checks),
          "homology_ranks": [int(a) for a in H.ranks]}))
-    order = max(series_order if series_order is not None else 10, i_max)
     if mode == "T":
         a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
         pack = SequencePack(3, a1, a2, a3, k_max=max(12, i_max))
-        _, PR = poincare_T(a1, a2, a3, ring.nvars, order)
+        _, PR = poincare_T(a1, a2, a3, ring.nvars, i_max)
         F = assemble_T(ring, basis, pack, i_max, force_regime=force_regime)
         complexes = graded_A_complexes(min(5, max(2, i_max // 2 + 1)), basis, pack, H)
         report.add(check_graded_exactness(complexes))
     else:
         c = H.codepth
-        _, PR = poincare_CI(c, ring.nvars, order)
+        _, PR = poincare_CI(c, ring.nvars, i_max)
         F = assemble_CI(ring, basis, c, i_max)
     report.sign_regime = F.sign_regime
     report.exactness_range = (0, i_max)

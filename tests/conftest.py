@@ -4,7 +4,7 @@ from koszulres.exactfield import QuotientRing
 from koszulres.homology import ClassTBasis, HomologyAlgebra
 from koszulres.koszul import parse_koszul_element
 from koszulres.samples import CLASS_T_CYCLES, class_t_ring, ci_squares_ring
-from koszulres.sequences import sequence_tables
+from koszulres.sequences import SequencePack
 
 
 def make_class_t_basis(ring):
@@ -40,7 +40,7 @@ def homology_t(ring_t):
 
 @pytest.fixture(scope="session")
 def pack_t():
-    return sequence_tables(3, 4, 6, 3, k_max=12)
+    return SequencePack(3, 4, 6, 3, k_max=12)
 
 
 @pytest.fixture(scope="session")

@@ -20,10 +20,10 @@ from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
 from koszulres.koszul import CycleMatrix, KoszulElement, verify_chain_map
 from koszulres.samples import class_t_ring, ci_squares_ring
 from koszulres.sequences import (
+    SequencePack,
     closed_form_check,
     poincare_CI,
     poincare_T,
-    sequence_tables,
     tree_layer,
     u_table,
 )
@@ -34,7 +34,7 @@ from koszulres.verifier import (
     check_minimality,
     oracle_resolution,
 )
-from tests.conftest import make_class_t_basis
+from conftest import make_class_t_basis
 
 EXPECTED_BETTI = [1, 3, 7, 16, 37, 86, 200, 465]
 
@@ -50,7 +50,7 @@ def setup_p(request):
     p = request.param
     ring = class_t_ring(p=p)
     basis = make_class_t_basis(ring)
-    pack = sequence_tables(3, 4, 6, 3, k_max=12)
+    pack = SequencePack(3, 4, 6, 3, k_max=12)
     F = assemble_T(ring, basis, pack, i_max=8)
     return p, ring, basis, pack, F
 
@@ -59,7 +59,7 @@ def setup_p(request):
 def setup_default():
     ring = class_t_ring()
     basis = make_class_t_basis(ring)
-    pack = sequence_tables(3, 4, 6, 3, k_max=12)
+    pack = SequencePack(3, 4, 6, 3, k_max=12)
     return ring, basis, pack
 
 
@@ -113,7 +113,7 @@ def test_criterion_4_sequence_tables(setup_default):
         a1 = rng.randrange(3, 15)
         a2 = rng.randrange(0, 15)
         a3 = rng.randrange(0, 15)
-        rows = closed_form_check(sequence_tables(3, a1, a2, a3, k_max=4))
+        rows = closed_form_check(SequencePack(3, a1, a2, a3, k_max=4))
         ok &= all(r[-1] for r in rows)
     from koszulres.cli import LP5_NOTE
     ok &= "1347" in LP5_NOTE and "recurrence" in LP5_NOTE
@@ -180,7 +180,7 @@ def test_criterion_8_oracle_equivalence():
     ok = True
     ring_t = class_t_ring()
     basis = make_class_t_basis(ring_t)
-    pack = sequence_tables(3, 4, 6, 3, k_max=12)
+    pack = SequencePack(3, 4, 6, 3, k_max=12)
     Ft = assemble_T(ring_t, basis, pack, i_max=6)
     ok &= oracle_resolution(ring_t, 6).betti == Ft.ranks
     for n in (3, 2):

@@ -26,8 +26,8 @@ from koszulres.koszul import (
     subsets,
 )
 from koszulres.samples import class_t_ring
-from koszulres.sequences import arrow_target, sequence_tables
-from tests.conftest import make_class_t_basis
+from koszulres.sequences import SequencePack, arrow_target
+from conftest import make_class_t_basis
 
 
 def grid(theta, names):
@@ -366,7 +366,7 @@ GRADED_DIGESTS = {
 def test_graded_maps_golden(p):
     ring = class_t_ring(p=p)
     out = graded_A_complexes(5, make_class_t_basis(ring),
-                             sequence_tables(3, 4, 6, 3, k_max=12),
+                             SequencePack(3, 4, 6, 3, k_max=12),
                              HomologyAlgebra(ring))
     h = hashlib.sha256()
     for family in ("B", "C", "A"):

@@ -232,8 +232,8 @@ def test_exit_code_bad_max_degree(monkeypatch, capsys, command, max_degree):
                         lambda *a, **k: pytest.fail("HomologyAlgebra was called"))
     monkeypatch.setattr("koszulres.cli.full_verify",
                         lambda *a, **k: pytest.fail("full_verify was called"))
-    assert run(command, "--ring", str(CLASS_T), "--max-degree", max_degree,
-               "--no-timestamp") == 2
+    ring = () if command == "demo-classt" else ("--ring", str(CLASS_T))
+    assert run(command, *ring, "--max-degree", max_degree, "--no-timestamp") == 2
     assert f"max degree must be >= 1 (got {max_degree})" in capsys.readouterr().err
 
 
@@ -267,6 +267,31 @@ def test_betti_raw_refuses_n_below_codepth(capsys, argv):
     captured = capsys.readouterr()
     assert "below the codepth" in captured.err
     assert captured.out == ""
+
+IGNORED_OPTION_ARGS = {
+    "betti-class-t-and-ci": ("betti", "--class-t", "4,6,3", "--ci", "2"),
+    "betti-ci-and-ring": ("betti", "--ci", "3", "--ring", str(CLASS_T)),
+    "betti-class-t-mode": ("betti", "--class-t", "4,6,3", "--mode", "T"),
+    "betti-ci-char": ("betti", "--ci", "3", "--char", "7"),
+    "betti-ring-n": ("betti", "--ring", str(CI3), "--n", "3"),
+    "betti-max-degree": ("betti", "--ci", "3", "--max-degree", "4"),
+    "demo-classt-ring": ("demo-classt", "--ring", str(CLASS_T)),
+    "demo-classt-mode": ("demo-classt", "--mode", "T"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_OPTION_ARGS))
+def test_exit_code_ignored_option(monkeypatch, capsys, case):
+    # an option the command would not read is refused, not silently dropped
+    monkeypatch.setattr("koszulres.cli.HomologyAlgebra",
+                        lambda *a, **k: pytest.fail("HomologyAlgebra was called"))
+    try:
+        code = run(*IGNORED_OPTION_ARGS[case], "--no-timestamp")
+    except SystemExit as exc:  # argparse refuses before any command runs
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
 
 def test_demo_classt_char_zero(capsys):
     # --char 0 is refused, not replaced by the default 32003

@@ -8,7 +8,7 @@ from koszulres.builder import assemble_CI, assemble_T
 from koszulres.exactfield import QuotientRing, RingMatrix, rank_mod
 from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
 from koszulres.samples import CLASS_T_CYCLES, ci_squares_ring, class_t_ring
-from koszulres.sequences import sequence_tables
+from koszulres.sequences import SequencePack
 from koszulres.verifier import (
     basis_from_strings,
     check_exactness,
@@ -22,7 +22,7 @@ ACIT_GENS = [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)]
 
 def _class_t(ring, cycles, i_max):
     basis = basis_from_strings(ring, cycles, class_t=True)
-    return assemble_T(ring, basis, sequence_tables(3, 4, 6, 3, k_max=12), i_max)
+    return assemble_T(ring, basis, SequencePack(3, 4, 6, 3, k_max=12), i_max)
 
 
 def _acit(p):
@@ -30,7 +30,7 @@ def _acit(p):
     H = HomologyAlgebra(ring)
     _, basis, _ = resolve_basis(ring, "auto", {}, H)
     a1, a2, a3 = H.ranks[1:4]
-    return assemble_T(ring, basis, sequence_tables(3, a1, a2, a3, k_max=12), 3)
+    return assemble_T(ring, basis, SequencePack(3, a1, a2, a3, k_max=12), 3)
 
 
 def _ci3(p):

@@ -16,7 +16,7 @@ from koszulres.homology import (
 )
 from koszulres.koszul import KoszulElement, parse_koszul_element
 from koszulres.samples import ci_squares_ring, class_t_ring
-from tests.conftest import make_class_t_basis
+from conftest import make_class_t_basis
 
 
 def test_homology_ranks_class_t(ring_t):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from koszulres.exactfield import Polynomial, QuotientRing
+from koszulres.exactfield import ExactFieldError, Polynomial, QuotientRing
 from koszulres.koszul import (
     CycleMatrix,
     KoszulElement,
@@ -100,7 +100,7 @@ def test_wedge_basic(ring_t):
     assert prod == parse_koszul_element("x*y*e[1,2]", ring_t)
 
 
-def _random_element(ring, degree, terms=3):
+def _random_element(ring, degree, terms=3, rng=rng):
     c = {}
     basis = subsets(ring.nvars, degree)
     for _ in range(terms):
@@ -149,14 +149,29 @@ def test_wedge_overflow(ring_t):
 
 
 def test_parse_roundtrip(ring_t):
-    for text in ("x*e[1]", "y*z*e[1,2]", "x*e[1] + 2*y*e[2] - e[3]"):
+    for text in ("x*e[1]", "y*z*e[1,2]", "x*e[1] + 2*y*e[2] - e[3]",
+                 "x*e[1] + y*e[1]"):
         z = parse_koszul_element(text, ring_t)
         again = parse_koszul_element(z.to_string(), ring_t)
         assert z == again
+    # one term per monomial: a coefficient with several terms is not bracketed
+    assert parse_koszul_element("x*e[1] + y*e[1]", ring_t).to_string() == \
+        "x*e[1] + y*e[1]"
+    local = random.Random(11)
+    for _ in range(30):
+        degree = local.randrange(1, 4)
+        # sums of random elements give coefficients with several terms
+        z = (_random_element(ring_t, degree, rng=local)
+             + _random_element(ring_t, degree, rng=local))
+        if not z.is_zero():
+            assert parse_koszul_element(z.to_string(), ring_t) == z
     with pytest.raises(KoszulError):
         parse_koszul_element("x*e[2,1]", ring_t)
     with pytest.raises(KoszulError):
         parse_koszul_element("x*e[1] + y*e[1,2]", ring_t)
+    # cycles share the ring-file monomial grammar, which refuses x^0
+    with pytest.raises(ExactFieldError, match="bad exponent"):
+        parse_koszul_element("x^0*e[1]", ring_t)
 
 
 # -- cycle matrices ----------------------------------------------------------

@@ -13,7 +13,7 @@ from koszulres.homology import (
     discover_class_CI_basis,
     discover_class_T_basis,
 )
-from koszulres.sequences import poincare_CI, sequence_tables
+from koszulres.sequences import SequencePack, poincare_CI
 from koszulres.verifier import (
     check_complex,
     check_exactness,
@@ -46,7 +46,7 @@ def test_class_t_family_discovery_and_assembly(gens, p):
     H = HomologyAlgebra(ring)
     assert tuple(H.ranks) == (1, 4, 6, 3)
     basis = discover_class_T_basis(ring, H)
-    pack = sequence_tables(3, 4, 6, 3, k_max=10)
+    pack = SequencePack(3, 4, 6, 3, k_max=10)
     F = assemble_T(ring, basis, pack, i_max=5)
     assert F.ranks == [1, 3, 7, 16, 37, 86]
     assert check_complex(F, ring).passed
