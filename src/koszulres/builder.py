@@ -21,6 +21,7 @@ control.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -244,17 +245,6 @@ def _class_t_blocks(k: int, pack: SequencePack, n: int) -> list:
     return out
 
 
-def _place(entries: dict, sub: RingMatrix, r0: int, c0: int, copies: int,
-           sign: int):
-    """Add `copies` diagonal copies of sign*sub with top-left corner (r0, c0)."""
-    for copy in range(copies):
-        r, c = r0 + copy * sub.rows, c0 + copy * sub.cols
-        for (i, j), f in sub.entries.items():
-            key = (r + i, c + j)
-            g = f if sign == 1 else f.scale(sign)
-            entries[key] = entries[key] + g if key in entries else g
-
-
 def _assemble_diff(ring, blocks_lo, blocks_hi, diag_sign, arrow) -> RingMatrix:
     """One differential F_hi -> F_lo of an iterated mapping cone of Koszul
     blocks.  Each block of F_hi maps to its own block one Koszul degree down
@@ -268,13 +258,13 @@ def _assemble_diff(ring, blocks_lo, blocks_hi, diag_sign, arrow) -> RingMatrix:
     for b in blocks_lo:
         row_offset[(b.key, b.kdeg)] = rows
         rows += b.width(n)
-    entries: dict = {}
+    terms = [np.zeros((0, 4), dtype=np.int64)]
     col = 0
     for b in blocks_hi:
         tgt = row_offset.get((b.key, b.kdeg - 1))
         if tgt is not None:
-            _place(entries, koszul_differential(b.kdeg, ring), tgt, col,
-                   b.copies, diag_sign(b))
+            terms.append(koszul_differential(b.kdeg, ring).shifted_terms(
+                tgt, col, b.copies, diag_sign(b)))
         spec = arrow(b)
         if spec is not None:
             target_key, target_kdeg, theta, reps, sign = spec
@@ -282,9 +272,9 @@ def _assemble_diff(ring, blocks_lo, blocks_hi, diag_sign, arrow) -> RingMatrix:
             if tgt is not None:
                 act = cycle_matrix_action(theta, target_kdeg, ring)
                 assert act.cols * reps == b.width(n)
-                _place(entries, act, tgt, col, reps, sign)
+                terms.append(act.shifted_terms(tgt, col, reps, sign))
         col += b.width(n)
-    return RingMatrix(ring, rows, col, entries, reduce=False)
+    return RingMatrix.from_terms(ring, rows, col, np.concatenate(terms))
 
 
 def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
@@ -491,45 +481,30 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
             maps.append(np.hstack([A.matrix(alphas[k - 2, k - 2], H.reps[2]),
                                    A.matrix(alphas[k - 2, k])]))
         out["A"][k] = FiniteComplex(f"A_{k}", k, dims, maps, p)
-        out["decomposition"][k] = _decomposition_check(k, pack, a1, a2, a3)
+        out["decomposition"][k] = _decomposition_check(k, out, pack, a1, a2, a3)
 
     return out
 
 
-def _b_complex_dims(m: int, b) -> dict:
-    """Position -> dimension for B_m (positions m, m-1, m-2)."""
-    if m < 1:
-        return {}
-    dims = {m: b[m], m - 1: 3 * b[m - 1] + (b[m - 3] if m >= 3 else 0)}
-    if m >= 2:
-        dims[m - 2] = 3 * b[m - 2]
-    return dims
-
-
-def _decomposition_check(k: int, pack: SequencePack, a1, a2, a3) -> list:
+def _decomposition_check(k: int, complexes: dict, pack: SequencePack,
+                         a1, a2, a3) -> list:
     """Dimension bookkeeping of A_k = sum_i Sigma^i B_{k-i}^{d_i} +
-    sum_j Sigma^{k-j} C_j^{l_{k-j}} per homological position."""
-    lhs = {
-        k: pack.l[k],
-        k - 1: a1 * pack.l[k - 1] + pack.lp[k - 1],
-    }
-    if k >= 2:
-        lhs[k - 2] = a2 * pack.l[k - 2] + pack.lpp[k - 2]
-    if k >= 3:
-        lhs[k - 3] = a3 * pack.l[k - 3]
-    rhs: dict = {}
+    sum_j Sigma^{k-j} C_j^{l_{k-j}} per homological position, read from the
+    dimensions of the complexes A_k and B_m built above."""
+    lhs = _dims_by_position(complexes["A"][k])
+    rhs: Counter = Counter()
     for i in range(k):
-        bdims = _b_complex_dims(k - i, pack.b)
-        for pos, dim in bdims.items():
-            rhs[pos + i] = rhs.get(pos + i, 0) + pack.d[i] * dim
+        for pos, dim in _dims_by_position(complexes["B"][k - i]).items():
+            rhs[pos + i] += pack.d[i] * dim
     c_counts = {1: a1 - 3, 2: a2 - 3, 3: a3}
     for j in (1, 2, 3):
-        if k - j < 0:
-            continue
-        copies = pack.l[k - j]
-        for pos in (1, 0):
-            rhs[pos + (k - j)] = rhs.get(pos + (k - j), 0) + copies * c_counts[j]
+        if k - j >= 0:
+            for pos in (1, 0):
+                rhs[pos + k - j] += pack.l[k - j] * c_counts[j]
     positions = sorted(set(lhs) | set(rhs), reverse=True)
-    return [(pos, lhs.get(pos, 0), rhs.get(pos, 0),
-             lhs.get(pos, 0) == rhs.get(pos, 0)) for pos in positions
-            if pos >= 0]
+    return [(pos, lhs.get(pos, 0), rhs[pos], lhs.get(pos, 0) == rhs[pos])
+            for pos in positions if pos >= 0]
+
+
+def _dims_by_position(cx: FiniteComplex) -> dict:
+    return {cx.top_position - t: dim for t, dim in enumerate(cx.dims)}

@@ -31,7 +31,7 @@ from .homology import ClassVerificationError, DiscoveryError, HomologyAlgebra
 from .koszul import KoszulError
 from .samples import CLASS_T_CYCLES, class_t_ring_file
 from .sequences import SequencePack, poincare_CI, poincare_T, u_table
-from .verifier import basis_from_strings, full_verify, resolve_basis
+from .verifier import full_verify, resolve_basis
 
 SCHEMA_VERSION = 1
 
@@ -87,7 +87,7 @@ def _build_parser():
     }
 
     def common(p, *names):
-        for name in names + ("--order", "--out", "--char", "--no-timestamp"):
+        for name in names + ("--out", "--char", "--no-timestamp"):
             p.add_argument(name, **options[name])
 
     p_betti = sub.add_parser("betti", help="Betti numbers / Poincare table")
@@ -97,13 +97,13 @@ def _build_parser():
                         help="raw class-T invariants instead of a ring file")
     source.add_argument("--ci", type=int, metavar="c",
                         help="raw complete-intersection codepth instead of a ring file")
-    common(p_betti, "--mode")
+    common(p_betti, "--mode", "--order")
     p_betti.add_argument("--n", type=int, default=None,
                          help="embedding dimension for raw invariants")
     p_betti.set_defaults(func=cmd_betti)
 
     p_resolve = sub.add_parser("resolve", help="assemble and fully verify")
-    common(p_resolve, "--ring", "--mode", "--max-degree")
+    common(p_resolve, "--ring", "--mode", "--max-degree", "--order")
     p_resolve.add_argument("--emit-matrices", action="store_true",
                            help="include differential matrices in the report")
     p_resolve.add_argument("--oracle", action="store_true",
@@ -113,7 +113,7 @@ def _build_parser():
     p_resolve.set_defaults(func=cmd_resolve)
 
     p_verify = sub.add_parser("verify", help="verification report only")
-    common(p_verify, "--ring", "--mode", "--max-degree")
+    common(p_verify, "--ring", "--mode", "--max-degree", "--order")
     p_verify.add_argument("--oracle", action="store_true")
     p_verify.add_argument("--sign-flip", action="store_true",
                           help="negative control: force the (-1)^deg2 diagonal")
@@ -319,25 +319,23 @@ def cmd_verify(args) -> int:
 def cmd_demo_classt(args) -> int:
     i_max = args.max_degree if args.max_degree is not None else 7
     _check_max_degree(i_max)
-    order = _series_order(args, 10)
     rf = class_t_ring_file(
         p=args.char if args.char is not None else 32003, i_max=i_max)
     ring = build_ring(rf)
+    report, F, basis = full_verify(ring, "T", i_max, cycle_strings=rf.cycles)
+    a = report.section("class_certificate").details["homology_ranks"]
+    pack = SequencePack(3, *a[1:4])
     print(f"ring: {ring!r}")
     print("cycles:")
     for name, text in CLASS_T_CYCLES.items():
         print(f"  {name} = {text}")
-    H = HomologyAlgebra(ring)
-    a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
-    pack = SequencePack(3, a1, a2, a3, k_max=max(order, 12))
-    print(f"a-invariants: {tuple(int(a) for a in H.ranks)}")
+    print(f"a-invariants: {tuple(a)}")
     print("b:   " + ",".join(str(v) for v in pack.b[:6]))
     print("l:   " + ",".join(str(v) for v in pack.l[:6]))
     print("lp:  " + ",".join(str(v) for v in pack.lp[:6]))
     print("lpp: " + ",".join(str(v) for v in pack.lpp[:7]))
     print("note: " + LP5_NOTE)
 
-    basis = basis_from_strings(ring, rf.cycles, class_t=True)
     names = _entry_names(basis)
     print("\ngamma_2 = (" + ", ".join(z.to_string() for z in basis.z2) + ")")
     print("gamma_3 = (" + ", ".join(z.to_string() for z in basis.z3) + ")")
@@ -347,7 +345,6 @@ def cmd_demo_classt(args) -> int:
             print(f"\nalpha_{{{k},{r}}}  ({theta.rows} x {theta.cols}):")
             print(_pretty_cycle_matrix(theta, names, _alpha_col_groups(k, r, pack)))
 
-    report, F, _ = full_verify(ring, "T", i_max, cycle_strings=rf.cycles)
     print("\nbetti: " + ",".join(str(v) for v in F.ranks))
     print("sign regime: " + F.sign_regime)
     for s in report.sections:

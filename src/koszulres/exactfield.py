@@ -14,12 +14,19 @@ Everything downstream reduces to two primitives implemented here:
 `mod_matmul` is one loop over chunks of the inner dimension whose integer dot
 products stay exact in the accumulator: float64 BLAS while (p-1)^2 < 2**53,
 int64 above; no floating point value leaves this module un-reduced.
+
+A matrix over R (`RingMatrix`) is one sorted int64 array of terms (row,
+column, standard-monomial index, coefficient).  Its products and its
+flattening to F_p multiply monomials through one table,
+`QuotientRing.product`: the index of std_a * std_b, or -1 for zero.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,10 +78,6 @@ def mono_degree(m: Monomial) -> int:
     return sum(m)
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """Componentwise a <= b."""
     return all(x <= y for x, y in zip(a, b))
@@ -123,9 +126,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars or self.p != other.p:
             raise ExactFieldError("polynomial arithmetic across different rings")
@@ -155,7 +155,7 @@ class Polynomial:
         t: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
+                m = tuple(x + y for x, y in zip(m1, m2))
                 t[m] = t.get(m, 0) + c1 * c2
         return Polynomial(self.nvars, self.p, t)
 
@@ -167,33 +167,19 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.nvars, self.p, frozenset(self.terms.items())))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
 
     def __repr__(self):
-        return f"Polynomial({self.to_string(_DEFAULT_NAMES[: self.nvars])})"
+        return f"Polynomial({self.to_string(default_names(self.nvars))})"
 
     def to_string(self, names: Sequence[str]) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = []
-            if c != 1 or not any(m):
-                factors.append(str(c))
-            for v, e in enumerate(m):
-                if e == 1:
-                    factors.append(names[v])
-                elif e > 1:
-                    factors.append(f"{names[v]}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-
-_DEFAULT_NAMES = tuple("xyzwvutsrq") + tuple(f"x{i}" for i in range(10, 40))
+        return " + ".join(
+            monomial_to_string(m, names) if c == 1
+            else f"{c}*{monomial_to_string(m, names)}" if any(m) else str(c)
+            for m, c in self.sorted_terms())
 
 
 def default_names(n: int) -> list[str]:
@@ -237,7 +223,6 @@ class QuotientRing:
         self.std_basis = self._compute_std_basis()
         self.basis_index = {m: i for i, m in enumerate(self.std_basis)}
         self.dim = len(self.std_basis)
-        self._mult_cache: dict = {}
 
     @staticmethod
     def _minimalize(gens: list[Monomial]) -> list[Monomial]:
@@ -315,21 +300,21 @@ class QuotientRing:
             v[self.basis_index[m]] = c
         return v
 
-    def mult_matrix(self, f: Polynomial) -> np.ndarray:
-        """dim x dim matrix of multiplication by f on the standard basis."""
-        key = frozenset(f.terms.items())
-        cached = self._mult_cache.get(key)
-        if cached is not None:
-            return cached
-        M = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for mono, c in f.terms.items():
-            for j, b in enumerate(self.std_basis):
-                prod = mono_mul(mono, b)
-                i = self.basis_index.get(prod)
-                if i is not None:
-                    M[i, j] = (M[i, j] + c) % self.p
-        self._mult_cache[key] = M
-        return M
+    @cached_property
+    def product(self) -> np.ndarray:
+        """product[a, b] is the index of std_a * std_b, or -1 when that product
+        lies in I; built on first use.  Column b is column b' stepped by x_v,
+        where std_b = x_v * std_b' and b' < b in the degree order."""
+        D, E, unit = self.dim, np.array(self.std_basis), np.eye(self.nvars, dtype=int)
+        # step[a, v]: the index of x_v * std_a, with D standing for zero
+        step = np.array([[self.basis_index.get(tuple(e + u), D) for u in unit]
+                         for e in E] + [[D] * self.nvars], dtype=np.int64)
+        table = np.empty((D + 1, D), dtype=np.int64)
+        table[:, 0] = np.arange(D + 1)
+        for b in range(1, D):
+            v = np.flatnonzero(E[b])[0]
+            table[:, b] = step[table[:, self.basis_index[tuple(E[b] - unit[v])]], v]
+        return np.where(table[:D] == D, -1, table[:D])
 
     def __eq__(self, other):
         return (
@@ -343,10 +328,7 @@ class QuotientRing:
         return hash((self.p, self.nvars, tuple(self.ideal_gens)))
 
     def __repr__(self):
-        gens = ", ".join(
-            Polynomial.monomial(g, self.nvars, self.p).to_string(self.names)
-            for g in self.ideal_gens
-        )
+        gens = ", ".join(monomial_to_string(g, self.names) for g in self.ideal_gens)
         return f"F_{self.p}[{', '.join(self.names)}]/({gens})"
 
 
@@ -356,23 +338,40 @@ class QuotientRing:
 
 
 class RingMatrix:
-    """Sparse matrix with Polynomial entries kept in normal form."""
+    """Sparse matrix over R, stored as one int64 array `terms` of shape
+    (nnz, 4).  Each row (i, j, b, c) is the term c * std_b of entry (i, j):
+    b indexes ring.std_basis and the coefficient c lies in [1, p).  Rows are
+    sorted by (i, j, b) and no triple repeats, so equal matrices have equal
+    arrays.  Instances are treated as immutable."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "terms")
 
     def __init__(self, ring: QuotientRing, rows: int, cols: int,
-                 entries: dict | None = None, reduce: bool = True):
+                 entries: dict | None = None):
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = {}
-        if entries:
-            for (i, j), f in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ExactFieldError(f"entry ({i},{j}) outside {rows}x{cols}")
-                g = ring.normal_form(f) if reduce else f
-                if not g.is_zero():
-                    self.entries[(i, j)] = g
+        parts = []
+        for (i, j), f in (entries or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ExactFieldError(f"entry ({i},{j}) outside {rows}x{cols}")
+            parts += [(i, j, ring.basis_index[m], c)
+                      for m, c in ring.normal_form(f).terms.items()]
+        self.terms = RingMatrix.from_terms(ring, rows, cols, parts).terms
+
+    @classmethod
+    def from_terms(cls, ring, rows, cols, terms) -> "RingMatrix":
+        """The matrix summing the term rows (i, j, b, c), given in any order
+        and with any integer coefficient c."""
+        t = np.asarray(terms, dtype=np.int64).reshape(-1, 4)
+        key = (t[:, 0] * cols + t[:, 1]) * ring.dim + t[:, 2]
+        order = np.argsort(key)
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        M = cls.__new__(cls)
+        M.ring, M.rows, M.cols, M.terms = ring, rows, cols, t[order[starts]]
+        M.terms[:, 3] = np.add.reduceat(t[order, 3] % ring.p, starts) % ring.p
+        M.terms = M.terms[M.terms[:, 3] != 0]
+        return M
 
     @classmethod
     def zero(cls, ring, rows, cols):
@@ -381,61 +380,80 @@ class RingMatrix:
     @classmethod
     def identity(cls, ring, n):
         one = ring.one()
-        return cls(ring, n, n, {(i, i): one for i in range(n)}, reduce=False)
+        return cls(ring, n, n, {(i, i): one for i in range(n)})
+
+    def shifted_terms(self, r0: int, c0: int, copies: int, sign: int) -> np.ndarray:
+        """Term rows of `copies` diagonal copies of sign * self, the first
+        with its top-left corner at (r0, c0), for from_terms to sum."""
+        t = np.tile(self.terms, (copies, 1, 1))
+        t[..., :2] += np.arange(copies)[:, None, None] * [self.rows, self.cols] + [r0, c0]
+        t[..., 3] *= sign
+        return t.reshape(-1, 4)
 
     @classmethod
     def repeat_diag(cls, M: "RingMatrix", copies: int) -> "RingMatrix":
         """Block-diagonal sum of `copies` copies of M."""
-        entries = {}
-        for c in range(copies):
-            for (i, j), f in M.entries.items():
-                entries[(c * M.rows + i, c * M.cols + j)] = f
-        return cls(M.ring, M.rows * copies, M.cols * copies, entries, reduce=False)
+        return cls.from_terms(M.ring, M.rows * copies, M.cols * copies,
+                              M.shifted_terms(0, 0, copies, 1))
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """Read-only {(i, j): Polynomial} view of the nonzero entries."""
+        ring, out = self.ring, {}
+        for i, j, b, c in self.terms.tolist():
+            out.setdefault((i, j), {})[ring.std_basis[b]] = c
+        return MappingProxyType({ij: Polynomial(ring.nvars, ring.p, t)
+                                 for ij, t in out.items()})
 
     def entry(self, i, j) -> Polynomial:
         return self.entries.get((i, j), self.ring.zero())
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not len(self.terms)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        e = dict(self.entries)
-        for key, f in other.entries.items():
-            e[key] = e[key] + f if key in e else f
-        return RingMatrix(self.ring, self.rows, self.cols, e, reduce=False)
-
-    def __neg__(self) -> "RingMatrix":
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return RingMatrix.from_terms(self.ring, self.rows, self.cols,
+                                     np.concatenate([self.terms, other.terms]))
 
     def scale(self, c: int) -> "RingMatrix":
-        return RingMatrix(
-            self.ring, self.rows, self.cols,
-            {k: f.scale(c) for k, f in self.entries.items()}, reduce=False,
-        )
+        return RingMatrix.from_terms(self.ring, self.rows, self.cols,
+                                     self.terms * [1, 1, 1, c % self.ring.p])
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
-        """Sparse product; entries re-reduced to normal form."""
-        assert self.cols == other.rows, "incompatible RingMatrix product"
-        by_row: dict = {}
-        for (t, c), f in other.entries.items():
-            by_row.setdefault(t, []).append((c, f))
-        acc: dict = {}
-        for (r, t), f in self.entries.items():
-            for c, g in by_row.get(t, ()):
-                prod = f * g
-                key = (r, c)
-                acc[key] = acc[key] + prod if key in acc else prod
-        return RingMatrix(self.ring, self.rows, other.cols, acc)
+        """Product over R: terms (i, t, a, c) of self and (t, j, b, c') of
+        other give c c' std_a std_b at (i, j), read from ring.product."""
+        assert self.ring == other.ring and self.cols == other.rows, \
+            "incompatible RingMatrix product"
+        i, t, a, c = self.terms.T
+        o = other.terms
+        lo = np.searchsorted(o[:, 0], t, side="left")
+        n = np.searchsorted(o[:, 0], t, side="right") - lo
+        x = np.repeat(np.arange(len(t)), n)  # x-th term of self meets y-th of other
+        y = np.arange(len(x)) + np.repeat(lo - np.cumsum(n) + n, n)
+        m = self.ring.product[a[x], o[y, 2]]
+        x, y, m = x[m >= 0], y[m >= 0], m[m >= 0]
+        return RingMatrix.from_terms(
+            self.ring, self.rows, other.cols,
+            np.column_stack([i[x], o[y, 1], m, c[x] * o[y, 3] % self.ring.p]))
 
     def first_unit_entry(self):
-        for (i, j), f in sorted(self.entries.items()):
-            if f.constant_term() != 0:
-                return (i, j)
-        return None
+        unit = np.flatnonzero(self.terms[:, 2] == 0)  # the terms of std_0 = 1
+        return tuple(self.terms[unit[0], :2].tolist()) if len(unit) else None
+
+    def _flat_nonzeros(self):
+        """Row, column and value of each nonzero of flatten().  The term
+        c * std_b of entry (i, j) sends std_a of coordinate j to
+        c * std_{product[b, a]} of coordinate i; distinct terms of an entry
+        send std_a to distinct monomials, so no two terms meet."""
+        D, product = self.ring.dim, self.ring.product
+        nb, na = np.nonzero(product >= 0)  # the pairs (b, a), grouped by b
+        i, j, b, c = self.terms.T
+        lo = np.searchsorted(nb, b)
+        n = np.searchsorted(nb, b, side="right") - lo
+        t = np.repeat(np.arange(len(b)), n)  # term t meets pairs lo[t] .. lo[t]+n[t]-1
+        a = na[np.arange(len(t)) + np.repeat(lo - np.cumsum(n) + n, n)]
+        return i[t] * D + product[b[t], a], j[t] * D + a, c[t]
 
     def flatten(self) -> np.ndarray:
         """Matrix of the induced F_p-linear map R^cols -> R^rows.
@@ -444,9 +462,9 @@ class RingMatrix:
         slice [r*dim, (r+1)*dim) in the standard-monomial basis of R.
         """
         D = self.ring.dim
+        r, c, v = self._flat_nonzeros()
         M = np.zeros((self.rows * D, self.cols * D), dtype=np.int64)
-        for (i, j), f in self.entries.items():
-            M[i * D:(i + 1) * D, j * D:(j + 1) * D] = self.ring.mult_matrix(f)
+        M[r, c] = v
         return M
 
     def flat_blocks(self) -> list:
@@ -463,21 +481,8 @@ class RingMatrix:
         monomial ring the blocks are small; entries with several terms only
         merge them.
         """
-        if not self.entries:
-            return []
         D = self.ring.dim
-        by_poly: dict = {}
-        for key, f in self.entries.items():
-            by_poly.setdefault(f, []).append(key)
-        r_parts, c_parts, v_parts = [], [], []
-        for f, keys in by_poly.items():
-            M = self.ring.mult_matrix(f)
-            a, b = np.nonzero(M)
-            ij = np.array(keys, dtype=np.int64)
-            r_parts.append((ij[:, :1] * D + a).ravel())
-            c_parts.append((ij[:, 1:] * D + b).ravel())
-            v_parts.append(np.tile(M[a, b], len(keys)))
-        r, c, v = (np.concatenate(x) for x in (r_parts, c_parts, v_parts))
+        r, c, v = self._flat_nonzeros()
         n_rows = self.rows * D
         label = _component_labels(r, c + n_rows, n_rows + self.cols * D)
         # the label of a component is its smallest node, always a row
@@ -485,9 +490,9 @@ class RingMatrix:
         lc = _local_index(c, label, self.cols * D)
         order = np.argsort(label, kind="stable")
         r, c, v, lr, lc, label = (x[order] for x in (r, c, v, lr, lc, label))
-        cuts = np.flatnonzero(np.diff(label)) + 1
+        starts = np.flatnonzero(np.diff(label, prepend=-1))
         blocks = []
-        for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(label)]):
+        for s, e in zip(starts, np.r_[starts[1:], len(label)]):
             B = np.zeros((lr[s:e].max() + 1, lc[s:e].max() + 1), dtype=np.int64)
             B[lr[s:e], lc[s:e]] = v[s:e]
             rows = np.empty(B.shape[0], dtype=np.int64)
@@ -500,8 +505,9 @@ class RingMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, RingMatrix)
+            and self.ring == other.ring
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
+            and np.array_equal(self.terms, other.terms)
         )
 
     def __repr__(self):

@@ -73,8 +73,7 @@ class KoszulElement:
 
     __slots__ = ("ring", "degree", "coeffs")
 
-    def __init__(self, ring: QuotientRing, degree: int, coeffs: dict | None = None,
-                 reduce: bool = True):
+    def __init__(self, ring: QuotientRing, degree: int, coeffs: dict | None = None):
         if degree < 0 or degree > ring.nvars:
             raise KoszulError(f"degree {degree} outside [0, {ring.nvars}]")
         self.ring = ring
@@ -84,7 +83,7 @@ class KoszulElement:
             for S, f in coeffs.items():
                 if len(S) != degree:
                     raise KoszulError(f"subset {S} has wrong size for degree {degree}")
-                g = ring.normal_form(f) if reduce else f
+                g = ring.normal_form(f)
                 if not g.is_zero():
                     self.coeffs[tuple(S)] = g
 
@@ -95,7 +94,7 @@ class KoszulElement:
     @classmethod
     def basis(cls, ring, S: tuple) -> "KoszulElement":
         """e_S with unit coefficient."""
-        return cls(ring, len(S), {tuple(S): ring.one()}, reduce=False)
+        return cls(ring, len(S), {tuple(S): ring.one()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -180,7 +179,7 @@ class KoszulElement:
             f = ring.element_from_vector(vec[k * D:(k + 1) * D])
             if not f.is_zero():
                 c[S] = f
-        return cls(ring, degree, c, reduce=False)
+        return cls(ring, degree, c)
 
     def __eq__(self, other):
         return (
@@ -426,7 +425,7 @@ def verify_chain_map(theta: CycleMatrix, degrees, ring: QuotientRing | None = No
             rhs_inner = RingMatrix.zero(
                 ring, theta.rows * len(subsets(ring.nvars, i - 1)),
                 theta.cols * len(subsets(ring.nvars, i - j)))
-        diff = lhs - rhs_inner.scale((-1) ** j)
+        diff = lhs + rhs_inner.scale((-1) ** (j + 1))
         checked.append(i)
         if not diff.is_zero():
             bad = sorted(diff.entries)[0]

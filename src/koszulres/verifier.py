@@ -27,7 +27,6 @@ from .builder import (
 )
 from .exactfield import (
     _CYCLE_NAME,
-    Polynomial,
     QuotientRing,
     RingMatrix,
     kernel_mod,
@@ -289,12 +288,8 @@ def oracle_resolution(ring: QuotientRing, i_max: int) -> OracleResolution:
     betti = [1, ring.nvars]
     diffs = [current]
     for _ in range(2, i_max + 1):
-        K = _flat_kernel(current)
-        index = {j: t for t, j in enumerate(_minimal_generators(K))}
-        current = RingMatrix(ring, K.rows, len(index),
-                             {(r, index[j]): f for (r, j), f in K.entries.items()
-                              if j in index}, reduce=False)
-        betti.append(len(index))
+        current = _minimal_generators(_flat_kernel(current))
+        betti.append(current.cols)
         diffs.append(current)
     return OracleResolution(betti[: i_max + 1], diffs)
 
@@ -306,12 +301,12 @@ def _flat_kernel(d: RingMatrix) -> RingMatrix:
     column in no block is its own unit vector.  A kernel_mod vector is 1 at
     its free column and 0 after it, and the blocks split the echelon form,
     so sorting the vectors by that column gives the dense kernel's order."""
-    ring, D = d.ring, d.ring.dim
+    D = d.ring.dim
     lone = np.ones(d.cols * D, dtype=bool)
     parts = []  # (flat column, free column of its vector, value) per nonzero
     for _, cols, B in d.flat_blocks():
         lone[cols] = False
-        K = kernel_mod(B, ring.p)
+        K = kernel_mod(B, d.ring.p)
         a, t = np.nonzero(K)
         free = cols[len(cols) - 1 - np.argmax(K[::-1] != 0, axis=0)]
         parts.append((cols[a], free[t], K[a, t]))
@@ -319,16 +314,13 @@ def _flat_kernel(d: RingMatrix) -> RingMatrix:
     parts.append((u, u, np.ones(len(u), dtype=np.int64)))
     g, free, v = (np.concatenate(x) for x in zip(*parts))
     free, j = np.unique(free, return_inverse=True)
-    terms: dict = {}
-    for g_, j_, v_ in zip(g.tolist(), j.tolist(), v.tolist()):
-        terms.setdefault((g_ // D, j_), {})[ring.std_basis[g_ % D]] = v_
-    return RingMatrix(ring, d.cols, len(free),
-                      {rj: Polynomial(ring.nvars, ring.p, t) for rj, t in terms.items()},
-                      reduce=False)
+    return RingMatrix.from_terms(d.ring, d.cols, len(free),
+                                 np.column_stack([g // D, j, g % D, v]))
 
 
-def _minimal_generators(K: RingMatrix) -> list:
-    """The columns j of K outside m . (column span of K) + span(K_{<j}).
+def _minimal_generators(K: RingMatrix) -> RingMatrix:
+    """K restricted to its columns j outside m . (column span of K) +
+    span(K_{<j}), in their order.
 
     Flat column j*D + b of K is standard monomial b times column j, and
     b = 0 is the monomial 1 (the basis is sorted by degree), so the columns
@@ -342,7 +334,10 @@ def _minimal_generators(K: RingMatrix) -> list:
         skip = len(order) - int(unit.sum())
         chosen += [int(cols[order[c]]) // D
                    for c in rref_mod(B[:, order], K.ring.p)[1] if c >= skip]
-    return sorted(chosen)
+    chosen.sort()
+    terms = K.terms[np.isin(K.terms[:, 1], chosen)]
+    terms[:, 1] = np.searchsorted(chosen, terms[:, 1])
+    return RingMatrix.from_terms(K.ring, K.rows, len(chosen), terms)
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,6 @@ def test_exit_code_bad_max_degree(monkeypatch, capsys, command, max_degree):
 NEGATIVE_ORDER_ARGS = {
     "betti-ci": ("betti", "--ci", "3"),
     "betti-class-t": ("betti", "--class-t", "4,6,3"),
-    "demo-classt": ("demo-classt",),
     **{f"{command}-{ring.stem}": (command, "--ring", str(ring))
        for command in ("betti", "verify", "resolve") for ring in (CLASS_T, CI3)},
 }
@@ -277,6 +276,7 @@ IGNORED_OPTION_ARGS = {
     "betti-max-degree": ("betti", "--ci", "3", "--max-degree", "4"),
     "demo-classt-ring": ("demo-classt", "--ring", str(CLASS_T)),
     "demo-classt-mode": ("demo-classt", "--mode", "T"),
+    "demo-classt-order": ("demo-classt", "--order", "15"),
 }
 
 

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from koszulres.builder import assemble_T
 from koszulres.exactfield import (
     MAX_CHARACTERISTIC,
     ExactFieldError,
@@ -18,6 +19,9 @@ from koszulres.exactfield import (
     serialize_ring_file,
     solve_mod,
 )
+from koszulres.samples import CLASS_T_CYCLES, class_t_ring
+from koszulres.sequences import SequencePack
+from koszulres.verifier import basis_from_strings
 
 rng = random.Random(20240611)
 
@@ -43,6 +47,12 @@ def test_std_basis_small_rings():
     r2 = QuotientRing(32003, 2, [(2, 0), (0, 2)], names=["x", "y"])
     assert len(r2.std_basis) == 4
     assert set(r2.std_basis) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+def test_polynomial_repr_names_variables_like_its_ring():
+    ring = QuotientRing(7, 4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+    f = ring.variable(3).scale(3) + ring.one()
+    assert repr(f) == f"Polynomial({f.to_string(ring.names)})" == "Polynomial(1 + 3*x4)"
 
 
 def test_non_artinian_rejected():
@@ -112,29 +122,101 @@ def test_flatten_zero_and_identity(ring_t):
     assert (I.flatten() == np.eye(14, dtype=np.int64)).all()
 
 
-def test_flatten_functorial(ring_t):
-    for _ in range(10):
-        A = _random_ring_matrix(ring_t, 2, 3)
-        B = _random_ring_matrix(ring_t, 3, 2)
-        left = (A @ B).flatten()
-        right = mod_matmul(A.flatten(), B.flatten(), ring_t.p)
-        assert (left % ring_t.p == right).all()
+PRIMES = [2, 3, 32003, 2147483647]
 
 
-def _random_ring_matrix(ring, rows, cols):
+def reference_product(A, B):
+    """The dict-of-Polynomial product the term-array product replaced:
+    Polynomial products of the entries, summed, then put in normal form."""
+    by_row: dict = {}
+    for (t, c), g in B.entries.items():
+        by_row.setdefault(t, []).append((c, g))
+    acc: dict = {}
+    for (r, t), f in A.entries.items():
+        for c, g in by_row.get(t, ()):
+            acc[(r, c)] = acc[(r, c)] + f * g if (r, c) in acc else f * g
+    return RingMatrix(A.ring, A.rows, B.cols, acc)
+
+
+def test_flatten_functorial():
+    for p in PRIMES:
+        ring = class_t_ring(p)
+        for _ in range(10):
+            A = _random_ring_matrix(ring, 2, 3)
+            B = _random_ring_matrix(ring, 3, 2)
+            left = (A @ B).flatten()
+            right = mod_matmul(A.flatten(), B.flatten(), p)
+            assert (left % p == right).all()
+
+
+def _random_ring_matrix(ring, rows, cols, terms=3):
     entries = {}
     for i in range(rows):
         for j in range(cols):
             if rng.random() < 0.7:
-                entries[(i, j)] = _random_poly(ring, terms=2)
+                entries[(i, j)] = _random_poly(ring, terms=terms)
     return RingMatrix(ring, rows, cols, entries)
 
 
-def test_ring_matrix_product_associative(ring_t):
-    A = _random_ring_matrix(ring_t, 2, 2)
-    B = _random_ring_matrix(ring_t, 2, 2)
-    C = _random_ring_matrix(ring_t, 2, 2)
-    assert ((A @ B) @ C) == (A @ (B @ C))
+def test_ring_matrix_product_associative():
+    for p in PRIMES:
+        ring = class_t_ring(p)
+        A = _random_ring_matrix(ring, 2, 2)
+        B = _random_ring_matrix(ring, 2, 2)
+        C = _random_ring_matrix(ring, 2, 2)
+        assert ((A @ B) @ C) == (A @ (B @ C))
+
+
+def test_product_table_matches_monomial_products():
+    ring = QuotientRing(3, 3, [(4, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])
+    for a, ma in enumerate(ring.std_basis):
+        for b, mb in enumerate(ring.std_basis):
+            prod = tuple(x + y for x, y in zip(ma, mb))
+            assert ring.product[a, b] == ring.basis_index.get(prod, -1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_product_matches_reference_random(p):
+    # the class-T ring and a larger ring whose standard basis is not
+    # symmetric in x, y, z
+    most_terms = 0
+    for ring in (class_t_ring(p),
+                 QuotientRing(p, 3, [(4, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])):
+        for rows, inner, cols in ((1, 1, 1), (3, 4, 2), (5, 2, 6)):
+            A = _random_ring_matrix(ring, rows, inner, terms=5)
+            B = _random_ring_matrix(ring, inner, cols, terms=5)
+            assert A @ B == reference_product(A, B)
+            most_terms = max([most_terms] + [len(f.terms) for f in A.entries.values()])
+    assert most_terms >= 3
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_product_matches_reference_on_differentials(p):
+    # the class-T resolution (d^2 = 0), the wrong diagonal sign (nonzero
+    # products) and a two-term degree-1 cycle (multi-term entries)
+    ring = class_t_ring(p)
+    pack = SequencePack(3, 4, 6, 3, k_max=12)
+    for cycles, regime in ((CLASS_T_CYCLES, None), (CLASS_T_CYCLES, ("deg2", 1)),
+                           (dict(CLASS_T_CYCLES, z1_1="x*e[1] + y*e[2]"), None)):
+        F = assemble_T(ring, basis_from_strings(ring, cycles, class_t=True), pack,
+                       5, force_regime=regime)
+        nonzero = False
+        for i in range(1, F.i_max):
+            prod = F.diff(i) @ F.diff(i + 1)
+            assert prod == reference_product(F.diff(i), F.diff(i + 1))
+            nonzero |= not prod.is_zero()
+        # signs are invisible in characteristic 2
+        assert nonzero == (regime is not None and p != 2)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_entries_round_trip(p):
+    ring = class_t_ring(p)
+    for M in (_random_ring_matrix(ring, 4, 3, terms=5), RingMatrix.zero(ring, 2, 2),
+              RingMatrix.identity(ring, 3)):
+        assert RingMatrix(ring, M.rows, M.cols, M.entries) == M
+    with pytest.raises(TypeError):
+        M.entries[(0, 0)] = ring.one()  # a read-only view
 
 
 # -- linear algebra ----------------------------------------------------------

@@ -25,7 +25,8 @@ def dense_oracle(ring: QuotientRing, i_max: int) -> OracleResolution:
     form of [m . ker | ker], with m . ker spanned by the variable multiples."""
     p = ring.p
     D = ring.dim
-    var_mults = [ring.mult_matrix(v) for v in ring.variables()]
+    var_mults = [RingMatrix(ring, 1, 1, {(0, 0): v}).flatten()
+                 for v in ring.variables()]
     d1 = RingMatrix(ring, 1, ring.nvars,
                     {(0, v): ring.variable(v) for v in range(ring.nvars)})
     betti = [1, ring.nvars]
