@@ -5,9 +5,10 @@ intersection), and the finite complexes of homology classes used for
 graded-level exactness checks.
 
 Both resolutions are iterated mapping cones of Koszul blocks and come out of
-one engine, _assemble_diff: Koszul differentials on the diagonal, one
-cycle-matrix arrow per block off it.  The two classes differ only in which
-blocks exist and which arrow each block carries.
+one engine, _assemble_diffs: Koszul differentials on the diagonal, one
+cycle-matrix arrow per block off it, each distinct block matrix built once
+per assembly.  The two classes differ only in which blocks exist and which
+arrow each block carries.
 
 Block signs follow the mapping-cone convention: the diagonal Koszul block of
 the component indexed by a tree monomial m carries the sign
@@ -245,36 +246,45 @@ def _class_t_blocks(k: int, pack: SequencePack, n: int) -> list:
     return out
 
 
-def _assemble_diff(ring, blocks_lo, blocks_hi, diag_sign, arrow) -> RingMatrix:
-    """One differential F_hi -> F_lo of an iterated mapping cone of Koszul
-    blocks.  Each block of F_hi maps to its own block one Koszul degree down
-    by diag_sign(block) times the Koszul differential, and, when
-    arrow(block) = (target_key, target_kdeg, theta, reps, sign) is given, to
-    the block (target_key, target_kdeg) of F_lo by sign times the wedge action
-    of the cycle matrix theta, repeated reps times down the diagonal."""
+def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
+    """The differentials d_k : F_k -> F_{k-1} of an iterated mapping cone of
+    Koszul blocks, blocks[k] listing the blocks of F_k.  Each block of F_k
+    maps to its own block one Koszul degree down by diag_sign(block) times
+    the Koszul differential, and, when arrow(block) = (target_key,
+    target_kdeg, name, reps, sign) is given, to the block (target_key,
+    target_kdeg) of F_{k-1} by sign times the wedge action of
+    cycle_matrix(name), repeated reps times down the diagonal.  Each of these
+    matrices is built once per call, on first use."""
     n = ring.nvars
-    row_offset = {}
-    rows = 0
-    for b in blocks_lo:
-        row_offset[(b.key, b.kdeg)] = rows
-        rows += b.width(n)
-    terms = [np.zeros((0, 4), dtype=np.int64)]
-    col = 0
-    for b in blocks_hi:
-        tgt = row_offset.get((b.key, b.kdeg - 1))
-        if tgt is not None:
-            terms.append(koszul_differential(b.kdeg, ring).shifted_terms(
-                tgt, col, b.copies, diag_sign(b)))
-        spec = arrow(b)
-        if spec is not None:
-            target_key, target_kdeg, theta, reps, sign = spec
-            tgt = row_offset.get((target_key, target_kdeg))
+    koszul = lru_cache(maxsize=None)(lambda i: koszul_differential(i, ring))
+    theta = lru_cache(maxsize=None)(cycle_matrix)
+    action = lru_cache(maxsize=None)(
+        lambda name, i: cycle_matrix_action(theta(name), i, ring))
+    diffs = []
+    for blocks_lo, blocks_hi in zip(blocks, blocks[1:]):
+        row_offset = {}
+        rows = 0
+        for b in blocks_lo:
+            row_offset[(b.key, b.kdeg)] = rows
+            rows += b.width(n)
+        terms = [np.zeros((0, 4), dtype=np.int64)]
+        col = 0
+        for b in blocks_hi:
+            tgt = row_offset.get((b.key, b.kdeg - 1))
             if tgt is not None:
-                act = cycle_matrix_action(theta, target_kdeg, ring)
-                assert act.cols * reps == b.width(n)
-                terms.append(act.shifted_terms(tgt, col, reps, sign))
-        col += b.width(n)
-    return RingMatrix.from_terms(ring, rows, col, np.concatenate(terms))
+                terms.append(koszul(b.kdeg).shifted_terms(tgt, col, b.copies,
+                                                          diag_sign(b)))
+            spec = arrow(b)
+            if spec is not None:
+                target_key, target_kdeg, name, reps, sign = spec
+                tgt = row_offset.get((target_key, target_kdeg))
+                if tgt is not None:
+                    act = action(name, target_kdeg)
+                    assert act.cols * reps == b.width(n)
+                    terms.append(act.shifted_terms(tgt, col, reps, sign))
+            col += b.width(n)
+        diffs.append(RingMatrix.from_terms(ring, rows, col, np.concatenate(terms)))
+    return diffs
 
 
 def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
@@ -300,10 +310,6 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
     kmax_needed = i_max // 2 + 1
     if pack.k_max < kmax_needed:
         pack = SequencePack(3, pack.a1, pack.a2, pack.a3, k_max=max(12, kmax_needed))
-    alphas = {}
-    for j in range(1, i_max // 2 + 2):
-        for r in (j, j + 1, j + 2):
-            alphas[(j, r)] = alpha(j, r, pack, basis)
     blocks = [_class_t_blocks(k, pack, ring.nvars) for k in range(i_max + 1)]
     regime, arrow_sign = force_regime or ("total", 1)
 
@@ -314,11 +320,11 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
         if b.key.head is None:
             return None
         j, r, tail = b.key.head
-        return (arrow_target(b.key), b.kdeg + r - j + 1, alphas[(j, r)],
+        return (arrow_target(b.key), b.kdeg + r - j + 1, (j, r),
                 tail.deg3(pack), arrow_sign)
 
-    diffs = [_assemble_diff(ring, blocks[k - 1], blocks[k], diag_sign, arrow)
-             for k in range(1, i_max + 1)]
+    diffs = _assemble_diffs(ring, blocks, diag_sign, arrow,
+                            lambda jr: alpha(*jr, pack, basis))
     diag = "(-1)^(deg1+deg2)" if regime == "total" else "(-1)^deg2"
     label = f"diagonal {diag}, phi {'+' if arrow_sign == 1 else '-'}1"
     if force_regime is not None:
@@ -351,7 +357,6 @@ def assemble_CI(ring: QuotientRing, basis: ClassCIBasis, c: int,
     block j-1.  All block shifts are even, so every diagonal sign is +1."""
     if len(basis.z1) != c:
         raise BuildError(f"CI assembly over codepth {c} needs {c} cycles")
-    betas = {j: beta(j, c, basis.z1) for j in range(1, i_max // 2 + 2)}
     blocks = [[Block(j, k - 2 * j, len(words(c, j)), 2 * j)
                for j in range(k // 2 + 1) if k - 2 * j <= ring.nvars]
               for k in range(i_max + 1)]
@@ -359,10 +364,10 @@ def assemble_CI(ring: QuotientRing, basis: ClassCIBasis, c: int,
     def arrow(b):
         if b.key == 0:
             return None
-        return b.key - 1, b.kdeg + 1, betas[b.key], 1, 1
+        return b.key - 1, b.kdeg + 1, b.key, 1, 1
 
-    diffs = [_assemble_diff(ring, blocks[k - 1], blocks[k], lambda b: 1, arrow)
-             for k in range(1, i_max + 1)]
+    diffs = _assemble_diffs(ring, blocks, lambda b: 1, arrow,
+                            lambda j: beta(j, c, basis.z1))
     return ResolutionAssembly("CI", ring, i_max, blocks, diffs,
                               "diagonal +1 (even shifts), beta +1")
 

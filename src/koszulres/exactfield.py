@@ -110,10 +110,6 @@ class Polynomial:
         return cls(nvars, p)
 
     @classmethod
-    def constant(cls, c: int, nvars: int, p: int) -> "Polynomial":
-        return cls(nvars, p, {(0,) * nvars: c})
-
-    @classmethod
     def monomial(cls, m: Monomial, nvars: int, p: int, c: int = 1) -> "Polynomial":
         return cls(nvars, p, {tuple(m): c})
 
@@ -195,7 +191,8 @@ def default_names(n: int) -> list[str]:
 
 class QuotientRing:
     """R = F_p[x_1..x_n]/I for a monomial ideal I with a pure power of every
-    variable among its generators (the Artinian gate).
+    variable among its generators (the Artinian gate) and no variable among
+    them, so that x_1..x_n minimally generate the maximal ideal.
 
     The standard monomials (those divisible by no generator) form the ordered
     k-basis; normal form of a monomial is itself or zero, which makes the
@@ -218,6 +215,10 @@ class QuotientRing:
                 raise ExactFieldError(f"bad ideal generator exponent vector {g}")
             if not any(g):
                 raise ExactFieldError("ideal contains 1; quotient ring is zero")
+            if sum(g) == 1:
+                raise ExactFieldError(
+                    f"ideal contains the variable '{self.names[g.index(1)]}': "
+                    "remove it from the variables and from the ideal")
         self.ideal_gens = self._minimalize(gens)
         self._pure_bounds = self._artinian_bounds()
         self.std_basis = self._compute_std_basis()
@@ -272,13 +273,10 @@ class QuotientRing:
         return Polynomial.zero(self.nvars, self.p)
 
     def one(self) -> Polynomial:
-        return Polynomial.constant(1, self.nvars, self.p)
+        return Polynomial.monomial((0,) * self.nvars, self.nvars, self.p)
 
     def variable(self, v: int) -> Polynomial:
         return Polynomial.variable(v, self.nvars, self.p)
-
-    def variables(self) -> list[Polynomial]:
-        return [self.variable(v) for v in range(self.nvars)]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Project onto the span of standard monomials (k-linear, idempotent)."""
@@ -367,20 +365,16 @@ class RingMatrix:
         key = (t[:, 0] * cols + t[:, 1]) * ring.dim + t[:, 2]
         order = np.argsort(key)
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        u = np.take(t, order[starts], axis=0)  # np.take: faster than t[...]
+        u[:, 3] = np.add.reduceat(np.take(t[:, 3], order) % ring.p, starts) % ring.p
         M = cls.__new__(cls)
-        M.ring, M.rows, M.cols, M.terms = ring, rows, cols, t[order[starts]]
-        M.terms[:, 3] = np.add.reduceat(t[order, 3] % ring.p, starts) % ring.p
-        M.terms = M.terms[M.terms[:, 3] != 0]
+        M.ring, M.rows, M.cols = ring, rows, cols
+        M.terms = np.take(u, np.flatnonzero(u[:, 3]), axis=0)
         return M
 
     @classmethod
     def zero(cls, ring, rows, cols):
         return cls(ring, rows, cols)
-
-    @classmethod
-    def identity(cls, ring, n):
-        one = ring.one()
-        return cls(ring, n, n, {(i, i): one for i in range(n)})
 
     def shifted_terms(self, r0: int, c0: int, copies: int, sign: int) -> np.ndarray:
         """Term rows of `copies` diagonal copies of sign * self, the first
@@ -427,10 +421,7 @@ class RingMatrix:
             "incompatible RingMatrix product"
         i, t, a, c = self.terms.T
         o = other.terms
-        lo = np.searchsorted(o[:, 0], t, side="left")
-        n = np.searchsorted(o[:, 0], t, side="right") - lo
-        x = np.repeat(np.arange(len(t)), n)  # x-th term of self meets y-th of other
-        y = np.arange(len(x)) + np.repeat(lo - np.cumsum(n) + n, n)
+        x, y = join_sorted(t, o[:, 0])  # x-th term of self meets y-th of other
         m = self.ring.product[a[x], o[y, 2]]
         x, y, m = x[m >= 0], y[m >= 0], m[m >= 0]
         return RingMatrix.from_terms(
@@ -449,10 +440,8 @@ class RingMatrix:
         D, product = self.ring.dim, self.ring.product
         nb, na = np.nonzero(product >= 0)  # the pairs (b, a), grouped by b
         i, j, b, c = self.terms.T
-        lo = np.searchsorted(nb, b)
-        n = np.searchsorted(nb, b, side="right") - lo
-        t = np.repeat(np.arange(len(b)), n)  # term t meets pairs lo[t] .. lo[t]+n[t]-1
-        a = na[np.arange(len(t)) + np.repeat(lo - np.cumsum(n) + n, n)]
+        t, y = join_sorted(b, nb)  # term t meets the pair (nb[y], na[y])
+        a = na[y]
         return i[t] * D + product[b[t], a], j[t] * D + a, c[t]
 
     def flatten(self) -> np.ndarray:
@@ -512,6 +501,15 @@ class RingMatrix:
 
     def __repr__(self):
         return f"RingMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+
+
+def join_sorted(keys: np.ndarray, sorted_keys: np.ndarray):
+    """Every pair (x, y) with keys[x] == sorted_keys[y], for an ascending
+    sorted_keys: grouped by x in ascending order, y ascending in each group."""
+    lo = np.searchsorted(sorted_keys, keys, side="left")
+    n = np.searchsorted(sorted_keys, keys, side="right") - lo
+    x = np.repeat(np.arange(len(keys)), n)
+    return x, np.arange(len(x)) + np.repeat(lo - np.cumsum(n) + n, n)
 
 
 def _component_labels(u: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:

@@ -12,6 +12,11 @@ Conventions fixed once and used everywhere:
 
 With these choices d(a ^ b) = da ^ b + (-1)^{deg a} a ^ db, and a matrix
 theta of degree-j cycles satisfies d_i o theta = (-1)^j theta o d_{i-j}.
+
+`wedge_table` is the sign rule behind every Koszul matrix: it lists the
+nonzero products e_U ^ e_T of basis elements, and both the differentials
+(d_i multiplies by x_v where e_v ^ e_T = s e_S) and the wedge actions of
+cycle matrices are joins of matrix terms against it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .exactfield import (
     Polynomial,
     QuotientRing,
     RingMatrix,
+    join_sorted,
     monomial_to_string,
     parse_monomial_string,
 )
@@ -63,6 +69,23 @@ def wedge_sign(U: tuple, T: tuple):
     return (-1) ** inversions, merged
 
 
+@lru_cache(maxsize=None)
+def wedge_table(n: int, j: int, i: int) -> np.ndarray:
+    """The nonzero products of basis elements K_j x K_i -> K_{i+j}: one
+    read-only int64 row (u, t, m, s) per e_U ^ e_T = s e_S, where U, T and S
+    are the u-th, t-th and m-th subsets of sizes j, i and i + j.  Rows are
+    sorted by (u, t); built on first use."""
+    dst, rows = subset_index(n, i + j), []
+    for u, U in enumerate(subsets(n, j)):
+        for t, T in enumerate(subsets(n, i)):
+            s, S = wedge_sign(U, T)
+            if s:
+                rows.append((u, t, dst[S], s))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    table.flags.writeable = False
+    return table
+
+
 # ---------------------------------------------------------------------------
 # elements of K
 # ---------------------------------------------------------------------------
@@ -88,19 +111,12 @@ class KoszulElement:
                     self.coeffs[tuple(S)] = g
 
     @classmethod
-    def zero(cls, ring, degree):
-        return cls(ring, degree)
-
-    @classmethod
     def basis(cls, ring, S: tuple) -> "KoszulElement":
         """e_S with unit coefficient."""
         return cls(ring, len(S), {tuple(S): ring.one()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coeff(self, S: tuple) -> Polynomial:
-        return self.coeffs.get(tuple(S), self.ring.zero())
 
     def __add__(self, other: "KoszulElement") -> "KoszulElement":
         assert self.ring == other.ring and self.degree == other.degree
@@ -121,12 +137,6 @@ class KoszulElement:
             {S: f.scale(c) for S, f in self.coeffs.items()},
         )
 
-    def scale_poly(self, g: Polynomial) -> "KoszulElement":
-        return KoszulElement(
-            self.ring, self.degree,
-            {S: f * g for S, f in self.coeffs.items()},
-        )
-
     def wedge(self, other: "KoszulElement", strict: bool = False) -> "KoszulElement":
         """Exterior product; overflow past K_n is the zero element unless
         strict, in which case it raises."""
@@ -135,7 +145,7 @@ class KoszulElement:
         if deg > self.ring.nvars:
             if strict:
                 raise KoszulError("wedge degree exceeds the number of variables")
-            return KoszulElement.zero(self.ring, self.ring.nvars)
+            return KoszulElement(self.ring, self.ring.nvars)
         c: dict = {}
         for U, f in self.coeffs.items():
             for T, g in other.coeffs.items():
@@ -148,7 +158,7 @@ class KoszulElement:
 
     def differential(self) -> "KoszulElement":
         if self.degree == 0:
-            return KoszulElement.zero(self.ring, 0)
+            return KoszulElement(self.ring, 0)
         ring = self.ring
         c: dict = {}
         for S, f in self.coeffs.items():
@@ -244,7 +254,7 @@ def parse_koszul_element(s: str, ring: QuotientRing) -> KoszulElement:
             raise KoszulError(f"basis index out of range in {term!r}")
         if degree is None:
             degree = len(idx)
-            total = KoszulElement.zero(ring, degree)
+            total = KoszulElement(ring, degree)
         elif len(idx) != degree:
             raise KoszulError(f"mixed degrees in Koszul element {s!r}")
         body = m.group("body").strip().rstrip("*").strip()
@@ -273,21 +283,17 @@ def _parse_coefficient(body: str, ring: QuotientRing) -> Polynomial:
 
 
 def koszul_differential(i: int, ring: QuotientRing) -> RingMatrix:
-    """Matrix of d_i : K_i -> K_{i-1} in the lexicographic subset bases."""
+    """Matrix of d_i : K_i -> K_{i-1} in the lexicographic subset bases:
+    entry (T, S) is s x_v wherever e_v ^ e_T = s e_S."""
     n = ring.nvars
     if i < 0 or i > n:
         raise KoszulError(f"differential degree {i} outside [0, {n}]")
-    rows = subsets(n, i - 1)
-    cols = subsets(n, i)
-    ridx = subset_index(n, i - 1)
-    entries = {}
-    for jcol, S in enumerate(cols):
-        for j, v in enumerate(S):
-            rest = S[:j] + S[j + 1:]
-            f = ring.variable(v - 1).scale((-1) ** j)
-            key = (ridx[rest], jcol)
-            entries[key] = entries[key] + f if key in entries else f
-    return RingMatrix(ring, len(rows), len(cols), entries)
+    v, t, m, s = wedge_table(n, 1, i - 1).T
+    # std index of each variable: QuotientRing refuses an ideal containing one
+    x = np.array([ring.basis_index[(0,) * w + (1,) + (0,) * (n - w - 1)]
+                  for w in range(n)])
+    return RingMatrix.from_terms(ring, len(subsets(n, i - 1)), len(subsets(n, i)),
+                                 np.column_stack([t, m, x[v], s]))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +318,7 @@ class CycleMatrix:
         self.cols = cols
         self.entry_degree = entry_degree
         self.entries = {}
+        checked = set()  # ids of entries known to be cycles: beta repeats a few
         if entries:
             for (r, c), z in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
@@ -321,12 +328,13 @@ class CycleMatrix:
                         f"entry ({r},{c}) has degree {z.degree}, expected {entry_degree}")
                 if z.is_zero():
                     continue
-                if check and not z.is_cycle():
+                if check and id(z) not in checked and not z.is_cycle():
                     raise KoszulError(f"entry ({r},{c}) is not a cycle")
+                checked.add(id(z))
                 self.entries[(r, c)] = z
 
     def entry(self, r, c) -> KoszulElement:
-        return self.entries.get((r, c), KoszulElement.zero(self.ring, self.entry_degree))
+        return self.entries.get((r, c), KoszulElement(self.ring, self.entry_degree))
 
     def __matmul__(self, other: "CycleMatrix") -> "CycleMatrix":
         """Wedge-compose: entries of the product are sums of wedges."""
@@ -343,12 +351,6 @@ class CycleMatrix:
                 acc[key] = acc[key] + prod if key in acc else prod
         acc = {k: z for k, z in acc.items() if not z.is_zero()}
         return CycleMatrix(self.ring, self.rows, other.cols, deg, acc, check=False)
-
-    def scale(self, c: int) -> "CycleMatrix":
-        return CycleMatrix(
-            self.ring, self.rows, self.cols, self.entry_degree,
-            {k: z.scale(c) for k, z in self.entries.items()}, check=False,
-        )
 
     def is_zero(self):
         return not self.entries
@@ -370,7 +372,9 @@ def cycle_matrix_action(theta: CycleMatrix, i: int, ring: QuotientRing | None = 
     """RingMatrix of (y_k) |-> (sum_k theta(s,k) ^ y_k) : K_{i-j}^v -> K_i^u.
 
     Row blocks are copy-major: copy s of K_i occupies rows
-    [s*C(n,i), (s+1)*C(n,i)).
+    [s*C(n,i), (s+1)*C(n,i)).  The term a std_b e_U of entry (r, c) of theta
+    meets every row (u, t, m, s) of the wedge table with U the u-th subset,
+    giving s a std_b at (r*C(n,i) + m, c*C(n,i-j) + t).
     """
     ring = ring if ring is not None else theta.ring
     if ring != theta.ring:
@@ -379,21 +383,18 @@ def cycle_matrix_action(theta: CycleMatrix, i: int, ring: QuotientRing | None = 
     if i < j:
         raise KoszulError(f"target degree {i} below entry degree {j}")
     n = ring.nvars
-    src = subsets(n, i - j)
-    dst = subsets(n, i)
-    didx = subset_index(n, i)
-    nr, nc = len(dst), len(src)
-    entries: dict = {}
-    for (r, c), z in theta.entries.items():
-        for U, f in z.coeffs.items():
-            for tcol, T in enumerate(src):
-                sign, merged = wedge_sign(U, T)
-                if sign == 0:
-                    continue
-                key = (r * nr + didx[merged], c * nc + tcol)
-                g = f.scale(sign)
-                entries[key] = entries[key] + g if key in entries else g
-    return RingMatrix(ring, theta.rows * nr, theta.cols * nc, entries)
+    nr, nc = len(subsets(n, i)), len(subsets(n, i - j))
+    uidx = subset_index(n, j)
+    terms = np.array([(r, c, uidx[U], ring.basis_index[mono], a)
+                      for (r, c), z in theta.entries.items()
+                      for U, f in z.coeffs.items() for mono, a in f.terms.items()],
+                     dtype=np.int64).reshape(-1, 5)
+    table = wedge_table(n, j, i - j)
+    x, y = join_sorted(terms[:, 2], table[:, 0])
+    r, c, _, b, a = terms[x].T
+    _, t, m, s = table[y].T
+    return RingMatrix.from_terms(ring, theta.rows * nr, theta.cols * nc,
+                                 np.column_stack([r * nr + m, c * nc + t, b, a * s]))
 
 
 @dataclass

@@ -342,12 +342,6 @@ def poincare_T(a1: int, a2: int, a3: int, n: int, order: int = 12):
     return PA, PR
 
 
-def poincare_T_denominator(a1: int, a2: int, a3: int, order: int) -> PowerSeries:
-    return PowerSeries.from_terms(
-        {(0, 0): 1, (2, 0): -a1, (3, 0): -(a2 - 3), (4, 0): -(a3 - 3),
-         (5, 0): -1, (6, 0): -1}, order)
-
-
 def poincare_CI(c: int, n: int, order: int = 12):
     """P^A(t,z) = 1/(1-tz)^c and P^R(t) = (1+t)^n/(1-t^2)^c."""
     if c < 1:

@@ -45,7 +45,7 @@ from .homology import (
     verify_class_CI,
     verify_class_T,
 )
-from .koszul import parse_koszul_element
+from .koszul import koszul_differential, parse_koszul_element
 from .sequences import SequencePack, poincare_CI, poincare_T
 
 
@@ -283,8 +283,7 @@ def oracle_resolution(ring: QuotientRing, i_max: int) -> OracleResolution:
     connected blocks of the flattened maps (`RingMatrix.flat_blocks`), never
     on a dense flat matrix, and choose the same echelon-ordered vectors as
     a dense elimination would."""
-    current = RingMatrix(ring, 1, ring.nvars,
-                         {(0, v): ring.variable(v) for v in range(ring.nvars)})
+    current = koszul_differential(1, ring)  # the row of variables
     betti = [1, ring.nvars]
     diffs = [current]
     for _ in range(2, i_max + 1):

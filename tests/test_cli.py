@@ -205,6 +205,19 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "not Artinian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_exit_code_ideal_with_variable(tmp_path, capsys, command):
+    # (x, y^2, z^2) is the ring k[y,z]/(y^2,z^2) in disguise: the Koszul
+    # complex on x, y, z would print the Betti numbers of a codepth-3 ring
+    ring = tmp_path / "var.ring"
+    ring.write_text("characteristic = 32003\nvariables = x, y, z\n"
+                    "ideal = x, y^2, z^2\n")
+    assert run(command, "--ring", str(ring), "--no-timestamp") == 2
+    captured = capsys.readouterr()
+    assert "ideal contains the variable 'x'" in captured.err
+    assert "betti" not in captured.out
+
+
 def test_exit_code_missing_file():
     assert run("verify", "--ring", "/nonexistent/r.ring") == 2
 

@@ -61,6 +61,15 @@ def test_non_artinian_rejected():
                      names=["x", "y", "z"])
 
 
+def test_ideal_with_variable_rejected():
+    with pytest.raises(ExactFieldError, match="variable 'y'"):
+        QuotientRing(5, 3, [(2, 0, 0), (0, 1, 0), (0, 0, 2)])
+    # also when a multiple of the variable is listed first
+    with pytest.raises(ExactFieldError, match="variable 'z'"):
+        QuotientRing(5, 3, [(2, 0, 0), (0, 2, 0), (0, 0, 3), (0, 0, 1)],
+                     names=["x", "y", "z"])
+
+
 def test_normal_form_examples(ring_t):
     x2 = poly(ring_t, "x^2")
     assert ring_t.normal_form(x2).is_zero()
@@ -118,7 +127,7 @@ def test_flatten_multiplication_by_x(ring_t):
 def test_flatten_zero_and_identity(ring_t):
     Z = RingMatrix.zero(ring_t, 2, 3)
     assert not Z.flatten().any()
-    I = RingMatrix.identity(ring_t, 2)
+    I = RingMatrix(ring_t, 2, 2, {(0, 0): ring_t.one(), (1, 1): ring_t.one()})
     assert (I.flatten() == np.eye(14, dtype=np.int64)).all()
 
 
@@ -213,7 +222,7 @@ def test_product_matches_reference_on_differentials(p):
 def test_entries_round_trip(p):
     ring = class_t_ring(p)
     for M in (_random_ring_matrix(ring, 4, 3, terms=5), RingMatrix.zero(ring, 2, 2),
-              RingMatrix.identity(ring, 3)):
+              RingMatrix(ring, 3, 3, {(i, i): ring.one() for i in range(3)})):
         assert RingMatrix(ring, M.rows, M.cols, M.entries) == M
     with pytest.raises(TypeError):
         M.entries[(0, 0)] = ring.one()  # a read-only view

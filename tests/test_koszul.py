@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from koszulres.exactfield import ExactFieldError, Polynomial, QuotientRing
+from koszulres.exactfield import ExactFieldError, Polynomial, QuotientRing, RingMatrix
 from koszulres.koszul import (
     CycleMatrix,
     KoszulElement,
@@ -10,11 +10,17 @@ from koszulres.koszul import (
     cycle_matrix_action,
     koszul_differential,
     parse_koszul_element,
+    subset_index,
     subsets,
     verify_chain_map,
     wedge_sign,
+    wedge_table,
 )
-from koszulres.builder import alpha, beta
+from koszulres.builder import alpha, beta, beta_prime, gamma
+from koszulres.homology import discover_class_CI_basis
+from koszulres.samples import CLASS_T_CYCLES, ci_squares_ring, class_t_ring
+from koszulres.sequences import SequencePack
+from koszulres.verifier import basis_from_strings
 
 rng = random.Random(97)
 
@@ -94,8 +100,8 @@ def test_wedge_basic(ring_t):
     assert e(ring_t, 1).wedge(e(ring_t, 1)).is_zero()
     assert e(ring_t, 1).wedge(e(ring_t, 2)) == e(ring_t, 1, 2)
     assert e(ring_t, 2).wedge(e(ring_t, 1)) == e(ring_t, 1, 2).scale(-1)
-    xe1 = e(ring_t, 1).scale_poly(ring_t.variable(0))
-    ye2 = e(ring_t, 2).scale_poly(ring_t.variable(1))
+    xe1 = parse_koszul_element("x*e[1]", ring_t)
+    ye2 = parse_koszul_element("y*e[2]", ring_t)
     prod = xe1.wedge(ye2)
     assert prod == parse_koszul_element("x*y*e[1,2]", ring_t)
 
@@ -206,7 +212,6 @@ def test_cycle_matrix_action_zero_and_top(ring_t, basis_t):
 
 def test_action_respects_matrix_product(ring_t, basis_t, pack_t):
     # action(theta theta') = action(theta) action(theta') on beta_k beta'_{k+1}
-    from koszulres.builder import beta_prime
     bk = beta(2, 3, basis_t.triple)
     bpk = beta_prime(3, basis_t.triple)
     prod = bk @ bpk
@@ -226,3 +231,109 @@ def test_verify_chain_map_detects_non_cycle(ring_t):
     report = verify_chain_map(bad, range(1, 4), ring_t)
     assert not report.passed
     assert report.failure is not None
+
+
+# -- the wedge table against the dict-of-Polynomial references -----------------
+
+PRIMES = [2, 3, 32003, 2147483647]
+
+
+def reference_koszul_differential(i, ring):
+    """d_i as the dict-of-Polynomial loop the wedge table replaced."""
+    n = ring.nvars
+    ridx = subset_index(n, i - 1)
+    entries = {}
+    for jcol, S in enumerate(subsets(n, i)):
+        for j, v in enumerate(S):
+            rest = S[:j] + S[j + 1:]
+            f = ring.variable(v - 1).scale((-1) ** j)
+            key = (ridx[rest], jcol)
+            entries[key] = entries[key] + f if key in entries else f
+    return RingMatrix(ring, len(subsets(n, i - 1)), len(subsets(n, i)), entries)
+
+
+def reference_cycle_matrix_action(theta, i, ring):
+    """The wedge action as the dict-of-Polynomial loop the table join
+    replaced."""
+    n, j = ring.nvars, theta.entry_degree
+    src, dst = subsets(n, i - j), subsets(n, i)
+    didx = subset_index(n, i)
+    nr, nc = len(dst), len(src)
+    entries: dict = {}
+    for (r, c), z in theta.entries.items():
+        for U, f in z.coeffs.items():
+            for tcol, T in enumerate(src):
+                sign, merged = wedge_sign(U, T)
+                if sign == 0:
+                    continue
+                key = (r * nr + didx[merged], c * nc + tcol)
+                g = f.scale(sign)
+                entries[key] = entries[key] + g if key in entries else g
+    return RingMatrix(ring, theta.rows * nr, theta.cols * nc, entries)
+
+
+def test_wedge_table_lists_every_basis_product():
+    for n in range(1, 5):
+        ring = ci_squares_ring(n, 3)
+        for j in range(n + 1):
+            for i in range(n + 1):
+                table = wedge_table(n, j, i)
+                assert not table.flags.writeable
+                assert table[:, :2].tolist() == sorted(table[:, :2].tolist())
+                found = {(u, t): (m, s) for u, t, m, s in table.tolist()}
+                for u, U in enumerate(subsets(n, j)):
+                    for t, T in enumerate(subsets(n, i)):
+                        prod = e(ring, *U).wedge(e(ring, *T))
+                        if (u, t) not in found:
+                            assert prod.is_zero()
+                            continue
+                        m, s = found[(u, t)]
+                        want = e(ring, *subsets(n, i + j)[m])
+                        assert prod == (want if s == 1 else want.scale(-1))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_koszul_differential_matches_reference(p):
+    rings = [ci_squares_ring(n, p) for n in range(1, 6)] + [
+        class_t_ring(p), QuotientRing(p, 4, [(2, 0, 0, 0), (0, 3, 0, 0),
+                                             (0, 0, 2, 0), (0, 0, 0, 4)])]
+    for ring in rings:
+        for i in range(ring.nvars + 1):
+            assert koszul_differential(i, ring) == \
+                reference_koszul_differential(i, ring)
+
+
+def _assert_actions_match_reference(theta, ring):
+    for i in range(theta.entry_degree, ring.nvars + 1):
+        act = cycle_matrix_action(theta, i, ring)
+        assert act == reference_cycle_matrix_action(theta, i, ring), (theta, i)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_class_t_actions_match_reference(p):
+    # every alpha, beta, beta' and gamma that assemble_T reads through
+    # degree 8, and a matrix of cycles with several subsets and monomials
+    # per entry
+    ring = class_t_ring(p)
+    basis = basis_from_strings(ring, CLASS_T_CYCLES, class_t=True)
+    pack = SequencePack(3, 4, 6, 3, k_max=12)
+    thetas = [alpha(j, r, pack, basis) for j in range(1, 6) for r in (j, j + 1, j + 2)]
+    thetas += [beta(k, 3, basis.triple) for k in range(1, 9)]
+    thetas += [beta_prime(k, basis.triple) for k in range(2, 9)]
+    thetas += [gamma(j, basis) for j in (1, 2, 3)]
+    z = basis.z1[0] + basis.z1[3] + e(ring, 1, 3).differential()
+    w = basis.z1[1] - e(ring, 2, 3).differential()
+    mixed = CycleMatrix(ring, 2, 2, 1, {(0, 0): z, (0, 1): w, (1, 1): z + w})
+    assert max(len(f.terms) for f in z.coeffs.values()) >= 2 and len(z.coeffs) >= 2
+    for theta in thetas + [mixed]:
+        _assert_actions_match_reference(theta, ring)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ci_betas_match_reference(p):
+    for ring in (ci_squares_ring(3, p),
+                 QuotientRing(p, 4, [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0),
+                                     (0, 0, 0, 2)])):
+        z1 = discover_class_CI_basis(ring).z1
+        for k in range(1, 5):
+            _assert_actions_match_reference(beta(k, ring.nvars, z1), ring)

@@ -26,7 +26,7 @@ def dense_oracle(ring: QuotientRing, i_max: int) -> OracleResolution:
     p = ring.p
     D = ring.dim
     var_mults = [RingMatrix(ring, 1, 1, {(0, 0): v}).flatten()
-                 for v in ring.variables()]
+                 for v in map(ring.variable, range(ring.nvars))]
     d1 = RingMatrix(ring, 1, ring.nvars,
                     {(0, v): ring.variable(v) for v in range(ring.nvars)})
     betti = [1, ring.nvars]

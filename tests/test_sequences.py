@@ -163,8 +163,9 @@ def test_poincare_t_example():
     recombined = geometric_binomial(3, 10) * PA.diagonal()
     assert recombined == PR
     # the collapsed denominator reproduces (1+t)^n
-    from koszulres.sequences import poincare_T_denominator
-    denom = poincare_T_denominator(4, 6, 3, 10)
+    # 1 - a1 t^2 - (a2-3) t^3 - (a3-3) t^4 - t^5 - t^6 at a = (4, 6, 3)
+    denom = PowerSeries.from_terms(
+        {(0, 0): 1, (2, 0): -4, (3, 0): -3, (4, 0): 0, (5, 0): -1, (6, 0): -1}, 10)
     product = denom * PR
     assert [product.coefficient(k) for k in range(11)] == \
         [comb(3, k) for k in range(11)]
