@@ -14,7 +14,7 @@ from koszulres.sequences import (
     u_table,
 )
 
-pack = SequencePack(3, 4, 6, 3, k_max=12)
+pack = SequencePack(4, 6, 3, k_max=12)
 print("invariants a = (4, 6, 3), codepth 3")
 print("b:   ", pack.b[:7])
 print("l:   ", pack.l[:7])
@@ -36,7 +36,7 @@ m = tree_layer(3)[3]
 print(f"\nfour degrees of {m}: deg1={m.deg1} (layer), deg2={m.deg2} (shift), "
       f"deg3={m.deg3(pack)} (copies), deg4={m.deg4} (factors)")
 
-ut = u_table(4, 12, pack)
+ut = u_table(4, pack)
 print("\nu_{k,s} (graded Betti numbers over the homology algebra):")
 for k in range(5):
     row = {s: v for (kk, s), v in sorted(ut.items()) if kk == k}

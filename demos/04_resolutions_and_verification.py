@@ -10,13 +10,14 @@ independent brute-force syzygy oracle.
 import time
 
 from koszulres import SequencePack, assemble_CI, assemble_T
-from koszulres.homology import discover_class_CI_basis
-from koszulres.samples import CLASS_T_CYCLES, class_t_ring, ci_squares_ring
+from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
+from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.verifier import basis_from_strings, full_verify, oracle_resolution
 
 ring = class_t_ring()
-basis = basis_from_strings(ring, CLASS_T_CYCLES, class_t=True)
-pack = SequencePack(3, 4, 6, 3)
+cycles = class_t_ring_file().cycles
+basis = basis_from_strings(ring, cycles, class_t=True)
+pack = SequencePack(4, 6, 3)
 
 t0 = time.time()
 F = assemble_T(ring, basis, pack, i_max=7)
@@ -28,8 +29,7 @@ for b in F.blocks[5]:
     print("  " + b.label())
 
 t0 = time.time()
-report, F8, _ = full_verify(ring, "T", i_max=8, cycle_strings=CLASS_T_CYCLES,
-                            oracle_depth=6)
+report, F8, _ = full_verify(ring, "T", i_max=8, cycle_strings=cycles, oracle=True)
 print(f"\nfull verification through degree 8 in {time.time() - t0:.1f}s:")
 for s in report.sections:
     print(f"  {s.name:20s} {'pass' if s.passed else 'FAIL'}")
@@ -41,6 +41,6 @@ print("assembled ranks:     ", F8.ranks[:7])
 
 # the same machinery covers complete intersections of any codepth
 ci = ci_squares_ring(3)
-Fci = assemble_CI(ci, discover_class_CI_basis(ci), 3, i_max=6)
+Fci = assemble_CI(ci, discover_class_CI_basis(HomologyAlgebra(ci)), i_max=6)
 print(f"\n{ci!r}: ranks {Fci.ranks}")
 print("oracle agrees:", oracle_resolution(ci, 6).betti == Fci.ranks)

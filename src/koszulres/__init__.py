@@ -36,7 +36,6 @@ from .homology import (
     HomologyAlgebra,
     discover_class_CI_basis,
     discover_class_T_basis,
-    homology_ranks,
     verify_class_CI,
     verify_class_T,
 )

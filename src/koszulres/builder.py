@@ -79,13 +79,13 @@ def bracket(word: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def beta(k: int, c: int, cycles) -> CycleMatrix:
+def beta(k: int, cycles) -> CycleMatrix:
     """The b_{k-1} x b_k matrix with entry z^1_u at (v-word, u-word) whenever
-    the u-word is the sorted extension [v-word . u]."""
+    the u-word is the sorted extension [v-word . u], over the codepth
+    c = len(cycles) of the degree-1 cycles z^1_1..z^1_c."""
     if k < 0:
         raise BuildError("beta needs k >= 0")
-    if len(cycles) != c:
-        raise BuildError(f"beta over codepth {c} needs {c} degree-1 cycles")
+    c = len(cycles)
     ring = cycles[0].ring if cycles else None
     rows = words(c, k - 1)
     cols = words(c, k)
@@ -159,7 +159,7 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
     triple = basis.triple
     rows = pack.l[k - 1]
     if r == k:
-        diagonal = [(beta(k - t, 3, triple), pack.d[t]) for t in range(k)]
+        diagonal = [(beta(k - t, triple), pack.d[t]) for t in range(k)]
     elif r == k + 1:
         # the beta_1^{d_{k-1}} row group receives no beta' input: zero rows
         diagonal = [(beta_prime(k - t, triple), pack.d[t]) for t in range(k - 1)]
@@ -180,8 +180,7 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
         raise AssemblyError(
             f"alpha_{{{k},{r}}} extent mismatch: built {col} columns, "
             f"tables give {cols_expected}")
-    return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1, entries,
-                       check=False)
+    return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
     koszul = lru_cache(maxsize=None)(lambda i: koszul_differential(i, ring))
     theta = lru_cache(maxsize=None)(cycle_matrix)
     action = lru_cache(maxsize=None)(
-        lambda name, i: cycle_matrix_action(theta(name), i, ring))
+        lambda name, i: cycle_matrix_action(theta(name), i))
     diffs = []
     for blocks_lo, blocks_hi in zip(blocks, blocks[1:]):
         row_offset = {}
@@ -293,7 +292,8 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
 
     The blocks are K_i^{deg3 m} for the tree monomials m; the block of
     X_{j,r}.n carries the arrow alpha_{j,r}, repeated deg3(n) times, into the
-    block of arrow_target(X_{j,r}.n).
+    block of arrow_target(X_{j,r}.n).  The pack must tabulate k <= i_max // 2,
+    the largest first degree of a tree monomial in F_{i_max}.
 
     The degree-1 representatives outside the distinguished triple must have
     literally vanishing wedge products in K_2 (not merely vanishing classes);
@@ -307,9 +307,6 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
     if i_max < 1:
         raise BuildError("i_max must be >= 1")
     _check_literal_products(basis)
-    kmax_needed = i_max // 2 + 1
-    if pack.k_max < kmax_needed:
-        pack = SequencePack(3, pack.a1, pack.a2, pack.a3, k_max=max(12, kmax_needed))
     blocks = [_class_t_blocks(k, pack, ring.nvars) for k in range(i_max + 1)]
     regime, arrow_sign = force_regime or ("total", 1)
 
@@ -350,13 +347,13 @@ def _check_literal_products(basis: ClassTBasis):
             "products to vanish literally - adjust the representatives")
 
 
-def assemble_CI(ring: QuotientRing, basis: ClassCIBasis, c: int,
+def assemble_CI(ring: QuotientRing, basis: ClassCIBasis,
                 i_max: int = 8) -> ResolutionAssembly:
-    """Complete-intersection resolution: F_i = K_i + K_{i-2}^{b_1} + ..., with
-    Koszul differentials on the diagonal and beta_j from the block j into the
-    block j-1.  All block shifts are even, so every diagonal sign is +1."""
-    if len(basis.z1) != c:
-        raise BuildError(f"CI assembly over codepth {c} needs {c} cycles")
+    """Complete-intersection resolution over the codepth c = len(basis.z1):
+    F_i = K_i + K_{i-2}^{b_1} + ..., with Koszul differentials on the
+    diagonal and beta_j from the block j into the block j-1.  All block
+    shifts are even, so every diagonal sign is +1."""
+    c = len(basis.z1)
     blocks = [[Block(j, k - 2 * j, len(words(c, j)), 2 * j)
                for j in range(k // 2 + 1) if k - 2 * j <= ring.nvars]
               for k in range(i_max + 1)]
@@ -367,7 +364,7 @@ def assemble_CI(ring: QuotientRing, basis: ClassCIBasis, c: int,
         return b.key - 1, b.kdeg + 1, b.key, 1, 1
 
     diffs = _assemble_diffs(ring, blocks, lambda b: 1, arrow,
-                            lambda j: beta(j, c, basis.z1))
+                            lambda j: beta(j, basis.z1))
     return ResolutionAssembly("CI", ring, i_max, blocks, diffs,
                               "diagonal +1 (even shifts), beta +1")
 
@@ -458,10 +455,10 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     for k in range(1, k_max + 1):
         b_m3 = b[k - 3] if k >= 3 else 0
         dims = [b[k], 3 * b[k - 1] + b_m3]
-        maps = [np.vstack([B1.matrix(beta(k, 3, triple)), zeros(b_m3, b[k])])]
+        maps = [np.vstack([B1.matrix(beta(k, triple)), zeros(b_m3, b[k])])]
         if k >= 2:
             dims.append(3 * b[k - 2])
-            maps.append(np.hstack([B2.matrix(beta(k - 1, 3, triple), triple),
+            maps.append(np.hstack([B2.matrix(beta(k - 1, triple), triple),
                                    B2.matrix(beta_prime(k - 1, triple))]))
         out["B"][k] = FiniteComplex(f"B_{k}", k, dims, maps, p)
 
@@ -486,13 +483,12 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
             maps.append(np.hstack([A.matrix(alphas[k - 2, k - 2], H.reps[2]),
                                    A.matrix(alphas[k - 2, k])]))
         out["A"][k] = FiniteComplex(f"A_{k}", k, dims, maps, p)
-        out["decomposition"][k] = _decomposition_check(k, out, pack, a1, a2, a3)
+        out["decomposition"][k] = _decomposition_check(k, out, pack)
 
     return out
 
 
-def _decomposition_check(k: int, complexes: dict, pack: SequencePack,
-                         a1, a2, a3) -> list:
+def _decomposition_check(k: int, complexes: dict, pack: SequencePack) -> list:
     """Dimension bookkeeping of A_k = sum_i Sigma^i B_{k-i}^{d_i} +
     sum_j Sigma^{k-j} C_j^{l_{k-j}} per homological position, read from the
     dimensions of the complexes A_k and B_m built above."""
@@ -501,7 +497,7 @@ def _decomposition_check(k: int, complexes: dict, pack: SequencePack,
     for i in range(k):
         for pos, dim in _dims_by_position(complexes["B"][k - i]).items():
             rhs[pos + i] += pack.d[i] * dim
-    c_counts = {1: a1 - 3, 2: a2 - 3, 3: a3}
+    c_counts = {1: pack.a1 - 3, 2: pack.a2 - 3, 3: pack.a3}
     for j in (1, 2, 3):
         if k - j >= 0:
             for pos in (1, 0):

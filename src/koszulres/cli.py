@@ -29,7 +29,7 @@ from .exactfield import (
 )
 from .homology import ClassVerificationError, DiscoveryError, HomologyAlgebra
 from .koszul import KoszulError
-from .samples import CLASS_T_CYCLES, class_t_ring_file
+from .samples import class_t_ring_file
 from .sequences import SequencePack, poincare_CI, poincare_T, u_table
 from .verifier import full_verify, resolve_basis
 
@@ -161,7 +161,7 @@ def _check_max_degree(i_max: int) -> None:
 
 
 def _maybe_timestamp(args) -> dict:
-    if getattr(args, "no_timestamp", False):
+    if args.no_timestamp:
         return {}
     return {"generated_at": datetime.datetime.now(datetime.timezone.utc)
             .isoformat(timespec="seconds")}
@@ -185,7 +185,7 @@ def _sequence_block(pack: SequencePack, order: int) -> dict:
 
 
 def _u_block(pack: SequencePack, k_hi: int) -> dict:
-    table = u_table(k_hi, 3 * k_hi, pack)
+    table = u_table(k_hi, pack)
     return {f"{k},{s}": v for (k, s), v in sorted(table.items())}
 
 
@@ -198,7 +198,7 @@ def _series_fields(mode: str, invariants: dict, order: int, u_hi: int) -> tuple:
         _, PR = poincare_CI(invariants["c"], n, order)
         return [PR.coefficient(k) for k in range(order + 1)], {}
     a1, a2, a3 = invariants["a"][1:4]
-    pack = SequencePack(3, a1, a2, a3, k_max=max(order, 12))
+    pack = SequencePack(a1, a2, a3, k_max=max(order, 12))
     _, PR = poincare_T(a1, a2, a3, n, order)
     return ([PR.coefficient(k) for k in range(order + 1)],
             {"sequences": _sequence_block(pack, order),
@@ -221,6 +221,12 @@ def cmd_betti(args) -> int:
             except ValueError:
                 raise ExactFieldError("--class-t wants three integers a1,a2,a3") from None
             mode, codepth, invariants = "T", 3, {"a": [1, a1, a2, a3]}
+            # the three triple products are independent in A_2, and A_3 is
+            # the top of a codepth-3 algebra
+            if a2 < 3:
+                raise ExactFieldError(f"class T needs a_2 >= 3 (got {a2})")
+            if a3 < 1:
+                raise ExactFieldError(f"codepth 3 needs a_3 >= 1 (got {a3})")
         else:
             mode, codepth, invariants = "CI", args.ci, {"c": args.ci}
         n = args.n if args.n is not None else codepth
@@ -234,7 +240,7 @@ def cmd_betti(args) -> int:
             raise ExactFieldError("--n applies to raw invariants only")
         rf, ring, mode, order = _load_ring(args)
         H = HomologyAlgebra(ring)
-        mode, _, _ = resolve_basis(ring, mode, rf.cycles, H)
+        mode, _, _ = resolve_basis(H, mode, rf.cycles)
         invariants = {"n": ring.nvars, "a": [int(a) for a in H.ranks]}
         if mode == "CI":
             invariants["c"] = H.codepth
@@ -254,11 +260,9 @@ def cmd_betti(args) -> int:
 def _run_verify(args, emit_matrices: bool) -> int:
     rf, ring, mode, order = _load_ring(args)
     i_max = _max_degree(args, rf)
-    force = ("deg2", 1) if getattr(args, "sign_flip", False) else None
     report, F, _ = full_verify(
-        ring, mode, i_max, cycle_strings=rf.cycles,
-        oracle_depth=i_max if getattr(args, "oracle", False) else None,
-        force_regime=force)
+        ring, mode, i_max, cycle_strings=rf.cycles, oracle=args.oracle,
+        force_regime=("deg2", 1) if args.sign_flip else None)
     H_ranks = report.section("class_certificate").details["homology_ranks"]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -271,7 +275,7 @@ def _run_verify(args, emit_matrices: bool) -> int:
         "sign_regime": F.sign_regime,
         "blocks": F.block_inventory(),
         "verification": report.to_dict(
-            include_timings=not getattr(args, "no_timestamp", False)),
+            include_timings=not args.no_timestamp),
         **_maybe_timestamp(args),
     }
     invariants = {"n": ring.nvars, "a": H_ranks, "c": len(H_ranks) - 1}
@@ -324,10 +328,10 @@ def cmd_demo_classt(args) -> int:
     ring = build_ring(rf)
     report, F, basis = full_verify(ring, "T", i_max, cycle_strings=rf.cycles)
     a = report.section("class_certificate").details["homology_ranks"]
-    pack = SequencePack(3, *a[1:4])
+    pack = SequencePack(*a[1:4])
     print(f"ring: {ring!r}")
     print("cycles:")
-    for name, text in CLASS_T_CYCLES.items():
+    for name, text in rf.cycles.items():
         print(f"  {name} = {text}")
     print(f"a-invariants: {tuple(a)}")
     print("b:   " + ",".join(str(v) for v in pack.b[:6]))
@@ -356,7 +360,7 @@ def cmd_demo_classt(args) -> int:
         "ranks": [int(r) for r in F.ranks],
         "sign_regime": F.sign_regime,
         "verification": report.to_dict(
-            include_timings=not getattr(args, "no_timestamp", False)),
+            include_timings=not args.no_timestamp),
         **_maybe_timestamp(args),
     }
     if args.out is not None:

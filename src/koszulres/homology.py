@@ -160,13 +160,6 @@ def _extend(v, basis, pivots, p) -> bool:
     return True
 
 
-def homology_ranks(ring: QuotientRing):
-    """(a_0, ..., a_c) together with the codepth c (Artinian: c = nvars)."""
-    H = HomologyAlgebra(ring)
-    c = H.codepth
-    return tuple(H.ranks[: c + 1]), c
-
-
 # ---------------------------------------------------------------------------
 # certification data
 # ---------------------------------------------------------------------------
@@ -224,17 +217,16 @@ def _classes_matrix(H: HomologyAlgebra, elems) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
-def verify_class_T(basis: ClassTBasis, ring: QuotientRing,
-                   H: HomologyAlgebra | None = None) -> Certificate:
-    """Certify the trivial-extension multiplication table of a supplied basis.
+def verify_class_T(basis: ClassTBasis, H: HomologyAlgebra) -> Certificate:
+    """Certify the trivial-extension multiplication table of a supplied basis
+    against the Koszul homology H of its ring.
 
     Checks, in order: counts against (a_1, a_2 - 3, a_3); cycles; classes of
     z1/z3 form bases; the distinguished triple's three pairwise products plus
     the z2 classes form a basis of A_2; every other product of basis classes
     is zero in homology.
     """
-    H = H if H is not None else HomologyAlgebra(ring)
-    p = ring.p
+    p = H.ring.p
     cert = Certificate("T")
     if H.codepth != 3:
         cert.add("codepth is 3", False, f"codepth = {H.codepth}")
@@ -303,11 +295,9 @@ def verify_class_T(basis: ClassTBasis, ring: QuotientRing,
     return cert
 
 
-def verify_class_CI(basis: ClassCIBasis, ring: QuotientRing,
-                    H: HomologyAlgebra | None = None) -> Certificate:
-    """Certify that A is the exterior algebra on the classes of basis.z1."""
-    H = H if H is not None else HomologyAlgebra(ring)
-    p = ring.p
+def verify_class_CI(basis: ClassCIBasis, H: HomologyAlgebra) -> Certificate:
+    """Certify that A = H is the exterior algebra on the classes of basis.z1."""
+    p = H.ring.p
     cert = Certificate("CI")
     c = H.codepth
     a1 = H.rank(1)
@@ -345,11 +335,9 @@ class DiscoveryError(HomologyError):
     caller should supply representatives in the ring file."""
 
 
-def discover_class_CI_basis(ring: QuotientRing,
-                            H: HomologyAlgebra | None = None) -> ClassCIBasis:
-    H = H if H is not None else HomologyAlgebra(ring)
+def discover_class_CI_basis(H: HomologyAlgebra) -> ClassCIBasis:
     basis = ClassCIBasis(z1=list(H.reps[1]))
-    cert = verify_class_CI(basis, ring, H)
+    cert = verify_class_CI(basis, H)
     if not cert.passed:
         raise DiscoveryError(
             "computed homology basis is not an exterior algebra on A_1: "
@@ -369,15 +357,13 @@ def first_nonzero_outer_product(z1) -> tuple | None:
     return None
 
 
-def discover_class_T_basis(ring: QuotientRing,
-                           H: HomologyAlgebra | None = None) -> ClassTBasis:
+def discover_class_T_basis(H: HomologyAlgebra) -> ClassTBasis:
     """Greedy search for a distinguished triple among the computed A_1
     representatives.  Triples whose out-of-triple degree-1 products vanish
     literally in K_2 are preferred (the resolution assembly needs that); the
     search is best-effort and raises with a diagnostic when it fails.
     """
-    H = H if H is not None else HomologyAlgebra(ring)
-    p = ring.p
+    p = H.ring.p
     if H.codepth != 3:
         raise DiscoveryError(f"class T needs codepth 3, got {H.codepth}")
     a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
@@ -403,7 +389,7 @@ def discover_class_T_basis(ring: QuotientRing,
         if z2 is None:
             continue
         basis = ClassTBasis(z1=t + rest, z2=z2, z3=list(H.reps[3]))
-        if verify_class_T(basis, ring, H).passed:
+        if verify_class_T(basis, H).passed:
             return basis
     raise DiscoveryError(
         "no distinguished triple with independent pairwise products certifies "

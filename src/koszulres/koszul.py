@@ -137,14 +137,11 @@ class KoszulElement:
             {S: f.scale(c) for S, f in self.coeffs.items()},
         )
 
-    def wedge(self, other: "KoszulElement", strict: bool = False) -> "KoszulElement":
-        """Exterior product; overflow past K_n is the zero element unless
-        strict, in which case it raises."""
+    def wedge(self, other: "KoszulElement") -> "KoszulElement":
+        """Exterior product; overflow past K_n is the zero element."""
         assert self.ring == other.ring
         deg = self.degree + other.degree
         if deg > self.ring.nvars:
-            if strict:
-                raise KoszulError("wedge degree exceeds the number of variables")
             return KoszulElement(self.ring, self.ring.nvars)
         c: dict = {}
         for U, f in self.coeffs.items():
@@ -312,7 +309,7 @@ class CycleMatrix:
     __slots__ = ("ring", "rows", "cols", "entry_degree", "entries")
 
     def __init__(self, ring: QuotientRing, rows: int, cols: int, entry_degree: int,
-                 entries: dict | None = None, check: bool = True):
+                 entries: dict | None = None):
         self.ring = ring
         self.rows = rows
         self.cols = cols
@@ -328,7 +325,7 @@ class CycleMatrix:
                         f"entry ({r},{c}) has degree {z.degree}, expected {entry_degree}")
                 if z.is_zero():
                     continue
-                if check and id(z) not in checked and not z.is_cycle():
+                if id(z) not in checked and not z.is_cycle():
                     raise KoszulError(f"entry ({r},{c}) is not a cycle")
                 checked.add(id(z))
                 self.entries[(r, c)] = z
@@ -350,7 +347,7 @@ class CycleMatrix:
                 key = (r, c)
                 acc[key] = acc[key] + prod if key in acc else prod
         acc = {k: z for k, z in acc.items() if not z.is_zero()}
-        return CycleMatrix(self.ring, self.rows, other.cols, deg, acc, check=False)
+        return CycleMatrix(self.ring, self.rows, other.cols, deg, acc)
 
     def is_zero(self):
         return not self.entries
@@ -368,7 +365,7 @@ class CycleMatrix:
                 f"entry degree {self.entry_degree}, {len(self.entries)} nonzero)")
 
 
-def cycle_matrix_action(theta: CycleMatrix, i: int, ring: QuotientRing | None = None) -> RingMatrix:
+def cycle_matrix_action(theta: CycleMatrix, i: int) -> RingMatrix:
     """RingMatrix of (y_k) |-> (sum_k theta(s,k) ^ y_k) : K_{i-j}^v -> K_i^u.
 
     Row blocks are copy-major: copy s of K_i occupies rows
@@ -376,10 +373,7 @@ def cycle_matrix_action(theta: CycleMatrix, i: int, ring: QuotientRing | None = 
     meets every row (u, t, m, s) of the wedge table with U the u-th subset,
     giving s a std_b at (r*C(n,i) + m, c*C(n,i-j) + t).
     """
-    ring = ring if ring is not None else theta.ring
-    if ring != theta.ring:
-        raise KoszulError("ring mismatch in cycle_matrix_action")
-    j = theta.entry_degree
+    ring, j = theta.ring, theta.entry_degree
     if i < j:
         raise KoszulError(f"target degree {i} below entry degree {j}")
     n = ring.nvars
@@ -407,21 +401,20 @@ class ChainMapReport:
         return self.passed
 
 
-def verify_chain_map(theta: CycleMatrix, degrees, ring: QuotientRing | None = None) -> ChainMapReport:
+def verify_chain_map(theta: CycleMatrix, degrees) -> ChainMapReport:
     """Check d_i o theta = (-1)^j theta o d_{i-j} as RingMatrix identities,
     with the Koszul differentials repeated block-diagonally over the copies."""
-    ring = ring if ring is not None else theta.ring
-    j = theta.entry_degree
+    ring, j = theta.ring, theta.entry_degree
     checked = []
     for i in degrees:
         if i < j or i > ring.nvars:
             continue
         d_i = RingMatrix.repeat_diag(koszul_differential(i, ring), theta.rows)
-        lhs = d_i @ cycle_matrix_action(theta, i, ring)
+        lhs = d_i @ cycle_matrix_action(theta, i)
         if i - 1 >= j and 0 < i - j:
             d_src = RingMatrix.repeat_diag(koszul_differential(i - j, ring),
                                            theta.cols)
-            rhs_inner = cycle_matrix_action(theta, i - 1, ring) @ d_src
+            rhs_inner = cycle_matrix_action(theta, i - 1) @ d_src
         else:
             rhs_inner = RingMatrix.zero(
                 ring, theta.rows * len(subsets(ring.nvars, i - 1)),

@@ -3,42 +3,26 @@ fixtures, and the test suite."""
 
 from __future__ import annotations
 
-from .exactfield import QuotientRing, RingFile
+import dataclasses
+from pathlib import Path
 
-#: Cycle representatives certifying class T for the built-in example
-#: F_p[x,y,z]/(x^2, y^2, z^2, xyz); their pairwise products outside the
-#: distinguished triple vanish literally in K_2.
-CLASS_T_CYCLES = {
-    "z1_1": "x*e[1]",
-    "z1_2": "y*e[2]",
-    "z1_3": "z*e[3]",
-    "z1_4": "y*z*e[1]",
-    "z2_1": "y*z*e[1,2]",
-    "z2_2": "x*z*e[1,2]",
-    "z2_3": "y*z*e[1,3]",
-    "z3_1": "y*z*e[1,2,3]",
-    "z3_2": "x*z*e[1,2,3]",
-    "z3_3": "x*y*e[1,2,3]",
-}
+from .exactfield import QuotientRing, RingFile, build_ring, parse_ring_file
+
+
+def class_t_ring_file(p: int = 32003, i_max: int = 7) -> RingFile:
+    """The shipped `data/classT_example.ring`: k[x,y,z]/(x^2,y^2,z^2,xyz) with
+    cycle representatives certifying class T (their pairwise products
+    outside the distinguished triple vanish literally in K_2), read with the
+    characteristic p and max_degree i_max."""
+    rf = parse_ring_file(
+        (Path(__file__).with_name("data") / "classT_example.ring").read_text())
+    return dataclasses.replace(rf, characteristic=p, max_degree=i_max)
 
 
 def class_t_ring(p: int = 32003) -> QuotientRing:
     """The codepth-3 almost complete intersection k[x,y,z]/(x^2,y^2,z^2,xyz),
     the smallest class-T example (a = (1, 4, 6, 3))."""
-    return QuotientRing(p, 3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)],
-                        names=["x", "y", "z"])
-
-
-def class_t_ring_file(p: int = 32003, i_max: int = 7) -> RingFile:
-    return RingFile(
-        characteristic=p,
-        variables=["x", "y", "z"],
-        ideal=["x^2", "y^2", "z^2", "x*y*z"],
-        mode="T",
-        max_degree=i_max,
-        series_order=10,
-        cycles=dict(CLASS_T_CYCLES),
-    )
+    return build_ring(class_t_ring_file(p))
 
 
 def ci_squares_ring(n: int, p: int = 32003) -> QuotientRing:
@@ -50,4 +34,3 @@ def ci_squares_ring(n: int, p: int = 32003) -> QuotientRing:
         gens.append(tuple(e))
     names = ["x", "y", "z"][:n] if n <= 3 else None
     return QuotientRing(p, n, gens, names=names)
-

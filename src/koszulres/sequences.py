@@ -24,23 +24,21 @@ class SequenceError(ValueError):
 
 
 class SequencePack:
-    """Memoized tables b_k, l_k, d_k, l'_k, l''_k for given (c, a1, a2, a3).
+    """Memoized tables b_k, l_k, d_k, l'_k, l''_k, k <= k_max, for the class-T
+    invariants (a1, a2, a3).
 
-    b_k = C(k+c-1, c-1) is the codepth-c word count; the l-family follows
+    b_k = C(k+2, 2) is the codepth-3 word count; the l-family follows
         l_k  = sum_{i<=k} b_{k-i} d_i,   d_0 = 1,  d_k = (a1-3) l_{k-1},
         l'_0 = 0,  l'_k = l_{k-2} + (a2-3) l_{k-1},
         l''_0 = 0, l''_k = a3 l_{k-1},
     and l_{k,r} relabels (l, l', l'') at r = k, k+1, k+2.
     """
 
-    def __init__(self, c: int, a1: int, a2: int, a3: int, k_max: int = 12):
-        if c < 1:
-            raise SequenceError(f"codepth must be >= 1, got {c}")
+    def __init__(self, a1: int, a2: int, a3: int, k_max: int = 12):
         if a1 < 3:
             raise SequenceError(f"class T needs a1 >= 3, got a1 = {a1}")
-        self.c = c
         self.k_max = k_max
-        self.b = [comb(k + c - 1, c - 1) for k in range(k_max + 1)]
+        self.b = [comb(k + 2, 2) for k in range(k_max + 1)]
         self.a1, self.a2, self.a3 = a1, a2, a3
         self.l = [1]
         self.d = [1]
@@ -175,21 +173,19 @@ def arrow_target(m: TreeMonomial) -> TreeMonomial:
     return TreeMonomial(((j - 1, j - 1),) + tail.factors)
 
 
-def u_table(k_max: int, s_max: int, pack: SequencePack) -> dict:
-    """u_{k,s} by tree enumeration, cross-checked for every k against the
-    graded Poincare series coefficients and for k <= 3 against the closed
-    forms of the small cases; a mismatch aborts."""
+def u_table(k_max: int, pack: SequencePack) -> dict:
+    """u_{k,s} for k <= k_max (and so s <= 3k) by tree enumeration,
+    cross-checked for every k against the graded Poincare series
+    coefficients and for k <= 3 against the closed forms of the small cases;
+    a mismatch aborts."""
     table: dict = {(0, 0): 1}
     for k in range(1, k_max + 1):
         for m in tree_layer(k):
-            s = m.deg2
-            if s > s_max:
-                continue
-            key = (k, s)
+            key = (k, m.deg2)
             table[key] = table.get(key, 0) + m.deg3(pack)
     series, _ = poincare_T(pack.a1, pack.a2, pack.a3, n=3, order=k_max)
     for k in range(k_max + 1):
-        for s in range(min(s_max, 3 * k) + 1):
+        for s in range(3 * k + 1):
             got = table.get((k, s), 0)
             want = series.coefficient(k, s)
             if got != want:
@@ -197,7 +193,7 @@ def u_table(k_max: int, s_max: int, pack: SequencePack) -> dict:
                     f"u table cross-check failed at (k,s)=({k},{s}): "
                     f"tree gives {got}, series gives {want}")
     for (k, s), want in _u_closed_forms(pack).items():
-        if k <= k_max and s <= s_max and table.get((k, s), 0) != want:
+        if k <= k_max and table.get((k, s), 0) != want:
             raise SequenceError(
                 f"u table cross-check failed at (k,s)=({k},{s}): "
                 f"tree gives {table.get((k, s), 0)}, closed form gives {want}")

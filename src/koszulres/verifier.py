@@ -113,7 +113,7 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 
-def check_complex(F: ResolutionAssembly, ring: QuotientRing) -> CheckSection:
+def check_complex(F: ResolutionAssembly) -> CheckSection:
     """d_i . d_{i+1} = 0 as RingMatrix products for every consecutive pair."""
     t0 = time.time()
     for i in range(1, F.i_max):
@@ -141,7 +141,7 @@ def _block_coord(F: ResolutionAssembly, k: int, flat_index: int) -> str:
     return f"F_{k} index {flat_index}"
 
 
-def check_minimality(F: ResolutionAssembly, ring: QuotientRing) -> CheckSection:
+def check_minimality(F: ResolutionAssembly) -> CheckSection:
     """Every entry of every differential lies in the maximal ideal."""
     t0 = time.time()
     for i in range(1, F.i_max + 1):
@@ -156,16 +156,15 @@ def check_minimality(F: ResolutionAssembly, ring: QuotientRing) -> CheckSection:
                         {"degrees_checked": F.i_max}, seconds=time.time() - t0)
 
 
-def check_exactness(F: ResolutionAssembly, ring: QuotientRing,
-                    i_max: int | None = None) -> CheckSection:
-    """Vanishing homology of the flattened complex in degrees 1..i_max-1 and
-    a one-dimensional cokernel at degree 0.
+def check_exactness(F: ResolutionAssembly) -> CheckSection:
+    """Vanishing homology of the flattened complex in degrees 1..F.i_max-1
+    and a one-dimensional cokernel at degree 0.
 
     The rank of each flattened d_i is the sum of the ranks of its connected
     blocks (`RingMatrix.flat_blocks`), so the dense flat matrix is never
     formed; the peak footprint is the nonzero list and blocks of one d_i."""
     t0 = time.time()
-    i_max = i_max if i_max is not None else F.i_max
+    ring, i_max = F.ring, F.i_max
     p = ring.p
     ranks = {}
     cols = {}
@@ -351,11 +350,10 @@ _BASIS_KINDS = {
 }
 
 
-def resolve_basis(ring: QuotientRing, mode: str, cycle_strings: dict,
-                  H: HomologyAlgebra):
-    """(mode, basis, certificate): the basis is read from the supplied
-    representatives or discovered, then certified; a failed certificate
-    raises ClassVerificationError."""
+def resolve_basis(H: HomologyAlgebra, mode: str, cycle_strings: dict):
+    """(mode, basis, certificate) over the ring of the Koszul homology H: the
+    basis is read from the supplied representatives or discovered, then
+    certified; a failed certificate raises ClassVerificationError."""
     if mode == "auto":
         c = H.codepth
         if all(H.rank(i) == comb(c, i) for i in range(c + 1)):
@@ -369,9 +367,9 @@ def resolve_basis(ring: QuotientRing, mode: str, cycle_strings: dict,
     if mode not in _BASIS_KINDS:
         raise ValueError(f"unknown mode {mode!r}")
     discover, certify = _BASIS_KINDS[mode]
-    basis = (basis_from_strings(ring, cycle_strings, class_t=mode == "T")
-             if cycle_strings else discover(ring, H))
-    cert = certify(basis, ring, H)
+    basis = (basis_from_strings(H.ring, cycle_strings, class_t=mode == "T")
+             if cycle_strings else discover(H))
+    cert = certify(basis, H)
     if not cert.passed:
         raise ClassVerificationError(_cert_message(mode, cert))
     return mode, basis, cert
@@ -408,45 +406,49 @@ def basis_from_strings(ring, cycle_strings, class_t: bool):
 
 
 def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
-                cycle_strings: dict | None = None, oracle_depth: int | None = None,
+                cycle_strings: dict | None = None, oracle: bool = False,
                 force_regime: tuple | None = None) -> tuple:
     """Run the whole pipeline: class certification, assembly, complex /
     minimality / exactness checks, series cross-checks, graded-level
-    exactness (class T), and optionally the oracle comparison.
+    exactness (class T), and optionally the oracle comparison through i_max.
+    force_regime (see assemble_T) applies to class T only; on a complete
+    intersection it raises ValueError.
 
     Returns (report, assembly, basis).
     """
     report = VerificationReport()
     H = HomologyAlgebra(ring)
-    mode, basis, cert = resolve_basis(ring, mode, cycle_strings or {}, H)
+    mode, basis, cert = resolve_basis(H, mode, cycle_strings or {})
+    if force_regime is not None and mode != "T":
+        raise ValueError(f"a forced sign regime applies to class T only, "
+                         f"not to mode {mode}")
     report.add(CheckSection(
         "class_certificate", cert.passed,
         {"kind": mode, "checks": len(cert.checks),
          "homology_ranks": [int(a) for a in H.ranks]}))
     if mode == "T":
         a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
-        pack = SequencePack(3, a1, a2, a3, k_max=max(12, i_max))
+        pack = SequencePack(a1, a2, a3, k_max=max(12, i_max))
         _, PR = poincare_T(a1, a2, a3, ring.nvars, i_max)
         F = assemble_T(ring, basis, pack, i_max, force_regime=force_regime)
         complexes = graded_A_complexes(min(5, max(2, i_max // 2 + 1)), basis, pack, H)
         report.add(check_graded_exactness(complexes))
     else:
-        c = H.codepth
-        _, PR = poincare_CI(c, ring.nvars, i_max)
-        F = assemble_CI(ring, basis, c, i_max)
+        _, PR = poincare_CI(H.codepth, ring.nvars, i_max)
+        F = assemble_CI(ring, basis, i_max)
     report.sign_regime = F.sign_regime
     report.exactness_range = (0, i_max)
     expected = [PR.coefficient(k) for k in range(i_max + 1)]
     report.add(check_block_ranks(F, expected))
-    report.add(check_complex(F, ring))
-    report.add(check_minimality(F, ring))
-    report.add(check_exactness(F, ring, i_max))
-    if oracle_depth:
-        oracle = oracle_resolution(ring, oracle_depth)
-        ok = oracle.betti == F.ranks[: oracle_depth + 1]
+    report.add(check_complex(F))
+    report.add(check_minimality(F))
+    report.add(check_exactness(F))
+    if oracle:
+        betti = oracle_resolution(ring, i_max).betti
+        ok = betti == F.ranks
         report.add(CheckSection(
             "oracle", ok,
-            {"oracle_betti": [int(x) for x in oracle.betti],
-             "assembled": [int(x) for x in F.ranks[: oracle_depth + 1]]},
+            {"oracle_betti": [int(x) for x in betti],
+             "assembled": [int(x) for x in F.ranks]},
             failure=None if ok else "oracle Betti numbers disagree"))
     return report, F, basis

@@ -3,13 +3,13 @@ import pytest
 from koszulres.exactfield import QuotientRing
 from koszulres.homology import ClassTBasis, HomologyAlgebra
 from koszulres.koszul import parse_koszul_element
-from koszulres.samples import CLASS_T_CYCLES, class_t_ring, ci_squares_ring
+from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
 
 
 def make_class_t_basis(ring):
     cyc = {name: parse_koszul_element(text, ring)
-           for name, text in CLASS_T_CYCLES.items()}
+           for name, text in class_t_ring_file().cycles.items()}
     return ClassTBasis(
         z1=[cyc[f"z1_{i}"] for i in range(1, 5)],
         z2=[cyc[f"z2_{i}"] for i in range(1, 4)],
@@ -40,7 +40,7 @@ def homology_t(ring_t):
 
 @pytest.fixture(scope="session")
 def pack_t():
-    return SequencePack(3, 4, 6, 3, k_max=12)
+    return SequencePack(4, 6, 3, k_max=12)
 
 
 @pytest.fixture(scope="session")

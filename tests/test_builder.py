@@ -52,15 +52,15 @@ def test_words_and_bracket():
 
 
 def test_beta_1_2_3_displayed(basis_t, names_t):
-    b1 = beta(1, 3, basis_t.triple)
+    b1 = beta(1, basis_t.triple)
     assert grid(b1, names_t) == [["z1_1", "z1_2", "z1_3"]]
-    b2 = beta(2, 3, basis_t.triple)
+    b2 = beta(2, basis_t.triple)
     assert grid(b2, names_t) == [
         ["z1_1", "z1_2", "z1_3", "0", "0", "0"],
         ["0", "z1_1", "0", "z1_2", "z1_3", "0"],
         ["0", "0", "z1_1", "0", "z1_2", "z1_3"],
     ]
-    b3 = beta(3, 3, basis_t.triple)
+    b3 = beta(3, basis_t.triple)
     assert (b3.rows, b3.cols) == (6, 10)
     assert grid(b3, names_t) == [
         ["z1_1", "z1_2", "z1_3", "0", "0", "0", "0", "0", "0", "0"],
@@ -70,7 +70,7 @@ def test_beta_1_2_3_displayed(basis_t, names_t):
         ["0", "0", "0", "0", "z1_1", "0", "0", "z1_2", "z1_3", "0"],
         ["0", "0", "0", "0", "0", "z1_1", "0", "0", "z1_2", "z1_3"],
     ]
-    b0 = beta(0, 3, basis_t.triple)
+    b0 = beta(0, basis_t.triple)
     assert (b0.rows, b0.cols) == (0, 1) and b0.is_zero()
 
 
@@ -102,7 +102,7 @@ def test_beta_prime_displayed(basis_t):
 def right_inverse_holds(triple, kmax=6):
     vol = triple[0].wedge(triple[1]).wedge(triple[2])
     for k in range(1, kmax + 1):
-        prod = beta(k, 3, triple) @ beta_prime(k + 1, triple)
+        prod = beta(k, triple) @ beta_prime(k + 1, triple)
         for i in range(prod.rows):
             for j in range(prod.cols):
                 entry = prod.entries.get((i, j))
@@ -233,7 +233,7 @@ def test_diff2_structure(assembly_t, ring_t, basis_t, pack_t):
         .koszul_differential(2, ring_t), 1)
     for (i, j), f in expected_left.entries.items():
         assert d2.entry(i, j) == f
-    act = cycle_matrix_action(alpha(1, 1, pack_t, basis_t), 1, ring_t)
+    act = cycle_matrix_action(alpha(1, 1, pack_t, basis_t), 1)
     for (i, j), f in act.entries.items():
         assert d2.entry(i, 3 + j) == f
 
@@ -257,8 +257,7 @@ def test_diff5_block_pattern(assembly_t, ring_t, basis_t, pack_t):
                 assert target[1] > ring_t.nvars  # K_i = 0 there
                 continue
             (r0, r1), (c0, c1) = rows[target], cols[(b.key, b.kdeg)]
-            act = cycle_matrix_action(alpha(j, r, pack_t, basis_t), target[1],
-                                      ring_t)
+            act = cycle_matrix_action(alpha(j, r, pack_t, basis_t), target[1])
             expected = RingMatrix.repeat_diag(act, tail.deg3(pack_t))
             assert (r1 - r0, c1 - c0) == (expected.rows, expected.cols)
             got = {(i - r0, jj - c0): f for (i, jj), f in d.entries.items()
@@ -306,12 +305,12 @@ def test_literal_product_precondition(ring_t, basis_t, pack_t):
 
 
 def test_assemble_ci_ranks_and_blocks(ring_ci3, ring_x):
-    basis = discover_class_CI_basis(ring_ci3)
-    F = assemble_CI(ring_ci3, basis, 3, i_max=6)
+    basis = discover_class_CI_basis(HomologyAlgebra(ring_ci3))
+    F = assemble_CI(ring_ci3, basis, i_max=6)
     assert F.ranks == [1, 3, 6, 10, 15, 21, 28]
     # hypersurface: F_i = K_i + K_{i-2} + ... intersected with 0 <= kdeg <= 1
-    bx = discover_class_CI_basis(ring_x)
-    Fx = assemble_CI(ring_x, bx, 1, i_max=6)
+    bx = discover_class_CI_basis(HomologyAlgebra(ring_x))
+    Fx = assemble_CI(ring_x, bx, i_max=6)
     assert Fx.ranks == [1] * 7
     assert [(b.key, b.kdeg) for b in Fx.blocks[4]] == [(2, 0)]
     assert [(b.key, b.kdeg) for b in Fx.blocks[5]] == [(2, 1)]
@@ -319,15 +318,15 @@ def test_assemble_ci_ranks_and_blocks(ring_ci3, ring_x):
 
 def test_assemble_ci_diff3_blocks(ring_ci3):
     # d^F_3 block pattern: (d_3, beta_1-action; 0, d_1^{b_1})
-    basis = discover_class_CI_basis(ring_ci3)
-    F = assemble_CI(ring_ci3, basis, 3, i_max=4)
+    basis = discover_class_CI_basis(HomologyAlgebra(ring_ci3))
+    F = assemble_CI(ring_ci3, basis, i_max=4)
     d3 = F.diff(3)
     from koszulres.koszul import koszul_differential
     top_left = koszul_differential(3, ring_ci3)  # K_3 col -> K_2 row, offsets 0
     for (i, j), f in top_left.entries.items():
         assert d3.entry(i, j) == f
     # beta_1 arrow: K_1^{b_1} (cols from 1) -> K_2 (rows from 0)
-    act = cycle_matrix_action(beta(1, 3, basis.z1), 2, ring_ci3)
+    act = cycle_matrix_action(beta(1, basis.z1), 2)
     assert (act.rows, act.cols) == (3, 9)
     for (i, j), f in act.entries.items():
         assert d3.entry(i, 1 + j) == f
@@ -366,7 +365,7 @@ GRADED_DIGESTS = {
 def test_graded_maps_golden(p):
     ring = class_t_ring(p=p)
     out = graded_A_complexes(5, make_class_t_basis(ring),
-                             SequencePack(3, 4, 6, 3, k_max=12),
+                             SequencePack(4, 6, 3, k_max=12),
                              HomologyAlgebra(ring))
     h = hashlib.sha256()
     for family in ("B", "C", "A"):
@@ -382,7 +381,7 @@ def test_graded_maps_golden(p):
 def test_coordinates_outside_span_raise(basis_t, homology_t):
     # B_1 is spanned by the classes of the triple; z1_4 lies outside it
     B1 = _Coordinates(homology_t, basis_t.triple)
-    assert (B1.matrix(beta(1, 3, basis_t.triple)) == np.eye(3, dtype=np.int64)).all()
+    assert (B1.matrix(beta(1, basis_t.triple)) == np.eye(3, dtype=np.int64)).all()
     with pytest.raises(BuildError, match="expected subspace"):
         B1.matrix(gamma(1, basis_t))
 

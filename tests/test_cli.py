@@ -172,6 +172,39 @@ def test_verify_golden(tmp_path, case):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+ONE_HOMOLOGY_ARGS = {
+    "verify-classT": ("verify", "--ring", str(CLASS_T), "--max-degree", "4"),
+    "verify-ci3": ("verify", "--ring", str(CI3), "--max-degree", "4"),
+    "verify-auto": ("verify", "--max-degree", "2"),
+    "betti-classT": ("betti", "--ring", str(CLASS_T)),
+    "betti-ci3": ("betti", "--ring", str(CI3)),
+    "betti-auto": ("betti",),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_HOMOLOGY_ARGS))
+def test_one_homology_algebra_per_run(tmp_path, monkeypatch, capsys, case):
+    # the Koszul homology of the ring is computed once and shared by
+    # classification, discovery and certification
+    from koszulres.homology import HomologyAlgebra
+    built = []
+    init = HomologyAlgebra.__init__
+
+    def counted(self, ring):
+        built.append(ring)
+        init(self, ring)
+
+    monkeypatch.setattr(HomologyAlgebra, "__init__", counted)
+    argv = ONE_HOMOLOGY_ARGS[case]
+    if case.endswith("auto"):  # discovery of a class-T basis
+        ring = tmp_path / "generated.ring"
+        ring.write_text("characteristic = 32003\nvariables = x, y, z\n"
+                        "ideal = x^4, y^4, z^4, x^2*y^2*z^2\nmode = auto\n")
+        argv += ("--ring", str(ring))
+    assert run(*argv, "--no-timestamp") == 0
+    assert len(built) == 1
+
+
 def test_char_override(tmp_path):
     out = tmp_path / "p2.json"
     assert run("verify", "--ring", str(CLASS_T), "--max-degree", "4",
@@ -188,6 +221,17 @@ def test_demo_classt(capsys):
     assert "y*z*e[1,2]" in out           # gamma_2 entry values
     assert "alpha_{2,2}" in out
     assert "suspected typo" in out
+
+
+# sha256 of the whole `demo-classt --max-degree 4 --no-timestamp` stdout:
+# the ring, cycles, sequence tables, alpha grids, Betti numbers and checks
+DEMO_CLASST_DIGEST = "688e901c6db9aa3e2ffcaa018ba80a451be5d4f40ac2cfa5175768fa29216b1e"
+
+
+def test_demo_classt_golden(capsys):
+    assert run("demo-classt", "--max-degree", "4", "--no-timestamp") == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_CLASST_DIGEST
 
 
 def test_demo_betti_through_465(capsys):
@@ -280,6 +324,19 @@ def test_betti_raw_refuses_n_below_codepth(capsys, argv):
     assert "below the codepth" in captured.err
     assert captured.out == ""
 
+@pytest.mark.parametrize("invariants, message", [
+    ("4,2,3", "class T needs a_2 >= 3 (got 2)"),
+    ("4,6,-1", "codepth 3 needs a_3 >= 1 (got -1)"),
+    ("4,6,0", "codepth 3 needs a_3 >= 1 (got 0)"),
+])
+def test_betti_raw_class_t_refuses_impossible_invariants(capsys, invariants, message):
+    # the three triple products are independent in A_2, and A_3 != 0
+    assert run("betti", "--class-t", invariants, "--no-timestamp") == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 IGNORED_OPTION_ARGS = {
     "betti-class-t-and-ci": ("betti", "--class-t", "4,6,3", "--ci", "2"),
     "betti-ci-and-ring": ("betti", "--ci", "3", "--ring", str(CLASS_T)),
@@ -333,6 +390,18 @@ def test_exit_code_class_failure(capsys):
 def test_exit_code_math_failure(tmp_path):
     assert run("verify", "--ring", str(CLASS_T), "--max-degree", "4",
                "--sign-flip", "--no-timestamp") == 4
+
+
+@pytest.mark.parametrize("mode", ["CI", "auto"])
+@pytest.mark.parametrize("command", ["verify", "resolve"])
+def test_sign_flip_refused_on_ci(capsys, command, mode):
+    # the forced sign regime is a class-T negative control; a complete
+    # intersection would ignore it and pass every check
+    assert run(command, "--ring", str(CI3), "--mode", mode, "--max-degree", "2",
+               "--sign-flip", "--no-timestamp") == 2
+    captured = capsys.readouterr()
+    assert "class T only, not to mode CI" in captured.err
+    assert captured.out == ""
 
 
 def test_exit_code_literal_product_failure(tmp_path, capsys):

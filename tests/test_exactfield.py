@@ -19,7 +19,7 @@ from koszulres.exactfield import (
     serialize_ring_file,
     solve_mod,
 )
-from koszulres.samples import CLASS_T_CYCLES, class_t_ring
+from koszulres.samples import class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
 from koszulres.verifier import basis_from_strings
 
@@ -204,9 +204,10 @@ def test_product_matches_reference_on_differentials(p):
     # the class-T resolution (d^2 = 0), the wrong diagonal sign (nonzero
     # products) and a two-term degree-1 cycle (multi-term entries)
     ring = class_t_ring(p)
-    pack = SequencePack(3, 4, 6, 3, k_max=12)
-    for cycles, regime in ((CLASS_T_CYCLES, None), (CLASS_T_CYCLES, ("deg2", 1)),
-                           (dict(CLASS_T_CYCLES, z1_1="x*e[1] + y*e[2]"), None)):
+    pack = SequencePack(4, 6, 3, k_max=12)
+    cycles_t = class_t_ring_file().cycles
+    for cycles, regime in ((cycles_t, None), (cycles_t, ("deg2", 1)),
+                           (dict(cycles_t, z1_1="x*e[1] + y*e[2]"), None)):
         F = assemble_T(ring, basis_from_strings(ring, cycles, class_t=True), pack,
                        5, force_regime=regime)
         nonzero = False

@@ -7,7 +7,7 @@ import pytest
 from koszulres.builder import assemble_CI, assemble_T
 from koszulres.exactfield import QuotientRing, RingMatrix, rank_mod
 from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
-from koszulres.samples import CLASS_T_CYCLES, ci_squares_ring, class_t_ring
+from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
 from koszulres.verifier import (
     basis_from_strings,
@@ -22,29 +22,29 @@ ACIT_GENS = [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)]
 
 def _class_t(ring, cycles, i_max):
     basis = basis_from_strings(ring, cycles, class_t=True)
-    return assemble_T(ring, basis, SequencePack(3, 4, 6, 3, k_max=12), i_max)
+    return assemble_T(ring, basis, SequencePack(4, 6, 3, k_max=12), i_max)
 
 
 def _acit(p):
     ring = QuotientRing(p, 3, ACIT_GENS, names=["x", "y", "z"])
     H = HomologyAlgebra(ring)
-    _, basis, _ = resolve_basis(ring, "auto", {}, H)
+    _, basis, _ = resolve_basis(H, "auto", {})
     a1, a2, a3 = H.ranks[1:4]
-    return assemble_T(ring, basis, SequencePack(3, a1, a2, a3, k_max=12), 3)
+    return assemble_T(ring, basis, SequencePack(a1, a2, a3, k_max=12), 3)
 
 
 def _ci3(p):
     ring = ci_squares_ring(3, p=p)
-    return assemble_CI(ring, discover_class_CI_basis(ring), 3, 6)
+    return assemble_CI(ring, discover_class_CI_basis(HomologyAlgebra(ring)), 6)
 
 
 ASSEMBLIES = {
-    "classT-i7": lambda p: _class_t(class_t_ring(p), CLASS_T_CYCLES, 7),
+    "classT-i7": lambda p: _class_t(class_t_ring(p), class_t_ring_file().cycles, 7),
     "ci3-i6": _ci3,
     "acit-i3": _acit,
     # a two-term degree-1 cycle: its entries merge monomial blocks
     "classT-mixed-i7": lambda p: _class_t(
-        class_t_ring(p), dict(CLASS_T_CYCLES, z1_1="x*e[1] + y*e[2]"), 7),
+        class_t_ring(p), dict(class_t_ring_file().cycles, z1_1="x*e[1] + y*e[2]"), 7),
 }
 
 
@@ -82,8 +82,8 @@ def test_flat_blocks_of_zero_matrix(ring_t):
 
 def test_exactness_to_degree_10(ring_t):
     # the dense flat d_10 is 17591 x 40894 int64, beyond an 8 GB machine
-    F = _class_t(ring_t, CLASS_T_CYCLES, 10)
-    section = check_exactness(F, ring_t)
+    F = _class_t(ring_t, class_t_ring_file().cycles, 10)
+    section = check_exactness(F)
     assert section.passed
     ranks = section.details["flat_ranks"]
     assert [ranks[i] for i in range(1, 10)] == [6, 15, 34, 78, 181, 421, 979, 2276, 5291]

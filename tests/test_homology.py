@@ -10,7 +10,6 @@ from koszulres.homology import (
     HomologyError,
     discover_class_CI_basis,
     discover_class_T_basis,
-    homology_ranks,
     verify_class_CI,
     verify_class_T,
 )
@@ -19,15 +18,20 @@ from koszulres.samples import ci_squares_ring, class_t_ring
 from conftest import make_class_t_basis
 
 
+def ranks_and_codepth(ring):
+    H = HomologyAlgebra(ring)
+    return tuple(H.ranks[: H.codepth + 1]), H.codepth
+
+
 def test_homology_ranks_class_t(ring_t):
-    ranks, c = homology_ranks(ring_t)
+    ranks, c = ranks_and_codepth(ring_t)
     assert ranks == (1, 4, 6, 3)
     assert c == 3
 
 
 def test_homology_ranks_ci(ring_ci3, ring_ci2):
-    assert homology_ranks(ring_ci3) == ((1, 3, 3, 1), 3)
-    assert homology_ranks(ring_ci2) == ((1, 2, 1), 2)
+    assert ranks_and_codepth(ring_ci3) == ((1, 3, 3, 1), 3)
+    assert ranks_and_codepth(ring_ci2) == ((1, 2, 1), 2)
 
 
 def test_boundary_class_is_zero(ring_t, homology_t):
@@ -119,7 +123,7 @@ def test_product_overflow_is_empty(ring_t, homology_t, basis_t):
 # -- certification -----------------------------------------------------------
 
 def test_verify_class_t_passes(ring_t, homology_t, basis_t):
-    cert = verify_class_T(basis_t, ring_t, homology_t)
+    cert = verify_class_T(basis_t, homology_t)
     assert cert.passed
     descriptions = [c.description for c in cert.checks]
     assert any("distinguished products" in d for d in descriptions)
@@ -127,14 +131,14 @@ def test_verify_class_t_passes(ring_t, homology_t, basis_t):
 
 def test_verify_class_t_passes_p2(ring_t2):
     basis = make_class_t_basis(ring_t2)
-    assert verify_class_T(basis, ring_t2).passed
+    assert verify_class_T(basis, HomologyAlgebra(ring_t2)).passed
 
 
 def test_verify_class_t_swapped_triple_fails(ring_t, homology_t, basis_t):
     z1 = list(basis_t.z1)
     z1[0], z1[3] = z1[3], z1[0]
     bad = ClassTBasis(z1=z1, z2=basis_t.z2, z3=basis_t.z3)
-    cert = verify_class_T(bad, ring_t, homology_t)
+    cert = verify_class_T(bad, homology_t)
     assert not cert.passed
     assert any("independent" in c.description for c in cert.failures())
 
@@ -144,7 +148,7 @@ def test_verify_class_t_on_ci_ring_fails(ring_ci3):
     z = [parse_koszul_element(f"{nm}*e[{u}]", ring_ci3)
          for u, nm in enumerate(ring_ci3.names, start=1)]
     bad = ClassTBasis(z1=z, z2=[], z3=[parse_koszul_element("x*y*z*e[1,2,3]", ring_ci3)])
-    cert = verify_class_T(bad, ring_ci3)
+    cert = verify_class_T(bad, HomologyAlgebra(ring_ci3))
     assert not cert.passed
 
 
@@ -152,19 +156,19 @@ def test_verify_class_ci_passes(ring_ci3):
     basis = ClassCIBasis(z1=[
         parse_koszul_element(f"{nm}*e[{u}]", ring_ci3)
         for u, nm in enumerate(ring_ci3.names, start=1)])
-    cert = verify_class_CI(basis, ring_ci3)
+    cert = verify_class_CI(basis, HomologyAlgebra(ring_ci3))
     assert cert.passed
 
 
 def test_verify_class_ci_count_gate(ring_ci3):
     basis = ClassCIBasis(z1=[parse_koszul_element("x*e[1]", ring_ci3)])
-    cert = verify_class_CI(basis, ring_ci3)
+    cert = verify_class_CI(basis, HomologyAlgebra(ring_ci3))
     assert not cert.passed
     assert "codepth" in cert.checks[0].description
 
 
 def test_class_t_ring_fed_as_ci_fails(ring_t, homology_t, basis_t):
-    cert = verify_class_CI(ClassCIBasis(z1=basis_t.z1), ring_t, homology_t)
+    cert = verify_class_CI(ClassCIBasis(z1=basis_t.z1), homology_t)
     assert not cert.passed
 
 
@@ -172,23 +176,23 @@ def test_class_t_ring_fed_as_ci_fails(ring_t, homology_t, basis_t):
 
 def test_discover_ci_basis(ring_ci3, ring_ci2):
     for ring in (ring_ci3, ring_ci2):
-        basis = discover_class_CI_basis(ring)
-        assert verify_class_CI(basis, ring).passed
+        H = HomologyAlgebra(ring)
+        assert verify_class_CI(discover_class_CI_basis(H), H).passed
 
 
 def test_discover_ci_fails_on_class_t(ring_t, homology_t):
     with pytest.raises(DiscoveryError):
-        discover_class_CI_basis(ring_t, homology_t)
+        discover_class_CI_basis(homology_t)
 
 
 def test_discover_class_t_basis(ring_t, homology_t):
-    basis = discover_class_T_basis(ring_t, homology_t)
-    assert verify_class_T(basis, ring_t, homology_t).passed
+    basis = discover_class_T_basis(homology_t)
+    assert verify_class_T(basis, homology_t).passed
 
 
 def test_discover_class_t_rejects_ci(ring_ci2):
     with pytest.raises(DiscoveryError):
-        discover_class_T_basis(ring_ci2)
+        discover_class_T_basis(HomologyAlgebra(ring_ci2))
 
 
 def test_ranks_dimension_bookkeeping(ring_t, homology_t):

@@ -17,8 +17,8 @@ from koszulres.koszul import (
     wedge_table,
 )
 from koszulres.builder import alpha, beta, beta_prime, gamma
-from koszulres.homology import discover_class_CI_basis
-from koszulres.samples import CLASS_T_CYCLES, ci_squares_ring, class_t_ring
+from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
+from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
 from koszulres.verifier import basis_from_strings
 
@@ -149,9 +149,6 @@ def test_wedge_overflow(ring_t):
     a = _random_element(ring_t, 2)
     b = _random_element(ring_t, 2)
     assert a.wedge(b).is_zero()
-    if not (a.is_zero() or b.is_zero()):
-        with pytest.raises(KoszulError):
-            a.wedge(b, strict=True)
 
 
 def test_parse_roundtrip(ring_t):
@@ -190,7 +187,7 @@ def test_cycle_matrix_rejects_non_cycle(ring_t):
 def test_cycle_matrix_action_row_of_cycles(ring_t, basis_t):
     theta = CycleMatrix(ring_t, 1, 4, 1,
                         {(0, j): z for j, z in enumerate(basis_t.z1)})
-    act = cycle_matrix_action(theta, 1, ring_t)
+    act = cycle_matrix_action(theta, 1)
     assert (act.rows, act.cols) == (3, 4)
     # unit vectors map to x e_1, y e_2, z e_3, yz e_1
     for j, want in enumerate(["x*e[1]", "y*e[2]", "z*e[3]", "y*z*e[1]"]):
@@ -201,10 +198,10 @@ def test_cycle_matrix_action_row_of_cycles(ring_t, basis_t):
 
 def test_cycle_matrix_action_zero_and_top(ring_t, basis_t):
     Z = CycleMatrix(ring_t, 2, 3, 1)
-    assert cycle_matrix_action(Z, 2, ring_t).is_zero()
+    assert cycle_matrix_action(Z, 2).is_zero()
     g3 = CycleMatrix(ring_t, 1, 3, 3,
                      {(0, j): z for j, z in enumerate(basis_t.z3)})
-    act = cycle_matrix_action(g3, 3, ring_t)
+    act = cycle_matrix_action(g3, 3)
     assert (act.rows, act.cols) == (1, 3)
     vals = [act.entry(0, j).to_string(ring_t.names) for j in range(3)]
     assert vals == ["y*z", "x*z", "x*y"]
@@ -212,23 +209,24 @@ def test_cycle_matrix_action_zero_and_top(ring_t, basis_t):
 
 def test_action_respects_matrix_product(ring_t, basis_t, pack_t):
     # action(theta theta') = action(theta) action(theta') on beta_k beta'_{k+1}
-    bk = beta(2, 3, basis_t.triple)
+    bk = beta(2, basis_t.triple)
     bpk = beta_prime(3, basis_t.triple)
     prod = bk @ bpk
-    lhs = cycle_matrix_action(prod, 3, ring_t)
-    rhs = cycle_matrix_action(bk, 3, ring_t) @ cycle_matrix_action(bpk, 2, ring_t)
+    lhs = cycle_matrix_action(prod, 3)
+    rhs = cycle_matrix_action(bk, 3) @ cycle_matrix_action(bpk, 2)
     assert lhs == rhs
 
 
 def test_verify_chain_map_alpha(ring_t, basis_t, pack_t):
     theta = alpha(1, 1, pack_t, basis_t)
-    report = verify_chain_map(theta, range(1, 4), ring_t)
+    report = verify_chain_map(theta, range(1, 4))
     assert report.passed and report.degrees == [1, 2, 3]
 
 
 def test_verify_chain_map_detects_non_cycle(ring_t):
-    bad = CycleMatrix(ring_t, 1, 1, 1, {(0, 0): e(ring_t, 1)}, check=False)
-    report = verify_chain_map(bad, range(1, 4), ring_t)
+    bad = CycleMatrix(ring_t, 1, 1, 1)
+    bad.entries[(0, 0)] = e(ring_t, 1)  # past the constructor's cycle check
+    report = verify_chain_map(bad, range(1, 4))
     assert not report.passed
     assert report.failure is not None
 
@@ -305,7 +303,7 @@ def test_koszul_differential_matches_reference(p):
 
 def _assert_actions_match_reference(theta, ring):
     for i in range(theta.entry_degree, ring.nvars + 1):
-        act = cycle_matrix_action(theta, i, ring)
+        act = cycle_matrix_action(theta, i)
         assert act == reference_cycle_matrix_action(theta, i, ring), (theta, i)
 
 
@@ -315,10 +313,10 @@ def test_class_t_actions_match_reference(p):
     # degree 8, and a matrix of cycles with several subsets and monomials
     # per entry
     ring = class_t_ring(p)
-    basis = basis_from_strings(ring, CLASS_T_CYCLES, class_t=True)
-    pack = SequencePack(3, 4, 6, 3, k_max=12)
+    basis = basis_from_strings(ring, class_t_ring_file().cycles, class_t=True)
+    pack = SequencePack(4, 6, 3, k_max=12)
     thetas = [alpha(j, r, pack, basis) for j in range(1, 6) for r in (j, j + 1, j + 2)]
-    thetas += [beta(k, 3, basis.triple) for k in range(1, 9)]
+    thetas += [beta(k, basis.triple) for k in range(1, 9)]
     thetas += [beta_prime(k, basis.triple) for k in range(2, 9)]
     thetas += [gamma(j, basis) for j in (1, 2, 3)]
     z = basis.z1[0] + basis.z1[3] + e(ring, 1, 3).differential()
@@ -334,6 +332,6 @@ def test_ci_betas_match_reference(p):
     for ring in (ci_squares_ring(3, p),
                  QuotientRing(p, 4, [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0),
                                      (0, 0, 0, 2)])):
-        z1 = discover_class_CI_basis(ring).z1
+        z1 = discover_class_CI_basis(HomologyAlgebra(ring)).z1
         for k in range(1, 5):
-            _assert_actions_match_reference(beta(k, ring.nvars, z1), ring)
+            _assert_actions_match_reference(beta(k, z1), ring)

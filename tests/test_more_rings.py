@@ -45,13 +45,13 @@ def test_class_t_family_discovery_and_assembly(gens, p):
     ring = QuotientRing(p, 3, gens, names=["x", "y", "z"])
     H = HomologyAlgebra(ring)
     assert tuple(H.ranks) == (1, 4, 6, 3)
-    basis = discover_class_T_basis(ring, H)
-    pack = SequencePack(3, 4, 6, 3, k_max=10)
+    basis = discover_class_T_basis(H)
+    pack = SequencePack(4, 6, 3, k_max=10)
     F = assemble_T(ring, basis, pack, i_max=5)
     assert F.ranks == [1, 3, 7, 16, 37, 86]
-    assert check_complex(F, ring).passed
-    assert check_minimality(F, ring).passed
-    assert check_exactness(F, ring).passed
+    assert check_complex(F).passed
+    assert check_minimality(F).passed
+    assert check_exactness(F).passed
 
 
 def test_class_t_family_oracle_cross_check():
@@ -64,10 +64,11 @@ def test_non_class_t_rejected():
     ring = QuotientRing(32003, 3,
                         [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)],
                         names=["x", "y", "z"])
+    H = HomologyAlgebra(ring)
     with pytest.raises(DiscoveryError):
-        discover_class_T_basis(ring)
+        discover_class_T_basis(H)
     with pytest.raises(DiscoveryError):
-        discover_class_CI_basis(ring)
+        discover_class_CI_basis(H)
 
 
 def test_ci_codepth_4():
@@ -77,12 +78,12 @@ def test_ci_codepth_4():
         e[v] = 2
         gens.append(tuple(e))
     ring = QuotientRing(32003, 4, gens)
-    basis = discover_class_CI_basis(ring)
-    F = assemble_CI(ring, basis, 4, i_max=5)
+    basis = discover_class_CI_basis(HomologyAlgebra(ring))
+    F = assemble_CI(ring, basis, i_max=5)
     _, PR = poincare_CI(4, 4, 5)
     assert F.ranks == [PR.coefficient(k) for k in range(6)]
-    assert check_complex(F, ring).passed
-    assert check_exactness(F, ring).passed
+    assert check_complex(F).passed
+    assert check_exactness(F).passed
     assert oracle_resolution(ring, 5).betti == F.ranks
 
 
@@ -90,18 +91,18 @@ def test_ci_mixed_pure_powers():
     # k[x,y]/(x^3, y^4): still a complete intersection, dim 12
     ring = QuotientRing(32003, 2, [(3, 0), (0, 4)], names=["x", "y"])
     assert ring.dim == 12
-    basis = discover_class_CI_basis(ring)
-    F = assemble_CI(ring, basis, 2, i_max=6)
+    basis = discover_class_CI_basis(HomologyAlgebra(ring))
+    F = assemble_CI(ring, basis, i_max=6)
     assert F.ranks == [1, 2, 3, 4, 5, 6, 7]
-    assert check_complex(F, ring).passed
-    assert check_exactness(F, ring).passed
+    assert check_complex(F).passed
+    assert check_exactness(F).passed
     assert oracle_resolution(ring, 6).betti == F.ranks
 
 
 def test_hypersurface_higher_power():
     ring = QuotientRing(32003, 1, [(5,)], names=["x"])
-    basis = discover_class_CI_basis(ring)
-    F = assemble_CI(ring, basis, 1, i_max=8)
+    basis = discover_class_CI_basis(HomologyAlgebra(ring))
+    F = assemble_CI(ring, basis, i_max=8)
     assert F.ranks == [1] * 9
-    assert check_exactness(F, ring).passed
+    assert check_exactness(F).passed
     assert oracle_resolution(ring, 8).betti == [1] * 9

@@ -12,7 +12,7 @@ from koszulres.exactfield import (
     mod_matmul,
     rref_mod,
 )
-from koszulres.samples import CLASS_T_CYCLES, ci_squares_ring, class_t_ring
+from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
 from koszulres.verifier import OracleResolution, basis_from_strings, oracle_resolution
 
@@ -104,8 +104,8 @@ def test_oracle_matches_dense(case, p):
 
 def test_oracle_class_t_depth_10(ring_t):
     # the dense oracle needed 788 MB at depth 8 and about 4 GB at depth 9
-    basis = basis_from_strings(ring_t, CLASS_T_CYCLES, class_t=True)
-    F = assemble_T(ring_t, basis, SequencePack(3, 4, 6, 3, k_max=12), 10)
+    basis = basis_from_strings(ring_t, class_t_ring_file().cycles, class_t=True)
+    F = assemble_T(ring_t, basis, SequencePack(4, 6, 3, k_max=12), 10)
     oracle = oracle_resolution(ring_t, 10)
     assert oracle.betti == F.ranks
     assert oracle.betti[-2:] == [2513, 5842]

@@ -48,14 +48,14 @@ def test_l_ks_relabeling(pack_t):
 
 
 def test_a1_equals_3_collapses_to_ci():
-    pack = SequencePack(3, 3, 5, 2, k_max=8)
+    pack = SequencePack(3, 5, 2, k_max=8)
     assert pack.d[1:] == [0] * 8
     assert pack.l == pack.b
 
 
 def test_class_t_needs_a1_at_least_3():
     with pytest.raises(SequenceError):
-        SequencePack(3, 2, 6, 3)
+        SequencePack(2, 6, 3)
 
 
 def test_closed_forms_example_and_random_triples(pack_t):
@@ -64,7 +64,7 @@ def test_closed_forms_example_and_random_triples(pack_t):
         a1 = rng.randrange(3, 12)
         a2 = rng.randrange(0, 12)
         a3 = rng.randrange(0, 12)
-        pack = SequencePack(3, a1, a2, a3, k_max=5)
+        pack = SequencePack(a1, a2, a3, k_max=5)
         report = closed_form_check(pack)
         assert all(ok for *_, ok in report), (a1, a2, a3, report)
 
@@ -117,7 +117,7 @@ def test_arrow_targets():
 # -- u table -----------------------------------------------------------------
 
 def test_u_table_example_values(pack_t):
-    ut = u_table(3, 9, pack_t)
+    ut = u_table(3, pack_t)
     l, p_, q = pack_t.l, pack_t.lp, pack_t.lpp
     assert ut[(1, 1)] == l[1] == 4
     assert ut[(1, 2)] == p_[1] == 3
@@ -130,7 +130,7 @@ def test_u_table_example_values(pack_t):
 
 
 def test_u_table_matches_series_through_k5(pack_t):
-    ut = u_table(5, 15, pack_t)
+    ut = u_table(5, pack_t)
     PA, _ = poincare_T(4, 6, 3, 3, 5)
     for k in range(6):
         for s in range(3 * k + 1):
@@ -193,7 +193,7 @@ def test_poincare_ci():
 
 def test_rank_formula_from_u_table(pack_t):
     # rank F_i = sum_j C(n, i-j) * sum_{k+s=j} u_{k,s}
-    ut = u_table(5, 15, pack_t)
+    ut = u_table(5, pack_t)
     _, PR = poincare_T(4, 6, 3, 3, 10)
     totals = {}
     for (k, s), v in ut.items():
@@ -212,6 +212,6 @@ def test_generating_functions(pack_t):
     assert [f.coefficient(k) for k in range(9)] == \
         [comb(k + 2, 2) for k in range(9)]
     # d-series: coefficient k of t(a1-3)f + 1 equals d_k
-    pack = SequencePack(3, 5, 6, 3, k_max=8)
+    pack = SequencePack(5, 6, 3, k_max=8)
     _, _, _, dser5 = class_t_generating_functions(5, 6, 3, 8)
     assert [dser5.coefficient(k) for k in range(9)] == pack.d[:9]

@@ -8,10 +8,11 @@ from koszulres.exactfield import RingMatrix
 from koszulres.homology import (
     ClassVerificationError,
     DiscoveryError,
+    HomologyAlgebra,
     discover_class_CI_basis,
 )
 from koszulres.koszul import koszul_differential
-from koszulres.samples import CLASS_T_CYCLES
+from koszulres.samples import class_t_ring_file
 from koszulres.verifier import (
     check_complex,
     check_exactness,
@@ -29,30 +30,30 @@ def assembly_t(ring_t, basis_t, pack_t):
 
 @pytest.fixture(scope="module")
 def assembly_ci2(ring_ci2):
-    basis = discover_class_CI_basis(ring_ci2)
-    return assemble_CI(ring_ci2, basis, 2, i_max=6)
+    basis = discover_class_CI_basis(HomologyAlgebra(ring_ci2))
+    return assemble_CI(ring_ci2, basis, i_max=6)
 
 
 # -- complex / minimality / exactness ----------------------------------------
 
 def test_check_complex_passes(assembly_t, assembly_ci2, ring_t, ring_ci2):
-    assert check_complex(assembly_t, ring_t).passed
-    assert check_complex(assembly_ci2, ring_ci2).passed
+    assert check_complex(assembly_t).passed
+    assert check_complex(assembly_ci2).passed
 
 
 def test_check_complex_sign_flip_fails(ring_t, basis_t, pack_t):
     F = assemble_T(ring_t, basis_t, pack_t, i_max=4, force_regime=("total", -1))
     # a GLOBAL phi flip is a chain isomorphism, so it still passes ...
-    assert check_complex(F, ring_t).passed
+    assert check_complex(F).passed
     # ... but the wrong diagonal sign rule genuinely breaks the complex
     Fbad = assemble_T(ring_t, basis_t, pack_t, i_max=4, force_regime=("deg2", 1))
-    section = check_complex(Fbad, ring_t)
+    section = check_complex(Fbad)
     assert not section.passed
     assert "d_2 d_3" in section.failure and "block" in section.failure
 
 
 def test_check_minimality(assembly_t, ring_t):
-    assert check_minimality(assembly_t, ring_t).passed
+    assert check_minimality(assembly_t).passed
     # Koszul differentials alone are minimal
     for i in range(1, 4):
         assert koszul_differential(i, ring_t).first_unit_entry() is None
@@ -62,12 +63,12 @@ def test_check_minimality(assembly_t, ring_t):
     bad = RingMatrix(ring_t, d1.rows, d1.cols,
                      dict(d1.entries) | {(0, 0): ring_t.one()})
     doctored.differentials = [bad] + assembly_t.differentials[1:]
-    section = check_minimality(doctored, ring_t)
+    section = check_minimality(doctored)
     assert not section.passed and "unit" in section.failure
 
 
-def test_check_exactness(assembly_t, ring_t):
-    section = check_exactness(assembly_t, ring_t)
+def test_check_exactness(assembly_t):
+    section = check_exactness(assembly_t)
     assert section.passed
     assert section.details["h0_dimension"] == 1
     assert all(v == 0 for v in section.details["homology"].values())
@@ -88,7 +89,7 @@ def test_check_exactness_detects_dropped_block(ring_t, basis_t, pack_t):
     doctored.differentials[4] = RingMatrix(
         ring_t, d5.rows - width, d5.cols,
         {k: v for k, v in d5.entries.items() if k[0] < d5.rows - width})
-    section = check_exactness(doctored, ring_t, i_max=5)
+    section = check_exactness(doctored)
     assert not section.passed
     assert "degree 3" in section.failure
 
@@ -96,8 +97,8 @@ def test_check_exactness_detects_dropped_block(ring_t, basis_t, pack_t):
 def test_negative_controls_hit_one_check_each(ring_t, basis_t, pack_t):
     # the rejected sign regime fails the complex check but nothing else
     Fbad = assemble_T(ring_t, basis_t, pack_t, i_max=4, force_regime=("deg2", 1))
-    assert not check_complex(Fbad, ring_t).passed
-    assert check_minimality(Fbad, ring_t).passed
+    assert not check_complex(Fbad).passed
+    assert check_minimality(Fbad).passed
 
 
 # -- graded complexes --------------------------------------------------------
@@ -149,7 +150,7 @@ def test_oracle_deterministic(ring_ci2):
 
 def test_full_verify_class_t(ring_t):
     report, F, basis = full_verify(ring_t, "T", i_max=6,
-                                   cycle_strings=CLASS_T_CYCLES, oracle_depth=5)
+                                   cycle_strings=class_t_ring_file().cycles, oracle=True)
     assert report.passed
     names = [s.name for s in report.sections]
     assert names == ["class_certificate", "graded_exactness", "betti_vs_series",
@@ -167,7 +168,7 @@ def test_full_verify_auto_detects_class(ring_t, ring_ci3):
     report, F, _ = full_verify(ring_ci3, "auto", i_max=4)
     assert F.mode == "CI" and report.passed
     report, F, _ = full_verify(ring_t, "auto", i_max=4,
-                               cycle_strings=CLASS_T_CYCLES)
+                               cycle_strings=class_t_ring_file().cycles)
     assert F.mode == "T" and report.passed
 
 
@@ -178,7 +179,7 @@ def test_full_verify_wrong_mode_fails_early(ring_t):
 
 def test_full_verify_forced_regime_reports_math_failure(ring_t):
     report, F, _ = full_verify(ring_t, "T", i_max=4,
-                               cycle_strings=CLASS_T_CYCLES,
+                               cycle_strings=class_t_ring_file().cycles,
                                force_regime=("deg2", 1))
     assert not report.passed
     failing = [s.name for s in report.sections if not s.passed]
