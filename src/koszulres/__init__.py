@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .exactfield import (
     ExactFieldError,
     Monomial,
-    Polynomial,
     QuotientRing,
     RingFile,
     RingMatrix,

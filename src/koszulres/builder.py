@@ -252,10 +252,10 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
     the Koszul differential, and, when arrow(block) = (target_key,
     target_kdeg, name, reps, sign) is given, to the block (target_key,
     target_kdeg) of F_{k-1} by sign times the wedge action of
-    cycle_matrix(name), repeated reps times down the diagonal.  Each of these
-    matrices is built once per call, on first use."""
+    cycle_matrix(name), repeated reps times down the diagonal.  Each cycle
+    matrix and action is built once per call, on first use; the Koszul
+    differentials are cached by koszul_differential itself."""
     n = ring.nvars
-    koszul = lru_cache(maxsize=None)(lambda i: koszul_differential(i, ring))
     theta = lru_cache(maxsize=None)(cycle_matrix)
     action = lru_cache(maxsize=None)(
         lambda name, i: cycle_matrix_action(theta(name), i))
@@ -271,8 +271,8 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
         for b in blocks_hi:
             tgt = row_offset.get((b.key, b.kdeg - 1))
             if tgt is not None:
-                terms.append(koszul(b.kdeg).shifted_terms(tgt, col, b.copies,
-                                                          diag_sign(b)))
+                terms.append(koszul_differential(b.kdeg, ring).shifted_terms(
+                    tgt, col, b.copies, diag_sign(b)))
             spec = arrow(b)
             if spec is not None:
                 target_key, target_kdeg, name, reps, sign = spec

@@ -227,6 +227,11 @@ def cmd_betti(args) -> int:
                 raise ExactFieldError(f"class T needs a_2 >= 3 (got {a2})")
             if a3 < 1:
                 raise ExactFieldError(f"codepth 3 needs a_3 >= 1 (got {a3})")
+            # the Euler characteristic 1 - a_1 + a_2 - a_3 of K vanishes
+            if a2 != a1 + a3 - 1:
+                raise ExactFieldError(
+                    f"codepth 3 needs a_2 = a_1 + a_3 - 1 (got a_2 = {a2}, "
+                    f"a_1 + a_3 - 1 = {a1 + a3 - 1})")
         else:
             mode, codepth, invariants = "CI", args.ci, {"c": args.ci}
         n = args.n if args.n is not None else codepth
@@ -284,7 +289,7 @@ def _run_verify(args, emit_matrices: bool) -> int:
     doc.update(extra)
     if emit_matrices:
         doc["matrices"] = {
-            f"d_{i}": _matrix_dump(F.diff(i), ring) for i in range(1, i_max + 1)
+            f"d_{i}": _matrix_dump(F.diff(i)) for i in range(1, i_max + 1)
         }
     text = _emit(doc, args)
     for s in report.sections:
@@ -296,14 +301,11 @@ def _run_verify(args, emit_matrices: bool) -> int:
     return EXIT_OK if report.passed else EXIT_MATH
 
 
-def _matrix_dump(M, ring):
+def _matrix_dump(M):
     return {
         "rows": M.rows,
         "cols": M.cols,
-        "entries": {
-            f"{i},{j}": f.to_string(ring.names)
-            for (i, j), f in sorted(M.entries.items())
-        },
+        "entries": {f"{i},{j}": f for (i, j), f in M.entries.items()},
     }
 
 

@@ -1,11 +1,10 @@
-"""Exact arithmetic: multivariate polynomials, Artinian monomial quotient
-rings, and F_p linear algebra.
+"""Exact arithmetic: Artinian monomial quotient rings and F_p linear algebra.
 
 Everything downstream reduces to two primitives implemented here:
 
-* normal forms in R = k[x_1..x_n]/I for a monomial ideal I containing a pure
-  power of every variable (so R is a finite dimensional k-vector space with
-  the standard monomials as basis), and
+* products of standard monomials in R = k[x_1..x_n]/I for a monomial ideal I
+  containing a pure power of every variable (so R is a finite dimensional
+  k-vector space with the standard monomials as basis), and
 * exact rank / kernel / echelon computations over F_p, all done by one
   int64 eliminator, `rref_mod`.  Its products are at most (p-1)^2 and must
   fit int64, so the characteristic is bounded by MAX_CHARACTERISTIC =
@@ -18,7 +17,9 @@ int64 above; no floating point value leaves this module un-reduced.
 A matrix over R (`RingMatrix`) is one sorted int64 array of terms (row,
 column, standard-monomial index, coefficient).  Its products and its
 flattening to F_p multiply monomials through one table,
-`QuotientRing.product`: the index of std_a * std_b, or -1 for zero.
+`QuotientRing.product`: the index of std_a * std_b, or -1 for zero.  Every
+element of R in this library is a list of such terms; `term_string` prints
+one term, in the syntax that ring files and cycle strings are written in.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def is_prime(m: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# monomials (plain exponent tuples) and polynomials
+# monomials (plain exponent tuples)
 # ---------------------------------------------------------------------------
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -88,96 +89,6 @@ def mono_key(m: Monomial):
     return (mono_degree(m), tuple(-e for e in m))
 
 
-class Polynomial:
-    """Sparse multivariate polynomial over F_p: dict {exponent tuple: coeff}.
-
-    Stored coefficients are nonzero and reduced mod p.  Instances are treated
-    as immutable; all operations return fresh objects.
-    """
-
-    __slots__ = ("nvars", "p", "terms")
-
-    def __init__(self, nvars: int, p: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.p = p
-        if terms:
-            self.terms = {m: c % p for m, c in terms.items() if c % p}
-        else:
-            self.terms = {}
-
-    @classmethod
-    def zero(cls, nvars: int, p: int) -> "Polynomial":
-        return cls(nvars, p)
-
-    @classmethod
-    def monomial(cls, m: Monomial, nvars: int, p: int, c: int = 1) -> "Polynomial":
-        return cls(nvars, p, {tuple(m): c})
-
-    @classmethod
-    def variable(cls, v: int, nvars: int, p: int) -> "Polynomial":
-        e = [0] * nvars
-        e[v] = 1
-        return cls(nvars, p, {tuple(e): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "Polynomial"):
-        if self.nvars != other.nvars or self.p != other.p:
-            raise ExactFieldError("polynomial arithmetic across different rings")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, 0) + c
-        return Polynomial(self.nvars, self.p, t)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, 0) - c
-        return Polynomial(self.nvars, self.p, t)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, self.p, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.nvars, self.p, {m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        t: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                t[m] = t.get(m, 0) + c1 * c2
-        return Polynomial(self.nvars, self.p, t)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
-
-    def __repr__(self):
-        return f"Polynomial({self.to_string(default_names(self.nvars))})"
-
-    def to_string(self, names: Sequence[str]) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            monomial_to_string(m, names) if c == 1
-            else f"{c}*{monomial_to_string(m, names)}" if any(m) else str(c)
-            for m, c in self.sorted_terms())
-
-
 def default_names(n: int) -> list[str]:
     if n <= 3:
         return list("xyz"[:n])
@@ -195,8 +106,7 @@ class QuotientRing:
     them, so that x_1..x_n minimally generate the maximal ideal.
 
     The standard monomials (those divisible by no generator) form the ordered
-    k-basis; normal form of a monomial is itself or zero, which makes the
-    reduction a pure divisibility test.
+    k-basis; a monomial outside it lies in I, so it is zero in R.
     """
 
     def __init__(self, p: int, nvars: int, ideal_gens: Iterable[Monomial],
@@ -267,36 +177,10 @@ class QuotientRing:
         out.sort(key=mono_key)
         return out
 
-    # -- elements ----------------------------------------------------------
-
-    def zero(self) -> Polynomial:
-        return Polynomial.zero(self.nvars, self.p)
-
-    def one(self) -> Polynomial:
-        return Polynomial.monomial((0,) * self.nvars, self.nvars, self.p)
-
-    def variable(self, v: int) -> Polynomial:
-        return Polynomial.variable(v, self.nvars, self.p)
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        """Project onto the span of standard monomials (k-linear, idempotent)."""
-        if f.nvars != self.nvars:
-            raise ExactFieldError("variable count mismatch in normal_form")
-        if f.p != self.p:
-            raise ExactFieldError("characteristic mismatch in normal_form")
-        t = {m: c for m, c in f.terms.items() if m in self.basis_index}
-        return Polynomial(self.nvars, self.p, t)
-
-    def element_from_vector(self, vec) -> Polynomial:
-        t = {m: int(vec[i]) for i, m in enumerate(self.std_basis) if int(vec[i]) % self.p}
-        return Polynomial(self.nvars, self.p, t)
-
-    def vector_from_element(self, f: Polynomial) -> np.ndarray:
-        nf = self.normal_form(f)
-        v = np.zeros(self.dim, dtype=np.int64)
-        for m, c in nf.terms.items():
-            v[self.basis_index[m]] = c
-        return v
+    @cached_property
+    def std_strings(self) -> list[str]:
+        """The standard monomials printed with the ring's variable names."""
+        return [monomial_to_string(m, self.names) for m in self.std_basis]
 
     @cached_property
     def product(self) -> np.ndarray:
@@ -315,15 +199,16 @@ class QuotientRing:
         return np.where(table[:D] == D, -1, table[:D])
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, QuotientRing)
             and self.p == other.p
             and self.nvars == other.nvars
             and self.ideal_gens == other.ideal_gens
+            and self.names == other.names
         )
 
     def __hash__(self):
-        return hash((self.p, self.nvars, tuple(self.ideal_gens)))
+        return hash((self.p, self.nvars, tuple(self.ideal_gens), tuple(self.names)))
 
     def __repr__(self):
         gens = ", ".join(monomial_to_string(g, self.names) for g in self.ideal_gens)
@@ -344,37 +229,31 @@ class RingMatrix:
 
     __slots__ = ("ring", "rows", "cols", "terms")
 
-    def __init__(self, ring: QuotientRing, rows: int, cols: int,
-                 entries: dict | None = None):
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
-        parts = []
-        for (i, j), f in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ExactFieldError(f"entry ({i},{j}) outside {rows}x{cols}")
-            parts += [(i, j, ring.basis_index[m], c)
-                      for m, c in ring.normal_form(f).terms.items()]
-        self.terms = RingMatrix.from_terms(ring, rows, cols, parts).terms
-
     @classmethod
     def from_terms(cls, ring, rows, cols, terms) -> "RingMatrix":
         """The matrix summing the term rows (i, j, b, c), given in any order
         and with any integer coefficient c."""
         t = np.asarray(terms, dtype=np.int64).reshape(-1, 4)
         key = (t[:, 0] * cols + t[:, 1]) * ring.dim + t[:, 2]
-        order = np.argsort(key)
-        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-        u = np.take(t, order[starts], axis=0)  # np.take: faster than t[...]
-        u[:, 3] = np.add.reduceat(np.take(t[:, 3], order) % ring.p, starts) % ring.p
+        order = key.argsort()
+        key = key[order]
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        # array methods, not np.take / np.diff / np.flatnonzero: most calls
+        # here sum a handful of terms, where the module functions' overhead
+        # is most of the cost
+        u = t.take(order[starts], axis=0)
+        u[:, 3] = np.add.reduceat(t[:, 3].take(order) % ring.p, starts) % ring.p
         M = cls.__new__(cls)
         M.ring, M.rows, M.cols = ring, rows, cols
-        M.terms = np.take(u, np.flatnonzero(u[:, 3]), axis=0)
+        M.terms = u.take(u[:, 3].nonzero()[0], axis=0)
         return M
 
     @classmethod
     def zero(cls, ring, rows, cols):
-        return cls(ring, rows, cols)
+        return cls.from_terms(ring, rows, cols, ())
 
     def shifted_terms(self, r0: int, c0: int, copies: int, sign: int) -> np.ndarray:
         """Term rows of `copies` diagonal copies of sign * self, the first
@@ -392,15 +271,13 @@ class RingMatrix:
 
     @property
     def entries(self) -> MappingProxyType:
-        """Read-only {(i, j): Polynomial} view of the nonzero entries."""
-        ring, out = self.ring, {}
+        """Read-only {(i, j): printed entry} view of the nonzero entries:
+        each is its terms, in standard-monomial order, printed by
+        term_string and joined by ' + '."""
+        out: dict = {}
         for i, j, b, c in self.terms.tolist():
-            out.setdefault((i, j), {})[ring.std_basis[b]] = c
-        return MappingProxyType({ij: Polynomial(ring.nvars, ring.p, t)
-                                 for ij, t in out.items()})
-
-    def entry(self, i, j) -> Polynomial:
-        return self.entries.get((i, j), self.ring.zero())
+            out.setdefault((i, j), []).append(term_string(self.ring, b, c))
+        return MappingProxyType({ij: " + ".join(t) for ij, t in out.items()})
 
     def is_zero(self) -> bool:
         return not len(self.terms)
@@ -423,7 +300,8 @@ class RingMatrix:
         o = other.terms
         x, y = join_sorted(t, o[:, 0])  # x-th term of self meets y-th of other
         m = self.ring.product[a[x], o[y, 2]]
-        x, y, m = x[m >= 0], y[m >= 0], m[m >= 0]
+        keep = (m >= 0).nonzero()[0]
+        x, y, m = x[keep], y[keep], m[keep]
         return RingMatrix.from_terms(
             self.ring, self.rows, other.cols,
             np.column_stack([i[x], o[y, 1], m, c[x] * o[y, 3] % self.ring.p]))
@@ -506,10 +384,10 @@ class RingMatrix:
 def join_sorted(keys: np.ndarray, sorted_keys: np.ndarray):
     """Every pair (x, y) with keys[x] == sorted_keys[y], for an ascending
     sorted_keys: grouped by x in ascending order, y ascending in each group."""
-    lo = np.searchsorted(sorted_keys, keys, side="left")
-    n = np.searchsorted(sorted_keys, keys, side="right") - lo
-    x = np.repeat(np.arange(len(keys)), n)
-    return x, np.arange(len(x)) + np.repeat(lo - np.cumsum(n) + n, n)
+    lo = sorted_keys.searchsorted(keys, side="left")
+    n = sorted_keys.searchsorted(keys, side="right") - lo
+    x = np.arange(len(keys)).repeat(n)
+    return x, np.arange(len(x)) + (lo - n.cumsum() + n).repeat(n)
 
 
 def _component_labels(u: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -700,6 +578,12 @@ def monomial_to_string(m: Monomial, names: Sequence[str]) -> str:
         elif e > 1:
             parts.append(f"{names[v]}^{e}")
     return "*".join(parts) if parts else "1"
+
+
+def term_string(ring: QuotientRing, b: int, c: int) -> str:
+    """The term c * std_b: '2*x*y', 'x*y' when c = 1, '2' when std_b = 1."""
+    mono = ring.std_strings[b]
+    return mono if c == 1 else f"{c}*{mono}" if b else str(c)
 
 
 def parse_ring_file(text: str) -> RingFile:

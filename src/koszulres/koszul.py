@@ -13,10 +13,12 @@ Conventions fixed once and used everywhere:
 With these choices d(a ^ b) = da ^ b + (-1)^{deg a} a ^ db, and a matrix
 theta of degree-j cycles satisfies d_i o theta = (-1)^j theta o d_{i-j}.
 
+An element of K_i is its coordinate column, a C(n, i) x 1 RingMatrix, so
+every product of ring elements goes through `QuotientRing.product`.
 `wedge_table` is the sign rule behind every Koszul matrix: it lists the
-nonzero products e_U ^ e_T of basis elements, and both the differentials
-(d_i multiplies by x_v where e_v ^ e_T = s e_S) and the wedge actions of
-cycle matrices are joins of matrix terms against it.
+nonzero products e_U ^ e_T of basis elements, and the differentials (d_i
+multiplies by x_v where e_v ^ e_T = s e_S), the wedge product of elements
+and the wedge actions of cycle matrices are joins of terms against it.
 """
 
 from __future__ import annotations
@@ -25,16 +27,16 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .exactfield import (
-    Polynomial,
     QuotientRing,
     RingMatrix,
     join_sorted,
-    monomial_to_string,
     parse_monomial_string,
+    term_string,
 )
 
 
@@ -60,27 +62,19 @@ def subset_index(n: int, i: int) -> dict:
     return {S: k for k, S in enumerate(subsets(n, i))}
 
 
-def wedge_sign(U: tuple, T: tuple):
-    """(sign, merged subset) for e_U ^ e_T, or (0, None) on overlap."""
-    if set(U) & set(T):
-        return 0, None
-    inversions = sum(1 for u in U for t in T if u > t)
-    merged = tuple(sorted(U + T))
-    return (-1) ** inversions, merged
-
-
 @lru_cache(maxsize=None)
 def wedge_table(n: int, j: int, i: int) -> np.ndarray:
     """The nonzero products of basis elements K_j x K_i -> K_{i+j}: one
     read-only int64 row (u, t, m, s) per e_U ^ e_T = s e_S, where U, T and S
-    are the u-th, t-th and m-th subsets of sizes j, i and i + j.  Rows are
-    sorted by (u, t); built on first use."""
+    are the u-th, t-th and m-th subsets of sizes j, i and i + j, and s is -1
+    to the number of pairs in U x T out of order (e_U ^ e_T = 0 when U and T
+    meet).  Rows are sorted by (u, t); built on first use."""
     dst, rows = subset_index(n, i + j), []
     for u, U in enumerate(subsets(n, j)):
         for t, T in enumerate(subsets(n, i)):
-            s, S = wedge_sign(U, T)
-            if s:
-                rows.append((u, t, dst[S], s))
+            if not set(U) & set(T):
+                inversions = sum(a > b for a in U for b in T)
+                rows.append((u, t, dst[tuple(sorted(U + T))], (-1) ** inversions))
     table = np.array(rows, dtype=np.int64).reshape(-1, 4)
     table.flags.writeable = False
     return table
@@ -92,38 +86,38 @@ def wedge_table(n: int, j: int, i: int) -> np.ndarray:
 
 
 class KoszulElement:
-    """Homogeneous element of K_i: dict {subset: Polynomial in normal form}."""
+    """Homogeneous element of K_i, stored as its coordinate column `col`: a
+    C(n, i) x 1 RingMatrix whose term (t, 0, b, c) is c std_b e_T, with T
+    the t-th subset.  Instances are immutable."""
 
-    __slots__ = ("ring", "degree", "coeffs")
+    __slots__ = ("ring", "degree", "col", "_is_cycle")
 
-    def __init__(self, ring: QuotientRing, degree: int, coeffs: dict | None = None):
+    def __init__(self, ring: QuotientRing, degree: int, col: RingMatrix | None = None):
         if degree < 0 or degree > ring.nvars:
             raise KoszulError(f"degree {degree} outside [0, {ring.nvars}]")
+        rows = len(subsets(ring.nvars, degree))
+        if col is None:
+            col = RingMatrix.zero(ring, rows, 1)
+        elif (col.rows, col.cols) != (rows, 1):
+            raise KoszulError(f"a degree-{degree} element is a {rows} x 1 column")
         self.ring = ring
         self.degree = degree
-        self.coeffs = {}
-        if coeffs:
-            for S, f in coeffs.items():
-                if len(S) != degree:
-                    raise KoszulError(f"subset {S} has wrong size for degree {degree}")
-                g = ring.normal_form(f)
-                if not g.is_zero():
-                    self.coeffs[tuple(S)] = g
+        self.col = col
+        self._is_cycle = None
 
     @classmethod
     def basis(cls, ring, S: tuple) -> "KoszulElement":
         """e_S with unit coefficient."""
-        return cls(ring, len(S), {tuple(S): ring.one()})
+        n, i = ring.nvars, len(S)
+        return cls(ring, i, RingMatrix.from_terms(
+            ring, len(subsets(n, i)), 1, [(subset_index(n, i)[tuple(S)], 0, 0, 1)]))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.col.is_zero()
 
     def __add__(self, other: "KoszulElement") -> "KoszulElement":
         assert self.ring == other.ring and self.degree == other.degree
-        c = dict(self.coeffs)
-        for S, f in other.coeffs.items():
-            c[S] = c[S] + f if S in c else f
-        return KoszulElement(self.ring, self.degree, c)
+        return KoszulElement(self.ring, self.degree, self.col + other.col)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -132,85 +126,61 @@ class KoszulElement:
         return self.scale(-1)
 
     def scale(self, c: int) -> "KoszulElement":
-        return KoszulElement(
-            self.ring, self.degree,
-            {S: f.scale(c) for S, f in self.coeffs.items()},
-        )
+        return KoszulElement(self.ring, self.degree, self.col.scale(c))
 
     def wedge(self, other: "KoszulElement") -> "KoszulElement":
         """Exterior product; overflow past K_n is the zero element."""
         assert self.ring == other.ring
-        deg = self.degree + other.degree
-        if deg > self.ring.nvars:
-            return KoszulElement(self.ring, self.ring.nvars)
-        c: dict = {}
-        for U, f in self.coeffs.items():
-            for T, g in other.coeffs.items():
-                sign, merged = wedge_sign(U, T)
-                if sign == 0:
-                    continue
-                term = (f * g).scale(sign)
-                c[merged] = c[merged] + term if merged in c else term
-        return KoszulElement(self.ring, deg, c)
+        ring, deg = self.ring, self.degree + other.degree
+        if deg > ring.nvars:
+            return KoszulElement(ring, ring.nvars)
+        act = _wedge_action(ring, self.col.terms, 1, 1, self.degree, other.degree)
+        return KoszulElement(ring, deg, act @ other.col)
 
     def differential(self) -> "KoszulElement":
         if self.degree == 0:
             return KoszulElement(self.ring, 0)
-        ring = self.ring
-        c: dict = {}
-        for S, f in self.coeffs.items():
-            for j, v in enumerate(S):
-                rest = S[:j] + S[j + 1:]
-                term = (f * ring.variable(v - 1)).scale((-1) ** j)
-                c[rest] = c[rest] + term if rest in c else term
-        return KoszulElement(ring, self.degree - 1, c)
+        return KoszulElement(self.ring, self.degree - 1,
+                             koszul_differential(self.degree, self.ring) @ self.col)
 
     def is_cycle(self) -> bool:
-        return self.differential().is_zero()
+        """Whether the differential vanishes; computed once per element."""
+        if self._is_cycle is None:
+            self._is_cycle = self.differential().is_zero()
+        return self._is_cycle
 
     def to_vector(self):
-        """F_p coordinate vector, subset-major then standard-monomial."""
-        n, D = self.ring.nvars, self.ring.dim
-        basis = subsets(n, self.degree)
-        idx = subset_index(n, self.degree)
-        v = np.zeros(len(basis) * D, dtype=np.int64)
-        for S, f in self.coeffs.items():
-            v[idx[S] * D:(idx[S] + 1) * D] = self.ring.vector_from_element(f)
+        """F_p coordinate vector, subset-major then standard-monomial: the
+        term (t, 0, b, c) is coordinate t * dim + b."""
+        D, t = self.ring.dim, self.col.terms
+        v = np.zeros(self.col.rows * D, dtype=np.int64)
+        v[t[:, 0] * D + t[:, 2]] = t[:, 3]
         return v
 
     @classmethod
     def from_vector(cls, ring, degree, vec) -> "KoszulElement":
         D = ring.dim
-        c = {}
-        for k, S in enumerate(subsets(ring.nvars, degree)):
-            f = ring.element_from_vector(vec[k * D:(k + 1) * D])
-            if not f.is_zero():
-                c[S] = f
-        return cls(ring, degree, c)
+        vec = np.asarray(vec, dtype=np.int64)
+        k = np.flatnonzero(vec % ring.p)
+        return cls(ring, degree, RingMatrix.from_terms(
+            ring, len(subsets(ring.nvars, degree)), 1,
+            np.column_stack([k // D, np.zeros_like(k), k % D, vec[k]])))
 
     def __eq__(self, other):
         return (
             isinstance(other, KoszulElement)
             and self.ring == other.ring
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self.col == other.col
         )
 
     def to_string(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for S in subsets(self.ring.nvars, self.degree):
-            f = self.coeffs.get(S)
-            if f is None:
-                continue
-            e = "e[" + ",".join(str(v) for v in S) + "]"
-            for m, c in f.sorted_terms():
-                factors = [str(c)] if c != 1 else []
-                if any(m):
-                    factors.append(monomial_to_string(m, self.ring.names))
-                parts.append("*".join(factors + [e]))
-        return " + ".join(parts)
+        basis, parts = subsets(self.ring.nvars, self.degree), []
+        for t, _, b, c in self.col.terms.tolist():
+            e = "e[" + ",".join(str(v) for v in basis[t]) + "]"
+            coef = term_string(self.ring, b, c)
+            parts.append(e if coef == "1" else f"{coef}*{e}")
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"KoszulElement({self.to_string()})"
@@ -220,7 +190,8 @@ _CYCLE_TERM = re.compile(r"^(?P<body>.*?)\s*\*?\s*e\[(?P<idx>[0-9,\s]*)\]$")
 
 
 def parse_koszul_element(s: str, ring: QuotientRing) -> KoszulElement:
-    """Parse formal sums like 'x*e[1] + 2*y*z*e[1,2] - e[3]'."""
+    """Parse formal sums like 'x*e[1] + 2*y*z*e[1,2] - e[3]'.  A monomial
+    outside the standard basis lies in I, so its term is zero."""
     s = s.strip()
     chunks = []
     sign = 1
@@ -239,7 +210,7 @@ def parse_koszul_element(s: str, ring: QuotientRing) -> KoszulElement:
     if not chunks:
         raise KoszulError(f"empty Koszul element {s!r}")
     degree = None
-    total: KoszulElement | None = None
+    terms = []
     for sgn, term in chunks:
         m = _CYCLE_TERM.match(term)
         if not m:
@@ -251,18 +222,19 @@ def parse_koszul_element(s: str, ring: QuotientRing) -> KoszulElement:
             raise KoszulError(f"basis index out of range in {term!r}")
         if degree is None:
             degree = len(idx)
-            total = KoszulElement(ring, degree)
         elif len(idx) != degree:
             raise KoszulError(f"mixed degrees in Koszul element {s!r}")
-        body = m.group("body").strip().rstrip("*").strip()
-        coef = _parse_coefficient(body, ring).scale(sgn)
-        total = total + KoszulElement(ring, degree, {idx: coef})
-    return total
+        c, mono = _parse_coefficient(m.group("body").strip().rstrip("*").strip(), ring)
+        b = ring.basis_index.get(mono)
+        if b is not None:
+            terms.append((subset_index(ring.nvars, degree)[idx], 0, b, sgn * c % ring.p))
+    return KoszulElement(ring, degree, RingMatrix.from_terms(
+        ring, len(subsets(ring.nvars, degree)), 1, terms))
 
 
-def _parse_coefficient(body: str, ring: QuotientRing) -> Polynomial:
-    """An integer times a monomial, e.g. '2*x*y^2'; the monomial part follows
-    the ring-file monomial grammar."""
+def _parse_coefficient(body: str, ring: QuotientRing) -> tuple:
+    """(integer, exponent tuple) of a coefficient like '2*x*y^2'; the
+    monomial part follows the ring-file monomial grammar."""
     c, variables = 1, []
     for factor in body.split("*"):
         factor = factor.strip()
@@ -270,8 +242,7 @@ def _parse_coefficient(body: str, ring: QuotientRing) -> Polynomial:
             c *= int(factor)
         elif factor:
             variables.append(factor)
-    m = parse_monomial_string("*".join(variables), ring.names)
-    return Polynomial.monomial(m, ring.nvars, ring.p, c)
+    return c, parse_monomial_string("*".join(variables), ring.names)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +250,11 @@ def _parse_coefficient(body: str, ring: QuotientRing) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)  # bounded: each entry keeps its ring and product table alive
 def koszul_differential(i: int, ring: QuotientRing) -> RingMatrix:
     """Matrix of d_i : K_i -> K_{i-1} in the lexicographic subset bases:
-    entry (T, S) is s x_v wherever e_v ^ e_T = s e_S."""
+    entry (T, S) is s x_v wherever e_v ^ e_T = s e_S.  Built once per
+    (i, ring) and shared, so its terms are read-only."""
     n = ring.nvars
     if i < 0 or i > n:
         raise KoszulError(f"differential degree {i} outside [0, {n}]")
@@ -289,8 +262,29 @@ def koszul_differential(i: int, ring: QuotientRing) -> RingMatrix:
     # std index of each variable: QuotientRing refuses an ideal containing one
     x = np.array([ring.basis_index[(0,) * w + (1,) + (0,) * (n - w - 1)]
                   for w in range(n)])
-    return RingMatrix.from_terms(ring, len(subsets(n, i - 1)), len(subsets(n, i)),
-                                 np.column_stack([t, m, x[v], s]))
+    d = RingMatrix.from_terms(ring, len(subsets(n, i - 1)), len(subsets(n, i)),
+                              np.column_stack([t, m, x[v], s]))
+    d.terms.flags.writeable = False
+    return d
+
+
+def _wedge_action(ring, terms, rows: int, cols: int, j: int, i: int) -> RingMatrix:
+    """Left wedge multiplication K_i^cols -> K_{i+j}^rows by a rows x cols
+    matrix of elements of K_j, given as one term array in which the
+    coordinate column of entry (r, c) fills rows [r*C(n,j), (r+1)*C(n,j))
+    of column c: the term row (r*C(n,j) + u, c, b, a) is a std_b e_U in
+    entry (r, c), with U the u-th subset.  It meets every row (u, t, m, s)
+    of the wedge table, giving s a std_b at (r*C(n,i+j) + m, c*C(n,i) + t);
+    row blocks are copy-major."""
+    n = ring.nvars
+    nu, nr, nc = comb(n, j), comb(n, i + j), comb(n, i)
+    r, u = np.divmod(terms[:, 0], nu)
+    table = wedge_table(n, j, i)
+    x, y = join_sorted(u, table[:, 0])
+    _, c, b, a = terms[x].T
+    _, t, m, s = table[y].T
+    return RingMatrix.from_terms(ring, rows * nr, cols * nc,
+                                 np.column_stack([r[x] * nr + m, c * nc + t, b, a * s]))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +309,6 @@ class CycleMatrix:
         self.cols = cols
         self.entry_degree = entry_degree
         self.entries = {}
-        checked = set()  # ids of entries known to be cycles: beta repeats a few
         if entries:
             for (r, c), z in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
@@ -325,9 +318,8 @@ class CycleMatrix:
                         f"entry ({r},{c}) has degree {z.degree}, expected {entry_degree}")
                 if z.is_zero():
                     continue
-                if id(z) not in checked and not z.is_cycle():
+                if not z.is_cycle():
                     raise KoszulError(f"entry ({r},{c}) is not a cycle")
-                checked.add(id(z))
                 self.entries[(r, c)] = z
 
     def entry(self, r, c) -> KoszulElement:
@@ -369,26 +361,17 @@ def cycle_matrix_action(theta: CycleMatrix, i: int) -> RingMatrix:
     """RingMatrix of (y_k) |-> (sum_k theta(s,k) ^ y_k) : K_{i-j}^v -> K_i^u.
 
     Row blocks are copy-major: copy s of K_i occupies rows
-    [s*C(n,i), (s+1)*C(n,i)).  The term a std_b e_U of entry (r, c) of theta
-    meets every row (u, t, m, s) of the wedge table with U the u-th subset,
-    giving s a std_b at (r*C(n,i) + m, c*C(n,i-j) + t).
+    [s*C(n,i), (s+1)*C(n,i)).  The entries' coordinate columns are stacked
+    into the one term array that _wedge_action reads.
     """
     ring, j = theta.ring, theta.entry_degree
     if i < j:
         raise KoszulError(f"target degree {i} below entry degree {j}")
-    n = ring.nvars
-    nr, nc = len(subsets(n, i)), len(subsets(n, i - j))
-    uidx = subset_index(n, j)
-    terms = np.array([(r, c, uidx[U], ring.basis_index[mono], a)
-                      for (r, c), z in theta.entries.items()
-                      for U, f in z.coeffs.items() for mono, a in f.terms.items()],
-                     dtype=np.int64).reshape(-1, 5)
-    table = wedge_table(n, j, i - j)
-    x, y = join_sorted(terms[:, 2], table[:, 0])
-    r, c, _, b, a = terms[x].T
-    _, t, m, s = table[y].T
-    return RingMatrix.from_terms(ring, theta.rows * nr, theta.cols * nc,
-                                 np.column_stack([r * nr + m, c * nc + t, b, a * s]))
+    nu = comb(ring.nvars, j)
+    terms = np.concatenate([z.col.terms + (r * nu, c, 0, 0)
+                            for (r, c), z in theta.entries.items()]
+                           or [np.zeros((0, 4), dtype=np.int64)])
+    return _wedge_action(ring, terms, theta.rows, theta.cols, j, i - j)
 
 
 @dataclass
@@ -422,7 +405,7 @@ def verify_chain_map(theta: CycleMatrix, degrees) -> ChainMapReport:
         diff = lhs + rhs_inner.scale((-1) ** (j + 1))
         checked.append(i)
         if not diff.is_zero():
-            bad = sorted(diff.entries)[0]
-            return ChainMapReport(False, checked, (i, bad[0], bad[1]))
+            r, c = diff.terms[0, :2].tolist()  # terms are sorted by (row, column)
+            return ChainMapReport(False, checked, (i, r, c))
     return ChainMapReport(True, checked)
 

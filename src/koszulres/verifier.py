@@ -119,7 +119,7 @@ def check_complex(F: ResolutionAssembly) -> CheckSection:
     for i in range(1, F.i_max):
         prod = F.diff(i) @ F.diff(i + 1)
         if not prod.is_zero():
-            r, c = sorted(prod.entries)[0]
+            r, c = prod.terms[0, :2].tolist()  # terms are sorted by (row, column)
             return CheckSection(
                 "complex", False,
                 {"degree_pair": (i, i + 1)},

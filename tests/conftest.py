@@ -1,10 +1,32 @@
+import re
+
 import pytest
 
-from koszulres.exactfield import QuotientRing
+from koszulres.exactfield import QuotientRing, RingMatrix, parse_monomial_string
 from koszulres.homology import ClassTBasis, HomologyAlgebra
 from koszulres.koszul import parse_koszul_element
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
+
+
+def ring_matrix(ring, rows, cols, entries):
+    """RingMatrix from {(i, j): 'x*y - 2*z + 3'}, entries written as
+    RingMatrix.entries prints them (signs allowed); a monomial outside the
+    standard basis lies in the ideal and adds nothing."""
+    terms = []
+    for (i, j), text in entries.items():
+        for sign, term in re.findall(r"([+-]?)\s*([^+-]+)", text):
+            c, mono = 1, []
+            for factor in term.split("*"):
+                factor = factor.strip()
+                if factor.isdigit():
+                    c *= int(factor)
+                else:
+                    mono.append(factor)
+            b = ring.basis_index.get(parse_monomial_string("*".join(mono), ring.names))
+            if b is not None:
+                terms.append((i, j, b, (-c if sign == "-" else c) % ring.p))
+    return RingMatrix.from_terms(ring, rows, cols, terms)
 
 
 def make_class_t_basis(ring):

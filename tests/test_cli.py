@@ -328,9 +328,11 @@ def test_betti_raw_refuses_n_below_codepth(capsys, argv):
     ("4,2,3", "class T needs a_2 >= 3 (got 2)"),
     ("4,6,-1", "codepth 3 needs a_3 >= 1 (got -1)"),
     ("4,6,0", "codepth 3 needs a_3 >= 1 (got 0)"),
+    ("4,7,3", "codepth 3 needs a_2 = a_1 + a_3 - 1 (got a_2 = 7, a_1 + a_3 - 1 = 6)"),
 ])
 def test_betti_raw_class_t_refuses_impossible_invariants(capsys, invariants, message):
-    # the three triple products are independent in A_2, and A_3 != 0
+    # the three triple products are independent in A_2, A_3 != 0, and the
+    # Euler characteristic 1 - a_1 + a_2 - a_3 of K vanishes
     assert run("betti", "--class-t", invariants, "--no-timestamp") == 2
     captured = capsys.readouterr()
     assert message in captured.err

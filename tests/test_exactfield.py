@@ -3,16 +3,15 @@ import random
 import numpy as np
 import pytest
 
+from conftest import ring_matrix
 from koszulres.builder import assemble_T
 from koszulres.exactfield import (
     MAX_CHARACTERISTIC,
     ExactFieldError,
-    Polynomial,
     QuotientRing,
     RingMatrix,
     kernel_mod,
     mod_matmul,
-    parse_monomial_string,
     parse_ring_file,
     rank_mod,
     rref_mod,
@@ -26,18 +25,10 @@ from koszulres.verifier import basis_from_strings
 rng = random.Random(20240611)
 
 
-def poly(ring, s):
-    """tiny helper: polynomial from a monomial string, unit coefficient"""
-    return Polynomial.monomial(parse_monomial_string(s, ring.names),
-                               ring.nvars, ring.p)
-
-
 # -- quotient ring -----------------------------------------------------------
 
 def test_std_basis_class_t(ring_t):
-    names = [Polynomial.monomial(m, 3, ring_t.p).to_string(ring_t.names)
-             for m in ring_t.std_basis]
-    assert names == ["1", "x", "y", "z", "x*y", "x*z", "y*z"]
+    assert ring_t.std_strings == ["1", "x", "y", "z", "x*y", "x*z", "y*z"]
     assert ring_t.dim == 7
 
 
@@ -49,10 +40,11 @@ def test_std_basis_small_rings():
     assert set(r2.std_basis) == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
-def test_polynomial_repr_names_variables_like_its_ring():
+def test_entries_name_variables_like_their_ring():
     ring = QuotientRing(7, 4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
-    f = ring.variable(3).scale(3) + ring.one()
-    assert repr(f) == f"Polynomial({f.to_string(ring.names)})" == "Polynomial(1 + 3*x4)"
+    M = ring_matrix(ring, 1, 1, {(0, 0): "3*x4 + 1"})
+    assert dict(M.entries) == {(0, 0): "1 + 3*x4"}
+    assert repr(M) == "RingMatrix(1x1, 1 nonzero)"
 
 
 def test_non_artinian_rejected():
@@ -71,55 +63,27 @@ def test_ideal_with_variable_rejected():
 
 
 def test_normal_form_examples(ring_t):
-    x2 = poly(ring_t, "x^2")
-    assert ring_t.normal_form(x2).is_zero()
-    xy = poly(ring_t, "x*y")
-    assert ring_t.normal_form(xy) == xy
-    # x * (x + y) reduces to x*y
-    x = ring_t.variable(0)
-    y = ring_t.variable(1)
-    assert ring_t.normal_form(x * (x + y)) == xy
-
-
-def test_normal_form_linear_and_idempotent(ring_t):
-    for _ in range(25):
-        f = _random_poly(ring_t)
-        g = _random_poly(ring_t)
-        lhs = ring_t.normal_form(f + g)
-        rhs = ring_t.normal_form(f) + ring_t.normal_form(g)
-        assert lhs == rhs
-        nf = ring_t.normal_form(f)
-        assert ring_t.normal_form(nf) == nf
-    for gen in ring_t.ideal_gens:
-        assert ring_t.normal_form(
-            Polynomial.monomial(gen, 3, ring_t.p)).is_zero()
-
-
-def _random_poly(ring, terms=4, maxdeg=2):
-    t = {}
-    for _ in range(terms):
-        m = tuple(rng.randrange(maxdeg + 1) for _ in range(ring.nvars))
-        t[m] = rng.randrange(ring.p)
-    return Polynomial(ring.nvars, ring.p, t)
-
-
-def test_variable_count_mismatch(ring_t):
-    bad = Polynomial.monomial((1, 0), 2, ring_t.p)
-    with pytest.raises(ExactFieldError):
-        ring_t.normal_form(bad)
+    # x^2 lies in I, so x * x is zero in R, and x * (x + y) reduces to x*y
+    x = ring_t.basis_index[(1, 0, 0)]
+    assert ring_t.product[x, x] == -1
+    prod = (ring_matrix(ring_t, 1, 1, {(0, 0): "x"})
+            @ ring_matrix(ring_t, 1, 1, {(0, 0): "x + y"}))
+    assert dict(prod.entries) == {(0, 0): "x*y"}
+    assert (2, 0, 0) not in ring_t.basis_index and (1, 1, 1) not in ring_t.basis_index
 
 
 # -- flatten -----------------------------------------------------------------
 
 def test_flatten_multiplication_by_x(ring_t):
-    M = RingMatrix(ring_t, 1, 1, {(0, 0): ring_t.variable(0)})
+    M = ring_matrix(ring_t, 1, 1, {(0, 0): "x"})
     flat = M.flatten()
     assert flat.shape == (7, 7)
     # brute-force mult table: column j is x * (j-th standard monomial)
     for j, m in enumerate(ring_t.std_basis):
-        prod = ring_t.normal_form(
-            ring_t.variable(0) * Polynomial.monomial(m, 3, ring_t.p))
-        expected = ring_t.vector_from_element(prod)
+        expected = np.zeros(7, dtype=np.int64)
+        prod = (m[0] + 1,) + m[1:]
+        if prod in ring_t.basis_index:
+            expected[ring_t.basis_index[prod]] = 1
         assert (flat[:, j] == expected).all()
     assert rank_mod(flat, ring_t.p) == 3  # images x, x*y, x*z
 
@@ -127,24 +91,37 @@ def test_flatten_multiplication_by_x(ring_t):
 def test_flatten_zero_and_identity(ring_t):
     Z = RingMatrix.zero(ring_t, 2, 3)
     assert not Z.flatten().any()
-    I = RingMatrix(ring_t, 2, 2, {(0, 0): ring_t.one(), (1, 1): ring_t.one()})
+    I = ring_matrix(ring_t, 2, 2, {(0, 0): "1", (1, 1): "1"})
     assert (I.flatten() == np.eye(14, dtype=np.int64)).all()
 
 
 PRIMES = [2, 3, 32003, 2147483647]
 
 
+def entry_dicts(M):
+    """{(i, j): {exponent tuple: coefficient}} of a RingMatrix."""
+    out: dict = {}
+    for i, j, b, c in M.terms.tolist():
+        out.setdefault((i, j), {})[M.ring.std_basis[b]] = c
+    return out
+
+
 def reference_product(A, B):
-    """The dict-of-Polynomial product the term-array product replaced:
-    Polynomial products of the entries, summed, then put in normal form."""
+    """The product the term-array product replaced: exponent tuples of the
+    entries added, the sums outside the standard basis dropped."""
+    ring = A.ring
     by_row: dict = {}
-    for (t, c), g in B.entries.items():
+    for (t, c), g in entry_dicts(B).items():
         by_row.setdefault(t, []).append((c, g))
-    acc: dict = {}
-    for (r, t), f in A.entries.items():
+    terms = []
+    for (r, t), f in entry_dicts(A).items():
         for c, g in by_row.get(t, ()):
-            acc[(r, c)] = acc[(r, c)] + f * g if (r, c) in acc else f * g
-    return RingMatrix(A.ring, A.rows, B.cols, acc)
+            for m1, c1 in f.items():
+                for m2, c2 in g.items():
+                    m = tuple(x + y for x, y in zip(m1, m2))
+                    if m in ring.basis_index:
+                        terms.append((r, c, ring.basis_index[m], c1 * c2 % ring.p))
+    return RingMatrix.from_terms(ring, A.rows, B.cols, terms)
 
 
 def test_flatten_functorial():
@@ -159,12 +136,11 @@ def test_flatten_functorial():
 
 
 def _random_ring_matrix(ring, rows, cols, terms=3):
-    entries = {}
-    for i in range(rows):
-        for j in range(cols):
-            if rng.random() < 0.7:
-                entries[(i, j)] = _random_poly(ring, terms=terms)
-    return RingMatrix(ring, rows, cols, entries)
+    """Each entry, with probability 0.7, a sum of `terms` random terms."""
+    out = [(i, j, rng.randrange(ring.dim), rng.randrange(ring.p))
+           for i in range(rows) for j in range(cols) if rng.random() < 0.7
+           for _ in range(terms)]
+    return RingMatrix.from_terms(ring, rows, cols, out)
 
 
 def test_ring_matrix_product_associative():
@@ -195,7 +171,7 @@ def test_product_matches_reference_random(p):
             A = _random_ring_matrix(ring, rows, inner, terms=5)
             B = _random_ring_matrix(ring, inner, cols, terms=5)
             assert A @ B == reference_product(A, B)
-            most_terms = max([most_terms] + [len(f.terms) for f in A.entries.values()])
+            most_terms = max([most_terms] + [len(f) for f in entry_dicts(A).values()])
     assert most_terms >= 3
 
 
@@ -221,12 +197,13 @@ def test_product_matches_reference_on_differentials(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_entries_round_trip(p):
+    # the printed entries parse back to the matrix
     ring = class_t_ring(p)
     for M in (_random_ring_matrix(ring, 4, 3, terms=5), RingMatrix.zero(ring, 2, 2),
-              RingMatrix(ring, 3, 3, {(i, i): ring.one() for i in range(3)})):
-        assert RingMatrix(ring, M.rows, M.cols, M.entries) == M
+              ring_matrix(ring, 3, 3, {(i, i): "1" for i in range(3)})):
+        assert ring_matrix(ring, M.rows, M.cols, M.entries) == M
     with pytest.raises(TypeError):
-        M.entries[(0, 0)] = ring.one()  # a read-only view
+        M.entries[(0, 0)] = "1"  # a read-only view
 
 
 # -- linear algebra ----------------------------------------------------------

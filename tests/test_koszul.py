@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from koszulres.exactfield import ExactFieldError, Polynomial, QuotientRing, RingMatrix
+from conftest import ring_matrix
+from koszulres.exactfield import ExactFieldError, QuotientRing, RingMatrix
 from koszulres.koszul import (
     CycleMatrix,
     KoszulElement,
@@ -13,7 +15,6 @@ from koszulres.koszul import (
     subset_index,
     subsets,
     verify_chain_map,
-    wedge_sign,
     wedge_table,
 )
 from koszulres.builder import alpha, beta, beta_prime, gamma
@@ -24,6 +25,118 @@ from koszulres.verifier import basis_from_strings
 
 rng = random.Random(97)
 
+PRIMES = [2, 3, 32003, 2147483647]
+
+
+# -- the exponent-dict reference ---------------------------------------------
+# An element of K_i is {subset: {exponent tuple: coefficient}}.  Products add
+# exponent tuples and drop the sums outside the standard basis (they lie in
+# I), and signs count inversions: nothing here reads wedge_table or
+# QuotientRing.product.
+
+
+def ref_sign(U, T):
+    """(sign, merged subset) of e_U ^ e_T, or (0, None) when U and T meet."""
+    if set(U) & set(T):
+        return 0, None
+    return (-1) ** sum(u > t for u in U for t in T), tuple(sorted(U + T))
+
+
+def ref_add(acc, S, m, c):
+    f = acc.setdefault(S, {})
+    f[m] = f.get(m, 0) + c
+
+
+def ref_clean(ring, acc):
+    """acc with coefficients reduced mod p and zero terms dropped."""
+    out = {}
+    for S, f in acc.items():
+        g = {m: c % ring.p for m, c in f.items() if c % ring.p}
+        if g:
+            out[S] = g
+    return out
+
+
+def ref_of(z):
+    """The exponent dict of a KoszulElement."""
+    basis, out = subsets(z.ring.nvars, z.degree), {}
+    for t, _, b, c in z.col.terms.tolist():
+        out.setdefault(basis[t], {})[z.ring.std_basis[b]] = c
+    return out
+
+
+def element(ring, degree, d):
+    """The KoszulElement of an exponent dict; a monomial outside the
+    standard basis is zero."""
+    idx = subset_index(ring.nvars, degree)
+    terms = [(idx[S], 0, ring.basis_index[m], c) for S, f in d.items()
+             for m, c in f.items() if m in ring.basis_index]
+    return KoszulElement(ring, degree, RingMatrix.from_terms(ring, len(idx), 1, terms))
+
+
+def ref_wedge(ring, a, b, dropped):
+    """a ^ b; dropped[0] counts the monomial products that land in I."""
+    acc = {}
+    for U, f in a.items():
+        for T, g in b.items():
+            sign, S = ref_sign(U, T)
+            for m1, c1 in f.items() if sign else ():
+                for m2, c2 in g.items():
+                    m = tuple(x + y for x, y in zip(m1, m2))
+                    if m in ring.basis_index:
+                        ref_add(acc, S, m, sign * c1 * c2)
+                    else:
+                        dropped[0] += 1
+    return ref_clean(ring, acc)
+
+
+def ref_differential(ring, a):
+    """d(f e_S) = sum_j (-1)^j x_{s_j} f e_{S minus s_j}."""
+    acc = {}
+    for S, f in a.items():
+        for j, v in enumerate(S):
+            for m, c in f.items():
+                xm = m[:v - 1] + (m[v - 1] + 1,) + m[v:]
+                if xm in ring.basis_index:
+                    ref_add(acc, S[:j] + S[j + 1:], xm, (-1) ** j * c)
+    return ref_clean(ring, acc)
+
+
+def ref_vector(ring, degree, a):
+    D, idx = ring.dim, subset_index(ring.nvars, degree)
+    v = np.zeros(len(idx) * D, dtype=np.int64)
+    for S, f in a.items():
+        for m, c in f.items():
+            v[idx[S] * D + ring.basis_index[m]] = c
+    return v
+
+
+def ref_string(ring, degree, a):
+    """Terms by subset, then by degree and lexicographically with x > y > z;
+    unit coefficients and the monomial 1 left out."""
+    parts = []
+    for S in subsets(ring.nvars, degree):
+        f = a.get(S, {})
+        for m in sorted(f, key=lambda m: (sum(m), [-x for x in m])):
+            factors = [str(f[m])] if f[m] != 1 else []
+            factors += [ring.names[v] + (f"^{x}" if x > 1 else "")
+                        for v, x in enumerate(m) if x]
+            parts.append("*".join(factors + ["e[" + ",".join(map(str, S)) + "]"]))
+    return " + ".join(parts) or "0"
+
+
+def random_ref(ring, degree, rng, terms=3):
+    """An exponent dict of `terms` random standard monomials at random
+    subsets, with random nonzero coefficients.  Half the monomials come from
+    the ten of lowest degree, so that on a large ring not every product
+    lands in I."""
+    basis, a = subsets(ring.nvars, degree), {}
+    for _ in range(terms):
+        b = rng.randrange(ring.dim if rng.random() < 0.5 else min(ring.dim, 10))
+        a.setdefault(basis[rng.randrange(len(basis))], {})[ring.std_basis[b]] = \
+            rng.randrange(1, ring.p)
+    return a
+
 
 def test_subset_bases(ring_t):
     assert subsets(3, 1) == ((1,), (2,), (3,))
@@ -32,11 +145,13 @@ def test_subset_bases(ring_t):
     assert subsets(3, 4) == ()
 
 
-def test_wedge_sign_values():
-    assert wedge_sign((1,), (2,)) == (1, (1, 2))
-    assert wedge_sign((2,), (1,)) == (-1, (1, 2))
-    assert wedge_sign((1,), (1,)) == (0, None)
-    assert wedge_sign((2, 3), (1,)) == (1, (1, 2, 3))  # two transpositions
+def test_wedge_sign_values(ring_t):
+    assert e(ring_t, 1).wedge(e(ring_t, 2)) == e(ring_t, 1, 2)
+    assert e(ring_t, 2).wedge(e(ring_t, 1)) == -e(ring_t, 1, 2)
+    assert e(ring_t, 1).wedge(e(ring_t, 1)).is_zero()
+    # two transpositions
+    assert e(ring_t, 2, 3).wedge(e(ring_t, 1)) == e(ring_t, 1, 2, 3)
+    assert wedge_table(3, 2, 1).tolist() == [[0, 2, 0, 1], [1, 1, 0, -1], [2, 0, 0, 1]]
 
 
 # -- differentials -----------------------------------------------------------
@@ -44,25 +159,19 @@ def test_wedge_sign_values():
 def test_differential_degree_one(ring_t):
     d1 = koszul_differential(1, ring_t)
     assert (d1.rows, d1.cols) == (1, 3)
-    assert [d1.entry(0, j).to_string(ring_t.names) for j in range(3)] == ["x", "y", "z"]
+    assert [d1.entries[(0, j)] for j in range(3)] == ["x", "y", "z"]
 
 
 def test_differential_degree_two(ring_t):
     # d(e_12) = -y e_1 + x e_2, d(e_13) = -z e_1 + x e_3, d(e_23) = -z e_2 + y e_3
-    d2 = koszul_differential(2, ring_t)
-    x, y, z = (ring_t.variable(v) for v in range(3))
-    assert d2.entry(0, 0) == y.scale(-1) and d2.entry(1, 0) == x
-    assert d2.entry(0, 1) == z.scale(-1) and d2.entry(2, 1) == x
-    assert d2.entry(1, 2) == z.scale(-1) and d2.entry(2, 2) == y
+    assert koszul_differential(2, ring_t) == ring_matrix(ring_t, 3, 3, {
+        (0, 0): "-y", (1, 0): "x", (0, 1): "-z", (2, 1): "x", (1, 2): "-z", (2, 2): "y"})
 
 
 def test_differential_degree_three(ring_t):
     # basis (e_12, e_13, e_23): d(e_123) = z e_12 - y e_13 + x e_23
-    d3 = koszul_differential(3, ring_t)
-    x, y, z = (ring_t.variable(v) for v in range(3))
-    assert d3.entry(0, 0) == z
-    assert d3.entry(1, 0) == y.scale(-1)
-    assert d3.entry(2, 0) == x
+    assert koszul_differential(3, ring_t) == ring_matrix(
+        ring_t, 3, 1, {(0, 0): "z", (1, 0): "-y", (2, 0): "x"})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -107,13 +216,7 @@ def test_wedge_basic(ring_t):
 
 
 def _random_element(ring, degree, terms=3, rng=rng):
-    c = {}
-    basis = subsets(ring.nvars, degree)
-    for _ in range(terms):
-        S = basis[rng.randrange(len(basis))]
-        m = tuple(rng.randrange(2) for _ in range(ring.nvars))
-        c[S] = Polynomial(ring.nvars, ring.p, {m: rng.randrange(1, ring.p)})
-    return KoszulElement(ring, degree, c)
+    return element(ring, degree, random_ref(ring, degree, rng, terms))
 
 
 def test_wedge_graded_commutative(ring_t):
@@ -191,9 +294,9 @@ def test_cycle_matrix_action_row_of_cycles(ring_t, basis_t):
     assert (act.rows, act.cols) == (3, 4)
     # unit vectors map to x e_1, y e_2, z e_3, yz e_1
     for j, want in enumerate(["x*e[1]", "y*e[2]", "z*e[3]", "y*z*e[1]"]):
-        col = KoszulElement(ring_t, 1, {
-            S: act.entry(i, j) for i, S in enumerate(subsets(3, 1))})
-        assert col == parse_koszul_element(want, ring_t)
+        col = act.terms[act.terms[:, 1] == j] * [1, 0, 1, 1]
+        assert KoszulElement(ring_t, 1, RingMatrix.from_terms(ring_t, 3, 1, col)) == \
+            parse_koszul_element(want, ring_t)
 
 
 def test_cycle_matrix_action_zero_and_top(ring_t, basis_t):
@@ -203,7 +306,7 @@ def test_cycle_matrix_action_zero_and_top(ring_t, basis_t):
                      {(0, j): z for j, z in enumerate(basis_t.z3)})
     act = cycle_matrix_action(g3, 3)
     assert (act.rows, act.cols) == (1, 3)
-    vals = [act.entry(0, j).to_string(ring_t.names) for j in range(3)]
+    vals = [act.entries[(0, j)] for j in range(3)]
     assert vals == ["y*z", "x*z", "x*y"]
 
 
@@ -231,43 +334,85 @@ def test_verify_chain_map_detects_non_cycle(ring_t):
     assert report.failure is not None
 
 
-# -- the wedge table against the dict-of-Polynomial references -----------------
+# -- element arithmetic against the exponent-dict reference -------------------
 
-PRIMES = [2, 3, 32003, 2147483647]
+ACIT_GENS = [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)]  # dim 384
+CROSS_RINGS = {
+    "classT": class_t_ring,
+    "ci3": lambda p: ci_squares_ring(3, p),
+    "acit": lambda p: QuotientRing(p, 3, ACIT_GENS, names=["x", "y", "z"]),
+}
+
+
+def _reordered(ring, perm):
+    """The same ring with its variables listed in the order perm."""
+    return QuotientRing(ring.p, ring.nvars,
+                        [tuple(g[v] for v in perm) for g in ring.ideal_gens],
+                        names=[ring.names[v] for v in perm])
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2), (2, 0, 1)])
+@pytest.mark.parametrize("name", sorted(CROSS_RINGS))
+@pytest.mark.parametrize("p", PRIMES)
+def test_element_arithmetic_matches_reference(p, name, perm):
+    # seeded random elements of every degree pair: mostly non-cycles, some
+    # products landing in I and some degree overflows past K_n
+    ring = _reordered(CROSS_RINGS[name](p), perm)
+    n, local = ring.nvars, random.Random(f"{p} {name} {perm}")
+    dropped, overflows, non_cycles = [0], 0, 0
+    for _ in range(60):
+        i, j = local.randrange(n + 1), local.randrange(n + 1)
+        a, b = random_ref(ring, i, local), random_ref(ring, j, local)
+        z, w = element(ring, i, a), element(ring, j, b)
+        prod = z.wedge(w)
+        if i + j > n:
+            overflows += 1
+            assert prod.degree == n and prod.is_zero()
+        else:
+            assert prod.degree == i + j and ref_of(prod) == ref_wedge(ring, a, b, dropped)
+        da = ref_differential(ring, a)
+        if i:
+            assert ref_of(z.differential()) == da
+        assert z.is_cycle() == (not da)
+        non_cycles += not da
+        v = z.to_vector()
+        assert (v == ref_vector(ring, i, a)).all()
+        assert KoszulElement.from_vector(ring, i, v) == z
+        assert KoszulElement.from_vector(ring, i, v + 3 * ring.p) == z
+        text = z.to_string()
+        assert text == ref_string(ring, i, a)
+        assert parse_koszul_element(text, ring) == z
+        assert parse_koszul_element(text, ring).to_string() == text
+    assert dropped[0] and overflows and non_cycles
 
 
 def reference_koszul_differential(i, ring):
-    """d_i as the dict-of-Polynomial loop the wedge table replaced."""
+    """d_i from d(e_S) = sum_j (-1)^j x_{s_j} e_{S minus s_j}."""
     n = ring.nvars
     ridx = subset_index(n, i - 1)
-    entries = {}
+    terms = []
     for jcol, S in enumerate(subsets(n, i)):
         for j, v in enumerate(S):
-            rest = S[:j] + S[j + 1:]
-            f = ring.variable(v - 1).scale((-1) ** j)
-            key = (ridx[rest], jcol)
-            entries[key] = entries[key] + f if key in entries else f
-    return RingMatrix(ring, len(subsets(n, i - 1)), len(subsets(n, i)), entries)
+            x = tuple(int(u == v - 1) for u in range(n))
+            terms.append((ridx[S[:j] + S[j + 1:]], jcol, ring.basis_index[x], (-1) ** j))
+    return RingMatrix.from_terms(ring, len(subsets(n, i - 1)), len(subsets(n, i)), terms)
 
 
 def reference_cycle_matrix_action(theta, i, ring):
-    """The wedge action as the dict-of-Polynomial loop the table join
-    replaced."""
+    """The wedge action, one term per (entry term, source basis element)."""
     n, j = ring.nvars, theta.entry_degree
     src, dst = subsets(n, i - j), subsets(n, i)
     didx = subset_index(n, i)
     nr, nc = len(dst), len(src)
-    entries: dict = {}
+    terms = []
     for (r, c), z in theta.entries.items():
-        for U, f in z.coeffs.items():
+        for U, f in ref_of(z).items():
             for tcol, T in enumerate(src):
-                sign, merged = wedge_sign(U, T)
-                if sign == 0:
-                    continue
-                key = (r * nr + didx[merged], c * nc + tcol)
-                g = f.scale(sign)
-                entries[key] = entries[key] + g if key in entries else g
-    return RingMatrix(ring, theta.rows * nr, theta.cols * nc, entries)
+                sign, merged = ref_sign(U, T)
+                for m, a in f.items() if sign else ():
+                    terms.append((r * nr + didx[merged], c * nc + tcol,
+                                  ring.basis_index[m], sign * a))
+    return RingMatrix.from_terms(ring, theta.rows * nr, theta.cols * nc, terms)
 
 
 def test_wedge_table_lists_every_basis_product():
@@ -322,7 +467,7 @@ def test_class_t_actions_match_reference(p):
     z = basis.z1[0] + basis.z1[3] + e(ring, 1, 3).differential()
     w = basis.z1[1] - e(ring, 2, 3).differential()
     mixed = CycleMatrix(ring, 2, 2, 1, {(0, 0): z, (0, 1): w, (1, 1): z + w})
-    assert max(len(f.terms) for f in z.coeffs.values()) >= 2 and len(z.coeffs) >= 2
+    assert max(len(f) for f in ref_of(z).values()) >= 2 and len(ref_of(z)) >= 2
     for theta in thetas + [mixed]:
         _assert_actions_match_reference(theta, ring)
 

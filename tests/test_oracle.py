@@ -4,6 +4,7 @@ the dense oracle could not reach."""
 import numpy as np
 import pytest
 
+from conftest import ring_matrix
 from koszulres.builder import assemble_T
 from koszulres.exactfield import (
     QuotientRing,
@@ -25,10 +26,8 @@ def dense_oracle(ring: QuotientRing, i_max: int) -> OracleResolution:
     form of [m . ker | ker], with m . ker spanned by the variable multiples."""
     p = ring.p
     D = ring.dim
-    var_mults = [RingMatrix(ring, 1, 1, {(0, 0): v}).flatten()
-                 for v in map(ring.variable, range(ring.nvars))]
-    d1 = RingMatrix(ring, 1, ring.nvars,
-                    {(0, v): ring.variable(v) for v in range(ring.nvars)})
+    var_mults = [ring_matrix(ring, 1, 1, {(0, 0): v}).flatten() for v in ring.names]
+    d1 = ring_matrix(ring, 1, ring.nvars, {(0, v): x for v, x in enumerate(ring.names)})
     betti = [1, ring.nvars]
     diffs = [d1]
     current = d1
@@ -40,13 +39,10 @@ def dense_oracle(ring: QuotientRing, i_max: int) -> OracleResolution:
         offset = m_cols.shape[1]
         columns = [ker[:, c - offset] for c in piv if c >= offset]
         betti.append(len(columns))
-        entries = {}
-        for j, vec in enumerate(columns):
-            for r in range(current.cols):
-                f = ring.element_from_vector(vec[r * D:(r + 1) * D])
-                if not f.is_zero():
-                    entries[(r, j)] = f
-        current = RingMatrix(ring, current.cols, len(columns), entries)
+        C = np.array(columns, dtype=np.int64).reshape(-1, ker.shape[0]).T
+        g, j = np.nonzero(C)  # flat row g of column j is std_{g % D} of coordinate g // D
+        current = RingMatrix.from_terms(ring, current.cols, len(columns),
+                                        np.column_stack([g // D, j, g % D, C[g, j]]))
         diffs.append(current)
     return OracleResolution(betti[: i_max + 1], diffs)
 

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from conftest import ring_matrix
 from koszulres.builder import assemble_CI, assemble_T, graded_A_complexes
 from koszulres.exactfield import RingMatrix
 from koszulres.homology import (
@@ -60,8 +61,7 @@ def test_check_minimality(assembly_t, ring_t):
     # negative control: a unit entry in a copied differential
     doctored = copy.copy(assembly_t)
     d1 = assembly_t.diff(1)
-    bad = RingMatrix(ring_t, d1.rows, d1.cols,
-                     dict(d1.entries) | {(0, 0): ring_t.one()})
+    bad = ring_matrix(ring_t, d1.rows, d1.cols, dict(d1.entries) | {(0, 0): "1"})
     doctored.differentials = [bad] + assembly_t.differentials[1:]
     section = check_minimality(doctored)
     assert not section.passed and "unit" in section.failure
@@ -83,12 +83,10 @@ def test_check_exactness_detects_dropped_block(ring_t, basis_t, pack_t):
     d5 = F.diff(5)
     doctored = copy.copy(F)
     doctored.differentials = list(F.differentials)
-    doctored.differentials[3] = RingMatrix(
-        ring_t, d4.rows, d4.cols - width,
-        {k: v for k, v in d4.entries.items() if k[1] < d4.cols - width})
-    doctored.differentials[4] = RingMatrix(
-        ring_t, d5.rows - width, d5.cols,
-        {k: v for k, v in d5.entries.items() if k[0] < d5.rows - width})
+    doctored.differentials[3] = RingMatrix.from_terms(
+        ring_t, d4.rows, d4.cols - width, d4.terms[d4.terms[:, 1] < d4.cols - width])
+    doctored.differentials[4] = RingMatrix.from_terms(
+        ring_t, d5.rows - width, d5.cols, d5.terms[d5.terms[:, 0] < d5.rows - width])
     section = check_exactness(doctored)
     assert not section.passed
     assert "degree 3" in section.failure
