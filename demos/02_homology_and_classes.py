@@ -7,7 +7,7 @@ table for complete intersections.  Certification is computation, not
 assumption: every product is evaluated by exact linear algebra.
 """
 
-from koszulres import HomologyAlgebra, verify_class_CI, verify_class_T
+from koszulres import HomologyAlgebra, verify_class_CI
 from koszulres.homology import discover_class_CI_basis, discover_class_T_basis
 from koszulres.samples import class_t_ring, ci_squares_ring
 
@@ -16,7 +16,7 @@ H = HomologyAlgebra(ring)
 print(f"ring: {ring!r}")
 print("homology ranks a_i:", tuple(H.ranks), " codepth:", H.codepth)
 
-basis = discover_class_T_basis(H)
+basis, cert = discover_class_T_basis(H)
 print("\ndiscovered degree-1 representatives:")
 for u, z in enumerate(basis.z1, start=1):
     print(f"  z1_{u} = {z.to_string()}")
@@ -30,7 +30,6 @@ for (i, j) in ((0, 1), (1, 2), (0, 2)):
 print("a vanishing product: [z1_1][z1_4] class",
       H.product_class(t[0], basis.z1[3]).tolist())
 
-cert = verify_class_T(basis, H)
 print(f"\nclass T certificate: {'PASS' if cert.passed else 'FAIL'} "
       f"({len(cert.checks)} checks)")
 
@@ -38,8 +37,7 @@ ci = ci_squares_ring(3)
 Hci = HomologyAlgebra(ci)
 print(f"\nring: {ci!r}")
 print("homology ranks:", tuple(Hci.ranks))
-ci_basis = discover_class_CI_basis(Hci)
-cert_ci = verify_class_CI(ci_basis, Hci)
+ci_basis, cert_ci = discover_class_CI_basis(Hci)
 print(f"class CI certificate: {'PASS' if cert_ci.passed else 'FAIL'}")
 
 # feeding the wrong class is caught by the certificates

@@ -41,6 +41,7 @@ print("assembled ranks:     ", F8.ranks[:7])
 
 # the same machinery covers complete intersections of any codepth
 ci = ci_squares_ring(3)
-Fci = assemble_CI(ci, discover_class_CI_basis(HomologyAlgebra(ci)), i_max=6)
+ci_basis, _ = discover_class_CI_basis(HomologyAlgebra(ci))
+Fci = assemble_CI(ci, ci_basis, i_max=6)
 print(f"\n{ci!r}: ranks {Fci.ranks}")
 print("oracle agrees:", oracle_resolution(ci, 6).betti == Fci.ranks)

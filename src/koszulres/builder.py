@@ -4,6 +4,12 @@ minimal free resolution F of the residue field (class T and complete
 intersection), and the finite complexes of homology classes used for
 graded-level exactness checks.
 
+The cycle matrices are in index form (see koszul.CycleMatrix): beta, beta'
+and gamma list one (row, column, cycle) row per entry over a few cycles,
+and alpha tiles each block's index rows down its diagonal copies, shifted
+by the copy's corner and by the block's offset in the concatenated cycles.
+The graded complexes scatter one class block per cycle to its entries.
+
 Both resolutions are iterated mapping cones of Koszul blocks and come out of
 one engine, _assemble_diffs: Koszul differentials on the diagonal, one
 cycle-matrix arrow per block off it, each distinct block matrix built once
@@ -88,16 +94,10 @@ def beta(k: int, cycles) -> CycleMatrix:
     c = len(cycles)
     ring = cycles[0].ring if cycles else None
     rows = words(c, k - 1)
-    cols = words(c, k)
-    if k == 0:
-        return CycleMatrix(ring, 0, 1, 1)
-    col_index = {w: j for j, w in enumerate(cols)}
-    entries = {}
-    for i, v in enumerate(rows):
-        for u in range(1, c + 1):
-            j = col_index[bracket(v + (u,))]
-            entries[(i, j)] = cycles[u - 1]
-    return CycleMatrix(ring, len(rows), len(cols), 1, entries)
+    col_index = {w: j for j, w in enumerate(words(c, k))}
+    where = [(i, col_index[bracket(v + (u,))], u - 1)
+             for i, v in enumerate(rows) for u in range(1, c + 1)]
+    return CycleMatrix(ring, len(rows), len(col_index), 1, cycles, where)
 
 
 def beta_prime(k: int, triple) -> CycleMatrix:
@@ -106,21 +106,13 @@ def beta_prime(k: int, triple) -> CycleMatrix:
     complement of u in {1,2,3}."""
     if len(triple) != 3:
         raise BuildError("beta_prime needs the distinguished triple")
-    ring = triple[0].ring
-    if k < 2:
-        return CycleMatrix(ring, len(words(3, k - 1)), len(words(3, k - 2)), 2)
-    rows = words(3, k - 1)
+    row_index = {w: i for i, w in enumerate(words(3, k - 1))}
     cols = words(3, k - 2)
-    entries = {}
-    complements = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
-    wedges = {u: triple[a - 1].wedge(triple[b - 1])
-              for u, (a, b) in complements.items()}
-    row_index = {w: i for i, w in enumerate(rows)}
-    for j, v in enumerate(cols):
-        for u in (1, 2, 3):
-            i = row_index[bracket(v + (u,))]
-            entries[(i, j)] = wedges[u]
-    return CycleMatrix(ring, len(rows), len(cols), 2, entries)
+    # the complements of u = 1, 2, 3
+    wedges = [triple[a].wedge(triple[b]) for a, b in ((1, 2), (0, 2), (0, 1))]
+    where = [(row_index[bracket(v + (u,))], j, u - 1)
+             for j, v in enumerate(cols) for u in (1, 2, 3)]
+    return CycleMatrix(triple[0].ring, len(row_index), len(cols), 2, wedges, where)
 
 
 def gamma(j: int, basis: ClassTBasis) -> CycleMatrix:
@@ -134,9 +126,8 @@ def gamma(j: int, basis: ClassTBasis) -> CycleMatrix:
         cycles = basis.z3
     else:
         raise BuildError(f"gamma index must be 1, 2 or 3 (got {j})")
-    ring = basis.z1[0].ring
-    entries = {(0, c): z for c, z in enumerate(cycles)}
-    return CycleMatrix(ring, 1, len(cycles), j, entries)
+    where = [(0, c, c) for c in range(len(cycles))]
+    return CycleMatrix(basis.z1[0].ring, 1, len(cycles), j, cycles, where)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +142,9 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
         alpha'_k  = (beta'-sum with zero rows on the beta_1 row group | gamma_2^{l_{k-1}})
         alpha''_k = gamma_3^{l_{k-1}}
 
-    with extents l_{k-1} x l_{k,r} checked against the sequence tables."""
+    with extents l_{k-1} x l_{k,r} checked against the sequence tables.  Each
+    block's index rows are tiled down its diagonal copies, shifted by the
+    copy's corner and by the block's offset in the concatenated cycles."""
     if k < 1:
         raise BuildError("alpha needs k >= 1")
     if r not in (k, k + 1, k + 2):
@@ -165,22 +158,25 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
         diagonal = [(beta_prime(k - t, triple), pack.d[t]) for t in range(k - 1)]
     else:
         diagonal = []
-    entries: dict = {}
+    cycles, where = [], [np.zeros((0, 3), dtype=np.int64)]
     col = 0
     for group in (diagonal, [(gamma(r - k + 1, basis), rows)]):
         row = 0
         for block, copies in group:
-            for _ in range(copies):
-                for (i, j), z in block.entries.items():
-                    entries[(row + i, col + j)] = z
-                row += block.rows
-                col += block.cols
+            w = np.tile(block.where, (copies, 1, 1))
+            w += np.arange(copies)[:, None, None] * [block.rows, block.cols, 0]
+            w += [row, col, len(cycles)]
+            where.append(w.reshape(-1, 3))
+            cycles += block.cycles
+            row += copies * block.rows
+            col += copies * block.cols
     cols_expected = pack.l_ks(k, r)
     if col != cols_expected:
         raise AssemblyError(
             f"alpha_{{{k},{r}}} extent mismatch: built {col} columns, "
             f"tables give {cols_expected}")
-    return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1, entries)
+    return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1, cycles,
+                       np.concatenate(where))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +246,11 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
     Koszul blocks, blocks[k] listing the blocks of F_k.  Each block of F_k
     maps to its own block one Koszul degree down by diag_sign(block) times
     the Koszul differential, and, when arrow(block) = (target_key,
-    target_kdeg, name, reps, sign) is given, to the block (target_key,
-    target_kdeg) of F_{k-1} by sign times the wedge action of
-    cycle_matrix(name), repeated reps times down the diagonal.  Each cycle
-    matrix and action is built once per call, on first use; the Koszul
-    differentials are cached by koszul_differential itself."""
+    target_kdeg, name, reps) is given, to the block (target_key,
+    target_kdeg) of F_{k-1} by the wedge action of cycle_matrix(name),
+    repeated reps times down the diagonal.  Each cycle matrix and action is
+    built once per call, on first use; the Koszul differentials are cached
+    by koszul_differential itself."""
     n = ring.nvars
     theta = lru_cache(maxsize=None)(cycle_matrix)
     action = lru_cache(maxsize=None)(
@@ -275,19 +271,19 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
                     tgt, col, b.copies, diag_sign(b)))
             spec = arrow(b)
             if spec is not None:
-                target_key, target_kdeg, name, reps, sign = spec
+                target_key, target_kdeg, name, reps = spec
                 tgt = row_offset.get((target_key, target_kdeg))
                 if tgt is not None:
                     act = action(name, target_kdeg)
                     assert act.cols * reps == b.width(n)
-                    terms.append(act.shifted_terms(tgt, col, reps, sign))
+                    terms.append(act.shifted_terms(tgt, col, reps, 1))
             col += b.width(n)
         diffs.append(RingMatrix.from_terms(ring, rows, col, np.concatenate(terms)))
     return diffs
 
 
 def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
-               i_max: int = 8, force_regime: tuple | None = None) -> ResolutionAssembly:
+               i_max: int = 8, sign_flip: bool = False) -> ResolutionAssembly:
     """Assemble the class-T resolution F through homological degree i_max.
 
     The blocks are K_i^{deg3 m} for the tree monomials m; the block of
@@ -299,42 +295,29 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
     literally vanishing wedge products in K_2 (not merely vanishing classes);
     this is checked up front because no sign choice can repair it.  The signs
     follow the mapping-cone convention: diagonal (-1)^(deg1+deg2), arrows +1.
-    Nothing here tests d^2 = 0; verifier.check_complex certifies it.  Pass
-    force_regime = (regime, arrow_sign) to build under another convention
-    (the negative controls: ("deg2", 1) breaks d^2 = 0, ("total", -1) is a
-    chain isomorphism).
+    Nothing here tests d^2 = 0; verifier.check_complex certifies it.  With
+    sign_flip the diagonal carries (-1)^deg2 instead, the negative control
+    that breaks d^2 = 0.
     """
     if i_max < 1:
         raise BuildError("i_max must be >= 1")
     _check_literal_products(basis)
     blocks = [_class_t_blocks(k, pack, ring.nvars) for k in range(i_max + 1)]
-    regime, arrow_sign = force_regime or ("total", 1)
 
     def diag_sign(b):
-        return _diag_sign(b, regime)
+        return (-1) ** (b.key.deg2 if sign_flip else b.shift)
 
     def arrow(b):
         if b.key.head is None:
             return None
         j, r, tail = b.key.head
-        return (arrow_target(b.key), b.kdeg + r - j + 1, (j, r),
-                tail.deg3(pack), arrow_sign)
+        return arrow_target(b.key), b.kdeg + r - j + 1, (j, r), tail.deg3(pack)
 
     diffs = _assemble_diffs(ring, blocks, diag_sign, arrow,
                             lambda jr: alpha(*jr, pack, basis))
-    diag = "(-1)^(deg1+deg2)" if regime == "total" else "(-1)^deg2"
-    label = f"diagonal {diag}, phi {'+' if arrow_sign == 1 else '-'}1"
-    if force_regime is not None:
-        label += " (forced)"
+    label = ("diagonal (-1)^deg2, phi +1 (forced)" if sign_flip
+             else "diagonal (-1)^(deg1+deg2), phi +1")
     return ResolutionAssembly("T", ring, i_max, blocks, diffs, label)
-
-
-def _diag_sign(b: Block, regime: str) -> int:
-    if regime == "total":
-        return (-1) ** b.shift
-    if regime == "deg2":
-        return (-1) ** b.key.deg2
-    raise BuildError(f"unknown sign regime {regime!r}")
 
 
 def _check_literal_products(basis: ClassTBasis):
@@ -361,7 +344,7 @@ def assemble_CI(ring: QuotientRing, basis: ClassCIBasis,
     def arrow(b):
         if b.key == 0:
             return None
-        return b.key - 1, b.kdeg + 1, b.key, 1, 1
+        return b.key - 1, b.kdeg + 1, b.key, 1
 
     diffs = _assemble_diffs(ring, blocks, lambda b: 1, arrow,
                             lambda j: beta(j, basis.z1))
@@ -419,15 +402,16 @@ class _Coordinates:
     def matrix(self, theta: CycleMatrix, sources=None) -> np.ndarray:
         """With sources None, theta's entries as target-coordinate columns,
         (dim * rows) x cols; otherwise entrywise multiplication by theta,
-        from span(sources)^cols to the target^rows."""
+        from span(sources)^cols to the target^rows.  Each cycle's block is
+        computed once and scattered to its entries in one assignment."""
         a_src = 1 if sources is None else len(sources)
         a_dst = len(self.span) if self.span is not None else self.H.rank(
             theta.entry_degree + (0 if sources is None else sources[0].degree))
-        M = np.zeros((a_dst * theta.rows, a_src * theta.cols), dtype=np.int64)
-        for (r, c), z in theta.entries.items():
-            M[r * a_dst:(r + 1) * a_dst, c * a_src:(c + 1) * a_src] = \
-                self._block(z, sources)
-        return M
+        M = np.zeros((theta.rows, a_dst, theta.cols, a_src), dtype=np.int64)
+        if len(theta.where):
+            r, c, k = theta.where.T
+            M[r, :, c, :] = np.array([self._block(z, sources) for z in theta.cycles])[k]
+        return M.reshape(theta.rows * a_dst, theta.cols * a_src)
 
 
 def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
@@ -464,7 +448,7 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
 
     for j in (1, 2, 3):
         g = gamma(j, basis)
-        d = _Coordinates(H, list(g.entries.values())).matrix(g)
+        d = _Coordinates(H, g.cycles).matrix(g)
         out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d], p)
 
     A = _Coordinates(H)

@@ -267,7 +267,7 @@ def _run_verify(args, emit_matrices: bool) -> int:
     i_max = _max_degree(args, rf)
     report, F, _ = full_verify(
         ring, mode, i_max, cycle_strings=rf.cycles, oracle=args.oracle,
-        force_regime=("deg2", 1) if args.sign_flip else None)
+        sign_flip=args.sign_flip)
     H_ranks = report.section("class_certificate").details["homology_ranks"]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -402,18 +402,12 @@ def _alpha_col_groups(k, r, pack) -> list:
 
 def _pretty_cycle_matrix(theta, names, col_groups) -> str:
     """ASCII grid with dashed separators at the block boundaries."""
-    cells = []
-    for i in range(theta.rows):
-        row = []
-        for j in range(theta.cols):
-            z = theta.entries.get((i, j))
-            if z is None:
-                row.append(".")
-            else:
-                # entries that are not named basis cycles (the beta' wedges)
-                # are shown as the element itself
-                row.append(names.get(id(z)) or z.to_string())
-        cells.append(row)
+    # cycles that are not named basis cycles (the beta' wedges) are shown as
+    # the element itself
+    shown = [names.get(id(z)) or z.to_string() for z in theta.cycles]
+    cells = [["."] * theta.cols for _ in range(theta.rows)]
+    for i, j, k in theta.where.tolist():
+        cells[i][j] = shown[k]
     cuts = set()
     acc = 0
     for g in col_groups[:-1]:

@@ -335,7 +335,8 @@ class DiscoveryError(HomologyError):
     caller should supply representatives in the ring file."""
 
 
-def discover_class_CI_basis(H: HomologyAlgebra) -> ClassCIBasis:
+def discover_class_CI_basis(H: HomologyAlgebra) -> tuple:
+    """(basis, certificate): the computed A_1 representatives, certified."""
     basis = ClassCIBasis(z1=list(H.reps[1]))
     cert = verify_class_CI(basis, H)
     if not cert.passed:
@@ -343,7 +344,7 @@ def discover_class_CI_basis(H: HomologyAlgebra) -> ClassCIBasis:
             "computed homology basis is not an exterior algebra on A_1: "
             + "; ".join(c.description for c in cert.failures())
         )
-    return basis
+    return basis, cert
 
 
 def first_nonzero_outer_product(z1) -> tuple | None:
@@ -357,11 +358,12 @@ def first_nonzero_outer_product(z1) -> tuple | None:
     return None
 
 
-def discover_class_T_basis(H: HomologyAlgebra) -> ClassTBasis:
+def discover_class_T_basis(H: HomologyAlgebra) -> tuple:
     """Greedy search for a distinguished triple among the computed A_1
     representatives.  Triples whose out-of-triple degree-1 products vanish
     literally in K_2 are preferred (the resolution assembly needs that); the
     search is best-effort and raises with a diagnostic when it fails.
+    Returns (basis, certificate), the certificate that passed.
     """
     p = H.ring.p
     if H.codepth != 3:
@@ -389,8 +391,9 @@ def discover_class_T_basis(H: HomologyAlgebra) -> ClassTBasis:
         if z2 is None:
             continue
         basis = ClassTBasis(z1=t + rest, z2=z2, z3=list(H.reps[3]))
-        if verify_class_T(basis, H).passed:
-            return basis
+        cert = verify_class_T(basis, H)
+        if cert.passed:
+            return basis, cert
     raise DiscoveryError(
         "no distinguished triple with independent pairwise products certifies "
         "class T for this ring; supply cycle representatives in the ring file"

@@ -19,6 +19,11 @@ every product of ring elements goes through `QuotientRing.product`.
 nonzero products e_U ^ e_T of basis elements, and the differentials (d_i
 multiplies by x_v where e_v ^ e_T = s e_S), the wedge product of elements
 and the wedge actions of cycle matrices are joins of terms against it.
+
+A matrix of cycles (`CycleMatrix`) is a tuple of cycles plus one sorted
+int64 array of (row, column, cycle index) rows, one per nonzero entry.  Its
+wedge action joins the cycle indices against the stacked coordinate columns
+of the cycles, with no loop over entries.
 """
 
 from __future__ import annotations
@@ -293,84 +298,75 @@ def _wedge_action(ring, terms, rows: int, cols: int, j: int, i: int) -> RingMatr
 
 
 class CycleMatrix:
-    """u x v matrix whose entries are degree-j cycles of K.
+    """rows x cols matrix whose entries are degree-j cycles of K, stored as
+    the tuple `cycles` and one sorted int64 array `where` with a row
+    (r, c, k) per nonzero entry: entry (r, c) is cycles[k].  A block matrix
+    repeats a few cycles many times, so it is placed by shifting index rows,
+    never by copying entries.
 
     Acting on column vectors by entrywise wedge multiplication it induces
-    chain maps Sigma^j K^v -> K^u; entries are validated as cycles at
-    construction because every downstream identity assumes it.
+    chain maps Sigma^j K^cols -> K^rows; each cycle is validated once at
+    construction because every downstream identity assumes it.  Entries
+    whose cycle is zero are dropped.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entry_degree", "entries")
+    __slots__ = ("ring", "rows", "cols", "entry_degree", "cycles", "where")
 
     def __init__(self, ring: QuotientRing, rows: int, cols: int, entry_degree: int,
-                 entries: dict | None = None):
+                 cycles, where):
+        for k, z in enumerate(cycles):
+            if z.degree != entry_degree:
+                raise KoszulError(
+                    f"cycle {k} has degree {z.degree}, expected {entry_degree}")
+            if not z.is_cycle():
+                raise KoszulError(f"cycle {k} is not a cycle")
+        where = np.array(where, dtype=np.int64).reshape(-1, 3)
+        r, c, k = where.T
+        outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols) | (k < 0) | (k >= len(cycles))
+        if outside.any():
+            r, c, k = where[outside.argmax()].tolist()
+            raise KoszulError(f"entry ({r},{c}) -> cycle {k} outside {rows}x{cols} "
+                              f"and {len(cycles)} cycles")
+        key = r * cols + c
+        where = where[key.argsort()]
+        key.sort()
+        twice = (key[1:] == key[:-1]).nonzero()[0]
+        if len(twice):
+            r, c, _ = where[twice[0]].tolist()
+            raise KoszulError(f"entry ({r},{c}) is given twice")
+        nonzero = np.array([not z.is_zero() for z in cycles], dtype=bool)
         self.ring = ring
         self.rows = rows
         self.cols = cols
         self.entry_degree = entry_degree
-        self.entries = {}
-        if entries:
-            for (r, c), z in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise KoszulError(f"entry ({r},{c}) outside {rows}x{cols}")
-                if z.degree != entry_degree:
-                    raise KoszulError(
-                        f"entry ({r},{c}) has degree {z.degree}, expected {entry_degree}")
-                if z.is_zero():
-                    continue
-                if not z.is_cycle():
-                    raise KoszulError(f"entry ({r},{c}) is not a cycle")
-                self.entries[(r, c)] = z
-
-    def entry(self, r, c) -> KoszulElement:
-        return self.entries.get((r, c), KoszulElement(self.ring, self.entry_degree))
-
-    def __matmul__(self, other: "CycleMatrix") -> "CycleMatrix":
-        """Wedge-compose: entries of the product are sums of wedges."""
-        assert self.cols == other.rows
-        deg = self.entry_degree + other.entry_degree
-        by_row: dict = {}
-        for (t, c), z in other.entries.items():
-            by_row.setdefault(t, []).append((c, z))
-        acc: dict = {}
-        for (r, t), z in self.entries.items():
-            for c, w in by_row.get(t, ()):
-                prod = z.wedge(w)
-                key = (r, c)
-                acc[key] = acc[key] + prod if key in acc else prod
-        acc = {k: z for k, z in acc.items() if not z.is_zero()}
-        return CycleMatrix(self.ring, self.rows, other.cols, deg, acc)
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CycleMatrix)
-            and (self.rows, self.cols, self.entry_degree)
-            == (other.rows, other.cols, other.entry_degree)
-            and self.entries == other.entries
-        )
+        self.cycles = tuple(cycles)
+        self.where = where[nonzero[where[:, 2]]]
 
     def __repr__(self):
         return (f"CycleMatrix({self.rows}x{self.cols}, "
-                f"entry degree {self.entry_degree}, {len(self.entries)} nonzero)")
+                f"entry degree {self.entry_degree}, {len(self.where)} nonzero)")
 
 
 def cycle_matrix_action(theta: CycleMatrix, i: int) -> RingMatrix:
     """RingMatrix of (y_k) |-> (sum_k theta(s,k) ^ y_k) : K_{i-j}^v -> K_i^u.
 
     Row blocks are copy-major: copy s of K_i occupies rows
-    [s*C(n,i), (s+1)*C(n,i)).  The entries' coordinate columns are stacked
-    into the one term array that _wedge_action reads.
+    [s*C(n,i), (s+1)*C(n,i)).  The cycles' coordinate columns are stacked
+    once; joining the index rows (r, c, k) against them puts the column of
+    cycles[k] at rows r*C(n,j).. of column c, the one term array that
+    _wedge_action reads.
     """
     ring, j = theta.ring, theta.entry_degree
     if i < j:
         raise KoszulError(f"target degree {i} below entry degree {j}")
-    nu = comb(ring.nvars, j)
-    terms = np.concatenate([z.col.terms + (r * nu, c, 0, 0)
-                            for (r, c), z in theta.entries.items()]
-                           or [np.zeros((0, 4), dtype=np.int64)])
+    stacked = np.concatenate([z.col.terms for z in theta.cycles]
+                             + [np.zeros((0, 4), dtype=np.int64)])
+    owner = np.arange(len(theta.cycles)).repeat(
+        np.array([len(z.col.terms) for z in theta.cycles], dtype=np.int64))
+    x, y = join_sorted(theta.where[:, 2], owner)
+    terms = stacked[y]
+    terms[:, 0] += theta.where[x, 0] * comb(ring.nvars, j)
+    terms[:, 1] = theta.where[x, 1]
     return _wedge_action(ring, terms, theta.rows, theta.cols, j, i - j)
 
 

@@ -352,8 +352,9 @@ _BASIS_KINDS = {
 
 def resolve_basis(H: HomologyAlgebra, mode: str, cycle_strings: dict):
     """(mode, basis, certificate) over the ring of the Koszul homology H: the
-    basis is read from the supplied representatives or discovered, then
-    certified; a failed certificate raises ClassVerificationError."""
+    basis is read from the supplied representatives and certified (a failed
+    certificate raises ClassVerificationError), or discovered together with
+    the certificate that discovery computed."""
     if mode == "auto":
         c = H.codepth
         if all(H.rank(i) == comb(c, i) for i in range(c + 1)):
@@ -367,8 +368,9 @@ def resolve_basis(H: HomologyAlgebra, mode: str, cycle_strings: dict):
     if mode not in _BASIS_KINDS:
         raise ValueError(f"unknown mode {mode!r}")
     discover, certify = _BASIS_KINDS[mode]
-    basis = (basis_from_strings(H.ring, cycle_strings, class_t=mode == "T")
-             if cycle_strings else discover(H))
+    if not cycle_strings:
+        return (mode, *discover(H))
+    basis = basis_from_strings(H.ring, cycle_strings, class_t=mode == "T")
     cert = certify(basis, H)
     if not cert.passed:
         raise ClassVerificationError(_cert_message(mode, cert))
@@ -407,11 +409,11 @@ def basis_from_strings(ring, cycle_strings, class_t: bool):
 
 def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
                 cycle_strings: dict | None = None, oracle: bool = False,
-                force_regime: tuple | None = None) -> tuple:
+                sign_flip: bool = False) -> tuple:
     """Run the whole pipeline: class certification, assembly, complex /
     minimality / exactness checks, series cross-checks, graded-level
     exactness (class T), and optionally the oracle comparison through i_max.
-    force_regime (see assemble_T) applies to class T only; on a complete
+    sign_flip (see assemble_T) applies to class T only; on a complete
     intersection it raises ValueError.
 
     Returns (report, assembly, basis).
@@ -419,7 +421,7 @@ def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
     report = VerificationReport()
     H = HomologyAlgebra(ring)
     mode, basis, cert = resolve_basis(H, mode, cycle_strings or {})
-    if force_regime is not None and mode != "T":
+    if sign_flip and mode != "T":
         raise ValueError(f"a forced sign regime applies to class T only, "
                          f"not to mode {mode}")
     report.add(CheckSection(
@@ -430,7 +432,7 @@ def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
         a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
         pack = SequencePack(a1, a2, a3, k_max=max(12, i_max))
         _, PR = poincare_T(a1, a2, a3, ring.nvars, i_max)
-        F = assemble_T(ring, basis, pack, i_max, force_regime=force_regime)
+        F = assemble_T(ring, basis, pack, i_max, sign_flip=sign_flip)
         complexes = graded_A_complexes(min(5, max(2, i_max // 2 + 1)), basis, pack, H)
         report.add(check_graded_exactness(complexes))
     else:

@@ -2,9 +2,10 @@ import re
 
 import pytest
 
+from koszulres.builder import beta, beta_prime
 from koszulres.exactfield import QuotientRing, RingMatrix, parse_monomial_string
 from koszulres.homology import ClassTBasis, HomologyAlgebra
-from koszulres.koszul import parse_koszul_element
+from koszulres.koszul import CycleMatrix, cycle_matrix_action, parse_koszul_element
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
 
@@ -27,6 +28,23 @@ def ring_matrix(ring, rows, cols, entries):
             if b is not None:
                 terms.append((i, j, b, (-c if sign == "-" else c) % ring.p))
     return RingMatrix.from_terms(ring, rows, cols, terms)
+
+
+def cycle_entries(theta):
+    """{(r, c): cycle} of a CycleMatrix, read off its index rows."""
+    return {(r, c): theta.cycles[k] for r, c, k in theta.where.tolist()}
+
+
+def right_inverse_holds(triple, k):
+    """beta_k beta'_{k+1} = vol * I with vol = z1 ^ z2 ^ z3, compared as wedge
+    actions K_0 -> K_3, where the action of a degree-3 entry is its
+    coordinate column: action(beta_k) action(beta'_{k+1}) = action(vol I)."""
+    vol = triple[0].wedge(triple[1]).wedge(triple[2])
+    b = beta(k, triple)
+    scalar = CycleMatrix(vol.ring, b.rows, b.rows, 3, [vol],
+                         [(i, i, 0) for i in range(b.rows)])
+    product = cycle_matrix_action(b, 3) @ cycle_matrix_action(beta_prime(k + 1, triple), 2)
+    return product == cycle_matrix_action(scalar, 3)
 
 
 def make_class_t_basis(ring):

@@ -27,11 +27,12 @@ from koszulres.koszul import (
 )
 from koszulres.samples import class_t_ring
 from koszulres.sequences import SequencePack, arrow_target
-from conftest import make_class_t_basis
+from conftest import cycle_entries, make_class_t_basis, right_inverse_holds
 
 
 def grid(theta, names):
-    return [[names.get(id(theta.entries.get((i, j))), "0")
+    entries = cycle_entries(theta)
+    return [[names.get(id(entries.get((i, j))), "0")
              for j in range(theta.cols)] for i in range(theta.rows)]
 
 
@@ -71,7 +72,7 @@ def test_beta_1_2_3_displayed(basis_t, names_t):
         ["0", "0", "0", "0", "0", "z1_1", "0", "0", "z1_2", "z1_3"],
     ]
     b0 = beta(0, basis_t.triple)
-    assert (b0.rows, b0.cols) == (0, 1) and b0.is_zero()
+    assert (b0.rows, b0.cols) == (0, 1) and not len(b0.where)
 
 
 def test_beta_prime_displayed(basis_t):
@@ -81,7 +82,7 @@ def test_beta_prime_displayed(basis_t):
     w12 = t[0].wedge(t[1])
     bp2 = beta_prime(2, t)
     assert (bp2.rows, bp2.cols) == (3, 1)
-    assert [bp2.entry(i, 0) for i in range(3)] == [w23, w13, w12]
+    assert [cycle_entries(bp2)[(i, 0)] for i in range(3)] == [w23, w13, w12]
     bp3 = beta_prime(3, t)
     assert (bp3.rows, bp3.cols) == (6, 3)
     expected = [
@@ -92,32 +93,15 @@ def test_beta_prime_displayed(basis_t):
         [None, w12, w13],
         [None, None, w12],
     ]
+    entries = cycle_entries(bp3)
     for i in range(6):
         for j in range(3):
-            got = bp3.entries.get((i, j))
-            assert got == expected[i][j]
-    assert beta_prime(0, t).is_zero() and beta_prime(1, t).is_zero()
-
-
-def right_inverse_holds(triple, kmax=6):
-    vol = triple[0].wedge(triple[1]).wedge(triple[2])
-    for k in range(1, kmax + 1):
-        prod = beta(k, triple) @ beta_prime(k + 1, triple)
-        for i in range(prod.rows):
-            for j in range(prod.cols):
-                entry = prod.entries.get((i, j))
-                if i == j:
-                    if vol.is_zero():
-                        assert entry is None
-                    else:
-                        assert entry == vol
-                else:
-                    assert entry is None
-    return True
+            assert entries.get((i, j)) == expected[i][j]
+    assert not len(beta_prime(0, t).where) and not len(beta_prime(1, t).where)
 
 
 def test_beta_right_inverse_identity(basis_t):
-    assert right_inverse_holds(basis_t.triple)
+    assert all(right_inverse_holds(basis_t.triple, k) for k in range(1, 7))
 
 
 def test_beta_right_inverse_nonzero_volume(ring_ci3):
@@ -126,7 +110,7 @@ def test_beta_right_inverse_nonzero_volume(ring_ci3):
               for u, nm in enumerate(ring_ci3.names, start=1)]
     vol = triple[0].wedge(triple[1]).wedge(triple[2])
     assert not vol.is_zero()
-    assert right_inverse_holds(triple)
+    assert all(right_inverse_holds(triple, k) for k in range(1, 7))
 
 
 # -- gamma and alpha ---------------------------------------------------------
@@ -134,7 +118,7 @@ def test_beta_right_inverse_nonzero_volume(ring_ci3):
 def test_gamma_contents(basis_t, ring_t):
     g1 = gamma(1, basis_t)
     assert (g1.rows, g1.cols, g1.entry_degree) == (1, 1, 1)
-    assert g1.entry(0, 0) == parse_koszul_element("y*z*e[1]", ring_t)
+    assert cycle_entries(g1) == {(0, 0): parse_koszul_element("y*z*e[1]", ring_t)}
     g2 = gamma(2, basis_t)
     assert (g2.rows, g2.cols, g2.entry_degree) == (1, 3, 2)
     g3 = gamma(3, basis_t)
@@ -178,15 +162,15 @@ def test_alpha_22_display(pack_t, basis_t, names_t):
 def test_alpha_23_layout(pack_t, basis_t):
     # first column holds beta'_2 in the first b_1 rows; the beta_1^{d_1} row
     # group receives no beta' input; gamma_2 blocks go one per row
-    theta = alpha(2, 3, pack_t, basis_t)
+    entries = cycle_entries(alpha(2, 3, pack_t, basis_t))
     t = basis_t.triple
-    assert theta.entry(0, 0) == t[1].wedge(t[2])
-    assert theta.entry(1, 0) == t[0].wedge(t[2])
-    assert theta.entry(2, 0) == t[0].wedge(t[1])
-    assert (3, 0) not in theta.entries
+    assert entries.pop((0, 0)) == t[1].wedge(t[2])
+    assert entries.pop((1, 0)) == t[0].wedge(t[2])
+    assert entries.pop((2, 0)) == t[0].wedge(t[1])
     for s0 in range(4):
         for c in range(3):
-            assert theta.entry(s0, 1 + 3 * s0 + c) == basis_t.z2[c]
+            assert entries.pop((s0, 1 + 3 * s0 + c)) == basis_t.z2[c]
+    assert not entries  # in particular (3, 0) is empty
 
 
 def test_alpha_input_validation(pack_t, basis_t):
@@ -277,8 +261,8 @@ def test_assembly_differentials_in_m(assembly_t):
 
 
 def test_forced_wrong_regime_breaks_d2(ring_t, basis_t, pack_t):
-    F = assemble_T(ring_t, basis_t, pack_t, i_max=4, force_regime=("deg2", 1))
-    assert "forced" in F.sign_regime
+    F = assemble_T(ring_t, basis_t, pack_t, i_max=4, sign_flip=True)
+    assert F.sign_regime == "diagonal (-1)^deg2, phi +1 (forced)"
     prod = F.diff(2) @ F.diff(3)
     assert not prod.is_zero()
 
@@ -311,11 +295,11 @@ def test_literal_product_precondition(ring_t, basis_t, pack_t):
 
 
 def test_assemble_ci_ranks_and_blocks(ring_ci3, ring_x):
-    basis = discover_class_CI_basis(HomologyAlgebra(ring_ci3))
+    basis, _ = discover_class_CI_basis(HomologyAlgebra(ring_ci3))
     F = assemble_CI(ring_ci3, basis, i_max=6)
     assert F.ranks == [1, 3, 6, 10, 15, 21, 28]
     # hypersurface: F_i = K_i + K_{i-2} + ... intersected with 0 <= kdeg <= 1
-    bx = discover_class_CI_basis(HomologyAlgebra(ring_x))
+    bx, _ = discover_class_CI_basis(HomologyAlgebra(ring_x))
     Fx = assemble_CI(ring_x, bx, i_max=6)
     assert Fx.ranks == [1] * 7
     assert [(b.key, b.kdeg) for b in Fx.blocks[4]] == [(2, 0)]
@@ -324,7 +308,7 @@ def test_assemble_ci_ranks_and_blocks(ring_ci3, ring_x):
 
 def test_assemble_ci_diff3_blocks(ring_ci3):
     # d^F_3 block pattern: (d_3, beta_1-action; 0, d_1^{b_1})
-    basis = discover_class_CI_basis(HomologyAlgebra(ring_ci3))
+    basis, _ = discover_class_CI_basis(HomologyAlgebra(ring_ci3))
     F = assemble_CI(ring_ci3, basis, i_max=4)
     d3 = F.diff(3).entries
     from koszulres.koszul import koszul_differential

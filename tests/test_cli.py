@@ -205,6 +205,26 @@ def test_one_homology_algebra_per_run(tmp_path, monkeypatch, capsys, case):
     assert len(built) == 1
 
 
+def test_one_certificate_per_discovery(tmp_path, monkeypatch, capsys):
+    # discovery certifies the basis it finds and hands that certificate on,
+    # so an auto-mode verify of the generated dim-384 ring computes one
+    from koszulres import homology
+    made = []
+    certificate = homology.Certificate
+
+    def counted(kind):
+        made.append(kind)
+        return certificate(kind)
+
+    monkeypatch.setattr(homology, "Certificate", counted)
+    ring = tmp_path / "generated.ring"
+    ring.write_text("characteristic = 32003\nvariables = x, y, z\n"
+                    "ideal = x^9, y^8, z^7, x^3*y^3*z^3\nmode = auto\n")
+    assert run("verify", "--ring", str(ring), "--max-degree", "2",
+               "--no-timestamp") == 0
+    assert made == ["T"]
+
+
 def test_char_override(tmp_path):
     out = tmp_path / "p2.json"
     assert run("verify", "--ring", str(CLASS_T), "--max-degree", "4",

@@ -182,17 +182,17 @@ def test_product_matches_reference_on_differentials(p):
     ring = class_t_ring(p)
     pack = SequencePack(4, 6, 3, k_max=12)
     cycles_t = class_t_ring_file().cycles
-    for cycles, regime in ((cycles_t, None), (cycles_t, ("deg2", 1)),
-                           (dict(cycles_t, z1_1="x*e[1] + y*e[2]"), None)):
+    for cycles, sign_flip in ((cycles_t, False), (cycles_t, True),
+                              (dict(cycles_t, z1_1="x*e[1] + y*e[2]"), False)):
         F = assemble_T(ring, basis_from_strings(ring, cycles, class_t=True), pack,
-                       5, force_regime=regime)
+                       5, sign_flip=sign_flip)
         nonzero = False
         for i in range(1, F.i_max):
             prod = F.diff(i) @ F.diff(i + 1)
             assert prod == reference_product(F.diff(i), F.diff(i + 1))
             nonzero |= not prod.is_zero()
         # signs are invisible in characteristic 2
-        assert nonzero == (regime is not None and p != 2)
+        assert nonzero == (sign_flip and p != 2)
 
 
 @pytest.mark.parametrize("p", PRIMES)

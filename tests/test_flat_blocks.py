@@ -35,7 +35,7 @@ def _acit(p):
 
 def _ci3(p):
     ring = ci_squares_ring(3, p=p)
-    return assemble_CI(ring, discover_class_CI_basis(HomologyAlgebra(ring)), 6)
+    return assemble_CI(ring, discover_class_CI_basis(HomologyAlgebra(ring))[0], 6)
 
 
 ASSEMBLIES = {

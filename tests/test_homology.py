@@ -177,7 +177,9 @@ def test_class_t_ring_fed_as_ci_fails(ring_t, homology_t, basis_t):
 def test_discover_ci_basis(ring_ci3, ring_ci2):
     for ring in (ring_ci3, ring_ci2):
         H = HomologyAlgebra(ring)
-        assert verify_class_CI(discover_class_CI_basis(H), H).passed
+        basis, cert = discover_class_CI_basis(H)
+        # discovery hands back the certificate that a fresh run reproduces
+        assert cert.passed and cert == verify_class_CI(basis, H)
 
 
 def test_discover_ci_fails_on_class_t(ring_t, homology_t):
@@ -186,8 +188,8 @@ def test_discover_ci_fails_on_class_t(ring_t, homology_t):
 
 
 def test_discover_class_t_basis(ring_t, homology_t):
-    basis = discover_class_T_basis(homology_t)
-    assert verify_class_T(basis, homology_t).passed
+    basis, cert = discover_class_T_basis(homology_t)
+    assert cert.passed and cert == verify_class_T(basis, homology_t)
 
 
 def test_discover_class_t_rejects_ci(ring_ci2):

@@ -45,7 +45,7 @@ def test_class_t_family_discovery_and_assembly(gens, p):
     ring = QuotientRing(p, 3, gens, names=["x", "y", "z"])
     H = HomologyAlgebra(ring)
     assert tuple(H.ranks) == (1, 4, 6, 3)
-    basis = discover_class_T_basis(H)
+    basis, _ = discover_class_T_basis(H)
     pack = SequencePack(4, 6, 3, k_max=10)
     F = assemble_T(ring, basis, pack, i_max=5)
     assert F.ranks == [1, 3, 7, 16, 37, 86]
@@ -78,7 +78,7 @@ def test_ci_codepth_4():
         e[v] = 2
         gens.append(tuple(e))
     ring = QuotientRing(32003, 4, gens)
-    basis = discover_class_CI_basis(HomologyAlgebra(ring))
+    basis, _ = discover_class_CI_basis(HomologyAlgebra(ring))
     F = assemble_CI(ring, basis, i_max=5)
     _, PR = poincare_CI(4, 4, 5)
     assert F.ranks == [PR.coefficient(k) for k in range(6)]
@@ -91,7 +91,7 @@ def test_ci_mixed_pure_powers():
     # k[x,y]/(x^3, y^4): still a complete intersection, dim 12
     ring = QuotientRing(32003, 2, [(3, 0), (0, 4)], names=["x", "y"])
     assert ring.dim == 12
-    basis = discover_class_CI_basis(HomologyAlgebra(ring))
+    basis, _ = discover_class_CI_basis(HomologyAlgebra(ring))
     F = assemble_CI(ring, basis, i_max=6)
     assert F.ranks == [1, 2, 3, 4, 5, 6, 7]
     assert check_complex(F).passed
@@ -101,7 +101,7 @@ def test_ci_mixed_pure_powers():
 
 def test_hypersurface_higher_power():
     ring = QuotientRing(32003, 1, [(5,)], names=["x"])
-    basis = discover_class_CI_basis(HomologyAlgebra(ring))
+    basis, _ = discover_class_CI_basis(HomologyAlgebra(ring))
     F = assemble_CI(ring, basis, i_max=8)
     assert F.ranks == [1] * 9
     assert check_exactness(F).passed

@@ -31,7 +31,7 @@ def assembly_t(ring_t, basis_t, pack_t):
 
 @pytest.fixture(scope="module")
 def assembly_ci2(ring_ci2):
-    basis = discover_class_CI_basis(HomologyAlgebra(ring_ci2))
+    basis, _ = discover_class_CI_basis(HomologyAlgebra(ring_ci2))
     return assemble_CI(ring_ci2, basis, i_max=6)
 
 
@@ -43,11 +43,8 @@ def test_check_complex_passes(assembly_t, assembly_ci2, ring_t, ring_ci2):
 
 
 def test_check_complex_sign_flip_fails(ring_t, basis_t, pack_t):
-    F = assemble_T(ring_t, basis_t, pack_t, i_max=4, force_regime=("total", -1))
-    # a GLOBAL phi flip is a chain isomorphism, so it still passes ...
-    assert check_complex(F).passed
-    # ... but the wrong diagonal sign rule genuinely breaks the complex
-    Fbad = assemble_T(ring_t, basis_t, pack_t, i_max=4, force_regime=("deg2", 1))
+    # the wrong diagonal sign rule genuinely breaks the complex
+    Fbad = assemble_T(ring_t, basis_t, pack_t, i_max=4, sign_flip=True)
     section = check_complex(Fbad)
     assert not section.passed
     assert "d_2 d_3" in section.failure and "block" in section.failure
@@ -94,7 +91,7 @@ def test_check_exactness_detects_dropped_block(ring_t, basis_t, pack_t):
 
 def test_negative_controls_hit_one_check_each(ring_t, basis_t, pack_t):
     # the rejected sign regime fails the complex check but nothing else
-    Fbad = assemble_T(ring_t, basis_t, pack_t, i_max=4, force_regime=("deg2", 1))
+    Fbad = assemble_T(ring_t, basis_t, pack_t, i_max=4, sign_flip=True)
     assert not check_complex(Fbad).passed
     assert check_minimality(Fbad).passed
 
@@ -178,7 +175,7 @@ def test_full_verify_wrong_mode_fails_early(ring_t):
 def test_full_verify_forced_regime_reports_math_failure(ring_t):
     report, F, _ = full_verify(ring_t, "T", i_max=4,
                                cycle_strings=class_t_ring_file().cycles,
-                               force_regime=("deg2", 1))
+                               sign_flip=True)
     assert not report.passed
     failing = [s.name for s in report.sections if not s.passed]
     assert "complex" in failing
