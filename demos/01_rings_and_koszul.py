@@ -60,6 +60,10 @@ ye2 = parse_koszul_element("y*e[2]", ring)
 print("(x e1) ^ (y e2) =", xe1.wedge(ye2).to_string())
 print("(x e1) ^ (x e2) =", xe1.wedge(parse_koszul_element("x*e[2]", ring)).to_string())
 
-# flattening realizes matrices over R as exact F_p-linear maps
-print("\nmultiplication by x as a 7x7 matrix over F_p:")
-print(x.flatten())
+# a matrix over R is an exact F_p-linear map on the standard-monomial
+# coordinates; over a monomial ring that map splits into small connected
+# blocks, and no dense F_p matrix is ever formed
+print("\nmultiplication by x over F_p, block by block:")
+for rows, cols, block in x.flat_blocks():
+    print(f"  {[ring.std_strings[c] for c in cols]} -> "
+          f"{[ring.std_strings[r] for r in rows]}: {block.tolist()}")

@@ -100,19 +100,18 @@ def beta(k: int, cycles) -> CycleMatrix:
     return CycleMatrix(ring, len(rows), len(col_index), 1, cycles, where)
 
 
-def beta_prime(k: int, triple) -> CycleMatrix:
+def beta_prime(k: int, basis: ClassTBasis) -> CycleMatrix:
     """The b_{k-1} x b_{k-2} matrix (codepth 3) with entry z^1_{u'} ^ z^1_{u''}
     at (u-word, v-word) whenever u-word = [v-word . u], where {u', u''} is the
-    complement of u in {1,2,3}."""
-    if len(triple) != 3:
-        raise BuildError("beta_prime needs the distinguished triple")
+    complement of u in {1,2,3} and z^1_1..z^1_3 is the distinguished triple
+    of the basis.  The entries are the basis's own products, so every beta'
+    of one basis shares the same three cycles."""
     row_index = {w: i for i, w in enumerate(words(3, k - 1))}
     cols = words(3, k - 2)
-    # the complements of u = 1, 2, 3
-    wedges = [triple[a].wedge(triple[b]) for a, b in ((1, 2), (0, 2), (0, 1))]
+    z12, z23, z13 = basis.products
     where = [(row_index[bracket(v + (u,))], j, u - 1)
              for j, v in enumerate(cols) for u in (1, 2, 3)]
-    return CycleMatrix(triple[0].ring, len(row_index), len(cols), 2, wedges, where)
+    return CycleMatrix(z12.ring, len(row_index), len(cols), 2, [z23, z13, z12], where)
 
 
 def gamma(j: int, basis: ClassTBasis) -> CycleMatrix:
@@ -155,7 +154,7 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
         diagonal = [(beta(k - t, triple), pack.d[t]) for t in range(k)]
     elif r == k + 1:
         # the beta_1^{d_{k-1}} row group receives no beta' input: zero rows
-        diagonal = [(beta_prime(k - t, triple), pack.d[t]) for t in range(k - 1)]
+        diagonal = [(beta_prime(k - t, basis), pack.d[t]) for t in range(k - 1)]
     else:
         diagonal = []
     cycles, where = [], [np.zeros((0, 3), dtype=np.int64)]
@@ -177,6 +176,12 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
             f"tables give {cols_expected}")
     return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1, cycles,
                        np.concatenate(where))
+
+
+def alpha_family(pack: SequencePack, basis: ClassTBasis):
+    """alpha_{k,r} as a function of (k, r) that builds each matrix once, on
+    first use, so that assembly and the graded complexes can share them."""
+    return lru_cache(maxsize=None)(lambda k, r: alpha(k, r, pack, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,8 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
 
 
 def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
-               i_max: int = 8, sign_flip: bool = False) -> ResolutionAssembly:
+               i_max: int = 8, sign_flip: bool = False,
+               alphas=None) -> ResolutionAssembly:
     """Assemble the class-T resolution F through homological degree i_max.
 
     The blocks are K_i^{deg3 m} for the tree monomials m; the block of
@@ -297,7 +303,8 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
     follow the mapping-cone convention: diagonal (-1)^(deg1+deg2), arrows +1.
     Nothing here tests d^2 = 0; verifier.check_complex certifies it.  With
     sign_flip the diagonal carries (-1)^deg2 instead, the negative control
-    that breaks d^2 = 0.
+    that breaks d^2 = 0.  The arrows are read from ``alphas``, an
+    alpha_family of the same pack and basis (a new one when None).
     """
     if i_max < 1:
         raise BuildError("i_max must be >= 1")
@@ -313,8 +320,8 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
         j, r, tail = b.key.head
         return arrow_target(b.key), b.kdeg + r - j + 1, (j, r), tail.deg3(pack)
 
-    diffs = _assemble_diffs(ring, blocks, diag_sign, arrow,
-                            lambda jr: alpha(*jr, pack, basis))
+    alphas = alphas or alpha_family(pack, basis)
+    diffs = _assemble_diffs(ring, blocks, diag_sign, arrow, lambda jr: alphas(*jr))
     label = ("diagonal (-1)^deg2, phi +1 (forced)" if sign_flip
              else "diagonal (-1)^(deg1+deg2), phi +1")
     return ResolutionAssembly("T", ring, i_max, blocks, diffs, label)
@@ -389,15 +396,12 @@ class _Coordinates:
             raise BuildError("class does not lie in the expected subspace")
         return x
 
-    def _block(self, z, sources):
-        key = (id(z), id(sources))
-        hit = self._cache.get(key)
-        if hit is None:
-            classes = [self.H.class_of(z)] if sources is None else \
-                [self.H.product_class(z, w) for w in sources]
-            block = np.array([self._target(c) for c in classes], dtype=np.int64).T
-            hit = self._cache[key] = (z, sources, block)
-        return hit[2]
+    def _block(self, z, sources) -> np.ndarray:
+        """The target coordinates of the class of z (sources None), or of
+        its products with each source, as columns."""
+        classes = [self.H.class_of(z)] if sources is None else \
+            [self.H.product_class(z, w) for w in sources]
+        return np.array([self._target(c) for c in classes], dtype=np.int64).T
 
     def matrix(self, theta: CycleMatrix, sources=None) -> np.ndarray:
         """With sources None, theta's entries as target-coordinate columns,
@@ -409,17 +413,26 @@ class _Coordinates:
             theta.entry_degree + (0 if sources is None else sources[0].degree))
         M = np.zeros((theta.rows, a_dst, theta.cols, a_src), dtype=np.int64)
         if len(theta.where):
+            blocks = []
+            for z in theta.cycles:
+                key = (id(z), id(sources))
+                if key not in self._cache:  # keeps z and sources alive with their ids
+                    self._cache[key] = (z, sources, self._block(z, sources))
+                blocks.append(self._cache[key][2])
             r, c, k = theta.where.T
-            M[r, :, c, :] = np.array([self._block(z, sources) for z in theta.cycles])[k]
+            M[r, :, c, :] = np.array(blocks)[k]
         return M.reshape(theta.rows * a_dst, theta.cols * a_src)
 
 
 def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
-                       H: HomologyAlgebra) -> dict:
+                       H: HomologyAlgebra, alphas=None) -> dict:
     """The finite complexes of homology classes whose exactness certifies the
     graded resolution data: B_k (k <= k_max), C_1..C_3, A_k (k <= k_max), and
     the dimension bookkeeping of the decomposition of A_k into shifted B and C
     pieces.
+
+    The alpha matrices are read from ``alphas``, an alpha_family of the same
+    pack and basis (a new one when None).
 
     Returns {"B": {k: FiniteComplex}, "C": {...}, "A": {...},
     "decomposition": {k: [(position, lhs, rhs, ok), ...]}}.
@@ -434,8 +447,7 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
         return np.zeros((rows, cols), dtype=np.int64)
 
     B1 = _Coordinates(H, triple)
-    B2 = _Coordinates(H, [triple[0].wedge(triple[1]), triple[1].wedge(triple[2]),
-                          triple[0].wedge(triple[2])])
+    B2 = _Coordinates(H, basis.products)
     for k in range(1, k_max + 1):
         b_m3 = b[k - 3] if k >= 3 else 0
         dims = [b[k], 3 * b[k - 1] + b_m3]
@@ -443,7 +455,7 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
         if k >= 2:
             dims.append(3 * b[k - 2])
             maps.append(np.hstack([B2.matrix(beta(k - 1, triple), triple),
-                                   B2.matrix(beta_prime(k - 1, triple))]))
+                                   B2.matrix(beta_prime(k - 1, basis))]))
         out["B"][k] = FiniteComplex(f"B_{k}", k, dims, maps, p)
 
     for j in (1, 2, 3):
@@ -452,20 +464,19 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
         out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d], p)
 
     A = _Coordinates(H)
-    alphas = {(j, j + s): alpha(j, j + s, pack, basis)
-              for s in range(3) for j in range(1, k_max + 1 - s)}
+    alphas = alphas or alpha_family(pack, basis)
     for k in range(1, k_max + 1):
         dims = [l[k], a1 * l[k - 1] + lp[k - 1]]
-        maps = [np.vstack([A.matrix(alphas[k, k]), zeros(lp[k - 1], l[k])])]
+        maps = [np.vstack([A.matrix(alphas(k, k)), zeros(lp[k - 1], l[k])])]
         if k >= 2:
             dims.append(a2 * l[k - 2] + lpp[k - 2])
-            top = np.hstack([A.matrix(alphas[k - 1, k - 1], H.reps[1]),
-                             A.matrix(alphas[k - 1, k])])
+            top = np.hstack([A.matrix(alphas(k - 1, k - 1), H.reps[1]),
+                             A.matrix(alphas(k - 1, k))])
             maps.append(np.vstack([top, zeros(lpp[k - 2], top.shape[1])]))
         if k >= 3:
             dims.append(a3 * l[k - 3])
-            maps.append(np.hstack([A.matrix(alphas[k - 2, k - 2], H.reps[2]),
-                                   A.matrix(alphas[k - 2, k])]))
+            maps.append(np.hstack([A.matrix(alphas(k - 2, k - 2), H.reps[2]),
+                                   A.matrix(alphas(k - 2, k))]))
         out["A"][k] = FiniteComplex(f"A_{k}", k, dims, maps, p)
         out["decomposition"][k] = _decomposition_check(k, out, pack)
 

@@ -15,8 +15,8 @@ products stay exact in the accumulator: float64 BLAS while (p-1)^2 < 2**53,
 int64 above; no floating point value leaves this module un-reduced.
 
 A matrix over R (`RingMatrix`) is one sorted int64 array of terms (row,
-column, standard-monomial index, coefficient).  Its products and its
-flattening to F_p multiply monomials through one table,
+column, standard-monomial index, coefficient).  Its products and the
+nonzeros of its flat F_p matrix multiply monomials through one table,
 `QuotientRing.product`: the index of std_a * std_b, or -1 for zero.  Every
 element of R in this library is a list of such terms; `term_string` prints
 one term, in the syntax that ring files and cycle strings are written in.
@@ -216,7 +216,7 @@ class QuotientRing:
 
 
 # ---------------------------------------------------------------------------
-# matrices over R (sparse) and flattening to F_p
+# matrices over R (sparse) and their flat F_p nonzeros
 # ---------------------------------------------------------------------------
 
 
@@ -311,10 +311,13 @@ class RingMatrix:
         return tuple(self.terms[unit[0], :2].tolist()) if len(unit) else None
 
     def _flat_nonzeros(self):
-        """Row, column and value of each nonzero of flatten().  The term
-        c * std_b of entry (i, j) sends std_a of coordinate j to
-        c * std_{product[b, a]} of coordinate i; distinct terms of an entry
-        send std_a to distinct monomials, so no two terms meet."""
+        """Row, column and value of each nonzero of the F_p matrix of the map
+        R^cols -> R^rows that self induces.  Coordinates are R-coordinate
+        major: coordinate r occupies the slice [r*dim, (r+1)*dim) in the
+        standard-monomial basis of R.  The term c * std_b of entry (i, j)
+        sends std_a of coordinate j to c * std_{product[b, a]} of coordinate
+        i; distinct terms of an entry send std_a to distinct monomials, so
+        no two terms meet."""
         D, product = self.ring.dim, self.ring.product
         nb, na = np.nonzero(product >= 0)  # the pairs (b, a), grouped by b
         i, j, b, c = self.terms.T
@@ -322,27 +325,16 @@ class RingMatrix:
         a = na[y]
         return i[t] * D + product[b[t], a], j[t] * D + a, c[t]
 
-    def flatten(self) -> np.ndarray:
-        """Matrix of the induced F_p-linear map R^cols -> R^rows.
-
-        Coordinates are ordered R-coordinate major: coordinate r occupies the
-        slice [r*dim, (r+1)*dim) in the standard-monomial basis of R.
-        """
-        D = self.ring.dim
-        r, c, v = self._flat_nonzeros()
-        M = np.zeros((self.rows * D, self.cols * D), dtype=np.int64)
-        M[r, c] = v
-        return M
-
     def flat_blocks(self) -> list:
-        """The connected blocks of flatten(), without forming it.
+        """The connected blocks of the flat F_p matrix (see _flat_nonzeros),
+        without forming it.
 
         Each nonzero of the flat matrix joins its row to its column; the
         connected components of that bipartite graph make the matrix
         block-diagonal up to a permutation of rows and columns, so its rank
         is the sum of the block ranks.  Returns (rows, cols, block) per
         component, ordered by smallest row: ascending flat row and column
-        indices and the dense int64 block flatten()[np.ix_(rows, cols)].
+        indices and the dense int64 block of the flat matrix on them.
         Rows and columns with no nonzero lie in no block.  A monomial entry
         sends standard monomials to standard monomials or to zero, so over a
         monomial ring the blocks are small; entries with several terms only

@@ -9,16 +9,21 @@ multiplication structures this library resolves over:
 
 Nothing here assumes the multiplication table; every product is computed and
 checked by exact linear algebra, in any characteristic.
+
+The homology is computed one multidegree strand at a time: over a monomial
+ring K is Z^n-graded, so the flat Koszul differentials split into small
+blocks, and no dense flat matrix is formed (see HomologyAlgebra).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .exactfield import QuotientRing, kernel_mod, rank_mod, rref_mod
+from .exactfield import QuotientRing, RingMatrix, kernel_mod, rank_mod, rref_mod
 from .koszul import KoszulElement, koszul_differential, subsets
 
 
@@ -36,69 +41,53 @@ class ClassVerificationError(ValueError):
 
 
 class HomologyAlgebra:
-    """Per-degree kernels, boundaries and echelon-normalized representatives.
+    """Per-degree boundaries, echelon-normalized cycle representatives and
+    ranks of A = H(K), computed one multidegree strand at a time.
 
-    For each homological degree i:
-      * ``boundary[i]``  rows spanning im(flat d_{i+1})  (reduced echelon),
+    Over a monomial ring K is Z^n-graded: the flat coordinate t*D + b of K_i,
+    which is std_b e_T, has multidegree exps(std_b) + eps_T, and every flat
+    d_i preserves it.  So each d_i splits into strands, one small block per
+    multidegree, and no kernel or image vector leaves its strand.  For each
+    homological degree i:
+
+      * ``flat_diff[i]``  the nonzeros of flat d_i, an int64 (3, nnz) array
+        of (row, column, value);
+      * ``boundary[i]``  the reduced echelon rows spanning im(flat d_{i+1}),
+        an int64 (3, nnz) array of (row, column, value) sorted by row and
+        column, the rows numbered in the order of their pivots;
       * ``reps[i]``      cycle representatives completing the boundaries to
-        ker(flat d_i); their classes are the chosen basis of A_i,
+        ker(flat d_i), in the order of the free columns of flat d_i that
+        produced them; their classes are the chosen basis of A_i;
       * ``ranks[i]``     a_i = dim A_i.
 
-    ``_basis[i]`` is the rows of ``boundary[i]`` followed by the vectors of
-    ``reps[i]`` (the same arrays, not copies): a basis of ker(flat d_i) whose
-    rows have leading entry 1 at distinct indices, and ``_pivots[i]`` maps
-    each leading index to its row.  ``class_of`` reads coordinates off the
-    reduction of a cycle against them.
+    Reduced echelon forms are unique and the strands have disjoint supports,
+    so these are what one elimination of the whole flat matrices would give.
+    Strands with equal blocks have equal echelon data up to where it is
+    placed, so each distinct block content is eliminated once and scattered
+    to its strands.  ``class_of`` reduces a cycle only inside the strands it
+    meets.
     """
 
     def __init__(self, ring: QuotientRing):
         self.ring = ring
-        n, p = ring.nvars, ring.p
-        self.flat_diff = [koszul_differential(i, ring).flatten() for i in range(n + 1)]
+        n = ring.nvars
+        self.flat_diff = [np.array(koszul_differential(i, ring)._flat_nonzeros())
+                          for i in range(n + 1)]
+        codes = _multidegrees(ring)  # codes[i + 1] is K_i
+        empty = np.zeros((3, 0), dtype=np.int64)
         self.ranks = []
         self.boundary = []
         self.reps = []
-        self._basis = []
-        self._pivots = []
+        self._strands = []
         for i in range(n + 1):
-            bnd = self._image_rows(i + 1)
-            basis, pivots = self._complete(bnd, self._kernel(i), p)
-            reps = basis[len(bnd):]
+            up = self.flat_diff[i + 1] if i < n else empty
+            bnd, reps, strands = _strand_homology(ring, i, codes[i:i + 3], up,
+                                                  self.flat_diff[i])
             self.ranks.append(len(reps))
             self.boundary.append(bnd)
-            self._basis.append(basis)
-            self._pivots.append(pivots)
-            self.reps.append([KoszulElement.from_vector(ring, i, v) for v in reps])
+            self.reps.append(reps)
+            self._strands.append(strands)
         self.codepth = max((i for i, a in enumerate(self.ranks) if a), default=0)
-
-    def _kernel(self, i: int) -> np.ndarray:
-        n, p = self.ring.nvars, self.ring.p
-        if i == 0:
-            return np.eye(self.ring.dim, dtype=np.int64)
-        if i > n:
-            return np.zeros((len(subsets(n, i)) * self.ring.dim, 0), dtype=np.int64)
-        return kernel_mod(self.flat_diff[i], p)
-
-    def _image_rows(self, i: int) -> np.ndarray:
-        """Reduced echelon rows spanning the image of flat d_i."""
-        n, p = self.ring.nvars, self.ring.p
-        if i > n:
-            dim = len(subsets(n, i - 1)) * self.ring.dim
-            return np.zeros((0, dim), dtype=np.int64)
-        M = self.flat_diff[i]
-        R, piv = rref_mod(M.T, p)
-        return R[: len(piv)].copy()  # a view would pin all of R
-
-    @staticmethod
-    def _complete(bnd_rows: np.ndarray, ker_cols: np.ndarray, p: int) -> tuple:
-        """The boundary rows followed by kernel vectors whose classes complete
-        the boundary span, picked and normalized by echelon order
-        (deterministic); returns (basis, pivots)."""
-        basis = list(bnd_rows)
-        pivots = {int(np.flatnonzero(r)[0]): k for k, r in enumerate(basis)}
-        for c in range(ker_cols.shape[1]):
-            _extend(ker_cols[:, c], basis, pivots, p)
-        return basis, pivots
 
     # -- classes and products ----------------------------------------------
 
@@ -109,12 +98,23 @@ class HomologyAlgebra:
         """Coordinates of [z] in the representative basis of A_{deg z}."""
         if not z.is_cycle():
             raise HomologyError("class_of called on a non-cycle")
-        i = z.degree
-        rest, coeffs = _reduce_against(z.to_vector(), self._basis[i],
-                                       self._pivots[i], self.ring.p)
-        if rest.any():
-            raise HomologyError("cycle is not in the span of kernel basis (bug)")
-        return coeffs[len(self.boundary[i]):]
+        i, D = z.degree, self.ring.dim
+        S = self._strands[i]
+        t = z.col.terms
+        g = t[:, 0] * D + t[:, 2]
+        strand = S.strand[g]
+        coeffs = np.zeros(self.ranks[i], dtype=np.int64)
+        for s in set(strand.tolist()):
+            basis, pivots, nbnd = S.contents[S.content[s]]
+            mine = strand == s
+            v = np.zeros(basis.shape[1], dtype=np.int64)
+            v[S.local[g[mine]]] = t[mine, 3]
+            rest, c = _reduce_against(v, basis, pivots, self.ring.p)
+            if rest.any():
+                raise HomologyError("cycle is not in the span of kernel basis (bug)")
+            if s in S.rep_ids:
+                coeffs[S.rep_ids[s]] = c[nbnd:]
+        return coeffs
 
     def product_class(self, z: KoszulElement, w: KoszulElement) -> np.ndarray:
         """Class of z ^ w; degree overflow past the codepth gives the empty
@@ -123,6 +123,151 @@ class HomologyAlgebra:
         if deg > self.ring.nvars:
             return np.zeros(0, dtype=np.int64)
         return self.class_of(z.wedge(w))
+
+
+@dataclass
+class _Strands:
+    """The strands of one K_i.  ``strand[g]`` and ``local[g]`` are the strand
+    of flat coordinate g and its position there (a strand keeps the global
+    order of its coordinates).  ``contents`` holds (basis, pivots, number of
+    boundary rows) per distinct content in local coordinates, as
+    _complete returns them, and ``content[s]`` indexes it.
+    ``rep_ids[s]`` lists the global indices of the reps of strand s, for the
+    strands that have any."""
+
+    strand: np.ndarray
+    local: np.ndarray
+    content: np.ndarray
+    contents: list
+    rep_ids: dict
+
+
+def _multidegrees(ring: QuotientRing) -> list:
+    """codes[i + 1][t*D + b], for i = -1..n+1: the multidegree
+    exps(std_b) + eps_T of each flat coordinate of K_i, T the t-th subset,
+    as one mixed-radix integer (K_{-1} and K_{n+1} have no coordinates)."""
+    n = ring.nvars
+    E = np.array(ring.std_basis, dtype=np.int64).reshape(-1, n)
+    radix = np.cumprod(np.r_[1, E.max(axis=0)[:-1] + 2])
+    return [(np.array([radix[[v - 1 for v in T]].sum() for T in subsets(n, i)],
+                      dtype=np.int64)[:, None] + E @ radix).ravel()
+            for i in range(-1, n + 2)]
+
+
+def _split(code: np.ndarray, keys: np.ndarray) -> tuple:
+    """(strand, position) of each coordinate: the index of its code in the
+    sorted ``keys`` (-1 when absent) and the number of earlier coordinates
+    with the same code."""
+    order = np.argsort(code, kind="stable")
+    ranked = code[order]
+    position = np.empty(len(code), dtype=np.int64)
+    position[order] = np.arange(len(code)) - ranked.searchsorted(ranked)
+    strand = keys.searchsorted(code)
+    found = strand < len(keys)
+    found[found] = keys[strand[found]] == code[found]
+    return np.where(found, strand, -1), position
+
+
+def _strand_homology(ring, i, codes, up, down) -> tuple:
+    """(boundary, reps, strands) of degree i, from the multidegree codes of
+    K_{i-1}, K_i and K_{i+1} and the nonzeros ``up`` of flat d_{i+1} and
+    ``down`` of flat d_i.
+
+    A strand with m coordinates in K_i has an image block (flat d_{i+1})^T,
+    u x m, and a kernel block flat d_i, w x m.  Its content is the row
+    [u, m, w, image entries, kernel entries]; the rows are grouped by
+    length and deduplicated with np.unique, so that rref_mod, kernel_mod
+    and _complete run once per distinct content.  The boundary rows are
+    then numbered by their global pivots, and the reps by the global free
+    columns that produced them."""
+    p, D = ring.p, ring.dim
+    code_down, code, code_up = codes
+    keys, strand = np.unique(code, return_inverse=True)
+    local = _split(code, keys)[1]
+    s_up, l_up = _split(code_up, keys)
+    s_down, l_down = _split(code_down, keys)
+    m = np.bincount(strand, minlength=len(keys))
+    u = np.bincount(s_up[s_up >= 0], minlength=len(keys))
+    w = np.bincount(s_down[s_down >= 0], minlength=len(keys))
+    # the content rows of all strands, one after another in one buffer
+    length = 3 + m * (u + w)
+    offset = np.r_[0, np.cumsum(length)[:-1]]
+    buf = np.zeros(int(length.sum()), dtype=np.int64)
+    buf[offset[:, None] + np.arange(3)] = np.column_stack([u, m, w])
+    r, c, v = up  # flat row in K_i, column in K_{i+1}
+    s = strand[r]
+    buf[offset[s] + 3 + l_up[c] * m[s] + local[r]] = v
+    r, c, v = down  # flat row in K_{i-1}, column in K_i
+    s = strand[c]
+    buf[offset[s] + 3 + (u[s] + l_down[r]) * m[s] + local[c]] = v
+
+    members = np.argsort(strand, kind="stable")  # each strand's coordinates
+    first = np.r_[0, np.cumsum(m)[:-1]]
+    content = np.empty(len(keys), dtype=np.int64)
+    contents, bnd_parts, rep_parts, rep_free = [], [], [], []
+    lengths, by_length = np.unique(length, return_inverse=True)
+    for g, L in enumerate(lengths.tolist()):
+        group = np.flatnonzero(by_length == g)
+        distinct, which = np.unique(buf[offset[group][:, None] + np.arange(L)],
+                                    axis=0, return_inverse=True)
+        which = which.reshape(-1)
+        split = np.cumsum(np.bincount(which, minlength=len(distinct)))[:-1]
+        owner_groups = np.split(group[np.argsort(which, kind="stable")], split)
+        for row, owners in zip(distinct, owner_groups):
+            nu, nm, nw = row[:3].tolist()
+            R, piv = rref_mod(row[3:3 + nu * nm].reshape(nu, nm), p)
+            K = kernel_mod(row[3 + nu * nm:].reshape(nw, nm), p)
+            basis, pivots, picked = _complete(R[:len(piv)], K, p)
+            basis = np.array(basis, dtype=np.int64).reshape(-1, nm)
+            content[owners] = len(contents)
+            contents.append((basis, pivots, len(piv)))
+            # the local column that orders each basis row: its pivot, or the
+            # free column (last nonzero) of the kernel vector it came from
+            free = nm - 1 - np.argmax(K[::-1] != 0, axis=0)
+            lead = np.r_[piv, free[picked]].astype(np.int64)
+            coords = members[first[owners][:, None] + np.arange(nm)]
+            a, j = np.nonzero(basis)
+            nz = (coords[:, lead[a]], coords[:, j],
+                  np.broadcast_to(basis[a, j], (len(owners), len(a))))
+            is_bnd = a < len(piv)
+            bnd_parts.append([x[:, is_bnd] for x in nz])
+            rep_parts.append([x[:, ~is_bnd] for x in nz])
+            if picked:
+                rep_free.append((owners, coords[:, lead[len(piv):]]))
+    _, boundary = _numbered(bnd_parts)
+    free, (k, col, val) = _numbered(rep_parts)
+    rep_ids = {s: free.searchsorted(f)
+               for owners, F in rep_free for s, f in zip(owners.tolist(), F)}
+    # rep k is the column of terms (t, 0, b, value) of its flat columns t*D + b
+    terms = np.column_stack([col // D, 0 * col, col % D, val])
+    cuts = k.searchsorted(np.arange(len(free) + 1))
+    rows = len(subsets(ring.nvars, i))
+    reps = [KoszulElement(ring, i, RingMatrix.from_terms(ring, rows, 1, terms[a:b]))
+            for a, b in zip(cuts[:-1], cuts[1:])]
+    return boundary, reps, _Strands(strand, local, content, contents, rep_ids)
+
+
+def _complete(bnd_rows: np.ndarray, ker_cols: np.ndarray, p: int) -> tuple:
+    """The boundary rows followed by kernel vectors whose classes complete
+    the boundary span, picked and normalized by echelon order
+    (deterministic); returns (basis, pivots, picked), picked listing the
+    kernel column behind each appended vector."""
+    basis = list(bnd_rows)
+    pivots = {int(np.flatnonzero(r)[0]): k for k, r in enumerate(basis)}
+    picked = [c for c in range(ker_cols.shape[1])
+              if _extend(ker_cols[:, c], basis, pivots, p)]
+    return basis, pivots, picked
+
+
+def _numbered(parts) -> tuple:
+    """(leads, nonzeros) of rows given per part as (lead, column, value)
+    arrays, one entry per nonzero: the rows are numbered in the order of
+    their distinct lead columns ``leads``, and ``nonzeros`` is the int64
+    (3, nnz) array of (row number, column, value) sorted by row and column."""
+    lead, col, val = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*parts))
+    leads, row = np.unique(lead, return_inverse=True)
+    order = np.lexsort((col, row))
+    return leads, np.stack([row[order], col[order], val[order]])
 
 
 def _reduce_against(v, basis, pivots, p):
@@ -177,6 +322,14 @@ class ClassTBasis:
     @property
     def triple(self):
         return self.z1[:3]
+
+    @cached_property
+    def products(self) -> tuple:
+        """The distinguished products (z1 z2, z2 z3, z1 z3) of the triple,
+        computed once per basis, so that every matrix built from them shares
+        the same three cycles."""
+        t = self.triple
+        return t[0].wedge(t[1]), t[1].wedge(t[2]), t[0].wedge(t[2])
 
 
 @dataclass
@@ -257,10 +410,8 @@ def verify_class_T(basis: ClassTBasis, H: HomologyAlgebra) -> Certificate:
     M3 = _classes_matrix(H, basis.z3)
     cert.add("classes of z3 form a basis of A_3", rank_mod(M3, p) == a3)
 
-    t = basis.triple
-    prods = [(0, 1), (1, 2), (0, 2)]  # z1 z2, z2 z3, z1 z3
-    prod_classes = [H.product_class(t[i], t[j]) for i, j in prods]
-    P = np.array(prod_classes, dtype=np.int64).T
+    prods = [(0, 1), (1, 2), (0, 2)]  # z1 z2, z2 z3, z1 z3, as in basis.products
+    P = _classes_matrix(H, basis.products)
     cert.add("the three distinguished products are independent in A_2",
              rank_mod(P, p) == 3)
     M2 = np.hstack([P] + ([_classes_matrix(H, basis.z2)] if basis.z2 else []))
@@ -282,11 +433,7 @@ def verify_class_T(basis: ClassTBasis, H: HomologyAlgebra) -> Certificate:
     # A_1 . A_2 = 0: products against both the z2 reps and the distinguished
     # products themselves (the whole of A_2 is covered once M2 is a basis)
     deg2_reps = [(f"z2_{w}", z) for w, z in enumerate(basis.z2, start=1)]
-    deg2_reps += [
-        (f"z1_{prods[k][0]+1}z1_{prods[k][1]+1}",
-         t[prods[k][0]].wedge(t[prods[k][1]]))
-        for k in range(3)
-    ]
+    deg2_reps += [(f"z1_{i+1}z1_{j+1}", z) for (i, j), z in zip(prods, basis.products)]
     for u, zu in deg1:
         for name, zw in deg2_reps:
             cls = H.product_class(zu, zw)

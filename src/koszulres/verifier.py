@@ -21,6 +21,7 @@ import numpy as np
 from .builder import (
     FiniteComplex,
     ResolutionAssembly,
+    alpha_family,
     assemble_CI,
     assemble_T,
     graded_A_complexes,
@@ -432,8 +433,10 @@ def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
         a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
         pack = SequencePack(a1, a2, a3, k_max=max(12, i_max))
         _, PR = poincare_T(a1, a2, a3, ring.nvars, i_max)
-        F = assemble_T(ring, basis, pack, i_max, sign_flip=sign_flip)
-        complexes = graded_A_complexes(min(5, max(2, i_max // 2 + 1)), basis, pack, H)
+        alphas = alpha_family(pack, basis)
+        F = assemble_T(ring, basis, pack, i_max, sign_flip=sign_flip, alphas=alphas)
+        complexes = graded_A_complexes(min(5, max(2, i_max // 2 + 1)), basis, pack, H,
+                                       alphas=alphas)
         report.add(check_graded_exactness(complexes))
     else:
         _, PR = poincare_CI(H.codepth, ring.nvars, i_max)

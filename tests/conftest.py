@@ -1,11 +1,23 @@
 import re
 
+import numpy as np
 import pytest
 
 from koszulres.builder import beta, beta_prime
-from koszulres.exactfield import QuotientRing, RingMatrix, parse_monomial_string
-from koszulres.homology import ClassTBasis, HomologyAlgebra
-from koszulres.koszul import CycleMatrix, cycle_matrix_action, parse_koszul_element
+from koszulres.exactfield import (
+    QuotientRing,
+    RingMatrix,
+    kernel_mod,
+    parse_monomial_string,
+    rref_mod,
+)
+from koszulres.homology import ClassTBasis, HomologyAlgebra, _extend
+from koszulres.koszul import (
+    CycleMatrix,
+    cycle_matrix_action,
+    koszul_differential,
+    parse_koszul_element,
+)
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
 
@@ -30,6 +42,49 @@ def ring_matrix(ring, rows, cols, entries):
     return RingMatrix.from_terms(ring, rows, cols, terms)
 
 
+def flatten(M: RingMatrix) -> np.ndarray:
+    """The dense F_p matrix of the map R^cols -> R^rows that M induces, the
+    reference for the block and strand paths: coordinate r occupies the
+    slice [r*dim, (r+1)*dim) in the standard-monomial basis of R."""
+    D = M.ring.dim
+    r, c, v = M._flat_nonzeros()
+    out = np.zeros((M.rows * D, M.cols * D), dtype=np.int64)
+    out[r, c] = v
+    return out
+
+
+def dense_homology(ring):
+    """Per degree i, (boundary rows, basis, pivots) of the elimination of the
+    whole dense flat Koszul differentials that HomologyAlgebra replaced:
+    the reduced echelon rows of (flat d_{i+1})^T, then the kernel_mod
+    columns of flat d_i that complete them, reduced and normalized in
+    order.  basis[len(boundary rows):] are the rep vectors."""
+    n, p = ring.nvars, ring.p
+    flat = [flatten(koszul_differential(i, ring)) for i in range(n + 1)]
+    out = []
+    for i in range(n + 1):
+        if i < n:
+            R, piv = rref_mod(flat[i + 1].T, p)
+            bnd = R[:len(piv)]
+        else:
+            bnd = np.zeros((0, flat[i].shape[1]), dtype=np.int64)
+        basis = list(bnd)
+        pivots = {int(np.flatnonzero(r)[0]): k for k, r in enumerate(basis)}
+        ker = kernel_mod(flat[i], p)
+        for c in range(ker.shape[1]):
+            _extend(ker[:, c], basis, pivots, p)
+        out.append((bnd, basis, pivots))
+    return out
+
+
+def dense_rows(rows: np.ndarray, cols: int) -> np.ndarray:
+    """The dense matrix of an int64 (3, nnz) array of (row, column, value),
+    with as many rows as the largest row index plus one."""
+    out = np.zeros((rows[0].max() + 1 if rows.size else 0, cols), dtype=np.int64)
+    out[rows[0], rows[1]] = rows[2]
+    return out
+
+
 def cycle_entries(theta):
     """{(r, c): cycle} of a CycleMatrix, read off its index rows."""
     return {(r, c): theta.cycles[k] for r, c, k in theta.where.tolist()}
@@ -43,7 +98,8 @@ def right_inverse_holds(triple, k):
     b = beta(k, triple)
     scalar = CycleMatrix(vol.ring, b.rows, b.rows, 3, [vol],
                          [(i, i, 0) for i in range(b.rows)])
-    product = cycle_matrix_action(b, 3) @ cycle_matrix_action(beta_prime(k + 1, triple), 2)
+    b_prime = beta_prime(k + 1, ClassTBasis(list(triple), [], []))
+    product = cycle_matrix_action(b, 3) @ cycle_matrix_action(b_prime, 2)
     return product == cycle_matrix_action(scalar, 3)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -80,10 +81,10 @@ def test_beta_prime_displayed(basis_t):
     w23 = t[1].wedge(t[2])
     w13 = t[0].wedge(t[2])
     w12 = t[0].wedge(t[1])
-    bp2 = beta_prime(2, t)
+    bp2 = beta_prime(2, basis_t)
     assert (bp2.rows, bp2.cols) == (3, 1)
     assert [cycle_entries(bp2)[(i, 0)] for i in range(3)] == [w23, w13, w12]
-    bp3 = beta_prime(3, t)
+    bp3 = beta_prime(3, basis_t)
     assert (bp3.rows, bp3.cols) == (6, 3)
     expected = [
         [w23, None, None],
@@ -97,7 +98,7 @@ def test_beta_prime_displayed(basis_t):
     for i in range(6):
         for j in range(3):
             assert entries.get((i, j)) == expected[i][j]
-    assert not len(beta_prime(0, t).where) and not len(beta_prime(1, t).where)
+    assert not len(beta_prime(0, basis_t).where) and not len(beta_prime(1, basis_t).where)
 
 
 def test_beta_right_inverse_identity(basis_t):
@@ -388,3 +389,20 @@ def test_f7_block_inventory(ring_t, basis_t, pack_t):
     ]
     widths = [b.copies * len(subsets(3, b.kdeg)) for b in F.blocks[7]]
     assert sum(widths) == 465
+
+
+def test_graded_blocks_computed_once(ring_t, pack_t, homology_t, monkeypatch):
+    # every beta' of one basis shares the basis's three products, so each
+    # distinct (cycle, sources) block of one coordinate space is computed once
+    computed = []
+    block = _Coordinates._block
+
+    def spy(self, z, sources):
+        computed.append((self, z, sources))
+        return block(self, z, sources)
+
+    monkeypatch.setattr(_Coordinates, "_block", spy)
+    graded_A_complexes(5, make_class_t_basis(ring_t), pack_t, homology_t)
+    for (c1, z1, s1), (c2, z2, s2) in itertools.combinations(computed, 2):
+        assert not (c1 is c2 and z1 == z2 and s1 == s2), (z1, s1)
+    assert len(computed) == 37

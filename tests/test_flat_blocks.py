@@ -4,6 +4,7 @@ flattening it replaces, and the degrees the dense check could not reach."""
 import numpy as np
 import pytest
 
+from conftest import flatten
 from koszulres.builder import assemble_CI, assemble_T
 from koszulres.exactfield import QuotientRing, RingMatrix, rank_mod
 from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
@@ -55,7 +56,7 @@ def test_block_ranks_match_dense(case, p):
     largest = 0
     for i in range(1, F.i_max + 1):
         d = F.diff(i)
-        flat = d.flatten()
+        flat = flatten(d)
         blocks = d.flat_blocks()
         rows = np.concatenate([r for r, _, _ in blocks])
         cols = np.concatenate([c for _, c, _ in blocks])

@@ -484,7 +484,7 @@ def test_class_t_actions_match_reference(p):
     pack = SequencePack(4, 6, 3, k_max=12)
     thetas = [alpha(j, r, pack, basis) for j in range(1, 6) for r in (j, j + 1, j + 2)]
     thetas += [beta(k, basis.triple) for k in range(1, 9)]
-    thetas += [beta_prime(k, basis.triple) for k in range(2, 9)]
+    thetas += [beta_prime(k, basis) for k in range(2, 9)]
     thetas += [gamma(j, basis) for j in (1, 2, 3)]
     z = basis.z1[0] + basis.z1[3] + e(ring, 1, 3).differential()
     w = basis.z1[1] - e(ring, 2, 3).differential()

@@ -4,7 +4,7 @@ the dense oracle could not reach."""
 import numpy as np
 import pytest
 
-from conftest import ring_matrix
+from conftest import flatten, ring_matrix
 from koszulres.builder import assemble_T
 from koszulres.exactfield import (
     QuotientRing,
@@ -26,13 +26,13 @@ def dense_oracle(ring: QuotientRing, i_max: int) -> OracleResolution:
     form of [m . ker | ker], with m . ker spanned by the variable multiples."""
     p = ring.p
     D = ring.dim
-    var_mults = [ring_matrix(ring, 1, 1, {(0, 0): v}).flatten() for v in ring.names]
+    var_mults = [flatten(ring_matrix(ring, 1, 1, {(0, 0): v})) for v in ring.names]
     d1 = ring_matrix(ring, 1, ring.nvars, {(0, v): x for v, x in enumerate(ring.names)})
     betti = [1, ring.nvars]
     diffs = [d1]
     current = d1
     for _ in range(2, i_max + 1):
-        ker = kernel_mod(current.flatten(), p)
+        ker = kernel_mod(flatten(current), p)
         m_cols = _m_multiples(ker, var_mults, current.cols, D, p)
         stacked = np.hstack([m_cols, ker]) if m_cols.size else ker
         piv = rref_mod(stacked, p)[1]

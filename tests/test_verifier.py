@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ring_matrix
+from koszulres import builder
 from koszulres.builder import assemble_CI, assemble_T, graded_A_complexes
 from koszulres.exactfield import RingMatrix
 from koszulres.homology import (
@@ -185,3 +186,19 @@ def test_full_verify_minimal_depth(ring_ci2):
     report, F, _ = full_verify(ring_ci2, "CI", i_max=1)
     assert report.passed
     assert F.ranks == [1, 2]
+
+
+def test_full_verify_builds_each_alpha_once(ring_t, monkeypatch):
+    # assembly and the graded complexes share one alpha_family: at degree 8
+    # the 12 distinct alpha_{k,r} are built once each
+    calls = []
+    alpha = builder.alpha
+
+    def spy(k, r, pack, basis):
+        calls.append((k, r))
+        return alpha(k, r, pack, basis)
+
+    monkeypatch.setattr(builder, "alpha", spy)
+    report, _, _ = full_verify(ring_t, "T", 8, class_t_ring_file().cycles)
+    assert report.passed
+    assert len(calls) == len(set(calls)) == 12
