@@ -62,8 +62,11 @@ print("(x e1) ^ (x e2) =", xe1.wedge(parse_koszul_element("x*e[2]", ring)).to_st
 
 # a matrix over R is an exact F_p-linear map on the standard-monomial
 # coordinates; over a monomial ring that map splits into small connected
-# blocks, and no dense F_p matrix is ever formed
-print("\nmultiplication by x over F_p, block by block:")
-for rows, cols, block in x.flat_blocks():
-    print(f"  {[ring.std_strings[c] for c in cols]} -> "
-          f"{[ring.std_strings[r] for r in rows]}: {block.tolist()}")
+# blocks with few distinct contents, and no dense F_p matrix is ever formed
+print("\nmultiplication by x over F_p, by distinct block content:")
+for b in x.flat_contents():
+    print(f"  {b.matrix.shape[0]} x {b.matrix.shape[1]} block {b.matrix.tolist()}, "
+          f"{len(b.owners)} copies:")
+    for rows, cols in zip(b.rows, b.cols):
+        print(f"    {[ring.std_strings[c] for c in cols]} -> "
+              f"{[ring.std_strings[r] for r in rows]}")

@@ -25,7 +25,6 @@ from .koszul import (
     cycle_matrix_action,
     koszul_differential,
     parse_koszul_element,
-    verify_chain_map,
 )
 from .homology import (
     ClassCIBasis,

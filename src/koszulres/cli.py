@@ -59,7 +59,7 @@ def main(argv=None) -> int:
             return EXIT_MATH
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a --ring path that is missing, a directory or unreadable
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

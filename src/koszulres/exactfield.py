@@ -20,11 +20,16 @@ nonzeros of its flat F_p matrix multiply monomials through one table,
 `QuotientRing.product`: the index of std_a * std_b, or -1 for zero.  Every
 element of R in this library is a list of such terms; `term_string` prints
 one term, in the syntax that ring files and cycle strings are written in.
+
+Every flat map eliminated here is block diagonal up to a permutation, with
+few distinct block contents: exactness, the oracle and the Koszul homology
+eliminate each content found by `block_contents` once.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -263,12 +268,6 @@ class RingMatrix:
         t[..., 3] *= sign
         return t.reshape(-1, 4)
 
-    @classmethod
-    def repeat_diag(cls, M: "RingMatrix", copies: int) -> "RingMatrix":
-        """Block-diagonal sum of `copies` copies of M."""
-        return cls.from_terms(M.ring, M.rows * copies, M.cols * copies,
-                              M.shifted_terms(0, 0, copies, 1))
-
     @property
     def entries(self) -> MappingProxyType:
         """Read-only {(i, j): printed entry} view of the nonzero entries:
@@ -325,41 +324,22 @@ class RingMatrix:
         a = na[y]
         return i[t] * D + product[b[t], a], j[t] * D + a, c[t]
 
-    def flat_blocks(self) -> list:
-        """The connected blocks of the flat F_p matrix (see _flat_nonzeros),
-        without forming it.
-
-        Each nonzero of the flat matrix joins its row to its column; the
-        connected components of that bipartite graph make the matrix
-        block-diagonal up to a permutation of rows and columns, so its rank
-        is the sum of the block ranks.  Returns (rows, cols, block) per
-        component, ordered by smallest row: ascending flat row and column
-        indices and the dense int64 block of the flat matrix on them.
-        Rows and columns with no nonzero lie in no block.  A monomial entry
-        sends standard monomials to standard monomials or to zero, so over a
-        monomial ring the blocks are small; entries with several terms only
-        merge them.
-        """
-        D = self.ring.dim
+    def flat_contents(self, col_tag=0) -> list:
+        """block_contents of the flat F_p matrix (see _flat_nonzeros).  Its
+        blocks are the components of the bipartite graph of its nonzeros, so
+        its rank is the sum of the block ranks; rows and columns with no
+        nonzero lie in no block.  A block's rows ascend, and its columns
+        ascend in (col_tag, column), col_tag 0 or 1 per flat column."""
         r, c, v = self._flat_nonzeros()
-        n_rows = self.rows * D
-        label = _component_labels(r, c + n_rows, n_rows + self.cols * D)
-        # the label of a component is its smallest node, always a row
-        lr = _local_index(r, label, n_rows)
-        lc = _local_index(c, label, self.cols * D)
-        order = np.argsort(label, kind="stable")
-        r, c, v, lr, lc, label = (x[order] for x in (r, c, v, lr, lc, label))
-        starts = np.flatnonzero(np.diff(label, prepend=-1))
-        blocks = []
-        for s, e in zip(starts, np.r_[starts[1:], len(label)]):
-            B = np.zeros((lr[s:e].max() + 1, lc[s:e].max() + 1), dtype=np.int64)
-            B[lr[s:e], lc[s:e]] = v[s:e]
-            rows = np.empty(B.shape[0], dtype=np.int64)
-            rows[lr[s:e]] = r[s:e]
-            cols = np.empty(B.shape[1], dtype=np.int64)
-            cols[lc[s:e]] = c[s:e]
-            blocks.append((rows, cols, B))
-        return blocks
+        row_at, r = np.unique(r, return_inverse=True)
+        col_at, c = np.unique(c, return_inverse=True)
+        label = _component_labels(r, c + len(row_at), len(row_at) + len(col_at))
+        row_label, col_label = np.split(label, [len(row_at)])
+        tag = np.broadcast_to(col_tag, self.cols * self.ring.dim)[col_at]
+        rows = (row_label, _local_index(row_label), 0)
+        cols = (col_label, _local_index(col_label, tag), tag)
+        return [b._replace(rows=row_at[b.rows], cols=col_at[b.cols])
+                for b in block_contents(r, c, v, rows, cols)]
 
     def __eq__(self, other):
         return (
@@ -383,15 +363,15 @@ def join_sorted(keys: np.ndarray, sorted_keys: np.ndarray):
 
 
 def _component_labels(u: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Component of each edge (u, w) of a graph on nodes 0..n-1, labelled by
-    its smallest node: hook the larger root of every edge whose ends have
-    different roots under the smaller one, compress, repeat."""
+    """Component of each node of the graph on nodes 0..n-1 with edges (u, w),
+    labelled by its smallest node: hook the larger root of every edge whose
+    ends have different roots under the smaller one, compress, repeat."""
     parent = np.arange(n)
     while True:
         pu, pw = parent[u], parent[w]
         cross = pu != pw
         if not cross.any():
-            return pu
+            return parent
         np.minimum.at(parent, np.maximum(pu, pw)[cross], np.minimum(pu, pw)[cross])
         while True:
             up = parent[parent]
@@ -400,19 +380,61 @@ def _component_labels(u: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
             parent = up
 
 
-def _local_index(x: np.ndarray, label: np.ndarray, n: int) -> np.ndarray:
-    """For nodes x (in 0..n-1) with component labels `label`, the index of
-    each among the nodes of its component in ascending order."""
-    lab = np.full(n, -1, dtype=np.int64)
-    lab[x] = label
-    nodes = np.flatnonzero(lab >= 0)
-    nodes = nodes[np.argsort(lab[nodes], kind="stable")]
-    group = lab[nodes]
-    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    sizes = np.diff(np.r_[starts, len(nodes)])
-    local = np.empty(n, dtype=np.int64)
-    local[nodes] = np.arange(len(nodes)) - np.repeat(starts, sizes)
-    return local[x]
+def _local_index(label: np.ndarray, *keys) -> np.ndarray:
+    """The index of each item among the items with its label, ordered by
+    ``keys`` (the last one first, as in np.lexsort), then by position."""
+    order = np.lexsort((*keys, label))
+    ranked = label[order]
+    local = np.empty(len(label), dtype=np.int64)
+    local[order] = np.arange(len(label)) - ranked.searchsorted(ranked)
+    return local
+
+
+BlockContent = namedtuple("BlockContent", "matrix row_tags col_tags owners rows cols")
+
+
+def block_contents(r, c, v, rows, cols) -> list:
+    """The distinct block contents of a matrix that is block diagonal up to
+    a permutation, from its nonzeros (r, c, v) = (row, column, value) and
+    ``rows`` = (label, local, tag): per row the label of its block, its
+    index there and an int tag (or one tag for all); ``cols`` likewise.
+
+    A content is the row [h, w, row tags, column tags, h x w entries]; the
+    rows are grouped by length and sorted, and equal neighbours are one
+    content.  Returns a BlockContent per content: ``matrix``, the tags,
+    the labels of its ``owners`` (ascending), and ``rows[k, a]`` /
+    ``cols[k, b]``, the row and column of local a and b in owner k."""
+    (row_label, row_local, row_tag), (col_label, col_local, col_tag) = rows, cols
+    labels, block = np.unique(np.r_[row_label, col_label], return_inverse=True)
+    br, bc = block[:len(row_label)], block[len(row_label):]
+    h, w = (np.bincount(x, minlength=len(labels)) for x in (br, bc))
+    length = 2 + h + w + h * w
+    offset = np.cumsum(length) - length
+    buf = np.zeros(int(length.sum()), dtype=np.int64)
+    buf[offset], buf[offset + 1] = h, w
+    buf[offset[br] + 2 + row_local] = row_tag
+    buf[offset[bc] + 2 + h[bc] + col_local] = col_tag
+    b = br[r]
+    buf[offset[b] + 2 + h[b] + w[b] + row_local[r] * w[b] + col_local[c]] = v
+    first_r, first_c = np.cumsum(h) - h, np.cumsum(w) - w
+    row_of, col_of = np.empty_like(br), np.empty_like(bc)  # rows, columns by block
+    row_of[first_r[br] + row_local] = np.arange(len(br))
+    col_of[first_c[bc] + col_local] = np.arange(len(bc))
+    out = []
+    lengths, by_length = np.unique(length, return_inverse=True)
+    for g, L in enumerate(lengths.tolist()):
+        group = np.flatnonzero(by_length == g)
+        content = buf[offset[group][:, None] + np.arange(L)]
+        order = np.lexsort(content.T[::-1])
+        content, group = content[order], group[order]
+        first = np.flatnonzero(np.r_[True, (content[1:] != content[:-1]).any(axis=1)])
+        for row, owners in zip(content[first], np.split(group, first[1:])):
+            nh, nw = row[:2].tolist()
+            out.append(BlockContent(
+                row[2 + nh + nw:].reshape(nh, nw), row[2:2 + nh], row[2 + nh:2 + nh + nw],
+                labels[owners], row_of[first_r[owners][:, None] + np.arange(nh)],
+                col_of[first_c[owners][:, None] + np.arange(nw)]))
+    return out
 
 
 # ---------------------------------------------------------------------------

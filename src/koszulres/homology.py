@@ -12,7 +12,8 @@ checked by exact linear algebra, in any characteristic.
 
 The homology is computed one multidegree strand at a time: over a monomial
 ring K is Z^n-graded, so the flat Koszul differentials split into small
-blocks, and no dense flat matrix is formed (see HomologyAlgebra).
+blocks, and no dense flat matrix is formed (see HomologyAlgebra).  The
+strands are blocks of `exactfield.block_contents`, as in the oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactfield import QuotientRing, RingMatrix, kernel_mod, rank_mod, rref_mod
+from .exactfield import (QuotientRing, RingMatrix, _local_index, block_contents,
+                         kernel_mod, rank_mod, rref_mod)
 from .koszul import KoszulElement, koszul_differential, subsets
 
 
@@ -155,17 +157,10 @@ def _multidegrees(ring: QuotientRing) -> list:
 
 
 def _split(code: np.ndarray, keys: np.ndarray) -> tuple:
-    """(strand, position) of each coordinate: the index of its code in the
-    sorted ``keys`` (-1 when absent) and the number of earlier coordinates
-    with the same code."""
-    order = np.argsort(code, kind="stable")
-    ranked = code[order]
-    position = np.empty(len(code), dtype=np.int64)
-    position[order] = np.arange(len(code)) - ranked.searchsorted(ranked)
-    strand = keys.searchsorted(code)
-    found = strand < len(keys)
-    found[found] = keys[strand[found]] == code[found]
-    return np.where(found, strand, -1), position
+    """(strand, position) of each coordinate: the first index of its code in
+    the sorted ``keys``, which hold every code, and the number of earlier
+    coordinates with the same code."""
+    return keys.searchsorted(code), _local_index(code)
 
 
 def _strand_homology(ring, i, codes, up, down) -> tuple:
@@ -173,67 +168,44 @@ def _strand_homology(ring, i, codes, up, down) -> tuple:
     K_{i-1}, K_i and K_{i+1} and the nonzeros ``up`` of flat d_{i+1} and
     ``down`` of flat d_i.
 
-    A strand with m coordinates in K_i has an image block (flat d_{i+1})^T,
-    u x m, and a kernel block flat d_i, w x m.  Its content is the row
-    [u, m, w, image entries, kernel entries]; the rows are grouped by
-    length and deduplicated with np.unique, so that rref_mod, kernel_mod
-    and _complete run once per distinct content.  The boundary rows are
-    then numbered by their global pivots, and the reps by the global free
-    columns that produced them."""
+    The block of a multidegree has its coordinates in K_i as columns, and
+    as rows those in K_{i+1}, tagged 0 (the image block (flat d_{i+1})^T),
+    then those in K_{i-1}, tagged 1 (the kernel block flat d_i), so that
+    rref_mod, kernel_mod and _complete run once per distinct content.  The
+    boundary rows are then numbered by their global pivots, and the reps by
+    the global free columns that produced them."""
     p, D = ring.p, ring.dim
     code_down, code, code_up = codes
-    keys, strand = np.unique(code, return_inverse=True)
-    local = _split(code, keys)[1]
-    s_up, l_up = _split(code_up, keys)
-    s_down, l_down = _split(code_down, keys)
-    m = np.bincount(strand, minlength=len(keys))
-    u = np.bincount(s_up[s_up >= 0], minlength=len(keys))
-    w = np.bincount(s_down[s_down >= 0], minlength=len(keys))
-    # the content rows of all strands, one after another in one buffer
-    length = 3 + m * (u + w)
-    offset = np.r_[0, np.cumsum(length)[:-1]]
-    buf = np.zeros(int(length.sum()), dtype=np.int64)
-    buf[offset[:, None] + np.arange(3)] = np.column_stack([u, m, w])
-    r, c, v = up  # flat row in K_i, column in K_{i+1}
-    s = strand[r]
-    buf[offset[s] + 3 + l_up[c] * m[s] + local[r]] = v
-    r, c, v = down  # flat row in K_{i-1}, column in K_i
-    s = strand[c]
-    buf[offset[s] + 3 + (u[s] + l_down[r]) * m[s] + local[c]] = v
-
-    members = np.argsort(strand, kind="stable")  # each strand's coordinates
-    first = np.r_[0, np.cumsum(m)[:-1]]
+    keys = np.sort(np.concatenate(codes))
+    strand, local = _split(code, keys)
+    rows = (*_split(np.r_[code_up, code_down], keys),
+            np.repeat([0, 1], [len(code_up), len(code_down)]))
+    entries = np.c_[up[[1, 0, 2]], down + [[len(code_up)], [0], [0]]]  # (d_{i+1})^T over d_i
     content = np.empty(len(keys), dtype=np.int64)
     contents, bnd_parts, rep_parts, rep_free = [], [], [], []
-    lengths, by_length = np.unique(length, return_inverse=True)
-    for g, L in enumerate(lengths.tolist()):
-        group = np.flatnonzero(by_length == g)
-        distinct, which = np.unique(buf[offset[group][:, None] + np.arange(L)],
-                                    axis=0, return_inverse=True)
-        which = which.reshape(-1)
-        split = np.cumsum(np.bincount(which, minlength=len(distinct)))[:-1]
-        owner_groups = np.split(group[np.argsort(which, kind="stable")], split)
-        for row, owners in zip(distinct, owner_groups):
-            nu, nm, nw = row[:3].tolist()
-            R, piv = rref_mod(row[3:3 + nu * nm].reshape(nu, nm), p)
-            K = kernel_mod(row[3 + nu * nm:].reshape(nw, nm), p)
-            basis, pivots, picked = _complete(R[:len(piv)], K, p)
-            basis = np.array(basis, dtype=np.int64).reshape(-1, nm)
-            content[owners] = len(contents)
-            contents.append((basis, pivots, len(piv)))
-            # the local column that orders each basis row: its pivot, or the
-            # free column (last nonzero) of the kernel vector it came from
-            free = nm - 1 - np.argmax(K[::-1] != 0, axis=0)
-            lead = np.r_[piv, free[picked]].astype(np.int64)
-            coords = members[first[owners][:, None] + np.arange(nm)]
-            a, j = np.nonzero(basis)
-            nz = (coords[:, lead[a]], coords[:, j],
-                  np.broadcast_to(basis[a, j], (len(owners), len(a))))
-            is_bnd = a < len(piv)
-            bnd_parts.append([x[:, is_bnd] for x in nz])
-            rep_parts.append([x[:, ~is_bnd] for x in nz])
-            if picked:
-                rep_free.append((owners, coords[:, lead[len(piv):]]))
+    blocks = block_contents(*entries, rows, (strand, local, 0))
+    for B, tags, _, owners, _, coords in blocks:
+        nu, nm = len(tags) - int(tags.sum()), B.shape[1]
+        if not nm:
+            continue  # a multidegree of K_{i-1} or K_{i+1} only
+        R, piv = rref_mod(B[:nu], p)
+        K = kernel_mod(B[nu:], p)
+        basis, pivots, picked = _complete(R[:len(piv)], K, p)
+        basis = np.array(basis, dtype=np.int64).reshape(-1, nm)
+        content[owners] = len(contents)
+        contents.append((basis, pivots, len(piv)))
+        # the local column that orders each basis row: its pivot, or the
+        # free column (last nonzero) of the kernel vector it came from
+        free = nm - 1 - np.argmax(K[::-1] != 0, axis=0)
+        lead = np.r_[piv, free[picked]].astype(np.int64)
+        a, j = np.nonzero(basis)
+        nz = (coords[:, lead[a]], coords[:, j],
+              np.broadcast_to(basis[a, j], (len(owners), len(a))))
+        is_bnd = a < len(piv)
+        bnd_parts.append([x[:, is_bnd] for x in nz])
+        rep_parts.append([x[:, ~is_bnd] for x in nz])
+        if picked:
+            rep_free.append((owners, coords[:, lead[len(piv):]]))
     _, boundary = _numbered(bnd_parts)
     free, (k, col, val) = _numbered(rep_parts)
     rep_ids = {s: free.searchsorted(f)
@@ -241,8 +213,8 @@ def _strand_homology(ring, i, codes, up, down) -> tuple:
     # rep k is the column of terms (t, 0, b, value) of its flat columns t*D + b
     terms = np.column_stack([col // D, 0 * col, col % D, val])
     cuts = k.searchsorted(np.arange(len(free) + 1))
-    rows = len(subsets(ring.nvars, i))
-    reps = [KoszulElement(ring, i, RingMatrix.from_terms(ring, rows, 1, terms[a:b]))
+    size = len(subsets(ring.nvars, i))
+    reps = [KoszulElement(ring, i, RingMatrix.from_terms(ring, size, 1, terms[a:b]))
             for a, b in zip(cuts[:-1], cuts[1:])]
     return boundary, reps, _Strands(strand, local, content, contents, rep_ids)
 

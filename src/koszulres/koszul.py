@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -153,23 +152,6 @@ class KoszulElement:
         if self._is_cycle is None:
             self._is_cycle = self.differential().is_zero()
         return self._is_cycle
-
-    def to_vector(self):
-        """F_p coordinate vector, subset-major then standard-monomial: the
-        term (t, 0, b, c) is coordinate t * dim + b."""
-        D, t = self.ring.dim, self.col.terms
-        v = np.zeros(self.col.rows * D, dtype=np.int64)
-        v[t[:, 0] * D + t[:, 2]] = t[:, 3]
-        return v
-
-    @classmethod
-    def from_vector(cls, ring, degree, vec) -> "KoszulElement":
-        D = ring.dim
-        vec = np.asarray(vec, dtype=np.int64)
-        k = np.flatnonzero(vec % ring.p)
-        return cls(ring, degree, RingMatrix.from_terms(
-            ring, len(subsets(ring.nvars, degree)), 1,
-            np.column_stack([k // D, np.zeros_like(k), k % D, vec[k]])))
 
     def __eq__(self, other):
         return (
@@ -368,40 +350,3 @@ def cycle_matrix_action(theta: CycleMatrix, i: int) -> RingMatrix:
     terms[:, 0] += theta.where[x, 0] * comb(ring.nvars, j)
     terms[:, 1] = theta.where[x, 1]
     return _wedge_action(ring, terms, theta.rows, theta.cols, j, i - j)
-
-
-@dataclass
-class ChainMapReport:
-    passed: bool
-    degrees: list
-    failure: tuple | None = None  # (degree, row, col) of first bad coordinate
-
-    def __bool__(self):
-        return self.passed
-
-
-def verify_chain_map(theta: CycleMatrix, degrees) -> ChainMapReport:
-    """Check d_i o theta = (-1)^j theta o d_{i-j} as RingMatrix identities,
-    with the Koszul differentials repeated block-diagonally over the copies."""
-    ring, j = theta.ring, theta.entry_degree
-    checked = []
-    for i in degrees:
-        if i < j or i > ring.nvars:
-            continue
-        d_i = RingMatrix.repeat_diag(koszul_differential(i, ring), theta.rows)
-        lhs = d_i @ cycle_matrix_action(theta, i)
-        if i - 1 >= j and 0 < i - j:
-            d_src = RingMatrix.repeat_diag(koszul_differential(i - j, ring),
-                                           theta.cols)
-            rhs_inner = cycle_matrix_action(theta, i - 1) @ d_src
-        else:
-            rhs_inner = RingMatrix.zero(
-                ring, theta.rows * len(subsets(ring.nvars, i - 1)),
-                theta.cols * len(subsets(ring.nvars, i - j)))
-        diff = lhs + rhs_inner.scale((-1) ** (j + 1))
-        checked.append(i)
-        if not diff.is_zero():
-            r, c = diff.terms[0, :2].tolist()  # terms are sorted by (row, column)
-            return ChainMapReport(False, checked, (i, r, c))
-    return ChainMapReport(True, checked)
-

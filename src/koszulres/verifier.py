@@ -5,9 +5,10 @@ The checks are deliberately redundant: the complex property is verified as
 honest matrix products over R, exactness as rank bookkeeping of the
 flattened F_p maps, Betti numbers three ways (assembled block ranks, series
 coefficients, oracle), and the graded-level complexes by rank conditions at
-every position.  Exactness and the oracle both work block by block over the
-connected components of the flattened maps (`RingMatrix.flat_blocks`) and
-never form one dense flat matrix, so both run to the full degree asked for.
+every position.  Exactness and the oracle both eliminate each distinct
+content of the connected blocks of the flattened maps once
+(`RingMatrix.flat_contents`) and never form one dense flat matrix, so both
+run to the full degree asked for.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
     and a one-dimensional cokernel at degree 0.
 
     The rank of each flattened d_i is the sum of the ranks of its connected
-    blocks (`RingMatrix.flat_blocks`), so the dense flat matrix is never
-    formed; the peak footprint is the nonzero list and blocks of one d_i."""
+    blocks: each distinct content (`RingMatrix.flat_contents`) is ranked
+    once and counted per block, and the dense flat matrix is never formed."""
     t0 = time.time()
     ring, i_max = F.ring, F.i_max
     p = ring.p
@@ -172,7 +173,7 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
     for i in range(1, i_max + 1):
         d = F.diff(i)
         cols[i] = d.cols * ring.dim
-        ranks[i] = sum(rank_mod(B, p) for _, _, B in d.flat_blocks())
+        ranks[i] = sum(len(b.owners) * rank_mod(b.matrix, p) for b in d.flat_contents())
     details = {"flat_ranks": {i: int(r) for i, r in ranks.items()}}
     h0 = ring.dim - ranks[1]
     details["h0_dimension"] = int(h0)
@@ -279,10 +280,10 @@ def oracle_resolution(ring: QuotientRing, i_max: int) -> OracleResolution:
     """Bare-hands minimal resolution of the residue field: starting from the
     row of variables, each next differential is a Nakayama-minimal
     generating set of the kernel of the last (kernel vectors independent
-    modulo m . kernel), lifted back to R-columns.  Both steps run on the
-    connected blocks of the flattened maps (`RingMatrix.flat_blocks`), never
-    on a dense flat matrix, and choose the same echelon-ordered vectors as
-    a dense elimination would."""
+    modulo m . kernel), lifted back to R-columns.  Both steps run once per
+    distinct block content of the flattened maps (`RingMatrix.flat_contents`),
+    never on a dense flat matrix, and choose the same echelon-ordered
+    vectors as a dense elimination would."""
     current = koszul_differential(1, ring)  # the row of variables
     betti = [1, ring.nvars]
     diffs = [current]
@@ -296,22 +297,23 @@ def oracle_resolution(ring: QuotientRing, i_max: int) -> OracleResolution:
 def _flat_kernel(d: RingMatrix) -> RingMatrix:
     """The columns of kernel_mod of the flattened d, as R-columns.
 
-    Each block's kernel vectors go to its global flat columns, and a flat
-    column in no block is its own unit vector.  A kernel_mod vector is 1 at
-    its free column and 0 after it, and the blocks split the echelon form,
-    so sorting the vectors by that column gives the dense kernel's order."""
+    Each content's kernel vectors go to the flat columns of every block with
+    it, and a flat column in no block is its own unit vector.  A kernel_mod
+    vector is 1 at its free column and 0 after it, and the blocks split the
+    echelon form, so sorting the vectors by that column gives the dense
+    kernel's order."""
     D = d.ring.dim
     lone = np.ones(d.cols * D, dtype=bool)
     parts = []  # (flat column, free column of its vector, value) per nonzero
-    for _, cols, B in d.flat_blocks():
-        lone[cols] = False
-        K = kernel_mod(B, d.ring.p)
+    for b in d.flat_contents():
+        lone[b.cols] = False
+        K = kernel_mod(b.matrix, d.ring.p)
         a, t = np.nonzero(K)
-        free = cols[len(cols) - 1 - np.argmax(K[::-1] != 0, axis=0)]
-        parts.append((cols[a], free[t], K[a, t]))
+        free = K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0)
+        parts.append((b.cols[:, a], b.cols[:, free[t]], np.tile(K[a, t], len(b.owners))))
     u = np.flatnonzero(lone)
     parts.append((u, u, np.ones(len(u), dtype=np.int64)))
-    g, free, v = (np.concatenate(x) for x in zip(*parts))
+    g, free, v = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*parts))
     free, j = np.unique(free, return_inverse=True)
     return RingMatrix.from_terms(d.ring, d.cols, len(free),
                                  np.column_stack([g // D, j, g % D, v]))
@@ -323,17 +325,14 @@ def _minimal_generators(K: RingMatrix) -> RingMatrix:
 
     Flat column j*D + b of K is standard monomial b times column j, and
     b = 0 is the monomial 1 (the basis is sorted by degree), so the columns
-    with b != 0 span m . K.  Inside each block they go first; the pivots
-    among the b = 0 columns after them are the chosen j."""
+    with b != 0 span m . K.  Tagging the b = 0 columns puts them last in
+    each block; the pivots among them are the chosen j."""
     D = K.ring.dim
     chosen = []
-    for _, cols, B in K.flat_blocks():
-        unit = cols % D == 0
-        order = np.argsort(unit, kind="stable")  # b != 0 first, each in order
-        skip = len(order) - int(unit.sum())
-        chosen += [int(cols[order[c]]) // D
-                   for c in rref_mod(B[:, order], K.ring.p)[1] if c >= skip]
-    chosen.sort()
+    for b in K.flat_contents(col_tag=np.arange(K.cols * D) % D == 0):
+        piv = np.array(rref_mod(b.matrix, K.ring.p)[1], dtype=np.int64)
+        chosen.append(b.cols[:, piv[b.col_tags[piv] == 1]].ravel() // D)
+    chosen = np.sort(np.concatenate(chosen))
     terms = K.terms[np.isin(K.terms[:, 1], chosen)]
     terms[:, 1] = np.searchsorted(chosen, terms[:, 1])
     return RingMatrix.from_terms(K.ring, K.rows, len(chosen), terms)

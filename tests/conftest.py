@@ -1,4 +1,5 @@
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from koszulres.builder import beta, beta_prime
 from koszulres.exactfield import (
     QuotientRing,
     RingMatrix,
+    _component_labels,
+    _local_index,
     kernel_mod,
     parse_monomial_string,
     rref_mod,
@@ -14,9 +17,11 @@ from koszulres.exactfield import (
 from koszulres.homology import ClassTBasis, HomologyAlgebra, _extend
 from koszulres.koszul import (
     CycleMatrix,
+    KoszulElement,
     cycle_matrix_action,
     koszul_differential,
     parse_koszul_element,
+    subsets,
 )
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
@@ -51,6 +56,93 @@ def flatten(M: RingMatrix) -> np.ndarray:
     out = np.zeros((M.rows * D, M.cols * D), dtype=np.int64)
     out[r, c] = v
     return out
+
+
+def flat_blocks(M: RingMatrix) -> list:
+    """The connected blocks of the flat F_p matrix of M one by one, the
+    reference for RingMatrix.flat_contents: (rows, cols, block) per
+    component that has a nonzero, ordered by smallest row, with ascending
+    flat row and column indices and the dense int64 block on them."""
+    D = M.ring.dim
+    r, c, v = M._flat_nonzeros()
+    n_rows, n_cols = M.rows * D, M.cols * D
+    node = _component_labels(r, c + n_rows, n_rows + n_cols)
+    label = node[r]
+    lr = _local_index(node[:n_rows])[r]
+    lc = _local_index(node[n_rows:])[c]
+    order = np.argsort(label, kind="stable")
+    r, c, v, lr, lc, label = (x[order] for x in (r, c, v, lr, lc, label))
+    starts = np.flatnonzero(np.diff(label, prepend=-1))
+    blocks = []
+    for s, e in zip(starts, np.r_[starts[1:], len(label)]):
+        B = np.zeros((lr[s:e].max() + 1, lc[s:e].max() + 1), dtype=np.int64)
+        B[lr[s:e], lc[s:e]] = v[s:e]
+        rows = np.empty(B.shape[0], dtype=np.int64)
+        rows[lr[s:e]] = r[s:e]
+        cols = np.empty(B.shape[1], dtype=np.int64)
+        cols[lc[s:e]] = c[s:e]
+        blocks.append((rows, cols, B))
+    return blocks
+
+
+def to_vector(z: KoszulElement) -> np.ndarray:
+    """The dense F_p coordinate vector of z, subset-major then
+    standard-monomial: the term (t, 0, b, c) is coordinate t * dim + b."""
+    D, t = z.ring.dim, z.col.terms
+    v = np.zeros(z.col.rows * D, dtype=np.int64)
+    v[t[:, 0] * D + t[:, 2]] = t[:, 3]
+    return v
+
+
+def from_vector(ring, degree, vec) -> KoszulElement:
+    """The element of K_degree with dense coordinate vector vec."""
+    D = ring.dim
+    vec = np.asarray(vec, dtype=np.int64)
+    k = np.flatnonzero(vec % ring.p)
+    return KoszulElement(ring, degree, RingMatrix.from_terms(
+        ring, len(subsets(ring.nvars, degree)), 1,
+        np.column_stack([k // D, np.zeros_like(k), k % D, vec[k]])))
+
+
+def repeat_diag(M: RingMatrix, copies: int) -> RingMatrix:
+    """Block-diagonal sum of `copies` copies of M."""
+    return RingMatrix.from_terms(M.ring, M.rows * copies, M.cols * copies,
+                                 M.shifted_terms(0, 0, copies, 1))
+
+
+@dataclass
+class ChainMapReport:
+    passed: bool
+    degrees: list
+    failure: tuple | None = None  # (degree, row, col) of first bad coordinate
+
+    def __bool__(self):
+        return self.passed
+
+
+def verify_chain_map(theta: CycleMatrix, degrees) -> ChainMapReport:
+    """Check d_i o theta = (-1)^j theta o d_{i-j} as RingMatrix identities,
+    with the Koszul differentials repeated block-diagonally over the copies."""
+    ring, j = theta.ring, theta.entry_degree
+    checked = []
+    for i in degrees:
+        if i < j or i > ring.nvars:
+            continue
+        d_i = repeat_diag(koszul_differential(i, ring), theta.rows)
+        lhs = d_i @ cycle_matrix_action(theta, i)
+        if i - 1 >= j and 0 < i - j:
+            d_src = repeat_diag(koszul_differential(i - j, ring), theta.cols)
+            rhs_inner = cycle_matrix_action(theta, i - 1) @ d_src
+        else:
+            rhs_inner = RingMatrix.zero(
+                ring, theta.rows * len(subsets(ring.nvars, i - 1)),
+                theta.cols * len(subsets(ring.nvars, i - j)))
+        diff = lhs + rhs_inner.scale((-1) ** (j + 1))
+        checked.append(i)
+        if not diff.is_zero():
+            r, c = diff.terms[0, :2].tolist()  # terms are sorted by (row, column)
+            return ChainMapReport(False, checked, (i, r, c))
+    return ChainMapReport(True, checked)
 
 
 def dense_homology(ring):

@@ -16,7 +16,7 @@ from koszulres.builder import (
     graded_A_complexes,
 )
 from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
-from koszulres.koszul import CycleMatrix, KoszulElement, verify_chain_map
+from koszulres.koszul import CycleMatrix, KoszulElement
 from koszulres.samples import class_t_ring, ci_squares_ring
 from koszulres.sequences import (
     SequencePack,
@@ -33,7 +33,7 @@ from koszulres.verifier import (
     check_minimality,
     oracle_resolution,
 )
-from conftest import make_class_t_basis, right_inverse_holds
+from conftest import make_class_t_basis, right_inverse_holds, verify_chain_map
 
 EXPECTED_BETTI = [1, 3, 7, 16, 37, 86, 200, 465]
 

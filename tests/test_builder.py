@@ -28,7 +28,7 @@ from koszulres.koszul import (
 )
 from koszulres.samples import class_t_ring
 from koszulres.sequences import SequencePack, arrow_target
-from conftest import cycle_entries, make_class_t_basis, right_inverse_holds
+from conftest import cycle_entries, make_class_t_basis, repeat_diag, right_inverse_holds
 
 
 def grid(theta, names):
@@ -213,7 +213,7 @@ def test_block_inventory_low_degrees(assembly_t):
 def test_diff2_structure(assembly_t, ring_t, basis_t, pack_t):
     # d_2 = (d^K_2 | alpha_{1,1}) with positive signs in the chosen regime
     d2 = assembly_t.diff(2).entries
-    expected_left = RingMatrix.repeat_diag(
+    expected_left = repeat_diag(
         __import__("koszulres.koszul", fromlist=["koszul_differential"])
         .koszul_differential(2, ring_t), 1)
     for (i, j), f in expected_left.entries.items():
@@ -243,7 +243,7 @@ def test_diff5_block_pattern(assembly_t, ring_t, basis_t, pack_t):
                 continue
             (r0, r1), (c0, c1) = rows[target], cols[(b.key, b.kdeg)]
             act = cycle_matrix_action(alpha(j, r, pack_t, basis_t), target[1])
-            expected = RingMatrix.repeat_diag(act, tail.deg3(pack_t))
+            expected = repeat_diag(act, tail.deg3(pack_t))
             assert (r1 - r0, c1 - c0) == (expected.rows, expected.cols)
             got = {(i - r0, jj - c0): f for (i, jj), f in d.entries.items()
                    if r0 <= i < r1 and c0 <= jj < c1}

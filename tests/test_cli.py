@@ -286,6 +286,20 @@ def test_exit_code_missing_file():
     assert run("verify", "--ring", "/nonexistent/r.ring") == 2
 
 
+def test_exit_code_ring_is_directory(tmp_path, capsys):
+    assert run("verify", "--ring", str(tmp_path), "--no-timestamp") == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_exit_code_unreadable_ring(monkeypatch, capsys):
+    def unreadable(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    assert run("verify", "--ring", str(CLASS_T), "--no-timestamp") == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_exit_code_unknown_key(tmp_path):
     bad = tmp_path / "bad.ring"
     bad.write_text("characteristic = 7\nvariables = x\nideal = x^2\nzz = 1\n")

@@ -1,19 +1,27 @@
-"""Exactness by connected blocks: `RingMatrix.flat_blocks` against the dense
-flattening it replaces, and the degrees the dense check could not reach."""
+"""Exactness by distinct block contents: `RingMatrix.flat_contents` (through
+`exactfield.block_contents`) against the per-block reference `flat_blocks`
+and the dense flattening both replace, and the degrees the dense check
+could not reach."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import flatten
+import koszulres.homology as homology
+import koszulres.verifier as verifier
+from conftest import flat_blocks, flatten
 from koszulres.builder import assemble_CI, assemble_T
-from koszulres.exactfield import QuotientRing, RingMatrix, rank_mod
+from koszulres.exactfield import QuotientRing, RingMatrix, block_contents, rank_mod
 from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
 from koszulres.verifier import (
+    _flat_kernel,
     basis_from_strings,
     check_exactness,
     full_verify,
+    oracle_resolution,
     resolve_basis,
 )
 
@@ -48,37 +56,147 @@ ASSEMBLIES = {
         class_t_ring(p), dict(class_t_ring_file().cycles, z1_1="x*e[1] + y*e[2]"), 7),
 }
 
+# classT-i7, summed over d_1..d_7: (blocks, distinct contents); at p = 2,
+# where -1 = 1, fewer contents are distinct
+CLASS_T_I7_COUNTS = {2: (1331, 48), 3: (1331, 90), 32003: (1331, 90),
+                     2147483647: (1331, 90)}
+
+
+def _copies(contents):
+    """Every block the contents stand for, as (rows, cols, block) lists."""
+    return [(r.tolist(), c.tolist(), b.matrix.tolist())
+            for b in contents for r, c in zip(b.rows, b.cols)]
+
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("case", list(ASSEMBLIES))
 def test_block_ranks_match_dense(case, p):
     F = ASSEMBLIES[case](p)
-    largest = 0
+    largest, blocks, distinct = 0, 0, 0
     for i in range(1, F.i_max + 1):
         d = F.diff(i)
         flat = flatten(d)
-        blocks = d.flat_blocks()
-        rows = np.concatenate([r for r, _, _ in blocks])
-        cols = np.concatenate([c for _, c, _ in blocks])
-        # blocks own disjoint rows and columns, each listed in ascending order
-        assert len(np.unique(rows)) == len(rows)
-        assert len(np.unique(cols)) == len(cols)
-        for r, c, B in blocks:
-            assert (np.diff(r) > 0).all() and (np.diff(c) > 0).all()
-            assert B.dtype == np.int64
-            assert np.array_equal(B, flat[np.ix_(r, c)])
-        # so every flat nonzero lies in exactly one block
-        assert sum(np.count_nonzero(B) for _, _, B in blocks) == np.count_nonzero(flat)
-        assert sum(rank_mod(B, p) for _, _, B in blocks) == rank_mod(flat, p)
-        largest = max(largest, max(B.size for _, _, B in blocks))
+        reference = flat_blocks(d)
+        contents = d.flat_contents()
+        # contents are distinct, and every flat row and column with a
+        # nonzero lies in exactly one copy of one of them
+        keys = {(b.matrix.shape, b.matrix.tobytes(), b.row_tags.tobytes(),
+                 b.col_tags.tobytes()) for b in contents}
+        assert len(keys) == len(contents)
+        for nodes, axis in ((lambda b: b.rows, 1), (lambda b: b.cols, 0)):
+            got = np.sort(np.concatenate([nodes(b).ravel() for b in contents]))
+            assert np.array_equal(got, np.flatnonzero(flat.any(axis=axis)))
+        for b in contents:
+            assert b.matrix.dtype == np.int64
+            assert len(b.rows) == len(b.cols) == len(b.owners) > 0
+            for r, c in zip(b.rows, b.cols):
+                assert (np.diff(r) > 0).all() and (np.diff(c) > 0).all()
+                assert np.array_equal(flat[np.ix_(r, c)], b.matrix)
+        # the copies are the reference blocks, one for one
+        assert sorted(_copies(contents)) == \
+            sorted((r.tolist(), c.tolist(), B.tolist()) for r, c, B in reference)
+        rank = sum(len(b.owners) * rank_mod(b.matrix, p) for b in contents)
+        assert rank == sum(rank_mod(B, p) for _, _, B in reference) == rank_mod(flat, p)
+        largest = max(largest, max(B.size for _, _, B in reference))
+        blocks += len(reference)
+        distinct += len(contents)
     if case == "classT-mixed-i7":
         assert largest == 16 * 17
     elif case == "classT-i7":
         assert largest == 8 * 8
+        assert (blocks, distinct) == CLASS_T_I7_COUNTS[p]
+
+
+@pytest.mark.parametrize("case", list(ASSEMBLIES))
+def test_tagged_columns_go_last(case):
+    # the oracle's order: inside each block the untagged columns first,
+    # then the tagged ones, each ascending; the tags are part of the content
+    F = ASSEMBLIES[case](32003)
+    D = F.ring.dim
+    for i in range(1, F.i_max + 1):
+        d = F.diff(i)
+        flat = flatten(d)
+        unit = np.arange(d.cols * D) % D == 0
+        tagged = d.flat_contents(col_tag=unit)
+        for b in tagged:
+            for r, c in zip(b.rows, b.cols):
+                assert np.array_equal(b.col_tags, unit[c])
+                assert np.array_equal(c, c[np.lexsort((c, unit[c]))])
+                assert np.array_equal(flat[np.ix_(r, c)], b.matrix)
+        untagged = {(tuple(r), frozenset(c)) for r, c, _ in _copies(d.flat_contents())}
+        assert {(tuple(r), frozenset(c)) for r, c, _ in _copies(tagged)} == untagged
+
+
+def test_contents_keyed_on_shape_and_tags():
+    # blocks 0..3 all hold the entries [1, 1]: block 1 as a column, block 2
+    # with its second column tagged; block 3 repeats block 0
+    r = np.array([0, 0, 1, 2, 3, 3, 4, 4])
+    c = np.array([0, 1, 2, 2, 3, 4, 5, 6])
+    v = np.ones(8, dtype=np.int64)
+    rows = (np.array([0, 1, 1, 2, 3]), np.array([0, 0, 1, 0, 0]), 0)
+    cols = (np.array([0, 0, 1, 2, 2, 3, 3]), np.array([0, 1, 0, 0, 1, 0, 1]),
+            np.array([0, 0, 0, 0, 1, 0, 0]))
+    contents = block_contents(r, c, v, rows, cols)
+    got = sorted((b.matrix.tolist(), b.col_tags.tolist(), b.owners.tolist())
+                 for b in contents)
+    assert got == [([[1], [1]], [0], [1]),
+                   ([[1, 1]], [0, 0], [0, 3]),
+                   ([[1, 1]], [0, 1], [2])]
+    shared = next(b for b in contents if len(b.owners) == 2)
+    assert shared.rows.tolist() == [[0], [4]]
+    assert shared.cols.tolist() == [[0, 1], [5, 6]]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def test_one_elimination_per_distinct_content(monkeypatch):
+    F = ASSEMBLIES["classT-i7"](32003)
+    ring = F.ring
+    contents = [len(F.diff(i).flat_contents()) for i in range(1, 8)]
+    ranks = _count_calls(monkeypatch, verifier, "rank_mod")
+    check_exactness(F)
+    assert len(ranks) == sum(contents) < sum(len(b.owners) for i in range(1, 8)
+                                             for b in F.diff(i).flat_contents())
+    # the oracle: one kernel_mod per content of each d, one rref_mod per
+    # content of each kernel
+    diffs = oracle_resolution(ring, 5).differentials
+    kernels = [_flat_kernel(d) for d in diffs[:-1]]
+    unit = [np.arange(K.cols * ring.dim) % ring.dim == 0 for K in kernels]
+    kernel_calls = _count_calls(monkeypatch, verifier, "kernel_mod")
+    rref_calls = _count_calls(monkeypatch, verifier, "rref_mod")
+    oracle_resolution(ring, 5)
+    assert len(kernel_calls) == sum(len(d.flat_contents()) for d in diffs[:-1])
+    assert len(rref_calls) == sum(len(K.flat_contents(col_tag=u))
+                                  for K, u in zip(kernels, unit))
+    # the homology: one rref_mod and one kernel_mod per distinct strand content
+    strand_rref = _count_calls(monkeypatch, homology, "rref_mod")
+    strand_kernel = _count_calls(monkeypatch, homology, "kernel_mod")
+    H = homology.HomologyAlgebra(ring)
+    distinct = sum(len(S.contents) for S in H._strands)
+    assert len(strand_rref) == len(strand_kernel) == distinct
+    assert distinct < sum(len(set(S.strand.tolist())) for S in H._strands)
+
+
+def test_one_block_engine_in_src():
+    # the per-block loop and the homology's own content buffer are gone:
+    # every caller reads block contents from exactfield.block_contents
+    src = Path(__file__).resolve().parents[1] / "src" / "koszulres"
+    text = {p.name: p.read_text() for p in src.glob("*.py")}
+    assert not any("flat_blocks" in t for t in text.values())
+    assert "block_contents(" in text["homology.py"]
+    assert "buf" not in text["homology.py"]
+    assert text["verifier.py"].count("flat_contents(") == 3
+    assert sum(t.count("np.lexsort(content") for t in text.values()) == 1
 
 
 def test_flat_blocks_of_zero_matrix(ring_t):
-    assert RingMatrix.zero(ring_t, 3, 4).flat_blocks() == []
+    assert RingMatrix.zero(ring_t, 3, 4).flat_contents() == []
+    assert flat_blocks(RingMatrix.zero(ring_t, 3, 4)) == []
 
 
 def test_exactness_to_degree_10(ring_t):

@@ -19,7 +19,14 @@ from koszulres.homology import (
 )
 from koszulres.koszul import KoszulElement, koszul_differential, parse_koszul_element
 from koszulres.samples import ci_squares_ring, class_t_ring
-from conftest import dense_homology, dense_rows, flatten, make_class_t_basis
+from conftest import (
+    dense_homology,
+    dense_rows,
+    flatten,
+    from_vector,
+    make_class_t_basis,
+    to_vector,
+)
 
 PRIMES = [2, 3, 32003, 2147483647]
 ACIT_GENS = [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)]
@@ -72,7 +79,7 @@ def test_class_of_matches_solve_mod(make_ring, p):
     for i in range(ring.nvars + 1):
         width = comb(ring.nvars, i) * ring.dim
         bnd = dense_rows(H.boundary[i], width)
-        reps = np.array([z.to_vector() for z in H.reps[i]],
+        reps = np.array([to_vector(z) for z in H.reps[i]],
                         dtype=np.int64).reshape(-1, width)
         rows = np.vstack([bnd, reps])
         combos = nprng.integers(0, p, size=(8, len(rows)), dtype=np.int64)
@@ -80,7 +87,7 @@ def test_class_of_matches_solve_mod(make_ring, p):
         for v in [*rows, *combos.astype(np.int64)]:
             want = solve_mod(rows.T, v, p)
             assert want is not None
-            got = H.class_of(KoszulElement.from_vector(ring, i, v))
+            got = H.class_of(from_vector(ring, i, v))
             assert got.tolist() == (want[len(bnd):] % p).tolist()
 
 
@@ -277,12 +284,12 @@ def test_strands_match_dense(case, p, order):
     for i, (bnd, basis, pivots) in enumerate(dense_homology(ring)):
         width = bnd.shape[1]
         assert np.array_equal(dense_rows(H.boundary[i], width), bnd)
-        got = np.array([z.to_vector() for z in H.reps[i]], dtype=np.int64)
+        got = np.array([to_vector(z) for z in H.reps[i]], dtype=np.int64)
         want = np.array(basis[len(bnd):], dtype=np.int64)
         assert np.array_equal(got.reshape(-1, width), want.reshape(-1, width))
         rows = np.array(basis, dtype=np.int64).reshape(-1, width)
         combos = nprng.integers(0, p, size=(4, len(rows))).astype(object)
         for v in (combos @ rows.astype(object)) % p:
-            z = KoszulElement.from_vector(ring, i, v.astype(np.int64))
-            _, coeffs = _reduce_against(z.to_vector(), basis, pivots, p)
+            z = from_vector(ring, i, v.astype(np.int64))
+            _, coeffs = _reduce_against(to_vector(z), basis, pivots, p)
             assert H.class_of(z).tolist() == coeffs[len(bnd):].tolist()

@@ -1,9 +1,17 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import cycle_entries, right_inverse_holds, ring_matrix
+from conftest import (
+    cycle_entries,
+    from_vector,
+    right_inverse_holds,
+    ring_matrix,
+    to_vector,
+    verify_chain_map,
+)
 from koszulres.exactfield import ExactFieldError, QuotientRing, RingMatrix
 from koszulres.koszul import (
     CycleMatrix,
@@ -14,7 +22,6 @@ from koszulres.koszul import (
     parse_koszul_element,
     subset_index,
     subsets,
-    verify_chain_map,
     wedge_table,
 )
 from koszulres.builder import alpha, beta, beta_prime, gamma
@@ -341,6 +348,15 @@ def test_action_respects_matrix_product(ring_t, basis_t, pack_t):
     assert right_inverse_holds(basis_t.triple, 2)
 
 
+def test_test_only_helpers_live_in_tests():
+    # only tests call these; they live in tests/conftest.py
+    src = Path(__file__).resolve().parents[1] / "src"
+    text = "\n".join(p.read_text() for p in src.rglob("*.py"))
+    for name in ("to_vector", "from_vector", "verify_chain_map", "ChainMapReport",
+                 "repeat_diag"):
+        assert name not in text, name
+
+
 def test_verify_chain_map_alpha(ring_t, basis_t, pack_t):
     theta = alpha(1, 1, pack_t, basis_t)
     report = verify_chain_map(theta, range(1, 4))
@@ -397,10 +413,10 @@ def test_element_arithmetic_matches_reference(p, name, perm):
             assert ref_of(z.differential()) == da
         assert z.is_cycle() == (not da)
         non_cycles += not da
-        v = z.to_vector()
+        v = to_vector(z)
         assert (v == ref_vector(ring, i, a)).all()
-        assert KoszulElement.from_vector(ring, i, v) == z
-        assert KoszulElement.from_vector(ring, i, v + 3 * ring.p) == z
+        assert from_vector(ring, i, v) == z
+        assert from_vector(ring, i, v + 3 * ring.p) == z
         text = z.to_string()
         assert text == ref_string(ring, i, a)
         assert parse_koszul_element(text, ring) == z
