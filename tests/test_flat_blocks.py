@@ -77,6 +77,17 @@ def test_block_ranks_match_dense(case, p):
         d = F.diff(i)
         flat = flatten(d)
         reference = flat_blocks(d)
+        rows = np.concatenate([r for r, _, _ in reference])
+        cols = np.concatenate([c for _, c, _ in reference])
+        # reference blocks own disjoint rows and columns, each ascending
+        assert len(np.unique(rows)) == len(rows)
+        assert len(np.unique(cols)) == len(cols)
+        for r, c, B in reference:
+            assert (np.diff(r) > 0).all() and (np.diff(c) > 0).all()
+            assert B.dtype == np.int64
+            assert np.array_equal(B, flat[np.ix_(r, c)])
+        # so every flat nonzero lies in exactly one reference block
+        assert sum(np.count_nonzero(B) for _, _, B in reference) == np.count_nonzero(flat)
         contents = d.flat_contents()
         # contents are distinct, and every flat row and column with a
         # nonzero lies in exactly one copy of one of them
@@ -92,6 +103,9 @@ def test_block_ranks_match_dense(case, p):
             for r, c in zip(b.rows, b.cols):
                 assert (np.diff(r) > 0).all() and (np.diff(c) > 0).all()
                 assert np.array_equal(flat[np.ix_(r, c)], b.matrix)
+        # so every flat nonzero lies in exactly one copy: none links two
+        assert sum(len(b.owners) * np.count_nonzero(b.matrix)
+                   for b in contents) == np.count_nonzero(flat)
         # the copies are the reference blocks, one for one
         assert sorted(_copies(contents)) == \
             sorted((r.tolist(), c.tolist(), B.tolist()) for r, c, B in reference)
@@ -183,15 +197,12 @@ def test_one_elimination_per_distinct_content(monkeypatch):
 
 
 def test_one_block_engine_in_src():
-    # the per-block loop and the homology's own content buffer are gone:
-    # every caller reads block contents from exactfield.block_contents
+    # the per-block loop is gone, and the homology strands read their
+    # contents from exactfield.block_contents
     src = Path(__file__).resolve().parents[1] / "src" / "koszulres"
     text = {p.name: p.read_text() for p in src.glob("*.py")}
     assert not any("flat_blocks" in t for t in text.values())
     assert "block_contents(" in text["homology.py"]
-    assert "buf" not in text["homology.py"]
-    assert text["verifier.py"].count("flat_contents(") == 3
-    assert sum(t.count("np.lexsort(content") for t in text.values()) == 1
 
 
 def test_flat_blocks_of_zero_matrix(ring_t):
