@@ -13,7 +13,6 @@ from .exactfield import (
     RingMatrix,
     build_ring,
     kernel_mod,
-    mod_matmul,
     parse_ring_file,
     rank_mod,
     serialize_ring_file,

@@ -8,7 +8,8 @@ The cycle matrices are in index form (see koszul.CycleMatrix): beta, beta'
 and gamma list one (row, column, cycle) row per entry over a few cycles,
 and alpha tiles each block's index rows down its diagonal copies, shifted
 by the copy's corner and by the block's offset in the concatenated cycles.
-The graded complexes scatter one class block per cycle to its entries.
+The graded complexes join one class block per cycle with its entries into
+sparse maps (SparseMap); no dense F_p matrix of a map is formed.
 
 Both resolutions are iterated mapping cones of Koszul blocks and come out of
 one engine, _assemble_diffs: Koszul differentials on the diagonal, one
@@ -28,14 +29,14 @@ control.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .exactfield import QuotientRing, RingMatrix, solve_mod
+from .exactfield import QuotientRing, RingMatrix, join_sorted, solve_mod
 from .homology import (
     ClassCIBasis,
     ClassTBasis,
@@ -364,17 +365,32 @@ def assemble_CI(ring: QuotientRing, basis: ClassCIBasis,
 # ---------------------------------------------------------------------------
 
 
+SparseMap = namedtuple("SparseMap", "shape nonzeros")
+
+
 @dataclass
 class FiniteComplex:
     """A finite complex of F_p spaces: positions[t] is the dimension at
     homological position pos_top - t and maps[t] : positions[t] ->
-    positions[t+1] (numpy matrices acting on column vectors)."""
+    positions[t+1], acting on column vectors.  Each map is a SparseMap: its
+    extents ``shape`` = (rows, cols) and its ``nonzeros``, an int64 (3, nnz)
+    array of (row, column, value) sorted by row and column; no dense matrix
+    of a map is formed."""
 
     name: str
     top_position: int
     dims: list
     maps: list
     p: int
+
+
+def _side_by_side(maps, zero_rows: int = 0) -> SparseMap:
+    """The SparseMaps (all with the same rows) side by side, over zero_rows
+    rows of zeros: each map's columns are offset by the columns before it."""
+    offsets = np.cumsum([0] + [m.shape[1] for m in maps]).tolist()
+    nz = np.concatenate([m.nonzeros + [[0], [c0], [0]] for m, c0 in zip(maps, offsets)],
+                        axis=1)
+    return SparseMap((maps[0].shape[0] + zero_rows, offsets[-1]), nz[:, np.lexsort(nz[1::-1])])
 
 
 class _Coordinates:
@@ -403,25 +419,27 @@ class _Coordinates:
             [self.H.product_class(z, w) for w in sources]
         return np.array([self._target(c) for c in classes], dtype=np.int64).T
 
-    def matrix(self, theta: CycleMatrix, sources=None) -> np.ndarray:
+    def matrix(self, theta: CycleMatrix, sources=None) -> SparseMap:
         """With sources None, theta's entries as target-coordinate columns,
         (dim * rows) x cols; otherwise entrywise multiplication by theta,
         from span(sources)^cols to the target^rows.  Each cycle's block is
-        computed once and scattered to its entries in one assignment."""
+        computed once, and its nonzeros meet the entries of that cycle in
+        one join."""
         a_src = 1 if sources is None else len(sources)
         a_dst = len(self.span) if self.span is not None else self.H.rank(
             theta.entry_degree + (0 if sources is None else sources[0].degree))
-        M = np.zeros((theta.rows, a_dst, theta.cols, a_src), dtype=np.int64)
-        if len(theta.where):
-            blocks = []
-            for z in theta.cycles:
-                key = (id(z), id(sources))
-                if key not in self._cache:  # keeps z and sources alive with their ids
-                    self._cache[key] = (z, sources, self._block(z, sources))
-                blocks.append(self._cache[key][2])
-            r, c, k = theta.where.T
-            M[r, :, c, :] = np.array(blocks)[k]
-        return M.reshape(theta.rows * a_dst, theta.cols * a_src)
+        blocks = []
+        for z in theta.cycles:
+            key = (id(z), id(sources))
+            if key not in self._cache:  # keeps z and sources alive with their ids
+                self._cache[key] = (z, sources, self._block(z, sources))
+            blocks.append(self._cache[key][2])
+        blocks = np.array(blocks, dtype=np.int64).reshape(len(blocks), a_dst, a_src)
+        k, i, j = np.nonzero(blocks)  # grouped by cycle k, ascending
+        x, y = join_sorted(theta.where[:, 2], k)  # entry x has the y-th nonzero
+        nz = np.stack([theta.where[x, 0] * a_dst + i[y], theta.where[x, 1] * a_src + j[y],
+                       blocks[k[y], i[y], j[y]]])
+        return SparseMap((theta.rows * a_dst, theta.cols * a_src), nz[:, np.lexsort(nz[1::-1])])
 
 
 def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
@@ -429,7 +447,7 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     """The finite complexes of homology classes whose exactness certifies the
     graded resolution data: B_k (k <= k_max), C_1..C_3, A_k (k <= k_max), and
     the dimension bookkeeping of the decomposition of A_k into shifted B and C
-    pieces.
+    pieces.  The maps are SparseMaps, and a zero block is only its extents.
 
     The alpha matrices are read from ``alphas``, an alpha_family of the same
     pack and basis (a new one when None).
@@ -443,19 +461,16 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     b, l, lp, lpp = pack.b, pack.l, pack.lp, pack.lpp
     out = {"B": {}, "C": {}, "A": {}, "decomposition": {}}
 
-    def zeros(rows, cols):
-        return np.zeros((rows, cols), dtype=np.int64)
-
     B1 = _Coordinates(H, triple)
     B2 = _Coordinates(H, basis.products)
     for k in range(1, k_max + 1):
         b_m3 = b[k - 3] if k >= 3 else 0
         dims = [b[k], 3 * b[k - 1] + b_m3]
-        maps = [np.vstack([B1.matrix(beta(k, triple)), zeros(b_m3, b[k])])]
+        maps = [_side_by_side([B1.matrix(beta(k, triple))], b_m3)]
         if k >= 2:
             dims.append(3 * b[k - 2])
-            maps.append(np.hstack([B2.matrix(beta(k - 1, triple), triple),
-                                   B2.matrix(beta_prime(k - 1, basis))]))
+            maps.append(_side_by_side([B2.matrix(beta(k - 1, triple), triple),
+                                       B2.matrix(beta_prime(k - 1, basis))]))
         out["B"][k] = FiniteComplex(f"B_{k}", k, dims, maps, p)
 
     for j in (1, 2, 3):
@@ -467,16 +482,15 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     alphas = alphas or alpha_family(pack, basis)
     for k in range(1, k_max + 1):
         dims = [l[k], a1 * l[k - 1] + lp[k - 1]]
-        maps = [np.vstack([A.matrix(alphas(k, k)), zeros(lp[k - 1], l[k])])]
+        maps = [_side_by_side([A.matrix(alphas(k, k))], lp[k - 1])]
         if k >= 2:
             dims.append(a2 * l[k - 2] + lpp[k - 2])
-            top = np.hstack([A.matrix(alphas(k - 1, k - 1), H.reps[1]),
-                             A.matrix(alphas(k - 1, k))])
-            maps.append(np.vstack([top, zeros(lpp[k - 2], top.shape[1])]))
+            maps.append(_side_by_side([A.matrix(alphas(k - 1, k - 1), H.reps[1]),
+                                       A.matrix(alphas(k - 1, k))], lpp[k - 2]))
         if k >= 3:
             dims.append(a3 * l[k - 3])
-            maps.append(np.hstack([A.matrix(alphas(k - 2, k - 2), H.reps[2]),
-                                   A.matrix(alphas(k - 2, k))]))
+            maps.append(_side_by_side([A.matrix(alphas(k - 2, k - 2), H.reps[2]),
+                                       A.matrix(alphas(k - 2, k))]))
         out["A"][k] = FiniteComplex(f"A_{k}", k, dims, maps, p)
         out["decomposition"][k] = _decomposition_check(k, out, pack)
 

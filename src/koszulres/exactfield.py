@@ -10,10 +10,6 @@ Everything downstream reduces to two primitives implemented here:
   fit int64, so the characteristic is bounded by MAX_CHARACTERISTIC =
   3037000499.
 
-`mod_matmul` is one loop over chunks of the inner dimension whose integer dot
-products stay exact in the accumulator: float64 BLAS while (p-1)^2 < 2**53,
-int64 above; no floating point value leaves this module un-reduced.
-
 A matrix over R (`RingMatrix`) is one sorted int64 array of terms (row,
 column, standard-monomial index, coefficient).  Its products and the
 nonzeros of its flat F_p matrix multiply monomials through one table,
@@ -21,9 +17,10 @@ nonzeros of its flat F_p matrix multiply monomials through one table,
 element of R in this library is a list of such terms; `term_string` prints
 one term, in the syntax that ring files and cycle strings are written in.
 
-Every flat map eliminated here is block diagonal up to a permutation, with
-few distinct block contents: exactness, the oracle and the Koszul homology
-eliminate each content found by `block_contents` once.
+Every map eliminated here is block diagonal up to a permutation, with few
+distinct block contents: exactness, the oracle, the Koszul homology and the
+graded complexes eliminate each content found by `block_contents` once, and
+no dense matrix of a whole map is formed.
 """
 
 from __future__ import annotations
@@ -325,21 +322,8 @@ class RingMatrix:
         return i[t] * D + product[b[t], a], j[t] * D + a, c[t]
 
     def flat_contents(self, col_tag=0) -> list:
-        """block_contents of the flat F_p matrix (see _flat_nonzeros).  Its
-        blocks are the components of the bipartite graph of its nonzeros, so
-        its rank is the sum of the block ranks; rows and columns with no
-        nonzero lie in no block.  A block's rows ascend, and its columns
-        ascend in (col_tag, column), col_tag 0 or 1 per flat column."""
-        r, c, v = self._flat_nonzeros()
-        row_at, r = np.unique(r, return_inverse=True)
-        col_at, c = np.unique(c, return_inverse=True)
-        label = _component_labels(r, c + len(row_at), len(row_at) + len(col_at))
-        row_label, col_label = np.split(label, [len(row_at)])
-        tag = np.broadcast_to(col_tag, self.cols * self.ring.dim)[col_at]
-        rows = (row_label, _local_index(row_label), 0)
-        cols = (col_label, _local_index(col_label, tag), tag)
-        return [b._replace(rows=row_at[b.rows], cols=col_at[b.cols])
-                for b in block_contents(r, c, v, rows, cols)]
+        """sparse_contents of the flat F_p matrix (see _flat_nonzeros)."""
+        return sparse_contents(*self._flat_nonzeros(), self.cols * self.ring.dim, col_tag)
 
     def __eq__(self, other):
         return (
@@ -360,6 +344,24 @@ def join_sorted(keys: np.ndarray, sorted_keys: np.ndarray):
     n = sorted_keys.searchsorted(keys, side="right") - lo
     x = np.arange(len(keys)).repeat(n)
     return x, np.arange(len(x)) + (lo - n.cumsum() + n).repeat(n)
+
+
+def sparse_contents(r, c, v, ncols: int, col_tag=0) -> list:
+    """block_contents of the matrix with nonzeros (r, c, v) = (row, column,
+    value) and ncols columns.  Its blocks are the components of the
+    bipartite graph of its nonzeros, so its rank is the sum of the block
+    ranks; rows and columns with no nonzero lie in no block.  A block's rows
+    ascend, and its columns ascend in (col_tag, column), col_tag 0 or 1 per
+    column."""
+    row_at, r = np.unique(r, return_inverse=True)
+    col_at, c = np.unique(c, return_inverse=True)
+    label = _component_labels(r, c + len(row_at), len(row_at) + len(col_at))
+    row_label, col_label = np.split(label, [len(row_at)])
+    tag = np.broadcast_to(col_tag, ncols)[col_at]
+    rows = (row_label, _local_index(row_label), 0)
+    cols = (col_label, _local_index(col_label, tag), tag)
+    return [b._replace(rows=row_at[b.rows], cols=col_at[b.cols])
+            for b in block_contents(r, c, v, rows, cols)]
 
 
 def _component_labels(u: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -442,25 +444,6 @@ def block_contents(r, c, v, rows, cols) -> list:
 # ---------------------------------------------------------------------------
 
 MAX_CHARACTERISTIC = 3037000499  # (p-1)^2 < 2^63 for every p up to here
-
-
-def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p, summed over chunks of the inner dimension.
-
-    Every partial dot product of a chunk stays inside the exact range of the
-    accumulator: float64 (BLAS) while (p-1)^2 < 2^53, else int64 with the
-    bound 2^63 - p, so adding the reduced running sum cannot overflow."""
-    _check_characteristic(p)
-    A = np.asarray(A, dtype=np.int64) % p
-    B = np.asarray(B, dtype=np.int64) % p
-    per = (p - 1) ** 2
-    dtype, bound = (np.float64, 2 ** 53) if per < 2 ** 53 else (np.int64, 2 ** 63 - p)
-    step = bound // per
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for lo in range(0, A.shape[1], step):
-        C = A[:, lo:lo + step].astype(dtype) @ B[lo:lo + step].astype(dtype)
-        out = (out + C.astype(np.int64)) % p
-    return out
 
 
 def _check_characteristic(p: int) -> None:

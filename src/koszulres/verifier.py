@@ -4,11 +4,11 @@ syzygy oracle.
 The checks are deliberately redundant: the complex property is verified as
 honest matrix products over R, exactness as rank bookkeeping of the
 flattened F_p maps, Betti numbers three ways (assembled block ranks, series
-coefficients, oracle), and the graded-level complexes by rank conditions at
-every position.  Exactness and the oracle both eliminate each distinct
-content of the connected blocks of the flattened maps once
-(`RingMatrix.flat_contents`) and never form one dense flat matrix, so both
-run to the full degree asked for.
+coefficients, oracle), and the graded-level complexes by sparse composites
+and rank conditions at every position.  Exactness, the oracle and the graded
+check eliminate each distinct content of the connected blocks of their maps
+once (`RingMatrix.flat_contents`, `sparse_contents`) and never form a dense
+matrix of a whole map, so they run to the full degree asked for.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from .exactfield import (
     _CYCLE_NAME,
     QuotientRing,
     RingMatrix,
+    join_sorted,
     kernel_mod,
-    mod_matmul,
     rank_mod,
     rref_mod,
+    sparse_contents,
 )
 from .homology import (
     ClassCIBasis,
@@ -247,10 +248,10 @@ def _finite_complex_exact(cx: FiniteComplex):
             return False, f"map {t} has shape {M.shape}, expected " \
                           f"({dims[t + 1]}, {dims[t]})", dims
     for t in range(len(cx.maps) - 1):
-        prod = mod_matmul(cx.maps[t + 1], cx.maps[t], p)
-        if np.any(prod):
-            return False, f"composite of maps {t} and {t + 1} is nonzero", dims
-    ranks = [rank_mod(M, p) for M in cx.maps]
+        at = _composite_nonzero(cx.maps[t + 1], cx.maps[t], p)
+        if at is not None:
+            return False, f"composite of maps {t} and {t + 1} is nonzero at {at}", dims
+    ranks = [_map_rank(M, p) for M in cx.maps]
     if not ranks:
         return dims[0] == 0, "empty complex must be zero", dims
     if ranks[0] != dims[0]:
@@ -263,6 +264,34 @@ def _finite_complex_exact(cx: FiniteComplex):
         return False, (f"not exact at the bottom: rank {ranks[-1]} "
                        f"< dim {dims[-1]}"), dims
     return True, "", dims
+
+
+def _reduced(M, p: int):
+    """The nonzeros (row, column, value) of the SparseMap M mod p, by row."""
+    r, c, v = M.nonzeros[:, M.nonzeros[0].argsort(kind="stable")]
+    keep = v % p != 0
+    return r[keep], c[keep], v[keep] % p
+
+
+def _composite_nonzero(A, B, p: int):
+    """The first (row, column) at which the product A B of two SparseMaps is
+    nonzero mod p, or None.  Each product is reduced before the products of
+    an entry are summed: at p = 2^31 - 1 three unreduced (p-1)^2 overflow
+    int64."""
+    (r, k, a), (k2, c, b) = _reduced(A, p), _reduced(B, p)
+    x, y = join_sorted(k, k2)  # A's x-th nonzero meets B's y-th
+    at, entry = np.unique(r[x] * B.shape[1] + c[y], return_inverse=True)
+    sums = np.zeros(len(at), dtype=np.int64)
+    np.add.at(sums, entry, a[x] * b[y] % p)
+    bad = np.flatnonzero(sums % p)
+    return divmod(int(at[bad[0]]), B.shape[1]) if len(bad) else None
+
+
+def _map_rank(M, p: int) -> int:
+    """The rank of the SparseMap M over F_p: each distinct content of its
+    blocks (`sparse_contents`) is ranked once and counted per block."""
+    return sum(len(b.owners) * rank_mod(b.matrix, p)
+               for b in sparse_contents(*_reduced(M, p), M.shape[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from koszulres.builder import beta, beta_prime
+from koszulres.builder import FiniteComplex, SparseMap, beta, beta_prime
 from koszulres.exactfield import (
     QuotientRing,
     RingMatrix,
+    _check_characteristic,
     _component_labels,
     _local_index,
     kernel_mod,
     parse_monomial_string,
+    rank_mod,
     rref_mod,
 )
 from koszulres.homology import ClassTBasis, HomologyAlgebra, _extend
@@ -56,6 +58,71 @@ def flatten(M: RingMatrix) -> np.ndarray:
     out = np.zeros((M.rows * D, M.cols * D), dtype=np.int64)
     out[r, c] = v
     return out
+
+
+def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """Exact (A @ B) mod p of dense matrices, summed over chunks of the
+    inner dimension, the reference product of the dense cross-checks.
+
+    Every partial dot product of a chunk stays inside the exact range of the
+    accumulator: float64 (BLAS) while (p-1)^2 < 2^53, else int64 with the
+    bound 2^63 - p, so adding the reduced running sum cannot overflow."""
+    _check_characteristic(p)
+    A = np.asarray(A, dtype=np.int64) % p
+    B = np.asarray(B, dtype=np.int64) % p
+    per = (p - 1) ** 2
+    dtype, bound = (np.float64, 2 ** 53) if per < 2 ** 53 else (np.int64, 2 ** 63 - p)
+    step = bound // per
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for lo in range(0, A.shape[1], step):
+        C = A[:, lo:lo + step].astype(dtype) @ B[lo:lo + step].astype(dtype)
+        out = (out + C.astype(np.int64)) % p
+    return out
+
+
+def dense_map(M: SparseMap) -> np.ndarray:
+    """The dense int64 matrix of a SparseMap."""
+    out = np.zeros(M.shape, dtype=np.int64)
+    out[M.nonzeros[0], M.nonzeros[1]] = M.nonzeros[2]
+    return out
+
+
+def sparse_map(A: np.ndarray) -> SparseMap:
+    """The SparseMap of a dense matrix (row-major nonzeros)."""
+    r, c = np.nonzero(A)
+    return SparseMap(tuple(int(n) for n in A.shape),
+                     np.stack([r, c, A[r, c]]).astype(np.int64))
+
+
+def dense_complex_exact(cx: FiniteComplex):
+    """(ok, message, dims) of the finite complex cx, checked on its dense
+    maps with mod_matmul and rank_mod: the reference for the sparse check
+    verifier._finite_complex_exact, with the same messages."""
+    p = cx.p
+    dims = [int(d) for d in cx.dims]
+    maps = [dense_map(M) for M in cx.maps]
+    for t, M in enumerate(maps):
+        if M.shape != (dims[t + 1], dims[t]):
+            return False, f"map {t} has shape {M.shape}, expected " \
+                          f"({dims[t + 1]}, {dims[t]})", dims
+    for t in range(len(maps) - 1):
+        bad = np.argwhere(mod_matmul(maps[t + 1], maps[t], p))
+        if len(bad):
+            return False, (f"composite of maps {t} and {t + 1} is nonzero at "
+                           f"{tuple(bad[0].tolist())}"), dims
+    ranks = [rank_mod(M, p) for M in maps]
+    if not ranks:
+        return dims[0] == 0, "empty complex must be zero", dims
+    if ranks[0] != dims[0]:
+        return False, f"not exact at the top: rank {ranks[0]} < dim {dims[0]}", dims
+    for t in range(len(ranks) - 1):
+        if ranks[t] + ranks[t + 1] != dims[t + 1]:
+            return False, (f"not exact at position {cx.top_position - t - 1}: "
+                           f"{ranks[t]} + {ranks[t + 1]} != {dims[t + 1]}"), dims
+    if ranks[-1] != dims[-1]:
+        return False, (f"not exact at the bottom: rank {ranks[-1]} "
+                       f"< dim {dims[-1]}"), dims
+    return True, "", dims
 
 
 def flat_blocks(M: RingMatrix) -> list:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import flatten, ring_matrix
+from conftest import flatten, mod_matmul, ring_matrix
 from koszulres.builder import assemble_T
 from koszulres.exactfield import (
     MAX_CHARACTERISTIC,
@@ -11,7 +11,6 @@ from koszulres.exactfield import (
     QuotientRing,
     RingMatrix,
     kernel_mod,
-    mod_matmul,
     parse_ring_file,
     rank_mod,
     rref_mod,

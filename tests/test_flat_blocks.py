@@ -203,6 +203,9 @@ def test_one_block_engine_in_src():
     text = {p.name: p.read_text() for p in src.glob("*.py")}
     assert not any("flat_blocks" in t for t in text.values())
     assert "block_contents(" in text["homology.py"]
+    # the graded complexes are sparse and ranked by the same engine
+    assert "np.zeros((theta.rows" not in text["builder.py"]
+    assert "sparse_contents(" in text["verifier.py"]
 
 
 def test_flat_blocks_of_zero_matrix(ring_t):

@@ -353,7 +353,7 @@ def test_test_only_helpers_live_in_tests():
     src = Path(__file__).resolve().parents[1] / "src"
     text = "\n".join(p.read_text() for p in src.rglob("*.py"))
     for name in ("to_vector", "from_vector", "verify_chain_map", "ChainMapReport",
-                 "repeat_diag"):
+                 "repeat_diag", "mod_matmul"):
         assert name not in text, name
 
 

@@ -4,13 +4,12 @@ the dense oracle could not reach."""
 import numpy as np
 import pytest
 
-from conftest import flatten, ring_matrix
+from conftest import flatten, mod_matmul, ring_matrix
 from koszulres.builder import assemble_T
 from koszulres.exactfield import (
     QuotientRing,
     RingMatrix,
     kernel_mod,
-    mod_matmul,
     rref_mod,
 )
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
