@@ -1,10 +1,10 @@
-"""Quotient rings, the monomial product table, and the Koszul complex.
+"""Quotient rings, products of standard monomials, and the Koszul complex.
 
 Walks through the exact-arithmetic layer on the running example
-R = F_p[x,y,z]/(x^2, y^2, z^2, xyz): the standard monomial basis and its
-product table, ring elements as term arrays, the subset-indexed Koszul
-bases, wedge products, and the differential matrices with their d^2 = 0
-check.
+R = F_p[x,y,z]/(x^2, y^2, z^2, xyz): the standard monomial basis, its
+exponent codes and the products that survive in R, ring elements as term
+arrays, the subset-indexed Koszul bases, wedge products, and the
+differential matrices with their d^2 = 0 check.
 """
 
 from koszulres import KoszulElement, RingMatrix, koszul_differential
@@ -16,11 +16,13 @@ print(f"ring: {ring!r}")
 print("standard monomials:", ring.std_strings)
 print("dim_k R =", ring.dim)
 
-# ring.product[a, b] is the index of std_a * std_b, or -1 when the product
-# lies in the ideal: the one place where monomials are multiplied
+# ring.product(a, b) is the index of std_a * std_b, or -1 when the product
+# lies in the ideal: the one place where monomials are multiplied.  Each
+# exponent tuple has a mixed-radix code wide enough that a product's code is
+# the sum of the factors' codes, so a product is one lookup of a code
 print("\nproducts of standard monomials:")
 for a, b in (("x", "x"), ("x", "y"), ("x*y", "z"), ("y", "x*z")):
-    k = ring.product[ring.std_strings.index(a), ring.std_strings.index(b)]
+    k = ring.product(ring.std_strings.index(a), ring.std_strings.index(b))
     print(f"  {a} * {b} ->", ring.std_strings[k] if k >= 0 else "0 (in the ideal)")
 
 
@@ -33,6 +35,13 @@ def element(*terms):
 
 x, x_plus_y = element(("x", 1)), element(("x", 1), ("y", 1))
 print("  x * (x + y) ->", (x @ x_plus_y).entries[(0, 0)])
+
+# only the products that survive are stored: (b, a, m) with std_b * std_a =
+# std_m, sorted by (b, a); here 19 of the 49 pairs
+b, a, m = ring.nonzero_products
+print(f"{len(m)} nonzero products; those of x:",
+      [f"x * {ring.std_strings[j]} = {ring.std_strings[k]}"
+       for j, k in zip(a[b == 1], m[b == 1])])
 
 # the Koszul differentials in the lexicographic subset bases
 print("\nKoszul differentials:")

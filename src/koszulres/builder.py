@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .exactfield import QuotientRing, RingMatrix, join_sorted, solve_mod
+from .exactfield import QuotientRing, RingMatrix, block_terms, join_sorted, solve_mod
 from .homology import (
     ClassCIBasis,
     ClassTBasis,
@@ -268,13 +268,13 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
         for b in blocks_lo:
             row_offset[(b.key, b.kdeg)] = rows
             rows += b.width(n)
-        terms = [np.zeros((0, 4), dtype=np.int64)]
+        placed = []  # (matrix, row, column, copies, sign) of each block
         col = 0
         for b in blocks_hi:
             tgt = row_offset.get((b.key, b.kdeg - 1))
             if tgt is not None:
-                terms.append(koszul_differential(b.kdeg, ring).shifted_terms(
-                    tgt, col, b.copies, diag_sign(b)))
+                placed.append((koszul_differential(b.kdeg, ring), tgt, col,
+                               b.copies, diag_sign(b)))
             spec = arrow(b)
             if spec is not None:
                 target_key, target_kdeg, name, reps = spec
@@ -282,9 +282,9 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
                 if tgt is not None:
                     act = action(name, target_kdeg)
                     assert act.cols * reps == b.width(n)
-                    terms.append(act.shifted_terms(tgt, col, reps, 1))
+                    placed.append((act, tgt, col, reps, 1))
             col += b.width(n)
-        diffs.append(RingMatrix.from_terms(ring, rows, col, np.concatenate(terms)))
+        diffs.append(RingMatrix.from_terms(ring, rows, col, block_terms(placed)))
     return diffs
 
 

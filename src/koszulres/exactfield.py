@@ -11,11 +11,15 @@ Everything downstream reduces to two primitives implemented here:
   3037000499.
 
 A matrix over R (`RingMatrix`) is one sorted int64 array of terms (row,
-column, standard-monomial index, coefficient).  Its products and the
-nonzeros of its flat F_p matrix multiply monomials through one table,
-`QuotientRing.product`: the index of std_a * std_b, or -1 for zero.  Every
-element of R in this library is a list of such terms; `term_string` prints
-one term, in the syntax that ring files and cycle strings are written in.
+column, standard-monomial index, coefficient).  Monomials are multiplied in
+one place, `QuotientRing.product`: the index of std_a * std_b, or -1 for
+zero, found by adding exponent codes wide enough that no digit carries.
+Matrix products call it; the nonzeros of a flat F_p matrix read
+`QuotientRing.nonzero_products`, the sorted list of the products that are
+not zero, whose length is the number of divisors of the standard
+monomials, not dim^2.  Every element of R in this library is a list of
+such terms; `term_string` prints one term, in the syntax that ring files
+and cycle strings are written in.
 
 Every map eliminated here is block diagonal up to a permutation, with few
 distinct block contents: exactness, the oracle, the Koszul homology and the
@@ -163,42 +167,80 @@ class QuotientRing:
         return bounds
 
     def _compute_std_basis(self) -> list[Monomial]:
-        ranges = [range(b) for b in self._pure_bounds]
-        out = []
+        """The monomials of the exponent box below the pure powers that no
+        generator divides, in mono_key order.  Sets `codes`, the exponent
+        code of each: the mixed-radix integer whose digit v, of weight
+        code_weights[v] and radix 2 * bound_v - 1, is the exponent of x_v.
+        The digits of a sum of two standard exponents stay below the radix,
+        so the code of a product of standard monomials is the sum of their
+        codes."""
+        bounds = np.array(self._pure_bounds, dtype=np.int64)
+        box = np.indices(bounds, dtype=np.int64).reshape(self.nvars, -1).T
+        standard = np.ones(len(box), dtype=bool)
+        for g in self.ideal_gens:
+            standard &= (box < g).any(axis=1)
+        E = box[standard]
+        E = E[np.lexsort((*(-E[:, ::-1].T), E.sum(axis=1)))]  # mono_key order
+        self.code_weights = np.cumprod(np.r_[1, 2 * bounds[:-1] - 1])
+        self.codes = E @ self.code_weights
+        order = self.codes.argsort()
+        # the codes ascending, then a sentinel above every sum of two codes,
+        # and the basis index of each (-1 at the sentinel)
+        self._sorted_code = np.r_[self.codes[order], np.iinfo(np.int64).max]
+        self._index_at = np.r_[order, -1]
+        return [tuple(m) for m in E.tolist()]
 
-        def rec(prefix, v):
-            if v == self.nvars:
-                m = tuple(prefix)
-                if not any(mono_divides(g, m) for g in self.ideal_gens):
-                    out.append(m)
-                return
-            for e in ranges[v]:
-                rec(prefix + [e], v + 1)
-
-        rec([], 0)
-        out.sort(key=mono_key)
-        return out
+    def _index_of_code(self, code: np.ndarray) -> np.ndarray:
+        pos = self._sorted_code.searchsorted(code)
+        return np.where(self._sorted_code[pos] == code, self._index_at[pos], -1)
 
     @cached_property
     def std_strings(self) -> list[str]:
         """The standard monomials printed with the ring's variable names."""
         return [monomial_to_string(m, self.names) for m in self.std_basis]
 
+    def product(self, a, b) -> np.ndarray:
+        """The index of std_a * std_b for index arrays a and b, or -1 where
+        that product lies in I: the standard monomial, if any, whose code is
+        the sum of their codes."""
+        return self._index_of_code(self.codes[a] + self.codes[b])
+
     @cached_property
-    def product(self) -> np.ndarray:
-        """product[a, b] is the index of std_a * std_b, or -1 when that product
-        lies in I; built on first use.  Column b is column b' stepped by x_v,
-        where std_b = x_v * std_b' and b' < b in the degree order."""
-        D, E, unit = self.dim, np.array(self.std_basis), np.eye(self.nvars, dtype=int)
-        # step[a, v]: the index of x_v * std_a, with D standing for zero
-        step = np.array([[self.basis_index.get(tuple(e + u), D) for u in unit]
-                         for e in E] + [[D] * self.nvars], dtype=np.int64)
-        table = np.empty((D + 1, D), dtype=np.int64)
-        table[:, 0] = np.arange(D + 1)
-        for b in range(1, D):
-            v = np.flatnonzero(E[b])[0]
-            table[:, b] = step[table[:, self.basis_index[tuple(E[b] - unit[v])]], v]
-        return np.where(table[:D] == D, -1, table[:D])
+    def nonzero_products(self) -> np.ndarray:
+        """The products of standard monomials that are not zero in R, as an
+        int64 array of shape (3, N) whose columns (b, a, m) say std_b *
+        std_a = std_m, one per such pair (a, b), sorted by (b, a).
+
+        Built on first use, one degree of b at a time and with no sort: if
+        std_b = x_v * std_b', x_v the first variable of std_b, the a of b
+        are the a of b' for which x_v * (std_b' * std_a) is standard, in the
+        same order.  No b' has more than nvars such b, so the work and
+        memory are proportional to N, the number of divisors of the
+        standard monomials, with no dim x dim intermediate.
+        """
+        D = self.dim
+        E = np.array(self.std_basis, dtype=np.int64).reshape(D, self.nvars)
+        step = self._index_of_code(self.codes[:, None] + self.code_weights)  # x_v * std_m
+        out = np.empty((3, int((E + 1).prod(axis=1).sum())), dtype=np.int64)
+        out[0, :D], out[1:, :D] = 0, np.arange(D)  # b = 0: std_0 = 1
+        start = np.zeros(D + 1, dtype=np.int64)  # b's columns of out start here
+        start[1] = D
+        degree = E.sum(axis=1)
+        for d in range(1, int(degree[-1]) + 1):
+            lo, hi = degree.searchsorted([d, d + 1])  # the b of degree d
+            b = np.arange(lo, hi)
+            v = (E[b] > 0).argmax(axis=1)
+            parent = self._index_of_code(self.codes[b] - self.code_weights[v])
+            size = start[parent + 1] - start[parent]
+            at = concat_ranges(start[parent], size)
+            b, v = b.repeat(size), v.repeat(size)
+            m = step[out[2, at], v]
+            keep = (m >= 0).nonzero()[0]
+            first = start[lo]
+            out[:, first:first + len(keep)] = b[keep], out[1, at[keep]], m[keep]
+            count = np.bincount(b[keep] - lo, minlength=hi - lo)
+            start[lo + 1:hi + 1] = first + count.cumsum()
+        return out
 
     def __eq__(self, other):
         return other is self or (
@@ -257,14 +299,6 @@ class RingMatrix:
     def zero(cls, ring, rows, cols):
         return cls.from_terms(ring, rows, cols, ())
 
-    def shifted_terms(self, r0: int, c0: int, copies: int, sign: int) -> np.ndarray:
-        """Term rows of `copies` diagonal copies of sign * self, the first
-        with its top-left corner at (r0, c0), for from_terms to sum."""
-        t = np.tile(self.terms, (copies, 1, 1))
-        t[..., :2] += np.arange(copies)[:, None, None] * [self.rows, self.cols] + [r0, c0]
-        t[..., 3] *= sign
-        return t.reshape(-1, 4)
-
     @property
     def entries(self) -> MappingProxyType:
         """Read-only {(i, j): printed entry} view of the nonzero entries:
@@ -289,13 +323,13 @@ class RingMatrix:
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         """Product over R: terms (i, t, a, c) of self and (t, j, b, c') of
-        other give c c' std_a std_b at (i, j), read from ring.product."""
+        other give c c' std_a std_b at (i, j), found by ring.product."""
         assert self.ring == other.ring and self.cols == other.rows, \
             "incompatible RingMatrix product"
         i, t, a, c = self.terms.T
         o = other.terms
         x, y = join_sorted(t, o[:, 0])  # x-th term of self meets y-th of other
-        m = self.ring.product[a[x], o[y, 2]]
+        m = self.ring.product(a[x], o[y, 2])
         keep = (m >= 0).nonzero()[0]
         x, y, m = x[keep], y[keep], m[keep]
         return RingMatrix.from_terms(
@@ -311,15 +345,14 @@ class RingMatrix:
         R^cols -> R^rows that self induces.  Coordinates are R-coordinate
         major: coordinate r occupies the slice [r*dim, (r+1)*dim) in the
         standard-monomial basis of R.  The term c * std_b of entry (i, j)
-        sends std_a of coordinate j to c * std_{product[b, a]} of coordinate
-        i; distinct terms of an entry send std_a to distinct monomials, so
-        no two terms meet."""
-        D, product = self.ring.dim, self.ring.product
-        nb, na = np.nonzero(product >= 0)  # the pairs (b, a), grouped by b
+        sends std_a of coordinate j to c * std_m of coordinate i for each
+        (b, a, m) of ring.nonzero_products; distinct terms of an entry send
+        std_a to distinct monomials, so no two terms meet."""
+        D = self.ring.dim
+        nb, na, nm = self.ring.nonzero_products  # grouped by b
         i, j, b, c = self.terms.T
-        t, y = join_sorted(b, nb)  # term t meets the pair (nb[y], na[y])
-        a = na[y]
-        return i[t] * D + product[b[t], a], j[t] * D + a, c[t]
+        t, y = join_sorted(b, nb)  # term t meets the product (nb[y], na[y])
+        return i[t] * D + nm[y], j[t] * D + na[y], c[t]
 
     def flat_contents(self, col_tag=0) -> list:
         """sparse_contents of the flat F_p matrix (see _flat_nonzeros)."""
@@ -337,13 +370,41 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
+def block_terms(blocks) -> np.ndarray:
+    """The term rows, for RingMatrix.from_terms to sum, of every (M, r0, c0,
+    copies, sign) in ``blocks``: `copies` diagonal copies of sign * M, the
+    first with its top-left corner at (r0, c0), all gathered at once from
+    the stacked terms of the M."""
+    mats = [M for M, *_ in blocks]
+    r0, c0, copies, sign = np.array([B[1:] for B in blocks], dtype=np.int64).reshape(-1, 4).T
+    size = np.array([len(M.terms) for M in mats], dtype=np.int64)
+    shape = np.array([(M.rows, M.cols) for M in mats], dtype=np.int64).reshape(-1, 2)
+    i, j, b, c = np.concatenate([np.zeros((0, 4), dtype=np.int64)]
+                                + [M.terms for M in mats]).T.copy()
+    # one entry per copy: the index k of its block and its number nth there
+    k = np.arange(len(blocks)).repeat(copies)
+    nth = concat_ranges(np.zeros_like(copies), copies)
+    n = size[k]
+    at = concat_ranges((size.cumsum() - size)[k], n)  # the terms of each copy
+    t = np.empty((len(at), 4), dtype=np.int64)
+    t[:, 0] = i.take(at) + (r0[k] + nth * shape[k, 0]).repeat(n)
+    t[:, 1] = j.take(at) + (c0[k] + nth * shape[k, 1]).repeat(n)
+    t[:, 2] = b.take(at)
+    t[:, 3] = c.take(at) * sign[k].repeat(n)
+    return t
+
+
 def join_sorted(keys: np.ndarray, sorted_keys: np.ndarray):
     """Every pair (x, y) with keys[x] == sorted_keys[y], for an ascending
     sorted_keys: grouped by x in ascending order, y ascending in each group."""
     lo = sorted_keys.searchsorted(keys, side="left")
     n = sorted_keys.searchsorted(keys, side="right") - lo
-    x = np.arange(len(keys)).repeat(n)
-    return x, np.arange(len(x)) + (lo - n.cumsum() + n).repeat(n)
+    return np.arange(len(keys)).repeat(n), concat_ranges(lo, n)
+
+
+def concat_ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The integer ranges [start[k], start[k] + size[k]), concatenated."""
+    return np.arange(size.sum()) + (start - size.cumsum() + size).repeat(size)
 
 
 def sparse_contents(r, c, v, ncols: int, col_tag=0) -> list:

@@ -147,12 +147,11 @@ class _Strands:
 def _multidegrees(ring: QuotientRing) -> list:
     """codes[i + 1][t*D + b], for i = -1..n+1: the multidegree
     exps(std_b) + eps_T of each flat coordinate of K_i, T the t-th subset,
-    as one mixed-radix integer (K_{-1} and K_{n+1} have no coordinates)."""
-    n = ring.nvars
-    E = np.array(ring.std_basis, dtype=np.int64).reshape(-1, n)
-    radix = np.cumprod(np.r_[1, E.max(axis=0)[:-1] + 2])
-    return [(np.array([radix[[v - 1 for v in T]].sum() for T in subsets(n, i)],
-                      dtype=np.int64)[:, None] + E @ radix).ravel()
+    as one exponent code of the ring (a digit of ring.codes has room for an
+    exponent plus one; K_{-1} and K_{n+1} have no coordinates)."""
+    n, weight = ring.nvars, ring.code_weights
+    return [(np.array([weight[[v - 1 for v in T]].sum() for T in subsets(n, i)],
+                      dtype=np.int64)[:, None] + ring.codes).ravel()
             for i in range(-1, n + 2)]
 
 

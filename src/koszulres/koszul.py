@@ -14,7 +14,9 @@ With these choices d(a ^ b) = da ^ b + (-1)^{deg a} a ^ db, and a matrix
 theta of degree-j cycles satisfies d_i o theta = (-1)^j theta o d_{i-j}.
 
 An element of K_i is its coordinate column, a C(n, i) x 1 RingMatrix, so
-every product of ring elements goes through `QuotientRing.product`.
+every product of ring elements goes through `QuotientRing.product`, which
+finds std_a * std_b by adding the exponent codes of the two monomials; a
+product that lands in I is dropped there.
 `wedge_table` is the sign rule behind every Koszul matrix: it lists the
 nonzero products e_U ^ e_T of basis elements, and the differentials (d_i
 multiplies by x_v where e_v ^ e_T = s e_S), the wedge product of elements
@@ -237,7 +239,7 @@ def _parse_coefficient(body: str, ring: QuotientRing) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)  # bounded: each entry keeps its ring and product table alive
+@lru_cache(maxsize=128)  # bounded: each entry keeps its ring and product list alive
 def koszul_differential(i: int, ring: QuotientRing) -> RingMatrix:
     """Matrix of d_i : K_i -> K_{i-1} in the lexicographic subset bases:
     entry (T, S) is s x_v wherever e_v ^ e_T = s e_S.  Built once per

@@ -11,6 +11,7 @@ from koszulres.exactfield import (
     _check_characteristic,
     _component_labels,
     _local_index,
+    block_terms,
     kernel_mod,
     parse_monomial_string,
     rank_mod,
@@ -174,7 +175,7 @@ def from_vector(ring, degree, vec) -> KoszulElement:
 def repeat_diag(M: RingMatrix, copies: int) -> RingMatrix:
     """Block-diagonal sum of `copies` copies of M."""
     return RingMatrix.from_terms(M.ring, M.rows * copies, M.cols * copies,
-                                 M.shifted_terms(0, 0, copies, 1))
+                                 block_terms([(M, 0, 0, copies, 1)]))
 
 
 @dataclass

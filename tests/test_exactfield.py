@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_ideal_with_variable_rejected():
 def test_normal_form_examples(ring_t):
     # x^2 lies in I, so x * x is zero in R, and x * (x + y) reduces to x*y
     x = ring_t.basis_index[(1, 0, 0)]
-    assert ring_t.product[x, x] == -1
+    assert ring_t.product(x, x) == -1
     prod = (ring_matrix(ring_t, 1, 1, {(0, 0): "x"})
             @ ring_matrix(ring_t, 1, 1, {(0, 0): "x + y"}))
     assert dict(prod.entries) == {(0, 0): "x*y"}
@@ -151,12 +152,52 @@ def test_ring_matrix_product_associative():
         assert ((A @ B) @ C) == (A @ (B @ C))
 
 
+# rings whose standard bases are not symmetric in the variables, the second
+# with mixed generators in four variables
+PRODUCT_RINGS = [
+    (3, [(4, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)]),
+    (4, [(3, 0, 0, 0), (0, 4, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3), (1, 1, 0, 1), (0, 2, 1, 0)]),
+]
+
+
+def _monomial_products(ring):
+    """{(a, b): index of std_a * std_b, or -1}, from the exponent tuples."""
+    return {(a, b): ring.basis_index.get(tuple(x + y for x, y in zip(ma, mb)), -1)
+            for a, ma in enumerate(ring.std_basis) for b, mb in enumerate(ring.std_basis)}
+
+
 def test_product_table_matches_monomial_products():
-    ring = QuotientRing(3, 3, [(4, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])
-    for a, ma in enumerate(ring.std_basis):
-        for b, mb in enumerate(ring.std_basis):
-            prod = tuple(x + y for x, y in zip(ma, mb))
-            assert ring.product[a, b] == ring.basis_index.get(prod, -1)
+    for n, gens in PRODUCT_RINGS:
+        ring = QuotientRing(3, n, gens)
+        for (a, b), m in _monomial_products(ring).items():
+            assert ring.product(a, b) == m
+        # and vectorized, over all pairs at once
+        a, b = np.divmod(np.arange(ring.dim ** 2), ring.dim)
+        assert ring.product(a, b).tolist() == list(_monomial_products(ring).values())
+
+
+def test_nonzero_products_list_each_standard_product_once():
+    for n, gens in PRODUCT_RINGS + [(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])]:
+        ring = QuotientRing(3, n, gens)
+        b, a, m = ring.nonzero_products
+        expected = sorted((b, a, m) for (a, b), m in _monomial_products(ring).items()
+                          if m >= 0)
+        assert list(zip(b.tolist(), a.tolist(), m.tolist())) == expected
+
+
+def test_nonzero_products_build_in_memory_of_their_length():
+    # (x^7, y^7, z^7, w^7): dim 2401, 28^4 nonzero products; a dense table
+    # of all dim^2 products would take 46 MB in int64
+    gens = [tuple(7 * (u == v) for u in range(4)) for v in range(4)]
+    tracemalloc.start()
+    try:
+        ring = QuotientRing(32003, 4, gens)
+        products = ring.nonzero_products
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert products.shape == (3, 28 ** 4)
+    assert peak < 0.6 * ring.dim ** 2 * 8
 
 
 @pytest.mark.parametrize("p", PRIMES)
