@@ -17,9 +17,9 @@ print("standard monomials:", ring.std_strings)
 print("dim_k R =", ring.dim)
 
 # ring.product(a, b) is the index of std_a * std_b, or -1 when the product
-# lies in the ideal: the one place where monomials are multiplied.  Each
-# exponent tuple has a mixed-radix code wide enough that a product's code is
-# the sum of the factors' codes, so a product is one lookup of a code
+# lies in the ideal.  Each exponent tuple has a mixed-radix code wide enough
+# that a product's code is the sum of the factors' codes, so a product is
+# one lookup of a code
 print("\nproducts of standard monomials:")
 for a, b in (("x", "x"), ("x", "y"), ("x*y", "z"), ("y", "x*z")):
     k = ring.product(ring.std_strings.index(a), ring.std_strings.index(b))
@@ -36,12 +36,12 @@ def element(*terms):
 x, x_plus_y = element(("x", 1)), element(("x", 1), ("y", 1))
 print("  x * (x + y) ->", (x @ x_plus_y).entries[(0, 0)])
 
-# only the products that survive are stored: (b, a, m) with std_b * std_a =
-# std_m, sorted by (b, a); here 19 of the 49 pairs
-b, a, m = ring.nonzero_products
-print(f"{len(m)} nonzero products; those of x:",
-      [f"x * {ring.std_strings[j]} = {ring.std_strings[k]}"
-       for j, k in zip(a[b == 1], m[b == 1])])
+# ring.multiples(bs) runs the same lookup backwards: subtracting the code of
+# std_b from every code finds the (b, a, m) with std_b * std_a = std_m that
+# are not zero; flattening a matrix asks for the b of its terms only
+b, a, m = ring.multiples([ring.std_strings.index("x")])
+print("nonzero products of x:",
+      [f"x * {ring.std_strings[j]} = {ring.std_strings[k]}" for j, k in zip(a, m)])
 
 # the Koszul differentials in the lexicographic subset bases
 print("\nKoszul differentials:")

@@ -11,15 +11,15 @@ Everything downstream reduces to two primitives implemented here:
   3037000499.
 
 A matrix over R (`RingMatrix`) is one sorted int64 array of terms (row,
-column, standard-monomial index, coefficient).  Monomials are multiplied in
-one place, `QuotientRing.product`: the index of std_a * std_b, or -1 for
-zero, found by adding exponent codes wide enough that no digit carries.
-Matrix products call it; the nonzeros of a flat F_p matrix read
-`QuotientRing.nonzero_products`, the sorted list of the products that are
-not zero, whose length is the number of divisors of the standard
-monomials, not dim^2.  Every element of R in this library is a list of
-such terms; `term_string` prints one term, in the syntax that ring files
-and cycle strings are written in.
+column, standard-monomial index, coefficient).  Monomials are multiplied
+one way, by exponent codes wide enough that no digit carries, looked up
+among the sorted codes of the basis: `QuotientRing.product` adds two codes
+(the index of std_a * std_b, or -1 for zero), and matrix products call it;
+`QuotientRing.multiples` subtracts the code of std_b from every code (all
+the nonzero products of std_b), and the nonzeros of a flat F_p matrix read
+it for the b that occur in the matrix.  Every element of R in this library
+is a list of such terms; `term_string` prints one term, in the syntax that
+ring files and cycle strings are written in.
 
 Every map eliminated here is block diagonal up to a permutation, with few
 distinct block contents: exactness, the oracle, the Koszul homology and the
@@ -205,42 +205,28 @@ class QuotientRing:
         the sum of their codes."""
         return self._index_of_code(self.codes[a] + self.codes[b])
 
-    @cached_property
-    def nonzero_products(self) -> np.ndarray:
-        """The products of standard monomials that are not zero in R, as an
-        int64 array of shape (3, N) whose columns (b, a, m) say std_b *
-        std_a = std_m, one per such pair (a, b), sorted by (b, a).
+    def multiples(self, bs: np.ndarray) -> np.ndarray:
+        """The products of std_b, for each b of the ascending index array
+        ``bs``, that are not zero in R: an int64 array of shape (3, N) whose
+        columns (b, a, m) say std_b * std_a = std_m, sorted by (b, a).
 
-        Built on first use, one degree of b at a time and with no sort: if
-        std_b = x_v * std_b', x_v the first variable of std_b, the a of b
-        are the a of b' for which x_v * (std_b' * std_a) is standard, in the
-        same order.  No b' has more than nvars such b, so the work and
-        memory are proportional to N, the number of divisors of the
-        standard monomials, with no dim x dim intermediate.
-        """
-        D = self.dim
-        E = np.array(self.std_basis, dtype=np.int64).reshape(D, self.nvars)
-        step = self._index_of_code(self.codes[:, None] + self.code_weights)  # x_v * std_m
-        out = np.empty((3, int((E + 1).prod(axis=1).sum())), dtype=np.int64)
-        out[0, :D], out[1:, :D] = 0, np.arange(D)  # b = 0: std_0 = 1
-        start = np.zeros(D + 1, dtype=np.int64)  # b's columns of out start here
-        start[1] = D
-        degree = E.sum(axis=1)
-        for d in range(1, int(degree[-1]) + 1):
-            lo, hi = degree.searchsorted([d, d + 1])  # the b of degree d
-            b = np.arange(lo, hi)
-            v = (E[b] > 0).argmax(axis=1)
-            parent = self._index_of_code(self.codes[b] - self.code_weights[v])
-            size = start[parent + 1] - start[parent]
-            at = concat_ranges(start[parent], size)
-            b, v = b.repeat(size), v.repeat(size)
-            m = step[out[2, at], v]
-            keep = (m >= 0).nonzero()[0]
-            first = start[lo]
-            out[:, first:first + len(keep)] = b[keep], out[1, at[keep]], m[keep]
-            count = np.bincount(b[keep] - lo, minlength=hi - lo)
-            start[lo + 1:hi + 1] = first + count.cumsum()
-        return out
+        The a of b are the standard monomials whose code is codes[m] -
+        codes[b] for some m.  That lookup is exact: where std_b does not
+        divide std_m, the lowest digit that borrows is left at least bound_v
+        (its radix is 2 * bound_v - 1), which no standard exponent reaches,
+        and a negative difference is no code at all.  For a fixed b, m and
+        m / b ascend together, so the rows come out sorted.  The b are taken
+        a chunk at a time, so no step holds a len(bs) x dim array, and the
+        rows of each chunk are kept in int32 until the join, so they add
+        half the result's memory rather than all of it."""
+        bs, chunk = np.asarray(bs), max(1, 2 ** 18 // self.dim)
+        out = [np.zeros((3, 0), dtype=np.int32)]
+        for lo in range(0, len(bs), chunk):
+            b = bs[lo:lo + chunk]
+            a = self._index_of_code(self.codes - self.codes[b, None])
+            k, m = (a >= 0).nonzero()
+            out.append(np.stack([b[k], a[k, m], m]).astype(np.int32))
+        return np.concatenate(out, axis=1, dtype=np.int64)
 
     def __eq__(self, other):
         return other is self or (
@@ -346,11 +332,14 @@ class RingMatrix:
         major: coordinate r occupies the slice [r*dim, (r+1)*dim) in the
         standard-monomial basis of R.  The term c * std_b of entry (i, j)
         sends std_a of coordinate j to c * std_m of coordinate i for each
-        (b, a, m) of ring.nonzero_products; distinct terms of an entry send
-        std_a to distinct monomials, so no two terms meet."""
+        (b, a, m) of ring.multiples, worked out only for the b of the
+        terms; distinct terms of an entry send std_a to distinct monomials,
+        so no two terms meet."""
         D = self.ring.dim
-        nb, na, nm = self.ring.nonzero_products  # grouped by b
         i, j, b, c = self.terms.T
+        # the distinct b ascending, by bincount: a plain np.unique would
+        # import numpy.ma
+        nb, na, nm = self.ring.multiples(np.bincount(b, minlength=D).nonzero()[0])
         t, y = join_sorted(b, nb)  # term t meets the product (nb[y], na[y])
         return i[t] * D + nm[y], j[t] * D + na[y], c[t]
 

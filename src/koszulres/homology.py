@@ -502,10 +502,10 @@ def discover_class_T_basis(H: HomologyAlgebra) -> tuple:
             continue
         rest = [reps1[i] for i in range(a1) if i not in triple_idx]
         literal = first_nonzero_outer_product(t + rest) is None
-        candidates.append((0 if literal else 1, triple_idx, t, rest))
+        candidates.append((0 if literal else 1, triple_idx, t, rest, P))
     candidates.sort(key=lambda item: (item[0], item[1]))
-    for _, triple_idx, t, rest in candidates:
-        z2 = _complete_degree2(H, t, p)
+    for _, triple_idx, t, rest, P in candidates:
+        z2 = _complete_degree2(H, P, p)
         if z2 is None:
             continue
         basis = ClassTBasis(z1=t + rest, z2=z2, z3=list(H.reps[3]))
@@ -518,20 +518,17 @@ def discover_class_T_basis(H: HomologyAlgebra) -> tuple:
     )
 
 
-def _complete_degree2(H: HomologyAlgebra, triple, p):
-    """Representatives completing the three triple products to a basis of A_2."""
-    prods = [
-        triple[0].wedge(triple[1]),
-        triple[1].wedge(triple[2]),
-        triple[0].wedge(triple[2]),
-    ]
+def _complete_degree2(H: HomologyAlgebra, P: np.ndarray, p):
+    """Representatives completing the three triple products, whose classes
+    are the columns of P, to a basis of A_2.  The class of the k-th
+    representative of A_2 is the k-th unit vector."""
     basis = []
     pivots = {}
-    for z in prods:
-        independent = _extend(H.class_of(z), basis, pivots, p)
+    for v in P.T:
+        independent = _extend(v, basis, pivots, p)
         assert independent, "triple products degenerate despite rank check"
-    chosen = [rep for rep in H.reps[2]
-              if _extend(H.class_of(rep), basis, pivots, p)]
+    chosen = [rep for rep, e in zip(H.reps[2], np.eye(H.rank(2), dtype=np.int64))
+              if _extend(e, basis, pivots, p)]
     if len(chosen) != H.rank(2) - 3:
         return None
     return chosen

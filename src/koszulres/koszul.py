@@ -239,7 +239,7 @@ def _parse_coefficient(body: str, ring: QuotientRing) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)  # bounded: each entry keeps its ring and product list alive
+@lru_cache(maxsize=128)  # bounded: each entry keeps its ring alive
 def koszul_differential(i: int, ring: QuotientRing) -> RingMatrix:
     """Matrix of d_i : K_i -> K_{i-1} in the lexicographic subset bases:
     entry (T, S) is s x_v wherever e_v ^ e_T = s e_S.  Built once per

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,28 +177,81 @@ def test_product_table_matches_monomial_products():
         assert ring.product(a, b).tolist() == list(_monomial_products(ring).values())
 
 
-def test_nonzero_products_list_each_standard_product_once():
-    for n, gens in PRODUCT_RINGS + [(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])]:
+def test_multiples_list_each_standard_product_once():
+    # the class-T ring, a two-variable ring with a mixed generator and k[x]/(x^6)
+    for n, gens in PRODUCT_RINGS + [(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]),
+                                    (2, [(5, 0), (0, 3), (2, 2)]), (1, [(6,)])]:
         ring = QuotientRing(3, n, gens)
-        b, a, m = ring.nonzero_products
+        b, a, m = ring.multiples(np.arange(ring.dim))
+        assert (np.diff(b) >= 0).all()
         expected = sorted((b, a, m) for (a, b), m in _monomial_products(ring).items()
                           if m >= 0)
         assert list(zip(b.tolist(), a.tolist(), m.tolist())) == expected
 
 
-def test_nonzero_products_build_in_memory_of_their_length():
-    # (x^7, y^7, z^7, w^7): dim 2401, 28^4 nonzero products; a dense table
-    # of all dim^2 products would take 46 MB in int64
-    gens = [tuple(7 * (u == v) for u in range(4)) for v in range(4)]
+def _box_ring_x7():
+    # (x^7, y^7, z^7, w^7): dim 2401, 28^4 nonzero products; the multiples
+    # are worked out 2^18 // 2401 = 109 b at a time
+    return QuotientRing(32003, 4, [tuple(7 * (u == v) for u in range(4)) for v in range(4)])
+
+
+def test_multiples_across_chunks():
+    ring = _box_ring_x7()
+    E = np.array(ring.std_basis)
+    index = np.full((7,) * 4, -1)
+    index[tuple(E.T)] = np.arange(ring.dim)
+    for bs in (np.arange(ring.dim), np.arange(1, ring.dim, 3)):
+        b, a, m = ring.multiples(bs)
+        assert (np.diff(b) >= 0).all()
+        assert np.array_equal(np.bincount(b, minlength=ring.dim)[bs], (7 - E[bs]).prod(axis=1))
+        for k in sorted({0, len(bs) - 1} | {c + d for c in range(109, len(bs), 109)
+                                             for d in (-1, 0)}):
+            mine = b == bs[k]
+            a_ref = ((E + E[bs[k]]) < 7).all(axis=1).nonzero()[0]
+            assert np.array_equal(a[mine], a_ref)
+            assert np.array_equal(m[mine], index[tuple((E[a_ref] + E[bs[k]]).T)])
+
+
+def test_flat_nonzeros_of_d1_work_in_memory_of_its_terms():
+    # d_1 of a fresh ring has four distinct b, each with 6 * 7^3 multiples;
+    # the products of all 2401 monomials would be 28^4 (b, a, m) rows, 14 MB
+    ring = _box_ring_x7()
+    d1 = RingMatrix.from_terms(ring, 1, 4, [(0, v, 1 + v, 1) for v in range(4)])
     tracemalloc.start()
     try:
-        ring = QuotientRing(32003, 4, gens)
-        products = ring.nonzero_products
+        r, c, v = d1._flat_nonzeros()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert products.shape == (3, 28 ** 4)
+    assert len(v) == 4 * 6 * 7 ** 3
+    assert peak < 2 * 2 ** 20
+
+
+def test_products_of_every_monomial_hold_no_dim_squared_array():
+    # one dense dim x dim int64 table would take 46 MB.  The multiples of
+    # every b are 28^4 (b, a, m) rows, 14 MB; flattening a matrix with a
+    # term of every b holds them, the join and its three outputs, 8 arrays
+    # of 28^4 int64 (38 MB)
+    ring = _box_ring_x7()
+    M = RingMatrix.from_terms(ring, 1, 1, [(0, 0, b, 1) for b in range(ring.dim)])
+    tracemalloc.start()
+    try:
+        products = ring.multiples(np.arange(ring.dim))
+        peak = tracemalloc.get_traced_memory()[1]
+        del products
+        tracemalloc.reset_peak()
+        r, c, v = M._flat_nonzeros()
+        flat_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(v) == 28 ** 4
     assert peak < 0.6 * ring.dim ** 2 * 8
+    assert flat_peak < ring.dim ** 2 * 8
+
+
+def test_one_monomial_product_in_src():
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert not any("nonzero_products" in p.read_text() for p in src.rglob("*.py"))
 
 
 @pytest.mark.parametrize("p", PRIMES)

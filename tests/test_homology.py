@@ -213,6 +213,16 @@ def test_discover_class_t_basis(ring_t, homology_t):
     assert cert.passed and cert == verify_class_T(basis, homology_t)
 
 
+def test_reps_have_unit_classes(homology_t):
+    # discovery completes A_2 from these unit vectors instead of class_of
+    acit = HomologyAlgebra(QuotientRing(32003, 3, [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)]))
+    for H in (homology_t, acit):
+        for i, reps in enumerate(H.reps):
+            eye = np.eye(len(reps), dtype=np.int64)
+            for k, z in enumerate(reps):
+                assert np.array_equal(H.class_of(z), eye[k])
+
+
 def test_discover_class_t_rejects_ci(ring_ci2):
     with pytest.raises(DiscoveryError):
         discover_class_T_basis(HomologyAlgebra(ring_ci2))
