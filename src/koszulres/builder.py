@@ -9,7 +9,8 @@ and gamma list one (row, column, cycle) row per entry over a few cycles,
 and alpha tiles each block's index rows down its diagonal copies, shifted
 by the copy's corner and by the block's offset in the concatenated cycles.
 The graded complexes join one class block per cycle with its entries into
-sparse maps (SparseMap); no dense F_p matrix of a map is formed.
+matrices over F_p (RingMatrix over the ring with no variables); no dense
+F_p matrix of a map is formed.
 
 Both resolutions are iterated mapping cones of Koszul blocks and come out of
 one engine, _assemble_diffs: Koszul differentials on the diagonal, one
@@ -29,7 +30,7 @@ control.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -365,41 +366,38 @@ def assemble_CI(ring: QuotientRing, basis: ClassCIBasis,
 # ---------------------------------------------------------------------------
 
 
-SparseMap = namedtuple("SparseMap", "shape nonzeros")
-
-
 @dataclass
 class FiniteComplex:
     """A finite complex of F_p spaces: positions[t] is the dimension at
     homological position pos_top - t and maps[t] : positions[t] ->
-    positions[t+1], acting on column vectors.  Each map is a SparseMap: its
-    extents ``shape`` = (rows, cols) and its ``nonzeros``, an int64 (3, nnz)
-    array of (row, column, value) sorted by row and column; no dense matrix
-    of a map is formed."""
+    positions[t+1], acting on column vectors.  Each map is a RingMatrix over
+    F_p, the ring with no variables (its one standard monomial is 1), and
+    p is read from that ring; no dense matrix of a map is formed."""
 
     name: str
     top_position: int
     dims: list
     maps: list
-    p: int
 
 
-def _side_by_side(maps, zero_rows: int = 0) -> SparseMap:
-    """The SparseMaps (all with the same rows) side by side, over zero_rows
+def _side_by_side(maps, zero_rows: int = 0) -> RingMatrix:
+    """The matrices (all with the same rows) side by side, over zero_rows
     rows of zeros: each map's columns are offset by the columns before it."""
-    offsets = np.cumsum([0] + [m.shape[1] for m in maps]).tolist()
-    nz = np.concatenate([m.nonzeros + [[0], [c0], [0]] for m, c0 in zip(maps, offsets)],
-                        axis=1)
-    return SparseMap((maps[0].shape[0] + zero_rows, offsets[-1]), nz[:, np.lexsort(nz[1::-1])])
+    offsets = np.cumsum([0] + [m.cols for m in maps]).tolist()
+    return RingMatrix.from_terms(
+        maps[0].ring, maps[0].rows + zero_rows, offsets[-1],
+        block_terms([(m, 0, c0, 1, 1) for m, c0 in zip(maps, offsets)]))
 
 
 class _Coordinates:
-    """Coordinate and multiplication matrices of cycle matrices in one target
-    space: A_q in its representative basis (span None), or the subspace of
-    A_q spanned by the classes of the cycles in `span`.  Blocks are cached per
+    """Coordinate and multiplication matrices, over ``field`` (F_p as a
+    QuotientRing with no variables), of cycle matrices in one target space:
+    A_q in its representative basis (span None), or the subspace of A_q
+    spanned by the classes of the cycles in `span`.  Blocks are cached per
     cycle object and source list, since the block matrices share entries."""
 
-    def __init__(self, H: HomologyAlgebra, span=None):
+    def __init__(self, field: QuotientRing, H: HomologyAlgebra, span=None):
+        self.field = field
         self.H = H
         self.span = None if span is None else [H.class_of(z) for z in span]
         self._cache: dict = {}
@@ -419,7 +417,7 @@ class _Coordinates:
             [self.H.product_class(z, w) for w in sources]
         return np.array([self._target(c) for c in classes], dtype=np.int64).T
 
-    def matrix(self, theta: CycleMatrix, sources=None) -> SparseMap:
+    def matrix(self, theta: CycleMatrix, sources=None) -> RingMatrix:
         """With sources None, theta's entries as target-coordinate columns,
         (dim * rows) x cols; otherwise entrywise multiplication by theta,
         from span(sources)^cols to the target^rows.  Each cycle's block is
@@ -437,9 +435,10 @@ class _Coordinates:
         blocks = np.array(blocks, dtype=np.int64).reshape(len(blocks), a_dst, a_src)
         k, i, j = np.nonzero(blocks)  # grouped by cycle k, ascending
         x, y = join_sorted(theta.where[:, 2], k)  # entry x has the y-th nonzero
-        nz = np.stack([theta.where[x, 0] * a_dst + i[y], theta.where[x, 1] * a_src + j[y],
-                       blocks[k[y], i[y], j[y]]])
-        return SparseMap((theta.rows * a_dst, theta.cols * a_src), nz[:, np.lexsort(nz[1::-1])])
+        r, c = theta.where[x, 0] * a_dst + i[y], theta.where[x, 1] * a_src + j[y]
+        return RingMatrix.from_terms(
+            self.field, theta.rows * a_dst, theta.cols * a_src,
+            np.column_stack([r, c, np.zeros_like(r), blocks[k[y], i[y], j[y]]]))
 
 
 def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
@@ -447,7 +446,8 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     """The finite complexes of homology classes whose exactness certifies the
     graded resolution data: B_k (k <= k_max), C_1..C_3, A_k (k <= k_max), and
     the dimension bookkeeping of the decomposition of A_k into shifted B and C
-    pieces.  The maps are SparseMaps, and a zero block is only its extents.
+    pieces.  The maps are RingMatrix over F_p, one field ring per call, and a
+    zero block is only its extents.
 
     The alpha matrices are read from ``alphas``, an alpha_family of the same
     pack and basis (a new one when None).
@@ -455,14 +455,14 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     Returns {"B": {k: FiniteComplex}, "C": {...}, "A": {...},
     "decomposition": {k: [(position, lhs, rhs, ok), ...]}}.
     """
-    p = H.ring.p
+    fp = QuotientRing(H.ring.p, 0, ())  # F_p, the ring with no variables
     triple = basis.triple
     a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
     b, l, lp, lpp = pack.b, pack.l, pack.lp, pack.lpp
     out = {"B": {}, "C": {}, "A": {}, "decomposition": {}}
 
-    B1 = _Coordinates(H, triple)
-    B2 = _Coordinates(H, basis.products)
+    B1 = _Coordinates(fp, H, triple)
+    B2 = _Coordinates(fp, H, basis.products)
     for k in range(1, k_max + 1):
         b_m3 = b[k - 3] if k >= 3 else 0
         dims = [b[k], 3 * b[k - 1] + b_m3]
@@ -471,14 +471,14 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
             dims.append(3 * b[k - 2])
             maps.append(_side_by_side([B2.matrix(beta(k - 1, triple), triple),
                                        B2.matrix(beta_prime(k - 1, basis))]))
-        out["B"][k] = FiniteComplex(f"B_{k}", k, dims, maps, p)
+        out["B"][k] = FiniteComplex(f"B_{k}", k, dims, maps)
 
     for j in (1, 2, 3):
         g = gamma(j, basis)
-        d = _Coordinates(H, g.cycles).matrix(g)
-        out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d], p)
+        d = _Coordinates(fp, H, g.cycles).matrix(g)
+        out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d])
 
-    A = _Coordinates(H)
+    A = _Coordinates(fp, H)
     alphas = alphas or alpha_family(pack, basis)
     for k in range(1, k_max + 1):
         dims = [l[k], a1 * l[k - 1] + lp[k - 1]]
@@ -491,7 +491,7 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
             dims.append(a3 * l[k - 3])
             maps.append(_side_by_side([A.matrix(alphas(k - 2, k - 2), H.reps[2]),
                                        A.matrix(alphas(k - 2, k))]))
-        out["A"][k] = FiniteComplex(f"A_{k}", k, dims, maps, p)
+        out["A"][k] = FiniteComplex(f"A_{k}", k, dims, maps)
         out["decomposition"][k] = _decomposition_check(k, out, pack)
 
     return out

@@ -24,7 +24,9 @@ ring files and cycle strings are written in.
 Every map eliminated here is block diagonal up to a permutation, with few
 distinct block contents: exactness, the oracle, the Koszul homology and the
 graded complexes eliminate each content found by `block_contents` once, and
-no dense matrix of a whole map is formed.
+no dense matrix of a whole map is formed.  A matrix over the field F_p is a
+RingMatrix over the ring with no variables, so the graded complexes share
+the one product and the one rank path (`RingMatrix.flat_contents`).
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ class QuotientRing:
     them, so that x_1..x_n minimally generate the maximal ideal.
 
     The standard monomials (those divisible by no generator) form the ordered
-    k-basis; a monomial outside it lies in I, so it is zero in R.
+    k-basis; a monomial outside it lies in I, so it is zero in R.  With no
+    variables (nvars 0, no generators) R is the field F_p itself, of basis
+    {1}; ring files still need at least one variable.
     """
 
     def __init__(self, p: int, nvars: int, ideal_gens: Iterable[Monomial],
@@ -167,21 +171,29 @@ class QuotientRing:
         return bounds
 
     def _compute_std_basis(self) -> list[Monomial]:
-        """The monomials of the exponent box below the pure powers that no
-        generator divides, in mono_key order.  Sets `codes`, the exponent
-        code of each: the mixed-radix integer whose digit v, of weight
-        code_weights[v] and radix 2 * bound_v - 1, is the exponent of x_v.
-        The digits of a sum of two standard exponents stay below the radix,
-        so the code of a product of standard monomials is the sum of their
-        codes."""
+        """The monomials that no generator divides, in mono_key order, from
+        exponent prefixes extended one variable at a time (each a standard
+        monomial, so no step holds more than dim R rows): after a prefix, x_v
+        runs below the least g_v of the generators g whose support ends at v
+        and whose earlier exponents the prefix dominates.  Sets `codes`, the
+        exponent code of each: the mixed-radix integer whose digit v, of
+        weight code_weights[v] and radix 2 * bound_v - 1, is the exponent of
+        x_v.  The digits of a sum of two standard exponents stay below the
+        radix, so the code of a product of standard monomials is the sum of
+        their codes."""
         bounds = np.array(self._pure_bounds, dtype=np.int64)
-        box = np.indices(bounds, dtype=np.int64).reshape(self.nvars, -1).T
-        standard = np.ones(len(box), dtype=bool)
-        for g in self.ideal_gens:
-            standard &= (box < g).any(axis=1)
-        E = box[standard]
+        gens = np.zeros((len(self.ideal_gens), self.nvars), dtype=np.int64)
+        gens[:] = self.ideal_gens
+        last = ((gens > 0) * np.arange(self.nvars)).max(axis=1, initial=0)  # end of support
+        E = np.zeros((1, 0), dtype=np.int64)
+        for v in range(self.nvars):
+            cap = np.full(len(E), bounds[v])
+            for g in gens[last == v]:  # one at a time: no len(E) x len(gens) array
+                cap = np.where((E >= g[:v]).all(axis=1), np.minimum(cap, g[v]), cap)
+            E = np.column_stack([E.repeat(cap, axis=0),
+                                 concat_ranges(np.zeros_like(cap), cap)])
         E = E[np.lexsort((*(-E[:, ::-1].T), E.sum(axis=1)))]  # mono_key order
-        self.code_weights = np.cumprod(np.r_[1, 2 * bounds[:-1] - 1])
+        self.code_weights = np.cumprod(np.r_[1, 2 * bounds - 1])[:-1]
         self.codes = E @ self.code_weights
         order = self.codes.argsort()
         # the codes ascending, then a sentinel above every sum of two codes,
@@ -344,8 +356,21 @@ class RingMatrix:
         return i[t] * D + nm[y], j[t] * D + na[y], c[t]
 
     def flat_contents(self, col_tag=0) -> list:
-        """sparse_contents of the flat F_p matrix (see _flat_nonzeros)."""
-        return sparse_contents(*self._flat_nonzeros(), self.cols * self.ring.dim, col_tag)
+        """block_contents of the flat F_p matrix (see _flat_nonzeros).  Its
+        blocks are the components of the bipartite graph of its nonzeros, so
+        its rank is the sum of the block ranks; rows and columns with no
+        nonzero lie in no block.  A block's rows ascend, and its columns
+        ascend in (col_tag, column), col_tag 0 or 1 per flat column."""
+        r, c, v = self._flat_nonzeros()
+        row_at, r = np.unique(r, return_inverse=True)
+        col_at, c = np.unique(c, return_inverse=True)
+        label = _component_labels(r, c + len(row_at), len(row_at) + len(col_at))
+        row_label, col_label = np.split(label, [len(row_at)])
+        tag = np.broadcast_to(col_tag, self.cols * self.ring.dim)[col_at]
+        rows = (row_label, _local_index(row_label), 0)
+        cols = (col_label, _local_index(col_label, tag), tag)
+        return [b._replace(rows=row_at[b.rows], cols=col_at[b.cols])
+                for b in block_contents(r, c, v, rows, cols)]
 
     def __eq__(self, other):
         return (
@@ -394,24 +419,6 @@ def join_sorted(keys: np.ndarray, sorted_keys: np.ndarray):
 def concat_ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The integer ranges [start[k], start[k] + size[k]), concatenated."""
     return np.arange(size.sum()) + (start - size.cumsum() + size).repeat(size)
-
-
-def sparse_contents(r, c, v, ncols: int, col_tag=0) -> list:
-    """block_contents of the matrix with nonzeros (r, c, v) = (row, column,
-    value) and ncols columns.  Its blocks are the components of the
-    bipartite graph of its nonzeros, so its rank is the sum of the block
-    ranks; rows and columns with no nonzero lie in no block.  A block's rows
-    ascend, and its columns ascend in (col_tag, column), col_tag 0 or 1 per
-    column."""
-    row_at, r = np.unique(r, return_inverse=True)
-    col_at, c = np.unique(c, return_inverse=True)
-    label = _component_labels(r, c + len(row_at), len(row_at) + len(col_at))
-    row_label, col_label = np.split(label, [len(row_at)])
-    tag = np.broadcast_to(col_tag, ncols)[col_at]
-    rows = (row_label, _local_index(row_label), 0)
-    cols = (col_label, _local_index(col_label, tag), tag)
-    return [b._replace(rows=row_at[b.rows], cols=col_at[b.cols])
-            for b in block_contents(r, c, v, rows, cols)]
 
 
 def _component_labels(u: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -666,10 +673,13 @@ def parse_ring_file(text: str) -> RingFile:
     for required in ("characteristic", "variables", "ideal"):
         if required not in fields:
             raise ExactFieldError(f"missing required field {required!r}")
-    try:
-        p = int(fields["characteristic"])
-    except ValueError:
-        raise ExactFieldError("characteristic must be an integer") from None
+    integers = {}
+    for key in ("characteristic", "max_degree", "series_order"):
+        if key in fields:
+            try:
+                integers[key] = int(fields[key])
+            except ValueError:
+                raise ExactFieldError(f"{key} must be an integer") from None
     variables = [v.strip() for v in fields["variables"].split(",") if v.strip()]
     if len(set(variables)) != len(variables) or not variables:
         raise ExactFieldError("variables must be distinct and nonempty")
@@ -678,12 +688,12 @@ def parse_ring_file(text: str) -> RingFile:
     if mode is not None and mode not in ("T", "CI", "auto"):
         raise ExactFieldError(f"mode must be T, CI or auto (got {mode!r})")
     rf = RingFile(
-        characteristic=p,
+        characteristic=integers["characteristic"],
         variables=variables,
         ideal=ideal,
         mode=mode,
-        max_degree=int(fields["max_degree"]) if "max_degree" in fields else None,
-        series_order=int(fields["series_order"]) if "series_order" in fields else None,
+        max_degree=integers.get("max_degree"),
+        series_order=integers.get("series_order"),
         cycles=cycles,
     )
     # canonicalize monomial strings through the parser so round-trips are exact

@@ -4,11 +4,12 @@ syzygy oracle.
 The checks are deliberately redundant: the complex property is verified as
 honest matrix products over R, exactness as rank bookkeeping of the
 flattened F_p maps, Betti numbers three ways (assembled block ranks, series
-coefficients, oracle), and the graded-level complexes by sparse composites
-and rank conditions at every position.  Exactness, the oracle and the graded
-check eliminate each distinct content of the connected blocks of their maps
-once (`RingMatrix.flat_contents`, `sparse_contents`) and never form a dense
-matrix of a whole map, so they run to the full degree asked for.
+coefficients, oracle), and the graded-level complexes (RingMatrix over F_p)
+by RingMatrix composites and rank conditions at every position.  Exactness
+over R and over F_p rank through `flat_rank`, which, like the oracle,
+eliminates each distinct block content of a map once
+(`RingMatrix.flat_contents`): no dense matrix of a whole map is formed, so
+the checks run to the full degree asked for.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from .exactfield import (
     _CYCLE_NAME,
     QuotientRing,
     RingMatrix,
-    join_sorted,
     kernel_mod,
     rank_mod,
     rref_mod,
-    sparse_contents,
 )
 from .homology import (
     ClassCIBasis,
@@ -163,18 +162,16 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
     """Vanishing homology of the flattened complex in degrees 1..F.i_max-1
     and a one-dimensional cokernel at degree 0.
 
-    The rank of each flattened d_i is the sum of the ranks of its connected
-    blocks: each distinct content (`RingMatrix.flat_contents`) is ranked
-    once and counted per block, and the dense flat matrix is never formed."""
+    The rank of each flattened d_i is `flat_rank`: the dense flat matrix is
+    never formed."""
     t0 = time.time()
     ring, i_max = F.ring, F.i_max
-    p = ring.p
     ranks = {}
     cols = {}
     for i in range(1, i_max + 1):
         d = F.diff(i)
         cols[i] = d.cols * ring.dim
-        ranks[i] = sum(len(b.owners) * rank_mod(b.matrix, p) for b in d.flat_contents())
+        ranks[i] = flat_rank(d)
     details = {"flat_ranks": {i: int(r) for i, r in ranks.items()}}
     h0 = ring.dim - ranks[1]
     details["h0_dimension"] = int(h0)
@@ -195,6 +192,12 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
                 seconds=time.time() - t0)
     details["homology"] = homology
     return CheckSection("exactness", True, details, seconds=time.time() - t0)
+
+
+def flat_rank(M: RingMatrix) -> int:
+    """The rank of the flat F_p matrix of M: each distinct content of its
+    blocks (`RingMatrix.flat_contents`) is ranked once, counted per block."""
+    return sum(len(b.owners) * rank_mod(b.matrix, M.ring.p) for b in M.flat_contents())
 
 
 def check_block_ranks(F: ResolutionAssembly, expected: list) -> CheckSection:
@@ -240,18 +243,19 @@ def _finite_complex_exact(cx: FiniteComplex):
     With maps d_t : V_t -> V_{t+1} (t = 0 the top), exactness everywhere means
     rank d_0 = dim V_0 (injective at the top), rank d_t + rank d_{t+1} =
     dim V_{t+1} in the middle, and rank d_last = dim V_last (surjective at
-    the bottom)."""
-    p = cx.p
+    the bottom).  A nonzero composite (a RingMatrix product, each term
+    reduced mod p before the sum) is named by its first (row, column)."""
     dims = [int(d) for d in cx.dims]
     for t, M in enumerate(cx.maps):
-        if M.shape != (dims[t + 1], dims[t]):
-            return False, f"map {t} has shape {M.shape}, expected " \
+        if (M.rows, M.cols) != (dims[t + 1], dims[t]):
+            return False, f"map {t} has shape {(M.rows, M.cols)}, expected " \
                           f"({dims[t + 1]}, {dims[t]})", dims
     for t in range(len(cx.maps) - 1):
-        at = _composite_nonzero(cx.maps[t + 1], cx.maps[t], p)
-        if at is not None:
+        composite = cx.maps[t + 1] @ cx.maps[t]
+        if not composite.is_zero():
+            at = tuple(composite.terms[0, :2].tolist())
             return False, f"composite of maps {t} and {t + 1} is nonzero at {at}", dims
-    ranks = [_map_rank(M, p) for M in cx.maps]
+    ranks = [flat_rank(M) for M in cx.maps]
     if not ranks:
         return dims[0] == 0, "empty complex must be zero", dims
     if ranks[0] != dims[0]:
@@ -264,34 +268,6 @@ def _finite_complex_exact(cx: FiniteComplex):
         return False, (f"not exact at the bottom: rank {ranks[-1]} "
                        f"< dim {dims[-1]}"), dims
     return True, "", dims
-
-
-def _reduced(M, p: int):
-    """The nonzeros (row, column, value) of the SparseMap M mod p, by row."""
-    r, c, v = M.nonzeros[:, M.nonzeros[0].argsort(kind="stable")]
-    keep = v % p != 0
-    return r[keep], c[keep], v[keep] % p
-
-
-def _composite_nonzero(A, B, p: int):
-    """The first (row, column) at which the product A B of two SparseMaps is
-    nonzero mod p, or None.  Each product is reduced before the products of
-    an entry are summed: at p = 2^31 - 1 three unreduced (p-1)^2 overflow
-    int64."""
-    (r, k, a), (k2, c, b) = _reduced(A, p), _reduced(B, p)
-    x, y = join_sorted(k, k2)  # A's x-th nonzero meets B's y-th
-    at, entry = np.unique(r[x] * B.shape[1] + c[y], return_inverse=True)
-    sums = np.zeros(len(at), dtype=np.int64)
-    np.add.at(sums, entry, a[x] * b[y] % p)
-    bad = np.flatnonzero(sums % p)
-    return divmod(int(at[bad[0]]), B.shape[1]) if len(bad) else None
-
-
-def _map_rank(M, p: int) -> int:
-    """The rank of the SparseMap M over F_p: each distinct content of its
-    blocks (`sparse_contents`) is ranked once and counted per block."""
-    return sum(len(b.owners) * rank_mod(b.matrix, p)
-               for b in sparse_contents(*_reduced(M, p), M.shape[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from koszulres.builder import FiniteComplex, SparseMap, beta, beta_prime
+from koszulres.builder import FiniteComplex, beta, beta_prime
 from koszulres.exactfield import (
     QuotientRing,
     RingMatrix,
@@ -61,6 +61,19 @@ def flatten(M: RingMatrix) -> np.ndarray:
     return out
 
 
+def box_std_basis(ring) -> list:
+    """The standard monomials of ring filtered from the whole exponent box
+    below its pure powers, in mono_key order: the reference for
+    QuotientRing._compute_std_basis, whose memory follows dim R instead."""
+    bounds = np.array(ring._pure_bounds, dtype=np.int64)
+    box = np.indices(bounds, dtype=np.int64).reshape(ring.nvars, -1).T
+    standard = np.ones(len(box), dtype=bool)
+    for g in ring.ideal_gens:
+        standard &= (box < g).any(axis=1)
+    E = box[standard]
+    return [tuple(m) for m in E[np.lexsort((*(-E[:, ::-1].T), E.sum(axis=1)))].tolist()]
+
+
 def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact (A @ B) mod p of dense matrices, summed over chunks of the
     inner dimension, the reference product of the dense cross-checks.
@@ -81,27 +94,21 @@ def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def dense_map(M: SparseMap) -> np.ndarray:
-    """The dense int64 matrix of a SparseMap."""
-    out = np.zeros(M.shape, dtype=np.int64)
-    out[M.nonzeros[0], M.nonzeros[1]] = M.nonzeros[2]
-    return out
-
-
-def sparse_map(A: np.ndarray) -> SparseMap:
-    """The SparseMap of a dense matrix (row-major nonzeros)."""
+def sparse_map(A: np.ndarray, p: int) -> RingMatrix:
+    """The dense matrix A as a RingMatrix over F_p, the ring with no
+    variables; its dense form is flatten (dim 1)."""
     r, c = np.nonzero(A)
-    return SparseMap(tuple(int(n) for n in A.shape),
-                     np.stack([r, c, A[r, c]]).astype(np.int64))
+    return RingMatrix.from_terms(QuotientRing(p, 0, ()), *A.shape,
+                                 np.column_stack([r, c, np.zeros_like(r), A[r, c]]))
 
 
 def dense_complex_exact(cx: FiniteComplex):
     """(ok, message, dims) of the finite complex cx, checked on its dense
     maps with mod_matmul and rank_mod: the reference for the sparse check
     verifier._finite_complex_exact, with the same messages."""
-    p = cx.p
     dims = [int(d) for d in cx.dims]
-    maps = [dense_map(M) for M in cx.maps]
+    maps = [flatten(M) for M in cx.maps]
+    p = cx.maps[0].ring.p if maps else None
     for t, M in enumerate(maps):
         if M.shape != (dims[t + 1], dims[t]):
             return False, f"map {t} has shape {M.shape}, expected " \

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -53,7 +54,8 @@ def test_betti_from_ring_file(tmp_path, capsys):
 @pytest.mark.parametrize("variables, ideal", [
     ("x, y, z", "x^2, y^2, z^2, x*y"),          # codepth 3, not class T
     ("x, y, z, w", "x^2, y^2, z^2, w^2, x*y"),  # codepth 4
-], ids=["xy", "codepth4"])
+    ("x, y", "x^3000, y^3000, x*y"),  # dim 5999 in an exponent box of 9 M points
+], ids=["xy", "codepth4", "box"])
 def test_betti_ring_refuses_uncertified_class(tmp_path, capsys, variables, ideal):
     ring = tmp_path / "r.ring"
     ring.write_text(f"characteristic = 32003\nvariables = {variables}\n"
@@ -415,6 +417,15 @@ def test_ring_file_max_degree_zero(tmp_path, monkeypatch, capsys, command):
                         lambda *a, **k: pytest.fail("full_verify was called"))
     assert run(command, "--ring", str(ring), "--no-timestamp") == 2
     assert "max degree must be >= 1 (got 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["max_degree", "series_order"])
+def test_ring_file_integer_field_names_its_key(tmp_path, capsys, key):
+    ring = tmp_path / "bad.ring"
+    ring.write_text(re.sub(f"{key} = [0-9]+", f"{key} = abc", CLASS_T.read_text()))
+    assert f"{key} = abc" in ring.read_text()
+    assert run("verify", "--ring", str(ring), "--no-timestamp") == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 def test_exit_code_class_failure(capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import flatten, mod_matmul, ring_matrix
+from conftest import box_std_basis, flatten, mod_matmul, ring_matrix
 from koszulres.builder import assemble_T
 from koszulres.exactfield import (
     MAX_CHARACTERISTIC,
@@ -39,6 +39,44 @@ def test_std_basis_small_rings():
     r2 = QuotientRing(32003, 2, [(2, 0), (0, 2)], names=["x", "y"])
     assert len(r2.std_basis) == 4
     assert set(r2.std_basis) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+def test_std_basis_matches_box_filter():
+    # random Artinian monomial ideals in up to 4 variables, with mixed
+    # generators whose supports end at every variable
+    sweep = random.Random(20261019)
+    for _ in range(300):
+        n = sweep.randint(1, 4)
+        gens = [tuple(sweep.randint(1, 6) * (u == v) + (u == v) for u in range(n))
+                for v in range(n)]
+        gens += [g for g in (tuple(sweep.randint(0, 4) for _ in range(n))
+                             for _ in range(sweep.randint(0, 5))) if sum(g) >= 2]
+        ring = QuotientRing(7, n, gens)
+        assert ring.std_basis == box_std_basis(ring), gens
+        E = np.array(ring.std_basis).reshape(ring.dim, n)
+        assert np.array_equal(ring.codes, E @ ring.code_weights)
+
+
+def test_std_basis_memory_follows_dim_not_box():
+    # D = 5999 in a box of 9 M points: filtering the box peaks near 172 MiB
+    tracemalloc.start()
+    try:
+        ring = QuotientRing(32003, 2, [(3000, 0), (0, 3000), (1, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.dim == 5999
+    assert peak < 8 * 2 ** 20
+
+
+def test_ring_with_no_variables_is_the_field():
+    F = QuotientRing(7, 0, ())
+    assert (F.dim, F.std_basis, F.std_strings) == (1, [()], ["1"])
+    M = RingMatrix.from_terms(F, 2, 2, [(0, 0, 0, 3), (1, 0, 0, 9), (1, 1, 0, 7)])
+    assert dict(M.entries) == {(0, 0): "3", (1, 0): "2"}
+    assert np.array_equal(flatten(M @ M), mod_matmul(flatten(M), flatten(M), 7))
+    with pytest.raises(ExactFieldError, match="nonempty"):
+        parse_ring_file("characteristic = 7\nvariables =\nideal =\n")
 
 
 def test_entries_name_variables_like_their_ring():
@@ -454,6 +492,10 @@ def test_ring_file_normalizes_monomials():
     ("characteristic = 7\nvariables = x\nideal = x^2\nmode = Z\n", "mode"),
     ("characteristic = 7\nvariables = x, x\nideal = x^2\n", "distinct"),
     ("characteristic = 7\nvariables = x\nideal = x^2\nideal = x^3\n", "duplicate"),
+    ("characteristic = 7\nvariables = x\nideal = x^2\nmax_degree = abc\n",
+     "max_degree must be an integer"),
+    ("characteristic = 7\nvariables = x\nideal = x^2\nseries_order = 1.5\n",
+     "series_order must be an integer"),
 ])
 def test_ring_file_rejects_bad_input(text, msg):
     with pytest.raises(ExactFieldError, match=msg):

@@ -203,9 +203,14 @@ def test_one_block_engine_in_src():
     text = {p.name: p.read_text() for p in src.glob("*.py")}
     assert not any("flat_blocks" in t for t in text.values())
     assert "block_contents(" in text["homology.py"]
-    # the graded complexes are sparse and ranked by the same engine
+    # the graded complexes are RingMatrix over F_p, ranked by the same engine
     assert "np.zeros((theta.rows" not in text["builder.py"]
-    assert "sparse_contents(" in text["verifier.py"]
+    assert not any("SparseMap" in t or "sparse_contents" in t for t in text.values())
+    verifier = text["verifier.py"]
+    for name in ("check_exactness", "_finite_complex_exact"):
+        body = verifier[verifier.index(f"def {name}("):]
+        body = body[:body.index("\ndef ", 1)]
+        assert "flat_rank(" in body, name
 
 
 def test_flat_blocks_of_zero_matrix(ring_t):
