@@ -7,31 +7,36 @@ Subcommands:
   demo-classt  run the built-in class-T example and print its matrices.
 
 Exit codes: 0 all checks pass, 2 parse/input error, 3 class verification
-failure, 4 mathematical verification failure.
+failure, 4 mathematical verification failure, 5 out of memory.
 """
 
-from __future__ import annotations
+import os
 
-import argparse
-import datetime
-import json
-import sys
-from pathlib import Path
+# koszulres does exact integer arithmetic and never calls BLAS, so the
+# command starts numpy without an OpenBLAS thread pool (a caller's value
+# wins).  This runs before any import that loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__
-from .builder import BuildError, alpha
-from .exactfield import (
+import argparse  # noqa: E402
+import datetime  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .builder import BuildError, alpha  # noqa: E402
+from .exactfield import (  # noqa: E402
     ExactFieldError,
     RingFile,
     build_ring,
     parse_ring_file,
     serialize_ring_file,
 )
-from .homology import ClassVerificationError, DiscoveryError, HomologyAlgebra
-from .koszul import KoszulError
-from .samples import class_t_ring_file
-from .sequences import SequencePack, poincare_CI, poincare_T, u_table
-from .verifier import full_verify, resolve_basis
+from .homology import ClassVerificationError, DiscoveryError, HomologyAlgebra  # noqa: E402
+from .koszul import KoszulError  # noqa: E402
+from .samples import class_t_ring_file  # noqa: E402
+from .sequences import SequencePack, poincare_CI, poincare_T, u_table  # noqa: E402
+from .verifier import full_verify, resolve_basis  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -39,6 +44,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CLASS = 3
 EXIT_MATH = 4
+EXIT_RESOURCE = 5
 
 LP5_NOTE = ("l'_5 = l_3 + (a_2-3) l_4 follows the recurrence; the example "
             "list printing 1347 at this position matches l'_6 and is "
@@ -62,6 +68,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a --ring path that is missing, a directory or unreadable
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:  # numpy's ArrayMemoryError included
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def _build_parser():

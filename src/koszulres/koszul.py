@@ -96,7 +96,7 @@ class KoszulElement:
     C(n, i) x 1 RingMatrix whose term (t, 0, b, c) is c std_b e_T, with T
     the t-th subset.  Instances are immutable."""
 
-    __slots__ = ("ring", "degree", "col", "_is_cycle")
+    __slots__ = ("ring", "degree", "col", "_is_cycle", "_actions")
 
     def __init__(self, ring: QuotientRing, degree: int, col: RingMatrix | None = None):
         if degree < 0 or degree > ring.nvars:
@@ -110,6 +110,7 @@ class KoszulElement:
         self.degree = degree
         self.col = col
         self._is_cycle = None
+        self._actions = {}
 
     @classmethod
     def basis(cls, ring, S: tuple) -> "KoszulElement":
@@ -140,8 +141,17 @@ class KoszulElement:
         ring, deg = self.ring, self.degree + other.degree
         if deg > ring.nvars:
             return KoszulElement(ring, ring.nvars)
-        act = _wedge_action(ring, self.col.terms, 1, 1, self.degree, other.degree)
-        return KoszulElement(ring, deg, act @ other.col)
+        return KoszulElement(ring, deg, self.wedge_action(other.degree) @ other.col)
+
+    def wedge_action(self, i: int) -> RingMatrix:
+        """The matrix of w |-> self ^ w from K_i to K_{i + degree}; built
+        once per i and kept, so one left factor serves all its right
+        factors."""
+        act = self._actions.get(i)
+        if act is None:
+            act = self._actions[i] = _wedge_action(self.ring, self.col.terms, 1, 1,
+                                                   self.degree, i)
+        return act
 
     def differential(self) -> "KoszulElement":
         if self.degree == 0:

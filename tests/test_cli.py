@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from koszulres.cli import main
@@ -465,3 +466,21 @@ def test_exit_code_literal_product_failure(tmp_path, capsys):
 def test_roundtrip_of_shipped_fixture():
     text = CLASS_T.read_text()
     assert serialize_ring_file(parse_ring_file(text)) == text
+
+
+def _bare_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("exhaust, message", [
+    # 4 EiB is past any address space, so the allocation fails at once
+    (lambda *a, **k: np.empty(2 ** 62, dtype=np.int8), "Unable to allocate"),
+    (_bare_memory_error, "out of memory"),
+], ids=["numpy-allocation", "bare"])
+def test_exit_code_out_of_memory(monkeypatch, capsys, exhaust, message):
+    # running out of memory is a documented exit, not a traceback
+    monkeypatch.setattr("koszulres.cli.full_verify", exhaust)
+    assert run("verify", "--ring", str(CLASS_T), "--no-timestamp") == 5
+    captured = capsys.readouterr()
+    assert f"resource error: {message}" in captured.err
+    assert captured.out == ""
