@@ -8,9 +8,9 @@ The cycle matrices are in index form (see koszul.CycleMatrix): beta, beta'
 and gamma list one (row, column, cycle) row per entry over a few cycles,
 and alpha tiles each block's index rows down its diagonal copies, shifted
 by the copy's corner and by the block's offset in the concatenated cycles.
-The graded complexes join one class block per cycle with its entries into
-matrices over F_p (RingMatrix over the ring with no variables); no dense
-F_p matrix of a map is formed.
+The graded complexes place one class block per cycle, a RingMatrix over F_p
+(the ring with no variables), at the cycle's entries by one `block_terms`
+call; no dense F_p matrix of a map is formed.
 
 Both resolutions are iterated mapping cones of Koszul blocks and come out of
 one engine, _assemble_diffs: Koszul differentials on the diagonal, one
@@ -37,7 +37,7 @@ from math import comb
 
 import numpy as np
 
-from .exactfield import QuotientRing, RingMatrix, block_terms, join_sorted, solve_mod
+from .exactfield import QuotientRing, RingMatrix, block_terms, solve_mod
 from .homology import (
     ClassCIBasis,
     ClassTBasis,
@@ -269,13 +269,17 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
         for b in blocks_lo:
             row_offset[(b.key, b.kdeg)] = rows
             rows += b.width(n)
-        placed = []  # (matrix, row, column, copies, sign) of each block
+        mats = {}  # id -> (index, matrix) of each distinct block matrix
+        placed = []  # (index, row, column, copies, sign) of each block
+
+        def place(M, *at):
+            placed.append((mats.setdefault(id(M), (len(mats), M))[0], *at))
+
         col = 0
         for b in blocks_hi:
             tgt = row_offset.get((b.key, b.kdeg - 1))
             if tgt is not None:
-                placed.append((koszul_differential(b.kdeg, ring), tgt, col,
-                               b.copies, diag_sign(b)))
+                place(koszul_differential(b.kdeg, ring), tgt, col, b.copies, diag_sign(b))
             spec = arrow(b)
             if spec is not None:
                 target_key, target_kdeg, name, reps = spec
@@ -283,9 +287,11 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
                 if tgt is not None:
                     act = action(name, target_kdeg)
                     assert act.cols * reps == b.width(n)
-                    placed.append((act, tgt, col, reps, 1))
+                    place(act, tgt, col, reps, 1)
             col += b.width(n)
-        diffs.append(RingMatrix.from_terms(ring, rows, col, block_terms(placed)))
+        placed = np.array(placed, dtype=np.int64).reshape(-1, 5).T
+        diffs.append(RingMatrix.from_terms(
+            ring, rows, col, block_terms([M for _, M in mats.values()], *placed)))
     return diffs
 
 
@@ -386,7 +392,7 @@ def _side_by_side(maps, zero_rows: int = 0) -> RingMatrix:
     offsets = np.cumsum([0] + [m.cols for m in maps]).tolist()
     return RingMatrix.from_terms(
         maps[0].ring, maps[0].rows + zero_rows, offsets[-1],
-        block_terms([(m, 0, c0, 1, 1) for m, c0 in zip(maps, offsets)]))
+        block_terms(maps, np.arange(len(maps)), 0, offsets[:-1], 1, 1))
 
 
 class _Coordinates:
@@ -410,19 +416,22 @@ class _Coordinates:
             raise BuildError("class does not lie in the expected subspace")
         return x
 
-    def _block(self, z, sources) -> np.ndarray:
+    def _block(self, z, sources) -> RingMatrix:
         """The target coordinates of the class of z (sources None), or of
-        its products with each source, as columns."""
+        its products with each source, as the columns of a matrix over the
+        field."""
         classes = [self.H.class_of(z)] if sources is None else \
             [self.H.product_class(z, w) for w in sources]
-        return np.array([self._target(c) for c in classes], dtype=np.int64).T
+        a = np.array([self._target(c) for c in classes], dtype=np.int64).T
+        i, j = a.nonzero()
+        return RingMatrix.from_terms(self.field, *a.shape,
+                                     np.column_stack([i, j, np.zeros_like(i), a[i, j]]))
 
     def matrix(self, theta: CycleMatrix, sources=None) -> RingMatrix:
         """With sources None, theta's entries as target-coordinate columns,
         (dim * rows) x cols; otherwise entrywise multiplication by theta,
         from span(sources)^cols to the target^rows.  Each cycle's block is
-        computed once, and its nonzeros meet the entries of that cycle in
-        one join."""
+        computed once, and each index row places its cycle's block."""
         a_src = 1 if sources is None else len(sources)
         a_dst = len(self.span) if self.span is not None else self.H.rank(
             theta.entry_degree + (0 if sources is None else sources[0].degree))
@@ -432,13 +441,10 @@ class _Coordinates:
             if key not in self._cache:  # keeps z and sources alive with their ids
                 self._cache[key] = (z, sources, self._block(z, sources))
             blocks.append(self._cache[key][2])
-        blocks = np.array(blocks, dtype=np.int64).reshape(len(blocks), a_dst, a_src)
-        k, i, j = np.nonzero(blocks)  # grouped by cycle k, ascending
-        x, y = join_sorted(theta.where[:, 2], k)  # entry x has the y-th nonzero
-        r, c = theta.where[x, 0] * a_dst + i[y], theta.where[x, 1] * a_src + j[y]
+        where = theta.where
         return RingMatrix.from_terms(
             self.field, theta.rows * a_dst, theta.cols * a_src,
-            np.column_stack([r, c, np.zeros_like(r), blocks[k[y], i[y], j[y]]]))
+            block_terms(blocks, where[:, 2], where[:, 0] * a_dst, where[:, 1] * a_src, 1, 1))
 
 
 def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,

@@ -384,27 +384,28 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
-def block_terms(blocks) -> np.ndarray:
-    """The term rows, for RingMatrix.from_terms to sum, of every (M, r0, c0,
-    copies, sign) in ``blocks``: `copies` diagonal copies of sign * M, the
-    first with its top-left corner at (r0, c0), all gathered at once from
-    the stacked terms of the M."""
-    mats = [M for M, *_ in blocks]
-    r0, c0, copies, sign = np.array([B[1:] for B in blocks], dtype=np.int64).reshape(-1, 4).T
+def block_terms(mats, k, r0, c0, copies, sign) -> np.ndarray:
+    """The term rows, for RingMatrix.from_terms to sum, of placements of the
+    distinct matrices ``mats``: placement q is copies[q] diagonal copies of
+    sign[q] * mats[k[q]], the first with its top-left corner at (r0[q],
+    c0[q]).  Each of k..sign is an int array over the placements or one int
+    for all; the terms are gathered at once from the stacked ``mats``."""
+    k, r0, c0, copies, sign = np.broadcast_arrays(*np.atleast_1d(k, r0, c0, copies, sign))
     size = np.array([len(M.terms) for M in mats], dtype=np.int64)
     shape = np.array([(M.rows, M.cols) for M in mats], dtype=np.int64).reshape(-1, 2)
     i, j, b, c = np.concatenate([np.zeros((0, 4), dtype=np.int64)]
                                 + [M.terms for M in mats]).T.copy()
-    # one entry per copy: the index k of its block and its number nth there
-    k = np.arange(len(blocks)).repeat(copies)
+    # one entry per copy: its placement q, its matrix m and its number nth
+    q = np.arange(len(k)).repeat(copies)
+    m = k[q]
     nth = concat_ranges(np.zeros_like(copies), copies)
-    n = size[k]
-    at = concat_ranges((size.cumsum() - size)[k], n)  # the terms of each copy
+    n = size[m]
+    at = concat_ranges((size.cumsum() - size)[m], n)  # the terms of each copy
     t = np.empty((len(at), 4), dtype=np.int64)
-    t[:, 0] = i.take(at) + (r0[k] + nth * shape[k, 0]).repeat(n)
-    t[:, 1] = j.take(at) + (c0[k] + nth * shape[k, 1]).repeat(n)
+    t[:, 0] = i.take(at) + (r0[q] + nth * shape[m, 0]).repeat(n)
+    t[:, 1] = j.take(at) + (c0[q] + nth * shape[m, 1]).repeat(n)
     t[:, 2] = b.take(at)
-    t[:, 3] = c.take(at) * sign[k].repeat(n)
+    t[:, 3] = c.take(at) * sign[q].repeat(n)
     return t
 
 
@@ -610,17 +611,13 @@ def parse_monomial_string(s: str, names: Sequence[str]) -> Monomial:
     if s in ("1", ""):
         return tuple(exps)
     for factor in s.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            base, _, e = factor.partition("^")
-            base, e = base.strip(), int(e)
-        else:
-            base, e = factor, 1
+        base, hat, e = (part.strip() for part in factor.partition("^"))
         if base not in index:
             raise ExactFieldError(f"unknown variable {base!r} in monomial {s!r}")
-        if e < 1:
+        e = e if hat else "1"
+        if not (e.isascii() and e.isdigit() and int(e) >= 1):
             raise ExactFieldError(f"bad exponent in monomial {s!r}")
-        exps[index[base]] += e
+        exps[index[base]] += int(e)
     return tuple(exps)
 
 
@@ -683,6 +680,9 @@ def parse_ring_file(text: str) -> RingFile:
     variables = [v.strip() for v in fields["variables"].split(",") if v.strip()]
     if len(set(variables)) != len(variables) or not variables:
         raise ExactFieldError("variables must be distinct and nonempty")
+    for v in variables:  # the monomial and cycle grammars read no other names
+        if not (v.isascii() and v.isidentifier()):
+            raise ExactFieldError(f"bad variable name {v!r}: not [A-Za-z_][A-Za-z0-9_]*")
     ideal = [s.strip() for s in fields["ideal"].split(",") if s.strip()]
     mode = fields.get("mode")
     if mode is not None and mode not in ("T", "CI", "auto"):

@@ -24,8 +24,9 @@ and the wedge actions of cycle matrices are joins of terms against it.
 
 A matrix of cycles (`CycleMatrix`) is a tuple of cycles plus one sorted
 int64 array of (row, column, cycle index) rows, one per nonzero entry.  Its
-wedge action joins the cycle indices against the stacked coordinate columns
-of the cycles, with no loop over entries.
+wedge action is one `block_terms` call: each index row places the wedge
+action of its cycle, which the cycle builds once per source degree and
+keeps, with no loop over entries.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 from .exactfield import (
     QuotientRing,
     RingMatrix,
+    block_terms,
     join_sorted,
     parse_monomial_string,
     term_string,
@@ -144,13 +146,19 @@ class KoszulElement:
         return KoszulElement(ring, deg, self.wedge_action(other.degree) @ other.col)
 
     def wedge_action(self, i: int) -> RingMatrix:
-        """The matrix of w |-> self ^ w from K_i to K_{i + degree}; built
-        once per i and kept, so one left factor serves all its right
-        factors."""
+        """The matrix of w |-> self ^ w from K_i to K_{i + degree}: each term
+        a std_b e_U of self meets every wedge-table row (u, t, m, s), giving
+        s a std_b at (m, t).  Built once per i and kept, so one left factor
+        serves all its right factors."""
         act = self._actions.get(i)
         if act is None:
-            act = self._actions[i] = _wedge_action(self.ring, self.col.terms, 1, 1,
-                                                   self.degree, i)
+            n, j = self.ring.nvars, self.degree
+            table = wedge_table(n, j, i)
+            x, y = join_sorted(self.col.terms[:, 0], table[:, 0])
+            _, _, b, a = self.col.terms[x].T
+            _, t, m, s = table[y].T
+            act = self._actions[i] = RingMatrix.from_terms(
+                self.ring, comb(n, i + j), comb(n, i), np.column_stack([m, t, b, a * s]))
         return act
 
     def differential(self) -> "KoszulElement":
@@ -267,25 +275,6 @@ def koszul_differential(i: int, ring: QuotientRing) -> RingMatrix:
     return d
 
 
-def _wedge_action(ring, terms, rows: int, cols: int, j: int, i: int) -> RingMatrix:
-    """Left wedge multiplication K_i^cols -> K_{i+j}^rows by a rows x cols
-    matrix of elements of K_j, given as one term array in which the
-    coordinate column of entry (r, c) fills rows [r*C(n,j), (r+1)*C(n,j))
-    of column c: the term row (r*C(n,j) + u, c, b, a) is a std_b e_U in
-    entry (r, c), with U the u-th subset.  It meets every row (u, t, m, s)
-    of the wedge table, giving s a std_b at (r*C(n,i+j) + m, c*C(n,i) + t);
-    row blocks are copy-major."""
-    n = ring.nvars
-    nu, nr, nc = comb(n, j), comb(n, i + j), comb(n, i)
-    r, u = np.divmod(terms[:, 0], nu)
-    table = wedge_table(n, j, i)
-    x, y = join_sorted(u, table[:, 0])
-    _, c, b, a = terms[x].T
-    _, t, m, s = table[y].T
-    return RingMatrix.from_terms(ring, rows * nr, cols * nc,
-                                 np.column_stack([r[x] * nr + m, c * nc + t, b, a * s]))
-
-
 # ---------------------------------------------------------------------------
 # matrices of cycles and their wedge action
 # ---------------------------------------------------------------------------
@@ -345,20 +334,15 @@ def cycle_matrix_action(theta: CycleMatrix, i: int) -> RingMatrix:
     """RingMatrix of (y_k) |-> (sum_k theta(s,k) ^ y_k) : K_{i-j}^v -> K_i^u.
 
     Row blocks are copy-major: copy s of K_i occupies rows
-    [s*C(n,i), (s+1)*C(n,i)).  The cycles' coordinate columns are stacked
-    once; joining the index rows (r, c, k) against them puts the column of
-    cycles[k] at rows r*C(n,j).. of column c, the one term array that
-    _wedge_action reads.
+    [s*C(n,i), (s+1)*C(n,i)).  Each index row (r, c, k) places the wedge
+    action of cycles[k] with its corner at (r*C(n,i), c*C(n,i-j)); each
+    cycle builds its action once and keeps it, so the cycle matrices that
+    share cycles share their actions.
     """
-    ring, j = theta.ring, theta.entry_degree
+    n, j, where = theta.ring.nvars, theta.entry_degree, theta.where
     if i < j:
         raise KoszulError(f"target degree {i} below entry degree {j}")
-    stacked = np.concatenate([z.col.terms for z in theta.cycles]
-                             + [np.zeros((0, 4), dtype=np.int64)])
-    owner = np.arange(len(theta.cycles)).repeat(
-        np.array([len(z.col.terms) for z in theta.cycles], dtype=np.int64))
-    x, y = join_sorted(theta.where[:, 2], owner)
-    terms = stacked[y]
-    terms[:, 0] += theta.where[x, 0] * comb(ring.nvars, j)
-    terms[:, 1] = theta.where[x, 1]
-    return _wedge_action(ring, terms, theta.rows, theta.cols, j, i - j)
+    return RingMatrix.from_terms(
+        theta.ring, theta.rows * comb(n, i), theta.cols * comb(n, i - j),
+        block_terms([z.wedge_action(i - j) for z in theta.cycles], where[:, 2],
+                    where[:, 0] * comb(n, i), where[:, 1] * comb(n, i - j), 1, 1))

@@ -182,7 +182,7 @@ def from_vector(ring, degree, vec) -> KoszulElement:
 def repeat_diag(M: RingMatrix, copies: int) -> RingMatrix:
     """Block-diagonal sum of `copies` copies of M."""
     return RingMatrix.from_terms(M.ring, M.rows * copies, M.cols * copies,
-                                 block_terms([(M, 0, 0, copies, 1)]))
+                                 block_terms([M], 0, 0, 0, copies, 1))
 
 
 @dataclass

@@ -285,6 +285,18 @@ def test_exit_code_ideal_with_variable(tmp_path, capsys, command):
     assert "betti" not in captured.out
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("variables = x, y, z", "variables = x, 2, z", "bad variable name '2'"),
+    ("z1_4 = y*z*e[1]", "z1_4 = y^q*z*e[1]", "bad exponent in monomial 'y^q*z'"),
+    ("ideal = x^2,", "ideal = x^a,", "bad exponent in monomial 'x^a'"),
+])
+def test_exit_code_unreadable_ring_text(tmp_path, capsys, old, new, message):
+    ring = tmp_path / "bad.ring"
+    ring.write_text(CLASS_T.read_text().replace(old, new))
+    assert run("verify", "--ring", str(ring), "--no-timestamp") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_missing_file():
     assert run("verify", "--ring", "/nonexistent/r.ring") == 2
 

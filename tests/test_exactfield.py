@@ -12,6 +12,7 @@ from koszulres.exactfield import (
     ExactFieldError,
     QuotientRing,
     RingMatrix,
+    block_terms,
     kernel_mod,
     parse_ring_file,
     rank_mod,
@@ -189,6 +190,32 @@ def test_ring_matrix_product_associative():
         B = _random_ring_matrix(ring, 2, 2)
         C = _random_ring_matrix(ring, 2, 2)
         assert ((A @ B) @ C) == (A @ (B @ C))
+
+
+def test_block_terms_matches_per_copy_loop():
+    ring = class_t_ring(7)
+    mats = [_random_ring_matrix(ring, 2, 3), RingMatrix.zero(ring, 1, 2),
+            _random_ring_matrix(ring, 3, 1)]
+    assert len(mats[0].terms) and len(mats[2].terms)
+    k = np.array([0, 1, 2, 0, 2])
+    r0 = np.array([0, 4, 1, 9, 2])
+    copies = np.array([3, 1, 0, 1, 3])
+    sign = np.array([1, -1, 1, -1, -1])
+    cases = [(k, r0, 5, copies, sign),           # array and scalar mixed
+             (k, 0, np.arange(5), 3, -1),         # scalar copies and sign
+             (2, 1, 2, 3, 1),                     # one placement, all scalars
+             (np.array([1, 1]), 0, 0, 3, 1)]      # only the matrix with no terms
+    for args in cases:
+        want = []
+        for q, (kq, rq, cq, nq, sq) in enumerate(np.broadcast(*args)):
+            M = mats[kq]
+            for t in range(nq):
+                for i, j, b, c in M.terms.tolist():
+                    want.append((i + rq + t * M.rows, j + cq + t * M.cols, b, sq * c))
+        got = block_terms(mats, *args)
+        assert got.dtype == np.int64
+        assert sorted(map(tuple, got.tolist())) == sorted(want), args
+    assert block_terms(mats, np.zeros(0, dtype=np.int64), 0, 0, 1, 1).shape == (0, 4)
 
 
 # rings whose standard bases are not symmetric in the variables, the second
@@ -496,6 +523,20 @@ def test_ring_file_normalizes_monomials():
      "max_degree must be an integer"),
     ("characteristic = 7\nvariables = x\nideal = x^2\nseries_order = 1.5\n",
      "series_order must be an integer"),
+    # names the monomial and cycle grammars cannot read back: with 2 as a
+    # variable, the cycle 2*e[1] would be read as the coefficient 2
+    ("characteristic = 7\nvariables = x, 2, z\nideal = x^2\n", "bad variable name '2'"),
+    ("characteristic = 7\nvariables = a-b, c\nideal = c^2\n", "bad variable name 'a-b'"),
+    ("characteristic = 7\nvariables = y z, w\nideal = w^2\n", "bad variable name 'y z'"),
+    ("characteristic = 7\nvariables = x, 1y\nideal = x^2\n", "bad variable name '1y'"),
+    ("characteristic = 7\nvariables = x, \u00e9\nideal = x^2\n", "bad variable name '\u00e9'"),
+    ("characteristic = 7\nvariables = x, y\nideal = x^a, y^2\n",
+     r"bad exponent in monomial 'x\^a'"),
+    ("characteristic = 7\nvariables = x, y\nideal = x^2, y^\n", r"bad exponent in monomial 'y\^'"),
+    ("characteristic = 7\nvariables = x, y\nideal = x^2, y^1.5\n",
+     r"bad exponent in monomial 'y\^1\.5'"),
+    ("characteristic = 7\nvariables = x, y\nideal = x^2^2, y^2\n",
+     r"bad exponent in monomial 'x\^2\^2'"),
 ])
 def test_ring_file_rejects_bad_input(text, msg):
     with pytest.raises(ExactFieldError, match=msg):

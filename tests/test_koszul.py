@@ -12,7 +12,8 @@ from conftest import (
     to_vector,
     verify_chain_map,
 )
-from koszulres.exactfield import ExactFieldError, QuotientRing, RingMatrix
+from koszulres import koszul
+from koszulres.exactfield import ExactFieldError, QuotientRing, RingMatrix, join_sorted
 from koszulres.koszul import (
     CycleMatrix,
     KoszulElement,
@@ -285,6 +286,8 @@ def test_parse_roundtrip(ring_t):
     # cycles share the ring-file monomial grammar, which refuses x^0
     with pytest.raises(ExactFieldError, match="bad exponent"):
         parse_koszul_element("x^0*e[1]", ring_t)
+    with pytest.raises(ExactFieldError, match="bad exponent in monomial 'x\\^q'"):
+        parse_koszul_element("x^q*e[1]", ring_t)
 
 
 # -- cycle matrices ----------------------------------------------------------
@@ -340,6 +343,25 @@ def test_cycle_matrix_action_zero_and_top(ring_t, basis_t):
     assert (act.rows, act.cols) == (1, 3)
     vals = [act.entries[(0, j)] for j in range(3)]
     assert vals == ["y*z", "x*z", "x*y"]
+
+
+def test_cycle_matrix_action_builds_each_wedge_action_once(ring_t, basis_t, pack_t,
+                                                           monkeypatch):
+    # alpha_{2,2} and beta_1 share the distinguished triple; each cycle keeps
+    # its wedge action, so only the first call joins against the wedge table
+    theta, b = alpha(2, 2, pack_t, basis_t), beta(1, basis_t.triple)
+    assert {id(z) for z in b.cycles} <= {id(z) for z in theta.cycles}
+    first = cycle_matrix_action(theta, 2)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return join_sorted(*args)
+
+    monkeypatch.setattr(koszul, "join_sorted", spy)
+    assert cycle_matrix_action(theta, 2) == first
+    assert cycle_matrix_action(b, 2) == reference_cycle_matrix_action(b, 2, ring_t)
+    assert calls == []
 
 
 def test_action_respects_matrix_product(ring_t, basis_t, pack_t):
