@@ -26,9 +26,9 @@ t = basis.triple
 for (i, j) in ((0, 1), (1, 2), (0, 2)):
     prod = t[i].wedge(t[j])
     print(f"  [z1_{i+1}][z1_{j+1}] = [{prod.to_string()}], class",
-          H.product_class(t[i], t[j]).tolist())
+          H.classes(2, [prod])[:, 0].tolist())
 print("a vanishing product: [z1_1][z1_4] class",
-      H.product_class(t[0], basis.z1[3]).tolist())
+      H.classes(2, [t[0].wedge(basis.z1[3])])[:, 0].tolist())
 
 print(f"\nclass T certificate: {'PASS' if cert.passed else 'FAIL'} "
       f"({len(cert.checks)} checks)")

@@ -7,7 +7,7 @@ graded-level exactness checks.
 The cycle matrices are in index form (see koszul.CycleMatrix): beta, beta'
 and gamma list one (row, column, cycle) row per entry over a few cycles,
 and alpha tiles each block's index rows down its diagonal copies, shifted
-by the copy's corner and by the block's offset in the concatenated cycles.
+by the copy's corner, over the distinct cycles of its blocks.
 The graded complexes place one class block per cycle, a RingMatrix over F_p
 (the ring with no variables), at the cycle's entries by one `block_terms`
 call; no dense F_p matrix of a map is formed.
@@ -145,7 +145,8 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
 
     with extents l_{k-1} x l_{k,r} checked against the sequence tables.  Each
     block's index rows are tiled down its diagonal copies, shifted by the
-    copy's corner and by the block's offset in the concatenated cycles."""
+    copy's corner, and point into the distinct cycles of all the blocks,
+    each listed once (the beta blocks share the triple)."""
     if k < 1:
         raise BuildError("alpha needs k >= 1")
     if r not in (k, k + 1, k + 2):
@@ -159,16 +160,18 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
         diagonal = [(beta_prime(k - t, basis), pack.d[t]) for t in range(k - 1)]
     else:
         diagonal = []
-    cycles, where = [], [np.zeros((0, 3), dtype=np.int64)]
+    cycles, where = {}, [np.zeros((0, 3), dtype=np.int64)]  # id -> (index, cycle)
     col = 0
     for group in (diagonal, [(gamma(r - k + 1, basis), rows)]):
         row = 0
         for block, copies in group:
+            slot = np.array([cycles.setdefault(id(z), (len(cycles), z))[0]
+                             for z in block.cycles], dtype=np.int64)
             w = np.tile(block.where, (copies, 1, 1))
             w += np.arange(copies)[:, None, None] * [block.rows, block.cols, 0]
-            w += [row, col, len(cycles)]
+            w += [row, col, 0]
+            w[..., 2] = slot[w[..., 2]]
             where.append(w.reshape(-1, 3))
-            cycles += block.cycles
             row += copies * block.rows
             col += copies * block.cols
     cols_expected = pack.l_ks(k, r)
@@ -176,8 +179,8 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
         raise AssemblyError(
             f"alpha_{{{k},{r}}} extent mismatch: built {col} columns, "
             f"tables give {cols_expected}")
-    return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1, cycles,
-                       np.concatenate(where))
+    return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1,
+                       [z for _, z in cycles.values()], np.concatenate(where))
 
 
 def alpha_family(pack: SequencePack, basis: ClassTBasis):
@@ -399,30 +402,27 @@ class _Coordinates:
     """Coordinate and multiplication matrices, over ``field`` (F_p as a
     QuotientRing with no variables), of cycle matrices in one target space:
     A_q in its representative basis (span None), or the subspace of A_q
-    spanned by the classes of the cycles in `span`.  Blocks are cached per
+    whose basis is the columns of ``span``, a matrix of independent classes
+    of A_q as HomologyAlgebra.classes gives it.  Blocks are cached per
     cycle object and source list, since the block matrices share entries."""
 
     def __init__(self, field: QuotientRing, H: HomologyAlgebra, span=None):
         self.field = field
         self.H = H
-        self.span = None if span is None else [H.class_of(z) for z in span]
+        self.span = span
         self._cache: dict = {}
-
-    def _target(self, cls: np.ndarray) -> np.ndarray:
-        if self.span is None:
-            return cls
-        x = solve_mod(np.array(self.span).T, cls, self.H.ring.p)
-        if x is None:
-            raise BuildError("class does not lie in the expected subspace")
-        return x
 
     def _block(self, z, sources) -> RingMatrix:
         """The target coordinates of the class of z (sources None), or of
         its products with each source, as the columns of a matrix over the
-        field."""
-        classes = [self.H.class_of(z)] if sources is None else \
-            [self.H.product_class(z, w) for w in sources]
-        a = np.array([self._target(c) for c in classes], dtype=np.int64).T
+        field: one classes matrix, and in a span one solve for all of it."""
+        cycles = [z] if sources is None else [z.wedge(w) for w in sources]
+        a = self.H.classes(z.degree + (0 if sources is None else sources[0].degree),
+                           cycles)
+        if self.span is not None:
+            a = solve_mod(self.span, a, self.H.ring.p)
+            if a is None:
+                raise BuildError("class does not lie in the expected subspace")
         i, j = a.nonzero()
         return RingMatrix.from_terms(self.field, *a.shape,
                                      np.column_stack([i, j, np.zeros_like(i), a[i, j]]))
@@ -433,7 +433,7 @@ class _Coordinates:
         from span(sources)^cols to the target^rows.  Each cycle's block is
         computed once, and each index row places its cycle's block."""
         a_src = 1 if sources is None else len(sources)
-        a_dst = len(self.span) if self.span is not None else self.H.rank(
+        a_dst = self.span.shape[1] if self.span is not None else self.H.rank(
             theta.entry_degree + (0 if sources is None else sources[0].degree))
         blocks = []
         for z in theta.cycles:
@@ -467,8 +467,8 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     b, l, lp, lpp = pack.b, pack.l, pack.lp, pack.lpp
     out = {"B": {}, "C": {}, "A": {}, "decomposition": {}}
 
-    B1 = _Coordinates(fp, H, triple)
-    B2 = _Coordinates(fp, H, basis.products)
+    B1 = _Coordinates(fp, H, H.classes(1, triple))
+    B2 = _Coordinates(fp, H, H.classes(2, basis.products))
     for k in range(1, k_max + 1):
         b_m3 = b[k - 3] if k >= 3 else 0
         dims = [b[k], 3 * b[k - 1] + b_m3]
@@ -481,7 +481,7 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
 
     for j in (1, 2, 3):
         g = gamma(j, basis)
-        d = _Coordinates(fp, H, g.cycles).matrix(g)
+        d = _Coordinates(fp, H, H.classes(j, g.cycles)).matrix(g)
         out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d])
 
     A = _Coordinates(fp, H)

@@ -565,20 +565,16 @@ def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def solve_mod(A: np.ndarray, b: np.ndarray, p: int):
-    """One solution of Ax = b over F_p, or None if inconsistent."""
-    A = np.asarray(A, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    if b.ndim == 1:
-        b = b[:, None]
-    aug = np.hstack([A, b])
-    R, piv = rref_mod(aug, p)
-    ncols = A.shape[1]
-    if any(c >= ncols for c in piv):
+    """One solution x of Ax = b over F_p, in the shape of b (a vector or a
+    matrix of columns), or None if inconsistent."""
+    b = np.asarray(b, dtype=np.int64)
+    ncols = np.shape(A)[1]
+    R, piv = rref_mod(np.column_stack([np.asarray(A, dtype=np.int64), b]), p)
+    if piv and piv[-1] >= ncols:
         return None
-    x = np.zeros((ncols, b.shape[1]), dtype=np.int64)
-    for r, pc in enumerate(piv):
-        x[pc] = R[r, ncols:]
-    return x if x.shape[1] > 1 else x[:, 0]
+    x = np.zeros((ncols, R.shape[1] - ncols), dtype=np.int64)
+    x[piv] = R[:len(piv), ncols:]
+    return x.reshape((ncols,) + b.shape[1:])
 
 
 # ---------------------------------------------------------------------------

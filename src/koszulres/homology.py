@@ -66,8 +66,8 @@ class HomologyAlgebra:
     so these are what one elimination of the whole flat matrices would give.
     Strands with equal blocks have equal echelon data up to where it is
     placed, so each distinct block content is eliminated once and scattered
-    to its strands.  ``class_of`` reduces a cycle only inside the strands it
-    meets.
+    to its strands.  ``classes`` reduces each cycle only inside the strands
+    it meets.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -96,35 +96,30 @@ class HomologyAlgebra:
     def rank(self, i: int) -> int:
         return self.ranks[i] if 0 <= i < len(self.ranks) else 0
 
-    def class_of(self, z: KoszulElement) -> np.ndarray:
-        """Coordinates of [z] in the representative basis of A_{deg z}."""
-        if not z.is_cycle():
-            raise HomologyError("class_of called on a non-cycle")
-        i, D = z.degree, self.ring.dim
-        S = self._strands[i]
-        t = z.col.terms
-        g = t[:, 0] * D + t[:, 2]
-        strand = S.strand[g]
-        coeffs = np.zeros(self.ranks[i], dtype=np.int64)
-        for s in set(strand.tolist()):
-            basis, pivots, nbnd = S.contents[S.content[s]]
-            mine = strand == s
-            v = np.zeros(basis.shape[1], dtype=np.int64)
-            v[S.local[g[mine]]] = t[mine, 3]
-            rest, c = _reduce_against(v, basis, pivots, self.ring.p)
-            if rest.any():
-                raise HomologyError("cycle is not in the span of kernel basis (bug)")
-            if s in S.rep_ids:
-                coeffs[S.rep_ids[s]] = c[nbnd:]
-        return coeffs
-
-    def product_class(self, z: KoszulElement, w: KoszulElement) -> np.ndarray:
-        """Class of z ^ w; degree overflow past the codepth gives the empty
-        coordinate vector of the zero space."""
-        deg = z.degree + w.degree
-        if deg > self.ring.nvars:
-            return np.zeros(0, dtype=np.int64)
-        return self.class_of(z.wedge(w))
+    def classes(self, i: int, cycles) -> np.ndarray:
+        """The int64 (a_i, len(cycles)) matrix whose columns are the
+        coordinates of the classes of the degree-i ``cycles`` in the
+        representative basis of A_i; any other element raises."""
+        out = np.zeros((self.rank(i), len(cycles)), dtype=np.int64)
+        for j, z in enumerate(cycles):
+            if z.degree != i:
+                raise HomologyError(f"element {j} has degree {z.degree}, not {i}")
+            if not z.is_cycle():
+                raise HomologyError(f"element {j} is not a cycle")
+            S, t = self._strands[i], z.col.terms
+            g = t[:, 0] * self.ring.dim + t[:, 2]
+            strand = S.strand[g]
+            for s in set(strand.tolist()):
+                basis, pivots, nbnd = S.contents[S.content[s]]
+                mine = strand == s
+                v = np.zeros(basis.shape[1], dtype=np.int64)
+                v[S.local[g[mine]]] = t[mine, 3]
+                rest, c = _reduce_against(v, basis, pivots, self.ring.p)
+                if rest.any():
+                    raise HomologyError("cycle is not in the span of kernel basis (bug)")
+                if s in S.rep_ids:
+                    out[S.rep_ids[s], j] = c[nbnd:]
+        return out
 
 
 @dataclass
@@ -225,8 +220,14 @@ def _complete(bnd_rows: np.ndarray, ker_cols: np.ndarray, p: int) -> tuple:
     kernel column behind each appended vector."""
     basis = list(bnd_rows)
     pivots = {int(np.flatnonzero(r)[0]): k for k, r in enumerate(basis)}
-    picked = [c for c in range(ker_cols.shape[1])
-              if _extend(ker_cols[:, c], basis, pivots, p)]
+    picked = []
+    for c in range(ker_cols.shape[1]):
+        v, _ = _reduce_against(ker_cols[:, c], basis, pivots, p)
+        nz = np.flatnonzero(v)
+        if nz.size:  # a new class: append v scaled to leading entry 1
+            pivots[int(nz[0])] = len(basis)
+            basis.append(v * pow(int(v[nz[0]]), p - 2, p) % p)
+            picked.append(c)
     return basis, pivots, picked
 
 
@@ -261,19 +262,6 @@ def _reduce_against(v, basis, pivots, p):
         c = int(v[lead])
         coeffs[k] = c
         v[lead:] = (v[lead:] - c * basis[k][lead:]) % p
-
-
-def _extend(v, basis, pivots, p) -> bool:
-    """Append the residual of v, scaled to leading entry 1, to the echelon
-    rows ``basis``; False when v is already in their span."""
-    v, _ = _reduce_against(v, basis, pivots, p)
-    nz = np.flatnonzero(v)
-    if nz.size == 0:
-        return False
-    lead = int(nz[0])
-    pivots[lead] = len(basis)
-    basis.append((v * pow(int(v[lead]), p - 2, p)) % p)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +322,6 @@ class Certificate:
         return self.passed
 
 
-def _classes_matrix(H: HomologyAlgebra, elems) -> np.ndarray:
-    cols = [H.class_of(z) for z in elems]
-    if not cols:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.array(cols, dtype=np.int64).T
-
-
 def verify_class_T(basis: ClassTBasis, H: HomologyAlgebra) -> Certificate:
     """Certify the trivial-extension multiplication table of a supplied basis
     against the Koszul homology H of its ring.
@@ -376,40 +357,36 @@ def verify_class_T(basis: ClassTBasis, H: HomologyAlgebra) -> Certificate:
                 return cert
     cert.add("all representatives are cycles of the stated degrees", True)
 
-    M1 = _classes_matrix(H, basis.z1)
+    M1 = H.classes(1, basis.z1)
     cert.add("classes of z1 form a basis of A_1", rank_mod(M1, p) == a1)
-    M3 = _classes_matrix(H, basis.z3)
+    M3 = H.classes(3, basis.z3)
     cert.add("classes of z3 form a basis of A_3", rank_mod(M3, p) == a3)
 
     prods = [(0, 1), (1, 2), (0, 2)]  # z1 z2, z2 z3, z1 z3, as in basis.products
-    P = _classes_matrix(H, basis.products)
+    P = H.classes(2, basis.products)
     cert.add("the three distinguished products are independent in A_2",
              rank_mod(P, p) == 3)
-    M2 = np.hstack([P] + ([_classes_matrix(H, basis.z2)] if basis.z2 else []))
+    M2 = np.hstack([P, H.classes(2, basis.z2)])
     cert.add("distinguished products and z2 classes form a basis of A_2",
              rank_mod(M2, p) == a2)
 
     # every other product of basis classes must die in homology; the
-    # certificate records the computed class of each product checked
-    deg1 = list(enumerate(basis.z1, start=1))
-    for (u, zu), (v, zv) in itertools.combinations(deg1, 2):
-        if u <= 3 and v <= 3:
-            continue
-        cls = H.product_class(zu, zv)
-        cert.add(f"[z1_{u}][z1_{v}] = 0", not np.any(cls),
-                 f"class {cls.tolist()}")
-    for u, zu in deg1:
-        cls = H.product_class(zu, zu)
-        cert.add(f"[z1_{u}]^2 = 0", not np.any(cls), f"class {cls.tolist()}")
-    # A_1 . A_2 = 0: products against both the z2 reps and the distinguished
+    # certificate records the computed class of each product checked.
+    # A_1 . A_2 = 0 is checked against both the z2 reps and the distinguished
     # products themselves (the whole of A_2 is covered once M2 is a basis)
-    deg2_reps = [(f"z2_{w}", z) for w, z in enumerate(basis.z2, start=1)]
-    deg2_reps += [(f"z1_{i+1}z1_{j+1}", z) for (i, j), z in zip(prods, basis.products)]
-    for u, zu in deg1:
-        for name, zw in deg2_reps:
-            cls = H.product_class(zu, zw)
-            cert.add(f"[z1_{u}][{name}] = 0", not np.any(cls),
-                     f"class {cls.tolist()}")
+    deg1 = list(enumerate(basis.z1, start=1))
+    deg2 = [(f"z2_{w}", z) for w, z in enumerate(basis.z2, start=1)]
+    deg2 += [(f"z1_{i+1}z1_{j+1}", z) for (i, j), z in zip(prods, basis.products)]
+    vanishing = {
+        2: [(f"[z1_{u}][z1_{v}]", zu, zv)
+            for (u, zu), (v, zv) in itertools.combinations(deg1, 2) if v > 3]
+        + [(f"[z1_{u}]^2", zu, zu) for u, zu in deg1],
+        3: [(f"[z1_{u}][{name}]", zu, zw) for u, zu in deg1 for name, zw in deg2],
+    }
+    for deg, products in vanishing.items():
+        C = H.classes(deg, [zu.wedge(zw) for _, zu, zw in products])
+        for (name, _, _), cls in zip(products, C.T):
+            cert.add(f"{name} = 0", not cls.any(), f"class {cls.tolist()}")
     return cert
 
 
@@ -436,8 +413,7 @@ def verify_class_CI(basis: ClassCIBasis, H: HomologyAlgebra) -> Certificate:
             for v in S[1:]:
                 z = z.wedge(basis.z1[v])
             wedges.append(z)
-        M = _classes_matrix(H, wedges)
-        ok = (len(wedges) == expected) and rank_mod(M, p) == expected
+        ok = (len(wedges) == expected) and rank_mod(H.classes(i, wedges), p) == expected
         cert.add(f"wedge monomials of weight {i} form a basis of A_{i}", ok,
                  f"C({c},{i}) = {len(wedges)}, a_{i} = {expected}")
     return cert
@@ -493,11 +469,7 @@ def discover_class_T_basis(H: HomologyAlgebra) -> tuple:
     candidates = []
     for triple_idx in itertools.combinations(range(a1), 3):
         t = [reps1[i] for i in triple_idx]
-        P = np.array([
-            H.product_class(t[0], t[1]),
-            H.product_class(t[1], t[2]),
-            H.product_class(t[0], t[2]),
-        ], dtype=np.int64).T
+        P = H.classes(2, [t[0].wedge(t[1]), t[1].wedge(t[2]), t[0].wedge(t[2])])
         if rank_mod(P, p) != 3:
             continue
         rest = [reps1[i] for i in range(a1) if i not in triple_idx]
@@ -505,10 +477,12 @@ def discover_class_T_basis(H: HomologyAlgebra) -> tuple:
         candidates.append((0 if literal else 1, triple_idx, t, rest, P))
     candidates.sort(key=lambda item: (item[0], item[1]))
     for _, triple_idx, t, rest, P in candidates:
-        z2 = _complete_degree2(H, P, p)
-        if z2 is None:
-            continue
-        basis = ClassTBasis(z1=t + rest, z2=z2, z3=list(H.reps[3]))
+        # z2 completes the triple products greedily to a basis of A_2: the
+        # k-th rep has the k-th unit class, so they are the reps behind the
+        # pivot columns of [P | I] after P's three
+        _, piv = rref_mod(np.hstack([P, np.eye(a2, dtype=np.int64)]), p)
+        basis = ClassTBasis(z1=t + rest, z2=[H.reps[2][c - 3] for c in piv[3:]],
+                            z3=list(H.reps[3]))
         cert = verify_class_T(basis, H)
         if cert.passed:
             return basis, cert
@@ -516,19 +490,3 @@ def discover_class_T_basis(H: HomologyAlgebra) -> tuple:
         "no distinguished triple with independent pairwise products certifies "
         "class T for this ring; supply cycle representatives in the ring file"
     )
-
-
-def _complete_degree2(H: HomologyAlgebra, P: np.ndarray, p):
-    """Representatives completing the three triple products, whose classes
-    are the columns of P, to a basis of A_2.  The class of the k-th
-    representative of A_2 is the k-th unit vector."""
-    basis = []
-    pivots = {}
-    for v in P.T:
-        independent = _extend(v, basis, pivots, p)
-        assert independent, "triple products degenerate despite rank check"
-    chosen = [rep for rep, e in zip(H.reps[2], np.eye(H.rank(2), dtype=np.int64))
-              if _extend(e, basis, pivots, p)]
-    if len(chosen) != H.rank(2) - 3:
-        return None
-    return chosen

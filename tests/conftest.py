@@ -17,7 +17,7 @@ from koszulres.exactfield import (
     rank_mod,
     rref_mod,
 )
-from koszulres.homology import ClassTBasis, HomologyAlgebra, _extend
+from koszulres.homology import ClassTBasis, HomologyAlgebra, _complete
 from koszulres.koszul import (
     CycleMatrix,
     KoszulElement,
@@ -235,11 +235,7 @@ def dense_homology(ring):
             bnd = R[:len(piv)]
         else:
             bnd = np.zeros((0, flat[i].shape[1]), dtype=np.int64)
-        basis = list(bnd)
-        pivots = {int(np.flatnonzero(r)[0]): k for k, r in enumerate(basis)}
-        ker = kernel_mod(flat[i], p)
-        for c in range(ker.shape[1]):
-            _extend(ker[:, c], basis, pivots, p)
+        basis, pivots, _ = _complete(bnd, kernel_mod(flat[i], p), p)
         out.append((bnd, basis, pivots))
     return out
 

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from koszulres import builder
 from koszulres.builder import (
     AssemblyError,
     BuildError,
@@ -178,6 +179,19 @@ def test_alpha_23_layout(pack_t, basis_t):
         for c in range(3):
             assert entries.pop((s0, 1 + 3 * s0 + c)) == basis_t.z2[c]
     assert not entries  # in particular (3, 0) is empty
+
+
+def test_alpha_lists_each_cycle_once(pack_t, basis_t):
+    # the beta blocks of alpha share the triple and the beta' blocks share
+    # the three products; alpha lists each distinct cycle once
+    distinct = {0: 4, 1: 6, 2: 3}  # triple + z1_4; products + z2; z3
+    for k in range(1, 7):
+        for r in (k, k + 1, k + 2):
+            theta = alpha(k, r, pack_t, basis_t)
+            ids = [id(z) for z in theta.cycles]
+            assert len(set(ids)) == len(ids), (k, r)
+            assert len(ids) == (3 if (k, r) == (1, 2) else distinct[r - k]), (k, r)
+            assert set(theta.where[:, 2].tolist()) == set(range(len(ids)))
 
 
 def test_alpha_input_validation(pack_t, basis_t):
@@ -377,10 +391,34 @@ def test_graded_maps_golden(p):
 
 def test_coordinates_outside_span_raise(basis_t, homology_t):
     # B_1 is spanned by the classes of the triple; z1_4 lies outside it
-    B1 = _Coordinates(QuotientRing(homology_t.ring.p, 0, ()), homology_t, basis_t.triple)
+    B1 = _Coordinates(QuotientRing(homology_t.ring.p, 0, ()), homology_t,
+                      homology_t.classes(1, basis_t.triple))
     assert (flatten(B1.matrix(beta(1, basis_t.triple))) == np.eye(3, dtype=np.int64)).all()
     with pytest.raises(BuildError, match="expected subspace"):
         B1.matrix(gamma(1, basis_t))
+
+def test_span_blocks_solve_once(ring_t, pack_t, homology_t, monkeypatch):
+    # in a span, each block's classes are solved for in one solve_mod call
+    # over all of the block's columns, not in one call per class
+    blocks, solves = [], []
+    block, solve = _Coordinates._block, builder.solve_mod
+
+    def spy_block(self, z, sources):
+        out = block(self, z, sources)
+        if self.span is not None:
+            blocks.append(out.cols)
+        return out
+
+    def spy_solve(A, b, p):
+        solves.append(np.reshape(b, (len(b), -1)).shape[1])  # columns of b
+        return solve(A, b, p)
+
+    monkeypatch.setattr(_Coordinates, "_block", spy_block)
+    monkeypatch.setattr(builder, "solve_mod", spy_solve)
+    graded_A_complexes(5, make_class_t_basis(ring_t), pack_t, homology_t)
+    assert solves == blocks
+    assert sum(blocks) > len(blocks)  # some block has several columns
+
 
 def test_f7_block_inventory(ring_t, basis_t, pack_t):
     F = assemble_T(ring_t, basis_t, pack_t, i_max=7)

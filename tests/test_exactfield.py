@@ -477,6 +477,19 @@ def test_solve_mod_roundtrip():
     assert solve_mod(A0, np.array([1, 0]), p) is None
 
 
+def test_solve_mod_returns_x_in_the_shape_of_b():
+    I2 = np.eye(2, dtype=np.int64)
+    assert solve_mod(I2, [[1], [2]], 7).tolist() == [[1], [2]]
+    assert solve_mod(I2, [1, 2], 7).tolist() == [1, 2]
+    # several right-hand sides at once: each column solved on its own
+    A = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.int64)
+    X = np.array([[1, 0, 6], [2, 5, 3]], dtype=np.int64)
+    B = mod_matmul(A, X, 7)
+    assert solve_mod(A, B, 7).tolist() == X.tolist()
+    assert solve_mod(A, np.c_[B, [1, 0, 0]], 7) is None
+    assert solve_mod(A, np.zeros((3, 0), dtype=np.int64), 7).shape == (2, 0)
+
+
 def test_mod_matmul_matches_python_ints():
     p = 32003
     nprng = np.random.default_rng(11)
