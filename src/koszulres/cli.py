@@ -36,7 +36,7 @@ from .homology import ClassVerificationError, DiscoveryError, HomologyAlgebra  #
 from .koszul import KoszulError  # noqa: E402
 from .samples import class_t_ring_file  # noqa: E402
 from .sequences import SequencePack, poincare_CI, poincare_T, u_table  # noqa: E402
-from .verifier import full_verify, resolve_basis  # noqa: E402
+from .verifier import full_verify, graded_depth, resolve_basis  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -294,7 +294,7 @@ def _run_verify(args, emit_matrices: bool) -> int:
     }
     invariants = {"n": ring.nvars, "a": H_ranks, "c": len(H_ranks) - 1}
     doc["poincare"], extra = _series_fields(
-        F.mode, invariants, order, min(5, max(2, i_max // 2 + 1)))
+        F.mode, invariants, order, graded_depth(i_max))
     doc.update(extra)
     if emit_matrices:
         doc["matrices"] = {

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .exactfield import (QuotientRing, RingMatrix, _local_index, block_contents,
-                         kernel_mod, rank_mod, rref_mod)
+                         kernel_mod, rank_mod, rref_mod, solve_mod)
 from .koszul import KoszulElement, koszul_differential, subsets
 
 
@@ -43,8 +43,8 @@ class ClassVerificationError(ValueError):
 
 
 class HomologyAlgebra:
-    """Per-degree boundaries, echelon-normalized cycle representatives and
-    ranks of A = H(K), computed one multidegree strand at a time.
+    """Per-degree echelon-normalized cycle representatives and ranks of
+    A = H(K), computed one multidegree strand at a time.
 
     Over a monomial ring K is Z^n-graded: the flat coordinate t*D + b of K_i,
     which is std_b e_T, has multidegree exps(std_b) + eps_T, and every flat
@@ -54,20 +54,18 @@ class HomologyAlgebra:
 
       * ``flat_diff[i]``  the nonzeros of flat d_i, an int64 (3, nnz) array
         of (row, column, value);
-      * ``boundary[i]``  the reduced echelon rows spanning im(flat d_{i+1}),
-        an int64 (3, nnz) array of (row, column, value) sorted by row and
-        column, the rows numbered in the order of their pivots;
       * ``reps[i]``      cycle representatives completing the boundaries to
         ker(flat d_i), in the order of the free columns of flat d_i that
         produced them; their classes are the chosen basis of A_i;
       * ``ranks[i]``     a_i = dim A_i.
 
-    Reduced echelon forms are unique and the strands have disjoint supports,
-    so these are what one elimination of the whole flat matrices would give.
-    Strands with equal blocks have equal echelon data up to where it is
-    placed, so each distinct block content is eliminated once and scattered
-    to its strands.  ``classes`` reduces each cycle only inside the strands
-    it meets.
+    Each rep completes the reduced echelon rows of im(flat d_{i+1}) in its
+    strand.  Reduced echelon forms are unique and the strands have disjoint
+    supports, so these are what one elimination of the whole flat matrices
+    would give.  Strands with equal blocks have equal echelon data up to
+    where it is placed, so each distinct block content is eliminated once
+    and scattered to its strands.  ``classes`` solves once per strand that
+    its cycles meet.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -78,15 +76,13 @@ class HomologyAlgebra:
         codes = _multidegrees(ring)  # codes[i + 1] is K_i
         empty = np.zeros((3, 0), dtype=np.int64)
         self.ranks = []
-        self.boundary = []
         self.reps = []
         self._strands = []
         for i in range(n + 1):
             up = self.flat_diff[i + 1] if i < n else empty
-            bnd, reps, strands = _strand_homology(ring, i, codes[i:i + 3], up,
-                                                  self.flat_diff[i])
+            reps, strands = _strand_homology(ring, i, codes[i:i + 3], up,
+                                             self.flat_diff[i])
             self.ranks.append(len(reps))
-            self.boundary.append(bnd)
             self.reps.append(reps)
             self._strands.append(strands)
         self.codepth = max((i for i, a in enumerate(self.ranks) if a), default=0)
@@ -99,26 +95,34 @@ class HomologyAlgebra:
     def classes(self, i: int, cycles) -> np.ndarray:
         """The int64 (a_i, len(cycles)) matrix whose columns are the
         coordinates of the classes of the degree-i ``cycles`` in the
-        representative basis of A_i; any other element raises."""
-        out = np.zeros((self.rank(i), len(cycles)), dtype=np.int64)
+        representative basis of A_i; any other element raises.  Each strand
+        the cycles meet is one solve_mod against the basis of its content,
+        with the strand coordinates of every cycle as the columns."""
+        S, D = self._strands[i], self.ring.dim
+        parts = [(np.zeros(0, dtype=np.int64),) * 3]
         for j, z in enumerate(cycles):
             if z.degree != i:
                 raise HomologyError(f"element {j} has degree {z.degree}, not {i}")
             if not z.is_cycle():
                 raise HomologyError(f"element {j} is not a cycle")
-            S, t = self._strands[i], z.col.terms
-            g = t[:, 0] * self.ring.dim + t[:, 2]
-            strand = S.strand[g]
-            for s in set(strand.tolist()):
-                basis, pivots, nbnd = S.contents[S.content[s]]
-                mine = strand == s
-                v = np.zeros(basis.shape[1], dtype=np.int64)
-                v[S.local[g[mine]]] = t[mine, 3]
-                rest, c = _reduce_against(v, basis, pivots, self.ring.p)
-                if rest.any():
-                    raise HomologyError("cycle is not in the span of kernel basis (bug)")
-                if s in S.rep_ids:
-                    out[S.rep_ids[s], j] = c[nbnd:]
+            t = z.col.terms
+            parts.append((t[:, 0] * D + t[:, 2], np.full(len(t), j), t[:, 3]))
+        g, j, v = (np.concatenate(x) for x in zip(*parts))
+        order = np.argsort(S.strand[g], kind="stable")
+        g, j, v = g[order], j[order], v[order]
+        strand = S.strand[g]
+        out = np.zeros((self.rank(i), len(cycles)), dtype=np.int64)
+        starts = np.flatnonzero(np.diff(strand, prepend=-1))
+        for a, b in zip(starts, np.r_[starts[1:], len(g)]):
+            s = int(strand[a])
+            basis, nbnd = S.contents[S.content[s]]
+            V = np.zeros((basis.shape[1], len(cycles)), dtype=np.int64)
+            V[S.local[g[a:b]], j[a:b]] = v[a:b]
+            x = solve_mod(basis.T, V, self.ring.p)
+            if x is None:
+                raise HomologyError("cycle is not in the span of kernel basis (bug)")
+            if s in S.rep_ids:  # the reps of s are rows of out for s alone
+                out[S.rep_ids[s]] = x[nbnd:]
         return out
 
 
@@ -126,9 +130,9 @@ class HomologyAlgebra:
 class _Strands:
     """The strands of one K_i.  ``strand[g]`` and ``local[g]`` are the strand
     of flat coordinate g and its position there (a strand keeps the global
-    order of its coordinates).  ``contents`` holds (basis, pivots, number of
-    boundary rows) per distinct content in local coordinates, as
-    _complete returns them, and ``content[s]`` indexes it.
+    order of its coordinates).  ``contents`` holds (basis, number of
+    boundary rows) per distinct content, the basis as _complete returns it
+    in local coordinates, and ``content[s]`` indexes it.
     ``rep_ids[s]`` lists the global indices of the reps of strand s, for the
     strands that have any."""
 
@@ -158,7 +162,7 @@ def _split(code: np.ndarray, keys: np.ndarray) -> tuple:
 
 
 def _strand_homology(ring, i, codes, up, down) -> tuple:
-    """(boundary, reps, strands) of degree i, from the multidegree codes of
+    """(reps, strands) of degree i, from the multidegree codes of
     K_{i-1}, K_i and K_{i+1} and the nonzeros ``up`` of flat d_{i+1} and
     ``down`` of flat d_i.
 
@@ -166,8 +170,7 @@ def _strand_homology(ring, i, codes, up, down) -> tuple:
     as rows those in K_{i+1}, tagged 0 (the image block (flat d_{i+1})^T),
     then those in K_{i-1}, tagged 1 (the kernel block flat d_i), so that
     rref_mod, kernel_mod and _complete run once per distinct content.  The
-    boundary rows are then numbered by their global pivots, and the reps by
-    the global free columns that produced them."""
+    reps are then numbered by the global free columns that produced them."""
     p, D = ring.p, ring.dim
     code_down, code, code_up = codes
     keys = np.sort(np.concatenate(codes))
@@ -176,7 +179,7 @@ def _strand_homology(ring, i, codes, up, down) -> tuple:
             np.repeat([0, 1], [len(code_up), len(code_down)]))
     entries = np.c_[up[[1, 0, 2]], down + [[len(code_up)], [0], [0]]]  # (d_{i+1})^T over d_i
     content = np.empty(len(keys), dtype=np.int64)
-    contents, bnd_parts, rep_parts, rep_free = [], [], [], []
+    contents, rep_parts, rep_free = [], [], []
     blocks = block_contents(*entries, rows, (strand, local, 0))
     for B, tags, _, owners, _, coords in blocks:
         nu, nm = len(tags) - int(tags.sum()), B.shape[1]
@@ -184,24 +187,22 @@ def _strand_homology(ring, i, codes, up, down) -> tuple:
             continue  # a multidegree of K_{i-1} or K_{i+1} only
         R, piv = rref_mod(B[:nu], p)
         K = kernel_mod(B[nu:], p)
-        basis, pivots, picked = _complete(R[:len(piv)], K, p)
+        basis, picked = _complete(R[:len(piv)], K, p)
         basis = np.array(basis, dtype=np.int64).reshape(-1, nm)
         content[owners] = len(contents)
-        contents.append((basis, pivots, len(piv)))
-        # the local column that orders each basis row: its pivot, or the
-        # free column (last nonzero) of the kernel vector it came from
-        free = nm - 1 - np.argmax(K[::-1] != 0, axis=0)
-        lead = np.r_[piv, free[picked]].astype(np.int64)
-        a, j = np.nonzero(basis)
-        nz = (coords[:, lead[a]], coords[:, j],
-              np.broadcast_to(basis[a, j], (len(owners), len(a))))
-        is_bnd = a < len(piv)
-        bnd_parts.append([x[:, is_bnd] for x in nz])
-        rep_parts.append([x[:, ~is_bnd] for x in nz])
+        contents.append((basis, len(piv)))
+        # the local column that orders each rep: the free column (last
+        # nonzero) of the kernel vector it came from
+        lead = (nm - 1 - np.argmax(K[::-1] != 0, axis=0))[picked]
+        a, j = np.nonzero(basis[len(piv):])
+        rep_parts.append((coords[:, lead[a]], coords[:, j],
+                          np.broadcast_to(basis[len(piv) + a, j], (len(owners), len(a)))))
         if picked:
-            rep_free.append((owners, coords[:, lead[len(piv):]]))
-    _, boundary = _numbered(bnd_parts)
-    free, (k, col, val) = _numbered(rep_parts)
+            rep_free.append((owners, coords[:, lead]))
+    lead, col, val = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*rep_parts))
+    free, k = np.unique(lead, return_inverse=True)
+    order = np.lexsort((col, k))
+    k, col, val = k[order], col[order], val[order]
     rep_ids = {s: free.searchsorted(f)
                for owners, F in rep_free for s, f in zip(owners.tolist(), F)}
     # rep k is the column of terms (t, 0, b, value) of its flat columns t*D + b
@@ -210,58 +211,35 @@ def _strand_homology(ring, i, codes, up, down) -> tuple:
     size = len(subsets(ring.nvars, i))
     reps = [KoszulElement(ring, i, RingMatrix.from_terms(ring, size, 1, terms[a:b]))
             for a, b in zip(cuts[:-1], cuts[1:])]
-    return boundary, reps, _Strands(strand, local, content, contents, rep_ids)
+    return reps, _Strands(strand, local, content, contents, rep_ids)
 
 
 def _complete(bnd_rows: np.ndarray, ker_cols: np.ndarray, p: int) -> tuple:
     """The boundary rows followed by kernel vectors whose classes complete
     the boundary span, picked and normalized by echelon order
-    (deterministic); returns (basis, pivots, picked), picked listing the
-    kernel column behind each appended vector."""
+    (deterministic); returns (basis, picked), picked listing the kernel
+    column behind each appended vector.
+
+    Each kernel vector is reduced against the rows so far, whose leading
+    entries are 1 at distinct indices.  Leading indices only grow, so each
+    step updates the vector from the current one on; no row is cleared
+    above its lead, and this partial reduction is the normal form of the
+    reps."""
     basis = list(bnd_rows)
     pivots = {int(np.flatnonzero(r)[0]): k for k, r in enumerate(basis)}
     picked = []
     for c in range(ker_cols.shape[1]):
-        v, _ = _reduce_against(ker_cols[:, c], basis, pivots, p)
-        nz = np.flatnonzero(v)
-        if nz.size:  # a new class: append v scaled to leading entry 1
-            pivots[int(nz[0])] = len(basis)
-            basis.append(v * pow(int(v[nz[0]]), p - 2, p) % p)
-            picked.append(c)
-    return basis, pivots, picked
-
-
-def _numbered(parts) -> tuple:
-    """(leads, nonzeros) of rows given per part as (lead, column, value)
-    arrays, one entry per nonzero: the rows are numbered in the order of
-    their distinct lead columns ``leads``, and ``nonzeros`` is the int64
-    (3, nnz) array of (row number, column, value) sorted by row and column."""
-    lead, col, val = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*parts))
-    leads, row = np.unique(lead, return_inverse=True)
-    order = np.lexsort((col, row))
-    return leads, np.stack([row[order], col[order], val[order]])
-
-
-def _reduce_against(v, basis, pivots, p):
-    """Reduce v against rows with leading entry 1 at distinct indices
-    (``pivots`` maps each leading index to its row).  Returns the residual,
-    which is zero exactly when v lies in their span, and the coefficient of
-    each row taken off.  Leading indices only grow, so each step updates v
-    from the current one on."""
-    v = np.asarray(v, dtype=np.int64) % p
-    coeffs = np.zeros(len(basis), dtype=np.int64)
-    lead = 0
-    while True:
-        nz = np.flatnonzero(v[lead:])
-        if nz.size == 0:
-            return v, coeffs
-        lead += int(nz[0])
-        k = pivots.get(lead)
-        if k is None:
-            return v, coeffs
-        c = int(v[lead])
-        coeffs[k] = c
-        v[lead:] = (v[lead:] - c * basis[k][lead:]) % p
+        v, lead = ker_cols[:, c] % p, 0
+        while (nz := np.flatnonzero(v[lead:])).size:
+            lead += int(nz[0])
+            k = pivots.get(lead)
+            if k is None:  # a new class: append v scaled to leading entry 1
+                pivots[lead] = len(basis)
+                basis.append(v * pow(int(v[lead]), p - 2, p) % p)
+                picked.append(c)
+                break
+            v[lead:] = (v[lead:] - int(v[lead]) * basis[k][lead:]) % p
+    return basis, picked
 
 
 # ---------------------------------------------------------------------------

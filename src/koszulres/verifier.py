@@ -70,7 +70,11 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(s.passed for s in self.sections)
 
-    def add(self, section: CheckSection):
+    def add(self, check, *args) -> CheckSection:
+        """Run ``check(*args)`` and append the section it returns, timed."""
+        t0 = time.perf_counter()
+        section = check(*args)
+        section.seconds = time.perf_counter() - t0
         self.sections.append(section)
         return section
 
@@ -117,7 +121,6 @@ def _jsonable(obj):
 
 def check_complex(F: ResolutionAssembly) -> CheckSection:
     """d_i . d_{i+1} = 0 as RingMatrix products for every consecutive pair."""
-    t0 = time.time()
     for i in range(1, F.i_max):
         prod = F.diff(i) @ F.diff(i + 1)
         if not prod.is_zero():
@@ -126,10 +129,8 @@ def check_complex(F: ResolutionAssembly) -> CheckSection:
                 "complex", False,
                 {"degree_pair": (i, i + 1)},
                 failure=f"(d_{i} d_{i+1}) has nonzero entry at "
-                        f"({_block_coord(F, i - 1, r)}, {_block_coord(F, i + 1, c)})",
-                seconds=time.time() - t0)
-    return CheckSection("complex", True,
-                        {"pairs_checked": F.i_max - 1}, seconds=time.time() - t0)
+                        f"({_block_coord(F, i - 1, r)}, {_block_coord(F, i + 1, c)})")
+    return CheckSection("complex", True, {"pairs_checked": F.i_max - 1})
 
 
 def _block_coord(F: ResolutionAssembly, k: int, flat_index: int) -> str:
@@ -145,17 +146,14 @@ def _block_coord(F: ResolutionAssembly, k: int, flat_index: int) -> str:
 
 def check_minimality(F: ResolutionAssembly) -> CheckSection:
     """Every entry of every differential lies in the maximal ideal."""
-    t0 = time.time()
     for i in range(1, F.i_max + 1):
         d = F.diff(i)
         bad = d.first_unit_entry()
         if bad is not None:
             return CheckSection(
                 "minimality", False, {"degree": i},
-                failure=f"d_{i} entry at {bad} has a unit constant term",
-                seconds=time.time() - t0)
-    return CheckSection("minimality", True,
-                        {"degrees_checked": F.i_max}, seconds=time.time() - t0)
+                failure=f"d_{i} entry at {bad} has a unit constant term")
+    return CheckSection("minimality", True, {"degrees_checked": F.i_max})
 
 
 def check_exactness(F: ResolutionAssembly) -> CheckSection:
@@ -164,7 +162,6 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
 
     The rank of each flattened d_i is `flat_rank`: the dense flat matrix is
     never formed."""
-    t0 = time.time()
     ring, i_max = F.ring, F.i_max
     ranks = {}
     cols = {}
@@ -177,8 +174,7 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
     details["h0_dimension"] = int(h0)
     if h0 != 1:
         return CheckSection("exactness", False, details,
-                            failure=f"coker d_1 has dimension {h0}, expected 1",
-                            seconds=time.time() - t0)
+                            failure=f"coker d_1 has dimension {h0}, expected 1")
     homology = {}
     for i in range(1, i_max):
         ker = cols[i] - ranks[i]
@@ -186,12 +182,10 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
         homology[i] = int(h)
         if h != 0:
             details["homology"] = homology
-            return CheckSection(
-                "exactness", False, details,
-                failure=f"homology at degree {i} has dimension {h}",
-                seconds=time.time() - t0)
+            return CheckSection("exactness", False, details,
+                                failure=f"homology at degree {i} has dimension {h}")
     details["homology"] = homology
-    return CheckSection("exactness", True, details, seconds=time.time() - t0)
+    return CheckSection("exactness", True, details)
 
 
 def flat_rank(M: RingMatrix) -> int:
@@ -214,7 +208,6 @@ def check_block_ranks(F: ResolutionAssembly, expected: list) -> CheckSection:
 def check_graded_exactness(complexes: dict) -> CheckSection:
     """Every B_k, C_j, A_k complex is exact at every position (ends included),
     and the A_k dimension decompositions match."""
-    t0 = time.time()
     details: dict = {}
     for family in ("B", "C", "A"):
         for k, cx in complexes[family].items():
@@ -223,7 +216,7 @@ def check_graded_exactness(complexes: dict) -> CheckSection:
             if not ok:
                 return CheckSection(
                     "graded_exactness", False, details,
-                    failure=f"{cx.name}: {msg}", seconds=time.time() - t0)
+                    failure=f"{cx.name}: {msg}")
     for k, rows in complexes["decomposition"].items():
         bad = [row for row in rows if not row[3]]
         details[f"decomposition_{k}"] = [tuple(int(x) for x in row[:3]) + (row[3],)
@@ -232,9 +225,8 @@ def check_graded_exactness(complexes: dict) -> CheckSection:
             return CheckSection(
                 "graded_exactness", False, details,
                 failure=f"A_{k} decomposition dimensions disagree at "
-                        f"position {bad[0][0]}: {bad[0][1]} vs {bad[0][2]}",
-                seconds=time.time() - t0)
-    return CheckSection("graded_exactness", True, details, seconds=time.time() - t0)
+                        f"position {bad[0][0]}: {bad[0][1]} vs {bad[0][2]}")
+    return CheckSection("graded_exactness", True, details)
 
 
 def _finite_complex_exact(cx: FiniteComplex):
@@ -273,6 +265,16 @@ def _finite_complex_exact(cx: FiniteComplex):
 # ---------------------------------------------------------------------------
 # the brute-force syzygy oracle
 # ---------------------------------------------------------------------------
+
+
+def check_oracle(ring: QuotientRing, F: ResolutionAssembly) -> CheckSection:
+    """The assembled ranks against the Betti numbers of oracle_resolution."""
+    betti = oracle_resolution(ring, F.i_max).betti
+    ok = betti == F.ranks
+    return CheckSection(
+        "oracle", ok,
+        {"oracle_betti": [int(x) for x in betti], "assembled": [int(x) for x in F.ranks]},
+        failure=None if ok else "oracle Betti numbers disagree")
 
 
 @dataclass
@@ -412,6 +414,12 @@ def basis_from_strings(ring, cycle_strings, class_t: bool):
     return ClassCIBasis(z1=ordered(1))
 
 
+def graded_depth(i_max: int) -> int:
+    """The largest k of the graded complexes B_k and A_k that verify builds
+    at max degree i_max, which is also the last k of the report's u table."""
+    return min(5, max(2, i_max // 2 + 1))
+
+
 def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
                 cycle_strings: dict | None = None, oracle: bool = False,
                 sign_flip: bool = False) -> tuple:
@@ -429,35 +437,27 @@ def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
     if sign_flip and mode != "T":
         raise ValueError(f"a forced sign regime applies to class T only, "
                          f"not to mode {mode}")
-    report.add(CheckSection(
-        "class_certificate", cert.passed,
-        {"kind": mode, "checks": len(cert.checks),
-         "homology_ranks": [int(a) for a in H.ranks]}))
+    # the certificate is computed with the basis; its section only reports it
+    report.add(CheckSection, "class_certificate", cert.passed,
+               {"kind": mode, "checks": len(cert.checks),
+                "homology_ranks": [int(a) for a in H.ranks]})
     if mode == "T":
         a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
         pack = SequencePack(a1, a2, a3, k_max=max(12, i_max))
         _, PR = poincare_T(a1, a2, a3, ring.nvars, i_max)
         alphas = alpha_family(pack, basis)
         F = assemble_T(ring, basis, pack, i_max, sign_flip=sign_flip, alphas=alphas)
-        complexes = graded_A_complexes(min(5, max(2, i_max // 2 + 1)), basis, pack, H,
-                                       alphas=alphas)
-        report.add(check_graded_exactness(complexes))
+        complexes = graded_A_complexes(graded_depth(i_max), basis, pack, H, alphas=alphas)
+        report.add(check_graded_exactness, complexes)
     else:
         _, PR = poincare_CI(H.codepth, ring.nvars, i_max)
         F = assemble_CI(ring, basis, i_max)
     report.sign_regime = F.sign_regime
     report.exactness_range = (0, i_max)
-    expected = [PR.coefficient(k) for k in range(i_max + 1)]
-    report.add(check_block_ranks(F, expected))
-    report.add(check_complex(F))
-    report.add(check_minimality(F))
-    report.add(check_exactness(F))
+    report.add(check_block_ranks, F, [PR.coefficient(k) for k in range(i_max + 1)])
+    report.add(check_complex, F)
+    report.add(check_minimality, F)
+    report.add(check_exactness, F)
     if oracle:
-        betti = oracle_resolution(ring, i_max).betti
-        ok = betti == F.ranks
-        report.add(CheckSection(
-            "oracle", ok,
-            {"oracle_betti": [int(x) for x in betti],
-             "assembled": [int(x) for x in F.ranks]},
-            failure=None if ok else "oracle Betti numbers disagree"))
+        report.add(check_oracle, ring, F)
     return report, F, basis

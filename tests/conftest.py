@@ -221,7 +221,7 @@ def verify_chain_map(theta: CycleMatrix, degrees) -> ChainMapReport:
 
 
 def dense_homology(ring):
-    """Per degree i, (boundary rows, basis, pivots) of the elimination of the
+    """Per degree i, (boundary rows, basis) of the elimination of the
     whole dense flat Koszul differentials that HomologyAlgebra replaced:
     the reduced echelon rows of (flat d_{i+1})^T, then the kernel_mod
     columns of flat d_i that complete them, reduced and normalized in
@@ -235,16 +235,8 @@ def dense_homology(ring):
             bnd = R[:len(piv)]
         else:
             bnd = np.zeros((0, flat[i].shape[1]), dtype=np.int64)
-        basis, pivots, _ = _complete(bnd, kernel_mod(flat[i], p), p)
-        out.append((bnd, basis, pivots))
-    return out
-
-
-def dense_rows(rows: np.ndarray, cols: int) -> np.ndarray:
-    """The dense matrix of an int64 (3, nnz) array of (row, column, value),
-    with as many rows as the largest row index plus one."""
-    out = np.zeros((rows[0].max() + 1 if rows.size else 0, cols), dtype=np.int64)
-    out[rows[0], rows[1]] = rows[2]
+        basis, _ = _complete(bnd, kernel_mod(flat[i], p), p)
+        out.append((bnd, basis))
     return out
 
 

@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
+from koszulres import homology
 from koszulres.exactfield import QuotientRing, rank_mod, solve_mod
 from koszulres.homology import (
     ClassCIBasis,
@@ -11,7 +13,6 @@ from koszulres.homology import (
     DiscoveryError,
     HomologyAlgebra,
     HomologyError,
-    _reduce_against,
     discover_class_CI_basis,
     discover_class_T_basis,
     verify_class_CI,
@@ -21,7 +22,6 @@ from koszulres.koszul import KoszulElement, koszul_differential, parse_koszul_el
 from koszulres.samples import ci_squares_ring, class_t_ring
 from conftest import (
     dense_homology,
-    dense_rows,
     flatten,
     from_vector,
     make_class_t_basis,
@@ -30,6 +30,12 @@ from conftest import (
 
 PRIMES = [2, 3, 32003, 2147483647]
 ACIT_GENS = [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)]
+CLASS_T_GENS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]
+
+
+def _power(d):
+    """The generators of (x, y, z)^d: every monomial of degree d."""
+    return [m for m in itertools.product(range(d + 1), repeat=3) if sum(m) == d]
 
 
 def ranks_and_codepth(ring):
@@ -102,14 +108,13 @@ def test_classes_reject_non_cycles_and_other_degrees(ring_t, homology_t, basis_t
 @pytest.mark.parametrize("make_ring", [class_t_ring, lambda p: ci_squares_ring(3, p)],
                          ids=["classT", "ci3"])
 def test_class_of_matches_solve_mod(make_ring, p):
-    """classes (reduction against the per-degree echelon basis) equals the
-    unique solve_mod solution over [boundaries | reps], read on the reps."""
+    """classes (one solve per strand) equals the unique solve_mod solution
+    over [dense boundaries | reps], read on the reps."""
     ring = make_ring(p)
     H = HomologyAlgebra(ring)
     nprng = np.random.default_rng(p % 1000003)
-    for i in range(ring.nvars + 1):
+    for i, (bnd, _) in enumerate(dense_homology(ring)):
         width = comb(ring.nvars, i) * ring.dim
-        bnd = dense_rows(H.boundary[i], width)
         reps = np.array([to_vector(z) for z in H.reps[i]],
                         dtype=np.int64).reshape(-1, width)
         rows = np.vstack([bnd, reps])
@@ -122,6 +127,31 @@ def test_class_of_matches_solve_mod(make_ring, p):
             assert got.tolist() == (want[len(bnd):] % p).tolist()
 
 
+@pytest.mark.parametrize("gens", [CLASS_T_GENS, _power(3)], ids=["classT", "max3"])
+def test_classes_solve_once_per_strand(monkeypatch, gens):
+    """One classes call makes one solve_mod per distinct strand that its
+    cycles meet, however many cycles meet it."""
+    ring = QuotientRing(32003, 3, gens, names=["x", "y", "z"])
+    H = HomologyAlgebra(ring)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_mod(*args)
+
+    monkeypatch.setattr(homology, "solve_mod", counted)
+    for i in range(4):
+        sums = [a + b for a, b in zip(H.reps[i], H.reps[i][1:])]
+        cycles = [*H.reps[i], *sums, *H.reps[i][::-1]]
+        S, met = H._strands[i], set()
+        for z in cycles:
+            t = z.col.terms
+            met |= set(S.strand[t[:, 0] * ring.dim + t[:, 2]].tolist())
+        calls.clear()
+        H.classes(i, cycles)
+        assert len(calls) == len(met) > 0
+
+
 @pytest.mark.parametrize("lost", range(4))
 def test_class_of_outside_span_raises(ring_t, lost):
     """A degree-1 basis that has lost a rep cannot express that rep's cycle."""
@@ -129,12 +159,10 @@ def test_class_of_outside_span_raises(ring_t, lost):
     S = H._strands[1]
     # the strand of the lost rep gets a content of its own without that rep
     s = next(s for s, ids in S.rep_ids.items() if lost in ids.tolist())
-    basis, _, nbnd = S.contents[S.content[s]]
+    basis, nbnd = S.contents[S.content[s]]
     k = nbnd + S.rep_ids[s].tolist().index(lost)
-    basis = np.delete(basis, k, axis=0)
     S.content[s] = len(S.contents)
-    S.contents.append((basis, {int(np.flatnonzero(r)[0]): j for j, r in enumerate(basis)},
-                       nbnd))
+    S.contents.append((np.delete(basis, k, axis=0), nbnd))
     S.rep_ids[s] = S.rep_ids[s][S.rep_ids[s] != lost]
     with pytest.raises(HomologyError, match="not in the span"):
         H.classes(1, [H.reps[1][lost]])
@@ -252,13 +280,19 @@ def test_discover_class_t_rejects_ci(ring_ci2):
         discover_class_T_basis(HomologyAlgebra(ring_ci2))
 
 
+def boundary_rows(H, i):
+    """The boundary rows of the strands of K_i, rank flat d_{i+1} in all."""
+    S = H._strands[i]
+    return sum(S.contents[S.content[s]][1] for s in np.unique(S.strand))
+
+
 def test_ranks_dimension_bookkeeping(ring_t, homology_t):
     # a_i = dim ker d_i - rank d_{i+1}, with the ranks of the dense flat d_i
     p, D = ring_t.p, ring_t.dim
     rank = [rank_mod(flatten(koszul_differential(i, ring_t)), p) for i in range(4)] + [0]
     for i in range(4):
         assert homology_t.ranks[i] == comb(3, i) * D - rank[i] - rank[i + 1]
-        assert len(np.unique(homology_t.boundary[i][0])) == rank[i + 1]
+        assert boundary_rows(homology_t, i) == rank[i + 1]
 
 
 def test_b_and_c_classes_fill_ranks_by_degree(ring_t, homology_t, basis_t):
@@ -289,7 +323,7 @@ def test_homology_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert [len(np.unique(b[0])) for b in H.boundary] == [383, 765, 381, 0]
+    assert [boundary_rows(H, i) for i in range(4)] == [383, 765, 381, 0]
 
 
 def _orders(gens, names):
@@ -298,10 +332,14 @@ def _orders(gens, names):
     return [(gens, names), ([g[::-1] for g in gens], names[::-1])]
 
 
+# classT, ci3 and acit have at most one rep per strand; (x, y, z)^2 has one
+# strand with two reps and (x, y, z)^3 has three strands with several
 STRAND_RINGS = {
-    "classT": _orders([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], ["x", "y", "z"]),
+    "classT": _orders(CLASS_T_GENS, ["x", "y", "z"]),
     "ci3": _orders([(2, 0, 0), (0, 2, 0), (0, 0, 2)], ["x", "y", "z"]),
     "acit": _orders(ACIT_GENS, ["x", "y", "z"]),
+    "max2": _orders(_power(2), ["x", "y", "z"]),
+    "max3": _orders(_power(3), ["x", "y", "z"]),
 }
 
 
@@ -309,21 +347,21 @@ STRAND_RINGS = {
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("case", list(STRAND_RINGS))
 def test_strands_match_dense(case, p, order):
-    """boundary, reps and classes strand by strand equal the elimination of
-    the whole dense flat differentials."""
+    """reps and classes strand by strand equal the elimination of the whole
+    dense flat differentials; all the cycles go to one classes call, so a
+    strand solves for several of them at once."""
     gens, names = STRAND_RINGS[case][order]
     ring = QuotientRing(p, 3, gens, names=names)
     H = HomologyAlgebra(ring)
     nprng = np.random.default_rng(p % 1000003 + order)
-    for i, (bnd, basis, pivots) in enumerate(dense_homology(ring)):
+    for i, (bnd, basis) in enumerate(dense_homology(ring)):
         width = bnd.shape[1]
-        assert np.array_equal(dense_rows(H.boundary[i], width), bnd)
         got = np.array([to_vector(z) for z in H.reps[i]], dtype=np.int64)
         want = np.array(basis[len(bnd):], dtype=np.int64)
         assert np.array_equal(got.reshape(-1, width), want.reshape(-1, width))
         rows = np.array(basis, dtype=np.int64).reshape(-1, width)
         combos = nprng.integers(0, p, size=(4, len(rows))).astype(object)
-        for v in (combos @ rows.astype(object)) % p:
-            z = from_vector(ring, i, v.astype(np.int64))
-            _, coeffs = _reduce_against(to_vector(z), basis, pivots, p)
-            assert H.classes(i, [z])[:, 0].tolist() == coeffs[len(bnd):].tolist()
+        V = ((combos @ rows.astype(object)) % p).astype(np.int64)
+        coeffs = solve_mod(rows.T, V.T, p)
+        got = H.classes(i, [from_vector(ring, i, v) for v in V])
+        assert np.array_equal(got, coeffs[len(bnd):])

@@ -240,6 +240,12 @@ def test_full_verify_class_t(ring_t):
     assert report.sign_regime == "diagonal (-1)^(deg1+deg2), phi +1"
 
 
+def test_oracle_section_is_timed(ring_ci2):
+    """The report times every check it runs, the oracle comparison too."""
+    report, _, _ = full_verify(ring_ci2, "CI", i_max=4, oracle=True)
+    assert report.section("oracle").seconds > 0
+
+
 def test_full_verify_ci(ring_ci2):
     report, F, _ = full_verify(ring_ci2, "CI", i_max=6)
     assert report.passed
