@@ -136,6 +136,7 @@ def gamma(j: int, basis: ClassTBasis) -> CycleMatrix:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)  # bounded: each entry keeps its pack and basis alive
 def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix:
     """alpha_{k,r} for r in {k, k+1, k+2}: the three block shapes
 
@@ -146,7 +147,8 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
     with extents l_{k-1} x l_{k,r} checked against the sequence tables.  Each
     block's index rows are tiled down its diagonal copies, shifted by the
     copy's corner, and point into the distinct cycles of all the blocks,
-    each listed once (the beta blocks share the triple)."""
+    each listed once (the beta blocks share the triple).  Memoized on (k, r,
+    pack, basis), the last two by identity: assembly and graded complexes share it."""
     if k < 1:
         raise BuildError("alpha needs k >= 1")
     if r not in (k, k + 1, k + 2):
@@ -181,12 +183,6 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
             f"tables give {cols_expected}")
     return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1,
                        [z for _, z in cycles.values()], np.concatenate(where))
-
-
-def alpha_family(pack: SequencePack, basis: ClassTBasis):
-    """alpha_{k,r} as a function of (k, r) that builds each matrix once, on
-    first use, so that assembly and the graded complexes can share them."""
-    return lru_cache(maxsize=None)(lambda k, r: alpha(k, r, pack, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +247,18 @@ def _class_t_blocks(k: int, pack: SequencePack, n: int) -> list:
     return out
 
 
-def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
+def _assemble_diffs(ring, blocks, diag_sign, arrow) -> list:
     """The differentials d_k : F_k -> F_{k-1} of an iterated mapping cone of
     Koszul blocks, blocks[k] listing the blocks of F_k.  Each block of F_k
     maps to its own block one Koszul degree down by diag_sign(block) times
     the Koszul differential, and, when arrow(block) = (target_key,
-    target_kdeg, name, reps) is given, to the block (target_key,
-    target_kdeg) of F_{k-1} by the wedge action of cycle_matrix(name),
-    repeated reps times down the diagonal.  Each cycle matrix and action is
-    built once per call, on first use; the Koszul differentials are cached
-    by koszul_differential itself."""
+    target_kdeg, theta, reps) is given, to the block (target_key,
+    target_kdeg) of F_{k-1} by the wedge action of the cycle matrix theta,
+    repeated reps times down the diagonal.  Each action is built once per
+    call, keyed by (theta, target_kdeg) with theta held by identity; the
+    Koszul differentials are cached by koszul_differential itself."""
     n = ring.nvars
-    theta = lru_cache(maxsize=None)(cycle_matrix)
-    action = lru_cache(maxsize=None)(
-        lambda name, i: cycle_matrix_action(theta(name), i))
+    action = lru_cache(maxsize=None)(cycle_matrix_action)
     diffs = []
     for blocks_lo, blocks_hi in zip(blocks, blocks[1:]):
         row_offset = {}
@@ -285,10 +279,10 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
                 place(koszul_differential(b.kdeg, ring), tgt, col, b.copies, diag_sign(b))
             spec = arrow(b)
             if spec is not None:
-                target_key, target_kdeg, name, reps = spec
+                target_key, target_kdeg, theta, reps = spec
                 tgt = row_offset.get((target_key, target_kdeg))
                 if tgt is not None:
-                    act = action(name, target_kdeg)
+                    act = action(theta, target_kdeg)
                     assert act.cols * reps == b.width(n)
                     place(act, tgt, col, reps, 1)
             col += b.width(n)
@@ -299,8 +293,7 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow, cycle_matrix) -> list:
 
 
 def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
-               i_max: int = 8, sign_flip: bool = False,
-               alphas=None) -> ResolutionAssembly:
+               i_max: int = 8, sign_flip: bool = False) -> ResolutionAssembly:
     """Assemble the class-T resolution F through homological degree i_max.
 
     The blocks are K_i^{deg3 m} for the tree monomials m; the block of
@@ -314,8 +307,8 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
     follow the mapping-cone convention: diagonal (-1)^(deg1+deg2), arrows +1.
     Nothing here tests d^2 = 0; verifier.check_complex certifies it.  With
     sign_flip the diagonal carries (-1)^deg2 instead, the negative control
-    that breaks d^2 = 0.  The arrows are read from ``alphas``, an
-    alpha_family of the same pack and basis (a new one when None).
+    that breaks d^2 = 0.  Each arrow carries its matrix alpha_{j,r}, which
+    alpha memoizes per pack and basis.
     """
     if i_max < 1:
         raise BuildError("i_max must be >= 1")
@@ -329,10 +322,9 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
         if b.key.head is None:
             return None
         j, r, tail = b.key.head
-        return arrow_target(b.key), b.kdeg + r - j + 1, (j, r), tail.deg3(pack)
+        return arrow_target(b.key), b.kdeg + r - j + 1, alpha(j, r, pack, basis), tail.deg3(pack)
 
-    alphas = alphas or alpha_family(pack, basis)
-    diffs = _assemble_diffs(ring, blocks, diag_sign, arrow, lambda jr: alphas(*jr))
+    diffs = _assemble_diffs(ring, blocks, diag_sign, arrow)
     label = ("diagonal (-1)^deg2, phi +1 (forced)" if sign_flip
              else "diagonal (-1)^(deg1+deg2), phi +1")
     return ResolutionAssembly("T", ring, i_max, blocks, diffs, label)
@@ -359,13 +351,14 @@ def assemble_CI(ring: QuotientRing, basis: ClassCIBasis,
                for j in range(k // 2 + 1) if k - 2 * j <= ring.nvars]
               for k in range(i_max + 1)]
 
+    betas = {j: beta(j, basis.z1) for j in range(1, i_max // 2 + 1)}
+
     def arrow(b):
         if b.key == 0:
             return None
-        return b.key - 1, b.kdeg + 1, b.key, 1
+        return b.key - 1, b.kdeg + 1, betas[b.key], 1
 
-    diffs = _assemble_diffs(ring, blocks, lambda b: 1, arrow,
-                            lambda j: beta(j, basis.z1))
+    diffs = _assemble_diffs(ring, blocks, lambda b: 1, arrow)
     return ResolutionAssembly("CI", ring, i_max, blocks, diffs,
                               "diagonal +1 (even shifts), beta +1")
 
@@ -448,15 +441,15 @@ class _Coordinates:
 
 
 def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
-                       H: HomologyAlgebra, alphas=None) -> dict:
+                       H: HomologyAlgebra) -> dict:
     """The finite complexes of homology classes whose exactness certifies the
     graded resolution data: B_k (k <= k_max), C_1..C_3, A_k (k <= k_max), and
     the dimension bookkeeping of the decomposition of A_k into shifted B and C
     pieces.  The maps are RingMatrix over F_p, one field ring per call, and a
     zero block is only its extents.
 
-    The alpha matrices are read from ``alphas``, an alpha_family of the same
-    pack and basis (a new one when None).
+    The alpha matrices come from alpha, memoized per pack and basis, so
+    they are the ones that assemble_T places.
 
     Returns {"B": {k: FiniteComplex}, "C": {...}, "A": {...},
     "decomposition": {k: [(position, lhs, rhs, ok), ...]}}.
@@ -485,18 +478,17 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
         out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d])
 
     A = _Coordinates(fp, H)
-    alphas = alphas or alpha_family(pack, basis)
     for k in range(1, k_max + 1):
         dims = [l[k], a1 * l[k - 1] + lp[k - 1]]
-        maps = [_side_by_side([A.matrix(alphas(k, k))], lp[k - 1])]
+        maps = [_side_by_side([A.matrix(alpha(k, k, pack, basis))], lp[k - 1])]
         if k >= 2:
             dims.append(a2 * l[k - 2] + lpp[k - 2])
-            maps.append(_side_by_side([A.matrix(alphas(k - 1, k - 1), H.reps[1]),
-                                       A.matrix(alphas(k - 1, k))], lpp[k - 2]))
+            maps.append(_side_by_side([A.matrix(alpha(k - 1, k - 1, pack, basis), H.reps[1]),
+                                       A.matrix(alpha(k - 1, k, pack, basis))], lpp[k - 2]))
         if k >= 3:
             dims.append(a3 * l[k - 3])
-            maps.append(_side_by_side([A.matrix(alphas(k - 2, k - 2), H.reps[2]),
-                                       A.matrix(alphas(k - 2, k))]))
+            maps.append(_side_by_side([A.matrix(alpha(k - 2, k - 2, pack, basis), H.reps[2]),
+                                       A.matrix(alpha(k - 2, k, pack, basis))]))
         out["A"][k] = FiniteComplex(f"A_{k}", k, dims, maps)
         out["decomposition"][k] = _decomposition_check(k, out, pack)
 

@@ -119,14 +119,14 @@ def _build_parser():
                            help="cross-check against the brute-force syzygy oracle")
     p_resolve.add_argument("--sign-flip", action="store_true",
                            help="negative control: force the (-1)^deg2 diagonal")
-    p_resolve.set_defaults(func=cmd_resolve)
+    p_resolve.set_defaults(func=_run_verify)
 
     p_verify = sub.add_parser("verify", help="verification report only")
     common(p_verify, "--ring", "--mode", "--max-degree", "--order")
     p_verify.add_argument("--oracle", action="store_true")
     p_verify.add_argument("--sign-flip", action="store_true",
                           help="negative control: force the (-1)^deg2 diagonal")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=_run_verify, emit_matrices=False)
 
     p_demo = sub.add_parser("demo-classt",
                             help="built-in class-T example with matrix displays")
@@ -271,7 +271,7 @@ def cmd_betti(args) -> int:
     return EXIT_OK
 
 
-def _run_verify(args, emit_matrices: bool) -> int:
+def _run_verify(args) -> int:
     rf, ring, mode, order = _load_ring(args)
     i_max = _max_degree(args, rf)
     report, F, _ = full_verify(
@@ -296,7 +296,7 @@ def _run_verify(args, emit_matrices: bool) -> int:
     doc["poincare"], extra = _series_fields(
         F.mode, invariants, order, graded_depth(i_max))
     doc.update(extra)
-    if emit_matrices:
+    if args.emit_matrices:
         doc["matrices"] = {
             f"d_{i}": _matrix_dump(F.diff(i)) for i in range(1, i_max + 1)
         }
@@ -305,7 +305,7 @@ def _run_verify(args, emit_matrices: bool) -> int:
         status = "pass" if s.passed else f"FAIL ({s.failure})"
         print(f"{s.name}: {status}")
     print("ranks: " + ",".join(str(r) for r in F.ranks))
-    if args.out is None and not emit_matrices:
+    if args.out is None and not args.emit_matrices:
         print(text)
     return EXIT_OK if report.passed else EXIT_MATH
 
@@ -316,14 +316,6 @@ def _matrix_dump(M):
         "cols": M.cols,
         "entries": {f"{i},{j}": f for (i, j), f in M.entries.items()},
     }
-
-
-def cmd_resolve(args) -> int:
-    return _run_verify(args, emit_matrices=args.emit_matrices)
-
-
-def cmd_verify(args) -> int:
-    return _run_verify(args, emit_matrices=False)
 
 
 # ---------------------------------------------------------------------------

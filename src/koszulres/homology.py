@@ -247,10 +247,11 @@ def _complete(bnd_rows: np.ndarray, ker_cols: np.ndarray, p: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassTBasis:
     """Cycle representatives for a class-T ring: z1 (degree 1, the first three
-    are the distinguished triple), z2 (degree 2) and z3 (degree 3)."""
+    are the distinguished triple), z2 (degree 2) and z3 (degree 3).  Equality
+    is identity, and so is the hash that builder.alpha memoizes on."""
 
     z1: list
     z2: list
@@ -295,9 +296,6 @@ class Certificate:
 
     def failures(self):
         return [c for c in self.checks if not c.ok]
-
-    def __bool__(self):
-        return self.passed
 
 
 def verify_class_T(basis: ClassTBasis, H: HomologyAlgebra) -> Certificate:

@@ -290,7 +290,8 @@ class CycleMatrix:
     Acting on column vectors by entrywise wedge multiplication it induces
     chain maps Sigma^j K^cols -> K^rows; each cycle is validated once at
     construction because every downstream identity assumes it.  Entries
-    whose cycle is zero are dropped.
+    whose cycle is zero are dropped.  With no __eq__, it hashes by identity,
+    and that keys the action cache of builder._assemble_diffs.
     """
 
     __slots__ = ("ring", "rows", "cols", "entry_degree", "cycles", "where")
@@ -324,6 +325,7 @@ class CycleMatrix:
         self.entry_degree = entry_degree
         self.cycles = tuple(cycles)
         self.where = where[nonzero[where[:, 2]]]
+        self.where.flags.writeable = False  # shared: alpha memoizes its matrices
 
     def __repr__(self):
         return (f"CycleMatrix({self.rows}x{self.cols}, "

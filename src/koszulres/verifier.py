@@ -23,7 +23,6 @@ import numpy as np
 from .builder import (
     FiniteComplex,
     ResolutionAssembly,
-    alpha_family,
     assemble_CI,
     assemble_T,
     graded_A_complexes,
@@ -248,8 +247,6 @@ def _finite_complex_exact(cx: FiniteComplex):
             at = tuple(composite.terms[0, :2].tolist())
             return False, f"composite of maps {t} and {t + 1} is nonzero at {at}", dims
     ranks = [flat_rank(M) for M in cx.maps]
-    if not ranks:
-        return dims[0] == 0, "empty complex must be zero", dims
     if ranks[0] != dims[0]:
         return False, f"not exact at the top: rank {ranks[0]} < dim {dims[0]}", dims
     for t in range(len(ranks) - 1):
@@ -445,9 +442,8 @@ def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
         a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
         pack = SequencePack(a1, a2, a3, k_max=max(12, i_max))
         _, PR = poincare_T(a1, a2, a3, ring.nvars, i_max)
-        alphas = alpha_family(pack, basis)
-        F = assemble_T(ring, basis, pack, i_max, sign_flip=sign_flip, alphas=alphas)
-        complexes = graded_A_complexes(graded_depth(i_max), basis, pack, H, alphas=alphas)
+        F = assemble_T(ring, basis, pack, i_max, sign_flip=sign_flip)
+        complexes = graded_A_complexes(graded_depth(i_max), basis, pack, H)
         report.add(check_graded_exactness, complexes)
     else:
         _, PR = poincare_CI(H.codepth, ring.nvars, i_max)

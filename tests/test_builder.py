@@ -201,6 +201,14 @@ def test_alpha_input_validation(pack_t, basis_t):
         alpha(2, 5, pack_t, basis_t)
 
 
+def test_alpha_is_memoized(pack_t, basis_t):
+    # cached on (k, r, pack, basis), the pack and the basis by identity
+    assert alpha(2, 3, pack_t, basis_t) is alpha(2, 3, pack_t, basis_t)
+    twin = ClassTBasis(z1=basis_t.z1, z2=basis_t.z2, z3=basis_t.z3)
+    assert twin != basis_t
+    assert alpha(2, 3, pack_t, twin) is not alpha(2, 3, pack_t, basis_t)
+
+
 # -- assembled resolutions ---------------------------------------------------
 
 def block_offsets(F, k):
@@ -279,6 +287,73 @@ def test_diff5_block_pattern(assembly_t, ring_t, basis_t, pack_t):
 def test_assembly_differentials_in_m(assembly_t):
     for i in range(1, assembly_t.i_max + 1):
         assert assembly_t.diff(i).first_unit_entry() is None
+
+
+def test_assembly_and_graded_complexes_share_alpha(ring_t, pack_t, homology_t):
+    # two separate calls on one pack and basis build each alpha_{k,r} once
+    basis = make_class_t_basis(ring_t)
+    builder.alpha.cache_clear()
+    F = assemble_T(ring_t, basis, pack_t, i_max=8)
+    graded_A_complexes(5, basis, pack_t, homology_t)
+    placed = {b.key.head[:2] for bl in F.blocks for b in bl if b.key.head is not None}
+    # A_k reads alpha_{k-t,k-t} and alpha_{k-t,k} at positions t = 0, 1, 2
+    graded = {(k - t, r) for k in range(1, 6) for t in range(min(k, 3)) for r in (k - t, k)}
+    assert len(placed | graded) == 12
+    assert builder.alpha.cache_info().misses == 12
+
+
+def spy_actions(monkeypatch):
+    """Record the (cycle matrix, target degree) of each cycle_matrix_action
+    call that assembly makes."""
+    calls, action = [], builder.cycle_matrix_action
+
+    def spy(theta, i):
+        calls.append((theta, i))
+        return action(theta, i)
+
+    monkeypatch.setattr(builder, "cycle_matrix_action", spy)
+    return calls
+
+
+def arrows_into_present_blocks(F, arrow):
+    """(arrow key, target Koszul degree) of every arrow of F whose target
+    block exists, one per source block."""
+    out = []
+    for k in range(1, F.i_max + 1):
+        present = {(b.key, b.kdeg) for b in F.blocks[k - 1]}
+        for b in F.blocks[k]:
+            spec = arrow(b)
+            if spec is not None and spec[1:] in present:
+                out.append((spec[0], spec[2]))
+    return out
+
+
+def test_assemble_t_builds_each_action_once(ring_t, basis_t, pack_t, monkeypatch):
+    # one wedge action per distinct (alpha_{j,r}, target Koszul degree)
+    calls = spy_actions(monkeypatch)
+    F = assemble_T(ring_t, basis_t, pack_t, i_max=8)
+
+    def arrow(b):
+        if b.key.head is not None:
+            j, r, _ = b.key.head
+            return alpha(j, r, pack_t, basis_t), arrow_target(b.key), b.kdeg + r - j + 1
+
+    arrows = arrows_into_present_blocks(F, arrow)
+    assert len(calls) == len(set(calls)) == len(set(arrows)) < len(arrows)
+    assert set(calls) == set(arrows)
+
+
+def test_assemble_ci_builds_each_action_once(ring_ci3, monkeypatch):
+    # one beta_j per j, and one wedge action per (beta_j, target Koszul degree)
+    calls = spy_actions(monkeypatch)
+    basis, _ = discover_class_CI_basis(HomologyAlgebra(ring_ci3))
+    F = assemble_CI(ring_ci3, basis, i_max=8)
+    arrows = arrows_into_present_blocks(
+        F, lambda b: (b.key, b.key - 1, b.kdeg + 1) if b.key else None)
+    j_of = {len(words(3, j)): j for j in range(1, 5)}  # beta_j has b_j columns
+    assert len(calls) == len(set(calls)) == len(set(arrows))
+    assert {(j_of[theta.cols], i) for theta, i in calls} == set(arrows)
+    assert len({theta for theta, _ in calls}) == 4
 
 
 def test_forced_wrong_regime_breaks_d2(ring_t, basis_t, pack_t):

@@ -447,6 +447,16 @@ def test_exit_code_class_failure(capsys):
     assert "class verification failure" in capsys.readouterr().err
 
 
+def test_exit_code_supplied_basis_fails_certificate(tmp_path, capsys):
+    # z1_4 copies z1_1, so the supplied classes of z1 are not a basis of A_1
+    ring = tmp_path / "bad.ring"
+    ring.write_text(CLASS_T.read_text().replace("z1_4 = y*z*e[1]\n", "z1_4 = x*e[1]\n"))
+    assert run("verify", "--ring", str(ring), "--max-degree", "4",
+               "--no-timestamp") == 3
+    assert ("class T verification failed: classes of z1 form a basis of A_1"
+            in capsys.readouterr().err)
+
+
 def test_exit_code_math_failure(tmp_path):
     assert run("verify", "--ring", str(CLASS_T), "--max-degree", "4",
                "--sign-flip", "--no-timestamp") == 4

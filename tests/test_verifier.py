@@ -280,17 +280,10 @@ def test_full_verify_minimal_depth(ring_ci2):
     assert F.ranks == [1, 2]
 
 
-def test_full_verify_builds_each_alpha_once(ring_t, monkeypatch):
-    # assembly and the graded complexes share one alpha_family: at degree 8
+def test_full_verify_builds_each_alpha_once(ring_t):
+    # assembly and the graded complexes share the memoized alpha: at degree 8
     # the 12 distinct alpha_{k,r} are built once each
-    calls = []
-    alpha = builder.alpha
-
-    def spy(k, r, pack, basis):
-        calls.append((k, r))
-        return alpha(k, r, pack, basis)
-
-    monkeypatch.setattr(builder, "alpha", spy)
+    builder.alpha.cache_clear()
     report, _, _ = full_verify(ring_t, "T", 8, class_t_ring_file().cycles)
     assert report.passed
-    assert len(calls) == len(set(calls)) == 12
+    assert builder.alpha.cache_info().misses == 12
