@@ -356,21 +356,17 @@ class RingMatrix:
         return i[t] * D + nm[y], j[t] * D + na[y], c[t]
 
     def flat_contents(self, col_tag=0) -> list:
-        """block_contents of the flat F_p matrix (see _flat_nonzeros).  Its
-        blocks are the components of the bipartite graph of its nonzeros, so
-        its rank is the sum of the block ranks; rows and columns with no
-        nonzero lie in no block.  A block's rows ascend, and its columns
-        ascend in (col_tag, column), col_tag 0 or 1 per flat column."""
+        """block_contents of the flat F_p matrix (see _flat_nonzeros), its
+        rows and columns with no nonzero dropped first, so they lie in no
+        block; its rank is the sum of the block ranks.  A block's rows
+        ascend, and its columns ascend in (col_tag, column), col_tag 0 or 1
+        per flat column."""
         r, c, v = self._flat_nonzeros()
         row_at, r = np.unique(r, return_inverse=True)
         col_at, c = np.unique(c, return_inverse=True)
-        label = _component_labels(r, c + len(row_at), len(row_at) + len(col_at))
-        row_label, col_label = np.split(label, [len(row_at)])
         tag = np.broadcast_to(col_tag, self.cols * self.ring.dim)[col_at]
-        rows = (row_label, _local_index(row_label), 0)
-        cols = (col_label, _local_index(col_label, tag), tag)
         return [b._replace(rows=row_at[b.rows], cols=col_at[b.cols])
-                for b in block_contents(r, c, v, rows, cols)]
+                for b in block_contents(r, c, v, (len(row_at), len(col_at)), 0, tag)]
 
     def __eq__(self, other):
         return (
@@ -453,20 +449,25 @@ def _local_index(label: np.ndarray, *keys) -> np.ndarray:
 BlockContent = namedtuple("BlockContent", "matrix row_tags col_tags owners rows cols")
 
 
-def block_contents(r, c, v, rows, cols) -> list:
-    """The distinct block contents of a matrix that is block diagonal up to
-    a permutation, from its nonzeros (r, c, v) = (row, column, value) and
-    ``rows`` = (label, local, tag): per row the label of its block, its
-    index there and an int tag (or one tag for all); ``cols`` likewise.
+def block_contents(r, c, v, shape, row_tag, col_tag) -> list:
+    """The distinct block contents of the matrix of ``shape`` with nonzeros
+    (r, c, v) = (row, column, value).  The blocks are the connected
+    components of the nonzeros, every row and column a node, so a row or
+    column with no nonzero is a block of its own; inside a block the rows,
+    and the columns, come in (tag, index) order, a tag being an int per row
+    (``row_tag``) and per column (``col_tag``), or one for all.
 
     A content is the row [h, w, row tags, column tags, h x w entries]; the
     rows are grouped by length and sorted, and equal neighbours are one
-    content.  Returns a BlockContent per content: ``matrix``, the tags,
-    the labels of its ``owners`` (ascending), and ``rows[k, a]`` /
-    ``cols[k, b]``, the row and column of local a and b in owner k."""
-    (row_label, row_local, row_tag), (col_label, col_local, col_tag) = rows, cols
-    labels, block = np.unique(np.r_[row_label, col_label], return_inverse=True)
-    br, bc = block[:len(row_label)], block[len(row_label):]
+    content.  Returns a BlockContent per content: ``matrix``, the tags, the
+    labels of its ``owners`` (ascending: the least node of each, column b
+    being node shape[0] + b), and ``rows[k, a]`` / ``cols[k, b]``, the row
+    and column of local a and b in owner k."""
+    nr, nc = shape
+    row_tag, col_tag = np.broadcast_to(row_tag, nr), np.broadcast_to(col_tag, nc)
+    labels, block = np.unique(_component_labels(r, c + nr, nr + nc), return_inverse=True)
+    br, bc = block[:nr], block[nr:]
+    row_local, col_local = _local_index(br, row_tag), _local_index(bc, col_tag)
     h, w = (np.bincount(x, minlength=len(labels)) for x in (br, bc))
     length = 2 + h + w + h * w
     offset = np.cumsum(length) - length

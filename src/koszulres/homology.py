@@ -10,10 +10,11 @@ multiplication structures this library resolves over:
 Nothing here assumes the multiplication table; every product is computed and
 checked by exact linear algebra, in any characteristic.
 
-The homology is computed one multidegree strand at a time: over a monomial
-ring K is Z^n-graded, so the flat Koszul differentials split into small
-blocks, and no dense flat matrix is formed (see HomologyAlgebra).  The
-strands are blocks of `exactfield.block_contents`, as in the oracle.
+The homology is computed one strand at a time, a strand being a connected
+block of the flat Koszul differentials (`exactfield.block_contents`, as for
+exactness and the oracle).  K is Z^n-graded and d preserves the grading, so
+each strand lies in one multidegree and is small: no dense flat matrix is
+formed (see HomologyAlgebra).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactfield import (QuotientRing, RingMatrix, _local_index, block_contents,
-                         kernel_mod, rank_mod, rref_mod, solve_mod)
+from .exactfield import (QuotientRing, RingMatrix, block_contents, kernel_mod, rank_mod,
+                         rref_mod, solve_mod)
 from .koszul import KoszulElement, koszul_differential, subsets
 
 
@@ -44,13 +45,14 @@ class ClassVerificationError(ValueError):
 
 class HomologyAlgebra:
     """Per-degree echelon-normalized cycle representatives and ranks of
-    A = H(K), computed one multidegree strand at a time.
+    A = H(K), computed one strand at a time.
 
-    Over a monomial ring K is Z^n-graded: the flat coordinate t*D + b of K_i,
-    which is std_b e_T, has multidegree exps(std_b) + eps_T, and every flat
-    d_i preserves it.  So each d_i splits into strands, one small block per
-    multidegree, and no kernel or image vector leaves its strand.  For each
-    homological degree i:
+    The strands of K_i are the connected blocks of the nonzeros of
+    (flat d_{i+1})^T stacked over flat d_i, so no kernel or image vector
+    leaves its strand.  Over a monomial ring K is Z^n-graded: the flat
+    coordinate t*D + b of K_i, which is std_b e_T, has multidegree
+    exps(std_b) + eps_T, and every flat d_i preserves it, so each strand
+    lies in one multidegree and is small.  For each homological degree i:
 
       * ``flat_diff[i]``  the nonzeros of flat d_i, an int64 (3, nnz) array
         of (row, column, value);
@@ -73,15 +75,13 @@ class HomologyAlgebra:
         n = ring.nvars
         self.flat_diff = [np.array(koszul_differential(i, ring)._flat_nonzeros())
                           for i in range(n + 1)]
-        codes = _multidegrees(ring)  # codes[i + 1] is K_i
         empty = np.zeros((3, 0), dtype=np.int64)
         self.ranks = []
         self.reps = []
         self._strands = []
         for i in range(n + 1):
             up = self.flat_diff[i + 1] if i < n else empty
-            reps, strands = _strand_homology(ring, i, codes[i:i + 3], up,
-                                             self.flat_diff[i])
+            reps, strands = _strand_homology(ring, i, up, self.flat_diff[i])
             self.ranks.append(len(reps))
             self.reps.append(reps)
             self._strands.append(strands)
@@ -129,10 +129,11 @@ class HomologyAlgebra:
 @dataclass
 class _Strands:
     """The strands of one K_i.  ``strand[g]`` and ``local[g]`` are the strand
-    of flat coordinate g and its position there (a strand keeps the global
-    order of its coordinates).  ``contents`` holds (basis, number of
-    boundary rows) per distinct content, the basis as _complete returns it
-    in local coordinates, and ``content[s]`` indexes it.
+    (its block_contents label) of flat coordinate g and its position there
+    (a strand keeps the global order of its coordinates).  ``contents``
+    holds (basis, number of boundary rows) per distinct content, the basis
+    as _complete returns it in local coordinates, and ``content[s]``
+    indexes it.
     ``rep_ids[s]`` lists the global indices of the reps of strand s, for the
     strands that have any."""
 
@@ -143,48 +144,29 @@ class _Strands:
     rep_ids: dict
 
 
-def _multidegrees(ring: QuotientRing) -> list:
-    """codes[i + 1][t*D + b], for i = -1..n+1: the multidegree
-    exps(std_b) + eps_T of each flat coordinate of K_i, T the t-th subset,
-    as one exponent code of the ring (a digit of ring.codes has room for an
-    exponent plus one; K_{-1} and K_{n+1} have no coordinates)."""
-    n, weight = ring.nvars, ring.code_weights
-    return [(np.array([weight[[v - 1 for v in T]].sum() for T in subsets(n, i)],
-                      dtype=np.int64)[:, None] + ring.codes).ravel()
-            for i in range(-1, n + 2)]
+def _strand_homology(ring, i, up, down) -> tuple:
+    """(reps, strands) of degree i, from the nonzeros ``up`` of flat d_{i+1}
+    and ``down`` of flat d_i.
 
-
-def _split(code: np.ndarray, keys: np.ndarray) -> tuple:
-    """(strand, position) of each coordinate: the first index of its code in
-    the sorted ``keys``, which hold every code, and the number of earlier
-    coordinates with the same code."""
-    return keys.searchsorted(code), _local_index(code)
-
-
-def _strand_homology(ring, i, codes, up, down) -> tuple:
-    """(reps, strands) of degree i, from the multidegree codes of
-    K_{i-1}, K_i and K_{i+1} and the nonzeros ``up`` of flat d_{i+1} and
-    ``down`` of flat d_i.
-
-    The block of a multidegree has its coordinates in K_i as columns, and
-    as rows those in K_{i+1}, tagged 0 (the image block (flat d_{i+1})^T),
-    then those in K_{i-1}, tagged 1 (the kernel block flat d_i), so that
-    rref_mod, kernel_mod and _complete run once per distinct content.  The
-    reps are then numbered by the global free columns that produced them."""
+    The strands are the blocks of the matrix with the coordinates of K_i as
+    columns, and as rows those of K_{i+1}, tagged 0 (the image block
+    (flat d_{i+1})^T), then those of K_{i-1}, tagged 1 (the kernel block
+    flat d_i), so that rref_mod, kernel_mod and _complete run once per
+    distinct content.  The reps are then numbered by the global free
+    columns that produced them."""
     p, D = ring.p, ring.dim
-    code_down, code, code_up = codes
-    keys = np.sort(np.concatenate(codes))
-    strand, local = _split(code, keys)
-    rows = (*_split(np.r_[code_up, code_down], keys),
-            np.repeat([0, 1], [len(code_up), len(code_down)]))
-    entries = np.c_[up[[1, 0, 2]], down + [[len(code_up)], [0], [0]]]  # (d_{i+1})^T over d_i
-    content = np.empty(len(keys), dtype=np.int64)
+    n_up, n_down, width = (len(subsets(ring.nvars, i + k)) * D for k in (1, -1, 0))
+    entries = np.c_[up[[1, 0, 2]], down + [[n_up], [0], [0]]]  # (d_{i+1})^T over d_i
+    strand, local = np.empty((2, width), dtype=np.int64)
+    content = np.empty(n_up + n_down + width, dtype=np.int64)
     contents, rep_parts, rep_free = [], [], []
-    blocks = block_contents(*entries, rows, (strand, local, 0))
+    blocks = block_contents(*entries, (n_up + n_down, width),
+                            np.repeat([0, 1], [n_up, n_down]), 0)
     for B, tags, _, owners, _, coords in blocks:
         nu, nm = len(tags) - int(tags.sum()), B.shape[1]
+        strand[coords], local[coords] = owners[:, None], np.arange(nm)
         if not nm:
-            continue  # a multidegree of K_{i-1} or K_{i+1} only
+            continue  # a row of K_{i-1} or K_{i+1} with no nonzero
         R, piv = rref_mod(B[:nu], p)
         K = kernel_mod(B[nu:], p)
         basis, picked = _complete(R[:len(piv)], K, p)
@@ -208,8 +190,7 @@ def _strand_homology(ring, i, codes, up, down) -> tuple:
     # rep k is the column of terms (t, 0, b, value) of its flat columns t*D + b
     terms = np.column_stack([col // D, 0 * col, col % D, val])
     cuts = k.searchsorted(np.arange(len(free) + 1))
-    size = len(subsets(ring.nvars, i))
-    reps = [KoszulElement(ring, i, RingMatrix.from_terms(ring, size, 1, terms[a:b]))
+    reps = [KoszulElement(ring, i, RingMatrix.from_terms(ring, width // D, 1, terms[a:b]))
             for a, b in zip(cuts[:-1], cuts[1:])]
     return reps, _Strands(strand, local, content, contents, rep_ids)
 

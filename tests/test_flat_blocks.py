@@ -142,23 +142,35 @@ def test_tagged_columns_go_last(case):
 
 
 def test_contents_keyed_on_shape_and_tags():
-    # blocks 0..3 all hold the entries [1, 1]: block 1 as a column, block 2
-    # with its second column tagged; block 3 repeats block 0
+    # blocks 0, 1, 3 and 4 (each labelled by its least node, column b being
+    # node 5 + b) all hold the entries [1, 1]: block 1 as a column, block 3
+    # with its second column tagged; block 4 repeats block 0
     r = np.array([0, 0, 1, 2, 3, 3, 4, 4])
     c = np.array([0, 1, 2, 2, 3, 4, 5, 6])
     v = np.ones(8, dtype=np.int64)
-    rows = (np.array([0, 1, 1, 2, 3]), np.array([0, 0, 1, 0, 0]), 0)
-    cols = (np.array([0, 0, 1, 2, 2, 3, 3]), np.array([0, 1, 0, 0, 1, 0, 1]),
-            np.array([0, 0, 0, 0, 1, 0, 0]))
-    contents = block_contents(r, c, v, rows, cols)
+    col_tags = np.array([0, 0, 0, 0, 1, 0, 0])
+    contents = block_contents(r, c, v, (5, 7), 0, col_tags)
     got = sorted((b.matrix.tolist(), b.col_tags.tolist(), b.owners.tolist())
                  for b in contents)
     assert got == [([[1], [1]], [0], [1]),
-                   ([[1, 1]], [0, 0], [0, 3]),
-                   ([[1, 1]], [0, 1], [2])]
+                   ([[1, 1]], [0, 0], [0, 4]),
+                   ([[1, 1]], [0, 1], [3])]
     shared = next(b for b in contents if len(b.owners) == 2)
     assert shared.rows.tolist() == [[0], [4]]
     assert shared.cols.tolist() == [[0, 1], [5, 6]]
+
+
+def test_lone_rows_and_columns_are_blocks():
+    # a 2 x 3 matrix whose row 1 and column 1 have no nonzero: each is a
+    # block of its own, and in block 0 the tagged column 0 comes after the
+    # untagged column 2
+    r, c, v = np.array([0, 0]), np.array([2, 0]), np.array([7, 3])
+    contents = block_contents(r, c, v, (2, 3), 0, np.array([1, 0, 0]))
+    got = sorted((b.matrix.shape, b.matrix.tolist(), b.col_tags.tolist(),
+                  b.owners.tolist(), b.rows.tolist(), b.cols.tolist()) for b in contents)
+    assert got == [((0, 1), [], [0], [3], [[]], [[1]]),
+                   ((1, 0), [[]], [], [1], [[1]], [[]]),
+                   ((1, 2), [[7, 3]], [0, 1], [0], [[0]], [[2, 0]])]
 
 
 def _count_calls(monkeypatch, module, name):
@@ -203,6 +215,12 @@ def test_one_block_engine_in_src():
     text = {p.name: p.read_text() for p in src.glob("*.py")}
     assert not any("flat_blocks" in t for t in text.values())
     assert "block_contents(" in text["homology.py"]
+    # and block_contents finds the blocks itself: no other module labels
+    # them, and the homology reads no multidegree codes
+    for name, t in text.items():
+        if name != "exactfield.py":
+            assert "_component_labels" not in t and "_local_index" not in t, name
+    assert "code_weights" not in text["homology.py"]
     # the graded complexes are RingMatrix over F_p, ranked by the same engine
     assert "np.zeros((theta.rows" not in text["builder.py"]
     assert not any("SparseMap" in t or "sparse_contents" in t for t in text.values())

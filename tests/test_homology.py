@@ -333,13 +333,17 @@ def _orders(gens, names):
 
 
 # classT, ci3 and acit have at most one rep per strand; (x, y, z)^2 has one
-# strand with two reps and (x, y, z)^3 has three strands with several
+# strand with two reps and (x, y, z)^3 has three strands with several; aci4
+# and two carry the reference to 4 and to 2 variables
 STRAND_RINGS = {
     "classT": _orders(CLASS_T_GENS, ["x", "y", "z"]),
     "ci3": _orders([(2, 0, 0), (0, 2, 0), (0, 0, 2)], ["x", "y", "z"]),
     "acit": _orders(ACIT_GENS, ["x", "y", "z"]),
     "max2": _orders(_power(2), ["x", "y", "z"]),
     "max3": _orders(_power(3), ["x", "y", "z"]),
+    "aci4": _orders([(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3), (1, 1, 1, 1)],
+                    ["x", "y", "z", "w"]),
+    "two": _orders([(4, 0), (2, 1), (0, 3)], ["x", "y"]),
 }
 
 
@@ -351,7 +355,7 @@ def test_strands_match_dense(case, p, order):
     dense flat differentials; all the cycles go to one classes call, so a
     strand solves for several of them at once."""
     gens, names = STRAND_RINGS[case][order]
-    ring = QuotientRing(p, 3, gens, names=names)
+    ring = QuotientRing(p, len(names), gens, names=names)
     H = HomologyAlgebra(ring)
     nprng = np.random.default_rng(p % 1000003 + order)
     for i, (bnd, basis) in enumerate(dense_homology(ring)):

@@ -1,4 +1,5 @@
 import copy
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import (
     ring_matrix,
     sparse_map,
 )
-from koszulres import builder
+from koszulres import builder, verifier
 from koszulres.builder import FiniteComplex, assemble_CI, assemble_T, graded_A_complexes
 from koszulres.exactfield import (
     MAX_CHARACTERISTIC,
@@ -244,6 +245,20 @@ def test_oracle_section_is_timed(ring_ci2):
     """The report times every check it runs, the oracle comparison too."""
     report, _, _ = full_verify(ring_ci2, "CI", i_max=4, oracle=True)
     assert report.section("oracle").seconds > 0
+
+
+def test_class_certificate_section_times_resolve_basis(ring_ci2, monkeypatch):
+    """The certificate is computed by resolve_basis, before the report has
+    a section for it; that section's time covers the call."""
+    resolve = verifier.resolve_basis
+
+    def slow(*args):
+        time.sleep(0.05)
+        return resolve(*args)
+
+    monkeypatch.setattr(verifier, "resolve_basis", slow)
+    report, _, _ = full_verify(ring_ci2, "CI", i_max=2)
+    assert report.section("class_certificate").seconds >= 0.05
 
 
 def test_full_verify_ci(ring_ci2):
