@@ -111,22 +111,17 @@ def _build_parser():
                          help="embedding dimension for raw invariants")
     p_betti.set_defaults(func=cmd_betti)
 
-    p_resolve = sub.add_parser("resolve", help="assemble and fully verify")
-    common(p_resolve, "--ring", "--mode", "--max-degree", "--order")
-    p_resolve.add_argument("--emit-matrices", action="store_true",
-                           help="include differential matrices in the report")
-    p_resolve.add_argument("--oracle", action="store_true",
-                           help="cross-check against the brute-force syzygy oracle")
-    p_resolve.add_argument("--sign-flip", action="store_true",
-                           help="negative control: force the (-1)^deg2 diagonal")
-    p_resolve.set_defaults(func=_run_verify)
-
-    p_verify = sub.add_parser("verify", help="verification report only")
-    common(p_verify, "--ring", "--mode", "--max-degree", "--order")
-    p_verify.add_argument("--oracle", action="store_true")
-    p_verify.add_argument("--sign-flip", action="store_true",
-                          help="negative control: force the (-1)^deg2 diagonal")
-    p_verify.set_defaults(func=_run_verify, emit_matrices=False)
+    for name, help_text in (("resolve", "assemble and fully verify"),
+                            ("verify", "verification report only")):
+        p = sub.add_parser(name, help=help_text)
+        common(p, "--ring", "--mode", "--max-degree", "--order")
+        p.add_argument("--oracle", action="store_true",
+                       help="cross-check against the brute-force syzygy oracle")
+        p.add_argument("--sign-flip", action="store_true",
+                       help="negative control: force the (-1)^deg2 diagonal")
+        p.set_defaults(func=_run_verify, emit_matrices=False)
+    sub.choices["resolve"].add_argument("--emit-matrices", action="store_true",
+                                        help="include differential matrices in the report")
 
     p_demo = sub.add_parser("demo-classt",
                             help="built-in class-T example with matrix displays")
@@ -181,6 +176,16 @@ def _emit(report_doc: dict, args):
     if args.out is not None:
         args.out.write_text(text + "\n")
     return text
+
+
+def _verified_doc(rf: RingFile, F, report, args, **fields) -> dict:
+    """The report of the verified resolution F of rf's ring: the keys every
+    such report has, and ``fields``."""
+    return {"schema_version": SCHEMA_VERSION, "ring": serialize_ring_file(rf),
+            "mode": F.mode, "ranks": [int(r) for r in F.ranks],
+            "sign_regime": F.sign_regime,
+            "verification": report.to_dict(include_timings=not args.no_timestamp),
+            **_maybe_timestamp(args), **fields}
 
 
 def _sequence_block(pack: SequencePack, order: int) -> dict:
@@ -278,20 +283,8 @@ def _run_verify(args) -> int:
         ring, mode, i_max, cycle_strings=rf.cycles, oracle=args.oracle,
         sign_flip=args.sign_flip)
     H_ranks = report.section("class_certificate").details["homology_ranks"]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": serialize_ring_file(rf),
-        "characteristic": ring.p,
-        "mode": F.mode,
-        "max_degree": i_max,
-        "a_invariants": H_ranks,
-        "ranks": [int(r) for r in F.ranks],
-        "sign_regime": F.sign_regime,
-        "blocks": F.block_inventory(),
-        "verification": report.to_dict(
-            include_timings=not args.no_timestamp),
-        **_maybe_timestamp(args),
-    }
+    doc = _verified_doc(rf, F, report, args, characteristic=ring.p, max_degree=i_max,
+                        a_invariants=H_ranks, blocks=F.block_inventory())
     invariants = {"n": ring.nvars, "a": H_ranks, "c": len(H_ranks) - 1}
     doc["poincare"], extra = _series_fields(
         F.mode, invariants, order, graded_depth(i_max))
@@ -356,18 +349,8 @@ def cmd_demo_classt(args) -> int:
     print("sign regime: " + F.sign_regime)
     for s in report.sections:
         print(f"{s.name}: {'pass' if s.passed else 'FAIL'}")
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": serialize_ring_file(rf),
-        "mode": "T",
-        "ranks": [int(r) for r in F.ranks],
-        "sign_regime": F.sign_regime,
-        "verification": report.to_dict(
-            include_timings=not args.no_timestamp),
-        **_maybe_timestamp(args),
-    }
     if args.out is not None:
-        _emit(doc, args)
+        _emit(_verified_doc(rf, F, report, args), args)
     return EXIT_OK if report.passed else EXIT_MATH
 
 

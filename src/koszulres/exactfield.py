@@ -193,8 +193,8 @@ class QuotientRing:
             E = np.column_stack([E.repeat(cap, axis=0),
                                  concat_ranges(np.zeros_like(cap), cap)])
         E = E[np.lexsort((*(-E[:, ::-1].T), E.sum(axis=1)))]  # mono_key order
-        self.code_weights = np.cumprod(np.r_[1, 2 * bounds - 1])[:-1]
-        self.codes = E @ self.code_weights
+        code_weights = np.cumprod(np.r_[1, 2 * bounds - 1])[:-1]
+        self.codes = E @ code_weights
         order = self.codes.argsort()
         # the codes ascending, then a sentinel above every sum of two codes,
         # and the basis index of each (-1 at the sentinel)

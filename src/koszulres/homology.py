@@ -97,14 +97,14 @@ class HomologyAlgebra:
         coordinates of the classes of the degree-i ``cycles`` in the
         representative basis of A_i; any other element raises.  Each strand
         the cycles meet is one solve_mod against the basis of its content,
-        with the strand coordinates of every cycle as the columns."""
+        with the strand coordinates of every cycle as the columns.  That
+        basis spans the kernel of d on the strand, so the solves also find
+        the non-cycles: d is only applied once a solve has failed."""
         S, D = self._strands[i], self.ring.dim
         parts = [(np.zeros(0, dtype=np.int64),) * 3]
         for j, z in enumerate(cycles):
             if z.degree != i:
                 raise HomologyError(f"element {j} has degree {z.degree}, not {i}")
-            if not z.is_cycle():
-                raise HomologyError(f"element {j} is not a cycle")
             t = z.col.terms
             parts.append((t[:, 0] * D + t[:, 2], np.full(len(t), j), t[:, 3]))
         g, j, v = (np.concatenate(x) for x in zip(*parts))
@@ -120,7 +120,9 @@ class HomologyAlgebra:
             V[S.local[g[a:b]], j[a:b]] = v[a:b]
             x = solve_mod(basis.T, V, self.ring.p)
             if x is None:
-                raise HomologyError("cycle is not in the span of kernel basis (bug)")
+                bad = next((k for k in np.unique(j[a:b]) if not cycles[k].is_cycle()), None)
+                raise HomologyError("cycle is not in the span of kernel basis (bug)"
+                                    if bad is None else f"element {bad} is not a cycle")
             if s in S.rep_ids:  # the reps of s are rows of out for s alone
                 out[S.rep_ids[s]] = x[nbnd:]
         return out
@@ -265,7 +267,6 @@ class CheckItem:
 
 @dataclass
 class Certificate:
-    kind: str
     checks: list = field(default_factory=list)
 
     @property
@@ -289,7 +290,7 @@ def verify_class_T(basis: ClassTBasis, H: HomologyAlgebra) -> Certificate:
     is zero in homology.
     """
     p = H.ring.p
-    cert = Certificate("T")
+    cert = Certificate()
     if H.codepth != 3:
         cert.add("codepth is 3", False, f"codepth = {H.codepth}")
         return cert
@@ -350,7 +351,7 @@ def verify_class_T(basis: ClassTBasis, H: HomologyAlgebra) -> Certificate:
 def verify_class_CI(basis: ClassCIBasis, H: HomologyAlgebra) -> Certificate:
     """Certify that A = H is the exterior algebra on the classes of basis.z1."""
     p = H.ring.p
-    cert = Certificate("CI")
+    cert = Certificate()
     c = H.codepth
     a1 = H.rank(1)
     cert.add("number of degree-1 representatives equals a_1 equals codepth",

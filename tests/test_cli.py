@@ -215,9 +215,9 @@ def test_one_certificate_per_discovery(tmp_path, monkeypatch, capsys):
     made = []
     certificate = homology.Certificate
 
-    def counted(kind):
-        made.append(kind)
-        return certificate(kind)
+    def counted():
+        made.append(certificate())
+        return made[-1]
 
     monkeypatch.setattr(homology, "Certificate", counted)
     ring = tmp_path / "generated.ring"
@@ -225,7 +225,7 @@ def test_one_certificate_per_discovery(tmp_path, monkeypatch, capsys):
                     "ideal = x^9, y^8, z^7, x^3*y^3*z^3\nmode = auto\n")
     assert run("verify", "--ring", str(ring), "--max-degree", "2",
                "--no-timestamp") == 0
-    assert made == ["T"]
+    assert len(made) == 1
 
 
 def test_char_override(tmp_path):
@@ -455,6 +455,49 @@ def test_exit_code_supplied_basis_fails_certificate(tmp_path, capsys):
                "--no-timestamp") == 3
     assert ("class T verification failed: classes of z1 form a basis of A_1"
             in capsys.readouterr().err)
+
+
+CI3_CYCLES = "[cycles]\nz1_1 = x*e[1]\nz1_2 = y*e[2]\nz1_3 = z*e[3]\n"
+
+
+def test_supplied_ci_basis_verifies(tmp_path):
+    # a supplied complete-intersection basis is certified instead of
+    # discovered; the report differs from the discovered one in its ring only
+    ring = tmp_path / "ci3.ring"
+    ring.write_text(CI3.read_text() + CI3_CYCLES)
+    docs = []
+    for path, out in ((ring, tmp_path / "supplied.json"), (CI3, tmp_path / "found.json")):
+        assert run("verify", "--ring", str(path), "--max-degree", "8",
+                   "--no-timestamp", "--out", str(out)) == 0
+        docs.append(json.loads(out.read_text()))
+    supplied, found = docs
+    assert supplied["ranks"] == [1, 3, 6, 10, 15, 21, 28, 36, 45]
+    assert parse_ring_file(supplied["ring"]).cycles == parse_ring_file(ring.read_text()).cycles
+    assert {k: v for k, v in supplied.items() if k != "ring"} == \
+        {k: v for k, v in found.items() if k != "ring"}
+
+
+def test_exit_code_cycle_indices_with_gap(tmp_path, capsys):
+    ring = tmp_path / "gap.ring"
+    ring.write_text(CI3.read_text() + CI3_CYCLES.replace("z1_2 = y*e[2]\n", ""))
+    assert run("verify", "--ring", str(ring), "--max-degree", "8", "--no-timestamp") == 2
+    captured = capsys.readouterr()
+    assert "input error: cycle indices for degree 1 must be 1..2" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_and_resolve_share_options(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    helps = {}
+    for command in ("verify", "resolve"):
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    for text in helps.values():
+        assert "--oracle cross-check against the brute-force syzygy oracle" in text
+        assert "--sign-flip negative control" in text
+    assert "--emit-matrices" in helps["resolve"]
+    assert "--emit-matrices" not in helps["verify"]
 
 
 def test_exit_code_math_failure(tmp_path):

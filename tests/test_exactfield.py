@@ -54,8 +54,12 @@ def test_std_basis_matches_box_filter():
                              for _ in range(sweep.randint(0, 5))) if sum(g) >= 2]
         ring = QuotientRing(7, n, gens)
         assert ring.std_basis == box_std_basis(ring), gens
+        # digit v of a code has radix 2 * bound_v - 1, bound_v the least
+        # pure power of x_v among the generators
+        bounds = [min(g[v] for g in gens if sum(g) == g[v]) for v in range(n)]
+        weights = np.cumprod([1] + [2 * b - 1 for b in bounds])[:-1]
         E = np.array(ring.std_basis).reshape(ring.dim, n)
-        assert np.array_equal(ring.codes, E @ ring.code_weights)
+        assert np.array_equal(ring.codes, E @ weights)
 
 
 def test_std_basis_memory_follows_dim_not_box():
@@ -550,6 +554,15 @@ def test_ring_file_normalizes_monomials():
      r"bad exponent in monomial 'y\^1\.5'"),
     ("characteristic = 7\nvariables = x, y\nideal = x^2^2, y^2\n",
      r"bad exponent in monomial 'x\^2\^2'"),
+    ("characteristic = 7\nvariables = x\nideal = x^2\n[extra]\n",
+     r"line 4: unknown section '\[extra\]'"),
+    ("characteristic = 7\nvariables = x\nideal\n", "line 3: expected 'key = value'"),
+    ("characteristic = 7\nvariables = x\nideal = x^2\n[cycles]\nw1_1 = x*e[1]\n",
+     r"line 5: cycle names look like 'z1_2' \(got 'w1_1'\)"),
+    ("characteristic = 7\nvariables = x\nideal = x^2\n[cycles]\nz1_1 = x*e[1]\n"
+     "z1_1 = x*e[1]\n", "line 6: duplicate cycle 'z1_1'"),
+    ("characteristic = 7\nvariables = x, y\nideal = x^2, w^2\n",
+     r"unknown variable 'w' in monomial 'w\^2'"),
 ])
 def test_ring_file_rejects_bad_input(text, msg):
     with pytest.raises(ExactFieldError, match=msg):

@@ -94,14 +94,29 @@ def test_classes_of_empty_list(homology_t):
 
 def test_classes_reject_non_cycles_and_other_degrees(ring_t, homology_t, basis_t):
     H = homology_t
-    for i, bad in [(1, KoszulElement.basis(ring_t, (1,))),  # not a cycle
-                   (1, basis_t.z2[0]),  # a cycle of degree 2
-                   (2, basis_t.z1[0]),  # a cycle of degree 1
-                   (3, basis_t.z1[0].wedge(basis_t.z1[1]))]:
-        with pytest.raises(HomologyError):
+    for i, bad, message in [(1, KoszulElement.basis(ring_t, (1,)), "not a cycle"),
+                            (1, basis_t.z2[0], "has degree 2, not 1"),
+                            (2, basis_t.z1[0], "has degree 1, not 2"),
+                            (3, basis_t.z1[0].wedge(basis_t.z1[1]), "has degree 2, not 3")]:
+        with pytest.raises(HomologyError, match=message):
             H.classes(i, [bad])
-        with pytest.raises(HomologyError):
+        with pytest.raises(HomologyError, match=message):
             H.classes(i, [*H.reps[i], bad])
+
+
+def test_classes_of_cycles_apply_no_differential(ring_t, homology_t, monkeypatch):
+    # the strand solves decide which elements are cycles: a product of
+    # cycles is classed without its Koszul differential
+    calls = []
+    real = KoszulElement.differential
+    monkeypatch.setattr(KoszulElement, "differential",
+                        lambda z: calls.append(z) or real(z))
+    z1 = homology_t.reps[1]
+    wedges = [a.wedge(b) for a, b in itertools.combinations(z1, 2)]
+    C = homology_t.classes(2, wedges)
+    assert calls == []
+    assert C.shape == (homology_t.rank(2), len(wedges))
+    assert rank_mod(C, ring_t.p) == 3  # A_1 . A_1 of class T
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2147483647])

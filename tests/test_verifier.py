@@ -107,6 +107,18 @@ def test_check_exactness_detects_dropped_block(ring_t, basis_t, pack_t):
     assert "degree 3" in section.failure
 
 
+def test_check_exactness_detects_zero_d1(assembly_t, ring_t):
+    # with d_1 = 0 the cokernel at degree 0 is all of R
+    d1 = assembly_t.diff(1)
+    doctored = copy.copy(assembly_t)
+    doctored.differentials = [RingMatrix.from_terms(ring_t, d1.rows, d1.cols, d1.terms[:0]),
+                              *assembly_t.differentials[1:]]
+    section = check_exactness(doctored)
+    assert not section.passed
+    assert section.failure == f"coker d_1 has dimension {ring_t.dim}, expected 1"
+    assert section.details["flat_ranks"][1] == 0
+
+
 def test_negative_controls_hit_one_check_each(ring_t, basis_t, pack_t):
     # the rejected sign regime fails the complex check but nothing else
     Fbad = assemble_T(ring_t, basis_t, pack_t, i_max=4, sign_flip=True)
@@ -129,6 +141,29 @@ def test_graded_exactness_negative_control(basis_t, pack_t, homology_t):
     section = check_graded_exactness(complexes)
     assert not section.passed
     assert "A_2" in section.failure
+
+
+def test_graded_exactness_reports_decomposition_mismatch(basis_t, pack_t, homology_t):
+    complexes = graded_A_complexes(2, basis_t, pack_t, homology_t)
+    rows = complexes["decomposition"][2]
+    position, lhs, rhs, ok = rows[0]
+    assert ok
+    rows[0] = (position, lhs, rhs + 1, False)
+    section = check_graded_exactness(complexes)
+    assert not section.passed
+    assert section.failure == (f"A_2 decomposition dimensions disagree at "
+                               f"position {position}: {lhs} vs {rhs + 1}")
+    assert section.details["decomposition_2"][0] == (position, lhs, rhs + 1, False)
+
+
+@pytest.mark.parametrize("dims, shape, message", [
+    ([1, 2], (1, 1), "map 0 has shape (1, 1), expected (2, 1)"),
+    ([0, 1], (1, 0), "not exact at the bottom: rank 0 < dim 1"),
+], ids=["shape", "bottom"])
+def test_finite_complex_failures(dims, shape, message):
+    cx = FiniteComplex("X", 1, dims, [sparse_map(np.zeros(shape, dtype=np.int64), 7)])
+    assert _finite_complex_exact(cx) == (False, message, dims)
+    assert dense_complex_exact(cx) == (False, message, dims)
 
 
 def _with_entry(cx: FiniteComplex, t: int, n: int, value: int) -> FiniteComplex:
