@@ -71,11 +71,13 @@ print("(x e1) ^ (x e2) =", xe1.wedge(parse_koszul_element("x*e[2]", ring)).to_st
 
 # a matrix over R is an exact F_p-linear map on the standard-monomial
 # coordinates; over a monomial ring that map splits into small connected
-# blocks with few distinct contents, and no dense F_p matrix is ever formed
+# blocks with few distinct contents, and no dense F_p matrix is ever formed.
+# A block of x lists its columns; its rows are their images x * std_c
 print("\nmultiplication by x over F_p, by distinct block content:")
+x_index = ring.std_strings.index("x")
 for b in x.flat_contents():
     print(f"  {b.matrix.shape[0]} x {b.matrix.shape[1]} block {b.matrix.tolist()}, "
           f"{len(b.owners)} copies:")
-    for rows, cols in zip(b.rows, b.cols):
+    for cols in b.cols:
         print(f"    {[ring.std_strings[c] for c in cols]} -> "
-              f"{[ring.std_strings[r] for r in rows]}")
+              f"{[ring.std_strings[r] for r in ring.product(cols, x_index)]}")

@@ -498,17 +498,14 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
 def _decomposition_check(k: int, complexes: dict, pack: SequencePack) -> list:
     """Dimension bookkeeping of A_k = sum_i Sigma^i B_{k-i}^{d_i} +
     sum_j Sigma^{k-j} C_j^{l_{k-j}} per homological position, read from the
-    dimensions of the complexes A_k and B_m built above."""
+    dimensions of the complexes A_k, B_m and C_j built above."""
     lhs = _dims_by_position(complexes["A"][k])
     rhs: Counter = Counter()
-    for i in range(k):
-        for pos, dim in _dims_by_position(complexes["B"][k - i]).items():
-            rhs[pos + i] += pack.d[i] * dim
-    c_counts = {1: pack.a1 - 3, 2: pack.a2 - 3, 3: pack.a3}
-    for j in (1, 2, 3):
-        if k - j >= 0:
-            for pos in (1, 0):
-                rhs[pos + k - j] += pack.l[k - j] * c_counts[j]
+    pieces = [(complexes["B"][k - i], i, pack.d[i]) for i in range(k)]
+    pieces += [(complexes["C"][j], k - j, pack.l[k - j]) for j in (1, 2, 3) if j <= k]
+    for cx, shift, copies in pieces:
+        for pos, dim in _dims_by_position(cx).items():
+            rhs[pos + shift] += copies * dim
     positions = sorted(set(lhs) | set(rhs), reverse=True)
     return [(pos, lhs.get(pos, 0), rhs[pos], lhs.get(pos, 0) == rhs[pos])
             for pos in positions if pos >= 0]

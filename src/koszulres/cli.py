@@ -33,7 +33,6 @@ from .exactfield import (  # noqa: E402
     serialize_ring_file,
 )
 from .homology import ClassVerificationError, DiscoveryError, HomologyAlgebra  # noqa: E402
-from .koszul import KoszulError  # noqa: E402
 from .samples import class_t_ring_file  # noqa: E402
 from .sequences import SequencePack, poincare_CI, poincare_T, u_table  # noqa: E402
 from .verifier import full_verify, graded_depth, resolve_basis  # noqa: E402
@@ -56,7 +55,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExactFieldError, KoszulError, ValueError) as exc:
+    except ValueError as exc:  # every error of the library subclasses it
         if isinstance(exc, (ClassVerificationError, DiscoveryError)):
             print(f"class verification failure: {exc}", file=sys.stderr)
             return EXIT_CLASS

@@ -358,14 +358,15 @@ class RingMatrix:
     def flat_contents(self, col_tag=0) -> list:
         """block_contents of the flat F_p matrix (see _flat_nonzeros), its
         rows and columns with no nonzero dropped first, so they lie in no
-        block; its rank is the sum of the block ranks.  A block's rows
-        ascend, and its columns ascend in (col_tag, column), col_tag 0 or 1
-        per flat column."""
+        block; its rank is the sum of the block ranks.  ``cols`` are flat
+        columns, ascending in (col_tag, column) in each block, col_tag 0 or
+        1 per flat column.  A block's rows, which no caller reads, are the
+        flat rows with a nonzero in its columns, in ascending order."""
         r, c, v = self._flat_nonzeros()
         row_at, r = np.unique(r, return_inverse=True)
         col_at, c = np.unique(c, return_inverse=True)
         tag = np.broadcast_to(col_tag, self.cols * self.ring.dim)[col_at]
-        return [b._replace(rows=row_at[b.rows], cols=col_at[b.cols])
+        return [b._replace(cols=col_at[b.cols])
                 for b in block_contents(r, c, v, (len(row_at), len(col_at)), 0, tag)]
 
     def __eq__(self, other):
@@ -446,7 +447,7 @@ def _local_index(label: np.ndarray, *keys) -> np.ndarray:
     return local
 
 
-BlockContent = namedtuple("BlockContent", "matrix row_tags col_tags owners rows cols")
+BlockContent = namedtuple("BlockContent", "matrix row_tags col_tags owners cols")
 
 
 def block_contents(r, c, v, shape, row_tag, col_tag) -> list:
@@ -461,8 +462,9 @@ def block_contents(r, c, v, shape, row_tag, col_tag) -> list:
     rows are grouped by length and sorted, and equal neighbours are one
     content.  Returns a BlockContent per content: ``matrix``, the tags, the
     labels of its ``owners`` (ascending: the least node of each, column b
-    being node shape[0] + b), and ``rows[k, a]`` / ``cols[k, b]``, the row
-    and column of local a and b in owner k."""
+    being node shape[0] + b), and ``cols[k, b]``, the column of local b in
+    owner k.  No caller reads an owner's rows, so they are not listed: they
+    are the rows with a nonzero in its columns (a lone row is its label)."""
     nr, nc = shape
     row_tag, col_tag = np.broadcast_to(row_tag, nr), np.broadcast_to(col_tag, nc)
     labels, block = np.unique(_component_labels(r, c + nr, nr + nc), return_inverse=True)
@@ -477,9 +479,8 @@ def block_contents(r, c, v, shape, row_tag, col_tag) -> list:
     buf[offset[bc] + 2 + h[bc] + col_local] = col_tag
     b = br[r]
     buf[offset[b] + 2 + h[b] + w[b] + row_local[r] * w[b] + col_local[c]] = v
-    first_r, first_c = np.cumsum(h) - h, np.cumsum(w) - w
-    row_of, col_of = np.empty_like(br), np.empty_like(bc)  # rows, columns by block
-    row_of[first_r[br] + row_local] = np.arange(len(br))
+    first_c = np.cumsum(w) - w
+    col_of = np.empty_like(bc)  # the columns, block by block
     col_of[first_c[bc] + col_local] = np.arange(len(bc))
     out = []
     lengths, by_length = np.unique(length, return_inverse=True)
@@ -493,8 +494,7 @@ def block_contents(r, c, v, shape, row_tag, col_tag) -> list:
             nh, nw = row[:2].tolist()
             out.append(BlockContent(
                 row[2 + nh + nw:].reshape(nh, nw), row[2:2 + nh], row[2 + nh:2 + nh + nw],
-                labels[owners], row_of[first_r[owners][:, None] + np.arange(nh)],
-                col_of[first_c[owners][:, None] + np.arange(nw)]))
+                labels[owners], col_of[first_c[owners][:, None] + np.arange(nw)]))
     return out
 
 

@@ -164,7 +164,7 @@ def _strand_homology(ring, i, up, down) -> tuple:
     contents, rep_parts, rep_free = [], [], []
     blocks = block_contents(*entries, (n_up + n_down, width),
                             np.repeat([0, 1], [n_up, n_down]), 0)
-    for B, tags, _, owners, _, coords in blocks:
+    for B, tags, _, owners, coords in blocks:
         nu, nm = len(tags) - int(tags.sum()), B.shape[1]
         strand[coords], local[coords] = owners[:, None], np.arange(nm)
         if not nm:

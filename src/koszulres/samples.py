@@ -27,10 +27,5 @@ def class_t_ring(p: int = 32003) -> QuotientRing:
 
 def ci_squares_ring(n: int, p: int = 32003) -> QuotientRing:
     """k[x_1..x_n]/(x_1^2, ..., x_n^2): a complete intersection of codepth n."""
-    gens = []
-    for v in range(n):
-        e = [0] * n
-        e[v] = 2
-        gens.append(tuple(e))
-    names = ["x", "y", "z"][:n] if n <= 3 else None
-    return QuotientRing(p, n, gens, names=names)
+    gens = [tuple(2 if u == v else 0 for u in range(n)) for v in range(n)]
+    return QuotientRing(p, n, gens)

@@ -344,10 +344,9 @@ def poincare_CI(c: int, n: int, order: int = 12):
         raise SequenceError("codepth must be >= 1")
     if order < 0:
         raise SequenceError("order must be >= 0")
-    one_minus_tz = PowerSeries.from_terms({(0, 0): 1, (1, 1): -1}, order)
-    PA = one_minus_tz.reciprocal()
+    PA = inv_tz = PowerSeries.from_terms({(0, 0): 1, (1, 1): -1}, order).reciprocal()
     for _ in range(c - 1):
-        PA = PA * one_minus_tz.reciprocal()
+        PA = PA * inv_tz
     one_minus_t2 = PowerSeries.from_terms({(0, 0): 1, (2, 0): -1}, order)
     PR = geometric_binomial(n, order)
     inv = one_minus_t2.reciprocal()

@@ -413,8 +413,10 @@ def basis_from_strings(ring, cycle_strings, class_t: bool):
 
 def graded_depth(i_max: int) -> int:
     """The largest k of the graded complexes B_k and A_k that verify builds
-    at max degree i_max, which is also the last k of the report's u table."""
-    return min(5, max(2, i_max // 2 + 1))
+    at max degree i_max, which is also the last k of the report's u table.
+    A_r reads alpha_{j,r} for j = r, r-1, r-2, and assemble_T places them
+    for r <= i_max // 2 + 1 only, so every alpha that F uses is checked."""
+    return max(2, i_max // 2 + 1)
 
 
 def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,

@@ -29,6 +29,7 @@ from koszulres.koszul import (
 )
 from koszulres.samples import class_t_ring
 from koszulres.sequences import SequencePack, arrow_target
+from koszulres.verifier import graded_depth
 from conftest import (
     cycle_entries,
     flatten,
@@ -300,6 +301,20 @@ def test_assembly_and_graded_complexes_share_alpha(ring_t, pack_t, homology_t):
     graded = {(k - t, r) for k in range(1, 6) for t in range(min(k, 3)) for r in (k - t, k)}
     assert len(placed | graded) == 12
     assert builder.alpha.cache_info().misses == 12
+
+
+def test_graded_depth_covers_every_placed_alpha(ring_t, basis_t, pack_t, homology_t,
+                                                monkeypatch):
+    # F at max degree 12 places alpha_{j,r} up to (6, 6) and (5, 7); the
+    # graded complexes that verify builds at that degree read each of them
+    seen, real = [set()], builder.alpha
+    monkeypatch.setattr(builder, "alpha",
+                        lambda k, r, *rest: seen[-1].add((k, r)) or real(k, r, *rest))
+    assemble_T(ring_t, basis_t, pack_t, 12)
+    seen.append(set())
+    graded_A_complexes(graded_depth(12), basis_t, pack_t, homology_t)
+    placed, graded = seen
+    assert {(6, 6), (5, 7)} <= placed <= graded
 
 
 def spy_actions(monkeypatch):

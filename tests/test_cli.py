@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import json
 import re
@@ -123,6 +124,24 @@ def test_deterministic_reports(tmp_path):
         assert run("resolve", "--ring", str(CLASS_T), "--max-degree", "4",
                    "--no-timestamp", "--out", str(path)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_timestamped_report(tmp_path):
+    # without --no-timestamp a report carries the UTC time it was made and
+    # the seconds of every section, and differs in nothing else
+    stamped, plain = tmp_path / "stamped.json", tmp_path / "plain.json"
+    for path, flags in ((stamped, ()), (plain, ("--no-timestamp",))):
+        assert run("verify", "--ring", str(CLASS_T), "--max-degree", "4", *flags,
+                   "--out", str(path)) == 0
+    doc = json.loads(stamped.read_text())
+    made = doc.pop("generated_at")
+    assert made.endswith("+00:00")
+    assert datetime.datetime.fromisoformat(made).utcoffset() == datetime.timedelta(0)
+    sections = doc["verification"]["sections"]
+    seconds = [s.pop("seconds") for s in sections]
+    assert len(seconds) == len(sections) > 0
+    assert all(isinstance(t, float) and t >= 0 for t in seconds)
+    assert doc == json.loads(plain.read_text())
 
 
 # sha256 of the assembly slice of `resolve --emit-matrices --max-degree 6
@@ -289,12 +308,21 @@ def test_exit_code_ideal_with_variable(tmp_path, capsys, command):
     ("variables = x, y, z", "variables = x, 2, z", "bad variable name '2'"),
     ("z1_4 = y*z*e[1]", "z1_4 = y^q*z*e[1]", "bad exponent in monomial 'y^q*z'"),
     ("ideal = x^2,", "ideal = x^a,", "bad exponent in monomial 'x^a'"),
+    ("ideal = x^2,", "ideal = 1, x^2,", "ideal contains 1; quotient ring is zero"),
+    ("z1_4 = y*z*e[1]", "z1_4 = ", "empty Koszul element ''"),
+    ("z1_4 = y*z*e[1]", "z1_4 = x*y", "cannot parse Koszul term 'x*y'"),
+    ("z1_4 = y*z*e[1]", "z1_4 = x*e[4]", "basis index out of range in 'x*e[4]'"),
 ])
 def test_exit_code_unreadable_ring_text(tmp_path, capsys, old, new, message):
     ring = tmp_path / "bad.ring"
     ring.write_text(CLASS_T.read_text().replace(old, new))
     assert run("verify", "--ring", str(ring), "--no-timestamp") == 2
     assert message in capsys.readouterr().err
+
+
+def test_exit_code_no_ring(capsys):
+    assert run("verify", "--no-timestamp") == 2
+    assert "input error: no ring file given (use --ring)" in capsys.readouterr().err
 
 
 def test_exit_code_missing_file():
@@ -378,6 +406,7 @@ def test_betti_raw_refuses_n_below_codepth(capsys, argv):
     ("4,6,-1", "codepth 3 needs a_3 >= 1 (got -1)"),
     ("4,6,0", "codepth 3 needs a_3 >= 1 (got 0)"),
     ("4,7,3", "codepth 3 needs a_2 = a_1 + a_3 - 1 (got a_2 = 7, a_1 + a_3 - 1 = 6)"),
+    ("4,6", "--class-t wants three integers a1,a2,a3"),
 ])
 def test_betti_raw_class_t_refuses_impossible_invariants(capsys, invariants, message):
     # the three triple products are independent in A_2, A_3 != 0, and the
@@ -458,6 +487,43 @@ def test_exit_code_supplied_basis_fails_certificate(tmp_path, capsys):
 
 
 CI3_CYCLES = "[cycles]\nz1_1 = x*e[1]\nz1_2 = y*e[2]\nz1_3 = z*e[3]\n"
+
+
+def _edited(path, old, new, extra=""):
+    text = path.read_text() + extra
+    assert old in text
+    return text.replace(old, new)
+
+
+# supplied cycles that fail a check of their certificate: e[1] and e[2]
+# are no cycles (d e[1] = x), x*e[1] is no degree-2 element, and a class-T
+# basis needs codepth 3
+SUPPLIED_CYCLE_FAILURES = {
+    "classT-z1-not-cycle": (
+        _edited(CLASS_T, "z1_4 = y*z*e[1]\n", "z1_4 = e[1]\n"),
+        "class T verification failed: z1_4 is a cycle"),
+    "classT-z2-degree-1": (
+        _edited(CLASS_T, "z2_1 = y*z*e[1,2]\n", "z2_1 = x*e[1]\n"),
+        "class T verification failed: z2_1 has degree 2"),
+    "ci3-z1-not-cycle": (
+        _edited(CI3, "z1_2 = y*e[2]\n", "z1_2 = e[2]\n", CI3_CYCLES),
+        "class CI verification failed: z1_2 is a degree-1 cycle"),
+    "codepth4-mode-T": (
+        "characteristic = 32003\nvariables = x, y, z, w\nideal = x^2, y^2, z^2, w^2\n"
+        "mode = T\n\n[cycles]\nz1_1 = x*e[1]\n",
+        "class T verification failed: codepth is 3 (codepth = 4)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUPPLIED_CYCLE_FAILURES))
+def test_exit_code_supplied_cycle_fails_check(tmp_path, capsys, case):
+    text, message = SUPPLIED_CYCLE_FAILURES[case]
+    ring = tmp_path / "bad.ring"
+    ring.write_text(text)
+    assert run("verify", "--ring", str(ring), "--max-degree", "4", "--no-timestamp") == 3
+    captured = capsys.readouterr()
+    assert f"class verification failure: {message}" in captured.err
+    assert captured.out == ""
 
 
 def test_supplied_ci_basis_verifies(tmp_path):

@@ -62,10 +62,18 @@ CLASS_T_I7_COUNTS = {2: (1331, 48), 3: (1331, 90), 32003: (1331, 90),
                      2147483647: (1331, 90)}
 
 
-def _copies(contents):
-    """Every block the contents stand for, as (rows, cols, block) lists."""
-    return [(r.tolist(), c.tolist(), b.matrix.tolist())
-            for b in contents for r, c in zip(b.rows, b.cols)]
+def _rows(flat, cols):
+    """The rows of the flat block with columns ``cols``: a block is a
+    connected component of the nonzeros, so they are the rows with a
+    nonzero in its columns, ascending."""
+    return np.flatnonzero(flat[:, cols].any(axis=1))
+
+
+def _copies(contents, flat):
+    """Every block the contents of ``flat`` stand for, as (rows, cols, block)
+    lists."""
+    return [(_rows(flat, c).tolist(), c.tolist(), b.matrix.tolist())
+            for b in contents for c in b.cols]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -94,20 +102,22 @@ def test_block_ranks_match_dense(case, p):
         keys = {(b.matrix.shape, b.matrix.tobytes(), b.row_tags.tobytes(),
                  b.col_tags.tobytes()) for b in contents}
         assert len(keys) == len(contents)
-        for nodes, axis in ((lambda b: b.rows, 1), (lambda b: b.cols, 0)):
-            got = np.sort(np.concatenate([nodes(b).ravel() for b in contents]))
+        copies = _copies(contents, flat)
+        for k, axis in ((0, 1), (1, 0)):
+            got = np.sort(np.concatenate([copy[k] for copy in copies]))
             assert np.array_equal(got, np.flatnonzero(flat.any(axis=axis)))
         for b in contents:
             assert b.matrix.dtype == np.int64
-            assert len(b.rows) == len(b.cols) == len(b.owners) > 0
-            for r, c in zip(b.rows, b.cols):
-                assert (np.diff(r) > 0).all() and (np.diff(c) > 0).all()
+            assert len(b.cols) == len(b.owners) > 0
+            for c in b.cols:
+                r = _rows(flat, c)
+                assert len(r) == b.matrix.shape[0] and (np.diff(c) > 0).all()
                 assert np.array_equal(flat[np.ix_(r, c)], b.matrix)
         # so every flat nonzero lies in exactly one copy: none links two
         assert sum(len(b.owners) * np.count_nonzero(b.matrix)
                    for b in contents) == np.count_nonzero(flat)
         # the copies are the reference blocks, one for one
-        assert sorted(_copies(contents)) == \
+        assert sorted(copies) == \
             sorted((r.tolist(), c.tolist(), B.tolist()) for r, c, B in reference)
         rank = sum(len(b.owners) * rank_mod(b.matrix, p) for b in contents)
         assert rank == sum(rank_mod(B, p) for _, _, B in reference) == rank_mod(flat, p)
@@ -133,12 +143,23 @@ def test_tagged_columns_go_last(case):
         unit = np.arange(d.cols * D) % D == 0
         tagged = d.flat_contents(col_tag=unit)
         for b in tagged:
-            for r, c in zip(b.rows, b.cols):
+            for c in b.cols:
                 assert np.array_equal(b.col_tags, unit[c])
                 assert np.array_equal(c, c[np.lexsort((c, unit[c]))])
+                r = _rows(flat, c)
+                assert len(r) == b.matrix.shape[0]
                 assert np.array_equal(flat[np.ix_(r, c)], b.matrix)
-        untagged = {(tuple(r), frozenset(c)) for r, c, _ in _copies(d.flat_contents())}
-        assert {(tuple(r), frozenset(c)) for r, c, _ in _copies(tagged)} == untagged
+        untagged = {(tuple(r), frozenset(c))
+                    for r, c, _ in _copies(d.flat_contents(), flat)}
+        assert {(tuple(r), frozenset(c)) for r, c, _ in _copies(tagged, flat)} == untagged
+
+
+def _block_rows(r, c, b):
+    """The rows of each copy of the content b of the nonzeros (r, c): those
+    with a nonzero in its columns, or the lone row that labels a block with
+    no column."""
+    return [np.unique(r[np.isin(c, k)]).tolist() if len(k) else [owner]
+            for owner, k in zip(b.owners.tolist(), b.cols)]
 
 
 def test_contents_keyed_on_shape_and_tags():
@@ -156,7 +177,7 @@ def test_contents_keyed_on_shape_and_tags():
                    ([[1, 1]], [0, 0], [0, 4]),
                    ([[1, 1]], [0, 1], [3])]
     shared = next(b for b in contents if len(b.owners) == 2)
-    assert shared.rows.tolist() == [[0], [4]]
+    assert _block_rows(r, c, shared) == [[0], [4]]
     assert shared.cols.tolist() == [[0, 1], [5, 6]]
 
 
@@ -167,7 +188,7 @@ def test_lone_rows_and_columns_are_blocks():
     r, c, v = np.array([0, 0]), np.array([2, 0]), np.array([7, 3])
     contents = block_contents(r, c, v, (2, 3), 0, np.array([1, 0, 0]))
     got = sorted((b.matrix.shape, b.matrix.tolist(), b.col_tags.tolist(),
-                  b.owners.tolist(), b.rows.tolist(), b.cols.tolist()) for b in contents)
+                  b.owners.tolist(), _block_rows(r, c, b), b.cols.tolist()) for b in contents)
     assert got == [((0, 1), [], [0], [3], [[]], [[1]]),
                    ((1, 0), [[]], [], [1], [[1]], [[]]),
                    ((1, 2), [[7, 3]], [0, 1], [0], [[0]], [[2, 0]])]

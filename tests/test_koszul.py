@@ -262,6 +262,12 @@ def test_wedge_overflow(ring_t):
     assert a.wedge(b).is_zero()
 
 
+def test_parse_consecutive_signs_multiply(ring_t):
+    # a sign that follows a sign multiplies it, so "- -" adds the term
+    assert parse_koszul_element("x*e[1] - -y*e[2]", ring_t) == \
+        parse_koszul_element("x*e[1] + y*e[2]", ring_t)
+
+
 def test_parse_roundtrip(ring_t):
     for text in ("x*e[1]", "y*z*e[1,2]", "x*e[1] + 2*y*e[2] - e[3]",
                  "x*e[1] + y*e[1]"):
