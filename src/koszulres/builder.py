@@ -283,7 +283,9 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow) -> list:
                 tgt = row_offset.get((target_key, target_kdeg))
                 if tgt is not None:
                     act = action(theta, target_kdeg)
-                    assert act.cols * reps == b.width(n)
+                    if act.cols * reps != b.width(n):
+                        raise AssemblyError(f"arrow of width {act.cols * reps} "
+                                            f"into a block of width {b.width(n)}")
                     place(act, tgt, col, reps, 1)
             col += b.width(n)
         placed = np.array(placed, dtype=np.int64).reshape(-1, 5).T

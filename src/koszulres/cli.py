@@ -34,7 +34,8 @@ from .exactfield import (  # noqa: E402
 )
 from .homology import ClassVerificationError, DiscoveryError, HomologyAlgebra  # noqa: E402
 from .samples import class_t_ring_file  # noqa: E402
-from .sequences import SequencePack, poincare_CI, poincare_T, u_table  # noqa: E402
+from .sequences import (CrossCheckError, SequencePack, poincare_CI,  # noqa: E402
+                         poincare_T, u_table)
 from .verifier import full_verify, graded_depth, resolve_basis  # noqa: E402
 
 SCHEMA_VERSION = 1
@@ -59,7 +60,7 @@ def main(argv=None) -> int:
         if isinstance(exc, (ClassVerificationError, DiscoveryError)):
             print(f"class verification failure: {exc}", file=sys.stderr)
             return EXIT_CLASS
-        if isinstance(exc, BuildError):
+        if isinstance(exc, (BuildError, CrossCheckError)):
             print(f"verification failure: {exc}", file=sys.stderr)
             return EXIT_MATH
         print(f"input error: {exc}", file=sys.stderr)

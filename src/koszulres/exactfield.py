@@ -311,7 +311,8 @@ class RingMatrix:
         return not len(self.terms)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ExactFieldError("incompatible RingMatrix sum")
         return RingMatrix.from_terms(self.ring, self.rows, self.cols,
                                      np.concatenate([self.terms, other.terms]))
 
@@ -322,8 +323,8 @@ class RingMatrix:
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         """Product over R: terms (i, t, a, c) of self and (t, j, b, c') of
         other give c c' std_a std_b at (i, j), found by ring.product."""
-        assert self.ring == other.ring and self.cols == other.rows, \
-            "incompatible RingMatrix product"
+        if self.ring != other.ring or self.cols != other.rows:
+            raise ExactFieldError("incompatible RingMatrix product")
         i, t, a, c = self.terms.T
         o = other.terms
         x, y = join_sorted(t, o[:, 0])  # x-th term of self meets y-th of other
@@ -516,12 +517,13 @@ def _check_characteristic(p: int) -> None:
 def rref_mod(A: np.ndarray, p: int):
     """Reduced row echelon form over F_p; returns (R, pivot_columns).
 
-    This is the one eliminator: ranks, kernels, solves and the oracle's
-    Nakayama-minimal generators all read it.  Each pivot step touches only
-    the rows with a nonzero in the pivot column, and only the columns from
-    the pivot on (rows below the pivot row vanish left of it), which suits
-    the sparse flattened differentials.  Entries stay in [0, p) and every
-    product is at most (p-1)^2 < 2^63, so int64 arithmetic is exact.
+    This is the one eliminator: ranks, kernels, solves, the homology's
+    representatives and the oracle's Nakayama-minimal generators all read
+    it.  Each pivot step touches only the rows with a nonzero in the pivot
+    column, and only the columns from the pivot on (rows below the pivot
+    row vanish left of it), which suits the sparse flattened differentials.
+    Entries stay in [0, p) and every product is at most (p-1)^2 < 2^63, so
+    int64 arithmetic is exact.
     """
     _check_characteristic(p)
     M = np.asarray(A, dtype=np.int64) % p

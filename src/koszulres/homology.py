@@ -44,8 +44,8 @@ class ClassVerificationError(ValueError):
 
 
 class HomologyAlgebra:
-    """Per-degree echelon-normalized cycle representatives and ranks of
-    A = H(K), computed one strand at a time.
+    """Per-degree cycle representatives and ranks of A = H(K), computed one
+    strand at a time.
 
     The strands of K_i are the connected blocks of the nonzeros of
     (flat d_{i+1})^T stacked over flat d_i, so no kernel or image vector
@@ -61,13 +61,14 @@ class HomologyAlgebra:
         produced them; their classes are the chosen basis of A_i;
       * ``ranks[i]``     a_i = dim A_i.
 
-    Each rep completes the reduced echelon rows of im(flat d_{i+1}) in its
-    strand.  Reduced echelon forms are unique and the strands have disjoint
-    supports, so these are what one elimination of the whole flat matrices
-    would give.  Strands with equal blocks have equal echelon data up to
-    where it is placed, so each distinct block content is eliminated once
-    and scattered to its strands.  ``classes`` solves once per strand that
-    its cycles meet.
+    The reps are kernel_mod vectors of flat d_i, each 1 at its free column
+    and 0 at the others: in order, those outside the span of the boundaries
+    and of the kernel vectors before them.  The reduced echelon kernel
+    basis is unique and the strands have disjoint supports, so these are
+    what one elimination of the whole flat matrices would give.  Strands
+    with equal blocks have equal data up to where it is placed, so each
+    distinct block content is eliminated once and scattered to its strands.
+    ``classes`` solves once per strand that its cycles meet.
     """
 
     def __init__(self, ring: QuotientRing):
@@ -133,9 +134,9 @@ class _Strands:
     """The strands of one K_i.  ``strand[g]`` and ``local[g]`` are the strand
     (its block_contents label) of flat coordinate g and its position there
     (a strand keeps the global order of its coordinates).  ``contents``
-    holds (basis, number of boundary rows) per distinct content, the basis
-    as _complete returns it in local coordinates, and ``content[s]``
-    indexes it.
+    holds (basis, number of boundary rows) per distinct content, in local
+    coordinates: independent boundary rows over the rep vectors, a basis of
+    the kernel of d on the strand.  ``content[s]`` indexes it.
     ``rep_ids[s]`` lists the global indices of the reps of strand s, for the
     strands that have any."""
 
@@ -153,9 +154,12 @@ def _strand_homology(ring, i, up, down) -> tuple:
     The strands are the blocks of the matrix with the coordinates of K_i as
     columns, and as rows those of K_{i+1}, tagged 0 (the image block
     (flat d_{i+1})^T), then those of K_{i-1}, tagged 1 (the kernel block
-    flat d_i), so that rref_mod, kernel_mod and _complete run once per
-    distinct content.  The reps are then numbered by the global free
-    columns that produced them."""
+    flat d_i).  Each distinct content is one kernel_mod of its kernel block
+    and one rref_mod of [image block^T | kernel]: its pivots among the image
+    columns pick independent boundary rows, and its pivots among the kernel
+    columns pick the kernel vectors that complete them, which are the
+    reps.  The reps are then numbered by the global free columns of their
+    kernel vectors."""
     p, D = ring.p, ring.dim
     n_up, n_down, width = (len(subsets(ring.nvars, i + k)) * D for k in (1, -1, 0))
     entries = np.c_[up[[1, 0, 2]], down + [[n_up], [0], [0]]]  # (d_{i+1})^T over d_i
@@ -169,19 +173,19 @@ def _strand_homology(ring, i, up, down) -> tuple:
         strand[coords], local[coords] = owners[:, None], np.arange(nm)
         if not nm:
             continue  # a row of K_{i-1} or K_{i+1} with no nonzero
-        R, piv = rref_mod(B[:nu], p)
         K = kernel_mod(B[nu:], p)
-        basis, picked = _complete(R[:len(piv)], K, p)
-        basis = np.array(basis, dtype=np.int64).reshape(-1, nm)
+        _, piv = rref_mod(np.hstack([B[:nu].T, K]), p)
+        nbnd = int(np.searchsorted(piv, nu))
+        picked = np.array(piv[nbnd:], dtype=np.int64) - nu
         content[owners] = len(contents)
-        contents.append((basis, len(piv)))
-        # the local column that orders each rep: the free column (last
-        # nonzero) of the kernel vector it came from
-        lead = (nm - 1 - np.argmax(K[::-1] != 0, axis=0))[picked]
-        a, j = np.nonzero(basis[len(piv):])
+        contents.append((np.vstack([B[:nu][piv[:nbnd]], K[:, picked].T]), nbnd))
+        # the local column that numbers each rep: its free column, the last
+        # nonzero of its kernel vector
+        lead = nm - 1 - np.argmax(K[::-1, picked] != 0, axis=0)
+        j, a = np.nonzero(K[:, picked])
         rep_parts.append((coords[:, lead[a]], coords[:, j],
-                          np.broadcast_to(basis[len(piv) + a, j], (len(owners), len(a)))))
-        if picked:
+                          np.broadcast_to(K[j, picked[a]], (len(owners), len(a)))))
+        if len(picked):
             rep_free.append((owners, coords[:, lead]))
     lead, col, val = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*rep_parts))
     free, k = np.unique(lead, return_inverse=True)
@@ -195,34 +199,6 @@ def _strand_homology(ring, i, up, down) -> tuple:
     reps = [KoszulElement(ring, i, RingMatrix.from_terms(ring, width // D, 1, terms[a:b]))
             for a, b in zip(cuts[:-1], cuts[1:])]
     return reps, _Strands(strand, local, content, contents, rep_ids)
-
-
-def _complete(bnd_rows: np.ndarray, ker_cols: np.ndarray, p: int) -> tuple:
-    """The boundary rows followed by kernel vectors whose classes complete
-    the boundary span, picked and normalized by echelon order
-    (deterministic); returns (basis, picked), picked listing the kernel
-    column behind each appended vector.
-
-    Each kernel vector is reduced against the rows so far, whose leading
-    entries are 1 at distinct indices.  Leading indices only grow, so each
-    step updates the vector from the current one on; no row is cleared
-    above its lead, and this partial reduction is the normal form of the
-    reps."""
-    basis = list(bnd_rows)
-    pivots = {int(np.flatnonzero(r)[0]): k for k, r in enumerate(basis)}
-    picked = []
-    for c in range(ker_cols.shape[1]):
-        v, lead = ker_cols[:, c] % p, 0
-        while (nz := np.flatnonzero(v[lead:])).size:
-            lead += int(nz[0])
-            k = pivots.get(lead)
-            if k is None:  # a new class: append v scaled to leading entry 1
-                pivots[lead] = len(basis)
-                basis.append(v * pow(int(v[lead]), p - 2, p) % p)
-                picked.append(c)
-                break
-            v[lead:] = (v[lead:] - int(v[lead]) * basis[k][lead:]) % p
-    return basis, picked
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,8 @@ class KoszulElement:
         return self.col.is_zero()
 
     def __add__(self, other: "KoszulElement") -> "KoszulElement":
-        assert self.ring == other.ring and self.degree == other.degree
+        if self.ring != other.ring or self.degree != other.degree:
+            raise KoszulError("incompatible KoszulElement sum")
         return KoszulElement(self.ring, self.degree, self.col + other.col)
 
     def __sub__(self, other):
@@ -139,7 +140,8 @@ class KoszulElement:
 
     def wedge(self, other: "KoszulElement") -> "KoszulElement":
         """Exterior product; overflow past K_n is the zero element."""
-        assert self.ring == other.ring
+        if self.ring != other.ring:
+            raise KoszulError("incompatible KoszulElement product")
         ring, deg = self.ring, self.degree + other.degree
         if deg > ring.nvars:
             return KoszulElement(ring, ring.nvars)

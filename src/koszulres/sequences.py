@@ -18,6 +18,11 @@ class SequenceError(ValueError):
     pass
 
 
+class CrossCheckError(SequenceError):
+    """Two computations of the same numbers disagree: a verification
+    failure, not an input error."""
+
+
 # ---------------------------------------------------------------------------
 # recurrences
 # ---------------------------------------------------------------------------
@@ -189,12 +194,12 @@ def u_table(k_max: int, pack: SequencePack) -> dict:
             got = table.get((k, s), 0)
             want = series.coefficient(k, s)
             if got != want:
-                raise SequenceError(
+                raise CrossCheckError(
                     f"u table cross-check failed at (k,s)=({k},{s}): "
                     f"tree gives {got}, series gives {want}")
     for (k, s), want in _u_closed_forms(pack).items():
         if k <= k_max and table.get((k, s), 0) != want:
-            raise SequenceError(
+            raise CrossCheckError(
                 f"u table cross-check failed at (k,s)=({k},{s}): "
                 f"tree gives {table.get((k, s), 0)}, closed form gives {want}")
     return table
@@ -282,8 +287,8 @@ class PowerSeries:
             inv.append({s: c for s, c in acc.items() if c})
         out = PowerSeries(inv, self.order)
         check = self * out
-        assert check.slices[0] == {0: 1} and not any(check.slices[1:]), \
-            "series reciprocal failed its product check"
+        if check.slices[0] != {0: 1} or any(check.slices[1:]):
+            raise CrossCheckError("series reciprocal failed its product check")
         return out
 
     def diagonal(self) -> "PowerSeries":
@@ -339,7 +344,7 @@ def poincare_T(a1: int, a2: int, a3: int, n: int, order: int = 12):
 
 
 def poincare_CI(c: int, n: int, order: int = 12):
-    """P^A(t,z) = 1/(1-tz)^c and P^R(t) = (1+t)^n/(1-t^2)^c."""
+    """P^A(t,z) = 1/(1-tz)^c and P^R(t) = (1+t)^n P^A(t,t) = (1+t)^n/(1-t^2)^c."""
     if c < 1:
         raise SequenceError("codepth must be >= 1")
     if order < 0:
@@ -347,12 +352,7 @@ def poincare_CI(c: int, n: int, order: int = 12):
     PA = inv_tz = PowerSeries.from_terms({(0, 0): 1, (1, 1): -1}, order).reciprocal()
     for _ in range(c - 1):
         PA = PA * inv_tz
-    one_minus_t2 = PowerSeries.from_terms({(0, 0): 1, (2, 0): -1}, order)
-    PR = geometric_binomial(n, order)
-    inv = one_minus_t2.reciprocal()
-    for _ in range(c):
-        PR = PR * inv
-    return PA, PR
+    return PA, geometric_binomial(n, order) * PA.diagonal()
 
 
 def class_t_generating_functions(a1: int, a2: int, a3: int, order: int):

@@ -17,7 +17,7 @@ from koszulres.exactfield import (
     rank_mod,
     rref_mod,
 )
-from koszulres.homology import ClassTBasis, HomologyAlgebra, _complete
+from koszulres.homology import ClassTBasis, HomologyAlgebra
 from koszulres.koszul import (
     CycleMatrix,
     KoszulElement,
@@ -223,20 +223,21 @@ def verify_chain_map(theta: CycleMatrix, degrees) -> ChainMapReport:
 def dense_homology(ring):
     """Per degree i, (boundary rows, basis) of the elimination of the
     whole dense flat Koszul differentials that HomologyAlgebra replaced:
-    the reduced echelon rows of (flat d_{i+1})^T, then the kernel_mod
-    columns of flat d_i that complete them, reduced and normalized in
-    order.  basis[len(boundary rows):] are the rep vectors."""
+    one rref_mod of [flat d_{i+1} | kernel_mod(flat d_i)], whose pivot
+    columns pick an independent set of boundary columns, then the kernel
+    columns that complete them, in order.  basis[len(boundary rows):] are
+    the rep vectors."""
     n, p = ring.nvars, ring.p
     flat = [flatten(koszul_differential(i, ring)) for i in range(n + 1)]
     out = []
     for i in range(n + 1):
-        if i < n:
-            R, piv = rref_mod(flat[i + 1].T, p)
-            bnd = R[:len(piv)]
-        else:
-            bnd = np.zeros((0, flat[i].shape[1]), dtype=np.int64)
-        basis, _ = _complete(bnd, kernel_mod(flat[i], p), p)
-        out.append((bnd, basis))
+        K = kernel_mod(flat[i], p)
+        up = flat[i + 1] if i < n else np.zeros((K.shape[0], 0), dtype=np.int64)
+        _, piv = rref_mod(np.hstack([up, K]), p)
+        nu = up.shape[1]
+        bnd = up[:, [c for c in piv if c < nu]].T
+        reps = K[:, [c - nu for c in piv if c >= nu]].T
+        out.append((bnd, np.vstack([bnd, reps])))
     return out
 
 

@@ -153,15 +153,12 @@ def test_criterion_7_graded_exactness(setup_p):
     p, ring, basis, pack, F = setup_p
     t0 = time.time()
     H = HomologyAlgebra(ring)
-    complexes = graded_A_complexes(5, basis, pack, H)
-    # B_6 on top of the k <= 5 families
-    extra = graded_A_complexes(6, basis, pack, H)
-    complexes["B"][6] = extra["B"][6]
+    complexes = graded_A_complexes(6, basis, pack, H)
     section = check_graded_exactness(complexes)
     elapsed = time.time() - t0
     ok = (section.passed and set(complexes["B"]) == set(range(1, 7))
           and set(complexes["C"]) == {1, 2, 3}
-          and set(complexes["A"]) == set(range(1, 6)) and elapsed < 10)
+          and set(complexes["A"]) == set(range(1, 7)) and elapsed < 10)
     report(7, ok, f"p={p}, {elapsed:.1f}s")
 
 

@@ -29,7 +29,7 @@ from koszulres.koszul import (
 )
 from koszulres.samples import class_t_ring
 from koszulres.sequences import SequencePack, arrow_target
-from koszulres.verifier import graded_depth
+from koszulres.verifier import flat_rank, graded_depth
 from conftest import (
     cycle_entries,
     flatten,
@@ -452,13 +452,51 @@ def test_graded_complex_dimensions(basis_t, pack_t, homology_t):
         assert all(ok for *_, ok in rows), (k, rows)
 
 
+# (top_position, dims, flat ranks of the maps) of every complex of
+# graded_A_complexes(5, ...) on classT_example, the same at every prime:
+# none of it depends on the representatives that the classes are read in
+GRADED_PROFILE = {
+    "B_1": (1, [3, 3], [3]),
+    "B_2": (2, [6, 9, 3], [6, 3]),
+    "B_3": (3, [10, 19, 9], [10, 9]),
+    "B_4": (4, [15, 33, 18], [15, 18]),
+    "B_5": (5, [21, 51, 30], [21, 30]),
+    "C_1": (1, [1, 1], [1]),
+    "C_2": (1, [3, 3], [3]),
+    "C_3": (1, [3, 3], [3]),
+    "A_1": (1, [4, 4], [4]),
+    "A_2": (2, [13, 19, 6], [13, 6]),
+    "A_3": (3, [41, 65, 27, 3], [41, 24, 3]),
+    "A_4": (4, [129, 207, 90, 12], [129, 78, 12]),
+    "A_5": (5, [406, 652, 285, 39], [406, 246, 39]),
+}
+
+
+@pytest.mark.parametrize("p", [2, 32003, 2147483647])
+def test_graded_complexes_profile(p):
+    ring = class_t_ring(p=p)
+    out = graded_A_complexes(5, make_class_t_basis(ring),
+                             SequencePack(4, 6, 3, k_max=12),
+                             HomologyAlgebra(ring))
+    got = {}
+    for family in ("B", "C", "A"):
+        for cx in out[family].values():
+            assert [(M.rows, M.cols) for M in cx.maps] == \
+                list(zip(cx.dims[1:], cx.dims[:-1])), cx.name
+            got[cx.name] = (cx.top_position, [int(d) for d in cx.dims],
+                            [flat_rank(M) for M in cx.maps])
+    assert got == GRADED_PROFILE
+
+
 # sha256 of every map of graded_A_complexes(5, ...) on classT_example: for
 # the families B, C, A in key order, repr((name, top_position, dims)), then
-# each map's int64 bytes and repr(shape)
+# each map's int64 bytes and repr(shape).  The entries are class
+# coordinates in the basis of H.reps, so these change with the reps;
+# GRADED_PROFILE pins what does not
 GRADED_DIGESTS = {
     2: "00bc633b4eb67fae4edf7f0c695d77820d87a4d015af50d4a021234a0220d65d",
-    32003: "fe8e339b6aa8c976e4b3411c035707607a5576f2734f18697f895c4dff9ec897",
-    2147483647: "573e05d379cf6169c7f38a32bfdcb20eb805f4dfb0f6ff6e09b35d9a3702fbd4",
+    32003: "13229a350049ff50a5270014e3e4f08e300c4a07eae613f096e9360f0f380c67",
+    2147483647: "ad233f38887f8adbe5712e4b37471c4330b2ebe75110f6dccadc8afb6638d140",
 }
 
 

@@ -14,6 +14,9 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "koszulres" / "data"
 CLASS_T = DATA / "classT_example.ring"
 CI3 = DATA / "ci3_example.ring"
 CI2 = DATA / "ci2_example.ring"
+# a generated dim-384 class-T ring whose basis discovery finds
+ACIT_RING = ("characteristic = 32003\nvariables = x, y, z\n"
+             "ideal = x^9, y^8, z^7, x^3*y^3*z^3\nmode = auto\n")
 
 
 def run(*argv):
@@ -144,30 +147,40 @@ def test_timestamped_report(tmp_path):
     assert doc == json.loads(plain.read_text())
 
 
-# sha256 of the assembly slice of `resolve --emit-matrices --max-degree 6
-# --no-timestamp`; any change to block layout, entries or signs shows here
+# sha256 of the assembly slice of `resolve --emit-matrices --no-timestamp`
+# at the given max degree: the shipped rings, whose files supply their
+# bases, and the generated dim-384 class-T ring at degree 4, on the basis
+# that discovery (mode = auto) certifies; any change to block layout,
+# entries, signs or the discovered basis shows here
 ASSEMBLY_DIGESTS = {
-    "classT_example": "95b8ab866485ab3b576ff9eed77af512f003d2650cedd226b4b55034a742e34e",
-    "ci3_example": "45877353a34e98c26022903ff427b956051b8f5a7e1f7ecda650e61a72bd8708",
-    "ci2_example": "077ee3ec180a1aa6492cec81c827c0960e8031803799c46287b90ff33fd5f759",
+    "classT_example": (6, "95b8ab866485ab3b576ff9eed77af512f003d2650cedd226b4b55034a742e34e"),
+    "ci3_example": (6, "45877353a34e98c26022903ff427b956051b8f5a7e1f7ecda650e61a72bd8708"),
+    "ci2_example": (6, "077ee3ec180a1aa6492cec81c827c0960e8031803799c46287b90ff33fd5f759"),
+    "acit-auto": (4, "589870a469622057596ce0f97360afc3589ef191302e0537b743911eb4053c91"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ASSEMBLY_DIGESTS))
 def test_assembly_golden(tmp_path, name):
+    max_degree, digest = ASSEMBLY_DIGESTS[name]
+    ring = DATA / f"{name}.ring"
+    if name == "acit-auto":
+        ring = tmp_path / "generated.ring"
+        ring.write_text(ACIT_RING)
     out = tmp_path / "r.json"
-    assert run("resolve", "--ring", str(DATA / f"{name}.ring"), "--emit-matrices",
-               "--max-degree", "6", "--no-timestamp", "--out", str(out)) == 0
+    assert run("resolve", "--ring", str(ring), "--emit-matrices", "--max-degree",
+               str(max_degree), "--no-timestamp", "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     text = json.dumps({k: doc[k] for k in ("matrices", "blocks", "ranks",
                                            "sign_regime")}, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == ASSEMBLY_DIGESTS[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # sha256 of whole `verify --no-timestamp` reports: pins flat_ranks, homology
-# and the oracle Betti numbers of classT_example byte for byte, and the basis
-# that discovery (mode = auto) certifies for a generated dim-384 class-T ring
-# in two variable orders (the order changes the elimination order)
+# and the oracle Betti numbers of classT_example byte for byte, and the
+# report of the generated dim-384 class-T ring (mode = auto) in two variable
+# orders.  A verify report holds no representative, so these do not pin
+# the basis that discovery certifies; ASSEMBLY_DIGESTS does
 VERIFY_DIGESTS = {
     "d6": (None, ("--max-degree", "6"),
            "e0c29e989867918a265a06382646b4afc9435929c1e59448c845d4be6903c684"),
@@ -186,8 +199,7 @@ def test_verify_golden(tmp_path, case):
     ring = CLASS_T
     if variables is not None:
         ring = tmp_path / "generated.ring"
-        ring.write_text(f"characteristic = 32003\nvariables = {variables}\n"
-                        "ideal = x^9, y^8, z^7, x^3*y^3*z^3\nmode = auto\n")
+        ring.write_text(ACIT_RING.replace("x, y, z", variables, 1))
     out = tmp_path / "v.json"
     assert run("verify", "--ring", str(ring), *args, "--no-timestamp",
                "--out", str(out)) == 0
@@ -240,8 +252,7 @@ def test_one_certificate_per_discovery(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(homology, "Certificate", counted)
     ring = tmp_path / "generated.ring"
-    ring.write_text("characteristic = 32003\nvariables = x, y, z\n"
-                    "ideal = x^9, y^8, z^7, x^3*y^3*z^3\nmode = auto\n")
+    ring.write_text(ACIT_RING)
     assert run("verify", "--ring", str(ring), "--max-degree", "2",
                "--no-timestamp") == 0
     assert len(made) == 1
@@ -274,6 +285,19 @@ def test_demo_classt_golden(capsys):
     assert run("demo-classt", "--max-degree", "4", "--no-timestamp") == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DEMO_CLASST_DIGEST
+
+
+def test_demo_classt_out_matches_verify(tmp_path):
+    # demo-classt --out writes the report of verify --max-degree 4 on the
+    # shipped class-T ring
+    docs = []
+    for argv in (("demo-classt",), ("verify", "--ring", str(CLASS_T))):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run(*argv, "--max-degree", "4", "--no-timestamp", "--out", str(out)) == 0
+        docs.append(json.loads(out.read_text()))
+    demo, verify = ({k: doc[k] for k in ("verification", "ranks", "mode", "sign_regime")}
+                    for doc in docs)
+    assert demo == verify
 
 
 def test_demo_betti_through_465(capsys):
@@ -327,6 +351,20 @@ def test_exit_code_no_ring(capsys):
 
 def test_exit_code_missing_file():
     assert run("verify", "--ring", "/nonexistent/r.ring") == 2
+
+
+def test_exit_code_failed_cross_check(monkeypatch, capsys):
+    # the u table's tree count disagreeing with its closed forms is a
+    # verification failure, not an input error
+    from koszulres import sequences
+    closed = sequences._u_closed_forms
+    monkeypatch.setattr(sequences, "_u_closed_forms",
+                        lambda pack: {**closed(pack), (1, 1): 999})
+    assert run("verify", "--ring", str(CLASS_T), "--max-degree", "4",
+               "--no-timestamp") == 4
+    assert capsys.readouterr().err == (
+        "verification failure: u table cross-check failed at (k,s)=(1,1): "
+        "tree gives 4, closed form gives 999\n")
 
 
 def test_exit_code_ring_is_directory(tmp_path, capsys):
@@ -508,6 +546,14 @@ SUPPLIED_CYCLE_FAILURES = {
     "ci3-z1-not-cycle": (
         _edited(CI3, "z1_2 = y*e[2]\n", "z1_2 = e[2]\n", CI3_CYCLES),
         "class CI verification failed: z1_2 is a degree-1 cycle"),
+    "classT-no-z3_3": (
+        _edited(CLASS_T, "z3_3 = x*y*e[1,2,3]\n", ""),
+        "class T verification failed: count of degree-3 representatives "
+        "equals a_3 (2 vs 3)"),
+    "classT-extra-z2_4": (
+        _edited(CLASS_T, "z2_3 = y*z*e[1,3]\n", "z2_3 = y*z*e[1,3]\nz2_4 = x*y*e[1,2]\n"),
+        "class T verification failed: count of degree-2 representatives "
+        "equals a_2 - 3 (4 vs 3)"),
     "codepth4-mode-T": (
         "characteristic = 32003\nvariables = x, y, z, w\nideal = x^2, y^2, z^2, w^2\n"
         "mode = T\n\n[cycles]\nz1_1 = x*e[1]\n",

@@ -546,3 +546,16 @@ def test_ci_betas_match_reference(p):
         z1 = discover_class_CI_basis(HomologyAlgebra(ring))[0].z1
         for k in range(1, 5):
             _assert_actions_match_reference(beta(k, z1), ring)
+
+
+def test_mismatched_operands_raise(ring_t):
+    x1 = parse_koszul_element("x*e[1]", ring_t)
+    with pytest.raises(KoszulError, match="incompatible KoszulElement sum"):
+        x1 + x1.wedge(parse_koszul_element("y*e[2]", ring_t))
+    with pytest.raises(KoszulError, match="incompatible KoszulElement product"):
+        x1.wedge(parse_koszul_element("x*e[1]", class_t_ring(2)))
+    M = RingMatrix.zero(ring_t, 2, 3)
+    with pytest.raises(ExactFieldError, match="incompatible RingMatrix sum"):
+        M + RingMatrix.zero(ring_t, 3, 2)
+    with pytest.raises(ExactFieldError, match="incompatible RingMatrix product"):
+        M @ M

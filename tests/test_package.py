@@ -1,5 +1,7 @@
-"""The package imports lazily, and the command owns the BLAS thread default."""
+"""The package imports lazily, the command owns the BLAS thread default, and
+no check of the library is an assert statement."""
 
+import ast
 import importlib
 import json
 import os
@@ -69,3 +71,10 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         koszulres.no_such_name  # noqa: B018
     assert not hasattr(koszulres, "no_such_name")
+
+
+def test_no_assert_statement_in_src():
+    # python -O strips assert statements, and with them every check made so
+    for path in sorted((SRC / "koszulres").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

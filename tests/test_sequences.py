@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from koszulres.sequences import (
+    CrossCheckError,
     PowerSeries,
     SequenceError,
     SequencePack,
@@ -145,6 +146,13 @@ def test_power_series_reciprocal():
     assert [inv.coefficient(k) for k in range(11)] == [1] * 11
     with pytest.raises(SequenceError):
         PowerSeries.from_terms({(0, 0): 2}, 4).reciprocal()
+
+
+def test_reciprocal_product_check_raises(monkeypatch):
+    # a product that does not give 1 back fails the cross-check
+    monkeypatch.setattr(PowerSeries, "__mul__", lambda a, b: a)
+    with pytest.raises(CrossCheckError, match="reciprocal failed its product check"):
+        PowerSeries.from_terms({(0, 0): 1, (1, 0): -1}, 10).reciprocal()
 
 
 def test_two_variable_series_product():
