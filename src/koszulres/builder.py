@@ -394,15 +394,14 @@ def _side_by_side(maps, zero_rows: int = 0) -> RingMatrix:
 
 
 class _Coordinates:
-    """Coordinate and multiplication matrices, over ``field`` (F_p as a
+    """Coordinate and multiplication matrices, over H.field (F_p as a
     QuotientRing with no variables), of cycle matrices in one target space:
     A_q in its representative basis (span None), or the subspace of A_q
     whose basis is the columns of ``span``, a matrix of independent classes
     of A_q as HomologyAlgebra.classes gives it.  Blocks are cached per
     cycle object and source list, since the block matrices share entries."""
 
-    def __init__(self, field: QuotientRing, H: HomologyAlgebra, span=None):
-        self.field = field
+    def __init__(self, H: HomologyAlgebra, span=None):
         self.H = H
         self.span = span
         self._cache: dict = {}
@@ -419,7 +418,7 @@ class _Coordinates:
             if a is None:
                 raise BuildError("class does not lie in the expected subspace")
         i, j = a.nonzero()
-        return RingMatrix.from_terms(self.field, *a.shape,
+        return RingMatrix.from_terms(self.H.field, *a.shape,
                                      np.column_stack([i, j, np.zeros_like(i), a[i, j]]))
 
     def matrix(self, theta: CycleMatrix, sources=None) -> RingMatrix:
@@ -438,7 +437,7 @@ class _Coordinates:
             blocks.append(self._cache[key][2])
         where = theta.where
         return RingMatrix.from_terms(
-            self.field, theta.rows * a_dst, theta.cols * a_src,
+            self.H.field, theta.rows * a_dst, theta.cols * a_src,
             block_terms(blocks, where[:, 2], where[:, 0] * a_dst, where[:, 1] * a_src, 1, 1))
 
 
@@ -447,8 +446,8 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     """The finite complexes of homology classes whose exactness certifies the
     graded resolution data: B_k (k <= k_max), C_1..C_3, A_k (k <= k_max), and
     the dimension bookkeeping of the decomposition of A_k into shifted B and C
-    pieces.  The maps are RingMatrix over F_p, one field ring per call, and a
-    zero block is only its extents.
+    pieces.  The maps are RingMatrix over H.field, and a zero block is only
+    its extents.
 
     The alpha matrices come from alpha, memoized per pack and basis, so
     they are the ones that assemble_T places.
@@ -456,14 +455,13 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     Returns {"B": {k: FiniteComplex}, "C": {...}, "A": {...},
     "decomposition": {k: [(position, lhs, rhs, ok), ...]}}.
     """
-    fp = QuotientRing(H.ring.p, 0, ())  # F_p, the ring with no variables
     triple = basis.triple
     a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
     b, l, lp, lpp = pack.b, pack.l, pack.lp, pack.lpp
     out = {"B": {}, "C": {}, "A": {}, "decomposition": {}}
 
-    B1 = _Coordinates(fp, H, H.classes(1, triple))
-    B2 = _Coordinates(fp, H, H.classes(2, basis.products))
+    B1 = _Coordinates(H, H.classes(1, triple))
+    B2 = _Coordinates(H, H.classes(2, basis.products))
     for k in range(1, k_max + 1):
         b_m3 = b[k - 3] if k >= 3 else 0
         dims = [b[k], 3 * b[k - 1] + b_m3]
@@ -476,10 +474,10 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
 
     for j in (1, 2, 3):
         g = gamma(j, basis)
-        d = _Coordinates(fp, H, H.classes(j, g.cycles)).matrix(g)
+        d = _Coordinates(H, H.classes(j, g.cycles)).matrix(g)
         out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d])
 
-    A = _Coordinates(fp, H)
+    A = _Coordinates(H)
     for k in range(1, k_max + 1):
         dims = [l[k], a1 * l[k - 1] + lp[k - 1]]
         maps = [_side_by_side([A.matrix(alpha(k, k, pack, basis))], lp[k - 1])]

@@ -518,8 +518,8 @@ def rref_mod(A: np.ndarray, p: int):
     """Reduced row echelon form over F_p; returns (R, pivot_columns).
 
     This is the one eliminator: ranks, kernels, solves, the homology's
-    representatives and the oracle's Nakayama-minimal generators all read
-    it.  Each pivot step touches only the rows with a nonzero in the pivot
+    representatives and classes, and the oracle's Nakayama-minimal
+    generators all read it.  Each pivot step touches only the rows with a nonzero in the pivot
     column, and only the columns from the pivot on (rows below the pivot
     row vanish left of it), which suits the sparse flattened differentials.
     Entries stay in [0, p) and every product is at most (p-1)^2 < 2^63, so

@@ -25,8 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactfield import (QuotientRing, RingMatrix, block_contents, kernel_mod, rank_mod,
-                         rref_mod, solve_mod)
+from .exactfield import QuotientRing, RingMatrix, block_contents, kernel_mod, rank_mod, rref_mod
 from .koszul import KoszulElement, koszul_differential, subsets
 
 
@@ -68,24 +67,30 @@ class HomologyAlgebra:
     what one elimination of the whole flat matrices would give.  Strands
     with equal blocks have equal data up to where it is placed, so each
     distinct block content is eliminated once and scattered to its strands.
-    ``classes`` solves once per strand that its cycles meet.
+
+    The homology is held as one matrix M_i per degree over ``field`` (F_p,
+    the ring with no variables), a row per flat coordinate of K_i: row f,
+    for each free column f of flat d_i, holds the class of the kernel
+    vector with free column f in its first a_i columns and that vector in
+    the rest.  ``classes`` is one product against M_i.
     """
 
     def __init__(self, ring: QuotientRing):
         self.ring = ring
+        self.field = QuotientRing(ring.p, 0, ())
         n = ring.nvars
         self.flat_diff = [np.array(koszul_differential(i, ring)._flat_nonzeros())
                           for i in range(n + 1)]
         empty = np.zeros((3, 0), dtype=np.int64)
         self.ranks = []
         self.reps = []
-        self._strands = []
+        self._kernel_classes = []
         for i in range(n + 1):
             up = self.flat_diff[i + 1] if i < n else empty
-            reps, strands = _strand_homology(ring, i, up, self.flat_diff[i])
+            reps, M = _strand_homology(ring, self.field, i, up, self.flat_diff[i])
             self.ranks.append(len(reps))
             self.reps.append(reps)
-            self._strands.append(strands)
+            self._kernel_classes.append(M)
         self.codepth = max((i for i, a in enumerate(self.ranks) if a), default=0)
 
     # -- classes and products ----------------------------------------------
@@ -96,60 +101,38 @@ class HomologyAlgebra:
     def classes(self, i: int, cycles) -> np.ndarray:
         """The int64 (a_i, len(cycles)) matrix whose columns are the
         coordinates of the classes of the degree-i ``cycles`` in the
-        representative basis of A_i; any other element raises.  Each strand
-        the cycles meet is one solve_mod against the basis of its content,
-        with the strand coordinates of every cycle as the columns.  That
-        basis spans the kernel of d on the strand, so the solves also find
-        the non-cycles: d is only applied once a solve has failed."""
-        S, D = self._strands[i], self.ring.dim
-        parts = [(np.zeros(0, dtype=np.int64),) * 3]
+        representative basis of A_i; any other element raises.  With the
+        flat coordinates of the cycles as the rows of C, this is one
+        product C @ M_i.  A kernel_mod vector is 1 at its free column and 0
+        at the others, so a cycle is the sum of the kernel vectors, each
+        weighted by the cycle's entry at its free column: the first a_i
+        columns of C @ M_i are the classes, and the rest give C back.  Only
+        a row that does not come back has d applied, to name it."""
+        M, a, D = self._kernel_classes[i], self.rank(i), self.ring.dim
         for j, z in enumerate(cycles):
             if z.degree != i:
                 raise HomologyError(f"element {j} has degree {z.degree}, not {i}")
-            t = z.col.terms
-            parts.append((t[:, 0] * D + t[:, 2], np.full(len(t), j), t[:, 3]))
-        g, j, v = (np.concatenate(x) for x in zip(*parts))
-        order = np.argsort(S.strand[g], kind="stable")
-        g, j, v = g[order], j[order], v[order]
-        strand = S.strand[g]
-        out = np.zeros((self.rank(i), len(cycles)), dtype=np.int64)
-        starts = np.flatnonzero(np.diff(strand, prepend=-1))
-        for a, b in zip(starts, np.r_[starts[1:], len(g)]):
-            s = int(strand[a])
-            basis, nbnd = S.contents[S.content[s]]
-            V = np.zeros((basis.shape[1], len(cycles)), dtype=np.int64)
-            V[S.local[g[a:b]], j[a:b]] = v[a:b]
-            x = solve_mod(basis.T, V, self.ring.p)
-            if x is None:
-                bad = next((k for k in np.unique(j[a:b]) if not cycles[k].is_cycle()), None)
-                raise HomologyError("cycle is not in the span of kernel basis (bug)"
-                                    if bad is None else f"element {bad} is not a cycle")
-            if s in S.rep_ids:  # the reps of s are rows of out for s alone
-                out[S.rep_ids[s]] = x[nbnd:]
+        t = np.concatenate([np.zeros((0, 4), dtype=np.int64)] + [z.col.terms for z in cycles])
+        j = np.arange(len(cycles)).repeat([len(z.col.terms) for z in cycles])
+        C = RingMatrix.from_terms(self.field, len(cycles), M.rows,
+                                  np.column_stack([j, t[:, 0] * D + t[:, 2], 0 * j, t[:, 3]]))
+        X = (C @ M).terms
+        cls = X[:, 1] < a
+        back = X[~cls] - [0, a, 0, 0]
+        if not np.array_equal(back, C.terms):
+            lost = {tuple(r) for r in back.tolist()} ^ {tuple(r) for r in C.terms.tolist()}
+            bad = next((k for k in sorted({r[0] for r in lost}) if not cycles[k].is_cycle()),
+                       None)
+            raise HomologyError("cycle is not in the span of kernel basis (bug)"
+                                if bad is None else f"element {bad} is not a cycle")
+        out = np.zeros((a, len(cycles)), dtype=np.int64)
+        out[X[cls, 1], X[cls, 0]] = X[cls, 3]
         return out
 
 
-@dataclass
-class _Strands:
-    """The strands of one K_i.  ``strand[g]`` and ``local[g]`` are the strand
-    (its block_contents label) of flat coordinate g and its position there
-    (a strand keeps the global order of its coordinates).  ``contents``
-    holds (basis, number of boundary rows) per distinct content, in local
-    coordinates: independent boundary rows over the rep vectors, a basis of
-    the kernel of d on the strand.  ``content[s]`` indexes it.
-    ``rep_ids[s]`` lists the global indices of the reps of strand s, for the
-    strands that have any."""
-
-    strand: np.ndarray
-    local: np.ndarray
-    content: np.ndarray
-    contents: list
-    rep_ids: dict
-
-
-def _strand_homology(ring, i, up, down) -> tuple:
-    """(reps, strands) of degree i, from the nonzeros ``up`` of flat d_{i+1}
-    and ``down`` of flat d_i.
+def _strand_homology(ring, fp, i, up, down) -> tuple:
+    """(reps, M_i over fp) of degree i, from the nonzeros ``up`` of flat
+    d_{i+1} and ``down`` of flat d_i.
 
     The strands are the blocks of the matrix with the coordinates of K_i as
     columns, and as rows those of K_{i+1}, tagged 0 (the image block
@@ -158,47 +141,48 @@ def _strand_homology(ring, i, up, down) -> tuple:
     and one rref_mod of [image block^T | kernel]: its pivots among the image
     columns pick independent boundary rows, and its pivots among the kernel
     columns pick the kernel vectors that complete them, which are the
-    reps.  The reps are then numbered by the global free columns of their
-    kernel vectors."""
+    reps.  Each kernel vector is 1 at its free column and 0 at the other
+    free columns, and its column of the echelon form gives it as a
+    combination of the pivot columns: its rows at the picked pivots are its
+    class.  The reps are numbered by their global free columns."""
     p, D = ring.p, ring.dim
     n_up, n_down, width = (len(subsets(ring.nvars, i + k)) * D for k in (1, -1, 0))
     entries = np.c_[up[[1, 0, 2]], down + [[n_up], [0], [0]]]  # (d_{i+1})^T over d_i
-    strand, local = np.empty((2, width), dtype=np.int64)
-    content = np.empty(n_up + n_down + width, dtype=np.int64)
-    contents, rep_parts, rep_free = [], [], []
+    parts, rep_free = [(np.zeros(0, dtype=np.int64),) * 3], [np.zeros(0, dtype=np.int64)]
     blocks = block_contents(*entries, (n_up + n_down, width),
                             np.repeat([0, 1], [n_up, n_down]), 0)
     for B, tags, _, owners, coords in blocks:
         nu, nm = len(tags) - int(tags.sum()), B.shape[1]
-        strand[coords], local[coords] = owners[:, None], np.arange(nm)
         if not nm:
             continue  # a row of K_{i-1} or K_{i+1} with no nonzero
         K = kernel_mod(B[nu:], p)
-        _, piv = rref_mod(np.hstack([B[:nu].T, K]), p)
+        R, piv = rref_mod(np.hstack([B[:nu].T, K]), p)
         nbnd = int(np.searchsorted(piv, nu))
         picked = np.array(piv[nbnd:], dtype=np.int64) - nu
-        content[owners] = len(contents)
-        contents.append((np.vstack([B[:nu][piv[:nbnd]], K[:, picked].T]), nbnd))
-        # the local column that numbers each rep: its free column, the last
-        # nonzero of its kernel vector
-        lead = nm - 1 - np.argmax(K[::-1, picked] != 0, axis=0)
-        j, a = np.nonzero(K[:, picked])
-        rep_parts.append((coords[:, lead[a]], coords[:, j],
-                          np.broadcast_to(K[j, picked[a]], (len(owners), len(a)))))
-        if len(picked):
-            rep_free.append((owners, coords[:, lead]))
-    lead, col, val = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*rep_parts))
-    free, k = np.unique(lead, return_inverse=True)
-    order = np.lexsort((col, k))
-    k, col, val = k[order], col[order], val[order]
-    rep_ids = {s: free.searchsorted(f)
-               for owners, F in rep_free for s, f in zip(owners.tolist(), F)}
-    # rep k is the column of terms (t, 0, b, value) of its flat columns t*D + b
-    terms = np.column_stack([col // D, 0 * col, col % D, val])
-    cuts = k.searchsorted(np.arange(len(free) + 1))
-    reps = [KoszulElement(ring, i, RingMatrix.from_terms(ring, width // D, 1, terms[a:b]))
-            for a, b in zip(cuts[:-1], cuts[1:])]
-    return reps, _Strands(strand, local, content, contents, rep_ids)
+        free = coords[:, nm - 1 - np.argmax(K[::-1] != 0, axis=0)]  # last nonzeros
+        # in the row of each free column: the kernel vector in the columns
+        # width + its flat coordinates, and its class in the columns of the
+        # free columns of the reps, renumbered below
+        r, f = np.nonzero(K)
+        q, g = np.nonzero(R[nbnd:len(piv), nu:])
+        v = np.concatenate((K[r, f], R[nbnd + q, nu + g]))
+        parts.append((free[:, np.concatenate((f, g))],
+                      np.hstack((width + coords[:, r], free[:, picked[q]])),
+                      np.broadcast_to(v, (len(owners), len(v)))))
+        rep_free.append(free[:, picked])
+    rep_free = np.sort(np.concatenate([x.ravel() for x in rep_free]))
+    a = len(rep_free)
+    r, c, v = (np.concatenate([x.ravel() for x in xs]) for xs in zip(*parts))
+    c = np.where(c < width, rep_free.searchsorted(c), c - width + a)
+    M = RingMatrix.from_terms(fp, width, a + width, np.column_stack([r, c, 0 * r, v]))
+    # rep k is row rep_free[k] after its unit class, as the column of terms
+    # (t, 0, b, value) of its flat columns t*D + b
+    c = M.terms[:, 1] - a
+    terms = np.column_stack([c // D, 0 * c, c % D, M.terms[:, 3]])
+    lo, hi = (M.terms[:, 0].searchsorted(rep_free, side) for side in ("left", "right"))
+    reps = [KoszulElement(ring, i, RingMatrix.from_terms(ring, width // D, 1, terms[x:y]))
+            for x, y in zip((lo + 1).tolist(), hi.tolist())]
+    return reps, M
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +380,7 @@ def discover_class_T_basis(H: HomologyAlgebra) -> tuple:
     p = H.ring.p
     if H.codepth != 3:
         raise DiscoveryError(f"class T needs codepth 3, got {H.codepth}")
-    a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
-    if a2 < 3:
-        raise DiscoveryError(f"class T needs a_2 >= 3, got {a2}")
+    a1, a2 = H.rank(1), H.rank(2)
     reps1 = H.reps[1]
     candidates = []
     for triple_idx in itertools.combinations(range(a1), 3):

@@ -19,7 +19,7 @@ from koszulres.builder import (
     graded_A_complexes,
     words,
 )
-from koszulres.exactfield import QuotientRing, RingMatrix
+from koszulres.exactfield import RingMatrix
 from koszulres.homology import ClassTBasis, HomologyAlgebra, discover_class_CI_basis
 from koszulres.koszul import (
     KoszulElement,
@@ -519,8 +519,7 @@ def test_graded_maps_golden(p):
 
 def test_coordinates_outside_span_raise(basis_t, homology_t):
     # B_1 is spanned by the classes of the triple; z1_4 lies outside it
-    B1 = _Coordinates(QuotientRing(homology_t.ring.p, 0, ()), homology_t,
-                      homology_t.classes(1, basis_t.triple))
+    B1 = _Coordinates(homology_t, homology_t.classes(1, basis_t.triple))
     assert (flatten(B1.matrix(beta(1, basis_t.triple))) == np.eye(3, dtype=np.int64)).all()
     with pytest.raises(BuildError, match="expected subspace"):
         B1.matrix(gamma(1, basis_t))

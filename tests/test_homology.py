@@ -5,8 +5,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from koszulres import homology
-from koszulres.exactfield import QuotientRing, rank_mod, solve_mod
+from koszulres import exactfield, homology
+from koszulres.exactfield import QuotientRing, RingMatrix, rank_mod, solve_mod
 from koszulres.homology import (
     ClassCIBasis,
     ClassTBasis,
@@ -105,8 +105,8 @@ def test_classes_reject_non_cycles_and_other_degrees(ring_t, homology_t, basis_t
 
 
 def test_classes_of_cycles_apply_no_differential(ring_t, homology_t, monkeypatch):
-    # the strand solves decide which elements are cycles: a product of
-    # cycles is classed without its Koszul differential
+    # the product against M_i decides which elements are cycles: a product
+    # of cycles is classed without its Koszul differential
     calls = []
     real = KoszulElement.differential
     monkeypatch.setattr(KoszulElement, "differential",
@@ -123,8 +123,8 @@ def test_classes_of_cycles_apply_no_differential(ring_t, homology_t, monkeypatch
 @pytest.mark.parametrize("make_ring", [class_t_ring, lambda p: ci_squares_ring(3, p)],
                          ids=["classT", "ci3"])
 def test_class_of_matches_solve_mod(make_ring, p):
-    """classes (one solve per strand) equals the unique solve_mod solution
-    over [dense boundaries | reps], read on the reps."""
+    """classes (one product against M_i) equals the unique solve_mod
+    solution over [dense boundaries | reps], read on the reps."""
     ring = make_ring(p)
     H = HomologyAlgebra(ring)
     nprng = np.random.default_rng(p % 1000003)
@@ -143,42 +143,49 @@ def test_class_of_matches_solve_mod(make_ring, p):
 
 
 @pytest.mark.parametrize("gens", [CLASS_T_GENS, _power(3)], ids=["classT", "max3"])
-def test_classes_solve_once_per_strand(monkeypatch, gens):
-    """One classes call makes one solve_mod per distinct strand that its
-    cycles meet, however many cycles meet it."""
+def test_classes_make_no_elimination(monkeypatch, gens):
+    """A classes call is one product against M_i: it makes no rref_mod,
+    kernel_mod or solve_mod call, however many cycles it has."""
     ring = QuotientRing(32003, 3, gens, names=["x", "y", "z"])
     H = HomologyAlgebra(ring)
     calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return solve_mod(*args)
-
-    monkeypatch.setattr(homology, "solve_mod", counted)
+    # kernel_mod, solve_mod and rank_mod eliminate through exactfield.rref_mod
+    for module in (exactfield, homology):
+        fn = module.rref_mod
+        monkeypatch.setattr(module, "rref_mod", lambda *args, fn=fn: calls.append(1) or fn(*args))
     for i in range(4):
         sums = [a + b for a, b in zip(H.reps[i], H.reps[i][1:])]
         cycles = [*H.reps[i], *sums, *H.reps[i][::-1]]
-        S, met = H._strands[i], set()
-        for z in cycles:
-            t = z.col.terms
-            met |= set(S.strand[t[:, 0] * ring.dim + t[:, 2]].tolist())
-        calls.clear()
-        H.classes(i, cycles)
-        assert len(calls) == len(met) > 0
+        got = H.classes(i, cycles)
+        eye = np.eye(H.rank(i), dtype=np.int64)
+        assert np.array_equal(got[:, :H.rank(i)], eye)
+        assert np.array_equal(got[:, -H.rank(i):], eye[:, ::-1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["xe2-first", "e1-first"])
+def test_classes_name_the_first_non_cycle(ring_t, homology_t, order):
+    """With two non-cycles and cycles between them, the lower index is
+    named, whichever of the two it is."""
+    a, b = [parse_koszul_element(s, ring_t) for s in ("x*e[2]", "e[1]")][::order]
+    z = homology_t.reps[1]
+    with pytest.raises(HomologyError, match="element 2 is not a cycle"):
+        homology_t.classes(1, [z[0], z[1], a, z[2], z[3], b, z[0]])
 
 
 @pytest.mark.parametrize("lost", range(4))
 def test_class_of_outside_span_raises(ring_t, lost):
     """A degree-1 basis that has lost a rep cannot express that rep's cycle."""
     H = HomologyAlgebra(ring_t)
-    S = H._strands[1]
-    # the strand of the lost rep gets a content of its own without that rep
-    s = next(s for s, ids in S.rep_ids.items() if lost in ids.tolist())
-    basis, nbnd = S.contents[S.content[s]]
-    k = nbnd + S.rep_ids[s].tolist().index(lost)
-    S.content[s] = len(S.contents)
-    S.contents.append((np.delete(basis, k, axis=0), nbnd))
-    S.rep_ids[s] = S.rep_ids[s][S.rep_ids[s] != lost]
+    M, D = H._kernel_classes[1], ring_t.dim
+    # the row of the lost rep, at its free column (its last nonzero), holds
+    # the rep and its unit class; M_1 loses that row
+    t = H.reps[1][lost].col.terms
+    f = int((t[:, 0] * D + t[:, 2]).max())
+    row = M.terms[M.terms[:, 0] == f]
+    assert row[row[:, 1] < 4, 1:].tolist() == [[lost, 0, 1]]
+    H._kernel_classes[1] = RingMatrix.from_terms(M.ring, M.rows, M.cols,
+                                                 M.terms[M.terms[:, 0] != f])
     with pytest.raises(HomologyError, match="not in the span"):
         H.classes(1, [H.reps[1][lost]])
     for k, z in enumerate(H.reps[1]):
@@ -296,9 +303,9 @@ def test_discover_class_t_rejects_ci(ring_ci2):
 
 
 def boundary_rows(H, i):
-    """The boundary rows of the strands of K_i, rank flat d_{i+1} in all."""
-    S = H._strands[i]
-    return sum(S.contents[S.content[s]][1] for s in np.unique(S.strand))
+    """The free columns of flat d_i, which are the nonzero rows of M_i,
+    minus a_i: rank flat d_{i+1}."""
+    return len(np.unique(H._kernel_classes[i].terms[:, 0])) - H.ranks[i]
 
 
 def test_ranks_dimension_bookkeeping(ring_t, homology_t):
@@ -341,6 +348,21 @@ def test_homology_peak_memory():
     assert [boundary_rows(H, i) for i in range(4)] == [383, 765, 381, 0]
 
 
+def test_homology_peak_memory_x9():
+    # dim R = 6561: M_i scatters each content's kernel vectors and classes
+    # to every strand of it, 20.2 MiB at peak; a basis per distinct content
+    # with strand labels and local indices beside it peaked at 21.5 MiB
+    ring = QuotientRing(32003, 4, [(9, 0, 0, 0), (0, 9, 0, 0), (0, 0, 9, 0), (0, 0, 0, 9)])
+    tracemalloc.start()
+    try:
+        H = HomologyAlgebra(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 2 ** 20
+    assert H.ranks == [comb(4, i) for i in range(5)]
+
+
 def _orders(gens, names):
     """The ring's generators and names, and the same ring with its
     variables in reverse order."""
@@ -367,8 +389,8 @@ STRAND_RINGS = {
 @pytest.mark.parametrize("case", list(STRAND_RINGS))
 def test_strands_match_dense(case, p, order):
     """reps and classes strand by strand equal the elimination of the whole
-    dense flat differentials; all the cycles go to one classes call, so a
-    strand solves for several of them at once."""
+    dense flat differentials; all the cycles go to one classes call, so
+    one product reads several of them in a strand at once."""
     gens, names = STRAND_RINGS[case][order]
     ring = QuotientRing(p, len(names), gens, names=names)
     H = HomologyAlgebra(ring)
