@@ -36,9 +36,9 @@ def element(*terms):
 x, x_plus_y = element(("x", 1)), element(("x", 1), ("y", 1))
 print("  x * (x + y) ->", (x @ x_plus_y).entries[(0, 0)])
 
-# ring.multiples(bs) runs the same lookup backwards: subtracting the code of
-# std_b from every code finds the (b, a, m) with std_b * std_a = std_m that
-# are not zero; flattening a matrix asks for the b of its terms only
+# ring.multiples(bs) runs the same lookup for std_b against every std_a and
+# keeps the (b, a, m) with std_b * std_a = std_m that are not zero;
+# flattening a matrix asks for the b of its terms only
 b, a, m = ring.multiples([ring.std_strings.index("x")])
 print("nonzero products of x:",
       [f"x * {ring.std_strings[j]} = {ring.std_strings[k]}" for j, k in zip(a, m)])

@@ -14,12 +14,12 @@ A matrix over R (`RingMatrix`) is one sorted int64 array of terms (row,
 column, standard-monomial index, coefficient).  Monomials are multiplied
 one way, by exponent codes wide enough that no digit carries, looked up
 among the sorted codes of the basis: `QuotientRing.product` adds two codes
-(the index of std_a * std_b, or -1 for zero), and matrix products call it;
-`QuotientRing.multiples` subtracts the code of std_b from every code (all
-the nonzero products of std_b), and the nonzeros of a flat F_p matrix read
-it for the b that occur in the matrix.  Every element of R in this library
-is a list of such terms; `term_string` prints one term, in the syntax that
-ring files and cycle strings are written in.
+(the index of std_a * std_b, or -1 for zero).  Matrix products call it, and
+so does `QuotientRing.multiples` (the nonzero products of std_b with every
+std_a), which the nonzeros of a flat F_p matrix read for the b that occur
+in the matrix.  Every element of R in this library is a list of such terms;
+`term_string` prints one term, in the syntax that ring files and cycle
+strings are written in.
 
 Every map eliminated here is block diagonal up to a permutation, with few
 distinct block contents: exactness, the oracle, the Koszul homology and the
@@ -222,12 +222,8 @@ class QuotientRing:
         ``bs``, that are not zero in R: an int64 array of shape (3, N) whose
         columns (b, a, m) say std_b * std_a = std_m, sorted by (b, a).
 
-        The a of b are the standard monomials whose code is codes[m] -
-        codes[b] for some m.  That lookup is exact: where std_b does not
-        divide std_m, the lowest digit that borrows is left at least bound_v
-        (its radix is 2 * bound_v - 1), which no standard exponent reaches,
-        and a negative difference is no code at all.  For a fixed b, m and
-        m / b ascend together, so the rows come out sorted.  The b are taken
+        The rows are read row by row off `product` of each b with every a,
+        so every monomial product is the one code addition.  The b are taken
         a chunk at a time, so no step holds a len(bs) x dim array, and the
         rows of each chunk are kept in int32 until the join, so they add
         half the result's memory rather than all of it."""
@@ -235,9 +231,9 @@ class QuotientRing:
         out = [np.zeros((3, 0), dtype=np.int32)]
         for lo in range(0, len(bs), chunk):
             b = bs[lo:lo + chunk]
-            a = self._index_of_code(self.codes - self.codes[b, None])
-            k, m = (a >= 0).nonzero()
-            out.append(np.stack([b[k], a[k, m], m]).astype(np.int32))
+            m = self.product(b[:, None], np.arange(self.dim))
+            k, a = (m >= 0).nonzero()
+            out.append(np.stack([b[k], a, m[k, a]]).astype(np.int32))
         return np.concatenate(out, axis=1, dtype=np.int64)
 
     def __eq__(self, other):
@@ -345,9 +341,9 @@ class RingMatrix:
         major: coordinate r occupies the slice [r*dim, (r+1)*dim) in the
         standard-monomial basis of R.  The term c * std_b of entry (i, j)
         sends std_a of coordinate j to c * std_m of coordinate i for each
-        (b, a, m) of ring.multiples, worked out only for the b of the
-        terms; distinct terms of an entry send std_a to distinct monomials,
-        so no two terms meet."""
+        (b, a, m) of ring.multiples (products by ring.product), worked out
+        only for the b of the terms; distinct terms of an entry send std_a
+        to distinct monomials, so no two terms meet."""
         D = self.ring.dim
         i, j, b, c = self.terms.T
         # the distinct b ascending, by bincount: a plain np.unique would

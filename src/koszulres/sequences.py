@@ -349,9 +349,8 @@ def poincare_CI(c: int, n: int, order: int = 12):
         raise SequenceError("codepth must be >= 1")
     if order < 0:
         raise SequenceError("order must be >= 0")
-    PA = inv_tz = PowerSeries.from_terms({(0, 0): 1, (1, 1): -1}, order).reciprocal()
-    for _ in range(c - 1):
-        PA = PA * inv_tz
+    PA = PowerSeries.from_terms(  # the reciprocal of (1-tz)^c
+        {(k, k): (-1) ** k * comb(c, k) for k in range(c + 1)}, order).reciprocal()
     return PA, geometric_binomial(n, order) * PA.diagonal()
 
 

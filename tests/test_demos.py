@@ -1,7 +1,9 @@
 """Smoke test: every demo script and the benchmark self-test run to
-completion against the source tree."""
+completion against the source tree, and each demo prints the same stdout on
+every run."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,8 @@ def _run(script):
 def test_demo_runs(script):
     proc = _run(script)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # no wall-clock time, so that a demo's stdout is the same on every run
+    assert not re.search(r"\d\.\d+s\b", proc.stdout), proc.stdout
 
 
 def test_perfbench_selftest():

@@ -1,3 +1,4 @@
+import ast
 import random
 import tracemalloc
 from pathlib import Path
@@ -321,6 +322,16 @@ def test_products_of_every_monomial_hold_no_dim_squared_array():
 def test_one_monomial_product_in_src():
     src = Path(__file__).resolve().parents[1] / "src"
     assert not any("nonzero_products" in p.read_text() for p in src.rglob("*.py"))
+    # every product of monomials is one addition lookup: the code lookup is
+    # called from QuotientRing.product only
+    callers = []
+    for path in src.rglob("*.py"):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef):
+                callers += [f.name for call in ast.walk(f) if isinstance(call, ast.Call)
+                            and getattr(call.func, "attr", None) == "_index_of_code"]
+    assert callers == ["product"]
+    assert sum(p.read_text().count("_index_of_code(") for p in src.rglob("*.py")) == 2
 
 
 @pytest.mark.parametrize("p", PRIMES)
