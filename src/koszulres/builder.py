@@ -6,7 +6,7 @@ graded-level exactness checks.
 
 The cycle matrices are in index form (see koszul.CycleMatrix): beta, beta'
 and gamma list one (row, column, cycle) row per entry over a few cycles,
-and alpha tiles each block's index rows down its diagonal copies, shifted
+and alpha repeats each block's index rows down its diagonal copies, shifted
 by the copy's corner, over the distinct cycles of its blocks.
 The graded complexes place one class block per cycle, a RingMatrix over F_p
 (the ring with no variables), at the cycle's entries by one `block_terms`
@@ -145,10 +145,12 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
         alpha''_k = gamma_3^{l_{k-1}}
 
     with extents l_{k-1} x l_{k,r} checked against the sequence tables.  Each
-    block's index rows are tiled down its diagonal copies, shifted by the
+    block's index rows are repeated down its diagonal copies, shifted by the
     copy's corner, and point into the distinct cycles of all the blocks,
-    each listed once (the beta blocks share the triple).  Memoized on (k, r,
-    pack, basis), the last two by identity: assembly and graded complexes share it."""
+    each listed once (the beta blocks share the triple).  A block with zero
+    copies adds no entries, and a diagonal one is not built (at a1 = 3, d_t
+    = 0 for t > 0).  Memoized on (k, r, pack, basis), the last two by
+    identity: assembly and graded complexes share it."""
     if k < 1:
         raise BuildError("alpha needs k >= 1")
     if r not in (k, k + 1, k + 2):
@@ -156,10 +158,10 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
     triple = basis.triple
     rows = pack.l[k - 1]
     if r == k:
-        diagonal = [(beta(k - t, triple), pack.d[t]) for t in range(k)]
+        diagonal = [(beta(k - t, triple), pack.d[t]) for t in range(k) if pack.d[t]]
     elif r == k + 1:
         # the beta_1^{d_{k-1}} row group receives no beta' input: zero rows
-        diagonal = [(beta_prime(k - t, basis), pack.d[t]) for t in range(k - 1)]
+        diagonal = [(beta_prime(k - t, basis), pack.d[t]) for t in range(k - 1) if pack.d[t]]
     else:
         diagonal = []
     cycles, where = {}, [np.zeros((0, 3), dtype=np.int64)]  # id -> (index, cycle)
@@ -169,9 +171,8 @@ def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix
         for block, copies in group:
             slot = np.array([cycles.setdefault(id(z), (len(cycles), z))[0]
                              for z in block.cycles], dtype=np.int64)
-            w = np.tile(block.where, (copies, 1, 1))
-            w += np.arange(copies)[:, None, None] * [block.rows, block.cols, 0]
-            w += [row, col, 0]
+            w = (block.where + [row, col, 0]
+                 + np.arange(copies)[:, None, None] * [block.rows, block.cols, 0])
             w[..., 2] = slot[w[..., 2]]
             where.append(w.reshape(-1, 3))
             row += copies * block.rows
@@ -449,49 +450,42 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     pieces.  The maps are RingMatrix over H.field, and a zero block is only
     its extents.
 
-    The alpha matrices come from alpha, memoized per pack and basis, so
-    they are the ones that assemble_T places.
+    B_k is the A_k recipe over the subalgebra B that the distinguished triple
+    generates: invariants (3, 3, 0), the triple as its basis, and the spans
+    of the classes of the triple and its products as coordinates.  Position
+    t of A_k exists while t <= k and a_t != 0, with dimension a_t l_{k-t} +
+    l_{k-t,k}; with j = k - t + 1 its map is alpha_{k,k} (t = 1), or
+    (alpha_{j,j} times the degree t - 1 sources | alpha_{j,k}), over l_{k-t,k}
+    rows of zeros.  The alpha matrices come from alpha, memoized per pack and
+    basis, so A's are the ones that assemble_T places.
 
     Returns {"B": {k: FiniteComplex}, "C": {...}, "A": {...},
     "decomposition": {k: [(position, lhs, rhs, ok), ...]}}.
     """
-    triple = basis.triple
-    a1, a2, a3 = H.rank(1), H.rank(2), H.rank(3)
-    b, l, lp, lpp = pack.b, pack.l, pack.lp, pack.lpp
     out = {"B": {}, "C": {}, "A": {}, "decomposition": {}}
-
-    B1 = _Coordinates(H, H.classes(1, triple))
-    B2 = _Coordinates(H, H.classes(2, basis.products))
-    for k in range(1, k_max + 1):
-        b_m3 = b[k - 3] if k >= 3 else 0
-        dims = [b[k], 3 * b[k - 1] + b_m3]
-        maps = [_side_by_side([B1.matrix(beta(k, triple))], b_m3)]
-        if k >= 2:
-            dims.append(3 * b[k - 2])
-            maps.append(_side_by_side([B2.matrix(beta(k - 1, triple), triple),
-                                       B2.matrix(beta_prime(k - 1, basis))]))
-        out["B"][k] = FiniteComplex(f"B_{k}", k, dims, maps)
-
     for j in (1, 2, 3):
         g = gamma(j, basis)
         d = _Coordinates(H, H.classes(j, g.cycles)).matrix(g)
         out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d])
 
-    A = _Coordinates(H)
+    B = ClassTBasis(z1=basis.triple, z2=[], z3=[])
+    recipes = {"B": (SequencePack(3, 3, 0, pack.k_max), B, [B.triple],
+                     [_Coordinates(H, H.classes(1, B.triple)),
+                      _Coordinates(H, H.classes(2, B.products))]),
+               "A": (pack, basis, H.reps[1:3], [_Coordinates(H)] * 3)}
     for k in range(1, k_max + 1):
-        dims = [l[k], a1 * l[k - 1] + lp[k - 1]]
-        maps = [_side_by_side([A.matrix(alpha(k, k, pack, basis))], lp[k - 1])]
-        if k >= 2:
-            dims.append(a2 * l[k - 2] + lpp[k - 2])
-            maps.append(_side_by_side([A.matrix(alpha(k - 1, k - 1, pack, basis), H.reps[1]),
-                                       A.matrix(alpha(k - 1, k, pack, basis))], lpp[k - 2]))
-        if k >= 3:
-            dims.append(a3 * l[k - 3])
-            maps.append(_side_by_side([A.matrix(alpha(k - 2, k - 2, pack, basis), H.reps[2]),
-                                       A.matrix(alpha(k - 2, k, pack, basis))]))
-        out["A"][k] = FiniteComplex(f"A_{k}", k, dims, maps)
+        for name, (P, Z, sources, coordinates) in recipes.items():
+            dims, maps = [P.l[k]], []
+            for t, a_t in enumerate((P.a1, P.a2, P.a3)[:k], 1):
+                if not a_t:
+                    break
+                j, C, zero_rows = k - t + 1, coordinates[t - 1], P.l_ks(k - t, k)
+                parts = [C.matrix(alpha(k, k, P, Z))] if t == 1 else [
+                    C.matrix(alpha(j, j, P, Z), sources[t - 2]), C.matrix(alpha(j, k, P, Z))]
+                dims.append(a_t * P.l[k - t] + zero_rows)
+                maps.append(_side_by_side(parts, zero_rows))
+            out[name][k] = FiniteComplex(f"{name}_{k}", k, dims, maps)
         out["decomposition"][k] = _decomposition_check(k, out, pack)
-
     return out
 
 

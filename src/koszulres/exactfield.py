@@ -360,9 +360,13 @@ class RingMatrix:
         1 per flat column.  A block's rows, which no caller reads, are the
         flat rows with a nonzero in its columns, in ascending order."""
         r, c, v = self._flat_nonzeros()
-        row_at, r = np.unique(r, return_inverse=True)
-        col_at, c = np.unique(c, return_inverse=True)
-        tag = np.broadcast_to(col_tag, self.cols * self.ring.dim)[col_at]
+        D = self.ring.dim
+        row_mark, col_mark = np.zeros(self.rows * D, bool), np.zeros(self.cols * D, bool)
+        row_mark[r] = col_mark[c] = True  # renumber by rank among the present ones
+        row_at, col_at = row_mark.nonzero()[0], col_mark.nonzero()[0]
+        r, c = np.cumsum(row_mark)[r] - 1, np.cumsum(col_mark)[c] - 1
+        del row_mark, col_mark
+        tag = np.broadcast_to(col_tag, self.cols * D)[col_at]
         return [b._replace(cols=col_at[b.cols])
                 for b in block_contents(r, c, v, (len(row_at), len(col_at)), 0, tag)]
 

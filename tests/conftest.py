@@ -1,9 +1,11 @@
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from koszulres import builder
 from koszulres.builder import FiniteComplex, beta, beta_prime
 from koszulres.exactfield import (
     QuotientRing,
@@ -257,6 +259,21 @@ def right_inverse_holds(triple, k):
     b_prime = beta_prime(k + 1, ClassTBasis(list(triple), [], []))
     product = cycle_matrix_action(b, 3) @ cycle_matrix_action(b_prime, 2)
     return product == cycle_matrix_action(scalar, 3)
+
+
+def alpha_builds(monkeypatch):
+    """Spy on builder.alpha.  The returned function gives {invariants of the
+    pack: the number of distinct alpha_{k,r} asked for on it}, and checks
+    that the memoized alpha built each of them once since its cache was
+    last cleared."""
+    keys, real = set(), builder.alpha
+    monkeypatch.setattr(builder, "alpha",
+                        lambda *key: keys.add(key) or real(*key))
+
+    def built() -> dict:
+        assert real.cache_info().misses == len(keys)
+        return dict(Counter((p.a1, p.a2, p.a3) for _, _, p, _ in keys))
+    return built
 
 
 def make_class_t_basis(ring):

@@ -31,6 +31,7 @@ from koszulres.samples import class_t_ring
 from koszulres.sequences import SequencePack, arrow_target
 from koszulres.verifier import flat_rank, graded_depth
 from conftest import (
+    alpha_builds,
     cycle_entries,
     flatten,
     make_class_t_basis,
@@ -195,6 +196,22 @@ def test_alpha_lists_each_cycle_once(pack_t, basis_t):
             assert set(theta.where[:, 2].tolist()) == set(range(len(ids)))
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_alpha_over_the_triple_is_beta(basis_t, k):
+    # B_k is the A_k recipe at the invariants (3, 3, 0) over the triple alone:
+    # there d = (1, 0, 0, ...), so alpha_{k,k} is beta_k and alpha_{k,k+1} is
+    # beta'_k, and the empty gamma blocks add no columns
+    B, pack = ClassTBasis(z1=basis_t.triple, z2=[], z3=[]), SequencePack(3, 3, 0)
+    for got, want in [(alpha(k, k, pack, B), beta(k, B.triple)),
+                      (alpha(k, k + 1, pack, B), beta_prime(k, B))]:
+        assert (got.rows, got.cols, got.entry_degree) == (want.rows, want.cols, want.entry_degree)
+        assert np.array_equal(got.where, want.where)
+        if len(want.where):  # beta'_1 has no entries, and alpha_{1,2} no cycles
+            assert len(got.cycles) == len(want.cycles)
+            assert all(a is b for a, b in zip(got.cycles, want.cycles))
+    assert alpha(k, k + 2, pack, B).cols == 0
+
+
 def test_alpha_input_validation(pack_t, basis_t):
     with pytest.raises(BuildError):
         alpha(0, 0, pack_t, basis_t)
@@ -290,17 +307,21 @@ def test_assembly_differentials_in_m(assembly_t):
         assert assembly_t.diff(i).first_unit_entry() is None
 
 
-def test_assembly_and_graded_complexes_share_alpha(ring_t, pack_t, homology_t):
-    # two separate calls on one pack and basis build each alpha_{k,r} once
+def test_assembly_and_graded_complexes_share_alpha(ring_t, pack_t, homology_t,
+                                                  monkeypatch):
+    # two separate calls on one pack and basis build each alpha_{k,r} once:
+    # 12 on A's pack, and 9 on the (3, 3, 0) pack of B
     basis = make_class_t_basis(ring_t)
     builder.alpha.cache_clear()
+    built = alpha_builds(monkeypatch)
     F = assemble_T(ring_t, basis, pack_t, i_max=8)
     graded_A_complexes(5, basis, pack_t, homology_t)
     placed = {b.key.head[:2] for bl in F.blocks for b in bl if b.key.head is not None}
     # A_k reads alpha_{k-t,k-t} and alpha_{k-t,k} at positions t = 0, 1, 2
     graded = {(k - t, r) for k in range(1, 6) for t in range(min(k, 3)) for r in (k - t, k)}
     assert len(placed | graded) == 12
-    assert builder.alpha.cache_info().misses == 12
+    # B_k reads alpha_{k,k} and, from k = 2 on, alpha_{k-1,k-1} and alpha_{k-1,k}
+    assert built() == {(4, 6, 3): 12, (3, 3, 0): 9}
 
 
 def test_graded_depth_covers_every_placed_alpha(ring_t, basis_t, pack_t, homology_t,

@@ -23,6 +23,11 @@ The mutant kinds:
 * a unit added to one entry;
 * positive: basis element j of F_i rescaled by a unit u of R, that is,
   column j of d_i times u and row j of d_{i+1} times u^-1.
+
+The graded complexes B_1..B_5 and A_1..A_4 of class T, over F_2 and
+F_32003, get one-entry mutants of each map in the same way as the one-term
+kind; the sparse exactness check must give each one the verdict and the
+message of the dense check in conftest.dense_complex_exact.
 """
 
 import dataclasses
@@ -33,14 +38,21 @@ import re
 import numpy as np
 import pytest
 
-from conftest import flatten, mod_matmul
+from conftest import dense_complex_exact, flatten, make_class_t_basis, mod_matmul
 from koszulres import builder
-from koszulres.builder import assemble_CI, assemble_T
+from koszulres.builder import assemble_CI, assemble_T, graded_A_complexes
 from koszulres.exactfield import RingMatrix, rank_mod
+from koszulres.homology import HomologyAlgebra
 from koszulres.koszul import cycle_matrix_action
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.sequences import SequencePack
-from koszulres.verifier import check_complex, check_exactness, check_minimality, full_verify
+from koszulres.verifier import (
+    _finite_complex_exact,
+    check_complex,
+    check_exactness,
+    check_minimality,
+    full_verify,
+)
 
 I_MAX = 6
 CHECKS = (check_complex, check_minimality, check_exactness)
@@ -240,3 +252,31 @@ def test_rescaled_basis_element_passes(case):
         G = rescale(F, i, j, c)
         assert G.differentials != F.differentials
         assert verdict(G) == set() == dense_verdict(case, G), (i, j, c)
+
+
+# -- the graded complexes -----------------------------------------------------
+
+NAMES_A_MAP = re.compile(r"\bmaps? \d|\bposition -?\d|\bat the (top|bottom)\b")
+
+
+@pytest.fixture(scope="module", params=[2, 32003])
+def graded(request):
+    ring = class_t_ring(request.param)
+    out = graded_A_complexes(5, make_class_t_basis(ring), SequencePack(4, 6, 3),
+                             HomologyAlgebra(ring))
+    return [out["B"][k] for k in range(1, 6)] + [out["A"][k] for k in range(1, 5)]
+
+
+def test_one_entry_of_a_graded_map(graded):
+    rng, failed = random.Random(f"graded p={graded[0].maps[0].ring.p}"), 0
+    for cx in graded:
+        assert _finite_complex_exact(cx)[0], cx.name
+        for t, M in enumerate(cx.maps):
+            for n in rng.sample(range(len(M.terms)), min(6, len(M.terms))):
+                G = dataclasses.replace(cx, maps=[change_term(M, n) if s == t else N
+                                                  for s, N in enumerate(cx.maps)])
+                ok, message, dims = _finite_complex_exact(G)
+                assert (ok, message, dims) == dense_complex_exact(G), (cx.name, t, n)
+                assert ok or NAMES_A_MAP.search(message), message
+                failed += not ok
+    assert failed

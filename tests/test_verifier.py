@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    alpha_builds,
     dense_complex_exact,
     flatten,
     make_class_t_basis,
@@ -330,10 +331,12 @@ def test_full_verify_minimal_depth(ring_ci2):
     assert F.ranks == [1, 2]
 
 
-def test_full_verify_builds_each_alpha_once(ring_t):
+def test_full_verify_builds_each_alpha_once(ring_t, monkeypatch):
     # assembly and the graded complexes share the memoized alpha: at degree 8
-    # the 12 distinct alpha_{k,r} are built once each
+    # the 12 distinct alpha_{k,r} of A's pack and the 9 of B's (3, 3, 0) pack
+    # are built once each
     builder.alpha.cache_clear()
+    built = alpha_builds(monkeypatch)
     report, _, _ = full_verify(ring_t, "T", 8, class_t_ring_file().cycles)
     assert report.passed
-    assert builder.alpha.cache_info().misses == 12
+    assert built() == {(4, 6, 3): 12, (3, 3, 0): 9}
