@@ -395,12 +395,13 @@ def _side_by_side(maps, zero_rows: int = 0) -> RingMatrix:
 
 
 class _Coordinates:
-    """Coordinate and multiplication matrices, over H.field (F_p as a
-    QuotientRing with no variables), of cycle matrices in one target space:
-    A_q in its representative basis (span None), or the subspace of A_q
-    whose basis is the columns of ``span``, a matrix of independent classes
-    of A_q as HomologyAlgebra.classes gives it.  Blocks are cached per
-    cycle object and source list, since the block matrices share entries."""
+    """Multiplication matrices, over H.field (F_p as a QuotientRing with no
+    variables), of cycle matrices from a basis of one degree of A (the unit
+    class ``H.reps[0]``, which spans A_0, reads the entries themselves) into
+    A_q in its representative basis (span None), or into the subspace of A_q
+    whose basis is the columns of ``span``, independent classes as
+    HomologyAlgebra.classes gives them.  Blocks are cached per cycle object
+    and source list, since the block matrices share entries."""
 
     def __init__(self, H: HomologyAlgebra, span=None):
         self.H = H
@@ -408,12 +409,10 @@ class _Coordinates:
         self._cache: dict = {}
 
     def _block(self, z, sources) -> RingMatrix:
-        """The target coordinates of the class of z (sources None), or of
-        its products with each source, as the columns of a matrix over the
-        field: one classes matrix, and in a span one solve for all of it."""
-        cycles = [z] if sources is None else [z.wedge(w) for w in sources]
-        a = self.H.classes(z.degree + (0 if sources is None else sources[0].degree),
-                           cycles)
+        """The target coordinates of the products of z with each source, as
+        the columns of a matrix over the field: one classes matrix, and in a
+        span one solve for all of it."""
+        a = self.H.classes(z.degree + sources[0].degree, [z.wedge(w) for w in sources])
         if self.span is not None:
             a = solve_mod(self.span, a, self.H.ring.p)
             if a is None:
@@ -422,14 +421,13 @@ class _Coordinates:
         return RingMatrix.from_terms(self.H.field, *a.shape,
                                      np.column_stack([i, j, np.zeros_like(i), a[i, j]]))
 
-    def matrix(self, theta: CycleMatrix, sources=None) -> RingMatrix:
-        """With sources None, theta's entries as target-coordinate columns,
-        (dim * rows) x cols; otherwise entrywise multiplication by theta,
-        from span(sources)^cols to the target^rows.  Each cycle's block is
-        computed once, and each index row places its cycle's block."""
-        a_src = 1 if sources is None else len(sources)
+    def matrix(self, theta: CycleMatrix, sources) -> RingMatrix:
+        """Entrywise multiplication by theta, from span(sources)^cols to the
+        target^rows.  Each cycle's block is computed once, and each index row
+        places its cycle's block."""
+        a_src = len(sources)
         a_dst = self.span.shape[1] if self.span is not None else self.H.rank(
-            theta.entry_degree + (0 if sources is None else sources[0].degree))
+            theta.entry_degree + sources[0].degree)
         blocks = []
         for z in theta.cycles:
             key = (id(z), id(sources))
@@ -450,29 +448,32 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     pieces.  The maps are RingMatrix over H.field, and a zero block is only
     its extents.
 
-    B_k is the A_k recipe over the subalgebra B that the distinguished triple
-    generates: invariants (3, 3, 0), the triple as its basis, and the spans
-    of the classes of the triple and its products as coordinates.  Position
-    t of A_k exists while t <= k and a_t != 0, with dimension a_t l_{k-t} +
-    l_{k-t,k}; with j = k - t + 1 its map is alpha_{k,k} (t = 1), or
-    (alpha_{j,j} times the degree t - 1 sources | alpha_{j,k}), over l_{k-t,k}
-    rows of zeros.  The alpha matrices come from alpha, memoized per pack and
-    basis, so A's are the ones that assemble_T places.
+    Each block multiplies by a cycle matrix from sources[q], a basis of
+    degree q (the unit class ``H.reps[0]`` stands for the entry itself).
+    B_k is the A_k recipe over the subalgebra B that the distinguished
+    triple generates: invariants (3, 3, 0), the triple as its basis, and the
+    spans of the classes of the triple and its products as coordinates.
+    Position t of A_k exists while t <= k and a_t != 0, with dimension a_t
+    l_{k-t} + l_{k-t,k}; with j = k - t + 1 its map is alpha_{j,j} times the
+    degree t - 1 sources, beside alpha_{j,k} times the unit when t > 1,
+    over l_{k-t,k} rows of zeros.  The alpha matrices come from alpha,
+    memoized per pack and basis, so A's are the ones that assemble_T places.
 
     Returns {"B": {k: FiniteComplex}, "C": {...}, "A": {...},
     "decomposition": {k: [(position, lhs, rhs, ok), ...]}}.
     """
     out = {"B": {}, "C": {}, "A": {}, "decomposition": {}}
+    unit = H.reps[0]
     for j in (1, 2, 3):
         g = gamma(j, basis)
-        d = _Coordinates(H, H.classes(j, g.cycles)).matrix(g)
+        d = _Coordinates(H, H.classes(j, g.cycles)).matrix(g, unit)
         out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d])
 
     B = ClassTBasis(z1=basis.triple, z2=[], z3=[])
-    recipes = {"B": (SequencePack(3, 3, 0, pack.k_max), B, [B.triple],
+    recipes = {"B": (SequencePack(3, 3, 0, pack.k_max), B, [unit, B.triple],
                      [_Coordinates(H, H.classes(1, B.triple)),
                       _Coordinates(H, H.classes(2, B.products))]),
-               "A": (pack, basis, H.reps[1:3], [_Coordinates(H)] * 3)}
+               "A": (pack, basis, H.reps[:3], [_Coordinates(H)] * 3)}
     for k in range(1, k_max + 1):
         for name, (P, Z, sources, coordinates) in recipes.items():
             dims, maps = [P.l[k]], []
@@ -480,8 +481,9 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
                 if not a_t:
                     break
                 j, C, zero_rows = k - t + 1, coordinates[t - 1], P.l_ks(k - t, k)
-                parts = [C.matrix(alpha(k, k, P, Z))] if t == 1 else [
-                    C.matrix(alpha(j, j, P, Z), sources[t - 2]), C.matrix(alpha(j, k, P, Z))]
+                parts = [C.matrix(alpha(j, j, P, Z), sources[t - 1])]
+                if t > 1:
+                    parts.append(C.matrix(alpha(j, k, P, Z), unit))
                 dims.append(a_t * P.l[k - t] + zero_rows)
                 maps.append(_side_by_side(parts, zero_rows))
             out[name][k] = FiniteComplex(f"{name}_{k}", k, dims, maps)

@@ -212,7 +212,7 @@ def _series_fields(mode: str, invariants: dict, order: int, u_hi: int) -> tuple:
         _, PR = poincare_CI(invariants["c"], n, order)
         return [PR.coefficient(k) for k in range(order + 1)], {}
     a1, a2, a3 = invariants["a"][1:4]
-    pack = SequencePack(a1, a2, a3, k_max=max(order, 12))
+    pack = SequencePack(a1, a2, a3, k_max=max(order, u_hi, 12))
     _, PR = poincare_T(a1, a2, a3, n, order)
     return ([PR.coefficient(k) for k in range(order + 1)],
             {"sequences": _sequence_block(pack, order),

@@ -468,7 +468,10 @@ def block_contents(r, c, v, shape, row_tag, col_tag) -> list:
     are the rows with a nonzero in its columns (a lone row is its label)."""
     nr, nc = shape
     row_tag, col_tag = np.broadcast_to(row_tag, nr), np.broadcast_to(col_tag, nc)
-    labels, block = np.unique(_component_labels(r, c + nr, nr + nc), return_inverse=True)
+    parent = _component_labels(r, c + nr, nr + nc)
+    root = parent == np.arange(nr + nc)  # each component's least node
+    labels, block = root.nonzero()[0], (np.cumsum(root) - 1)[parent]
+    del parent, root
     br, bc = block[:nr], block[nr:]
     row_local, col_local = _local_index(br, row_tag), _local_index(bc, col_tag)
     h, w = (np.bincount(x, minlength=len(labels)) for x in (br, bc))

@@ -84,12 +84,14 @@ class VerificationReport:
         return None
 
     def to_dict(self, include_timings: bool = True) -> dict:
+        """The report as JSON data; each section's details are built
+        JSON-ready, their keys strings as the report prints them."""
         sections = []
         for s in self.sections:
             entry = {
                 "name": s.name,
                 "passed": s.passed,
-                "details": _jsonable(s.details),
+                "details": s.details,
                 "failure": s.failure,
             }
             if include_timings:
@@ -101,16 +103,6 @@ class VerificationReport:
             "exactness_range": list(self.exactness_range) if self.exactness_range else None,
             "sections": sections,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +152,8 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
     and a one-dimensional cokernel at degree 0.
 
     The rank of each flattened d_i is `flat_rank`: the dense flat matrix is
-    never formed."""
+    never formed.  The details key flat_ranks and homology by the degree as
+    a string, as the report prints them."""
     ring, i_max = F.ring, F.i_max
     ranks = {}
     cols = {}
@@ -168,7 +161,7 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
         d = F.diff(i)
         cols[i] = d.cols * ring.dim
         ranks[i] = flat_rank(d)
-    details = {"flat_ranks": {i: int(r) for i, r in ranks.items()}}
+    details = {"flat_ranks": {str(i): int(r) for i, r in ranks.items()}}
     h0 = ring.dim - ranks[1]
     details["h0_dimension"] = int(h0)
     if h0 != 1:
@@ -178,7 +171,7 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
     for i in range(1, i_max):
         ker = cols[i] - ranks[i]
         h = ker - ranks[i + 1]
-        homology[i] = int(h)
+        homology[str(i)] = int(h)
         if h != 0:
             details["homology"] = homology
             return CheckSection("exactness", False, details,

@@ -79,7 +79,7 @@ def test_criterion_2_complex_minimality_exactness(setup_p):
     ce = check_exactness(F)
     elapsed = time.time() - t0
     homology_ok = (ce.passed and ce.details["h0_dimension"] == 1
-                   and all(ce.details["homology"][i] == 0 for i in range(1, 8)))
+                   and all(ce.details["homology"][str(i)] == 0 for i in range(1, 8)))
     ok = cc.passed and cm.passed and homology_ok and elapsed < 60
     report(2, ok, f"p={p}, {elapsed:.1f}s")
 

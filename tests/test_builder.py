@@ -23,6 +23,7 @@ from koszulres.exactfield import RingMatrix
 from koszulres.homology import ClassTBasis, HomologyAlgebra, discover_class_CI_basis
 from koszulres.koszul import (
     KoszulElement,
+    KoszulError,
     cycle_matrix_action,
     parse_koszul_element,
     subsets,
@@ -217,6 +218,19 @@ def test_alpha_input_validation(pack_t, basis_t):
         alpha(0, 0, pack_t, basis_t)
     with pytest.raises(BuildError):
         alpha(2, 5, pack_t, basis_t)
+
+
+def test_alpha_extent_mismatch_raises(basis_t):
+    # a1 = 5 tables ask for one more gamma_1 column than the basis has
+    with pytest.raises(AssemblyError, match=r"^alpha_\{1,1\} extent mismatch: "
+                       r"built 4 columns, tables give 5$"):
+        alpha(1, 1, SequencePack(5, 7, 3), basis_t)
+
+
+def test_action_below_entry_degree_raises(pack_t, basis_t):
+    # alpha_{2,3} has entries of degree 2, which act on no K_{1-2}
+    with pytest.raises(KoszulError, match="target degree 1 below entry degree 2"):
+        cycle_matrix_action(alpha(2, 3, pack_t, basis_t), 1)
 
 
 def test_alpha_is_memoized(pack_t, basis_t):
@@ -540,10 +554,11 @@ def test_graded_maps_golden(p):
 
 def test_coordinates_outside_span_raise(basis_t, homology_t):
     # B_1 is spanned by the classes of the triple; z1_4 lies outside it
-    B1 = _Coordinates(homology_t, homology_t.classes(1, basis_t.triple))
-    assert (flatten(B1.matrix(beta(1, basis_t.triple))) == np.eye(3, dtype=np.int64)).all()
+    # (the unit class of A_0 reads the entries themselves)
+    B1, unit = _Coordinates(homology_t, homology_t.classes(1, basis_t.triple)), homology_t.reps[0]
+    assert (flatten(B1.matrix(beta(1, basis_t.triple), unit)) == np.eye(3, dtype=np.int64)).all()
     with pytest.raises(BuildError, match="expected subspace"):
-        B1.matrix(gamma(1, basis_t))
+        B1.matrix(gamma(1, basis_t), unit)
 
 def test_span_blocks_solve_once(ring_t, pack_t, homology_t, monkeypatch):
     # in a span, each block's classes are solved for in one solve_mod call

@@ -306,6 +306,20 @@ def test_demo_betti_through_465(capsys):
     assert "betti: 1,3,7,16,37,86,200,465" in out
 
 
+def test_series_pack_covers_u_table(monkeypatch):
+    # verify at --max-degree 24 reads the u table through k = 13 with the
+    # default order 10; the pack behind it must tabulate k = 13 (the real
+    # u_table(13) enumerates 3^13 tree monomials, so a stub records the call)
+    from koszulres import cli
+    from koszulres.sequences import SequencePack
+    calls = []
+    monkeypatch.setattr(cli, "u_table", lambda k, pack: calls.append((k, pack)) or {})
+    cli._series_fields("T", {"n": 3, "a": [1, 4, 6, 3]}, 10, 13)
+    [(k, pack)] = calls
+    assert k == 13
+    assert pack.l_ks(13, 13) == SequencePack(4, 6, 3, k_max=13).l[13]
+
+
 # -- exit codes ---------------------------------------------------------------
 
 def test_exit_code_parse_error(tmp_path, capsys):

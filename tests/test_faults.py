@@ -22,7 +22,10 @@ The mutant kinds:
   is a positive mutant;
 * a unit added to one entry;
 * positive: basis element j of F_i rescaled by a unit u of R, that is,
-  column j of d_i times u and row j of d_{i+1} times u^-1.
+  column j of d_i times u and row j of d_{i+1} times u^-1;
+* positive: an m-multiple x e_l of basis element l of F_i added to basis
+  element j, x the first variable, that is, column j of d_i plus x times
+  column l and row l of d_{i+1} minus x times row j.
 
 The graded complexes B_1..B_5 and A_1..A_4 of class T, over F_2 and
 F_32003, get one-entry mutants of each map in the same way as the one-term
@@ -187,6 +190,22 @@ def rescale(F, i, j, c):
     return with_diffs(F, {i: F.diff(i) @ U, i + 1: U_inv @ F.diff(i + 1)})
 
 
+def add_multiple(F, i, j, l):
+    """Basis element j of F_i replaced by e_j + x e_l, x the first variable
+    and l != j: column j of d_i plus x times column l, and row l of d_{i+1}
+    minus x times row j."""
+    ring, n = F.ring, F.ranks[i]
+    x = ring.basis_index[(1,) + (0,) * (ring.nvars - 1)]
+
+    def shear(c):
+        return RingMatrix.from_terms(ring, n, n, [(k, k, 0, 1) for k in range(n)]
+                                     + [(l, j, x, c)])
+
+    U, U_inv = shear(1), shear(-1)
+    assert U @ U_inv == shear(0)
+    return with_diffs(F, {i: F.diff(i) @ U, i + 1: U_inv @ F.diff(i + 1)})
+
+
 # -- negative mutants, and their dense recomputation --------------------------
 #
 # Each kind makes its first mutant (the first term, the first action, the
@@ -252,6 +271,20 @@ def test_rescaled_basis_element_passes(case):
         G = rescale(F, i, j, c)
         assert G.differentials != F.differentials
         assert verdict(G) == set() == dense_verdict(case, G), (i, j, c)
+
+
+@pytest.mark.parametrize("case", ["classT-p32003", "ci3"], indirect=True)
+def test_added_m_multiple_passes(case):
+    # two cases keep this file inside its 5 s share of tier-1; the mutants
+    # that equal F (x times column l of d_i and x times row j of d_{i+1}
+    # both zero) are drawn again
+    F, rng = case.F, case.rng("multiple")
+    for i in range(1, I_MAX):
+        G = F
+        while G.differentials == F.differentials:
+            j, l = rng.sample(range(F.ranks[i]), 2)
+            G = add_multiple(F, i, j, l)
+        assert verdict(G) == set() == dense_verdict(case, G), (i, j, l)
 
 
 # -- the graded complexes -----------------------------------------------------

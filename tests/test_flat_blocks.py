@@ -271,7 +271,7 @@ def test_exactness_to_degree_10(ring_t):
     section = check_exactness(F)
     assert section.passed
     ranks = section.details["flat_ranks"]
-    assert [ranks[i] for i in range(1, 10)] == [6, 15, 34, 78, 181, 421, 979, 2276, 5291]
+    assert [ranks[str(i)] for i in range(1, 10)] == [6, 15, 34, 78, 181, 421, 979, 2276, 5291]
 
 
 def test_full_verify_sixth_powers():

@@ -117,7 +117,7 @@ def test_check_exactness_detects_zero_d1(assembly_t, ring_t):
     section = check_exactness(doctored)
     assert not section.passed
     assert section.failure == f"coker d_1 has dimension {ring_t.dim}, expected 1"
-    assert section.details["flat_ranks"][1] == 0
+    assert section.details["flat_ranks"]["1"] == 0
 
 
 def test_negative_controls_hit_one_check_each(ring_t, basis_t, pack_t):
