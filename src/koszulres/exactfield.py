@@ -289,10 +289,6 @@ class RingMatrix:
         M.terms = u.take(u[:, 3].nonzero()[0], axis=0)
         return M
 
-    @classmethod
-    def zero(cls, ring, rows, cols):
-        return cls.from_terms(ring, rows, cols, ())
-
     @property
     def entries(self) -> MappingProxyType:
         """Read-only {(i, j): printed entry} view of the nonzero entries:
@@ -305,16 +301,6 @@ class RingMatrix:
 
     def is_zero(self) -> bool:
         return not len(self.terms)
-
-    def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ExactFieldError("incompatible RingMatrix sum")
-        return RingMatrix.from_terms(self.ring, self.rows, self.cols,
-                                     np.concatenate([self.terms, other.terms]))
-
-    def scale(self, c: int) -> "RingMatrix":
-        return RingMatrix.from_terms(self.ring, self.rows, self.cols,
-                                     self.terms * [1, 1, 1, c % self.ring.p])
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         """Product over R: terms (i, t, a, c) of self and (t, j, b, c') of
@@ -369,17 +355,6 @@ class RingMatrix:
         tag = np.broadcast_to(col_tag, self.cols * D)[col_at]
         return [b._replace(cols=col_at[b.cols])
                 for b in block_contents(r, c, v, (len(row_at), len(col_at)), 0, tag)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingMatrix)
-            and self.ring == other.ring
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and np.array_equal(self.terms, other.terms)
-        )
-
-    def __repr__(self):
-        return f"RingMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
 def block_terms(mats, k, r0, c0, copies, sign) -> np.ndarray:
@@ -642,6 +617,7 @@ def term_string(ring: QuotientRing, b: int, c: int) -> str:
 def parse_ring_file(text: str) -> RingFile:
     fields: dict = {}
     cycles: dict = {}
+    slots: dict = {}  # (degree, index) -> the cycle name that took it
     in_cycles = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -657,11 +633,16 @@ def parse_ring_file(text: str) -> RingFile:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if in_cycles:
-            if not _CYCLE_NAME.fullmatch(key):
+            m = _CYCLE_NAME.fullmatch(key)
+            if not m:
                 raise ExactFieldError(
                     f"line {lineno}: cycle names look like 'z1_2' (got {key!r})")
-            if key in cycles:
-                raise ExactFieldError(f"line {lineno}: duplicate cycle {key!r}")
+            slot = (int(m.group(1)), int(m.group(2)))  # z1_04 is z1_4
+            if slot in slots:
+                raise ExactFieldError(
+                    f"line {lineno}: duplicate cycle {key!r}: {slots[slot]!r} already "
+                    f"names degree {slot[0]}, index {slot[1]}")
+            slots[slot] = key
             cycles[key] = value
         else:
             if key not in _RING_KEYS:

@@ -105,7 +105,7 @@ class KoszulElement:
             raise KoszulError(f"degree {degree} outside [0, {ring.nvars}]")
         rows = len(subsets(ring.nvars, degree))
         if col is None:
-            col = RingMatrix.zero(ring, rows, 1)
+            col = RingMatrix.from_terms(ring, rows, 1, ())
         elif (col.rows, col.cols) != (rows, 1):
             raise KoszulError(f"a degree-{degree} element is a {rows} x 1 column")
         self.ring = ring
@@ -123,20 +123,6 @@ class KoszulElement:
 
     def is_zero(self) -> bool:
         return self.col.is_zero()
-
-    def __add__(self, other: "KoszulElement") -> "KoszulElement":
-        if self.ring != other.ring or self.degree != other.degree:
-            raise KoszulError("incompatible KoszulElement sum")
-        return KoszulElement(self.ring, self.degree, self.col + other.col)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "KoszulElement":
-        return KoszulElement(self.ring, self.degree, self.col.scale(c))
 
     def wedge(self, other: "KoszulElement") -> "KoszulElement":
         """Exterior product; overflow past K_n is the zero element."""
@@ -175,14 +161,6 @@ class KoszulElement:
             self._is_cycle = self.differential().is_zero()
         return self._is_cycle
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, KoszulElement)
-            and self.ring == other.ring
-            and self.degree == other.degree
-            and self.col == other.col
-        )
-
     def to_string(self) -> str:
         basis, parts = subsets(self.ring.nvars, self.degree), []
         for t, _, b, c in self.col.terms.tolist():
@@ -190,9 +168,6 @@ class KoszulElement:
             coef = term_string(self.ring, b, c)
             parts.append(e if coef == "1" else f"{coef}*{e}")
         return " + ".join(parts) or "0"
-
-    def __repr__(self):
-        return f"KoszulElement({self.to_string()})"
 
 
 _CYCLE_TERM = re.compile(r"^(?P<body>.*?)\s*\*?\s*e\[(?P<idx>[0-9,\s]*)\]$")
@@ -328,10 +303,6 @@ class CycleMatrix:
         self.cycles = tuple(cycles)
         self.where = where[nonzero[where[:, 2]]]
         self.where.flags.writeable = False  # shared: alpha memoizes its matrices
-
-    def __repr__(self):
-        return (f"CycleMatrix({self.rows}x{self.cols}, "
-                f"entry degree {self.entry_degree}, {len(self.where)} nonzero)")
 
 
 def cycle_matrix_action(theta: CycleMatrix, i: int) -> RingMatrix:

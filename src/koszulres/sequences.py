@@ -301,13 +301,6 @@ class PowerSeries:
                     coeffs[k + s] += c
         return PowerSeries([{0: c} for c in coeffs], self.order)
 
-    def __eq__(self, other):
-        order = min(self.order, other.order)
-        return self.slices[: order + 1] == other.slices[: order + 1]
-
-    def __repr__(self):
-        return f"PowerSeries({self.slices})"
-
 
 def geometric_binomial(n: int, order: int) -> PowerSeries:
     """(1+t)^n truncated."""

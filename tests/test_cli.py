@@ -612,6 +612,20 @@ def test_exit_code_cycle_indices_with_gap(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("first, second", [("z1_04", "z1_4"), ("z1_4", "z1_04")])
+def test_exit_code_cycle_named_twice(tmp_path, capsys, first, second):
+    # z1_04 and z1_4 name one cycle: the file is refused, whichever comes first
+    texts = {"z1_04": "x*e[1]", "z1_4": "y*z*e[1]"}
+    ring = tmp_path / "alias.ring"
+    ring.write_text(CLASS_T.read_text().replace(
+        "z1_4 = y*z*e[1]\n", f"{first} = {texts[first]}\n{second} = {texts[second]}\n"))
+    assert run("verify", "--ring", str(ring), "--max-degree", "4", "--no-timestamp") == 2
+    captured = capsys.readouterr()
+    assert (f"input error: line 13: duplicate cycle {second!r}: {first!r} already names "
+            "degree 1, index 4") in captured.err
+    assert captured.out == ""
+
+
 def test_verify_and_resolve_share_options(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "200")  # one line per option
     helps = {}

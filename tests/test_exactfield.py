@@ -89,7 +89,6 @@ def test_entries_name_variables_like_their_ring():
     ring = QuotientRing(7, 4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
     M = ring_matrix(ring, 1, 1, {(0, 0): "3*x4 + 1"})
     assert dict(M.entries) == {(0, 0): "1 + 3*x4"}
-    assert repr(M) == "RingMatrix(1x1, 1 nonzero)"
 
 
 def test_non_artinian_rejected():
@@ -134,7 +133,7 @@ def test_flatten_multiplication_by_x(ring_t):
 
 
 def test_flatten_zero_and_identity(ring_t):
-    Z = RingMatrix.zero(ring_t, 2, 3)
+    Z = RingMatrix.from_terms(ring_t, 2, 3, ())
     assert not flatten(Z).any()
     I = ring_matrix(ring_t, 2, 2, {(0, 0): "1", (1, 1): "1"})
     assert (flatten(I) == np.eye(14, dtype=np.int64)).all()
@@ -194,12 +193,12 @@ def test_ring_matrix_product_associative():
         A = _random_ring_matrix(ring, 2, 2)
         B = _random_ring_matrix(ring, 2, 2)
         C = _random_ring_matrix(ring, 2, 2)
-        assert ((A @ B) @ C) == (A @ (B @ C))
+        assert np.array_equal(((A @ B) @ C).terms, (A @ (B @ C)).terms)
 
 
 def test_block_terms_matches_per_copy_loop():
     ring = class_t_ring(7)
-    mats = [_random_ring_matrix(ring, 2, 3), RingMatrix.zero(ring, 1, 2),
+    mats = [_random_ring_matrix(ring, 2, 3), RingMatrix.from_terms(ring, 1, 2, ()),
             _random_ring_matrix(ring, 3, 1)]
     assert len(mats[0].terms) and len(mats[2].terms)
     k = np.array([0, 1, 2, 0, 2])
@@ -344,7 +343,7 @@ def test_product_matches_reference_random(p):
         for rows, inner, cols in ((1, 1, 1), (3, 4, 2), (5, 2, 6)):
             A = _random_ring_matrix(ring, rows, inner, terms=5)
             B = _random_ring_matrix(ring, inner, cols, terms=5)
-            assert A @ B == reference_product(A, B)
+            assert np.array_equal((A @ B).terms, reference_product(A, B).terms)
             most_terms = max([most_terms] + [len(f) for f in entry_dicts(A).values()])
     assert most_terms >= 3
 
@@ -363,7 +362,7 @@ def test_product_matches_reference_on_differentials(p):
         nonzero = False
         for i in range(1, F.i_max):
             prod = F.diff(i) @ F.diff(i + 1)
-            assert prod == reference_product(F.diff(i), F.diff(i + 1))
+            assert np.array_equal(prod.terms, reference_product(F.diff(i), F.diff(i + 1)).terms)
             nonzero |= not prod.is_zero()
         # signs are invisible in characteristic 2
         assert nonzero == (sign_flip and p != 2)
@@ -373,9 +372,9 @@ def test_product_matches_reference_on_differentials(p):
 def test_entries_round_trip(p):
     # the printed entries parse back to the matrix
     ring = class_t_ring(p)
-    for M in (_random_ring_matrix(ring, 4, 3, terms=5), RingMatrix.zero(ring, 2, 2),
+    for M in (_random_ring_matrix(ring, 4, 3, terms=5), RingMatrix.from_terms(ring, 2, 2, ()),
               ring_matrix(ring, 3, 3, {(i, i): "1" for i in range(3)})):
-        assert ring_matrix(ring, M.rows, M.cols, M.entries) == M
+        assert np.array_equal(ring_matrix(ring, M.rows, M.cols, M.entries).terms, M.terms)
     with pytest.raises(TypeError):
         M.entries[(0, 0)] = "1"  # a read-only view
 
@@ -572,6 +571,13 @@ def test_ring_file_normalizes_monomials():
      r"line 5: cycle names look like 'z1_2' \(got 'w1_1'\)"),
     ("characteristic = 7\nvariables = x\nideal = x^2\n[cycles]\nz1_1 = x*e[1]\n"
      "z1_1 = x*e[1]\n", "line 6: duplicate cycle 'z1_1'"),
+    # z1_04 and z1_4 both name degree 1, index 4, in either order
+    ("characteristic = 7\nvariables = x, y\nideal = x^2, y^2\n[cycles]\nz1_04 = x*e[1]\n"
+     "z1_4 = y*e[1]\n", "line 6: duplicate cycle 'z1_4': 'z1_04' already names "
+     "degree 1, index 4"),
+    ("characteristic = 7\nvariables = x, y\nideal = x^2, y^2\n[cycles]\nz1_4 = y*e[1]\n"
+     "z1_04 = x*e[1]\n", "line 6: duplicate cycle 'z1_04': 'z1_4' already names "
+     "degree 1, index 4"),
     ("characteristic = 7\nvariables = x, y\nideal = x^2, w^2\n",
      r"unknown variable 'w' in monomial 'w\^2'"),
 ])

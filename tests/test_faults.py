@@ -91,7 +91,8 @@ class Case:
                        lambda theta, i: answer(cycle_matrix_action(theta, i), next(calls)))
             G = self._assemble()
         return dataclasses.replace(self.F, differentials=[
-            f if g == f else g for f, g in zip(self.F.differentials, G.differentials)])
+            f if np.array_equal(g.terms, f.terms) else g
+            for f, g in zip(self.F.differentials, G.differentials)])
 
     def rng(self, kind) -> random.Random:
         return random.Random(f"{self.name} {kind}")
@@ -134,6 +135,12 @@ def dense_verdict(case, G) -> set:
     if any(homology):
         faults.add("exactness")
     return faults
+
+
+def same_differentials(F, G) -> bool:
+    """Whether G's differentials, of the same shapes as F's, have F's terms."""
+    return all(np.array_equal(f.terms, g.terms)
+               for f, g in zip(F.differentials, G.differentials))
 
 
 def with_diffs(F, changed: dict):
@@ -186,7 +193,7 @@ def rescale(F, i, j, c):
                                      + [(j, j, b, a) for b, a in terms])
 
     U, U_inv = diag((0, c), (x, c)), diag((0, c_inv), (x, -c_inv))
-    assert U @ U_inv == diag((0, 1))
+    assert np.array_equal((U @ U_inv).terms, diag((0, 1)).terms)
     return with_diffs(F, {i: F.diff(i) @ U, i + 1: U_inv @ F.diff(i + 1)})
 
 
@@ -202,7 +209,7 @@ def add_multiple(F, i, j, l):
                                      + [(l, j, x, c)])
 
     U, U_inv = shear(1), shear(-1)
-    assert U @ U_inv == shear(0)
+    assert np.array_equal((U @ U_inv).terms, shear(0).terms)
     return with_diffs(F, {i: F.diff(i) @ U, i + 1: U_inv @ F.diff(i + 1)})
 
 
@@ -229,7 +236,7 @@ def test_one_coefficient_of_one_arrow_matrix(case):
     for n, t in [(0, 0)] + [(n, rng.randrange(case.actions[n]))
                             for n in (rng.randint(1, last), last)]:
         G = case.assemble(lambda M, m: change_term(M, t) if m == n else M)
-        assert G.differentials != case.F.differentials
+        assert not same_differentials(case.F, G)
         expected = dense_verdict(case, G)
         assert verdict(G) == expected, (n, t)
         assert expected or n, t
@@ -243,7 +250,7 @@ def test_sign_of_one_arrow_block(case):
             G = flip_arrow(F, k, blocks[q])
             if F.ring.p == 2:
                 # -1 = 1 over F_2: the mutant is F, a positive mutant there
-                assert G.differentials == F.differentials
+                assert same_differentials(F, G)
                 assert verdict(G) == set()
                 continue
             expected = dense_verdict(case, G)
@@ -255,9 +262,9 @@ def test_added_unit_entry(case):
     F, rng = case.F, case.rng("unit")
     for i in range(1, I_MAX + 1):
         d = F.diff(i)
-        unit = RingMatrix.from_terms(d.ring, d.rows, d.cols,
-                                     [(rng.randrange(d.rows), rng.randrange(d.cols), 0, 1)])
-        G = with_diffs(F, {i: d + unit})
+        unit = (rng.randrange(d.rows), rng.randrange(d.cols), 0, 1)
+        G = with_diffs(F, {i: RingMatrix.from_terms(d.ring, d.rows, d.cols,
+                                                    np.vstack([d.terms, unit]))})
         expected = dense_verdict(case, G)
         assert "minimality" in expected and verdict(G) == expected, i
 
@@ -269,7 +276,7 @@ def test_rescaled_basis_element_passes(case):
     for i in range(1, I_MAX):
         j, c = rng.randrange(F.ranks[i]), rng.randrange(1, F.ring.p)
         G = rescale(F, i, j, c)
-        assert G.differentials != F.differentials
+        assert not same_differentials(F, G)
         assert verdict(G) == set() == dense_verdict(case, G), (i, j, c)
 
 
@@ -281,7 +288,7 @@ def test_added_m_multiple_passes(case):
     F, rng = case.F, case.rng("multiple")
     for i in range(1, I_MAX):
         G = F
-        while G.differentials == F.differentials:
+        while same_differentials(F, G):
             j, l = rng.sample(range(F.ranks[i]), 2)
             G = add_multiple(F, i, j, l)
         assert verdict(G) == set() == dense_verdict(case, G), (i, j, l)

@@ -261,8 +261,8 @@ def test_one_block_engine_in_src():
 
 
 def test_flat_blocks_of_zero_matrix(ring_t):
-    assert RingMatrix.zero(ring_t, 3, 4).flat_contents() == []
-    assert flat_blocks(RingMatrix.zero(ring_t, 3, 4)) == []
+    assert RingMatrix.from_terms(ring_t, 3, 4, ()).flat_contents() == []
+    assert flat_blocks(RingMatrix.from_terms(ring_t, 3, 4, ())) == []
 
 
 def test_exactness_to_degree_10(ring_t):

@@ -61,7 +61,8 @@ def test_boundary_class_is_zero(ring_t, homology_t):
 
 def test_class_well_defined_mod_boundaries(ring_t, homology_t):
     z = parse_koszul_element("x*e[1]", ring_t)
-    moved = z + KoszulElement.basis(ring_t, (1, 3)).differential()
+    moved = from_vector(ring_t, 1, to_vector(z)
+                        + to_vector(KoszulElement.basis(ring_t, (1, 3)).differential()))
     c1, c2 = homology_t.classes(1, [z, moved]).T
     assert c1.any()
     assert (c1 == c2).all()
@@ -77,7 +78,7 @@ def test_classes_of_mixed_list_match_single_columns(ring_t, homology_t):
     for i in (1, 2):
         reps = H.reps[i]
         boundary = KoszulElement.basis(ring_t, (1, 2, 3)[:i + 1]).differential()
-        moved = reps[-1] + boundary.scale(5)
+        moved = from_vector(ring_t, i, to_vector(reps[-1]) + 5 * to_vector(boundary))
         mixed = [*reps, boundary, moved, reps[0]]
         got = H.classes(i, mixed)
         assert got.dtype == np.int64 and got.shape == (H.rank(i), len(mixed))
@@ -154,7 +155,8 @@ def test_classes_make_no_elimination(monkeypatch, gens):
         fn = module.rref_mod
         monkeypatch.setattr(module, "rref_mod", lambda *args, fn=fn: calls.append(1) or fn(*args))
     for i in range(4):
-        sums = [a + b for a, b in zip(H.reps[i], H.reps[i][1:])]
+        sums = [from_vector(ring, i, to_vector(a) + to_vector(b))
+                for a, b in zip(H.reps[i], H.reps[i][1:])]
         cycles = [*H.reps[i], *sums, *H.reps[i][::-1]]
         got = H.classes(i, cycles)
         eye = np.eye(H.rank(i), dtype=np.int64)
@@ -205,7 +207,8 @@ def test_product_classes(ring_t, homology_t, basis_t):
 
 def test_product_independent_of_representative(ring_t, homology_t, basis_t):
     z1, z2 = basis_t.z1[0], basis_t.z1[1]
-    moved = z1 + KoszulElement.basis(ring_t, (2, 3)).differential()
+    moved = from_vector(ring_t, 1, to_vector(z1)
+                        + to_vector(KoszulElement.basis(ring_t, (2, 3)).differential()))
     a, b = homology_t.classes(2, [z1.wedge(z2), moved.wedge(z2)]).T
     assert (a == b).all()
 

@@ -154,11 +154,12 @@ def test_subset_bases(ring_t):
 
 
 def test_wedge_sign_values(ring_t):
-    assert e(ring_t, 1).wedge(e(ring_t, 2)) == e(ring_t, 1, 2)
-    assert e(ring_t, 2).wedge(e(ring_t, 1)) == -e(ring_t, 1, 2)
+    # e_12 is basis element 0 of K_2, and e_123 the only one of K_3
+    assert e(ring_t, 1).wedge(e(ring_t, 2)).col.terms.tolist() == [[0, 0, 0, 1]]
+    assert e(ring_t, 2).wedge(e(ring_t, 1)).col.terms.tolist() == [[0, 0, 0, ring_t.p - 1]]
     assert e(ring_t, 1).wedge(e(ring_t, 1)).is_zero()
     # two transpositions
-    assert e(ring_t, 2, 3).wedge(e(ring_t, 1)) == e(ring_t, 1, 2, 3)
+    assert e(ring_t, 2, 3).wedge(e(ring_t, 1)).col.terms.tolist() == [[0, 0, 0, 1]]
     assert wedge_table(3, 2, 1).tolist() == [[0, 2, 0, 1], [1, 1, 0, -1], [2, 0, 0, 1]]
 
 
@@ -172,14 +173,18 @@ def test_differential_degree_one(ring_t):
 
 def test_differential_degree_two(ring_t):
     # d(e_12) = -y e_1 + x e_2, d(e_13) = -z e_1 + x e_3, d(e_23) = -z e_2 + y e_3
-    assert koszul_differential(2, ring_t) == ring_matrix(ring_t, 3, 3, {
-        (0, 0): "-y", (1, 0): "x", (0, 1): "-z", (2, 1): "x", (1, 2): "-z", (2, 2): "y"})
+    d2 = koszul_differential(2, ring_t)
+    assert (d2.rows, d2.cols) == (3, 3)
+    assert np.array_equal(d2.terms, ring_matrix(ring_t, 3, 3, {
+        (0, 0): "-y", (1, 0): "x", (0, 1): "-z", (2, 1): "x", (1, 2): "-z", (2, 2): "y"}).terms)
 
 
 def test_differential_degree_three(ring_t):
     # basis (e_12, e_13, e_23): d(e_123) = z e_12 - y e_13 + x e_23
-    assert koszul_differential(3, ring_t) == ring_matrix(
-        ring_t, 3, 1, {(0, 0): "z", (1, 0): "-y", (2, 0): "x"})
+    d3 = koszul_differential(3, ring_t)
+    assert (d3.rows, d3.cols) == (3, 1)
+    assert np.array_equal(d3.terms, ring_matrix(
+        ring_t, 3, 1, {(0, 0): "z", (1, 0): "-y", (2, 0): "x"}).terms)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -215,12 +220,13 @@ def e(ring, *idx):
 
 def test_wedge_basic(ring_t):
     assert e(ring_t, 1).wedge(e(ring_t, 1)).is_zero()
-    assert e(ring_t, 1).wedge(e(ring_t, 2)) == e(ring_t, 1, 2)
-    assert e(ring_t, 2).wedge(e(ring_t, 1)) == e(ring_t, 1, 2).scale(-1)
+    e12 = to_vector(e(ring_t, 1, 2))
+    assert np.array_equal(to_vector(e(ring_t, 1).wedge(e(ring_t, 2))), e12)
+    assert np.array_equal(to_vector(e(ring_t, 2).wedge(e(ring_t, 1))), -e12 % ring_t.p)
     xe1 = parse_koszul_element("x*e[1]", ring_t)
     ye2 = parse_koszul_element("y*e[2]", ring_t)
     prod = xe1.wedge(ye2)
-    assert prod == parse_koszul_element("x*y*e[1,2]", ring_t)
+    assert np.array_equal(prod.col.terms, parse_koszul_element("x*y*e[1,2]", ring_t).col.terms)
 
 
 def _random_element(ring, degree, terms=3, rng=rng):
@@ -232,9 +238,9 @@ def test_wedge_graded_commutative(ring_t):
         da, db = rng.randrange(0, 3), rng.randrange(0, 3)
         a = _random_element(ring_t, da)
         b = _random_element(ring_t, db)
-        lhs = a.wedge(b)
-        rhs = b.wedge(a).scale((-1) ** (da * db))
-        assert lhs == rhs
+        lhs = to_vector(a.wedge(b))
+        rhs = (-1) ** (da * db) * to_vector(b.wedge(a)) % ring_t.p
+        assert np.array_equal(lhs, rhs)
 
 
 def test_wedge_associative(ring_t):
@@ -242,7 +248,7 @@ def test_wedge_associative(ring_t):
         a = _random_element(ring_t, 1)
         b = _random_element(ring_t, 1)
         c = _random_element(ring_t, 1)
-        assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+        assert np.array_equal(a.wedge(b).wedge(c).col.terms, a.wedge(b.wedge(c)).col.terms)
 
 
 def test_leibniz_identity(ring_t):
@@ -251,9 +257,10 @@ def test_leibniz_identity(ring_t):
         db = rng.randrange(1, 4 - da)
         a = _random_element(ring_t, da)
         b = _random_element(ring_t, db)
-        lhs = a.wedge(b).differential()
-        rhs = a.differential().wedge(b) + a.wedge(b.differential()).scale((-1) ** da)
-        assert lhs == rhs
+        lhs = to_vector(a.wedge(b).differential())
+        rhs = (to_vector(a.differential().wedge(b))
+               + (-1) ** da * to_vector(a.wedge(b.differential()))) % ring_t.p
+        assert np.array_equal(lhs, rhs)
 
 
 def test_wedge_overflow(ring_t):
@@ -264,8 +271,8 @@ def test_wedge_overflow(ring_t):
 
 def test_parse_consecutive_signs_multiply(ring_t):
     # a sign that follows a sign multiplies it, so "- -" adds the term
-    assert parse_koszul_element("x*e[1] - -y*e[2]", ring_t) == \
-        parse_koszul_element("x*e[1] + y*e[2]", ring_t)
+    assert np.array_equal(parse_koszul_element("x*e[1] - -y*e[2]", ring_t).col.terms,
+                          parse_koszul_element("x*e[1] + y*e[2]", ring_t).col.terms)
 
 
 def test_parse_roundtrip(ring_t):
@@ -273,7 +280,7 @@ def test_parse_roundtrip(ring_t):
                  "x*e[1] + y*e[1]"):
         z = parse_koszul_element(text, ring_t)
         again = parse_koszul_element(z.to_string(), ring_t)
-        assert z == again
+        assert np.array_equal(z.col.terms, again.col.terms)
     # one term per monomial: a coefficient with several terms is not bracketed
     assert parse_koszul_element("x*e[1] + y*e[1]", ring_t).to_string() == \
         "x*e[1] + y*e[1]"
@@ -281,10 +288,11 @@ def test_parse_roundtrip(ring_t):
     for _ in range(30):
         degree = local.randrange(1, 4)
         # sums of random elements give coefficients with several terms
-        z = (_random_element(ring_t, degree, rng=local)
-             + _random_element(ring_t, degree, rng=local))
+        z = from_vector(ring_t, degree, to_vector(_random_element(ring_t, degree, rng=local))
+                        + to_vector(_random_element(ring_t, degree, rng=local)))
         if not z.is_zero():
-            assert parse_koszul_element(z.to_string(), ring_t) == z
+            assert np.array_equal(parse_koszul_element(z.to_string(), ring_t).col.terms,
+                                  z.col.terms)
     with pytest.raises(KoszulError):
         parse_koszul_element("x*e[2,1]", ring_t)
     with pytest.raises(KoszulError):
@@ -337,8 +345,8 @@ def test_cycle_matrix_action_row_of_cycles(ring_t, basis_t):
     # unit vectors map to x e_1, y e_2, z e_3, yz e_1
     for j, want in enumerate(["x*e[1]", "y*e[2]", "z*e[3]", "y*z*e[1]"]):
         col = act.terms[act.terms[:, 1] == j] * [1, 0, 1, 1]
-        assert KoszulElement(ring_t, 1, RingMatrix.from_terms(ring_t, 3, 1, col)) == \
-            parse_koszul_element(want, ring_t)
+        assert np.array_equal(RingMatrix.from_terms(ring_t, 3, 1, col).terms,
+                              parse_koszul_element(want, ring_t).col.terms)
 
 
 def test_cycle_matrix_action_zero_and_top(ring_t, basis_t):
@@ -365,8 +373,9 @@ def test_cycle_matrix_action_builds_each_wedge_action_once(ring_t, basis_t, pack
         return join_sorted(*args)
 
     monkeypatch.setattr(koszul, "join_sorted", spy)
-    assert cycle_matrix_action(theta, 2) == first
-    assert cycle_matrix_action(b, 2) == reference_cycle_matrix_action(b, 2, ring_t)
+    assert np.array_equal(cycle_matrix_action(theta, 2).terms, first.terms)
+    assert np.array_equal(cycle_matrix_action(b, 2).terms,
+                          reference_cycle_matrix_action(b, 2, ring_t).terms)
     assert calls == []
 
 
@@ -443,11 +452,11 @@ def test_element_arithmetic_matches_reference(p, name, perm):
         non_cycles += not da
         v = to_vector(z)
         assert (v == ref_vector(ring, i, a)).all()
-        assert from_vector(ring, i, v) == z
-        assert from_vector(ring, i, v + 3 * ring.p) == z
+        assert np.array_equal(from_vector(ring, i, v).col.terms, z.col.terms)
+        assert np.array_equal(from_vector(ring, i, v + 3 * ring.p).col.terms, z.col.terms)
         text = z.to_string()
         assert text == ref_string(ring, i, a)
-        assert parse_koszul_element(text, ring) == z
+        assert np.array_equal(parse_koszul_element(text, ring).col.terms, z.col.terms)
         assert parse_koszul_element(text, ring).to_string() == text
     assert dropped[0] and overflows and non_cycles
 
@@ -498,7 +507,7 @@ def test_wedge_table_lists_every_basis_product():
                             continue
                         m, s = found[(u, t)]
                         want = e(ring, *subsets(n, i + j)[m])
-                        assert prod == (want if s == 1 else want.scale(-1))
+                        assert np.array_equal(to_vector(prod), s * to_vector(want) % ring.p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -508,14 +517,16 @@ def test_koszul_differential_matches_reference(p):
                                              (0, 0, 2, 0), (0, 0, 0, 4)])]
     for ring in rings:
         for i in range(ring.nvars + 1):
-            assert koszul_differential(i, ring) == \
-                reference_koszul_differential(i, ring)
+            assert np.array_equal(koszul_differential(i, ring).terms,
+                                  reference_koszul_differential(i, ring).terms)
 
 
 def _assert_actions_match_reference(theta, ring):
     for i in range(theta.entry_degree, ring.nvars + 1):
         act = cycle_matrix_action(theta, i)
-        assert act == reference_cycle_matrix_action(theta, i, ring), (theta, i)
+        want = reference_cycle_matrix_action(theta, i, ring)
+        assert (act.rows, act.cols) == (want.rows, want.cols), (theta, i)
+        assert np.array_equal(act.terms, want.terms), (theta, i)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -530,9 +541,11 @@ def test_class_t_actions_match_reference(p):
     thetas += [beta(k, basis.triple) for k in range(1, 9)]
     thetas += [beta_prime(k, basis) for k in range(2, 9)]
     thetas += [gamma(j, basis) for j in (1, 2, 3)]
-    z = basis.z1[0] + basis.z1[3] + e(ring, 1, 3).differential()
-    w = basis.z1[1] - e(ring, 2, 3).differential()
-    mixed = CycleMatrix(ring, 2, 2, 1, [z, w, z + w], [(0, 0, 0), (0, 1, 1), (1, 1, 2)])
+    vz = (to_vector(basis.z1[0]) + to_vector(basis.z1[3])
+          + to_vector(e(ring, 1, 3).differential()))
+    vw = to_vector(basis.z1[1]) - to_vector(e(ring, 2, 3).differential())
+    z, w, zw = (from_vector(ring, 1, v) for v in (vz, vw, vz + vw))
+    mixed = CycleMatrix(ring, 2, 2, 1, [z, w, zw], [(0, 0, 0), (0, 1, 1), (1, 1, 2)])
     assert max(len(f) for f in ref_of(z).values()) >= 2 and len(ref_of(z)) >= 2
     for theta in thetas + [mixed]:
         _assert_actions_match_reference(theta, ring)
@@ -550,12 +563,8 @@ def test_ci_betas_match_reference(p):
 
 def test_mismatched_operands_raise(ring_t):
     x1 = parse_koszul_element("x*e[1]", ring_t)
-    with pytest.raises(KoszulError, match="incompatible KoszulElement sum"):
-        x1 + x1.wedge(parse_koszul_element("y*e[2]", ring_t))
     with pytest.raises(KoszulError, match="incompatible KoszulElement product"):
         x1.wedge(parse_koszul_element("x*e[1]", class_t_ring(2)))
-    M = RingMatrix.zero(ring_t, 2, 3)
-    with pytest.raises(ExactFieldError, match="incompatible RingMatrix sum"):
-        M + RingMatrix.zero(ring_t, 3, 2)
+    M = RingMatrix.from_terms(ring_t, 2, 3, ())
     with pytest.raises(ExactFieldError, match="incompatible RingMatrix product"):
         M @ M

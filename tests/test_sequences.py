@@ -169,7 +169,7 @@ def test_poincare_t_example():
     assert [PR.coefficient(k) for k in range(8)] == [1, 3, 7, 16, 37, 86, 200, 465]
     # P^R = (1+t)^n P^A(t,t) coefficientwise
     recombined = geometric_binomial(3, 10) * PA.diagonal()
-    assert recombined == PR
+    assert recombined.order == PR.order and recombined.slices == PR.slices
     # the collapsed denominator reproduces (1+t)^n
     # 1 - a1 t^2 - (a2-3) t^3 - (a3-3) t^4 - t^5 - t^6 at a = (4, 6, 3)
     denom = PowerSeries.from_terms(

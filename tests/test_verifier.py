@@ -262,7 +262,8 @@ def test_oracle_deterministic(ring_ci2):
     a = oracle_resolution(ring_ci2, 4)
     b = oracle_resolution(ring_ci2, 4)
     assert a.betti == b.betti
-    assert all(x == y for x, y in zip(a.differentials, b.differentials))
+    assert all((x.rows, x.cols) == (y.rows, y.cols) and np.array_equal(x.terms, y.terms)
+               for x, y in zip(a.differentials, b.differentials))
 
 
 # -- orchestration -----------------------------------------------------------
