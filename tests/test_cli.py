@@ -350,6 +350,11 @@ def test_exit_code_ideal_with_variable(tmp_path, capsys, command):
     ("z1_4 = y*z*e[1]", "z1_4 = ", "empty Koszul element ''"),
     ("z1_4 = y*z*e[1]", "z1_4 = x*y", "cannot parse Koszul term 'x*y'"),
     ("z1_4 = y*z*e[1]", "z1_4 = x*e[4]", "basis index out of range in 'x*e[4]'"),
+    # z1_04 and z1_4 name one cycle, whichever comes first
+    ("z1_4 = y*z*e[1]", "z1_04 = x*e[1]\nz1_4 = y*z*e[1]",
+     "line 13: duplicate cycle 'z1_4': 'z1_04' already names degree 1, index 4"),
+    ("z1_4 = y*z*e[1]", "z1_4 = y*z*e[1]\nz1_04 = x*e[1]",
+     "line 13: duplicate cycle 'z1_04': 'z1_4' already names degree 1, index 4"),
 ])
 def test_exit_code_unreadable_ring_text(tmp_path, capsys, old, new, message):
     ring = tmp_path / "bad.ring"
@@ -609,20 +614,6 @@ def test_exit_code_cycle_indices_with_gap(tmp_path, capsys):
     assert run("verify", "--ring", str(ring), "--max-degree", "8", "--no-timestamp") == 2
     captured = capsys.readouterr()
     assert "input error: cycle indices for degree 1 must be 1..2" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("first, second", [("z1_04", "z1_4"), ("z1_4", "z1_04")])
-def test_exit_code_cycle_named_twice(tmp_path, capsys, first, second):
-    # z1_04 and z1_4 name one cycle: the file is refused, whichever comes first
-    texts = {"z1_04": "x*e[1]", "z1_4": "y*z*e[1]"}
-    ring = tmp_path / "alias.ring"
-    ring.write_text(CLASS_T.read_text().replace(
-        "z1_4 = y*z*e[1]\n", f"{first} = {texts[first]}\n{second} = {texts[second]}\n"))
-    assert run("verify", "--ring", str(ring), "--max-degree", "4", "--no-timestamp") == 2
-    captured = capsys.readouterr()
-    assert (f"input error: line 13: duplicate cycle {second!r}: {first!r} already names "
-            "degree 1, index 4") in captured.err
     assert captured.out == ""
 
 
