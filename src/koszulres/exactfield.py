@@ -633,11 +633,10 @@ def parse_ring_file(text: str) -> RingFile:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if in_cycles:
-            m = _CYCLE_NAME.fullmatch(key)
-            if not m:
+            slot = cycle_slot(key)
+            if not slot:
                 raise ExactFieldError(
                     f"line {lineno}: cycle names look like 'z1_2' (got {key!r})")
-            slot = (int(m.group(1)), int(m.group(2)))  # z1_04 is z1_4
             if slot in slots:
                 raise ExactFieldError(
                     f"line {lineno}: duplicate cycle {key!r}: {slots[slot]!r} already "
@@ -690,6 +689,13 @@ def parse_ring_file(text: str) -> RingFile:
 _CYCLE_NAME = re.compile(r"z([123])_([0-9]+)")
 
 
+def cycle_slot(name: str) -> tuple | None:
+    """(degree, index) of a cycle name like 'z1_2', or None for any other
+    name.  'z1_04' and 'z1_4' name one slot, (1, 4)."""
+    m = _CYCLE_NAME.fullmatch(name)
+    return m and (int(m.group(1)), int(m.group(2)))
+
+
 def serialize_ring_file(rf: RingFile) -> str:
     lines = [
         f"characteristic = {rf.characteristic}",
@@ -705,10 +711,7 @@ def serialize_ring_file(rf: RingFile) -> str:
     if rf.cycles:
         lines.append("")
         lines.append("[cycles]")
-        def cycle_key(name):
-            m = _CYCLE_NAME.fullmatch(name)
-            return (int(m.group(1)), int(m.group(2)))
-        for name in sorted(rf.cycles, key=cycle_key):
+        for name in sorted(rf.cycles, key=cycle_slot):
             lines.append(f"{name} = {rf.cycles[name]}")
     return "\n".join(lines) + "\n"
 

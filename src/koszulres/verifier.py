@@ -28,9 +28,9 @@ from .builder import (
     graded_A_complexes,
 )
 from .exactfield import (
-    _CYCLE_NAME,
     QuotientRing,
     RingMatrix,
+    cycle_slot,
     kernel_mod,
     rank_mod,
     rref_mod,
@@ -382,12 +382,16 @@ def _cert_message(kind, cert):
 
 def basis_from_strings(ring, cycle_strings, class_t: bool):
     groups: dict = {1: {}, 2: {}, 3: {}}
+    names: dict = {}  # (degree, index) -> the cycle name that took it
     for name, text in cycle_strings.items():
-        m = _CYCLE_NAME.fullmatch(name)
-        if not m:
+        slot = cycle_slot(name)
+        if not slot:
             raise ValueError(f"bad cycle name {name!r}")
-        deg, idx = int(m.group(1)), int(m.group(2))
-        groups[deg][idx] = parse_koszul_element(text, ring)
+        if slot in names:
+            raise ValueError(f"duplicate cycle {name!r}: {names[slot]!r} already names "
+                             f"degree {slot[0]}, index {slot[1]}")
+        names[slot] = name
+        groups[slot[0]][slot[1]] = parse_koszul_element(text, ring)
 
     def ordered(deg):
         d = groups[deg]

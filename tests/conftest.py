@@ -162,6 +162,18 @@ def flat_blocks(M: RingMatrix) -> list:
     return blocks
 
 
+def same_matrix(a: RingMatrix, b: RingMatrix) -> bool:
+    """Equality of ring matrices: one ring, one shape and the same term
+    rows, which from_terms keeps sorted and reduced."""
+    return (a.ring == b.ring and (a.rows, a.cols) == (b.rows, b.cols)
+            and np.array_equal(a.terms, b.terms))
+
+
+def same_element(a: KoszulElement, b: KoszulElement) -> bool:
+    """Equality of Koszul elements: one degree and the same column."""
+    return a.degree == b.degree and same_matrix(a.col, b.col)
+
+
 def to_vector(z: KoszulElement) -> np.ndarray:
     """The dense F_p coordinate vector of z, subset-major then
     standard-monomial: the term (t, 0, b, c) is coordinate t * dim + b."""
@@ -207,12 +219,15 @@ def verify_chain_map(theta: CycleMatrix, degrees) -> ChainMapReport:
             continue
         d_i = repeat_diag(koszul_differential(i, ring), theta.rows)
         lhs = d_i @ cycle_matrix_action(theta, i)
-        rhs = np.zeros((0, 4), dtype=np.int64)
+        shape = (theta.rows * len(subsets(ring.nvars, i - 1)),
+                 theta.cols * len(subsets(ring.nvars, i - j)))
+        rhs = RingMatrix.from_terms(ring, *shape, ())
         if i - 1 >= j and 0 < i - j:
             d_src = repeat_diag(koszul_differential(i - j, ring), theta.cols)
-            rhs = (cycle_matrix_action(theta, i - 1) @ d_src).terms
-        diff = RingMatrix.from_terms(ring, lhs.rows, lhs.cols, np.concatenate(
-            [lhs.terms, rhs * [1, 1, 1, (-1) ** (j + 1)]]))
+            rhs = cycle_matrix_action(theta, i - 1) @ d_src
+        assert (lhs.rows, lhs.cols) == (rhs.rows, rhs.cols) == shape, i
+        diff = RingMatrix.from_terms(ring, *shape, np.concatenate(
+            [lhs.terms, rhs.terms * [1, 1, 1, (-1) ** (j + 1)]]))
         checked.append(i)
         if not diff.is_zero():
             r, c = diff.terms[0, :2].tolist()  # terms are sorted by (row, column)
@@ -256,9 +271,7 @@ def right_inverse_holds(triple, k):
                          [(i, i, 0) for i in range(b.rows)])
     b_prime = beta_prime(k + 1, ClassTBasis(list(triple), [], []))
     product = cycle_matrix_action(b, 3) @ cycle_matrix_action(b_prime, 2)
-    want = cycle_matrix_action(scalar, 3)
-    return ((product.rows, product.cols) == (want.rows, want.cols)
-            and np.array_equal(product.terms, want.terms))
+    return same_matrix(product, cycle_matrix_action(scalar, 3))
 
 
 def alpha_builds(monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import box_std_basis, flatten, mod_matmul, ring_matrix
+from conftest import box_std_basis, flatten, mod_matmul, ring_matrix, same_matrix
 from koszulres.builder import assemble_T
 from koszulres.exactfield import (
     MAX_CHARACTERISTIC,
@@ -193,7 +193,7 @@ def test_ring_matrix_product_associative():
         A = _random_ring_matrix(ring, 2, 2)
         B = _random_ring_matrix(ring, 2, 2)
         C = _random_ring_matrix(ring, 2, 2)
-        assert np.array_equal(((A @ B) @ C).terms, (A @ (B @ C)).terms)
+        assert same_matrix((A @ B) @ C, A @ (B @ C))
 
 
 def test_block_terms_matches_per_copy_loop():
@@ -343,7 +343,7 @@ def test_product_matches_reference_random(p):
         for rows, inner, cols in ((1, 1, 1), (3, 4, 2), (5, 2, 6)):
             A = _random_ring_matrix(ring, rows, inner, terms=5)
             B = _random_ring_matrix(ring, inner, cols, terms=5)
-            assert np.array_equal((A @ B).terms, reference_product(A, B).terms)
+            assert same_matrix(A @ B, reference_product(A, B))
             most_terms = max([most_terms] + [len(f) for f in entry_dicts(A).values()])
     assert most_terms >= 3
 
@@ -362,7 +362,7 @@ def test_product_matches_reference_on_differentials(p):
         nonzero = False
         for i in range(1, F.i_max):
             prod = F.diff(i) @ F.diff(i + 1)
-            assert np.array_equal(prod.terms, reference_product(F.diff(i), F.diff(i + 1)).terms)
+            assert same_matrix(prod, reference_product(F.diff(i), F.diff(i + 1)))
             nonzero |= not prod.is_zero()
         # signs are invisible in characteristic 2
         assert nonzero == (sign_flip and p != 2)
@@ -374,7 +374,7 @@ def test_entries_round_trip(p):
     ring = class_t_ring(p)
     for M in (_random_ring_matrix(ring, 4, 3, terms=5), RingMatrix.from_terms(ring, 2, 2, ()),
               ring_matrix(ring, 3, 3, {(i, i): "1" for i in range(3)})):
-        assert np.array_equal(ring_matrix(ring, M.rows, M.cols, M.entries).terms, M.terms)
+        assert same_matrix(ring_matrix(ring, M.rows, M.cols, M.entries), M)
     with pytest.raises(TypeError):
         M.entries[(0, 0)] = "1"  # a read-only view
 

@@ -41,7 +41,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import dense_complex_exact, flatten, make_class_t_basis, mod_matmul
+from conftest import dense_complex_exact, flatten, make_class_t_basis, mod_matmul, same_matrix
 from koszulres import builder
 from koszulres.builder import assemble_CI, assemble_T, graded_A_complexes
 from koszulres.exactfield import RingMatrix, rank_mod
@@ -91,7 +91,7 @@ class Case:
                        lambda theta, i: answer(cycle_matrix_action(theta, i), next(calls)))
             G = self._assemble()
         return dataclasses.replace(self.F, differentials=[
-            f if np.array_equal(g.terms, f.terms) else g
+            f if same_matrix(g, f) else g
             for f, g in zip(self.F.differentials, G.differentials)])
 
     def rng(self, kind) -> random.Random:
@@ -138,9 +138,9 @@ def dense_verdict(case, G) -> set:
 
 
 def same_differentials(F, G) -> bool:
-    """Whether G's differentials, of the same shapes as F's, have F's terms."""
-    return all(np.array_equal(f.terms, g.terms)
-               for f, g in zip(F.differentials, G.differentials))
+    """Whether G's differentials are F's."""
+    return (len(F.differentials) == len(G.differentials)
+            and all(map(same_matrix, F.differentials, G.differentials)))
 
 
 def with_diffs(F, changed: dict):
@@ -193,7 +193,7 @@ def rescale(F, i, j, c):
                                      + [(j, j, b, a) for b, a in terms])
 
     U, U_inv = diag((0, c), (x, c)), diag((0, c_inv), (x, -c_inv))
-    assert np.array_equal((U @ U_inv).terms, diag((0, 1)).terms)
+    assert same_matrix(U @ U_inv, diag((0, 1)))
     return with_diffs(F, {i: F.diff(i) @ U, i + 1: U_inv @ F.diff(i + 1)})
 
 
@@ -209,7 +209,7 @@ def add_multiple(F, i, j, l):
                                      + [(l, j, x, c)])
 
     U, U_inv = shear(1), shear(-1)
-    assert np.array_equal((U @ U_inv).terms, shear(0).terms)
+    assert same_matrix(U @ U_inv, shear(0))
     return with_diffs(F, {i: F.diff(i) @ U, i + 1: U_inv @ F.diff(i + 1)})
 
 

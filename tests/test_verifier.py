@@ -10,6 +10,7 @@ from conftest import (
     flatten,
     make_class_t_basis,
     ring_matrix,
+    same_matrix,
     sparse_map,
 )
 from koszulres import builder, verifier
@@ -262,8 +263,7 @@ def test_oracle_deterministic(ring_ci2):
     a = oracle_resolution(ring_ci2, 4)
     b = oracle_resolution(ring_ci2, 4)
     assert a.betti == b.betti
-    assert all((x.rows, x.cols) == (y.rows, y.cols) and np.array_equal(x.terms, y.terms)
-               for x, y in zip(a.differentials, b.differentials))
+    assert all(map(same_matrix, a.differentials, b.differentials))
 
 
 # -- orchestration -----------------------------------------------------------
@@ -324,6 +324,18 @@ def test_full_verify_forced_regime_reports_math_failure(ring_t):
     assert not report.passed
     failing = [s.name for s in report.sections if not s.passed]
     assert "complex" in failing
+
+
+@pytest.mark.parametrize("alias_first, message", [
+    (True, "duplicate cycle 'z1_4': 'z1_04' already names degree 1, index 4"),
+    (False, "duplicate cycle 'z1_04': 'z1_4' already names degree 1, index 4"),
+])
+def test_full_verify_refuses_two_names_for_one_cycle(ring_t, alias_first, message):
+    # z1_04 and z1_4 name one cycle: neither silently replaces the other
+    alias, cycles = {"z1_04": "x*e[1]"}, class_t_ring_file().cycles
+    cycles = {**alias, **cycles} if alias_first else {**cycles, **alias}
+    with pytest.raises(ValueError, match=message):
+        full_verify(ring_t, "T", i_max=4, cycle_strings=cycles)
 
 
 def test_full_verify_minimal_depth(ring_ci2):
