@@ -14,13 +14,13 @@ from koszulres.sequences import (
     u_table,
 )
 
-pack = SequencePack(4, 6, 3, k_max=12)
+pack = SequencePack(4, 6, 3)  # each table grows as it is read
 print("invariants a = (4, 6, 3), codepth 3")
-print("b:   ", pack.b[:7])
-print("l:   ", pack.l[:7])
-print("l':  ", pack.lp[:7])
-print("l'': ", pack.lpp[:7])
-print("d:   ", pack.d[:7])
+print("b:   ", [pack.b[k] for k in range(7)])
+print("l:   ", [pack.l[k] for k in range(7)])
+print("l':  ", [pack.lp[k] for k in range(7)])
+print("l'': ", [pack.lpp[k] for k in range(7)])
+print("d:   ", [pack.d[k] for k in range(7)])
 print("\nnote: l'_5 =", pack.lp[5], "by the recurrence l'_k = l_{k-2} + 3 l_{k-1};")
 print("      the value 1347 sometimes quoted at that position equals l'_6 =",
       pack.lp[6])

@@ -7,7 +7,7 @@ graded-level exactness, Betti numbers against the Poincare series, and the
 independent brute-force syzygy oracle.
 """
 
-from koszulres import SequencePack, assemble_CI, assemble_T
+from koszulres import assemble_CI, assemble_T
 from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
 from koszulres.verifier import basis_from_strings, full_verify, oracle_resolution
@@ -15,9 +15,8 @@ from koszulres.verifier import basis_from_strings, full_verify, oracle_resolutio
 ring = class_t_ring()
 cycles = class_t_ring_file().cycles
 basis = basis_from_strings(ring, cycles, class_t=True)
-pack = SequencePack(4, 6, 3)
 
-F = assemble_T(ring, basis, pack, i_max=7)
+F = assemble_T(ring, basis, i_max=7)  # the sequence tables come from basis.pack
 print("assembled through degree 7")
 print("component ranks:", F.ranks)
 print("sign regime:", F.sign_regime)

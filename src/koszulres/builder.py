@@ -49,11 +49,7 @@ from .koszul import (
     cycle_matrix_action,
     koszul_differential,
 )
-from .sequences import (
-    SequencePack,
-    arrow_target,
-    tree_layer,
-)
+from .sequences import SequencePack, arrow_target, tree_layer
 
 
 class BuildError(ValueError):
@@ -136,26 +132,26 @@ def gamma(j: int, basis: ClassTBasis) -> CycleMatrix:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)  # bounded: each entry keeps its pack and basis alive
-def alpha(k: int, r: int, pack: SequencePack, basis: ClassTBasis) -> CycleMatrix:
+@lru_cache(maxsize=128)  # bounded: each entry keeps its basis alive
+def alpha(k: int, r: int, basis: ClassTBasis) -> CycleMatrix:
     """alpha_{k,r} for r in {k, k+1, k+2}: the three block shapes
 
         alpha_k   = (beta_k^{d_0} + ... + beta_1^{d_{k-1}} | gamma_1^{l_{k-1}})
         alpha'_k  = (beta'-sum with zero rows on the beta_1 row group | gamma_2^{l_{k-1}})
         alpha''_k = gamma_3^{l_{k-1}}
 
-    with extents l_{k-1} x l_{k,r} checked against the sequence tables.  Each
+    with extents l_{k-1} x l_{k,r} checked against the basis's tables.  Each
     block's index rows are repeated down its diagonal copies, shifted by the
     copy's corner, and point into the distinct cycles of all the blocks,
     each listed once (the beta blocks share the triple).  A block with zero
     copies adds no entries, and a diagonal one is not built (at a1 = 3, d_t
-    = 0 for t > 0).  Memoized on (k, r, pack, basis), the last two by
-    identity: assembly and graded complexes share it."""
+    = 0 for t > 0).  Memoized on (k, r, basis), the basis by identity:
+    assembly and graded complexes share it."""
     if k < 1:
         raise BuildError("alpha needs k >= 1")
     if r not in (k, k + 1, k + 2):
         raise BuildError(f"alpha_{{k,r}} needs r in {{k, k+1, k+2}}, got r={r}")
-    triple = basis.triple
+    triple, pack = basis.triple, basis.pack
     rows = pack.l[k - 1]
     if r == k:
         diagonal = [(beta(k - t, triple), pack.d[t]) for t in range(k) if pack.d[t]]
@@ -295,14 +291,13 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow) -> list:
     return diffs
 
 
-def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
-               i_max: int = 8, sign_flip: bool = False) -> ResolutionAssembly:
+def assemble_T(ring: QuotientRing, basis: ClassTBasis, i_max: int = 8,
+               sign_flip: bool = False) -> ResolutionAssembly:
     """Assemble the class-T resolution F through homological degree i_max.
 
     The blocks are K_i^{deg3 m} for the tree monomials m; the block of
     X_{j,r}.n carries the arrow alpha_{j,r}, repeated deg3(n) times, into the
-    block of arrow_target(X_{j,r}.n).  The pack must tabulate k <= i_max // 2,
-    the largest first degree of a tree monomial in F_{i_max}.
+    block of arrow_target(X_{j,r}.n); deg3 reads the basis's sequence tables.
 
     The degree-1 representatives outside the distinguished triple must have
     literally vanishing wedge products in K_2 (not merely vanishing classes);
@@ -311,12 +306,12 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
     Nothing here tests d^2 = 0; verifier.check_complex certifies it.  With
     sign_flip the diagonal carries (-1)^deg2 instead, the negative control
     that breaks d^2 = 0.  Each arrow carries its matrix alpha_{j,r}, which
-    alpha memoizes per pack and basis.
+    alpha memoizes per basis.
     """
     if i_max < 1:
         raise BuildError("i_max must be >= 1")
     _check_literal_products(basis)
-    blocks = [_class_t_blocks(k, pack, ring.nvars) for k in range(i_max + 1)]
+    blocks = [_class_t_blocks(k, basis.pack, ring.nvars) for k in range(i_max + 1)]
 
     def diag_sign(b):
         return (-1) ** (b.key.deg2 if sign_flip else b.shift)
@@ -325,7 +320,7 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, pack: SequencePack,
         if b.key.head is None:
             return None
         j, r, tail = b.key.head
-        return arrow_target(b.key), b.kdeg + r - j + 1, alpha(j, r, pack, basis), tail.deg3(pack)
+        return arrow_target(b.key), b.kdeg + r - j + 1, alpha(j, r, basis), tail.deg3(basis.pack)
 
     diffs = _assemble_diffs(ring, blocks, diag_sign, arrow)
     label = ("diagonal (-1)^deg2, phi +1 (forced)" if sign_flip
@@ -440,8 +435,7 @@ class _Coordinates:
             block_terms(blocks, where[:, 2], where[:, 0] * a_dst, where[:, 1] * a_src, 1, 1))
 
 
-def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
-                       H: HomologyAlgebra) -> dict:
+def graded_A_complexes(k_max: int, basis: ClassTBasis, H: HomologyAlgebra) -> dict:
     """The finite complexes of homology classes whose exactness certifies the
     graded resolution data: B_k (k <= k_max), C_1..C_3, A_k (k <= k_max), and
     the dimension bookkeeping of the decomposition of A_k into shifted B and C
@@ -451,13 +445,13 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
     Each block multiplies by a cycle matrix from sources[q], a basis of
     degree q (the unit class ``H.reps[0]`` stands for the entry itself).
     B_k is the A_k recipe over the subalgebra B that the distinguished
-    triple generates: invariants (3, 3, 0), the triple as its basis, and the
-    spans of the classes of the triple and its products as coordinates.
+    triple generates: the triple as its basis (so invariants (3, 3, 0)), and
+    the spans of the classes of the triple and its products as coordinates.
     Position t of A_k exists while t <= k and a_t != 0, with dimension a_t
     l_{k-t} + l_{k-t,k}; with j = k - t + 1 its map is alpha_{j,j} times the
     degree t - 1 sources, beside alpha_{j,k} times the unit when t > 1,
     over l_{k-t,k} rows of zeros.  The alpha matrices come from alpha,
-    memoized per pack and basis, so A's are the ones that assemble_T places.
+    memoized per basis, so A's are the ones that assemble_T places.
 
     Returns {"B": {k: FiniteComplex}, "C": {...}, "A": {...},
     "decomposition": {k: [(position, lhs, rhs, ok), ...]}}.
@@ -470,24 +464,25 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, pack: SequencePack,
         out["C"][j] = FiniteComplex(f"C_{j}", 1, [g.cols, g.cols], [d])
 
     B = ClassTBasis(z1=basis.triple, z2=[], z3=[])
-    recipes = {"B": (SequencePack(3, 3, 0, pack.k_max), B, [unit, B.triple],
+    recipes = {"B": (B, [unit, B.triple],
                      [_Coordinates(H, H.classes(1, B.triple)),
                       _Coordinates(H, H.classes(2, B.products))]),
-               "A": (pack, basis, H.reps[:3], [_Coordinates(H)] * 3)}
+               "A": (basis, H.reps[:3], [_Coordinates(H)] * 3)}
     for k in range(1, k_max + 1):
-        for name, (P, Z, sources, coordinates) in recipes.items():
+        for name, (Z, sources, coordinates) in recipes.items():
+            P = Z.pack
             dims, maps = [P.l[k]], []
             for t, a_t in enumerate((P.a1, P.a2, P.a3)[:k], 1):
                 if not a_t:
                     break
                 j, C, zero_rows = k - t + 1, coordinates[t - 1], P.l_ks(k - t, k)
-                parts = [C.matrix(alpha(j, j, P, Z), sources[t - 1])]
+                parts = [C.matrix(alpha(j, j, Z), sources[t - 1])]
                 if t > 1:
-                    parts.append(C.matrix(alpha(j, k, P, Z), unit))
+                    parts.append(C.matrix(alpha(j, k, Z), unit))
                 dims.append(a_t * P.l[k - t] + zero_rows)
                 maps.append(_side_by_side(parts, zero_rows))
             out[name][k] = FiniteComplex(f"{name}_{k}", k, dims, maps)
-        out["decomposition"][k] = _decomposition_check(k, out, pack)
+        out["decomposition"][k] = _decomposition_check(k, out, basis.pack)
     return out
 
 

@@ -189,13 +189,8 @@ def _verified_doc(rf: RingFile, F, report, args, **fields) -> dict:
 
 
 def _sequence_block(pack: SequencePack, order: int) -> dict:
-    return {
-        "b": pack.b[: order + 1],
-        "l": pack.l[: order + 1],
-        "lp": pack.lp[: order + 1],
-        "lpp": pack.lpp[: order + 1],
-        "d": pack.d[: order + 1],
-    }
+    return {name: [getattr(pack, name)[k] for k in range(order + 1)]
+            for name in ("b", "l", "lp", "lpp", "d")}
 
 
 def _u_block(pack: SequencePack, k_hi: int) -> dict:
@@ -212,7 +207,7 @@ def _series_fields(mode: str, invariants: dict, order: int, u_hi: int) -> tuple:
         _, PR = poincare_CI(invariants["c"], n, order)
         return [PR.coefficient(k) for k in range(order + 1)], {}
     a1, a2, a3 = invariants["a"][1:4]
-    pack = SequencePack(a1, a2, a3, k_max=max(order, u_hi, 12))
+    pack = SequencePack(a1, a2, a3)
     _, PR = poincare_T(a1, a2, a3, n, order)
     return ([PR.coefficient(k) for k in range(order + 1)],
             {"sequences": _sequence_block(pack, order),
@@ -298,7 +293,7 @@ def _run_verify(args) -> int:
         status = "pass" if s.passed else f"FAIL ({s.failure})"
         print(f"{s.name}: {status}")
     print("ranks: " + ",".join(str(r) for r in F.ranks))
-    if args.out is None and not args.emit_matrices:
+    if args.out is None:
         print(text)
     return EXIT_OK if report.passed else EXIT_MATH
 
@@ -324,16 +319,16 @@ def cmd_demo_classt(args) -> int:
     ring = build_ring(rf)
     report, F, basis = full_verify(ring, "T", i_max, cycle_strings=rf.cycles)
     a = report.section("class_certificate").details["homology_ranks"]
-    pack = SequencePack(*a[1:4])
+    pack = basis.pack
     print(f"ring: {ring!r}")
     print("cycles:")
     for name, text in rf.cycles.items():
         print(f"  {name} = {text}")
     print(f"a-invariants: {tuple(a)}")
-    print("b:   " + ",".join(str(v) for v in pack.b[:6]))
-    print("l:   " + ",".join(str(v) for v in pack.l[:6]))
-    print("lp:  " + ",".join(str(v) for v in pack.lp[:6]))
-    print("lpp: " + ",".join(str(v) for v in pack.lpp[:7]))
+    print("b:   " + ",".join(str(pack.b[k]) for k in range(6)))
+    print("l:   " + ",".join(str(pack.l[k]) for k in range(6)))
+    print("lp:  " + ",".join(str(pack.lp[k]) for k in range(6)))
+    print("lpp: " + ",".join(str(pack.lpp[k]) for k in range(7)))
     print("note: " + LP5_NOTE)
 
     names = _entry_names(basis)
@@ -341,7 +336,7 @@ def cmd_demo_classt(args) -> int:
     print("gamma_3 = (" + ", ".join(z.to_string() for z in basis.z3) + ")")
     for k in range(1, 4):
         for r in (k, k + 1, k + 2):
-            theta = alpha(k, r, pack, basis)
+            theta = alpha(k, r, basis)
             print(f"\nalpha_{{{k},{r}}}  ({theta.rows} x {theta.cols}):")
             print(_pretty_cycle_matrix(theta, names, _alpha_col_groups(k, r, pack)))
 

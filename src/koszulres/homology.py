@@ -27,6 +27,7 @@ import numpy as np
 
 from .exactfield import QuotientRing, RingMatrix, block_contents, kernel_mod, rank_mod, rref_mod
 from .koszul import KoszulElement, koszul_differential, subsets
+from .sequences import SequencePack
 
 
 class HomologyError(ValueError):
@@ -211,6 +212,11 @@ class ClassTBasis:
         the same three cycles."""
         t = self.triple
         return t[0].wedge(t[1]), t[1].wedge(t[2]), t[0].wedge(t[2])
+
+    @cached_property
+    def pack(self) -> SequencePack:
+        """The tables of the invariants (a1, a2, a3) = (#z1, 3 + #z2, #z3)."""
+        return SequencePack(len(self.z1), 3 + len(self.z2), len(self.z3))
 
 
 @dataclass

@@ -28,9 +28,25 @@ class CrossCheckError(SequenceError):
 # ---------------------------------------------------------------------------
 
 
+class _Table(dict):
+    """One sequence as {k: value}: reading a missing k >= 0 first computes
+    every missing entry up to k, in order, by entry(k)."""
+
+    def __init__(self, entry):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, k):
+        if k < 0:
+            raise KeyError(k)
+        for i in range(len(self), k + 1):
+            self[i] = self.entry(i)
+        return self[k]
+
+
 class SequencePack:
-    """Memoized tables b_k, l_k, d_k, l'_k, l''_k, k <= k_max, for the class-T
-    invariants (a1, a2, a3).
+    """The tables b_k, l_k, d_k, l'_k, l''_k of the class-T invariants
+    (a1, a2, a3), each a {k: value} dict that grows as it is read.
 
     b_k = C(k+2, 2) is the codepth-3 word count; the l-family follows
         l_k  = sum_{i<=k} b_{k-i} d_i,   d_0 = 1,  d_k = (a1-3) l_{k-1},
@@ -39,29 +55,21 @@ class SequencePack:
     and l_{k,r} relabels (l, l', l'') at r = k, k+1, k+2.
     """
 
-    def __init__(self, a1: int, a2: int, a3: int, k_max: int = 12):
+    def __init__(self, a1: int, a2: int, a3: int):
         if a1 < 3:
             raise SequenceError(f"class T needs a1 >= 3, got a1 = {a1}")
-        self.k_max = k_max
-        self.b = [comb(k + 2, 2) for k in range(k_max + 1)]
         self.a1, self.a2, self.a3 = a1, a2, a3
-        self.l = [1]
-        self.d = [1]
-        self.lp = [0]
-        self.lpp = [0]
-        for k in range(1, k_max + 1):
-            self.d.append((a1 - 3) * self.l[k - 1])
-            self.l.append(sum(self.b[k - i] * self.d[i] for i in range(k + 1)))
-            self.lp.append((self.l[k - 2] if k >= 2 else 0)
-                           + (a2 - 3) * self.l[k - 1])
-            self.lpp.append(a3 * self.l[k - 1])
+        self.b = _Table(lambda k: comb(k + 2, 2))
+        self.d = _Table(lambda k: (a1 - 3) * self.l[k - 1] if k else 1)
+        self.l = _Table(lambda k: sum(self.b[k - i] * self.d[i] for i in range(k + 1)))
+        self.lp = _Table(lambda k: ((self.l[k - 2] if k >= 2 else 0)
+                                    + (a2 - 3) * self.l[k - 1]) if k else 0)
+        self.lpp = _Table(lambda k: a3 * self.l[k - 1] if k else 0)
 
     def l_ks(self, k: int, r: int) -> int:
         """l_{k,r}: l_k, l'_k, l''_k at r = k, k+1, k+2 and 0 otherwise."""
-        if k < 0 or k > self.k_max:
-            if k < 0:
-                return 0
-            raise SequenceError(f"k = {k} beyond table size {self.k_max}")
+        if k < 0:
+            return 0
         if r == k:
             return self.l[k]
         if r == k + 1:
@@ -76,8 +84,6 @@ def closed_form_check(pack: SequencePack) -> list:
 
     Returns a list of (name, recurrence value, closed-form value, ok).
     """
-    if pack.k_max < 3:
-        raise SequenceError("closed forms need k_max >= 3")
     a1, a2, a3 = pack.a1, pack.a2, pack.a3
     expected = [
         ("l_2", pack.l[2], a1 ** 2 - 3),
@@ -123,9 +129,10 @@ class TreeMonomial:
         return len(self.factors)
 
     def deg3(self, pack: SequencePack) -> int:
-        out = 1
+        """The product of the l_{k,s}; every factor has k <= s <= k+2."""
+        tables, out = (pack.l, pack.lp, pack.lpp), 1
         for k, s in self.factors:
-            out *= pack.l_ks(k, s)
+            out *= tables[s - k][k]
         return out
 
     def append(self, k: int, s: int) -> "TreeMonomial":
@@ -365,8 +372,6 @@ def generating_function_check(pack: SequencePack, order: int) -> list:
 
     Returns (name, k, table value, series value, ok) tuples.
     """
-    if order > pack.k_max:
-        raise SequenceError("order exceeds the table size")
     f, g, h, dser = class_t_generating_functions(pack.a1, pack.a2, pack.a3, order)
     out = []
     for k in range(order + 1):

@@ -1,6 +1,7 @@
 import re
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import pytest
@@ -275,8 +276,8 @@ def right_inverse_holds(triple, k):
 
 
 def alpha_builds(monkeypatch):
-    """Spy on builder.alpha.  The returned function gives {invariants of the
-    pack: the number of distinct alpha_{k,r} asked for on it}, and checks
+    """Spy on builder.alpha.  The returned function gives {invariants of a
+    basis's pack: the number of distinct alpha_{k,r} asked for on it}, and checks
     that the memoized alpha built each of them once since its cache was
     last cleared."""
     keys, real = set(), builder.alpha
@@ -285,8 +286,22 @@ def alpha_builds(monkeypatch):
 
     def built() -> dict:
         assert real.cache_info().misses == len(keys)
-        return dict(Counter((p.a1, p.a2, p.a3) for _, _, p, _ in keys))
+        return dict(Counter((Z.pack.a1, Z.pack.a2, Z.pack.a3) for _, _, Z in keys))
     return built
+
+
+def recurrence_tables(a1, a2, a3, k_max) -> dict:
+    """{name: [value at k for k <= k_max]} of the tables b, l, lp, lpp and d
+    of the class-T invariants (a1, a2, a3), by one plain loop over the
+    recurrences that SequencePack states."""
+    b = [comb(k + 2, 2) for k in range(k_max + 1)]
+    l, lp, lpp, d = [1], [0], [0], [1]
+    for k in range(1, k_max + 1):
+        d.append((a1 - 3) * l[k - 1])
+        l.append(sum(b[k - i] * d[i] for i in range(k + 1)))
+        lp.append((l[k - 2] if k >= 2 else 0) + (a2 - 3) * l[k - 1])
+        lpp.append(a3 * l[k - 1])
+    return {"b": b, "l": l, "lp": lp, "lpp": lpp, "d": d}
 
 
 def make_class_t_basis(ring):
@@ -322,7 +337,7 @@ def homology_t(ring_t):
 
 @pytest.fixture(scope="session")
 def pack_t():
-    return SequencePack(4, 6, 3, k_max=12)
+    return SequencePack(4, 6, 3)
 
 
 @pytest.fixture(scope="session")

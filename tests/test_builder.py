@@ -146,7 +146,7 @@ ALPHA_EXTENTS = {1: (1, [4, 3, 3]), 2: (4, [13, 13, 12])}
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_alpha_extents_match_tables(k, pack_t, basis_t):
-    thetas = [alpha(k, r, pack_t, basis_t) for r in (k, k + 1, k + 2)]
+    thetas = [alpha(k, r, basis_t) for r in (k, k + 1, k + 2)]
     assert [t.cols for t in thetas] == [pack_t.l[k], pack_t.lp[k], pack_t.lpp[k]]
     assert {t.rows for t in thetas} == {pack_t.l[k - 1]}
     assert [t.entry_degree for t in thetas] == [1, 2, 3]
@@ -154,13 +154,13 @@ def test_alpha_extents_match_tables(k, pack_t, basis_t):
         assert (thetas[0].rows, [t.cols for t in thetas]) == ALPHA_EXTENTS[k]
 
 
-def test_alpha_11_display(pack_t, basis_t, names_t):
-    theta = alpha(1, 1, pack_t, basis_t)
+def test_alpha_11_display(basis_t, names_t):
+    theta = alpha(1, 1, basis_t)
     assert grid(theta, names_t) == [["z1_1", "z1_2", "z1_3", "z1_4"]]
 
 
-def test_alpha_22_display(pack_t, basis_t, names_t):
-    theta = alpha(2, 2, pack_t, basis_t)
+def test_alpha_22_display(basis_t, names_t):
+    theta = alpha(2, 2, basis_t)
     assert grid(theta, names_t) == [
         ["z1_1", "z1_2", "z1_3", "0", "0", "0", "0", "0", "0",
          "z1_4", "0", "0", "0"],
@@ -173,10 +173,10 @@ def test_alpha_22_display(pack_t, basis_t, names_t):
     ]
 
 
-def test_alpha_23_layout(pack_t, basis_t):
+def test_alpha_23_layout(basis_t):
     # first column holds beta'_2 in the first b_1 rows; the beta_1^{d_1} row
     # group receives no beta' input; gamma_2 blocks go one per row
-    entries = cycle_entries(alpha(2, 3, pack_t, basis_t))
+    entries = cycle_entries(alpha(2, 3, basis_t))
     t = basis_t.triple
     assert same_element(entries.pop((0, 0)), t[1].wedge(t[2]))
     assert same_element(entries.pop((1, 0)), t[0].wedge(t[2]))
@@ -187,13 +187,13 @@ def test_alpha_23_layout(pack_t, basis_t):
     assert not entries  # in particular (3, 0) is empty
 
 
-def test_alpha_lists_each_cycle_once(pack_t, basis_t):
+def test_alpha_lists_each_cycle_once(basis_t):
     # the beta blocks of alpha share the triple and the beta' blocks share
     # the three products; alpha lists each distinct cycle once
     distinct = {0: 4, 1: 6, 2: 3}  # triple + z1_4; products + z2; z3
     for k in range(1, 7):
         for r in (k, k + 1, k + 2):
-            theta = alpha(k, r, pack_t, basis_t)
+            theta = alpha(k, r, basis_t)
             ids = [id(z) for z in theta.cycles]
             assert len(set(ids)) == len(ids), (k, r)
             assert len(ids) == (3 if (k, r) == (1, 2) else distinct[r - k]), (k, r)
@@ -205,43 +205,46 @@ def test_alpha_over_the_triple_is_beta(basis_t, k):
     # B_k is the A_k recipe at the invariants (3, 3, 0) over the triple alone:
     # there d = (1, 0, 0, ...), so alpha_{k,k} is beta_k and alpha_{k,k+1} is
     # beta'_k, and the empty gamma blocks add no columns
-    B, pack = ClassTBasis(z1=basis_t.triple, z2=[], z3=[]), SequencePack(3, 3, 0)
-    for got, want in [(alpha(k, k, pack, B), beta(k, B.triple)),
-                      (alpha(k, k + 1, pack, B), beta_prime(k, B))]:
+    B = ClassTBasis(z1=basis_t.triple, z2=[], z3=[])
+    for got, want in [(alpha(k, k, B), beta(k, B.triple)),
+                      (alpha(k, k + 1, B), beta_prime(k, B))]:
         assert (got.rows, got.cols, got.entry_degree) == (want.rows, want.cols, want.entry_degree)
         assert np.array_equal(got.where, want.where)
         if len(want.where):  # beta'_1 has no entries, and alpha_{1,2} no cycles
             assert len(got.cycles) == len(want.cycles)
             assert all(a is b for a, b in zip(got.cycles, want.cycles))
-    assert alpha(k, k + 2, pack, B).cols == 0
+    assert alpha(k, k + 2, B).cols == 0
 
 
-def test_alpha_input_validation(pack_t, basis_t):
+def test_alpha_input_validation(basis_t):
     with pytest.raises(BuildError):
-        alpha(0, 0, pack_t, basis_t)
+        alpha(0, 0, basis_t)
     with pytest.raises(BuildError):
-        alpha(2, 5, pack_t, basis_t)
+        alpha(2, 5, basis_t)
 
 
 def test_alpha_extent_mismatch_raises(basis_t):
-    # a1 = 5 tables ask for one more gamma_1 column than the basis has
+    # a1 = 5 tables ask for one more gamma_1 column than the basis has; the
+    # mismatched pack is set on a fresh basis's cached attribute
+    twin = ClassTBasis(z1=basis_t.z1, z2=basis_t.z2, z3=basis_t.z3)
+    twin.pack = SequencePack(5, 7, 3)
     with pytest.raises(AssemblyError, match=r"^alpha_\{1,1\} extent mismatch: "
                        r"built 4 columns, tables give 5$"):
-        alpha(1, 1, SequencePack(5, 7, 3), basis_t)
+        alpha(1, 1, twin)
 
 
-def test_action_below_entry_degree_raises(pack_t, basis_t):
+def test_action_below_entry_degree_raises(basis_t):
     # alpha_{2,3} has entries of degree 2, which act on no K_{1-2}
     with pytest.raises(KoszulError, match="target degree 1 below entry degree 2"):
-        cycle_matrix_action(alpha(2, 3, pack_t, basis_t), 1)
+        cycle_matrix_action(alpha(2, 3, basis_t), 1)
 
 
-def test_alpha_is_memoized(pack_t, basis_t):
-    # cached on (k, r, pack, basis), the pack and the basis by identity
-    assert alpha(2, 3, pack_t, basis_t) is alpha(2, 3, pack_t, basis_t)
+def test_alpha_is_memoized(basis_t):
+    # cached on (k, r, basis), the basis by identity
+    assert alpha(2, 3, basis_t) is alpha(2, 3, basis_t)
     twin = ClassTBasis(z1=basis_t.z1, z2=basis_t.z2, z3=basis_t.z3)
     assert twin != basis_t
-    assert alpha(2, 3, pack_t, twin) is not alpha(2, 3, pack_t, basis_t)
+    assert alpha(2, 3, twin) is not alpha(2, 3, basis_t)
 
 
 # -- assembled resolutions ---------------------------------------------------
@@ -258,8 +261,8 @@ def block_offsets(F, k):
 
 
 @pytest.fixture(scope="module")
-def assembly_t(ring_t, basis_t, pack_t):
-    return assemble_T(ring_t, basis_t, pack_t, i_max=7)
+def assembly_t(ring_t, basis_t):
+    return assemble_T(ring_t, basis_t, i_max=7)
 
 
 def test_assembled_ranks(assembly_t):
@@ -273,7 +276,7 @@ def test_block_inventory_low_degrees(assembly_t):
     assert labels3 == ["K[3]^1 @ 1", "K[1]^4 @ X[1,1]", "K[0]^3 @ X[1,2]"]
 
 
-def test_diff2_structure(assembly_t, ring_t, basis_t, pack_t):
+def test_diff2_structure(assembly_t, ring_t, basis_t):
     # d_2 = (d^K_2 | alpha_{1,1}) with positive signs in the chosen regime
     d2 = assembly_t.diff(2).entries
     expected_left = repeat_diag(
@@ -281,7 +284,7 @@ def test_diff2_structure(assembly_t, ring_t, basis_t, pack_t):
         .koszul_differential(2, ring_t), 1)
     for (i, j), f in expected_left.entries.items():
         assert d2.get((i, j)) == f
-    act = cycle_matrix_action(alpha(1, 1, pack_t, basis_t), 1)
+    act = cycle_matrix_action(alpha(1, 1, basis_t), 1)
     for (i, j), f in act.entries.items():
         assert d2.get((i, 3 + j)) == f
 
@@ -305,7 +308,7 @@ def test_diff5_block_pattern(assembly_t, ring_t, basis_t, pack_t):
                 assert target[1] > ring_t.nvars  # K_i = 0 there
                 continue
             (r0, r1), (c0, c1) = rows[target], cols[(b.key, b.kdeg)]
-            act = cycle_matrix_action(alpha(j, r, pack_t, basis_t), target[1])
+            act = cycle_matrix_action(alpha(j, r, basis_t), target[1])
             expected = repeat_diag(act, tail.deg3(pack_t))
             assert (r1 - r0, c1 - c0) == (expected.rows, expected.cols)
             got = {(i - r0, jj - c0): f for (i, jj), f in d.entries.items()
@@ -324,15 +327,15 @@ def test_assembly_differentials_in_m(assembly_t):
         assert assembly_t.diff(i).first_unit_entry() is None
 
 
-def test_assembly_and_graded_complexes_share_alpha(ring_t, pack_t, homology_t,
+def test_assembly_and_graded_complexes_share_alpha(ring_t, homology_t,
                                                   monkeypatch):
-    # two separate calls on one pack and basis build each alpha_{k,r} once:
-    # 12 on A's pack, and 9 on the (3, 3, 0) pack of B
+    # two separate calls on one basis build each alpha_{k,r} once: 12 on
+    # A's basis, and 9 on B's, whose pack has the invariants (3, 3, 0)
     basis = make_class_t_basis(ring_t)
     builder.alpha.cache_clear()
     built = alpha_builds(monkeypatch)
-    F = assemble_T(ring_t, basis, pack_t, i_max=8)
-    graded_A_complexes(5, basis, pack_t, homology_t)
+    F = assemble_T(ring_t, basis, i_max=8)
+    graded_A_complexes(5, basis, homology_t)
     placed = {b.key.head[:2] for bl in F.blocks for b in bl if b.key.head is not None}
     # A_k reads alpha_{k-t,k-t} and alpha_{k-t,k} at positions t = 0, 1, 2
     graded = {(k - t, r) for k in range(1, 6) for t in range(min(k, 3)) for r in (k - t, k)}
@@ -341,16 +344,16 @@ def test_assembly_and_graded_complexes_share_alpha(ring_t, pack_t, homology_t,
     assert built() == {(4, 6, 3): 12, (3, 3, 0): 9}
 
 
-def test_graded_depth_covers_every_placed_alpha(ring_t, basis_t, pack_t, homology_t,
+def test_graded_depth_covers_every_placed_alpha(ring_t, basis_t, homology_t,
                                                 monkeypatch):
     # F at max degree 12 places alpha_{j,r} up to (6, 6) and (5, 7); the
     # graded complexes that verify builds at that degree read each of them
     seen, real = [set()], builder.alpha
     monkeypatch.setattr(builder, "alpha",
                         lambda k, r, *rest: seen[-1].add((k, r)) or real(k, r, *rest))
-    assemble_T(ring_t, basis_t, pack_t, 12)
+    assemble_T(ring_t, basis_t, 12)
     seen.append(set())
-    graded_A_complexes(graded_depth(12), basis_t, pack_t, homology_t)
+    graded_A_complexes(graded_depth(12), basis_t, homology_t)
     placed, graded = seen
     assert {(6, 6), (5, 7)} <= placed <= graded
 
@@ -381,15 +384,15 @@ def arrows_into_present_blocks(F, arrow):
     return out
 
 
-def test_assemble_t_builds_each_action_once(ring_t, basis_t, pack_t, monkeypatch):
+def test_assemble_t_builds_each_action_once(ring_t, basis_t, monkeypatch):
     # one wedge action per distinct (alpha_{j,r}, target Koszul degree)
     calls = spy_actions(monkeypatch)
-    F = assemble_T(ring_t, basis_t, pack_t, i_max=8)
+    F = assemble_T(ring_t, basis_t, i_max=8)
 
     def arrow(b):
         if b.key.head is not None:
             j, r, _ = b.key.head
-            return alpha(j, r, pack_t, basis_t), arrow_target(b.key), b.kdeg + r - j + 1
+            return alpha(j, r, basis_t), arrow_target(b.key), b.kdeg + r - j + 1
 
     arrows = arrows_into_present_blocks(F, arrow)
     assert len(calls) == len(set(calls)) == len(set(arrows)) < len(arrows)
@@ -409,14 +412,14 @@ def test_assemble_ci_builds_each_action_once(ring_ci3, monkeypatch):
     assert len({theta for theta, _ in calls}) == 4
 
 
-def test_forced_wrong_regime_breaks_d2(ring_t, basis_t, pack_t):
-    F = assemble_T(ring_t, basis_t, pack_t, i_max=4, sign_flip=True)
+def test_forced_wrong_regime_breaks_d2(ring_t, basis_t):
+    F = assemble_T(ring_t, basis_t, i_max=4, sign_flip=True)
     assert F.sign_regime == "diagonal (-1)^deg2, phi +1 (forced)"
     prod = F.diff(2) @ F.diff(3)
     assert not prod.is_zero()
 
 
-def test_assemble_t_runs_no_products(monkeypatch, ring_t, basis_t, pack_t):
+def test_assemble_t_runs_no_products(monkeypatch, ring_t, basis_t):
     # the sign convention is fixed, so assembly tests nothing: d^2 = 0 is
     # left to check_complex, the only place that multiplies differentials.
     # Products into one column are Koszul-element arithmetic (differentials
@@ -429,19 +432,19 @@ def test_assemble_t_runs_no_products(monkeypatch, ring_t, basis_t, pack_t):
         return element_product(self, other)
 
     monkeypatch.setattr(RingMatrix, "__matmul__", no_products)
-    F = assemble_T(ring_t, basis_t, pack_t, i_max=6)
+    F = assemble_T(ring_t, basis_t, i_max=6)
     assert F.sign_regime == "diagonal (-1)^(deg1+deg2), phi +1"
     assert F.ranks == [1, 3, 7, 16, 37, 86, 200]
 
 
-def test_literal_product_precondition(ring_t, basis_t, pack_t):
+def test_literal_product_precondition(ring_t, basis_t):
     # z1_4 + d(e_13) has the same class but a nonzero wedge with z1_2
     moved = from_vector(ring_t, 1, to_vector(basis_t.z1[3])
                         + to_vector(KoszulElement.basis(ring_t, (1, 3)).differential()))
     bad = ClassTBasis(z1=basis_t.z1[:3] + [moved], z2=basis_t.z2, z3=basis_t.z3)
     assert not moved.wedge(basis_t.z1[1]).is_zero()
     with pytest.raises(AssemblyError, match="wedge product"):
-        assemble_T(ring_t, bad, pack_t, i_max=4)
+        assemble_T(ring_t, bad, i_max=4)
 
 
 def test_assemble_ci_ranks_and_blocks(ring_ci3, ring_x):
@@ -477,8 +480,8 @@ def test_assemble_ci_diff3_blocks(ring_ci3):
             assert d3.get((3 + copy * d1.rows + i, 1 + copy * d1.cols + j)) == f
 
 
-def test_graded_complex_dimensions(basis_t, pack_t, homology_t):
-    out = graded_A_complexes(3, basis_t, pack_t, homology_t)
+def test_graded_complex_dimensions(basis_t, homology_t):
+    out = graded_A_complexes(3, basis_t, homology_t)
     assert out["B"][1].dims == [3, 3]
     assert out["B"][2].dims == [6, 9, 3]
     assert out["C"][1].dims == [1, 1]
@@ -514,9 +517,7 @@ GRADED_PROFILE = {
 @pytest.mark.parametrize("p", [2, 32003, 2147483647])
 def test_graded_complexes_profile(p):
     ring = class_t_ring(p=p)
-    out = graded_A_complexes(5, make_class_t_basis(ring),
-                             SequencePack(4, 6, 3, k_max=12),
-                             HomologyAlgebra(ring))
+    out = graded_A_complexes(5, make_class_t_basis(ring), HomologyAlgebra(ring))
     got = {}
     for family in ("B", "C", "A"):
         for cx in out[family].values():
@@ -542,9 +543,7 @@ GRADED_DIGESTS = {
 @pytest.mark.parametrize("p", sorted(GRADED_DIGESTS))
 def test_graded_maps_golden(p):
     ring = class_t_ring(p=p)
-    out = graded_A_complexes(5, make_class_t_basis(ring),
-                             SequencePack(4, 6, 3, k_max=12),
-                             HomologyAlgebra(ring))
+    out = graded_A_complexes(5, make_class_t_basis(ring), HomologyAlgebra(ring))
     h = hashlib.sha256()
     for family in ("B", "C", "A"):
         for k in sorted(out[family]):
@@ -564,7 +563,7 @@ def test_coordinates_outside_span_raise(basis_t, homology_t):
     with pytest.raises(BuildError, match="expected subspace"):
         B1.matrix(gamma(1, basis_t), unit)
 
-def test_span_blocks_solve_once(ring_t, pack_t, homology_t, monkeypatch):
+def test_span_blocks_solve_once(ring_t, homology_t, monkeypatch):
     # in a span, each block's classes are solved for in one solve_mod call
     # over all of the block's columns, not in one call per class
     blocks, solves = [], []
@@ -582,13 +581,13 @@ def test_span_blocks_solve_once(ring_t, pack_t, homology_t, monkeypatch):
 
     monkeypatch.setattr(_Coordinates, "_block", spy_block)
     monkeypatch.setattr(builder, "solve_mod", spy_solve)
-    graded_A_complexes(5, make_class_t_basis(ring_t), pack_t, homology_t)
+    graded_A_complexes(5, make_class_t_basis(ring_t), homology_t)
     assert solves == blocks
     assert sum(blocks) > len(blocks)  # some block has several columns
 
 
-def test_f7_block_inventory(ring_t, basis_t, pack_t):
-    F = assemble_T(ring_t, basis_t, pack_t, i_max=7)
+def test_f7_block_inventory(ring_t, basis_t):
+    F = assemble_T(ring_t, basis_t, i_max=7)
     assert [b.label() for b in F.blocks[7]] == [
         "K[3]^3 @ X[1,3]",
         "K[3]^13 @ X[2,2]", "K[2]^13 @ X[2,3]", "K[1]^12 @ X[2,4]",
@@ -602,7 +601,7 @@ def test_f7_block_inventory(ring_t, basis_t, pack_t):
     assert sum(widths) == 465
 
 
-def test_graded_blocks_computed_once(ring_t, pack_t, homology_t, monkeypatch):
+def test_graded_blocks_computed_once(ring_t, homology_t, monkeypatch):
     # every beta' of one basis shares the basis's three products, so each
     # distinct (cycle, sources) block of one coordinate space is computed once
     computed = []
@@ -616,5 +615,5 @@ def test_graded_blocks_computed_once(ring_t, pack_t, homology_t, monkeypatch):
         return block(self, z, sources)
 
     monkeypatch.setattr(_Coordinates, "_block", spy)
-    graded_A_complexes(5, make_class_t_basis(ring_t), pack_t, homology_t)
+    graded_A_complexes(5, make_class_t_basis(ring_t), homology_t)
     assert len(set(computed)) == len(computed) == 37

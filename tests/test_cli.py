@@ -9,6 +9,7 @@ import pytest
 
 from koszulres.cli import main
 from koszulres.exactfield import parse_ring_file, serialize_ring_file
+from conftest import recurrence_tables
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "koszulres" / "data"
 CLASS_T = DATA / "classT_example.ring"
@@ -100,6 +101,27 @@ def test_resolve_emit_matrices(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc["matrices"]) == {"d_1", "d_2", "d_3"}
     assert doc["matrices"]["d_1"]["entries"]["0,0"] == "x"
+
+
+def _report_after_status_lines(out: str) -> dict:
+    """The JSON report that a command prints after its status lines."""
+    return json.loads(out[out.index("\n{") + 1:])
+
+
+def test_resolve_emit_matrices_without_out(capsys):
+    assert run("resolve", "--ring", str(CI2), "--max-degree", "3",
+               "--emit-matrices", "--no-timestamp") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("class_certificate: pass\n")
+    doc = _report_after_status_lines(out)
+    assert set(doc["matrices"]) == {"d_1", "d_2", "d_3"}
+    assert doc["matrices"]["d_1"]["entries"]["0,0"] == "x"
+
+
+def test_betti_sequences_to_order_40(capsys):
+    assert run("betti", "--class-t", "4,6,3", "--order", "40", "--no-timestamp") == 0
+    assert _report_after_status_lines(capsys.readouterr().out)["sequences"] == \
+        recurrence_tables(4, 6, 3, 40)
 
 
 def test_verify_with_oracle(tmp_path):
@@ -317,7 +339,7 @@ def test_series_pack_covers_u_table(monkeypatch):
     cli._series_fields("T", {"n": 3, "a": [1, 4, 6, 3]}, 10, 13)
     [(k, pack)] = calls
     assert k == 13
-    assert pack.l_ks(13, 13) == SequencePack(4, 6, 3, k_max=13).l[13]
+    assert pack.l_ks(13, 13) == SequencePack(4, 6, 3).l[13]
 
 
 # -- exit codes ---------------------------------------------------------------

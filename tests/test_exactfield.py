@@ -22,7 +22,6 @@ from koszulres.exactfield import (
     solve_mod,
 )
 from koszulres.samples import class_t_ring, class_t_ring_file
-from koszulres.sequences import SequencePack
 from koszulres.verifier import basis_from_strings
 
 rng = random.Random(20240611)
@@ -353,12 +352,11 @@ def test_product_matches_reference_on_differentials(p):
     # the class-T resolution (d^2 = 0), the wrong diagonal sign (nonzero
     # products) and a two-term degree-1 cycle (multi-term entries)
     ring = class_t_ring(p)
-    pack = SequencePack(4, 6, 3, k_max=12)
     cycles_t = class_t_ring_file().cycles
     for cycles, sign_flip in ((cycles_t, False), (cycles_t, True),
                               (dict(cycles_t, z1_1="x*e[1] + y*e[2]"), False)):
-        F = assemble_T(ring, basis_from_strings(ring, cycles, class_t=True), pack,
-                       5, sign_flip=sign_flip)
+        F = assemble_T(ring, basis_from_strings(ring, cycles, class_t=True), 5,
+                       sign_flip=sign_flip)
         nonzero = False
         for i in range(1, F.i_max):
             prod = F.diff(i) @ F.diff(i + 1)

@@ -48,7 +48,6 @@ from koszulres.exactfield import RingMatrix, rank_mod
 from koszulres.homology import HomologyAlgebra
 from koszulres.koszul import cycle_matrix_action
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
-from koszulres.sequences import SequencePack
 from koszulres.verifier import (
     _finite_complex_exact,
     check_complex,
@@ -74,8 +73,7 @@ class Case:
             ring = class_t_ring(int(name.split("-p")[1]))
             report, self.F, basis = full_verify(
                 ring, "T", I_MAX, cycle_strings=class_t_ring_file().cycles)
-            pack = SequencePack(4, 6, 3)
-            self._assemble = lambda: assemble_T(ring, basis, pack, I_MAX)
+            self._assemble = lambda: assemble_T(ring, basis, I_MAX)
         assert report.passed
         self.name = name
         self.actions = []  # the number of terms of each action, in call order
@@ -302,8 +300,7 @@ NAMES_A_MAP = re.compile(r"\bmaps? \d|\bposition -?\d|\bat the (top|bottom)\b")
 @pytest.fixture(scope="module", params=[2, 32003])
 def graded(request):
     ring = class_t_ring(request.param)
-    out = graded_A_complexes(5, make_class_t_basis(ring), SequencePack(4, 6, 3),
-                             HomologyAlgebra(ring))
+    out = graded_A_complexes(5, make_class_t_basis(ring), HomologyAlgebra(ring))
     return [out["B"][k] for k in range(1, 6)] + [out["A"][k] for k in range(1, 5)]
 
 

@@ -15,7 +15,6 @@ from koszulres.builder import assemble_CI, assemble_T
 from koszulres.exactfield import QuotientRing, RingMatrix, block_contents, rank_mod
 from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
-from koszulres.sequences import SequencePack
 from koszulres.verifier import (
     _flat_kernel,
     basis_from_strings,
@@ -31,15 +30,14 @@ ACIT_GENS = [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)]
 
 def _class_t(ring, cycles, i_max):
     basis = basis_from_strings(ring, cycles, class_t=True)
-    return assemble_T(ring, basis, SequencePack(4, 6, 3, k_max=12), i_max)
+    return assemble_T(ring, basis, i_max)
 
 
 def _acit(p):
     ring = QuotientRing(p, 3, ACIT_GENS, names=["x", "y", "z"])
     H = HomologyAlgebra(ring)
     _, basis, _ = resolve_basis(H, "auto", {})
-    a1, a2, a3 = H.ranks[1:4]
-    return assemble_T(ring, basis, SequencePack(a1, a2, a3, k_max=12), 3)
+    return assemble_T(ring, basis, 3)
 
 
 def _ci3(p):

@@ -290,6 +290,22 @@ def test_discover_class_t_basis(ring_t, homology_t):
     assert cert.passed and cert == verify_class_T(basis, homology_t)
 
 
+@pytest.mark.parametrize("p", [32003, 2])
+def test_basis_pack_has_the_homology_invariants(p):
+    # a certified basis holds a1, a2 - 3 and a3 cycles: the shipped ring's
+    # basis and the one discovery finds on acit; B's basis is the triple alone
+    shipped = class_t_ring(p)
+    H_acit = HomologyAlgebra(QuotientRing(p, 3, ACIT_GENS))
+    for H, basis in ((HomologyAlgebra(shipped), make_class_t_basis(shipped)),
+                     (H_acit, discover_class_T_basis(H_acit)[0])):
+        assert verify_class_T(basis, H).passed
+        pack = basis.pack
+        assert (pack.a1, pack.a2, pack.a3) == tuple(H.ranks[1:4])
+        assert basis.pack is pack  # built once per basis
+        B = ClassTBasis(z1=basis.triple, z2=[], z3=[]).pack
+        assert (B.a1, B.a2, B.a3) == (3, 3, 0)
+
+
 def test_reps_have_unit_classes(homology_t):
     # discovery completes A_2 from these unit vectors instead of classes
     acit = HomologyAlgebra(QuotientRing(32003, 3, [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)]))

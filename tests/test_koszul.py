@@ -30,7 +30,6 @@ from koszulres.koszul import (
 from koszulres.builder import alpha, beta, beta_prime, gamma
 from koszulres.homology import HomologyAlgebra, discover_class_CI_basis
 from koszulres.samples import ci_squares_ring, class_t_ring, class_t_ring_file
-from koszulres.sequences import SequencePack
 from koszulres.verifier import basis_from_strings
 
 rng = random.Random(97)
@@ -356,11 +355,10 @@ def test_cycle_matrix_action_zero_and_top(ring_t, basis_t):
     assert vals == ["y*z", "x*z", "x*y"]
 
 
-def test_cycle_matrix_action_builds_each_wedge_action_once(ring_t, basis_t, pack_t,
-                                                           monkeypatch):
+def test_cycle_matrix_action_builds_each_wedge_action_once(ring_t, basis_t, monkeypatch):
     # alpha_{2,2} and beta_1 share the distinguished triple; each cycle keeps
     # its wedge action, so only the first call joins against the wedge table
-    theta, b = alpha(2, 2, pack_t, basis_t), beta(1, basis_t.triple)
+    theta, b = alpha(2, 2, basis_t), beta(1, basis_t.triple)
     assert {id(z) for z in b.cycles} <= {id(z) for z in theta.cycles}
     first = cycle_matrix_action(theta, 2)
     calls = []
@@ -375,7 +373,7 @@ def test_cycle_matrix_action_builds_each_wedge_action_once(ring_t, basis_t, pack
     assert calls == []
 
 
-def test_action_respects_matrix_product(ring_t, basis_t, pack_t):
+def test_action_respects_matrix_product(ring_t, basis_t):
     # action(theta theta') = action(theta) action(theta') on beta_k beta'_{k+1},
     # whose product is vol * I
     assert right_inverse_holds(basis_t.triple, 2)
@@ -390,8 +388,8 @@ def test_test_only_helpers_live_in_tests():
         assert name not in text, name
 
 
-def test_verify_chain_map_alpha(ring_t, basis_t, pack_t):
-    theta = alpha(1, 1, pack_t, basis_t)
+def test_verify_chain_map_alpha(ring_t, basis_t):
+    theta = alpha(1, 1, basis_t)
     report = verify_chain_map(theta, range(1, 4))
     assert report.passed and report.degrees == [1, 2, 3]
 
@@ -530,8 +528,7 @@ def test_class_t_actions_match_reference(p):
     # per entry
     ring = class_t_ring(p)
     basis = basis_from_strings(ring, class_t_ring_file().cycles, class_t=True)
-    pack = SequencePack(4, 6, 3, k_max=12)
-    thetas = [alpha(j, r, pack, basis) for j in range(1, 6) for r in (j, j + 1, j + 2)]
+    thetas = [alpha(j, r, basis) for j in range(1, 6) for r in (j, j + 1, j + 2)]
     thetas += [beta(k, basis.triple) for k in range(1, 9)]
     thetas += [beta_prime(k, basis) for k in range(2, 9)]
     thetas += [gamma(j, basis) for j in (1, 2, 3)]

@@ -13,7 +13,7 @@ from koszulres.homology import (
     discover_class_CI_basis,
     discover_class_T_basis,
 )
-from koszulres.sequences import SequencePack, poincare_CI
+from koszulres.sequences import poincare_CI
 from koszulres.verifier import (
     check_complex,
     check_exactness,
@@ -46,8 +46,7 @@ def test_class_t_family_discovery_and_assembly(gens, p):
     H = HomologyAlgebra(ring)
     assert tuple(H.ranks) == (1, 4, 6, 3)
     basis, _ = discover_class_T_basis(H)
-    pack = SequencePack(4, 6, 3, k_max=10)
-    F = assemble_T(ring, basis, pack, i_max=5)
+    F = assemble_T(ring, basis, i_max=5)
     assert F.ranks == [1, 3, 7, 16, 37, 86]
     assert check_complex(F).passed
     assert check_minimality(F).passed

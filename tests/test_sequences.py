@@ -20,6 +20,7 @@ from koszulres.sequences import (
     tree_layer,
     u_table,
 )
+from conftest import recurrence_tables
 
 rng = random.Random(5)
 
@@ -27,11 +28,24 @@ rng = random.Random(5)
 # -- recurrence tables -------------------------------------------------------
 
 def test_tables_for_the_example(pack_t):
-    assert pack_t.b[:6] == [1, 3, 6, 10, 15, 21]
-    assert pack_t.l[:6] == [1, 4, 13, 41, 129, 406]
-    assert pack_t.lp[:5] == [0, 3, 13, 43, 136]
-    assert pack_t.lpp[:7] == [0, 3, 12, 39, 123, 387, 1218]
-    assert pack_t.d[:4] == [1, 1, 4, 13]
+    assert [pack_t.b[k] for k in range(6)] == [1, 3, 6, 10, 15, 21]
+    assert [pack_t.l[k] for k in range(6)] == [1, 4, 13, 41, 129, 406]
+    assert [pack_t.lp[k] for k in range(5)] == [0, 3, 13, 43, 136]
+    assert [pack_t.lpp[k] for k in range(7)] == [0, 3, 12, 39, 123, 387, 1218]
+    assert [pack_t.d[k] for k in range(4)] == [1, 1, 4, 13]
+
+
+def test_tables_grow_from_a_first_read_far_out():
+    # reading l_60 first fills every table that l_60 needs, in order, and
+    # each table then equals the plain loop over the recurrences
+    pack = SequencePack(4, 6, 3)
+    want = recurrence_tables(4, 6, 3, 60)
+    assert pack.l[60] == want["l"][60]
+    assert list(pack.l) == list(range(61))
+    for name, values in want.items():
+        assert [getattr(pack, name)[k] for k in range(61)] == values, name
+    with pytest.raises(KeyError):
+        pack.l[-1]  # no list-style read from the end
 
 
 def test_lp5_follows_the_recurrence(pack_t):
@@ -49,9 +63,9 @@ def test_l_ks_relabeling(pack_t):
 
 
 def test_a1_equals_3_collapses_to_ci():
-    pack = SequencePack(3, 5, 2, k_max=8)
-    assert pack.d[1:] == [0] * 8
-    assert pack.l == pack.b
+    pack = SequencePack(3, 5, 2)
+    assert [pack.d[k] for k in range(1, 9)] == [0] * 8
+    assert [pack.l[k] for k in range(9)] == [pack.b[k] for k in range(9)]
 
 
 def test_class_t_needs_a1_at_least_3():
@@ -65,7 +79,7 @@ def test_closed_forms_example_and_random_triples(pack_t):
         a1 = rng.randrange(3, 12)
         a2 = rng.randrange(0, 12)
         a3 = rng.randrange(0, 12)
-        pack = SequencePack(a1, a2, a3, k_max=5)
+        pack = SequencePack(a1, a2, a3)
         report = closed_form_check(pack)
         assert all(ok for *_, ok in report), (a1, a2, a3, report)
 
@@ -220,6 +234,13 @@ def test_generating_functions(pack_t):
     assert [f.coefficient(k) for k in range(9)] == \
         [comb(k + 2, 2) for k in range(9)]
     # d-series: coefficient k of t(a1-3)f + 1 equals d_k
-    pack = SequencePack(5, 6, 3, k_max=8)
+    pack = SequencePack(5, 6, 3)
     _, _, _, dser5 = class_t_generating_functions(5, 6, 3, 8)
-    assert [dser5.coefficient(k) for k in range(9)] == pack.d[:9]
+    assert [dser5.coefficient(k) for k in range(9)] == [pack.d[k] for k in range(9)]
+
+
+def test_series_checks_far_out_on_fresh_packs():
+    # on fresh packs, which have no size to exceed
+    rows = generating_function_check(SequencePack(4, 6, 3), 40)
+    assert len(rows) == 5 * 41 and all(ok for *_, ok in rows)
+    assert all(ok for *_, ok in closed_form_check(SequencePack(4, 6, 3)))

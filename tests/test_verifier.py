@@ -31,7 +31,6 @@ from koszulres.homology import (
 )
 from koszulres.koszul import koszul_differential
 from koszulres.samples import class_t_ring, class_t_ring_file
-from koszulres.sequences import SequencePack
 from koszulres.verifier import (
     _finite_complex_exact,
     check_complex,
@@ -45,8 +44,8 @@ from koszulres.verifier import (
 
 
 @pytest.fixture(scope="module")
-def assembly_t(ring_t, basis_t, pack_t):
-    return assemble_T(ring_t, basis_t, pack_t, i_max=6)
+def assembly_t(ring_t, basis_t):
+    return assemble_T(ring_t, basis_t, i_max=6)
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +61,9 @@ def test_check_complex_passes(assembly_t, assembly_ci2, ring_t, ring_ci2):
     assert check_complex(assembly_ci2).passed
 
 
-def test_check_complex_sign_flip_fails(ring_t, basis_t, pack_t):
+def test_check_complex_sign_flip_fails(ring_t, basis_t):
     # the wrong diagonal sign rule genuinely breaks the complex
-    Fbad = assemble_T(ring_t, basis_t, pack_t, i_max=4, sign_flip=True)
+    Fbad = assemble_T(ring_t, basis_t, i_max=4, sign_flip=True)
     section = check_complex(Fbad)
     assert not section.passed
     assert "d_2 d_3" in section.failure and "block" in section.failure
@@ -91,9 +90,9 @@ def test_check_exactness(assembly_t):
     assert all(v == 0 for v in section.details["homology"].values())
 
 
-def test_check_exactness_detects_dropped_block(ring_t, basis_t, pack_t):
+def test_check_exactness_detects_dropped_block(ring_t, basis_t):
     # truncate the last block of F_4 (K_0^13 @ X[2,2]): homology appears at 3
-    F = assemble_T(ring_t, basis_t, pack_t, i_max=5)
+    F = assemble_T(ring_t, basis_t, i_max=5)
     cut = F.blocks[4][-1]
     width = cut.copies  # K_0 blocks have one coordinate per copy
     d4 = F.diff(4)
@@ -121,23 +120,23 @@ def test_check_exactness_detects_zero_d1(assembly_t, ring_t):
     assert section.details["flat_ranks"]["1"] == 0
 
 
-def test_negative_controls_hit_one_check_each(ring_t, basis_t, pack_t):
+def test_negative_controls_hit_one_check_each(ring_t, basis_t):
     # the rejected sign regime fails the complex check but nothing else
-    Fbad = assemble_T(ring_t, basis_t, pack_t, i_max=4, sign_flip=True)
+    Fbad = assemble_T(ring_t, basis_t, i_max=4, sign_flip=True)
     assert not check_complex(Fbad).passed
     assert check_minimality(Fbad).passed
 
 
 # -- graded complexes --------------------------------------------------------
 
-def test_graded_exactness(basis_t, pack_t, homology_t):
-    complexes = graded_A_complexes(5, basis_t, pack_t, homology_t)
+def test_graded_exactness(basis_t, homology_t):
+    complexes = graded_A_complexes(5, basis_t, homology_t)
     section = check_graded_exactness(complexes)
     assert section.passed, section.failure
 
 
-def test_graded_exactness_negative_control(basis_t, pack_t, homology_t):
-    complexes = graded_A_complexes(2, basis_t, pack_t, homology_t)
+def test_graded_exactness_negative_control(basis_t, homology_t):
+    complexes = graded_A_complexes(2, basis_t, homology_t)
     M = complexes["A"][2].maps[0]
     complexes["A"][2].maps[0] = sparse_map(np.zeros_like(flatten(M)), M.ring.p)
     section = check_graded_exactness(complexes)
@@ -145,8 +144,8 @@ def test_graded_exactness_negative_control(basis_t, pack_t, homology_t):
     assert "A_2" in section.failure
 
 
-def test_graded_exactness_reports_decomposition_mismatch(basis_t, pack_t, homology_t):
-    complexes = graded_A_complexes(2, basis_t, pack_t, homology_t)
+def test_graded_exactness_reports_decomposition_mismatch(basis_t, homology_t):
+    complexes = graded_A_complexes(2, basis_t, homology_t)
     rows = complexes["decomposition"][2]
     position, lhs, rhs, ok = rows[0]
     assert ok
@@ -186,11 +185,9 @@ def test_graded_check_matches_dense(p):
     class T with one entry set to zero, in ways that break the composite,
     injectivity at the top and exactness in the middle."""
     ring = class_t_ring(p=p)
-    classt = graded_A_complexes(5, make_class_t_basis(ring),
-                                SequencePack(4, 6, 3, k_max=12), HomologyAlgebra(ring))
+    classt = graded_A_complexes(5, make_class_t_basis(ring), HomologyAlgebra(ring))
     H = HomologyAlgebra(QuotientRing(p, 3, [(9, 0, 0), (0, 8, 0), (0, 0, 7), (3, 3, 3)]))
-    acit = graded_A_complexes(2, discover_class_T_basis(H)[0],
-                              SequencePack(*H.ranks[1:], k_max=12), H)
+    acit = graded_A_complexes(2, discover_class_T_basis(H)[0], H)
     cases = [cx for out in (classt, acit) for family in "BCA" for cx in out[family].values()]
     broken = [_with_entry(classt["A"][4], t, n, 0) for t, n in ((0, 0), (0, 2), (2, 0))]
     cases += broken
@@ -204,10 +201,10 @@ def test_graded_check_matches_dense(p):
     assert failures == {"", "composite", "not"}
 
 
-def test_graded_failure_names_composite_entry(basis_t, pack_t, homology_t):
+def test_graded_failure_names_composite_entry(basis_t, homology_t):
     # zeroing entry (2, 1) of d_0 changes column 1 of d_1 d_0 by a multiple
     # of column 2 of d_1, whose first nonzero is in row 0
-    complexes = graded_A_complexes(4, basis_t, pack_t, homology_t)
+    complexes = graded_A_complexes(4, basis_t, homology_t)
     d0 = complexes["A"][4].maps[0]
     assert d0.terms[2, :2].tolist() == [2, 1]
     complexes["A"][4] = _with_entry(complexes["A"][4], 0, 2, 0)
@@ -346,8 +343,8 @@ def test_full_verify_minimal_depth(ring_ci2):
 
 def test_full_verify_builds_each_alpha_once(ring_t, monkeypatch):
     # assembly and the graded complexes share the memoized alpha: at degree 8
-    # the 12 distinct alpha_{k,r} of A's pack and the 9 of B's (3, 3, 0) pack
-    # are built once each
+    # the 12 distinct alpha_{k,r} of A's basis and the 9 of B's, whose pack
+    # has the invariants (3, 3, 0), are built once each
     builder.alpha.cache_clear()
     built = alpha_builds(monkeypatch)
     report, _, _ = full_verify(ring_t, "T", 8, class_t_ring_file().cycles)
