@@ -29,9 +29,8 @@ _SUBMODULE = {
         "HomologyAlgebra", "discover_class_CI_basis", "discover_class_T_basis",
         "verify_class_CI", "verify_class_T"), "homology"),
     **dict.fromkeys((
-        "PowerSeries", "SequencePack", "TreeMonomial", "closed_form_check",
-        "generating_function_check", "poincare_CI", "poincare_T", "tree_layer",
-        "u_table"), "sequences"),
+        "PowerSeries", "SequencePack", "TreeMonomial", "poincare_CI",
+        "poincare_T", "sequence_rows", "tree_layer", "u_table"), "sequences"),
     **dict.fromkeys((
         "AssemblyError", "Block", "BuildError", "ResolutionAssembly", "alpha",
         "assemble_CI", "assemble_T", "beta", "beta_prime", "gamma",

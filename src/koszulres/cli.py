@@ -35,7 +35,7 @@ from .exactfield import (  # noqa: E402
 from .homology import ClassVerificationError, DiscoveryError, HomologyAlgebra  # noqa: E402
 from .samples import class_t_ring_file  # noqa: E402
 from .sequences import (CrossCheckError, SequencePack, poincare_CI,  # noqa: E402
-                         poincare_T, u_table)
+                         poincare_T, sequence_rows, u_table)
 from .verifier import full_verify, graded_depth, resolve_basis  # noqa: E402
 
 SCHEMA_VERSION = 1
@@ -188,11 +188,6 @@ def _verified_doc(rf: RingFile, F, report, args, **fields) -> dict:
             **_maybe_timestamp(args), **fields}
 
 
-def _sequence_block(pack: SequencePack, order: int) -> dict:
-    return {name: [getattr(pack, name)[k] for k in range(order + 1)]
-            for name in ("b", "l", "lp", "lpp", "d")}
-
-
 def _u_block(pack: SequencePack, k_hi: int) -> dict:
     table = u_table(k_hi, pack)
     return {f"{k},{s}": v for (k, s), v in sorted(table.items())}
@@ -200,8 +195,9 @@ def _u_block(pack: SequencePack, k_hi: int) -> dict:
 
 def _series_fields(mode: str, invariants: dict, order: int, u_hi: int) -> tuple:
     """(P^R coefficients 0..order, extra report fields) for invariants n and
-    a = (1, a1, a2, a3, ...) (class T) or c (CI).  Class T adds its sequence
-    tables, its u table through k = u_hi and the l'_5 note."""
+    a = (1, a1, a2, a3, ...) (class T) or c (CI).  Class T adds its checked
+    sequence rows through k = order, its u table through k = u_hi and the
+    l'_5 note."""
     n = invariants["n"]
     if mode == "CI":
         _, PR = poincare_CI(invariants["c"], n, order)
@@ -210,7 +206,7 @@ def _series_fields(mode: str, invariants: dict, order: int, u_hi: int) -> tuple:
     pack = SequencePack(a1, a2, a3)
     _, PR = poincare_T(a1, a2, a3, n, order)
     return ([PR.coefficient(k) for k in range(order + 1)],
-            {"sequences": _sequence_block(pack, order),
+            {"sequences": sequence_rows(order, pack),
              "u_table": _u_block(pack, u_hi), "notes": [LP5_NOTE]})
 
 
@@ -236,6 +232,11 @@ def cmd_betti(args) -> int:
                 raise ExactFieldError(f"class T needs a_2 >= 3 (got {a2})")
             if a3 < 1:
                 raise ExactFieldError(f"codepth 3 needs a_3 >= 1 (got {a3})")
+            # a_1 = 3 generators of a height-3 ideal in a regular ring of
+            # dimension 3 form a regular sequence: a complete intersection,
+            # where A_1 A_2 = A_3 != 0
+            if a1 < 4:
+                raise ExactFieldError(f"class T needs a_1 >= 4 (got {a1})")
             # the Euler characteristic 1 - a_1 + a_2 - a_3 of K vanishes
             if a2 != a1 + a3 - 1:
                 raise ExactFieldError(
@@ -320,15 +321,14 @@ def cmd_demo_classt(args) -> int:
     report, F, basis = full_verify(ring, "T", i_max, cycle_strings=rf.cycles)
     a = report.section("class_certificate").details["homology_ranks"]
     pack = basis.pack
+    rows = sequence_rows(6, pack)
     print(f"ring: {ring!r}")
     print("cycles:")
     for name, text in rf.cycles.items():
         print(f"  {name} = {text}")
     print(f"a-invariants: {tuple(a)}")
-    print("b:   " + ",".join(str(pack.b[k]) for k in range(6)))
-    print("l:   " + ",".join(str(pack.l[k]) for k in range(6)))
-    print("lp:  " + ",".join(str(pack.lp[k]) for k in range(6)))
-    print("lpp: " + ",".join(str(pack.lpp[k]) for k in range(7)))
+    for name, width in (("b", 6), ("l", 6), ("lp", 6), ("lpp", 7)):
+        print(f"{name + ':':5}" + ",".join(str(v) for v in rows[name][:width]))
     print("note: " + LP5_NOTE)
 
     names = _entry_names(basis)

@@ -1,7 +1,7 @@
-"""Integer combinatorics for the resolution: the b/l/d/l'/l'' recurrences,
-the rank-3^k tree of block monomials with its four degrees, the u_{k,s}
-table, exact integer power series, and the Poincare series of both ring
-classes.
+"""Integer combinatorics for the resolution: the b/l/d/l'/l'' recurrences
+and their cross-checked rows, the rank-3^k tree of block monomials with its
+four degrees, the u_{k,s} table, exact integer power series, and the
+Poincare series of both ring classes.
 
 All integers are Python ints (the l-sequence grows like a_1^k); series are
 truncated with their order carried explicitly.
@@ -79,22 +79,46 @@ class SequencePack:
         return 0
 
 
-def closed_form_check(pack: SequencePack) -> list:
-    """Verify the small-k closed forms of the l-family against the tables.
-
-    Returns a list of (name, recurrence value, closed-form value, ok).
-    """
+def sequence_rows(order: int, pack: SequencePack) -> dict:
+    """The rows b, l, lp, lpp and d for k <= order.  l, lp, lpp and d are
+    cross-checked against the coefficients of their rational generating
+    functions
+        f = 1/((1-t)^3 - (a1-3) t),  g = (t^2 + (a2-3) t) f,
+        h = a3 t f,  1 + (a1-3) t f,
+    and for k <= 3 against the closed forms of the small cases; a mismatch
+    aborts, naming the table and k."""
+    rows = {name: [getattr(pack, name)[k] for k in range(order + 1)]
+            for name in ("b", "l", "lp", "lpp", "d")}
     a1, a2, a3 = pack.a1, pack.a2, pack.a3
-    expected = [
-        ("l_2", pack.l[2], a1 ** 2 - 3),
-        ("l_3", pack.l[3], a1 ** 3 - 6 * a1 + 1),
-        ("lp_2", pack.lp[2], a1 * a2 - 3 * a1 + 1),
-        ("lp_3", pack.lp[3], a1 ** 2 * a2 - 3 * a1 ** 2 - 3 * a2 + a1 + 9),
-        ("lpp_2", pack.lpp[2], a1 * a3),
-        ("lpp_3", pack.lpp[3], a1 ** 2 * a3 - 3 * a3),
-        ("d_3", pack.d[3], (a1 - 3) * (a1 ** 2 - 3)),
-    ]
-    return [(name, got, want, got == want) for name, got, want in expected]
+    f = PowerSeries.from_terms(
+        {(0, 0): 1, (1, 0): -a1, (2, 0): 3, (3, 0): -1}, order).reciprocal().coefficient
+    series = {"l": f,
+              "lp": lambda k: f(k - 2) + (a2 - 3) * f(k - 1),
+              "lpp": lambda k: a3 * f(k - 1),
+              "d": lambda k: (a1 - 3) * f(k - 1) if k else 1}
+    checks = [(name, k, coefficient(k), "generating function")
+              for name, coefficient in series.items() for k in range(order + 1)]
+    checks += [(name, k, want, "closed form")
+               for (name, k), want in _sequence_closed_forms(pack).items() if k <= order]
+    for name, k, want, source in checks:
+        if rows[name][k] != want:
+            raise CrossCheckError(
+                f"{name} table cross-check failed at k={k}: "
+                f"recurrence gives {rows[name][k]}, {source} gives {want}")
+    return rows
+
+
+def _sequence_closed_forms(pack: SequencePack) -> dict:
+    a1, a2, a3 = pack.a1, pack.a2, pack.a3
+    return {
+        ("l", 2): a1 ** 2 - 3,
+        ("l", 3): a1 ** 3 - 6 * a1 + 1,
+        ("lp", 2): a1 * a2 - 3 * a1 + 1,
+        ("lp", 3): a1 ** 2 * a2 - 3 * a1 ** 2 - 3 * a2 + a1 + 9,
+        ("lpp", 2): a1 * a3,
+        ("lpp", 3): a1 ** 2 * a3 - 3 * a3,
+        ("d", 3): (a1 - 3) * (a1 ** 2 - 3),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +282,6 @@ class PowerSeries:
             raise SequenceError(f"t-degree {k} beyond truncation {self.order}")
         return self.slices[k].get(s, 0) if k >= 0 else 0
 
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        slices = []
-        for k in range(order + 1):
-            d = dict(self.slices[k])
-            for s, c in other.slices[k].items():
-                d[s] = d.get(s, 0) + c
-            slices.append(d)
-        return PowerSeries(slices, order)
-
     def __mul__(self, other):
         order = min(self.order, other.order)
         slices = [{} for _ in range(order + 1)]
@@ -352,36 +366,3 @@ def poincare_CI(c: int, n: int, order: int = 12):
     PA = PowerSeries.from_terms(  # the reciprocal of (1-tz)^c
         {(k, k): (-1) ** k * comb(c, k) for k in range(c + 1)}, order).reciprocal()
     return PA, geometric_binomial(n, order) * PA.diagonal()
-
-
-def class_t_generating_functions(a1: int, a2: int, a3: int, order: int):
-    """(f, g, h, d-series): the generating functions of l, l', l'' and d."""
-    base = PowerSeries.from_terms(  # (1-t)^3 - t(a1-3)
-        {(0, 0): 1, (1, 0): -3 - (a1 - 3), (2, 0): 3, (3, 0): -1}, order)
-    f = base.reciprocal()
-    g = PowerSeries.from_terms({(2, 0): 1, (1, 0): a2 - 3}, order) * f
-    h = PowerSeries.from_terms({(1, 0): a3}, order) * f
-    dser = (PowerSeries.from_terms({(1, 0): a1 - 3}, order) * f
-            + PowerSeries.from_terms({(0, 0): 1}, order))
-    return f, g, h, dser
-
-
-def generating_function_check(pack: SequencePack, order: int) -> list:
-    """Match the recurrence tables against the rational generating functions,
-    and check L(t, 1) = f + g + h coefficientwise.
-
-    Returns (name, k, table value, series value, ok) tuples.
-    """
-    f, g, h, dser = class_t_generating_functions(pack.a1, pack.a2, pack.a3, order)
-    out = []
-    for k in range(order + 1):
-        out.append(("l", k, pack.l[k], f.coefficient(k), pack.l[k] == f.coefficient(k)))
-        out.append(("lp", k, pack.lp[k], g.coefficient(k), pack.lp[k] == g.coefficient(k)))
-        out.append(("lpp", k, pack.lpp[k], h.coefficient(k), pack.lpp[k] == h.coefficient(k)))
-        out.append(("d", k, pack.d[k], dser.coefficient(k), pack.d[k] == dser.coefficient(k)))
-    total = f + g + h
-    for k in range(order + 1):
-        lsum = pack.l[k] + pack.lp[k] + pack.lpp[k]
-        out.append(("L(t,1)", k, lsum, total.coefficient(k),
-                    lsum == total.coefficient(k)))
-    return out

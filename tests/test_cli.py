@@ -408,6 +408,20 @@ def test_exit_code_failed_cross_check(monkeypatch, capsys):
         "tree gives 4, closed form gives 999\n")
 
 
+def test_exit_code_failed_sequence_check(monkeypatch, capsys):
+    # a printed sequence row disagreeing with its closed form is a
+    # verification failure, and nothing is printed before it
+    from koszulres import sequences
+    closed = sequences._sequence_closed_forms
+    monkeypatch.setattr(sequences, "_sequence_closed_forms",
+                        lambda pack: {**closed(pack), ("lp", 2): 999})
+    assert run("betti", "--class-t", "4,6,3", "--no-timestamp") == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("verification failure: lp table cross-check failed at "
+                            "k=2: recurrence gives 13, closed form gives 999\n")
+    assert captured.out == ""
+
+
 def test_exit_code_ring_is_directory(tmp_path, capsys):
     assert run("verify", "--ring", str(tmp_path), "--no-timestamp") == 2
     assert "input error" in capsys.readouterr().err
@@ -485,11 +499,13 @@ def test_betti_raw_refuses_n_below_codepth(capsys, argv):
     ("4,6,-1", "codepth 3 needs a_3 >= 1 (got -1)"),
     ("4,6,0", "codepth 3 needs a_3 >= 1 (got 0)"),
     ("4,7,3", "codepth 3 needs a_2 = a_1 + a_3 - 1 (got a_2 = 7, a_1 + a_3 - 1 = 6)"),
+    ("3,4,2", "class T needs a_1 >= 4 (got 3)"),
     ("4,6", "--class-t wants three integers a1,a2,a3"),
 ])
 def test_betti_raw_class_t_refuses_impossible_invariants(capsys, invariants, message):
-    # the three triple products are independent in A_2, A_3 != 0, and the
-    # Euler characteristic 1 - a_1 + a_2 - a_3 of K vanishes
+    # the three triple products are independent in A_2, A_3 != 0, a_1 = 3
+    # gives a complete intersection, and the Euler characteristic
+    # 1 - a_1 + a_2 - a_3 of K vanishes
     assert run("betti", "--class-t", invariants, "--no-timestamp") == 2
     captured = capsys.readouterr()
     assert message in captured.err

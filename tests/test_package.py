@@ -89,12 +89,6 @@ ROOT = SRC.parent
 # each one stays
 UNREACHED = {
     "__init__.__dir__": "dir(koszulres) lists the lazily loaded public names",
-    "sequences.closed_form_check": "the l/l'/l'' closed forms; ROADMAP item 5 "
-                                   "gives the three series checks a caller",
-    "sequences.generating_function_check": "the series of the l tables; item 5",
-    "sequences.class_t_generating_functions": "what generating_function_check "
-                                              "reads; item 5",
-    "sequences.PowerSeries.__add__": "generating_function_check adds series; item 5",
 }
 
 

@@ -10,13 +10,12 @@ from koszulres.sequences import (
     SequencePack,
     TreeMonomial,
     UNIT_MONOMIAL,
+    _sequence_closed_forms,
     arrow_target,
-    class_t_generating_functions,
-    closed_form_check,
-    generating_function_check,
     geometric_binomial,
     poincare_CI,
     poincare_T,
+    sequence_rows,
     tree_layer,
     u_table,
 )
@@ -74,14 +73,17 @@ def test_class_t_needs_a1_at_least_3():
 
 
 def test_closed_forms_example_and_random_triples(pack_t):
-    assert all(ok for *_, ok in closed_form_check(pack_t))
-    for _ in range(3):
-        a1 = rng.randrange(3, 12)
-        a2 = rng.randrange(0, 12)
-        a3 = rng.randrange(0, 12)
-        pack = SequencePack(a1, a2, a3)
-        report = closed_form_check(pack)
-        assert all(ok for *_, ok in report), (a1, a2, a3, report)
+    # a2 and a3 below 3 included: the closed forms are polynomial identities
+    triples = [(4, 6, 3)] + [(rng.randrange(3, 12), rng.randrange(0, 12),
+                               rng.randrange(0, 12)) for _ in range(3)]
+    assert any(a2 < 3 or a3 < 3 for _, a2, a3 in triples[1:])
+    for a1, a2, a3 in triples:
+        pack = pack_t if (a1, a2, a3) == (4, 6, 3) else SequencePack(a1, a2, a3)
+        closed = _sequence_closed_forms(pack)
+        assert len(closed) == 7
+        for (name, k), want in closed.items():
+            assert getattr(pack, name)[k] == want, (a1, a2, a3, name, k)
+        sequence_rows(3, pack)  # checks every one of them, and raises on none
 
 
 # -- the tree ----------------------------------------------------------------
@@ -227,20 +229,30 @@ def test_rank_formula_from_u_table(pack_t):
 
 
 def test_generating_functions(pack_t):
-    report = generating_function_check(pack_t, 6)
-    assert all(row[-1] for row in report)
-    # a1 = 3: f collapses to 1/(1-t)^3 with coefficients b_k
-    f, _, _, dser = class_t_generating_functions(3, 6, 3, 8)
-    assert [f.coefficient(k) for k in range(9)] == \
-        [comb(k + 2, 2) for k in range(9)]
-    # d-series: coefficient k of t(a1-3)f + 1 equals d_k
-    pack = SequencePack(5, 6, 3)
-    _, _, _, dser5 = class_t_generating_functions(5, 6, 3, 8)
-    assert [dser5.coefficient(k) for k in range(9)] == [pack.d[k] for k in range(9)]
+    assert sequence_rows(6, pack_t) == recurrence_tables(4, 6, 3, 6)
+    # a1 = 3: f collapses to 1/(1-t)^3 with coefficients b_k, and the l row
+    # that matches it is C(k+2, 2)
+    pack = SequencePack(3, 6, 3)
+    assert [pack.l[k] for k in range(9)] == [comb(k + 2, 2) for k in range(9)]
+    assert sequence_rows(8, pack)["l"] == [comb(k + 2, 2) for k in range(9)]
+    # d-series: coefficient k of t(a1-3)f + 1, which the d row matches
+    rows = sequence_rows(8, SequencePack(5, 6, 3))
+    assert rows["d"] == [1, 2, 10, 44, 192, 838, 3658, 15968, 69704]
+    assert rows["d"] == recurrence_tables(5, 6, 3, 8)["d"]
 
 
 def test_series_checks_far_out_on_fresh_packs():
-    # on fresh packs, which have no size to exceed
-    rows = generating_function_check(SequencePack(4, 6, 3), 40)
-    assert len(rows) == 5 * 41 and all(ok for *_, ok in rows)
-    assert all(ok for *_, ok in closed_form_check(SequencePack(4, 6, 3)))
+    # on a fresh pack, which has no size to exceed
+    assert sequence_rows(40, SequencePack(4, 6, 3)) == recurrence_tables(4, 6, 3, 40)
+
+
+@pytest.mark.parametrize("name, k", [("l", 0), ("lp", 5), ("lpp", 7), ("d", 3)])
+def test_sequence_rows_name_an_overwritten_entry(name, k):
+    pack = SequencePack(4, 6, 3)
+    sequence_rows(10, pack)  # every table now holds k <= 10
+    want = getattr(pack, name)[k]
+    getattr(pack, name)[k] = want + 1
+    with pytest.raises(CrossCheckError) as exc:
+        sequence_rows(10, pack)
+    assert str(exc.value) == (f"{name} table cross-check failed at k={k}: "
+                              f"recurrence gives {want + 1}, generating function gives {want}")
