@@ -160,13 +160,13 @@ def alpha(k: int, r: int, basis: ClassTBasis) -> CycleMatrix:
         diagonal = [(beta_prime(k - t, basis), pack.d[t]) for t in range(k - 1) if pack.d[t]]
     else:
         diagonal = []
-    cycles, where = {}, [np.zeros((0, 3), dtype=np.int64)]  # id -> (index, cycle)
+    cycles, where = {}, [np.zeros((0, 3), dtype=np.int64)]  # cycle -> its index
     col = 0
     for group in (diagonal, [(gamma(r - k + 1, basis), rows)]):
         row = 0
         for block, copies in group:
-            slot = np.array([cycles.setdefault(id(z), (len(cycles), z))[0]
-                             for z in block.cycles], dtype=np.int64)
+            slot = np.array([cycles.setdefault(z, len(cycles)) for z in block.cycles],
+                            dtype=np.int64)
             w = (block.where + [row, col, 0]
                  + np.arange(copies)[:, None, None] * [block.rows, block.cols, 0])
             w[..., 2] = slot[w[..., 2]]
@@ -179,7 +179,7 @@ def alpha(k: int, r: int, basis: ClassTBasis) -> CycleMatrix:
             f"alpha_{{{k},{r}}} extent mismatch: built {col} columns, "
             f"tables give {cols_expected}")
     return CycleMatrix(basis.z1[0].ring, rows, cols_expected, r - k + 1,
-                       [z for _, z in cycles.values()], np.concatenate(where))
+                       list(cycles), np.concatenate(where))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,8 @@ class ResolutionAssembly:
     ranks: list = field(init=False)
 
     def __post_init__(self):
+        if self.i_max < 1:
+            raise BuildError("i_max must be >= 1")
         self.ranks = [sum(b.width(self.ring.nvars) for b in bl)
                       for bl in self.blocks]
 
@@ -263,11 +265,11 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow) -> list:
         for b in blocks_lo:
             row_offset[(b.key, b.kdeg)] = rows
             rows += b.width(n)
-        mats = {}  # id -> (index, matrix) of each distinct block matrix
+        mats = {}  # each distinct block matrix -> its index
         placed = []  # (index, row, column, copies, sign) of each block
 
         def place(M, *at):
-            placed.append((mats.setdefault(id(M), (len(mats), M))[0], *at))
+            placed.append((mats.setdefault(M, len(mats)), *at))
 
         col = 0
         for b in blocks_hi:
@@ -287,7 +289,7 @@ def _assemble_diffs(ring, blocks, diag_sign, arrow) -> list:
             col += b.width(n)
         placed = np.array(placed, dtype=np.int64).reshape(-1, 5).T
         diffs.append(RingMatrix.from_terms(
-            ring, rows, col, block_terms([M for _, M in mats.values()], *placed)))
+            ring, rows, col, block_terms(list(mats), *placed)))
     return diffs
 
 
@@ -308,8 +310,6 @@ def assemble_T(ring: QuotientRing, basis: ClassTBasis, i_max: int = 8,
     that breaks d^2 = 0.  Each arrow carries its matrix alpha_{j,r}, which
     alpha memoizes per basis.
     """
-    if i_max < 1:
-        raise BuildError("i_max must be >= 1")
     _check_literal_products(basis)
     blocks = [_class_t_blocks(k, basis.pack, ring.nvars) for k in range(i_max + 1)]
 
@@ -395,8 +395,9 @@ class _Coordinates:
     class ``H.reps[0]``, which spans A_0, reads the entries themselves) into
     A_q in its representative basis (span None), or into the subspace of A_q
     whose basis is the columns of ``span``, independent classes as
-    HomologyAlgebra.classes gives them.  Blocks are cached per cycle object
-    and source list, since the block matrices share entries."""
+    HomologyAlgebra.classes gives them.  Blocks are cached per cycle and
+    sources, each element by identity, since the block matrices share
+    entries."""
 
     def __init__(self, H: HomologyAlgebra, span=None):
         self.H = H
@@ -425,10 +426,10 @@ class _Coordinates:
             theta.entry_degree + sources[0].degree)
         blocks = []
         for z in theta.cycles:
-            key = (id(z), id(sources))
-            if key not in self._cache:  # keeps z and sources alive with their ids
-                self._cache[key] = (z, sources, self._block(z, sources))
-            blocks.append(self._cache[key][2])
+            key = (z, *sources)
+            if key not in self._cache:
+                self._cache[key] = self._block(z, sources)
+            blocks.append(self._cache[key])
         where = theta.where
         return RingMatrix.from_terms(
             self.H.field, theta.rows * a_dst, theta.cols * a_src,

@@ -184,7 +184,9 @@ def _verified_doc(rf: RingFile, F, report, args, **fields) -> dict:
     return {"schema_version": SCHEMA_VERSION, "ring": serialize_ring_file(rf),
             "mode": F.mode, "ranks": [int(r) for r in F.ranks],
             "sign_regime": F.sign_regime,
-            "verification": report.to_dict(include_timings=not args.no_timestamp),
+            "verification": {**report.to_dict(include_timings=not args.no_timestamp),
+                             "sign_regime": F.sign_regime,
+                             "exactness_range": [0, F.i_max]},
             **_maybe_timestamp(args), **fields}
 
 
@@ -350,14 +352,8 @@ def cmd_demo_classt(args) -> int:
 
 
 def _entry_names(basis) -> dict:
-    names = {}
-    for u, z in enumerate(basis.z1, start=1):
-        names[id(z)] = f"z1_{u}"
-    for u, z in enumerate(basis.z2, start=1):
-        names[id(z)] = f"z2_{u}"
-    for u, z in enumerate(basis.z3, start=1):
-        names[id(z)] = f"z3_{u}"
-    return names
+    return {z: f"z{j}_{u}" for j, cycles in enumerate((basis.z1, basis.z2, basis.z3), 1)
+            for u, z in enumerate(cycles, 1)}
 
 
 def _alpha_col_groups(k, r, pack) -> list:
@@ -383,7 +379,7 @@ def _pretty_cycle_matrix(theta, names, col_groups) -> str:
     """ASCII grid with dashed separators at the block boundaries."""
     # cycles that are not named basis cycles (the beta' wedges) are shown as
     # the element itself
-    shown = [names.get(id(z)) or z.to_string() for z in theta.cycles]
+    shown = [names.get(z) or z.to_string() for z in theta.cycles]
     cells = [["."] * theta.cols for _ in range(theta.rows)]
     for i, j, k in theta.where.tolist():
         cells[i][j] = shown[k]

@@ -532,8 +532,10 @@ def rank_mod(A: np.ndarray, p: int) -> int:
     return len(rref_mod(A, p)[1])
 
 
-def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """Columns form an echelon-normalized basis of the null space of A."""
+def kernel_mod(A: np.ndarray, p: int) -> tuple:
+    """(K, free): the columns of K form an echelon-normalized basis of the
+    null space of A, and column k is 1 at row free[k], 0 at the other free
+    columns (the non-pivot columns of A, in order) and after free[k]."""
     R, piv = rref_mod(A, p)
     cols = R.shape[1]
     is_free = np.ones(cols, dtype=bool)
@@ -542,7 +544,7 @@ def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:
     K = np.zeros((cols, free.size), dtype=np.int64)
     K[free, np.arange(free.size)] = 1
     K[piv, :] = (-R[:len(piv), free]) % p
-    return K
+    return K, free
 
 
 def solve_mod(A: np.ndarray, b: np.ndarray, p: int):

@@ -153,14 +153,14 @@ def _strand_homology(ring, fp, i, up, down) -> tuple:
     blocks = block_contents(*entries, (n_up + n_down, width),
                             np.repeat([0, 1], [n_up, n_down]), 0)
     for B, tags, _, owners, coords in blocks:
-        nu, nm = len(tags) - int(tags.sum()), B.shape[1]
-        if not nm:
+        nu = len(tags) - int(tags.sum())
+        if not B.shape[1]:
             continue  # a row of K_{i-1} or K_{i+1} with no nonzero
-        K = kernel_mod(B[nu:], p)
+        K, free = kernel_mod(B[nu:], p)
         R, piv = rref_mod(np.hstack([B[:nu].T, K]), p)
         nbnd = int(np.searchsorted(piv, nu))
         picked = np.array(piv[nbnd:], dtype=np.int64) - nu
-        free = coords[:, nm - 1 - np.argmax(K[::-1] != 0, axis=0)]  # last nonzeros
+        free = coords[:, free]
         # in the row of each free column: the kernel vector in the columns
         # width + its flat coordinates, and its class in the columns of the
         # free columns of the reps, renumbered below

@@ -39,8 +39,9 @@ class _Table(dict):
     def __missing__(self, k):
         if k < 0:
             raise KeyError(k)
-        for i in range(len(self), k + 1):
-            self[i] = self.entry(i)
+        for i in range(k + 1):
+            if i not in self:
+                self[i] = self.entry(i)
         return self[k]
 
 

@@ -63,8 +63,6 @@ class CheckSection:
 @dataclass
 class VerificationReport:
     sections: list = field(default_factory=list)
-    sign_regime: str | None = None
-    exactness_range: tuple | None = None
 
     @property
     def passed(self) -> bool:
@@ -98,12 +96,7 @@ class VerificationReport:
             if include_timings:
                 entry["seconds"] = round(s.seconds, 3)
             sections.append(entry)
-        return {
-            "passed": self.passed,
-            "sign_regime": self.sign_regime,
-            "exactness_range": list(self.exactness_range) if self.exactness_range else None,
-            "sections": sections,
-        }
+        return {"passed": self.passed, "sections": sections}
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +263,12 @@ def check_oracle(F: ResolutionAssembly) -> CheckSection:
 
 @dataclass
 class OracleResolution:
-    betti: list
     differentials: list  # RingMatrix d_1, d_2, ...
+
+    @property
+    def betti(self) -> list:
+        """b_0 = 1, then the number of columns of each d_i."""
+        return [1] + [d.cols for d in self.differentials]
 
 
 def oracle_resolution(ring: QuotientRing, i_max: int) -> OracleResolution:
@@ -281,15 +278,14 @@ def oracle_resolution(ring: QuotientRing, i_max: int) -> OracleResolution:
     modulo m . kernel), lifted back to R-columns.  Both steps run once per
     distinct block content of the flattened maps (`RingMatrix.flat_contents`),
     never on a dense flat matrix, and choose the same echelon-ordered
-    vectors as a dense elimination would."""
+    vectors as a dense elimination would.  Through i_max = 0 it is F_0 = R
+    alone, with no differential."""
     current = koszul_differential(1, ring)  # the row of variables
-    betti = [1, ring.nvars]
     diffs = [current]
     for _ in range(2, i_max + 1):
         current = _minimal_generators(_flat_kernel(current))
-        betti.append(current.cols)
         diffs.append(current)
-    return OracleResolution(betti[: i_max + 1], diffs)
+    return OracleResolution(diffs[:i_max])
 
 
 def _flat_kernel(d: RingMatrix) -> RingMatrix:
@@ -305,9 +301,8 @@ def _flat_kernel(d: RingMatrix) -> RingMatrix:
     parts = []  # (flat column, free column of its vector, value) per nonzero
     for b in d.flat_contents():
         lone[b.cols] = False
-        K = kernel_mod(b.matrix, d.ring.p)
+        K, free = kernel_mod(b.matrix, d.ring.p)
         a, t = np.nonzero(K)
-        free = K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0)
         parts.append((b.cols[:, a], b.cols[:, free[t]], np.tile(K[a, t], len(b.owners))))
     u = np.flatnonzero(lone)
     parts.append((u, u, np.ones(len(u), dtype=np.int64)))
@@ -446,8 +441,6 @@ def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
     else:
         _, PR = poincare_CI(H.codepth, ring.nvars, i_max)
         F = assemble_CI(ring, basis, i_max)
-    report.sign_regime = F.sign_regime
-    report.exactness_range = (0, i_max)
     report.add(check_block_ranks, F, [PR.coefficient(k) for k in range(i_max + 1)])
     report.add(check_complex, F)
     report.add(check_minimality, F)

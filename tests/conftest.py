@@ -247,7 +247,7 @@ def dense_homology(ring):
     flat = [flatten(koszul_differential(i, ring)) for i in range(n + 1)]
     out = []
     for i in range(n + 1):
-        K = kernel_mod(flat[i], p)
+        K = kernel_mod(flat[i], p)[0]
         up = flat[i + 1] if i < n else np.zeros((K.shape[0], 0), dtype=np.int64)
         _, piv = rref_mod(np.hstack([up, K]), p)
         nu = up.shape[1]

@@ -57,18 +57,26 @@ def test_betti_from_ring_file(tmp_path, capsys):
     assert parse_ring_file(doc["ring"]) == parse_ring_file(CLASS_T.read_text())
 
 
-@pytest.mark.parametrize("variables, ideal", [
-    ("x, y, z", "x^2, y^2, z^2, x*y"),          # codepth 3, not class T
-    ("x, y, z, w", "x^2, y^2, z^2, w^2, x*y"),  # codepth 4
-    ("x, y", "x^3000, y^3000, x*y"),  # dim 5999 in an exponent box of 9 M points
-], ids=["xy", "codepth4", "box"])
-def test_betti_ring_refuses_uncertified_class(tmp_path, capsys, variables, ideal):
+@pytest.mark.parametrize("variables, ideal, message", [
+    # codepth 3, not class T
+    ("x, y, z", "x^2, y^2, z^2, x*y", "no distinguished triple"),
+    # codepth 4
+    ("x, y, z, w", "x^2, y^2, z^2, w^2, x*y", "cannot classify homology ranks (1, 5, 9, 7, 2)"),
+    # dim 5999 in an exponent box of 9 M points
+    ("x, y", "x^3000, y^3000, x*y", "cannot classify homology ranks (1, 3, 2)"),
+    # (x,y,z)^2 and (x,y,z)^3: strands with two or more reps
+    ("x, y, z", "x^2, x*y, x*z, y^2, y*z, z^2", "no distinguished triple"),
+    ("x, y, z", "x^3, x^2*y, x^2*z, x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3",
+     "no distinguished triple"),
+], ids=["xy", "codepth4", "box", "max2", "max3"])
+def test_betti_ring_refuses_uncertified_class(tmp_path, capsys, variables, ideal, message):
     ring = tmp_path / "r.ring"
     ring.write_text(f"characteristic = 32003\nvariables = {variables}\n"
                     f"ideal = {ideal}\nmode = auto\n")
     assert run("betti", "--ring", str(ring), "--no-timestamp") == 3
     captured = capsys.readouterr()
     assert "class verification failure" in captured.err
+    assert message in captured.err
     assert "betti:" not in captured.out
 
 
@@ -80,6 +88,8 @@ def test_resolve_class_t(tmp_path, capsys):
     assert doc["ranks"] == [1, 3, 7, 16, 37, 86]
     assert doc["verification"]["passed"] is True
     assert doc["sign_regime"] == "diagonal (-1)^(deg1+deg2), phi +1"
+    assert doc["verification"]["sign_regime"] == doc["sign_regime"]
+    assert doc["verification"]["exactness_range"] == [0, 5]
     assert doc["schema_version"] == 1
     # block inventory names the tree monomials
     assert doc["blocks"][2] == [["1", 0, 1, 2], ["X[1,1]", 2, 4, 0]]
@@ -500,6 +510,7 @@ def test_betti_raw_refuses_n_below_codepth(capsys, argv):
     ("4,6,0", "codepth 3 needs a_3 >= 1 (got 0)"),
     ("4,7,3", "codepth 3 needs a_2 = a_1 + a_3 - 1 (got a_2 = 7, a_1 + a_3 - 1 = 6)"),
     ("3,4,2", "class T needs a_1 >= 4 (got 3)"),
+    ("3,3,1", "class T needs a_1 >= 4 (got 3)"),
     ("4,6", "--class-t wants three integers a1,a2,a3"),
 ])
 def test_betti_raw_class_t_refuses_impossible_invariants(capsys, invariants, message):

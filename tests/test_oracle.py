@@ -26,23 +26,21 @@ def dense_oracle(ring: QuotientRing, i_max: int) -> OracleResolution:
     D = ring.dim
     var_mults = [flatten(ring_matrix(ring, 1, 1, {(0, 0): v})) for v in ring.names]
     d1 = ring_matrix(ring, 1, ring.nvars, {(0, v): x for v, x in enumerate(ring.names)})
-    betti = [1, ring.nvars]
     diffs = [d1]
     current = d1
     for _ in range(2, i_max + 1):
-        ker = kernel_mod(flatten(current), p)
+        ker = kernel_mod(flatten(current), p)[0]
         m_cols = _m_multiples(ker, var_mults, current.cols, D, p)
         stacked = np.hstack([m_cols, ker]) if m_cols.size else ker
         piv = rref_mod(stacked, p)[1]
         offset = m_cols.shape[1]
         columns = [ker[:, c - offset] for c in piv if c >= offset]
-        betti.append(len(columns))
         C = np.array(columns, dtype=np.int64).reshape(-1, ker.shape[0]).T
         g, j = np.nonzero(C)  # flat row g of column j is std_{g % D} of coordinate g // D
         current = RingMatrix.from_terms(ring, current.cols, len(columns),
                                         np.column_stack([g // D, j, g % D, C[g, j]]))
         diffs.append(current)
-    return OracleResolution(betti[: i_max + 1], diffs)
+    return OracleResolution(diffs[:i_max])
 
 
 def _m_multiples(ker, var_mults, ncoords, D, p):

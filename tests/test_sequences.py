@@ -47,6 +47,16 @@ def test_tables_grow_from_a_first_read_far_out():
         pack.l[-1]  # no list-style read from the end
 
 
+def test_tables_fill_below_an_entry_written_past_their_end():
+    # the entries below a written one are filled when read, and the written
+    # one is kept; a fresh pack's tables are checked in the test above
+    pack = SequencePack(4, 6, 3)
+    pack.lp[5] = 1
+    assert pack.lp[0] == 0
+    want = recurrence_tables(4, 6, 3, 8)["lp"]
+    assert [pack.lp[k] for k in range(9)] == want[:5] + [1] + want[6:]
+
+
 def test_lp5_follows_the_recurrence(pack_t):
     # l'_5 = l_3 + 3 l_4 = 41 + 387; the value 1347 seen in print is l'_6
     assert pack_t.lp[5] == 41 + 3 * 129 == 428

@@ -14,7 +14,8 @@ from conftest import (
     sparse_map,
 )
 from koszulres import builder, verifier
-from koszulres.builder import FiniteComplex, assemble_CI, assemble_T, graded_A_complexes
+from koszulres.builder import (BuildError, FiniteComplex, assemble_CI, assemble_T,
+                               graded_A_complexes)
 from koszulres.exactfield import (
     MAX_CHARACTERISTIC,
     QuotientRing,
@@ -254,6 +255,12 @@ def test_oracle_ci3_matches_series(ring_ci3):
     from math import comb
     oracle = oracle_resolution(ring_ci3, 6)
     assert oracle.betti == [comb(k + 2, 2) for k in range(7)]
+    # through i the oracle has d_1..d_i, so i + 1 Betti numbers; through 0
+    # it is F_0 = R alone
+    for i in range(4):
+        short = oracle_resolution(ring_ci3, i)
+        assert len(short.differentials) == i
+        assert short.betti == oracle.betti[:i + 1]
 
 
 def test_oracle_deterministic(ring_ci2):
@@ -272,7 +279,14 @@ def test_full_verify_class_t(ring_t):
     names = [s.name for s in report.sections]
     assert names == ["class_certificate", "graded_exactness", "betti_vs_series",
                      "complex", "minimality", "exactness", "oracle"]
-    assert report.sign_regime == "diagonal (-1)^(deg1+deg2), phi +1"
+    assert F.sign_regime == "diagonal (-1)^(deg1+deg2), phi +1"
+
+
+def test_full_verify_refuses_max_degree_zero(ring_t, ring_ci3):
+    # every assembly refuses i_max = 0 before a check reads d_1
+    for ring in (ring_t, ring_ci3):
+        with pytest.raises(BuildError, match="i_max must be >= 1"):
+            full_verify(ring, "auto", 0)
 
 
 def test_oracle_section_is_timed(ring_ci2):
