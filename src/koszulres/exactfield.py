@@ -77,24 +77,16 @@ def is_prime(m: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# monomials (plain exponent tuples)
+# monomials: exponent tuples, and exponent arrays with one row per monomial
 # ---------------------------------------------------------------------------
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """Componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_key(m: Monomial):
-    """Degree-then-lexicographic order key: x > y > z within a degree."""
-    return (mono_degree(m), tuple(-e for e in m))
+def monomial_order(E: np.ndarray) -> np.ndarray:
+    """The rows of the exponent array E by degree, then within a degree by
+    their exponents read left to right, largest first: x > y > z."""
+    return E[np.lexsort((*(-E[:, ::-1].T), E.sum(axis=1)))]
 
 
 def default_names(n: int) -> list[str]:
@@ -139,39 +131,34 @@ class QuotientRing:
                 raise ExactFieldError(
                     f"ideal contains the variable '{self.names[g.index(1)]}': "
                     "remove it from the variables and from the ideal")
-        self.ideal_gens = self._minimalize(gens)
-        self._pure_bounds = self._artinian_bounds()
-        self.std_basis = self._compute_std_basis()
+        # an exponent of a minimal generator lies below its variable's pure
+        # power, so below dim R: a larger limit builds no more rings, and this
+        # one keeps the exponents and their sums inside int64
+        big = [e for g in gens for e in g if e >= 2 ** 31]
+        if big:
+            raise ExactFieldError(f"ideal exponent {big[0]} is too large (the limit is 2^31 - 1)")
+        # a repeat or a multiple of a row sorts after it, so keeping each row
+        # that no kept earlier row divides leaves the minimal generators
+        G = monomial_order(np.array(gens, dtype=np.int64).reshape(len(gens), nvars))
+        keep = np.ones(len(G), dtype=bool)
+        for i in range(len(G)):  # one row at a time: no len(G) x len(G) array
+            if keep[i]:
+                keep[i + 1:] &= (G[i + 1:] < G[i]).any(axis=1)
+        G = G[keep]
+        self.ideal_gens = [tuple(g) for g in G.tolist()]
+        bounds = G[(G > 0).sum(axis=1) == 1].sum(axis=0)  # one pure power each, at most
+        missing = np.flatnonzero(bounds == 0)
+        if missing.size:
+            raise ExactFieldError(
+                f"ideal is not Artinian: no pure power of variable "
+                f"'{self.names[missing[0]]}' among the generators")
+        self._pure_bounds = bounds.tolist()
+        self.std_basis = self._compute_std_basis(G, bounds)
         self.basis_index = {m: i for i, m in enumerate(self.std_basis)}
         self.dim = len(self.std_basis)
 
-    @staticmethod
-    def _minimalize(gens: list[Monomial]) -> list[Monomial]:
-        gens = sorted(set(gens), key=mono_key)
-        keep = []
-        for g in gens:
-            if not any(mono_divides(h, g) for h in keep):
-                keep.append(g)
-        return keep
-
-    def _artinian_bounds(self) -> list[int]:
-        bounds = [None] * self.nvars
-        for g in self.ideal_gens:
-            support = [v for v, e in enumerate(g) if e]
-            if len(support) == 1:
-                v = support[0]
-                if bounds[v] is None or g[v] < bounds[v]:
-                    bounds[v] = g[v]
-        for v, b in enumerate(bounds):
-            if b is None:
-                raise ExactFieldError(
-                    f"ideal is not Artinian: no pure power of variable "
-                    f"'{self.names[v]}' among the generators"
-                )
-        return bounds
-
-    def _compute_std_basis(self) -> list[Monomial]:
-        """The monomials that no generator divides, in mono_key order, from
+    def _compute_std_basis(self, gens: np.ndarray, bounds: np.ndarray) -> list[Monomial]:
+        """The monomials that no row of gens divides, in monomial_order, from
         exponent prefixes extended one variable at a time (each a standard
         monomial, so no step holds more than dim R rows): after a prefix, x_v
         runs below the least g_v of the generators g whose support ends at v
@@ -181,9 +168,6 @@ class QuotientRing:
         x_v.  The digits of a sum of two standard exponents stay below the
         radix, so the code of a product of standard monomials is the sum of
         their codes."""
-        bounds = np.array(self._pure_bounds, dtype=np.int64)
-        gens = np.zeros((len(self.ideal_gens), self.nvars), dtype=np.int64)
-        gens[:] = self.ideal_gens
         last = ((gens > 0) * np.arange(self.nvars)).max(axis=1, initial=0)  # end of support
         E = np.zeros((1, 0), dtype=np.int64)
         for v in range(self.nvars):
@@ -192,7 +176,7 @@ class QuotientRing:
                 cap = np.where((E >= g[:v]).all(axis=1), np.minimum(cap, g[v]), cap)
             E = np.column_stack([E.repeat(cap, axis=0),
                                  concat_ranges(np.zeros_like(cap), cap)])
-        E = E[np.lexsort((*(-E[:, ::-1].T), E.sum(axis=1)))]  # mono_key order
+        E = monomial_order(E)
         code_weights = np.cumprod(np.r_[1, 2 * bounds - 1])[:-1]
         self.codes = E @ code_weights
         order = self.codes.argsort()

@@ -388,6 +388,18 @@ def discover_class_T_basis(H: HomologyAlgebra) -> tuple:
         raise DiscoveryError(f"class T needs codepth 3, got {H.codepth}")
     a1, a2 = H.rank(1), H.rank(2)
     reps1 = H.reps[1]
+    failure = ("no distinguished triple with independent pairwise products certifies "
+               "class T for this ring; supply cycle representatives in the ring file")
+    # a triple needs three independent products, so p = rank A_1.A_1 must
+    # reach 3 first: the classes of the pairwise products are read a chunk
+    # of pairs at a time into a running echelon basis, up to rank 3
+    pairs = itertools.combinations(reps1, 2)
+    E = np.zeros((0, a2), dtype=np.int64)
+    while len(E) < 3 and (chunk := list(itertools.islice(pairs, 256))):
+        R, piv = rref_mod(np.vstack([E, H.classes(2, [u.wedge(v) for u, v in chunk]).T]), p)
+        E = R[:len(piv)]
+    if len(E) < 3:
+        raise DiscoveryError(failure)
     candidates = []
     for triple_idx in itertools.combinations(range(a1), 3):
         t = [reps1[i] for i in triple_idx]
@@ -408,7 +420,4 @@ def discover_class_T_basis(H: HomologyAlgebra) -> tuple:
         cert = verify_class_T(basis, H)
         if cert.passed:
             return basis, cert
-    raise DiscoveryError(
-        "no distinguished triple with independent pairwise products certifies "
-        "class T for this ring; supply cycle representatives in the ring file"
-    )
+    raise DiscoveryError(failure)

@@ -193,6 +193,8 @@ def parse_koszul_element(s: str, ring: QuotientRing) -> KoszulElement:
         chunks.append((sign, buf.strip()))
     if not chunks:
         raise KoszulError(f"empty Koszul element {s!r}")
+    if s.endswith(("+", "-")):
+        raise KoszulError(f"Koszul element {s!r} ends in a sign")
     degree = None
     terms = []
     for sgn, term in chunks:

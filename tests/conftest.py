@@ -66,8 +66,9 @@ def flatten(M: RingMatrix) -> np.ndarray:
 
 def box_std_basis(ring) -> list:
     """The standard monomials of ring filtered from the whole exponent box
-    below its pure powers, in mono_key order: the reference for
-    QuotientRing._compute_std_basis, whose memory follows dim R instead."""
+    below its pure powers, by degree and then with x > y > z within a
+    degree: the reference for QuotientRing._compute_std_basis, whose memory
+    follows dim R instead."""
     bounds = np.array(ring._pure_bounds, dtype=np.int64)
     box = np.indices(bounds, dtype=np.int64).reshape(ring.nvars, -1).T
     standard = np.ones(len(box), dtype=bool)

@@ -379,9 +379,15 @@ def test_exit_code_ideal_with_variable(tmp_path, capsys, command):
     ("z1_4 = y*z*e[1]", "z1_4 = y^q*z*e[1]", "bad exponent in monomial 'y^q*z'"),
     ("ideal = x^2,", "ideal = x^a,", "bad exponent in monomial 'x^a'"),
     ("ideal = x^2,", "ideal = 1, x^2,", "ideal contains 1; quotient ring is zero"),
+    # an exponent past int64 is refused, even on a redundant generator
+    ("ideal = x^2,", "ideal = x^2, y^99999999999999999999,",
+     "ideal exponent 99999999999999999999 is too large (the limit is 2^31 - 1)"),
     ("z1_4 = y*z*e[1]", "z1_4 = ", "empty Koszul element ''"),
     ("z1_4 = y*z*e[1]", "z1_4 = x*y", "cannot parse Koszul term 'x*y'"),
     ("z1_4 = y*z*e[1]", "z1_4 = x*e[4]", "basis index out of range in 'x*e[4]'"),
+    # a value that ends in a sign is refused, not read as a shorter sum
+    ("z1_4 = y*z*e[1]", "z1_4 = y*z*e[1] +", "Koszul element 'y*z*e[1] +' ends in a sign"),
+    ("z1_4 = y*z*e[1]", "z1_4 = y*z*e[1] -", "Koszul element 'y*z*e[1] -' ends in a sign"),
     # z1_04 and z1_4 name one cycle, whichever comes first
     ("z1_4 = y*z*e[1]", "z1_04 = x*e[1]\nz1_4 = y*z*e[1]",
      "line 13: duplicate cycle 'z1_4': 'z1_04' already names degree 1, index 4"),

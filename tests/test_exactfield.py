@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 import tracemalloc
 from pathlib import Path
@@ -74,6 +75,70 @@ def test_std_basis_memory_follows_dim_not_box():
     assert peak < 8 * 2 ** 20
 
 
+def reference_ring(p, n, gens, names):
+    """(ideal_gens, pure bounds, std_basis, repr, hash) of the ring by plain
+    loops over exponent tuples: sort by degree, then x > y > z; keep each
+    generator that no kept one divides; take the standard basis from the
+    box below the pure powers."""
+    def key(m):
+        return sum(m), [-e for e in m]
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    minimal = []
+    for g in sorted(set(gens), key=key):
+        if not any(divides(h, g) for h in minimal):
+            minimal.append(g)
+    bounds = [min(g[v] for g in minimal if sum(g) == g[v]) for v in range(n)]
+    box = itertools.product(*(range(b) for b in bounds))
+    std = sorted((m for m in box if not any(divides(g, m) for g in minimal)), key=key)
+    printed = ["*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, g) if e)
+               for g in minimal]
+    return (minimal, bounds, std, f"F_{p}[{', '.join(names)}]/({', '.join(printed)})",
+            hash((p, n, tuple(minimal), tuple(names))))
+
+
+def test_ring_construction_matches_plain_loops():
+    # seeded generator lists with repeats and non-minimal multiples, in
+    # shuffled order, in 1-4 variables, and the field ring
+    sweep = random.Random(20261022)
+    cases = [(0, [])]
+    for _ in range(200):
+        n = sweep.randint(1, 4)
+        gens = [tuple(sweep.randint(2, 6) * (u == v) for u in range(n)) for v in range(n)]
+        gens += [tuple(sweep.randint(0, 3) for _ in range(n)) for _ in range(sweep.randint(0, 6))]
+        gens = [g for g in gens if sum(g) >= 2]
+        gens += [tuple(e + sweep.randint(0, 2) for e in sweep.choice(gens)) for _ in range(3)]
+        gens += sweep.choices(gens, k=3)
+        cases.append((n, gens))
+    for n, gens in cases:
+        names = ["x", "y", "z", "w"][:n]
+        want = reference_ring(5, n, gens, names)
+        for _ in range(2):
+            sweep.shuffle(gens)
+            ring = QuotientRing(5, n, gens, names=names)
+            got = (ring.ideal_gens, ring._pure_bounds, ring.std_basis, repr(ring), hash(ring))
+            assert got == want, gens
+
+
+def test_ring_construction_builds_no_generator_by_generator_array():
+    # the 3003 monomials of degree 76 in x, y, z with 26 repeats and 26
+    # redundant multiples: g = 3055 generators, for which one g x g x n
+    # comparison array of bools would take 28 MB
+    deg76 = [(a, b, 76 - a - b) for a in range(77) for b in range(77 - a)]
+    gens = deg76 + deg76[::120] + [(a + 1, b, c + 2) for a, b, c in deg76[::120]]
+    tracemalloc.start()
+    try:
+        ring = QuotientRing(32003, 3, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(gens), len(ring.ideal_gens), ring.dim) == (3055, 3003, 76076)
+    assert ring.ideal_gens == sorted(deg76, key=lambda m: [-e for e in m])
+    assert peak < len(gens) ** 2 * 3
+
+
 def test_ring_with_no_variables_is_the_field():
     F = QuotientRing(7, 0, ())
     assert (F.dim, F.std_basis, F.std_strings) == (1, [()], ["1"])
@@ -94,6 +159,16 @@ def test_non_artinian_rejected():
     with pytest.raises(ExactFieldError, match="z"):
         QuotientRing(32003, 3, [(2, 0, 0), (0, 2, 0), (1, 1, 1)],
                      names=["x", "y", "z"])
+
+
+def test_exponent_past_the_limit_rejected():
+    # refused before the generators are minimalized or the ring is checked
+    # for pure powers, so also on a redundant generator or a non-Artinian ideal
+    for gens in ([(2, 0), (0, 2), (1, 2 ** 31)], [(2, 0), (0, 2 ** 64)],
+                 [(2, 0, 0), (0, 2 ** 70, 0)]):
+        with pytest.raises(ExactFieldError, match=r"is too large \(the limit is 2\^31 - 1\)"):
+            QuotientRing(5, len(gens[0]), gens)
+    assert QuotientRing(5, 2, [(2, 0), (0, 2), (1, 2 ** 31 - 1)]).ideal_gens == [(2, 0), (0, 2)]
 
 
 def test_ideal_with_variable_rejected():

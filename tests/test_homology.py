@@ -321,6 +321,25 @@ def test_discover_class_t_rejects_ci(ring_ci2):
         discover_class_T_basis(HomologyAlgebra(ring_ci2))
 
 
+def test_discovery_refuses_on_the_product_rank_before_any_triple(monkeypatch):
+    # (x,y,z)^6 has a_1 = 28, so C(28, 3) = 3276 triples, and no three of
+    # its pairwise products have independent classes: p = rank A_1.A_1 is
+    # below 3, read from the pairs in a few class calls, and discovery
+    # refuses with the message of a search that tried every triple
+    H = HomologyAlgebra(QuotientRing(32003, 3, [(a, b, 6 - a - b)
+                                                for a in range(7) for b in range(7 - a)]))
+    calls = []
+    classes = H.classes
+    monkeypatch.setattr(H, "classes", lambda i, cycles: calls.append(i) or classes(i, cycles))
+    with pytest.raises(DiscoveryError) as caught:
+        discover_class_T_basis(H)
+    assert str(caught.value) == (
+        "no distinguished triple with independent pairwise products certifies "
+        "class T for this ring; supply cycle representatives in the ring file")
+    assert H.rank(1) == 28
+    assert 0 < len(calls) <= 2 and set(calls) == {2}
+
+
 def boundary_rows(H, i):
     """The free columns of flat d_i, which are the nonzero rows of M_i,
     minus a_i: rank flat d_{i+1}."""

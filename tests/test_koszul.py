@@ -272,6 +272,19 @@ def test_parse_consecutive_signs_multiply(ring_t):
                         parse_koszul_element("x*e[1] + y*e[2]", ring_t))
 
 
+def test_parse_refuses_a_value_that_ends_in_a_sign(ring_t):
+    # a dangling sign is no term: the value is refused, not read as the
+    # shorter sum before it
+    for text in ("x*e[1] +", "x*e[1] -", "x*e[1] + -", "x*e[1] -  "):
+        with pytest.raises(KoszulError, match="ends in a sign"):
+            parse_koszul_element(text, ring_t)
+    # a leading sign and a sign after a sign stay accepted
+    assert same_element(parse_koszul_element("- x*e[1]", ring_t),
+                        parse_koszul_element(f"{ring_t.p - 1}*x*e[1]", ring_t))
+    assert same_element(parse_koszul_element("x*e[1] + -y*e[2]", ring_t),
+                        parse_koszul_element("x*e[1] - y*e[2]", ring_t))
+
+
 def test_parse_roundtrip(ring_t):
     for text in ("x*e[1]", "y*z*e[1,2]", "x*e[1] + 2*y*e[2] - e[3]",
                  "x*e[1] + y*e[1]"):
