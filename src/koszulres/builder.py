@@ -30,7 +30,6 @@ control.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -438,10 +437,9 @@ class _Coordinates:
 
 def graded_A_complexes(k_max: int, basis: ClassTBasis, H: HomologyAlgebra) -> dict:
     """The finite complexes of homology classes whose exactness certifies the
-    graded resolution data: B_k (k <= k_max), C_1..C_3, A_k (k <= k_max), and
-    the dimension bookkeeping of the decomposition of A_k into shifted B and C
-    pieces.  The maps are RingMatrix over H.field, and a zero block is only
-    its extents.
+    graded resolution data: B_k (k <= k_max), C_1..C_3 and A_k (k <= k_max).
+    The maps are RingMatrix over H.field, and a zero block is only its
+    extents.
 
     Each block multiplies by a cycle matrix from sources[q], a basis of
     degree q (the unit class ``H.reps[0]`` stands for the entry itself).
@@ -454,10 +452,9 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, H: HomologyAlgebra) -> di
     over l_{k-t,k} rows of zeros.  The alpha matrices come from alpha,
     memoized per basis, so A's are the ones that assemble_T places.
 
-    Returns {"B": {k: FiniteComplex}, "C": {...}, "A": {...},
-    "decomposition": {k: [(position, lhs, rhs, ok), ...]}}.
+    Returns {"B": {k: FiniteComplex}, "C": {j: ...}, "A": {k: ...}}.
     """
-    out = {"B": {}, "C": {}, "A": {}, "decomposition": {}}
+    out = {"B": {}, "C": {}, "A": {}}
     unit = H.reps[0]
     for j in (1, 2, 3):
         g = gamma(j, basis)
@@ -483,25 +480,5 @@ def graded_A_complexes(k_max: int, basis: ClassTBasis, H: HomologyAlgebra) -> di
                 dims.append(a_t * P.l[k - t] + zero_rows)
                 maps.append(_side_by_side(parts, zero_rows))
             out[name][k] = FiniteComplex(f"{name}_{k}", k, dims, maps)
-        out["decomposition"][k] = _decomposition_check(k, out, basis.pack)
     return out
 
-
-def _decomposition_check(k: int, complexes: dict, pack: SequencePack) -> list:
-    """Dimension bookkeeping of A_k = sum_i Sigma^i B_{k-i}^{d_i} +
-    sum_j Sigma^{k-j} C_j^{l_{k-j}} per homological position, read from the
-    dimensions of the complexes A_k, B_m and C_j built above."""
-    lhs = _dims_by_position(complexes["A"][k])
-    rhs: Counter = Counter()
-    pieces = [(complexes["B"][k - i], i, pack.d[i]) for i in range(k)]
-    pieces += [(complexes["C"][j], k - j, pack.l[k - j]) for j in (1, 2, 3) if j <= k]
-    for cx, shift, copies in pieces:
-        for pos, dim in _dims_by_position(cx).items():
-            rhs[pos + shift] += copies * dim
-    positions = sorted(set(lhs) | set(rhs), reverse=True)
-    return [(pos, lhs.get(pos, 0), rhs[pos], lhs.get(pos, 0) == rhs[pos])
-            for pos in positions if pos >= 0]
-
-
-def _dims_by_position(cx: FiniteComplex) -> dict:
-    return {cx.top_position - t: dim for t, dim in enumerate(cx.dims)}

@@ -177,23 +177,17 @@ def parse_koszul_element(s: str, ring: QuotientRing) -> KoszulElement:
     """Parse formal sums like 'x*e[1] + 2*y*z*e[1,2] - e[3]'.  A monomial
     outside the standard basis lies in I, so its term is zero."""
     s = s.strip()
-    chunks = []
-    sign = 1
-    buf = ""
-    for ch in s:
-        if ch in "+-" and buf.strip():
-            chunks.append((sign, buf.strip()))
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        elif ch in "+-":
-            sign = sign * (1 if ch == "+" else -1)
-        else:
-            buf += ch
-    if buf.strip():
-        chunks.append((sign, buf.strip()))
+    parts = re.split(r"([+-])", s)
+    chunks, sign = [], 1
+    for part in parts:
+        if part in ("+", "-"):
+            sign *= -1 if part == "-" else 1  # a run of signs multiplies
+        elif part.strip():
+            chunks.append((sign, part.strip()))
+            sign = 1
     if not chunks:
         raise KoszulError(f"empty Koszul element {s!r}")
-    if s.endswith(("+", "-")):
+    if not parts[-1]:
         raise KoszulError(f"Koszul element {s!r} ends in a sign")
     degree = None
     terms = []
@@ -219,12 +213,13 @@ def parse_koszul_element(s: str, ring: QuotientRing) -> KoszulElement:
 
 
 def _parse_coefficient(body: str, ring: QuotientRing) -> tuple:
-    """(integer, exponent tuple) of a coefficient like '2*x*y^2'; the
-    monomial part follows the ring-file monomial grammar."""
+    """(integer, exponent tuple) of a coefficient like '2*x*y^2': an integer
+    is ASCII digits, and every other factor follows the ring-file monomial
+    grammar."""
     c, variables = 1, []
     for factor in body.split("*"):
         factor = factor.strip()
-        if factor.isdigit():
+        if factor.isascii() and factor.isdigit():
             c *= int(factor)
         elif factor:
             variables.append(factor)

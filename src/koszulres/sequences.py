@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 
 class SequenceError(ValueError):
@@ -154,11 +154,8 @@ class TreeMonomial:
         return len(self.factors)
 
     def deg3(self, pack: SequencePack) -> int:
-        """The product of the l_{k,s}; every factor has k <= s <= k+2."""
-        tables, out = (pack.l, pack.lp, pack.lpp), 1
-        for k, s in self.factors:
-            out *= tables[s - k][k]
-        return out
+        """The product of the l_{k,s} of the factors."""
+        return prod(pack.l_ks(k, s) for k, s in self.factors)
 
     def append(self, k: int, s: int) -> "TreeMonomial":
         return TreeMonomial(self.factors + ((k, s),))

@@ -5,7 +5,8 @@ The checks are deliberately redundant: the complex property is verified as
 honest matrix products over R, exactness as rank bookkeeping of the
 flattened F_p maps, Betti numbers three ways (assembled block ranks, series
 coefficients, oracle), and the graded-level complexes (RingMatrix over F_p)
-by RingMatrix composites and rank conditions at every position.  Exactness
+by RingMatrix composites and rank conditions at every position.  Both
+exactness checks read one homology count, `homology_dims`.  Exactness
 over R and over F_p rank through `flat_rank`, which, like the oracle,
 eliminates each distinct block content of a map once
 (`RingMatrix.flat_contents`): no dense matrix of a whole map is formed, so
@@ -15,6 +16,7 @@ the checks run to the full degree asked for.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -47,8 +49,8 @@ from .homology import (
     verify_class_T,
 )
 from .koszul import koszul_differential, parse_koszul_element
-# SequencePack is bound only for perfbench/trace_child.py, which wraps it by name
-from .sequences import SequencePack, poincare_CI, poincare_T  # noqa: F401
+# perfbench/trace_child.py also wraps these three names in this module
+from .sequences import SequencePack, poincare_CI, poincare_T
 
 
 @dataclass
@@ -148,30 +150,29 @@ def check_exactness(F: ResolutionAssembly) -> CheckSection:
     The rank of each flattened d_i is `flat_rank`: the dense flat matrix is
     never formed.  The details key flat_ranks and homology by the degree as
     a string, as the report prints them."""
-    ring, i_max = F.ring, F.i_max
-    ranks = {}
-    cols = {}
-    for i in range(1, i_max + 1):
-        d = F.diff(i)
-        cols[i] = d.cols * ring.dim
-        ranks[i] = flat_rank(d)
-    details = {"flat_ranks": {str(i): int(r) for i, r in ranks.items()}}
-    h0 = ring.dim - ranks[1]
-    details["h0_dimension"] = int(h0)
+    diffs = [F.diff(i) for i in range(1, F.i_max + 1)]
+    ranks = [flat_rank(d) for d in diffs]
+    h0, *h = homology_dims([F.ring.dim] + [d.cols * F.ring.dim for d in diffs[:-1]], ranks)
+    details = {"flat_ranks": {str(i): int(r) for i, r in enumerate(ranks, 1)},
+               "h0_dimension": int(h0)}
     if h0 != 1:
         return CheckSection("exactness", False, details,
                             failure=f"coker d_1 has dimension {h0}, expected 1")
-    homology = {}
-    for i in range(1, i_max):
-        ker = cols[i] - ranks[i]
-        h = ker - ranks[i + 1]
-        homology[str(i)] = int(h)
-        if h != 0:
-            details["homology"] = homology
+    homology = details["homology"] = {}
+    for i, h_i in enumerate(h, 1):
+        homology[str(i)] = int(h_i)
+        if h_i != 0:
             return CheckSection("exactness", False, details,
-                                failure=f"homology at degree {i} has dimension {h}")
-    details["homology"] = homology
+                                failure=f"homology at degree {i} has dimension {h_i}")
     return CheckSection("exactness", True, details)
+
+
+def homology_dims(dims: list, ranks: list) -> list:
+    """The homology dimension at each space of a complex: dims[t] minus the
+    ranks of the maps on either side of space t, where map t joins spaces t
+    and t + 1 (in either direction) and ranks may run one map past the last
+    space."""
+    return [d - out - into for d, out, into in zip(dims, ranks + [0], [0] + ranks)]
 
 
 def flat_rank(M: RingMatrix) -> int:
@@ -191,9 +192,10 @@ def check_block_ranks(F: ResolutionAssembly, expected: list) -> CheckSection:
         failure=None if ok else "assembled ranks differ from series coefficients")
 
 
-def check_graded_exactness(complexes: dict) -> CheckSection:
+def check_graded_exactness(complexes: dict, pack: SequencePack) -> CheckSection:
     """Every B_k, C_j, A_k complex is exact at every position (ends included),
-    and the A_k dimension decompositions match."""
+    and the dimensions of each A_k decompose as the copies d_i and l_{k-j}
+    that pack gives of the shifted B and C complexes."""
     details: dict = {}
     for family in ("B", "C", "A"):
         for k, cx in complexes[family].items():
@@ -203,10 +205,9 @@ def check_graded_exactness(complexes: dict) -> CheckSection:
                 return CheckSection(
                     "graded_exactness", False, details,
                     failure=f"{cx.name}: {msg}")
-    for k, rows in complexes["decomposition"].items():
+    for k in complexes["A"]:
+        rows = details[f"decomposition_{k}"] = _decomposition_rows(k, complexes, pack)
         bad = [row for row in rows if not row[3]]
-        details[f"decomposition_{k}"] = [tuple(int(x) for x in row[:3]) + (row[3],)
-                                         for row in rows]
         if bad:
             return CheckSection(
                 "graded_exactness", False, details,
@@ -215,14 +216,29 @@ def check_graded_exactness(complexes: dict) -> CheckSection:
     return CheckSection("graded_exactness", True, details)
 
 
+def _decomposition_rows(k: int, complexes: dict, pack: SequencePack) -> list:
+    """(position, lhs, rhs, ok) at each homological position >= 0, top
+    first, of the dimension bookkeeping A_k = sum_i Sigma^i B_{k-i}^{d_i} +
+    sum_j Sigma^{k-j} C_j^{l_{k-j}}."""
+    lhs, rhs = Counter(), Counter()
+    pieces = [(complexes["A"][k], 0, 1, lhs)]
+    pieces += [(complexes["B"][k - i], i, pack.d[i], rhs) for i in range(k)]
+    pieces += [(complexes["C"][j], k - j, pack.l[k - j], rhs) for j in (1, 2, 3) if j <= k]
+    for cx, shift, copies, side in pieces:
+        for t, dim in enumerate(cx.dims):
+            side[cx.top_position - t + shift] += copies * int(dim)
+    return [(pos, lhs[pos], rhs[pos], lhs[pos] == rhs[pos])
+            for pos in sorted(set(lhs) | set(rhs), reverse=True) if pos >= 0]
+
+
 def _finite_complex_exact(cx: FiniteComplex):
     """Exactness of a finite complex by rank bookkeeping.
 
     With maps d_t : V_t -> V_{t+1} (t = 0 the top), exactness everywhere means
-    rank d_0 = dim V_0 (injective at the top), rank d_t + rank d_{t+1} =
-    dim V_{t+1} in the middle, and rank d_last = dim V_last (surjective at
-    the bottom).  A nonzero composite (a RingMatrix product, each term
-    reduced mod p before the sum) is named by its first (row, column)."""
+    zero `homology_dims` at every V_t: d_0 injective at the top, rank d_{t-1}
+    + rank d_t = dim V_t in the middle, and d_last surjective at the bottom.
+    A nonzero composite (a RingMatrix product, each term reduced mod p
+    before the sum) is named by its first (row, column)."""
     dims = [int(d) for d in cx.dims]
     for t, M in enumerate(cx.maps):
         if (M.rows, M.cols) != (dims[t + 1], dims[t]):
@@ -234,13 +250,14 @@ def _finite_complex_exact(cx: FiniteComplex):
             at = tuple(composite.terms[0, :2].tolist())
             return False, f"composite of maps {t} and {t + 1} is nonzero at {at}", dims
     ranks = [flat_rank(M) for M in cx.maps]
-    if ranks[0] != dims[0]:
+    h = homology_dims(dims, ranks)
+    if h[0]:
         return False, f"not exact at the top: rank {ranks[0]} < dim {dims[0]}", dims
-    for t in range(len(ranks) - 1):
-        if ranks[t] + ranks[t + 1] != dims[t + 1]:
-            return False, (f"not exact at position {cx.top_position - t - 1}: "
-                           f"{ranks[t]} + {ranks[t + 1]} != {dims[t + 1]}"), dims
-    if ranks[-1] != dims[-1]:
+    for t in range(1, len(ranks)):
+        if h[t]:
+            return False, (f"not exact at position {cx.top_position - t}: "
+                           f"{ranks[t - 1]} + {ranks[t]} != {dims[t]}"), dims
+    if h[-1]:
         return False, (f"not exact at the bottom: rank {ranks[-1]} "
                        f"< dim {dims[-1]}"), dims
     return True, "", dims
@@ -437,7 +454,7 @@ def full_verify(ring: QuotientRing, mode: str = "auto", i_max: int = 8,
         _, PR = poincare_T(H.rank(1), H.rank(2), H.rank(3), ring.nvars, i_max)
         F = assemble_T(ring, basis, i_max, sign_flip=sign_flip)
         complexes = graded_A_complexes(graded_depth(i_max), basis, H)
-        report.add(check_graded_exactness, complexes)
+        report.add(check_graded_exactness, complexes, basis.pack)
     else:
         _, PR = poincare_CI(H.codepth, ring.nvars, i_max)
         F = assemble_CI(ring, basis, i_max)

@@ -156,7 +156,7 @@ def test_criterion_7_graded_exactness(setup_p):
     t0 = time.time()
     H = HomologyAlgebra(ring)
     complexes = graded_A_complexes(6, basis, H)
-    section = check_graded_exactness(complexes)
+    section = check_graded_exactness(complexes, basis.pack)
     elapsed = time.time() - t0
     ok = (section.passed and set(complexes["B"]) == set(range(1, 7))
           and set(complexes["C"]) == {1, 2, 3}

@@ -29,7 +29,7 @@ from koszulres.koszul import (
 )
 from koszulres.samples import class_t_ring
 from koszulres.sequences import SequencePack, arrow_target
-from koszulres.verifier import flat_rank, graded_depth
+from koszulres.verifier import check_graded_exactness, flat_rank, graded_depth
 from conftest import (
     alpha_builds,
     cycle_entries,
@@ -490,8 +490,10 @@ def test_graded_complex_dimensions(basis_t, homology_t):
     assert out["A"][1].dims == [4, 4]
     assert out["A"][2].dims == [13, 19, 6]
     assert out["A"][3].dims == [41, 4 * 13 + 13, 6 * 4 + 3, 3]
-    for k, rows in out["decomposition"].items():
-        assert all(ok for *_, ok in rows), (k, rows)
+    section = check_graded_exactness(out, basis_t.pack)
+    for k in (1, 2, 3):
+        rows = section.details[f"decomposition_{k}"]
+        assert rows and all(ok for *_, ok in rows), (k, rows)
 
 
 # (top_position, dims, flat ranks of the maps) of every complex of

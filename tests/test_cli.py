@@ -385,6 +385,9 @@ def test_exit_code_ideal_with_variable(tmp_path, capsys, command):
     ("z1_4 = y*z*e[1]", "z1_4 = ", "empty Koszul element ''"),
     ("z1_4 = y*z*e[1]", "z1_4 = x*y", "cannot parse Koszul term 'x*y'"),
     ("z1_4 = y*z*e[1]", "z1_4 = x*e[4]", "basis index out of range in 'x*e[4]'"),
+    # a coefficient is ASCII digits: '٣' and '²' are unknown variables
+    ("z1_4 = y*z*e[1]", "z1_4 = ٣*y*z*e[1]", "unknown variable '٣' in monomial '٣*y*z'"),
+    ("z1_4 = y*z*e[1]", "z1_4 = ²*y*z*e[1]", "unknown variable '²' in monomial '²*y*z'"),
     # a value that ends in a sign is refused, not read as a shorter sum
     ("z1_4 = y*z*e[1]", "z1_4 = y*z*e[1] +", "Koszul element 'y*z*e[1] +' ends in a sign"),
     ("z1_4 = y*z*e[1]", "z1_4 = y*z*e[1] -", "Koszul element 'y*z*e[1] -' ends in a sign"),

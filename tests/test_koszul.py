@@ -285,6 +285,15 @@ def test_parse_refuses_a_value_that_ends_in_a_sign(ring_t):
                         parse_koszul_element("x*e[1] - y*e[2]", ring_t))
 
 
+def test_parse_coefficient_is_ascii_digits(ring_t):
+    # '٣' and '²' are digits to str.isdigit, but a coefficient, like an
+    # exponent, is ASCII digits: any other factor is read as a variable
+    for digit in ("٣", "²"):
+        with pytest.raises(ExactFieldError,
+                           match=f"unknown variable '{digit}' in monomial '{digit}\\*y\\*z'"):
+            parse_koszul_element(f"{digit}*y*z*e[1]", ring_t)
+
+
 def test_parse_roundtrip(ring_t):
     for text in ("x*e[1]", "y*z*e[1,2]", "x*e[1] + 2*y*e[2] - e[3]",
                  "x*e[1] + y*e[1]"):

@@ -32,6 +32,7 @@ from koszulres.homology import (
 )
 from koszulres.koszul import koszul_differential
 from koszulres.samples import class_t_ring, class_t_ring_file
+from koszulres.sequences import SequencePack
 from koszulres.verifier import (
     _finite_complex_exact,
     check_complex,
@@ -109,6 +110,21 @@ def test_check_exactness_detects_dropped_block(ring_t, basis_t):
     assert "degree 3" in section.failure
 
 
+def test_check_exactness_reports_the_lowest_degree(assembly_t, ring_t):
+    # with d_3 = 0 there is homology at degrees 2 and 3: degree 2 is named,
+    # and the homology details stop there
+    d3 = assembly_t.diff(3)
+    doctored = copy.copy(assembly_t)
+    doctored.differentials = list(assembly_t.differentials)
+    doctored.differentials[2] = RingMatrix.from_terms(ring_t, d3.rows, d3.cols, d3.terms[:0])
+    r3 = check_exactness(assembly_t).details["flat_ranks"]["3"]
+    section = check_exactness(doctored)
+    assert section.details["flat_ranks"]["3"] == 0
+    assert d3.cols * ring_t.dim - section.details["flat_ranks"]["4"] > 0  # H_3 != 0
+    assert section.failure == f"homology at degree 2 has dimension {r3}"
+    assert section.details["homology"] == {"1": 0, "2": r3}
+
+
 def test_check_exactness_detects_zero_d1(assembly_t, ring_t):
     # with d_1 = 0 the cokernel at degree 0 is all of R
     d1 = assembly_t.diff(1)
@@ -132,7 +148,7 @@ def test_negative_controls_hit_one_check_each(ring_t, basis_t):
 
 def test_graded_exactness(basis_t, homology_t):
     complexes = graded_A_complexes(5, basis_t, homology_t)
-    section = check_graded_exactness(complexes)
+    section = check_graded_exactness(complexes, basis_t.pack)
     assert section.passed, section.failure
 
 
@@ -140,22 +156,20 @@ def test_graded_exactness_negative_control(basis_t, homology_t):
     complexes = graded_A_complexes(2, basis_t, homology_t)
     M = complexes["A"][2].maps[0]
     complexes["A"][2].maps[0] = sparse_map(np.zeros_like(flatten(M)), M.ring.p)
-    section = check_graded_exactness(complexes)
+    section = check_graded_exactness(complexes, basis_t.pack)
     assert not section.passed
     assert "A_2" in section.failure
 
 
 def test_graded_exactness_reports_decomposition_mismatch(basis_t, homology_t):
+    # the copies of the B and C pieces come from the pack the check is given:
+    # with a1 = 5, d_1 = 2 and l_1 = 5, so position 2 of A_2 would need
+    # 6 + 2 * 3 + 5 = 17 dimensions, and the shipped basis (a1 = 4) has 13
     complexes = graded_A_complexes(2, basis_t, homology_t)
-    rows = complexes["decomposition"][2]
-    position, lhs, rhs, ok = rows[0]
-    assert ok
-    rows[0] = (position, lhs, rhs + 1, False)
-    section = check_graded_exactness(complexes)
+    section = check_graded_exactness(complexes, SequencePack(5, 7, 3))
     assert not section.passed
-    assert section.failure == (f"A_2 decomposition dimensions disagree at "
-                               f"position {position}: {lhs} vs {rhs + 1}")
-    assert section.details["decomposition_2"][0] == (position, lhs, rhs + 1, False)
+    assert section.failure == "A_2 decomposition dimensions disagree at position 2: 13 vs 17"
+    assert section.details["decomposition_2"][0] == (2, 13, 17, False)
 
 
 @pytest.mark.parametrize("dims, shape, message", [
@@ -166,6 +180,18 @@ def test_finite_complex_failures(dims, shape, message):
     cx = FiniteComplex("X", 1, dims, [sparse_map(np.zeros(shape, dtype=np.int64), 7)])
     assert _finite_complex_exact(cx) == (False, message, dims)
     assert dense_complex_exact(cx) == (False, message, dims)
+
+
+@pytest.mark.parametrize("d0, d1, message", [
+    ([[0], [0]], [[1, 0]], "not exact at the top: rank 0 < dim 1"),
+    ([[1], [0]], [[0, 0]], "not exact at position 1: 1 + 0 != 2"),
+], ids=["top-and-middle", "middle-and-bottom"])
+def test_finite_complex_reports_its_first_failure(d0, d1, message):
+    # homology at two spaces: the one nearer the top is named
+    maps = [sparse_map(np.array(d, dtype=np.int64), 7) for d in (d0, d1)]
+    cx = FiniteComplex("X", 2, [1, 2, 1], maps)
+    assert _finite_complex_exact(cx) == (False, message, [1, 2, 1])
+    assert dense_complex_exact(cx) == (False, message, [1, 2, 1])
 
 
 def _with_entry(cx: FiniteComplex, t: int, n: int, value: int) -> FiniteComplex:
@@ -209,7 +235,7 @@ def test_graded_failure_names_composite_entry(basis_t, homology_t):
     d0 = complexes["A"][4].maps[0]
     assert d0.terms[2, :2].tolist() == [2, 1]
     complexes["A"][4] = _with_entry(complexes["A"][4], 0, 2, 0)
-    section = check_graded_exactness(complexes)
+    section = check_graded_exactness(complexes, basis_t.pack)
     assert section.failure == "A_4: composite of maps 0 and 1 is nonzero at (0, 1)"
     assert dense_complex_exact(complexes["A"][4])[1].endswith("at (0, 1)")
 
